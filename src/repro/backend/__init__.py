@@ -5,9 +5,7 @@ the hardware charges and nothing more:
 
 * :class:`Backend` -- the protocol through which every solver reaches its
   matvec/dot/axpy/block kernels.  :class:`ReferenceBackend` is the
-  instrumented-numpy implementation (the default, always available);
-  :class:`ThreadedBackend` chunks the elementwise kernels and the CSR
-  matvec across a thread pool (feature-detected, at least two CPUs).
+  instrumented-numpy implementation and the only registered one.
   Select with ``solve(..., backend=)``, the CLI ``--backend`` flag, or
   the ``REPRO_BACKEND`` environment variable.
 * :class:`Workspace` -- a per-solve, shape/dtype-keyed buffer pool, so
@@ -32,13 +30,11 @@ from repro.backend.cache import (
     swapped_setup_cache,
 )
 from repro.backend.reference import ReferenceBackend
-from repro.backend.threaded import ThreadedBackend
 from repro.backend.workspace import Workspace
 
 __all__ = [
     "Backend",
     "ReferenceBackend",
-    "ThreadedBackend",
     "Workspace",
     "SetupCache",
     "setup_cache",
@@ -48,7 +44,6 @@ __all__ = [
     "matrix_fingerprint",
     "cached_ell",
     "available_backends",
-    "close_backends",
     "get_backend",
     "resolve_backend",
 ]
@@ -58,7 +53,6 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 _REGISTRY: dict[str, type[Backend]] = {
     ReferenceBackend.name: ReferenceBackend,
-    ThreadedBackend.name: ThreadedBackend,
 }
 
 _INSTANCES: dict[str, Backend] = {}
@@ -92,22 +86,6 @@ def get_backend(name: str) -> Backend:
         instance = cls()
         _INSTANCES[key] = instance
     return instance
-
-
-def close_backends() -> None:
-    """Release every shared backend instance's resources.
-
-    Backends are process-global singletons, so anything they hold --
-    the threaded backend's worker pool in particular -- lives for the
-    process unless explicitly released.  Long-lived hosts (the serve
-    drain path, test fixtures) call this on the way out; the next
-    :func:`get_backend` simply builds a fresh instance.
-    """
-    for instance in list(_INSTANCES.values()):
-        close = getattr(instance, "close", None)
-        if callable(close):
-            close()
-    _INSTANCES.clear()
 
 
 def resolve_backend(spec: "Backend | str | None") -> Backend:

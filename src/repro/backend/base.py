@@ -30,11 +30,9 @@ __all__ = ["Backend"]
 class Backend(ABC):
     """Abstract kernel dispatch layer.
 
-    Concrete backends: :class:`~repro.backend.reference.ReferenceBackend`
+    Concrete backend: :class:`~repro.backend.reference.ReferenceBackend`
     (the instrumented-numpy kernels every solver used before this layer
-    existed) and :class:`~repro.backend.threaded.ThreadedBackend`
-    (chunked multi-threaded elementwise kernels behind feature
-    detection).
+    existed).
     """
 
     #: Registry name (``backend="<name>"`` / ``--backend <name>`` / env).

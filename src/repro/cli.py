@@ -390,13 +390,6 @@ def _serve(args) -> int:
         asyncio.run(run_server(service, args.host, args.port))
     except KeyboardInterrupt:
         print("draining")
-    finally:
-        # The service's own executor is drained by run_server; shared
-        # backend singletons (the threaded backend's pool) are released
-        # here so a serve process exits with zero live worker threads.
-        from repro.backend import close_backends
-
-        close_backends()
     return 0
 
 
@@ -479,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--backend", default=None, metavar="NAME",
         help="kernel-dispatch backend for backend-capable methods "
-             "(reference, threaded); default honours the REPRO_BACKEND "
+             "(reference); default honours the REPRO_BACKEND "
              "environment variable, else the reference backend",
     )
     solve.add_argument("--replace-every", type=int, default=None,

@@ -82,7 +82,7 @@ def conjugate_gradient(
         final answers.
     backend:
         Kernel dispatch: a :class:`repro.backend.Backend` instance, a
-        registered name (``"reference"``, ``"threaded"``), or ``None``
+        registered name (``"reference"``), or ``None``
         (the ``REPRO_BACKEND`` env var, then the reference backend).
         Op-counter and telemetry totals are identical across backends.
     workspace:

@@ -1,18 +1,11 @@
 """The kernel-dispatch backend layer (:mod:`repro.backend`).
 
-Covers the four pieces of the subsystem:
+Covers the three pieces of the subsystem:
 
 * backend *selection* -- explicit name / instance / ``REPRO_BACKEND``
-  environment variable / unknown-name errors / feature detection;
+  environment variable / unknown-name errors;
 * the :class:`Workspace` arena -- buffer reuse, shape re-keying, stats;
-* the :class:`SetupCache` -- fingerprint keying, hits, LRU eviction;
-* cross-backend *parity* -- identical numerics AND identical op-counter
-  totals between the reference and threaded backends (the threaded
-  backend books each kernel exactly once, never per chunk).
-
-The host running CI may have a single CPU, where the threaded backend's
-feature detection correctly reports it unavailable; parity tests
-construct :class:`ThreadedBackend` directly to bypass detection.
+* the :class:`SetupCache` -- fingerprint keying, hits, LRU eviction.
 """
 
 from __future__ import annotations
@@ -20,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.backend as backend_mod
 from repro.backend import (
     SetupCache,
     Workspace,
@@ -33,9 +25,7 @@ from repro.backend import (
     setup_cache,
 )
 from repro.backend.reference import ReferenceBackend
-from repro.backend.threaded import ThreadedBackend
 from repro.sparse.generators import poisson2d
-from repro.util.counters import counting
 
 
 # ----------------------------------------------------------------------
@@ -66,19 +56,12 @@ class TestSelection:
         assert resolve_backend("reference").name == "reference"
 
     def test_resolve_instance_passthrough(self):
-        bk = ThreadedBackend(min_size=1)
+        bk = ReferenceBackend()
         assert resolve_backend(bk) is bk
 
     def test_resolve_rejects_junk(self):
         with pytest.raises(TypeError):
             resolve_backend(42)
-
-    def test_threaded_detection_matches_listing(self):
-        listed = "threaded" in available_backends()
-        assert listed == ThreadedBackend.is_available()
-        if not listed:
-            with pytest.raises(ValueError, match="not available"):
-                get_backend("threaded")
 
 
 # ----------------------------------------------------------------------
@@ -186,101 +169,6 @@ class TestSetupCache:
 
 
 # ----------------------------------------------------------------------
-# cross-backend parity
-# ----------------------------------------------------------------------
-class TestParity:
-    """Threaded and reference backends must agree bit-for-bit on results
-    and exactly on op-counter totals (booking once per kernel call)."""
-
-    @pytest.fixture()
-    def backends(self):
-        # min_size=1 forces the chunked code paths even on tiny inputs.
-        return ReferenceBackend(), ThreadedBackend(num_threads=2, min_size=1)
-
-    def _counted(self, fn):
-        with counting() as counts:
-            value = fn()
-        return value, counts
-
-    def test_axpy_parity(self, backends):
-        ref, thr = backends
-        rng = np.random.default_rng(7)
-        x, y = rng.standard_normal(512), rng.standard_normal(512)
-        out_r, out_t = y.copy(), y.copy()
-        _, c_ref = self._counted(lambda: ref.axpy(2.5, x, out_r, out=out_r))
-        _, c_thr = self._counted(lambda: thr.axpy(2.5, x, out_t, out=out_t))
-        np.testing.assert_array_equal(out_r, out_t)
-        assert c_ref.axpys == c_thr.axpys and c_ref.axpy_flops == c_thr.axpy_flops
-
-    def test_axpby_parity(self, backends):
-        ref, thr = backends
-        rng = np.random.default_rng(8)
-        x, y = rng.standard_normal(512), rng.standard_normal(512)
-        out_r, out_t = np.empty(512), np.empty(512)
-        ws_r, ws_t = Workspace(), Workspace()
-        _, c_ref = self._counted(
-            lambda: ref.axpby(1.5, x, -0.5, y, out=out_r, work=ws_r)
-        )
-        _, c_thr = self._counted(
-            lambda: thr.axpby(1.5, x, -0.5, y, out=out_t, work=ws_t)
-        )
-        np.testing.assert_array_equal(out_r, out_t)
-        assert c_ref.axpys == c_thr.axpys and c_ref.axpy_flops == c_thr.axpy_flops
-
-    def test_scale_parity(self, backends):
-        ref, thr = backends
-        x = np.arange(256.0)
-        out_r, out_t = np.empty(256), np.empty(256)
-        _, c_ref = self._counted(lambda: ref.scale(0.25, x, out=out_r))
-        _, c_thr = self._counted(lambda: thr.scale(0.25, x, out=out_t))
-        np.testing.assert_array_equal(out_r, out_t)
-        assert c_ref.axpys == c_thr.axpys and c_ref.axpy_flops == c_thr.axpy_flops
-
-    def test_csr_matvec_parity(self, backends):
-        ref, thr = backends
-        a = poisson2d(24)
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal(a.nrows)
-        out_r, out_t = np.empty(a.nrows), np.empty(a.nrows)
-        ws_r, ws_t = Workspace(), Workspace()
-        _, c_ref = self._counted(lambda: ref.matvec(a, x, out=out_r, work=ws_r))
-        _, c_thr = self._counted(lambda: thr.matvec(a, x, out=out_t, work=ws_t))
-        np.testing.assert_allclose(out_r, out_t, rtol=1e-14, atol=1e-14)
-        assert c_ref.matvecs == c_thr.matvecs
-        assert c_ref.axpy_flops == c_thr.axpy_flops
-
-    def test_dot_label_telemetry_preserved(self, backends):
-        ref, thr = backends
-        x = np.ones(64)
-        with counting() as c_ref:
-            ref.dot(x, x, label="direct_dot")
-        with counting() as c_thr:
-            thr.dot(x, x, label="direct_dot")
-        assert c_ref.dots == c_thr.dots
-        assert c_ref.labelled("direct_dot") == c_thr.labelled("direct_dot") == 1
-
-    def test_full_solve_parity(self, backends):
-        from repro.core.standard import conjugate_gradient
-        from repro.core.stopping import StoppingCriterion
-
-        ref, thr = backends
-        a = poisson2d(16)
-        b = np.ones(a.nrows)
-        stop = StoppingCriterion(rtol=1e-10)
-        r_ref, c_ref = self._counted(
-            lambda: conjugate_gradient(a, b, stop=stop, backend=ref)
-        )
-        r_thr, c_thr = self._counted(
-            lambda: conjugate_gradient(a, b, stop=stop, backend=thr)
-        )
-        assert r_ref.iterations == r_thr.iterations
-        np.testing.assert_allclose(r_ref.x, r_thr.x, rtol=1e-12, atol=1e-14)
-        assert c_ref.dots == c_thr.dots
-        assert c_ref.axpys == c_thr.axpys
-        assert c_ref.matvecs == c_thr.matvecs
-
-
-# ----------------------------------------------------------------------
 # front-door integration
 # ----------------------------------------------------------------------
 class TestSolveIntegration:
@@ -357,56 +245,3 @@ class TestEnvVarDiagnostics:
         b = np.ones(a.nrows)
         with pytest.raises(ValueError, match="REPRO_BACKEND"):
             solve(a, b, method="cg")
-
-
-# ----------------------------------------------------------------------
-# lifecycle: the pool must be releasable (regression: leaked executor)
-# ----------------------------------------------------------------------
-class TestLifecycle:
-    @staticmethod
-    def _live_pool_threads():
-        import threading
-
-        return [
-            t for t in threading.enumerate()
-            if t.name.startswith("repro-backend")
-        ]
-
-    def test_close_joins_pool_threads(self):
-        # Constructed directly: feature detection (>= 2 CPUs) must not
-        # gate the leak regression on single-core CI hosts.
-        bk = ThreadedBackend(min_size=1)
-        before = len(self._live_pool_threads())
-        x = np.ones(1 << 10)
-        out = np.empty_like(x)
-        bk.axpy(2.0, x, x, out=out)
-        assert len(self._live_pool_threads()) > before  # pool spun up
-        bk.close()
-        assert len(self._live_pool_threads()) == before  # joined, not leaked
-        bk.close()  # idempotent
-        # The backend stays usable: the next kernel starts a fresh pool.
-        bk.axpy(2.0, x, x, out=out)
-        assert np.array_equal(out, 3.0 * x)
-        bk.close()
-
-    def test_close_without_use_is_a_noop(self):
-        ThreadedBackend(min_size=1).close()
-
-    def test_context_manager_closes(self):
-        x = np.ones(1 << 10)
-        out = np.empty_like(x)
-        with ThreadedBackend(min_size=1) as bk:
-            bk.axpy(1.0, x, x, out=out)
-            assert self._live_pool_threads()
-        assert not self._live_pool_threads()
-
-    def test_close_backends_releases_shared_instances(self, monkeypatch):
-        from repro.backend import close_backends
-
-        bk = ThreadedBackend(min_size=1)
-        x = np.ones(1 << 10)
-        bk.axpy(1.0, x, x, out=np.empty_like(x))
-        monkeypatch.setitem(backend_mod._INSTANCES, "threaded-test", bk)
-        close_backends()
-        assert not self._live_pool_threads()
-        assert backend_mod._INSTANCES == {}
