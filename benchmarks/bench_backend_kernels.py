@@ -1,6 +1,6 @@
 """Backend kernel throughput and allocation discipline (``BENCH_perf.json``).
 
-Three measurements of the :mod:`repro.backend` subsystem on the model
+Two measurements of the :mod:`repro.backend` subsystem on the model
 problem:
 
 * **workspace matvec speedup** -- the subsystem's optimized matvec
@@ -17,10 +17,6 @@ problem:
   per call for both paths, plus per-iteration steady-state allocations
   of a full CG solve with a caller-owned arena and with the solver's
   own default arena (both must be allocation-free).
-* **cross-backend parity** -- the op-counter totals and trace-span
-  counts of one identical solve per available backend, recorded so a
-  regression in counter booking (e.g. a backend double-booking per
-  chunk) shows up in the committed numbers.
 
 Numbers are written to ``BENCH_perf.json`` at the repository root;
 ``tools/check_bench_regression.py`` compares them against
@@ -36,12 +32,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.backend import Workspace, available_backends, cached_ell, get_backend
+from repro.backend import Workspace, cached_ell
 from repro.core.standard import conjugate_gradient
 from repro.core.stopping import StoppingCriterion
 from repro.sparse import poisson2d
-from repro.trace import Tracer
-from repro.util.counters import counting
 from repro.util.rng import default_rng
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -152,41 +146,6 @@ def _solve_allocation_profile(a, b, stop) -> dict:
     }
 
 
-def _backend_parity(a, b, stop) -> list[dict]:
-    """One identical solve per available backend: counters + spans."""
-    records = []
-    for name in available_backends():
-        backend = get_backend(name)
-        tracer = Tracer()
-        from repro.telemetry import Telemetry
-        from repro.telemetry.sinks import NullSink
-
-        with counting() as counts:
-            result = conjugate_gradient(
-                a,
-                b,
-                stop=stop,
-                backend=backend,
-                workspace=Workspace(),
-                telemetry=Telemetry(NullSink(), tracer=tracer),
-            )
-        records.append(
-            {
-                "backend": name,
-                "converged": bool(result.converged),
-                "iterations": int(result.iterations),
-                "dots": int(counts.dots),
-                "axpys": int(counts.axpys),
-                "matvecs": int(counts.matvecs),
-                "dot_flops": int(counts.dot_flops),
-                "axpy_flops": int(counts.axpy_flops),
-                "matvec_flops": int(counts.matvec_flops),
-                "trace_spans": len(tracer.spans()),
-            }
-        )
-    return records
-
-
 def run(
     *,
     grid: int = DEFAULT_GRID,
@@ -198,8 +157,8 @@ def run(
     """Measure the backend kernels; return (and optionally write) the record.
 
     ``grid`` sizes the matvec arms (acceptance wants n >= 1e5, i.e.
-    grid >= 317); ``solve_grid`` sizes the full-solve allocation and
-    parity sections, which run dozens of iterations and can be smaller.
+    grid >= 317); ``solve_grid`` sizes the full-solve allocation
+    section, which runs dozens of iterations and can be smaller.
     """
     a = poisson2d(grid)
     x = default_rng(3).standard_normal(a.nrows)
@@ -216,7 +175,6 @@ def run(
         "repeats": repeats,
         **_matvec_arms(a, x, repeats),
         "solve_allocations": _solve_allocation_profile(a_small, b_small, stop),
-        "backend_parity": _backend_parity(a_small, b_small, stop),
     }
     if out_path is not None:
         Path(out_path).write_text(json.dumps(payload, indent=2) + "\n")
@@ -224,8 +182,7 @@ def run(
 
 
 def test_backend_kernel_performance():
-    """Acceptance: workspace matvec >= 1.2x allocating matvec at n >= 1e5,
-    with identical op-counter totals across all available backends."""
+    """Acceptance: workspace matvec >= 1.2x allocating matvec at n >= 1e5."""
     payload = run()
     assert payload["n"] >= 100_000
     speedup = payload["workspace_matvec_speedup"]
@@ -238,19 +195,6 @@ def test_backend_kernel_performance():
     assert (
         payload["workspace_matvec_allocs"]["peak_bytes"] < payload["n"] // 2
     ), payload["workspace_matvec_allocs"]
-    # Counter/telemetry parity: every backend books identical totals.
-    parity = payload["backend_parity"]
-    baseline = parity[0]
-    for record in parity[1:]:
-        for key in (
-            "iterations", "dots", "axpys", "matvecs",
-            "dot_flops", "axpy_flops", "matvec_flops", "trace_spans",
-        ):
-            assert record[key] == baseline[key], (
-                f"backend {record['backend']} disagrees with "
-                f"{baseline['backend']} on {key}: "
-                f"{record[key]} != {baseline[key]}"
-            )
     assert DEFAULT_OUT.exists()
 
 
