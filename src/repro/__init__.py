@@ -42,13 +42,10 @@ individual solver functions remain importable for direct use.
 """
 
 from repro.backend import (
-    Backend,
     SetupCache,
     Workspace,
-    available_backends,
     cached_ell,
     clear_setup_cache,
-    get_backend,
     resolve_backend,
     setup_cache,
 )
@@ -103,13 +100,10 @@ __version__ = "1.0.0"
 __all__ = [
     "solve",
     "solve_batched",
-    "Backend",
     "SetupCache",
     "Workspace",
-    "available_backends",
     "cached_ell",
     "clear_setup_cache",
-    "get_backend",
     "resolve_backend",
     "setup_cache",
     "available_methods",

@@ -1,25 +1,22 @@
-"""Kernel dispatch, workspace arena, and setup cache (`repro.backend`).
+"""Workspace arena and setup cache (`repro.backend`).
 
-Three pieces, one goal -- make the per-iteration critical path cost what
+Two pieces, one goal -- make the per-iteration critical path cost what
 the hardware charges and nothing more:
 
-* :class:`Backend` -- the protocol through which every solver reaches its
-  matvec/dot/axpy/block kernels.  :class:`ReferenceBackend` is the
-  instrumented-numpy implementation and the only registered one.
-  Select with ``solve(..., backend=)``, the CLI ``--backend`` flag, or
-  the ``REPRO_BACKEND`` environment variable.
 * :class:`Workspace` -- a per-solve, shape/dtype-keyed buffer pool, so
   steady-state iterations allocate zero new arrays.
 * :class:`SetupCache` -- memoizes matrix-dependent setup (ELL
   conversion, preconditioner factorizations, matrix-powers structure)
   across repeated ``solve()`` calls, keyed by a content fingerprint.
+
+The kernels themselves live in :mod:`repro.util.kernels`; solvers call
+them, and :func:`repro.sparse.linop.matvec_into`, directly.
 """
 
 from __future__ import annotations
 
-import os
+from types import ModuleType
 
-from repro.backend.base import Backend
 from repro.backend.cache import (
     SetupCache,
     cached_ell,
@@ -29,12 +26,10 @@ from repro.backend.cache import (
     setup_cache,
     swapped_setup_cache,
 )
-from repro.backend.reference import ReferenceBackend
 from repro.backend.workspace import Workspace
+from repro.util import kernels
 
 __all__ = [
-    "Backend",
-    "ReferenceBackend",
     "Workspace",
     "SetupCache",
     "setup_cache",
@@ -43,79 +38,23 @@ __all__ = [
     "swapped_setup_cache",
     "matrix_fingerprint",
     "cached_ell",
-    "available_backends",
-    "get_backend",
     "resolve_backend",
 ]
 
-#: Environment variable consulted when no explicit backend is requested.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
 
-_REGISTRY: dict[str, type[Backend]] = {
-    ReferenceBackend.name: ReferenceBackend,
-}
+def resolve_backend(spec: None = None) -> ModuleType:
+    """Return the kernel module, :mod:`repro.util.kernels`.
 
-_INSTANCES: dict[str, Backend] = {}
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names of the backends that can run on this host."""
-    return tuple(
-        name for name, cls in sorted(_REGISTRY.items()) if cls.is_available()
-    )
-
-
-def get_backend(name: str) -> Backend:
-    """The shared instance of the named backend.
-
-    Raises ``ValueError`` for unknown names and for backends whose
-    feature detection fails on this host.
+    There is no kernel backend to choose: every solver calls
+    :mod:`repro.util.kernels` directly.  This function survives only
+    because the benchmark harness in ``perfbench/`` times ``dot`` and
+    ``axpy`` through ``resolve_backend(None)``; a later benchmark change
+    may drop it.  Any argument other than ``None`` raises
+    :class:`ValueError`.
     """
-    key = str(name).strip().lower()
-    cls = _REGISTRY.get(key)
-    if cls is None:
-        known = ", ".join(sorted(_REGISTRY))
-        raise ValueError(f"unknown backend {name!r}; available: {known}")
-    if not cls.is_available():
+    if spec is not None:
         raise ValueError(
-            f"backend {key!r} is not available on this host "
-            f"(available: {', '.join(available_backends())})"
+            f"kernel backends were removed (got {spec!r}); solvers call "
+            "repro.util.kernels directly, so pass nothing"
         )
-    instance = _INSTANCES.get(key)
-    if instance is None:
-        instance = cls()
-        _INSTANCES[key] = instance
-    return instance
-
-
-def resolve_backend(spec: "Backend | str | None") -> Backend:
-    """Resolve a backend request to an instance.
-
-    ``None`` consults the ``REPRO_BACKEND`` environment variable and
-    falls back to the reference backend; a string goes through
-    :func:`get_backend`; a :class:`Backend` instance passes through.
-
-    A bad environment value fails with the variable's *name* in the
-    message: the caller passed nothing, so an error blaming an unknown
-    backend string they never typed would be undiagnosable.
-    """
-    if spec is None:
-        env = os.environ.get(BACKEND_ENV_VAR)
-        if not env:
-            return get_backend(ReferenceBackend.name)
-        try:
-            return get_backend(env)
-        except ValueError as exc:
-            raise ValueError(
-                f"environment variable {BACKEND_ENV_VAR}={env!r} does not "
-                f"name a usable backend "
-                f"(available: {', '.join(available_backends())}); "
-                f"unset it or export one of the available names"
-            ) from exc
-    if isinstance(spec, Backend):
-        return spec
-    if isinstance(spec, str):
-        return get_backend(spec)
-    raise TypeError(
-        f"backend must be a Backend instance or name, got {type(spec).__name__}"
-    )
+    return kernels

@@ -186,8 +186,6 @@ def _solve(args) -> int:
     b = _load_rhs(args, a.nrows)
 
     options: dict = {"stop": stop}
-    if args.backend is not None:
-        options["backend"] = args.backend
     _reject_bad_auto_k(args.k, method)
     if method == "vr":
         options["k"] = args.k
@@ -258,8 +256,6 @@ def _solve_batched(args, a: CSRMatrix, stop, method: str) -> int:
     b_block = _load_rhs_block(args, a.nrows)
 
     options: dict = {"stop": stop}
-    if args.backend is not None and not method.startswith("dist-"):
-        options["backend"] = args.backend
     if args.k == "auto":
         raise SystemExit("--k auto is not supported for batched solves")
     if method == "vr":
@@ -469,12 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "enables the adaptive window controller")
     solve.add_argument("--rtol", type=float, default=1e-8)
     solve.add_argument("--max-iter", type=int, default=None)
-    solve.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="kernel-dispatch backend for backend-capable methods "
-             "(reference); default honours the REPRO_BACKEND "
-             "environment variable, else the reference backend",
-    )
     solve.add_argument("--replace-every", type=int, default=None,
                        help="periodic residual replacement interval")
     solve.add_argument("--drift-tol", type=float, default=None,

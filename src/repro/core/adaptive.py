@@ -54,6 +54,7 @@ from repro.core.stopping import StoppingCriterion
 from repro.core.vr_cg import _startup
 from repro.sparse.linop import as_operator, operator_dtype
 from repro.util.counters import add_scalar_flops
+from repro.util.kernels import axpy, dot, norm
 from repro.util.validation import (
     as_1d_typed_array,
     check_square_operator,
@@ -292,7 +293,6 @@ def adaptive_vr_cg(
     stop: StoppingCriterion | None = None,
     controller: Any = None,
     telemetry: "Telemetry | None" = None,
-    backend: Any = None,
     workspace: Any = None,
 ) -> CGResult:
     """Eager Van Rosendale CG with an online adaptive window size.
@@ -313,7 +313,7 @@ def adaptive_vr_cg(
     controller:
         A :class:`WindowController`, a :class:`ControllerConfig`, or
         ``None`` for defaults.
-    a, b, x0, stop, telemetry, backend, workspace:
+    a, b, x0, stop, telemetry, workspace:
         As in :func:`repro.core.vr_cg.vr_conjugate_gradient`.
 
     Returns
@@ -332,9 +332,8 @@ def adaptive_vr_cg(
     k0 = _initial_k(k)
     ctl = _coerce_controller(controller, k0, k_min_floor=0)
     ctl.attach(telemetry)
-    from repro.backend import Workspace, resolve_backend
+    from repro.backend import Workspace
 
-    bk = resolve_backend(backend)
     ws = workspace if workspace is not None else Workspace()
 
     x = (
@@ -347,7 +346,7 @@ def adaptive_vr_cg(
         telemetry.solve_start("adaptive-vr", label, n, k0=ctl.k)
         telemetry.iterate(x)
 
-    b_norm = bk.norm(b)
+    b_norm = norm(b)
     if telemetry is not None:
         with telemetry.phase("startup"):
             powers, window = _startup(op, b, x, ctl.k)
@@ -359,7 +358,7 @@ def adaptive_vr_cg(
     lambdas: list[float] = []
 
     def _result(reason: StopReason, iterations: int) -> CGResult:
-        true_res = bk.norm(b - op.matvec(x))
+        true_res = norm(b - op.matvec(x))
         reason = verified_exit(reason, true_res, stop.threshold(b_norm))
         extras: dict[str, Any] = {
             "k_history": list(ctl.k_history),
@@ -424,7 +423,7 @@ def adaptive_vr_cg(
 
         lam = window.lam()
         lambdas.append(lam)
-        bk.axpy(lam, powers.p, x, out=x, work=ws)
+        axpy(lam, powers.p, x, out=x, work=ws)
         iterations += 1
         powers.advance_r(lam, work=ws)
 
@@ -472,7 +471,7 @@ def adaptive_vr_cg(
         since_check += 1
         if since_check >= ctl.config.check_every:
             since_check = 0
-            rr_direct = bk.dot(powers.r, powers.r, label="drift_check_dot")
+            rr_direct = dot(powers.r, powers.r, label="drift_check_dot")
             if telemetry is not None:
                 telemetry.drift(iterations, window.rr, rr_direct)
             floor = max(stop.threshold(b_norm) ** 2, np.finfo(np.float64).tiny)
@@ -495,7 +494,6 @@ def adaptive_vr_cg(
                 x0=x,
                 stop=dc_replace(stop, max_iter=remaining),
                 telemetry=telemetry,
-                backend=bk,
                 workspace=ws,
             )
             x = sub.x
@@ -517,7 +515,6 @@ def adaptive_pipelined_vr_cg(
     stop: StoppingCriterion | None = None,
     controller: Any = None,
     telemetry: "Telemetry | None" = None,
-    backend: Any = None,
     workspace: Any = None,
 ) -> CGResult:
     """Pipelined Van Rosendale CG with an online adaptive window size.
@@ -535,9 +532,6 @@ def adaptive_pipelined_vr_cg(
     k0 = max(_initial_k(k), 1)
     ctl = _coerce_controller(controller, k0, k_min_floor=1)
     ctl.attach(telemetry)
-    from repro.backend import resolve_backend
-
-    bk = resolve_backend(backend)
     from repro.core.pipeline import pipelined_vr_cg
 
     result = pipelined_vr_cg(
@@ -547,7 +541,6 @@ def adaptive_pipelined_vr_cg(
         x0=x0,
         stop=stop,
         telemetry=telemetry,
-        backend=bk,
         workspace=workspace,
         controller=ctl,
     )
@@ -564,7 +557,6 @@ def adaptive_pipelined_vr_cg(
                 x0=result.x,
                 stop=dc_replace(stop, max_iter=remaining),
                 telemetry=telemetry,
-                backend=bk,
                 workspace=workspace,
             )
             result = CGResult(

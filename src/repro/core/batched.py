@@ -203,7 +203,6 @@ def batched_cg(
     x0: np.ndarray | None = None,
     stop: StoppingCriterion | None = None,
     telemetry: "Telemetry | None" = None,
-    backend: Any = None,
     workspace: Any = None,
 ) -> BatchedResult:
     """Solve ``A X = B`` for all columns of ``B`` by block-batched CG.
@@ -235,9 +234,8 @@ def batched_cg(
     b_block = as_2d_float_array(b, "B")
     check_square_operator(op, b_block.shape[0])
     stop = stop or StoppingCriterion()
-    from repro.backend import Workspace, resolve_backend
+    from repro.backend import Workspace
 
-    bk = resolve_backend(backend)
     ws = workspace if workspace is not None else Workspace()
 
     batch = _Batch(op, b_block, x0, stop, telemetry, "batched-cg")
@@ -270,8 +268,8 @@ def batched_cg(
     iteration = 0
     while batch.width and iteration < budget:
         iteration += 1
-        bk.matmat(op, p, out=ap, work=ws)
-        pap = bk.block_dot(p, ap, label="batched_pap")  # fused reduction #1
+        block_matvec(op, p, out=ap, work=ws)
+        pap = block_dot(p, ap, label="batched_pap")  # fused reduction #1
 
         bad = np.flatnonzero(pap <= 0.0)
         if bad.size:
@@ -290,7 +288,7 @@ def batched_cg(
         r -= work
         add_axpy(r.size, flops_per_entry=4)
 
-        rr_new = bk.block_dot(r, r, label="batched_rr")  # fused reduction #2
+        rr_new = block_dot(r, r, label="batched_rr")  # fused reduction #2
         res = np.sqrt(np.maximum(rr_new, 0.0))
         batch.record(res, iteration)
         if telemetry is not None:
@@ -390,7 +388,6 @@ def batched_vr_cg(
     stop: StoppingCriterion | None = None,
     replace_every: int | None = None,
     telemetry: "Telemetry | None" = None,
-    backend: Any = None,
     workspace: Any = None,
 ) -> BatchedResult:
     """Solve ``A X = B`` by block-batched Van Rosendale restructured CG.
@@ -423,9 +420,8 @@ def batched_vr_cg(
     if replace_every is not None and replace_every < 1:
         raise ValueError(f"replace_every must be >= 1, got {replace_every}")
 
-    from repro.backend import Workspace, resolve_backend
+    from repro.backend import Workspace
 
-    bk = resolve_backend(backend)
     ws = workspace if workspace is not None else Workspace()
     label = f"batched-vr-cg(k={k})"
     batch = _Batch(op, b_block, x0, stop, telemetry, label)
@@ -521,14 +517,14 @@ def batched_vr_cg(
         add_scalar_flops(alpha.size)
 
         # Direct fused product #1 (top mu) from the advanced r powers.
-        mu_top = bk.block_dot(r_powers[k], r_powers[k + 1], label="batched_direct_dot")
+        mu_top = block_dot(r_powers[k], r_powers[k + 1], label="batched_direct_dot")
 
         # Advance direction powers (ONE block matvec), then fused #2.
         p_powers[: k + 2] *= alpha
         p_powers[: k + 2] += r_powers
         add_axpy(p_powers[: k + 2].size)
-        bk.matmat(op, p_powers[k + 1], out=p_powers[k + 2], work=ws)
-        sigma_top = bk.block_dot(
+        block_matvec(op, p_powers[k + 1], out=p_powers[k + 2], work=ws)
+        sigma_top = block_dot(
             p_powers[k + 1], p_powers[k + 1], label="batched_direct_dot"
         )
 

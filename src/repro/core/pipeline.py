@@ -50,6 +50,7 @@ from repro.core.results import CGResult, StopReason, verified_exit
 from repro.core.stopping import StoppingCriterion
 from repro.sparse.linop import as_operator, operator_dtype
 from repro.util.counters import add_scalar_flops
+from repro.util.kernels import axpy, dot, norm
 from repro.util.validation import (
     as_1d_typed_array,
     check_square_operator,
@@ -237,7 +238,6 @@ def pipelined_vr_cg(
     faults: Any = None,
     recovery: Any = None,
     telemetry: "Telemetry | None" = None,
-    backend: Any = None,
     workspace: Any = None,
     trace: PipelineTrace | None = None,
     controller: "WindowController | None" = None,
@@ -280,9 +280,6 @@ def pipelined_vr_cg(
         :class:`~repro.telemetry.PipelineEvent` (rebuild a
         :class:`PipelineTrace` with :func:`trace_from_events`), plus the
         usual per-iteration events.
-    backend:
-        Kernel dispatch (:class:`repro.backend.Backend` instance, name,
-        or ``None`` for env-var / reference resolution).
     workspace:
         Optional :class:`repro.backend.Workspace`; a per-solve arena is
         made when omitted.  Steady-state iterations allocate zero new
@@ -338,10 +335,9 @@ def pipelined_vr_cg(
         if telemetry is not None:
             telemetry.pipeline(kind, iteration, source_iteration, count)
 
-    from repro.backend import Workspace, resolve_backend
+    from repro.backend import Workspace
     from repro.faults import RecoveryPolicy, UnrecoverableDivergence, as_fault_plan
 
-    bk = resolve_backend(backend)
     ws = workspace if workspace is not None else Workspace()
     policy = RecoveryPolicy.from_spec(recovery)
     plan = as_fault_plan(faults)
@@ -367,7 +363,7 @@ def pipelined_vr_cg(
         )
         telemetry.solve_start(method, label, n, k=k)
         telemetry.iterate(x)
-    b_norm = bk.norm(b)
+    b_norm = norm(b)
 
     op_true = op
     if plan is not None:
@@ -385,7 +381,7 @@ def pipelined_vr_cg(
     def _result(reason: StopReason) -> CGResult:
         # Exit verification bypasses any matvec-site injector: the honesty
         # check must measure the pristine operator.
-        true_res = bk.norm(b - op_true.matvec(x))
+        true_res = norm(b - op_true.matvec(x))
         reason = verified_exit(reason, true_res, stop.threshold(b_norm))
         if (
             policy is not None
@@ -479,7 +475,7 @@ def pipelined_vr_cg(
         if not res_norms:
             res_norms.append(float(np.sqrt(max(mu0_cur, 0.0))))
         if stop.is_met(float(np.sqrt(max(mu0_cur, 0.0))), b_norm):
-            if plan is None or bk.norm(
+            if plan is None or norm(
                 b - op_true.matvec(x)
             ) <= stop.threshold(b_norm):
                 return ("converged", "", 0.0)
@@ -500,7 +496,7 @@ def pipelined_vr_cg(
             lambdas.append(lam)
             if tracer is not None:
                 tracer.begin("axpy")
-            bk.axpy(lam, powers.p, x, out=x, work=ws)
+            axpy(lam, powers.p, x, out=x, work=ws)
             if tracer is not None:
                 tracer.end("axpy")
             iterations += 1
@@ -557,7 +553,7 @@ def pipelined_vr_cg(
                 # A corrupted scalar can fake convergence (a tiny recurred
                 # mu0); under injection verify against the true residual
                 # before accepting the exit.
-                if plan is None or bk.norm(
+                if plan is None or norm(
                     b - op_true.matvec(x)
                 ) <= stop.threshold(b_norm):
                     return ("converged", "", 0.0)
@@ -618,7 +614,7 @@ def pipelined_vr_cg(
             if policy is not None and policy.drift_tol is not None:
                 if tracer is not None:
                     tracer.begin("local_dot")
-                rr_direct = bk.dot(powers.r, powers.r, label="drift_check_dot")
+                rr_direct = dot(powers.r, powers.r, label="drift_check_dot")
                 if tracer is not None:
                     tracer.end("local_dot")
                 if telemetry is not None:
@@ -644,7 +640,7 @@ def pipelined_vr_cg(
                     since_ctl = 0
                     if tracer is not None:
                         tracer.begin("local_dot")
-                    rr_direct = bk.dot(powers.r, powers.r, label="drift_check_dot")
+                    rr_direct = dot(powers.r, powers.r, label="drift_check_dot")
                     if tracer is not None:
                         tracer.end("local_dot")
                     if telemetry is not None:

@@ -27,7 +27,8 @@ import numpy as np
 
 from repro.core.results import CGResult, StopReason, verified_exit
 from repro.core.stopping import StoppingCriterion
-from repro.sparse.linop import as_operator, operator_dtype
+from repro.sparse.linop import as_operator, matvec_into, operator_dtype
+from repro.util.kernels import axpy, dot, norm
 from repro.util.validation import as_1d_typed_array, check_square_operator
 
 __all__ = ["conjugate_gradient"]
@@ -42,7 +43,6 @@ def conjugate_gradient(
     faults: Any = None,
     recovery: Any = None,
     telemetry: "Telemetry | None" = None,
-    backend: Any = None,
     workspace: Any = None,
     record_iterates: list[np.ndarray] | None = None,
 ) -> CGResult:
@@ -80,11 +80,6 @@ def conjugate_gradient(
         ``capture_iterates=True``) a copy of every iterate including
         ``x⁰`` -- the equivalence experiment compares iterates, not just
         final answers.
-    backend:
-        Kernel dispatch: a :class:`repro.backend.Backend` instance, a
-        registered name (``"reference"``), or ``None``
-        (the ``REPRO_BACKEND`` env var, then the reference backend).
-        Op-counter and telemetry totals are identical across backends.
     workspace:
         Optional :class:`repro.backend.Workspace` to draw scratch
         buffers from; pass one across repeated solves to amortize even
@@ -121,10 +116,9 @@ def conjugate_gradient(
             "telemetry=Telemetry(capture_iterates=True)",
         )
 
-    from repro.backend import Workspace, resolve_backend
+    from repro.backend import Workspace
     from repro.faults import RecoveryPolicy, UnrecoverableDivergence, as_fault_plan
 
-    bk = resolve_backend(backend)
     ws = workspace if workspace is not None else Workspace()
     policy = RecoveryPolicy.from_spec(recovery)
     plan = as_fault_plan(faults)
@@ -148,10 +142,10 @@ def conjugate_gradient(
 
     if tracer is not None:
         tracer.begin("startup")
-    b_norm = bk.norm(b)
+    b_norm = norm(b)
     r = b - op.matvec(x)
     p = r.copy()
-    rr = bk.dot(r, r)
+    rr = dot(r, r)
     if plan is not None:
         rr = plan.corrupt_dot(rr, "rr")
     res_norms = [float(np.sqrt(max(rr, 0.0)))]
@@ -175,7 +169,7 @@ def conjugate_gradient(
         check_every = health.check_every
 
     def _result(reason: StopReason, iterations: int) -> CGResult:
-        true_res = bk.norm(b - op_true.matvec(x))
+        true_res = norm(b - op_true.matvec(x))
         if plan is not None or policy is not None:
             # Under injection the vector-recurred residual cannot vouch
             # for itself: verify the exit against the true residual.
@@ -229,7 +223,7 @@ def conjugate_gradient(
         recoveries["restart"] += 1
         r = b - op.matvec(x)
         p = r.copy()
-        rr = bk.dot(r, r)
+        rr = dot(r, r)
         since_check = 0
         best_res = float(np.sqrt(max(rr, 0.0)))
         if telemetry is not None:
@@ -242,11 +236,11 @@ def conjugate_gradient(
         if tracer is not None:
             tracer.begin("matvec")
         ap = ws.get("ap", n, dtype)
-        bk.matvec(op, p, out=ap, work=ws)
+        matvec_into(op, p, ap, work=ws)
         if tracer is not None:
             tracer.end("matvec")
             tracer.begin("local_dot")
-        pap = bk.dot(p, ap)
+        pap = dot(p, ap)
         if plan is not None:
             pap = plan.corrupt_dot(pap, "pap")
         if tracer is not None:
@@ -260,8 +254,8 @@ def conjugate_gradient(
         lambdas.append(lam)
         if tracer is not None:
             tracer.begin("axpy")
-        bk.axpy(lam, p, x, out=x, work=ws)
-        bk.axpy(-lam, ap, r, out=r, work=ws)
+        axpy(lam, p, x, out=x, work=ws)
+        axpy(-lam, ap, r, out=r, work=ws)
         if tracer is not None:
             tracer.end("axpy")
         iterations += 1
@@ -270,7 +264,7 @@ def conjugate_gradient(
             record_iterates.append(x.copy())
         if tracer is not None:
             tracer.begin("local_dot")
-        rr_new = bk.dot(r, r)
+        rr_new = dot(r, r)
         if plan is not None:
             rr_new = plan.corrupt_dot(rr_new, "rr")
         if tracer is not None:
@@ -282,7 +276,7 @@ def conjugate_gradient(
         if stop.is_met(res_norms[-1], b_norm):
             # A corrupted rr can fake convergence; under injection verify
             # against the true residual before accepting the exit.
-            if plan is None or bk.norm(
+            if plan is None or norm(
                 b - op_true.matvec(x)
             ) <= stop.threshold(b_norm):
                 reason = StopReason.CONVERGED
@@ -329,7 +323,7 @@ def conjugate_gradient(
             if tracer is not None:
                 tracer.end("matvec")
                 tracer.begin("local_dot")
-            rr_direct = bk.dot(r_true, r_true, label="drift_check_dot")
+            rr_direct = dot(r_true, r_true, label="drift_check_dot")
             if tracer is not None:
                 tracer.end("local_dot")
             if telemetry is not None:
@@ -349,7 +343,7 @@ def conjugate_gradient(
         alphas.append(alpha)
         if tracer is not None:
             tracer.begin("axpy")
-        bk.axpy(alpha, p, r, out=p, work=ws)  # p = r + alpha * p
+        axpy(alpha, p, r, out=p, work=ws)  # p = r + alpha * p
         if tracer is not None:
             tracer.end("axpy")
         rr = rr_new

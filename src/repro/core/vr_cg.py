@@ -35,6 +35,7 @@ from repro.core.results import CGResult, StopReason, verified_exit
 from repro.core.stopping import StoppingCriterion
 from repro.sparse.linop import LinearOperator, as_operator, operator_dtype
 from repro.util.counters import add_scalar_flops
+from repro.util.kernels import axpy, dot, norm
 from repro.util.validation import (
     as_1d_typed_array,
     check_square_operator,
@@ -90,7 +91,6 @@ def vr_conjugate_gradient(
     faults: Any = None,
     recovery: Any = None,
     telemetry: "Telemetry | None" = None,
-    backend: Any = None,
     workspace: Any = None,
     observer: Callable[[VRState], None] | None = None,
     record_iterates: list[np.ndarray] | None = None,
@@ -153,10 +153,6 @@ def vr_conjugate_gradient(
         replacement, startup/iterate phase timers, iterate capture
         (``capture_iterates=True``), and live-state observation
         (``on_state=...``).
-    backend:
-        Kernel dispatch: a :class:`repro.backend.Backend` instance, a
-        registered name, or ``None`` (env var ``REPRO_BACKEND``, then
-        the reference backend).
     workspace:
         Optional :class:`repro.backend.Workspace` scratch arena; a fresh
         per-solve one is made when omitted.  Steady-state iterations
@@ -189,10 +185,9 @@ def vr_conjugate_gradient(
         raise ValueError(
             f"replace_drift_tol must be positive, got {replace_drift_tol}"
         )
-    from repro.backend import Workspace, resolve_backend
+    from repro.backend import Workspace
     from repro.faults import RecoveryPolicy, UnrecoverableDivergence, as_fault_plan
 
-    bk = resolve_backend(backend)
     ws = workspace if workspace is not None else Workspace()
     if recovery is not None and (
         replace_every is not None or replace_drift_tol is not None
@@ -256,7 +251,7 @@ def vr_conjugate_gradient(
     tracer = telemetry.tracer if telemetry is not None else None
     health = telemetry.health if telemetry is not None else None
 
-    b_norm = bk.norm(b)
+    b_norm = norm(b)
     if telemetry is not None:
         with telemetry.phase("startup"):
             powers, window = _startup(op, b, x, k)
@@ -272,7 +267,7 @@ def vr_conjugate_gradient(
     def _result(reason: StopReason, iterations: int) -> CGResult:
         # The exit verification uses the pristine operator: a matvec-site
         # injector must not be able to falsify the honesty check itself.
-        true_res = bk.norm(b - op_true.matvec(x))
+        true_res = norm(b - op_true.matvec(x))
         reason = verified_exit(reason, true_res, stop.threshold(b_norm))
         if (
             policy is not None
@@ -347,7 +342,7 @@ def vr_conjugate_gradient(
         # x update uses the plain direction vector (power 0).
         if tracer is not None:
             tracer.begin("axpy")
-        bk.axpy(lam, powers.p, x, out=x, work=ws)
+        axpy(lam, powers.p, x, out=x, work=ws)
         if tracer is not None:
             tracer.end("axpy")
         iterations += 1
@@ -383,7 +378,7 @@ def vr_conjugate_gradient(
             # A corrupted scalar can fake convergence (a tiny recurred
             # mu0); under injection verify against the true residual
             # before accepting the exit.
-            if plan is None or bk.norm(
+            if plan is None or norm(
                 b - op_true.matvec(x)
             ) <= stop.threshold(b_norm):
                 reason = StopReason.CONVERGED
@@ -461,7 +456,7 @@ def vr_conjugate_gradient(
             # the one synchronization VR still pays per iteration.
             if tracer is not None:
                 tracer.begin("local_dot")
-            rr_direct = bk.dot(powers.r, powers.r, label="drift_check_dot")
+            rr_direct = dot(powers.r, powers.r, label="drift_check_dot")
             if tracer is not None:
                 tracer.end("local_dot")
             if telemetry is not None:

@@ -23,8 +23,8 @@ from repro.core.results import CGResult, StopReason, verified_exit
 from repro.core.stopping import StoppingCriterion
 from repro.core.vr_cg import vr_conjugate_gradient
 from repro.precond.base import Preconditioner, SplitPreconditioner, split_operator
-from repro.sparse.linop import as_operator
-from repro.util.kernels import norm
+from repro.sparse.linop import as_operator, matvec_into
+from repro.util.kernels import axpy, dot, norm
 from repro.util.validation import as_1d_float_array, check_square_operator
 
 __all__ = ["preconditioned_cg", "vr_pcg", "pipelined_vr_pcg"]
@@ -58,7 +58,6 @@ def preconditioned_cg(
     x0: np.ndarray | None = None,
     stop: StoppingCriterion | None = None,
     telemetry: "Telemetry | None" = None,
-    backend: Any = None,
     workspace: Any = None,
 ) -> CGResult:
     """Classical preconditioned CG (applied form).
@@ -68,31 +67,28 @@ def preconditioned_cg(
     Pass the preconditioner as ``precond=``; the positional ``m`` form is
     deprecated (still accepted, with a :class:`DeprecationWarning`).
     ``telemetry`` takes an optional :class:`repro.telemetry.Telemetry`
-    hook.  ``backend`` selects the kernel backend (name, instance, or
-    ``None`` for the ``REPRO_BACKEND`` environment default) and
-    ``workspace`` an optional :class:`repro.backend.Workspace` arena;
-    every dot/axpy/matvec routes through them.
+    hook and ``workspace`` an optional :class:`repro.backend.Workspace`
+    arena the steady-state matvec and axpys draw scratch from.
     """
     m = _resolve_precond("preconditioned_cg", m, precond)
     op = as_operator(a)
     b = as_1d_float_array(b, "b")
     n = check_square_operator(op, b.shape[0])
     stop = stop or StoppingCriterion()
-    from repro.backend import Workspace, resolve_backend
+    from repro.backend import Workspace
 
-    bk = resolve_backend(backend)
     ws = workspace if workspace is not None else Workspace()
 
     x = np.zeros(n) if x0 is None else as_1d_float_array(x0, "x0").copy()
     if telemetry is not None:
         telemetry.solve_start("pcg", "pcg", n, precond=type(m).__name__)
         telemetry.iterate(x)
-    b_norm = bk.norm(b)
+    b_norm = norm(b)
     r = b - op.matvec(x)
     z = m.apply(r)
     p = z.copy()
-    rz = bk.dot(r, z)
-    res_norms = [bk.norm(r)]
+    rz = dot(r, z)
+    res_norms = [norm(r)]
     alphas: list[float] = []
     lambdas: list[float] = []
 
@@ -103,17 +99,17 @@ def preconditioned_cg(
     else:
         ap = ws.get("ap", n)
         for _ in range(stop.budget(n)):
-            bk.matvec(op, p, out=ap, work=ws)
-            pap = bk.dot(p, ap)
+            matvec_into(op, p, ap, work=ws)
+            pap = dot(p, ap)
             if pap <= 0.0 or rz <= 0.0:
                 reason = StopReason.BREAKDOWN
                 break
             lam = rz / pap
             lambdas.append(lam)
-            bk.axpy(lam, p, x, out=x, work=ws)
-            bk.axpy(-lam, ap, r, out=r, work=ws)
+            axpy(lam, p, x, out=x, work=ws)
+            axpy(-lam, ap, r, out=r, work=ws)
             iterations += 1
-            res_norms.append(bk.norm(r))
+            res_norms.append(norm(r))
             if telemetry is not None:
                 telemetry.iteration(iterations, res_norms[-1], lam=lam)
                 telemetry.iterate(x)
@@ -121,13 +117,13 @@ def preconditioned_cg(
                 reason = StopReason.CONVERGED
                 break
             z = m.apply(r)
-            rz_new = bk.dot(r, z)
+            rz_new = dot(r, z)
             alpha = rz_new / rz
             alphas.append(alpha)
-            bk.axpy(alpha, p, z, out=p, work=ws)  # p = z + alpha p
+            axpy(alpha, p, z, out=p, work=ws)  # p = z + alpha p
             rz = rz_new
 
-    true_res = bk.norm(b - op.matvec(x))
+    true_res = norm(b - op.matvec(x))
     reason = verified_exit(reason, true_res, stop.threshold(b_norm))
     result = CGResult(
         x=x,
@@ -180,7 +176,6 @@ def vr_pcg(
     stop: StoppingCriterion | None = None,
     replace_every: int | None = None,
     telemetry: "Telemetry | None" = None,
-    backend: Any = None,
     workspace: Any = None,
 ) -> CGResult:
     """Van Rosendale CG on the split-preconditioned operator.
@@ -203,7 +198,6 @@ def vr_pcg(
         k=k,
         replace_every=replace_every,
         telemetry=telemetry,
-        backend=backend,
         workspace=workspace,
     )
 
@@ -218,7 +212,6 @@ def pipelined_vr_pcg(
     x0: np.ndarray | None = None,
     stop: StoppingCriterion | None = None,
     telemetry: "Telemetry | None" = None,
-    backend: Any = None,
     workspace: Any = None,
 ) -> CGResult:
     """Pipelined Van Rosendale CG on the split-preconditioned operator.
@@ -237,6 +230,5 @@ def pipelined_vr_pcg(
         f"pipelined-vr-pcg(k={k})",
         k=k,
         telemetry=telemetry,
-        backend=backend,
         workspace=workspace,
     )

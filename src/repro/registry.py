@@ -90,11 +90,11 @@ class SolverEntry:
         methods whose flag is unset, so the flag is the contract.
     supports_recovery:
         Same, for the ``recovery=`` policy keyword.
-    supports_backend:
-        Whether the method accepts a ``backend=`` kernel-backend selector
-        (and a ``workspace=`` arena) -- see :mod:`repro.backend`.
-        :func:`solve` refuses the keywords for methods whose flag is
-        unset, so the flag is the contract.
+    supports_workspace:
+        Whether the method accepts a ``workspace=`` arena (a
+        :class:`repro.backend.Workspace`).  :func:`solve` refuses the
+        keyword for methods whose flag is unset, so the flag is the
+        contract.
     supports_operator:
         Whether the method runs on a matrix-free
         :class:`~repro.sparse.linop.LinearOperator` (anything that is not
@@ -120,7 +120,7 @@ class SolverEntry:
     batched_runner: Callable[..., BatchedResult] | None = None
     supports_faults: bool = False
     supports_recovery: bool = False
-    supports_backend: bool = False
+    supports_workspace: bool = False
     supports_operator: bool = False
     supports_x0: bool = False
 
@@ -136,7 +136,7 @@ def register(
     distributed: bool = False,
     supports_faults: bool = False,
     supports_recovery: bool = False,
-    supports_backend: bool = False,
+    supports_workspace: bool = False,
     supports_operator: bool = False,
     supports_x0: bool = False,
 ) -> Callable[[Callable[..., CGResult]], Callable[..., CGResult]]:
@@ -153,7 +153,7 @@ def register(
             distributed=distributed,
             supports_faults=supports_faults,
             supports_recovery=supports_recovery,
-            supports_backend=supports_backend,
+            supports_workspace=supports_workspace,
             supports_operator=supports_operator,
             supports_x0=supports_x0,
         )
@@ -407,11 +407,9 @@ def solve(
     **options:
         Method-specific keywords, forwarded to the underlying solver
         (``k=``, ``s=``, ``stop=``, ``replace_every=``, ...).  A
-        ``backend=`` keyword (name, :class:`repro.backend.Backend`
-        instance, or unset to honour the ``REPRO_BACKEND`` environment
-        variable) selects the kernel-dispatch backend and ``workspace=``
-        supplies a reusable :class:`repro.backend.Workspace` arena; both
-        are refused for methods without the ``supports_backend`` flag.  A
+        ``workspace=`` keyword supplies a reusable
+        :class:`repro.backend.Workspace` arena; it is refused for
+        methods without the ``supports_workspace`` flag.  A
         ``trace=`` keyword carrying a :class:`repro.trace.Tracer` is
         consumed here: it is attached to the telemetry session (one is
         created around a :class:`~repro.telemetry.NullSink` if none was
@@ -469,13 +467,11 @@ def solve(
             f"recovery-capable methods: "
             f"{', '.join(n for n, e in sorted(_REGISTRY.items()) if e.supports_recovery)}"
         )
-    if (
-        options.get("backend") is not None or options.get("workspace") is not None
-    ) and not entry.supports_backend:
+    if options.get("workspace") is not None and not entry.supports_workspace:
         raise ValueError(
-            f"method {method!r} does not support kernel-backend selection "
-            f"(backend=/workspace=); backend-capable methods: "
-            f"{', '.join(n for n, e in sorted(_REGISTRY.items()) if e.supports_backend)}"
+            f"method {method!r} does not support a workspace arena "
+            f"(workspace=); workspace-capable methods: "
+            f"{', '.join(n for n, e in sorted(_REGISTRY.items()) if e.supports_workspace)}"
         )
     if precond is not None and (
         options.get("faults") is not None or options.get("recovery") is not None
@@ -736,12 +732,10 @@ def solve_batched(
             "batched solves do not support fault injection or recovery "
             "(faults=/recovery=); use the single-RHS solve() path"
         )
-    if (
-        options.get("backend") is not None or options.get("workspace") is not None
-    ) and entry.distributed:
+    if options.get("workspace") is not None and entry.distributed:
         raise ValueError(
             f"batched method {method!r} runs over the simulated communicator "
-            "and does not support kernel-backend selection (backend=/workspace=)"
+            "and does not support a workspace arena (workspace=)"
         )
     telemetry = _consume_trace(telemetry, options)
     _notify_solve_call(telemetry, a, b, entry.name, options)
@@ -781,7 +775,7 @@ def _check_auto_k(method: str, precond, options) -> None:
     supports_precond=True,
     supports_faults=True,
     supports_recovery=True,
-    supports_backend=True,
+    supports_workspace=True,
     supports_operator=True,
     supports_x0=True,
 )
@@ -803,7 +797,7 @@ def _run_cg(a, b, *, precond, telemetry, **options):
     supports_precond=True,
     supports_faults=True,
     supports_recovery=True,
-    supports_backend=True,
+    supports_workspace=True,
     supports_operator=True,
     supports_x0=True,
 )
@@ -856,7 +850,7 @@ def _run_vr(a, b, *, precond, telemetry, **options):
     supports_precond=True,
     supports_faults=True,
     supports_recovery=True,
-    supports_backend=True,
+    supports_workspace=True,
     supports_operator=True,
     supports_x0=True,
 )
@@ -884,7 +878,7 @@ def _run_pipelined_vr(a, b, *, precond, telemetry, **options):
 @register(
     "adaptive-vr",
     "eager Van Rosendale CG with online adaptive window size",
-    supports_backend=True,
+    supports_workspace=True,
     supports_operator=True,
     supports_x0=True,
 )
@@ -897,7 +891,7 @@ def _run_adaptive_vr(a, b, *, precond, telemetry, **options):
 @register(
     "adaptive-pipelined-vr",
     "pipelined Van Rosendale CG with online adaptive window size",
-    supports_backend=True,
+    supports_workspace=True,
     supports_operator=True,
     supports_x0=True,
 )
@@ -913,7 +907,7 @@ def _run_adaptive_pipelined_vr(a, b, *, precond, telemetry, **options):
 @register(
     "three-term",
     "three-term recurrence CG (Rutishauser form)",
-    supports_backend=True,
+    supports_workspace=True,
     supports_operator=True,
     supports_x0=True,
 )
@@ -928,7 +922,7 @@ def _run_three_term(a, b, *, precond, telemetry, **options):
     "Chronopoulos--Gear CG (fused reductions)",
     supports_faults=True,
     supports_recovery=True,
-    supports_backend=True,
+    supports_workspace=True,
     supports_operator=True,
     supports_x0=True,
 )
@@ -943,7 +937,7 @@ def _run_cgcg(a, b, *, precond, telemetry, **options):
     "Ghysels--Vanroose pipelined CG",
     supports_faults=True,
     supports_recovery=True,
-    supports_backend=True,
+    supports_workspace=True,
     supports_operator=True,
     supports_x0=True,
 )
@@ -958,7 +952,7 @@ def _run_gv(a, b, *, precond, telemetry, **options):
     "predict-and-recompute CG (Chen--Carson, fused reduction)",
     supports_faults=True,
     supports_recovery=True,
-    supports_backend=True,
+    supports_workspace=True,
     supports_operator=True,
     supports_x0=True,
 )
@@ -973,7 +967,7 @@ def _run_pr_cg(a, b, *, precond, telemetry, **options):
     "pipelined predict-and-recompute CG (Chen--Carson)",
     supports_faults=True,
     supports_recovery=True,
-    supports_backend=True,
+    supports_workspace=True,
     supports_operator=True,
     supports_x0=True,
 )

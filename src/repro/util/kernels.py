@@ -1,24 +1,45 @@
-"""Instrumented vector kernels.
+"""Instrumented vector kernels -- the repository's one kernel layer.
 
 Every solver in this repository performs its length-N vector arithmetic
-through these wrappers rather than through raw numpy expressions.  The
-wrappers are deliberately thin -- each is a single vectorized numpy call --
-but they report into the ambient :mod:`repro.util.counters` scope, which is
-what lets the work-accounting experiments *measure* the paper's Section 6
-claims (one matvec and two direct inner products per iteration, unchanged
-sequential complexity) instead of trusting them.
+by calling these functions directly, and applies its operator through
+:func:`repro.sparse.linop.matvec_into` / :func:`~repro.sparse.linop.
+block_matvec`.  The wrappers are deliberately thin -- each is a single
+vectorized numpy call -- but each books exactly one entry on the ambient
+:mod:`repro.util.counters` scope per call, which is what lets the
+work-accounting experiments *measure* the paper's Section 6 claims (one
+matvec and two direct inner products per iteration, unchanged sequential
+complexity) instead of trusting them.
 
-Following the HPC guide idioms, the update kernels offer ``out=`` arguments
-so steady-state solver loops allocate nothing per iteration.
+Following the HPC guide idioms, the update kernels offer ``out=`` and
+``work=`` arguments so steady-state solver loops allocate nothing per
+iteration.
 """
 
 from __future__ import annotations
+
+from typing import Any
 
 import numpy as np
 
 from repro.util.counters import add_axpy, add_block_dot, add_dot
 
 __all__ = ["dot", "norm", "axpy", "axpby", "scale", "block_dot", "block_norms"]
+
+
+def _scratch(work: Any, x: np.ndarray) -> np.ndarray | None:
+    """Resolve a ``work=`` argument to a scratch array (or ``None``).
+
+    ``work`` may be a :class:`repro.backend.Workspace` (duck-typed via its
+    ``scratch`` method, so this module needs no backend import), whose
+    anonymous scratch slot is drawn in ``x``'s shape and dtype, or a
+    caller-supplied array used as is.
+    """
+    if work is None:
+        return None
+    scratch = getattr(work, "scratch", None)
+    if callable(scratch):
+        return scratch(x.shape, x.dtype)
+    return work
 
 
 def dot(x: np.ndarray, y: np.ndarray, *, label: str | None = None) -> float:
@@ -83,27 +104,29 @@ def axpy(
     x: np.ndarray,
     y: np.ndarray,
     out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
+    work: Any = None,
 ) -> np.ndarray:
     """Return ``a*x + y``; writes into ``out`` when provided.
 
     Supported aliasings (all produce the mathematically exact result):
 
     * ``out is y`` -- the classical in-place update ``y += a*x``.
-      Allocation-free only when ``work`` (a same-shape scratch array) is
-      supplied; without it numpy materializes the ``a*x`` temporary.
+      Allocation-free only when ``work`` (a same-shape scratch array or a
+      :class:`repro.backend.Workspace`) is supplied; without it numpy
+      materializes the ``a*x`` temporary.
     * ``out is x`` -- the direction update ``x = a*x + y``.  Always
       allocation-free (scale in place, then add).
     * ``out`` distinct from both -- always allocation-free.
 
-    ``work`` must not alias ``x``, ``y``, or ``out``; solver loops pass a
-    :class:`repro.backend.Workspace` scratch slot so steady-state
-    iterations allocate nothing.
+    ``work`` must not alias ``x``, ``y``, or ``out``; solver loops pass
+    their :class:`repro.backend.Workspace`, whose scratch slot takes
+    ``x``'s dtype, so steady-state iterations allocate nothing.
     """
     add_axpy(x.shape[0])
     if out is None:
         return a * x + y
     if out is y:
+        work = _scratch(work, x)
         if work is None:
             out += a * x
         else:
@@ -121,7 +144,7 @@ def axpby(
     b: float,
     y: np.ndarray,
     out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
+    work: Any = None,
 ) -> np.ndarray:
     """Return ``a*x + b*y``; writes into ``out`` when provided.
 
@@ -137,7 +160,8 @@ def axpby(
       temporary every call -- the workspace closes that hole.)
     * ``out`` distinct from both -- same story as ``out is x``.
 
-    ``work`` must not alias any of the other operands.
+    ``work`` (an array or a :class:`repro.backend.Workspace`, as in
+    :func:`axpy`) must not alias any of the other operands.
     """
     add_axpy(x.shape[0], flops_per_entry=3)
     if out is None:
@@ -145,6 +169,7 @@ def axpby(
     if out is x and out is y:
         out *= a + b
         return out
+    work = _scratch(work, x)
     if out is y:
         out *= b
         if work is None:

@@ -24,7 +24,8 @@ import numpy as np
 
 from repro.core.results import CGResult, StopReason, verified_exit
 from repro.core.stopping import StoppingCriterion
-from repro.sparse.linop import as_operator
+from repro.sparse.linop import as_operator, matvec_into
+from repro.util.kernels import axpy, dot, norm
 from repro.util.validation import as_1d_float_array, check_square_operator
 
 __all__ = ["chronopoulos_gear_cg"]
@@ -39,7 +40,6 @@ def chronopoulos_gear_cg(
     faults: Any = None,
     recovery: Any = None,
     telemetry: "Telemetry | None" = None,
-    backend: Any = None,
     workspace: Any = None,
 ) -> CGResult:
     """Solve the SPD system by Chronopoulos--Gear CG.
@@ -57,17 +57,16 @@ def chronopoulos_gear_cg(
     the direction) plus bounded full restarts when the ``σ`` recurrence
     denominator breaks down.
 
-    ``backend`` selects the kernel backend and ``workspace`` a
-    :class:`repro.backend.Workspace` arena; the fused dots, axpys and the
-    steady-state matvec all route through them.
+    ``workspace`` takes a :class:`repro.backend.Workspace` arena; the
+    fused dots, axpys and the steady-state matvec all draw scratch from
+    it.
     """
     op = as_operator(a)
     b = as_1d_float_array(b, "b")
     n = check_square_operator(op, b.shape[0])
     stop = stop or StoppingCriterion()
-    from repro.backend import Workspace, resolve_backend
+    from repro.backend import Workspace
 
-    bk = resolve_backend(backend)
     ws = workspace if workspace is not None else Workspace()
 
     from repro.faults import RecoveryPolicy, UnrecoverableDivergence, as_fault_plan
@@ -83,11 +82,11 @@ def chronopoulos_gear_cg(
     if plan is not None:
         plan.attach(telemetry)
         op = plan.wrap_operator(op)
-    b_norm = bk.norm(b)
+    b_norm = norm(b)
     r = b - op.matvec(x)
     w = op.matvec(r)
-    rr = bk.dot(r, r, label="fused_dot")
-    rar = bk.dot(r, w, label="fused_dot")
+    rr = dot(r, r, label="fused_dot")
+    rar = dot(r, w, label="fused_dot")
     if plan is not None:
         rr = plan.corrupt_dot(rr, "rr")
         rar = plan.corrupt_dot(rar, "rar")
@@ -112,8 +111,8 @@ def chronopoulos_gear_cg(
         nonlocal r, w, rr, rar, since_check
         r = b - op.matvec(x)
         w = op.matvec(r)
-        rr = bk.dot(r, r, label="fused_dot")
-        rar = bk.dot(r, w, label="fused_dot")
+        rr = dot(r, r, label="fused_dot")
+        rar = dot(r, w, label="fused_dot")
         p[:] = 0.0
         s[:] = 0.0
         since_check = 0
@@ -155,20 +154,20 @@ def chronopoulos_gear_cg(
                 alphas.append(beta)
             lambdas.append(lam)
 
-            bk.axpy(beta, p, r, out=p, work=ws)  # p = r + beta p
-            bk.axpy(beta, s, w, out=s, work=ws)  # s = w + beta s = A p
-            bk.axpy(lam, p, x, out=x, work=ws)
-            bk.axpy(-lam, s, r, out=r, work=ws)
+            axpy(beta, p, r, out=p, work=ws)  # p = r + beta p
+            axpy(beta, s, w, out=s, work=ws)  # s = w + beta s = A p
+            axpy(lam, p, x, out=x, work=ws)
+            axpy(-lam, s, r, out=r, work=ws)
             iterations += 1
             since_check += 1
 
             if plan is None:
-                bk.matvec(op, r, out=w, work=ws)
+                matvec_into(op, r, w, work=ws)
             else:
                 w = op.matvec(r)
             rr_prev = rr
-            rr = bk.dot(r, r, label="fused_dot")
-            rar = bk.dot(r, w, label="fused_dot")
+            rr = dot(r, r, label="fused_dot")
+            rar = dot(r, w, label="fused_dot")
             if plan is not None:
                 rr = plan.corrupt_dot(rr, "rr")
                 rar = plan.corrupt_dot(rar, "rar")
@@ -181,7 +180,7 @@ def chronopoulos_gear_cg(
             if stop.is_met(res_norms[-1], b_norm):
                 # A corrupted rr can fake convergence; under injection
                 # verify against the true residual before accepting.
-                if plan is None or bk.norm(
+                if plan is None or norm(
                     b - op_true.matvec(x)
                 ) <= stop.threshold(b_norm):
                     reason = StopReason.CONVERGED
@@ -203,7 +202,7 @@ def chronopoulos_gear_cg(
             if check_every is not None and since_check >= check_every:
                 since_check = 0
                 r_true = b - op.matvec(x)
-                rr_direct = bk.dot(r_true, r_true, label="drift_check_dot")
+                rr_direct = dot(r_true, r_true, label="drift_check_dot")
                 if telemetry is not None:
                     telemetry.drift(iterations, rr, rr_direct)
                 floor = max(
@@ -218,7 +217,7 @@ def chronopoulos_gear_cg(
                         w = op.matvec(r)
                         s = op.matvec(p)
                         rr = rr_direct
-                        rar = bk.dot(r, w, label="fused_dot")
+                        rar = dot(r, w, label="fused_dot")
                         recoveries["replace"] += 1
                         if telemetry is not None:
                             telemetry.replacement(iterations, "drift")
@@ -226,7 +225,7 @@ def chronopoulos_gear_cg(
                                 iterations, "replace", "drift", gap
                             )
 
-    true_res = bk.norm(b - op_true.matvec(x))
+    true_res = norm(b - op_true.matvec(x))
     reason = verified_exit(reason, true_res, stop.threshold(b_norm))
     if (
         policy is not None

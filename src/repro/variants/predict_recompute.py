@@ -20,7 +20,7 @@ Two members are implemented:
   iteration's one matvec (``u = As``) has no data dependence on the
   fused reduction and can overlap it (Ghysels--Vanroose style).
 
-Both share the classical-CG hot path: backend-dispatched fused dots and
+Both share the classical-CG hot path: instrumented fused dots and
 axpys, workspace-arena buffers, fault-plan wrapping with sampled
 residual replacement and bounded restarts under a
 :class:`repro.faults.RecoveryPolicy`.
@@ -34,8 +34,9 @@ import numpy as np
 
 from repro.core.results import CGResult, StopReason, verified_exit
 from repro.core.stopping import StoppingCriterion
-from repro.sparse.linop import as_operator
+from repro.sparse.linop import as_operator, matvec_into
 from repro.util.counters import add_scalar_flops
+from repro.util.kernels import axpy, dot, norm
 from repro.util.validation import as_1d_float_array, check_square_operator
 
 __all__ = ["pr_cg", "pr_pipe_cg"]
@@ -55,7 +56,6 @@ def _pr_solve(
     faults: Any,
     recovery: Any,
     telemetry: "Telemetry | None",
-    backend: Any,
     workspace: Any,
 ) -> CGResult:
     """Shared driver for the eager and pipelined predict-and-recompute forms."""
@@ -64,9 +64,8 @@ def _pr_solve(
     b = as_1d_float_array(b, "b")
     n = check_square_operator(op, b.shape[0])
     stop = stop or StoppingCriterion()
-    from repro.backend import Workspace, resolve_backend
+    from repro.backend import Workspace
 
-    bk = resolve_backend(backend)
     ws = workspace if workspace is not None else Workspace()
 
     from repro.faults import RecoveryPolicy, UnrecoverableDivergence, as_fault_plan
@@ -82,7 +81,7 @@ def _pr_solve(
     if plan is not None:
         plan.attach(telemetry)
         op = plan.wrap_operator(op)
-    b_norm = bk.norm(b)
+    b_norm = norm(b)
 
     r = np.zeros(n)
     p = np.zeros(n)
@@ -94,10 +93,10 @@ def _pr_solve(
     def _dots() -> None:
         """The fused 4-dot reduction: ν=(r,r), μ=(p,s), δ=(r,s), γ=(s,s)."""
         nonlocal nu, mu, delta, gamma
-        nu = bk.dot(r, r, label="pr_fused_dot")
-        mu = bk.dot(p, s, label="pr_fused_dot")
-        delta = bk.dot(r, s, label="pr_fused_dot")
-        gamma = bk.dot(s, s, label="pr_fused_dot")
+        nu = dot(r, r, label="pr_fused_dot")
+        mu = dot(p, s, label="pr_fused_dot")
+        delta = dot(r, s, label="pr_fused_dot")
+        gamma = dot(s, s, label="pr_fused_dot")
         if plan is not None:
             nu = plan.corrupt_dot(nu, "nu")
             mu = plan.corrupt_dot(mu, "mu")
@@ -164,10 +163,10 @@ def _pr_solve(
             beta = nu_pred / nu
             alphas.append(beta)
 
-            bk.axpy(alpha, p, x, out=x, work=ws)
-            bk.axpy(-alpha, s, r, out=r, work=ws)
+            axpy(alpha, p, x, out=x, work=ws)
+            axpy(-alpha, s, r, out=r, work=ws)
             if pipelined:
-                bk.axpy(-alpha, u, w, out=w, work=ws)  # w = A r by recurrence
+                axpy(-alpha, u, w, out=w, work=ws)  # w = A r by recurrence
             iterations += 1
             since_check += 1
 
@@ -175,20 +174,20 @@ def _pr_solve(
                 # p, s from the recurred w -- then the iteration's one
                 # matvec u = A s depends on no reduction and overlaps the
                 # fused dots on the machine model.
-                bk.axpy(beta, p, r, out=p, work=ws)  # p = r + beta p
-                bk.axpy(beta, s, w, out=s, work=ws)  # s = w + beta s
+                axpy(beta, p, r, out=p, work=ws)  # p = r + beta p
+                axpy(beta, s, w, out=s, work=ws)  # s = w + beta s
                 if plan is None:
-                    bk.matvec(op, s, out=u, work=ws)
+                    matvec_into(op, s, u, work=ws)
                 else:
                     u[:] = op.matvec(s)
             else:
                 # Eager form: the matvec w = A r feeds s directly.
                 if plan is None:
-                    bk.matvec(op, r, out=w, work=ws)
+                    matvec_into(op, r, w, work=ws)
                 else:
                     w[:] = op.matvec(r)
-                bk.axpy(beta, p, r, out=p, work=ws)  # p = r + beta p
-                bk.axpy(beta, s, w, out=s, work=ws)  # s = w + beta s = A p
+                axpy(beta, p, r, out=p, work=ws)  # p = r + beta p
+                axpy(beta, s, w, out=s, work=ws)  # s = w + beta s = A p
 
             # Recompute: the fused reduction replaces every predicted
             # scalar with its directly computed value, so prediction
@@ -203,7 +202,7 @@ def _pr_solve(
             if stop.is_met(res_norms[-1], b_norm):
                 # A corrupted nu can fake convergence; under injection
                 # verify against the true residual before accepting.
-                if plan is None or bk.norm(
+                if plan is None or norm(
                     b - op_true.matvec(x)
                 ) <= stop.threshold(b_norm):
                     reason = StopReason.CONVERGED
@@ -234,7 +233,7 @@ def _pr_solve(
             if check_every is not None and since_check >= check_every:
                 since_check = 0
                 r_true = b - op.matvec(x)
-                nu_direct = bk.dot(r_true, r_true, label="drift_check_dot")
+                nu_direct = dot(r_true, r_true, label="drift_check_dot")
                 if telemetry is not None:
                     telemetry.drift(iterations, nu, nu_direct)
                 floor = max(
@@ -258,7 +257,7 @@ def _pr_solve(
                                 iterations, "replace", "drift", gap
                             )
 
-    true_res = bk.norm(b - op_true.matvec(x))
+    true_res = norm(b - op_true.matvec(x))
     reason = verified_exit(reason, true_res, stop.threshold(b_norm))
     if (
         policy is not None
@@ -301,7 +300,6 @@ def pr_cg(
     faults: Any = None,
     recovery: Any = None,
     telemetry: "Telemetry | None" = None,
-    backend: Any = None,
     workspace: Any = None,
 ) -> CGResult:
     """Solve the SPD system by eager predict-and-recompute CG.
@@ -310,7 +308,7 @@ def pr_cg(
     the single-synchronization structure of Chronopoulos--Gear, with the
     recompute step preventing the scalar drift that plagues pure
     recurrence methods.  ``faults``/``recovery``/``telemetry``/
-    ``backend``/``workspace`` behave as in
+    ``workspace`` behave as in
     :func:`repro.variants.ghysels_vanroose_cg`.
     """
     return _pr_solve(
@@ -322,7 +320,6 @@ def pr_cg(
         faults=faults,
         recovery=recovery,
         telemetry=telemetry,
-        backend=backend,
         workspace=workspace,
     )
 
@@ -336,7 +333,6 @@ def pr_pipe_cg(
     faults: Any = None,
     recovery: Any = None,
     telemetry: "Telemetry | None" = None,
-    backend: Any = None,
     workspace: Any = None,
 ) -> CGResult:
     """Solve the SPD system by pipelined predict-and-recompute CG.
@@ -356,6 +352,5 @@ def pr_pipe_cg(
         faults=faults,
         recovery=recovery,
         telemetry=telemetry,
-        backend=backend,
         workspace=workspace,
     )

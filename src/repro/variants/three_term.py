@@ -22,7 +22,8 @@ import numpy as np
 
 from repro.core.results import CGResult, StopReason, verified_exit
 from repro.core.stopping import StoppingCriterion
-from repro.sparse.linop import as_operator
+from repro.sparse.linop import as_operator, matvec_into
+from repro.util.kernels import dot, norm
 from repro.util.validation import as_1d_float_array, check_square_operator
 
 __all__ = ["three_term_cg"]
@@ -35,7 +36,6 @@ def three_term_cg(
     x0: np.ndarray | None = None,
     stop: StoppingCriterion | None = None,
     telemetry: "Telemetry | None" = None,
-    backend: Any = None,
     workspace: Any = None,
 ) -> CGResult:
     """Solve the SPD system by the three-term CG recurrence.
@@ -43,26 +43,24 @@ def three_term_cg(
     Produces the same iterates as classical CG in exact arithmetic.  The
     recorded ``lambdas`` hold ``γn`` and ``alphas`` hold ``ρn`` (the
     closest analogues of the two-term parameters).  ``telemetry`` takes
-    an optional :class:`repro.telemetry.Telemetry` hook.  ``backend``
-    selects the kernel backend and ``workspace`` supplies a
-    :class:`repro.backend.Workspace` arena for the matvec scratch.
+    an optional :class:`repro.telemetry.Telemetry` hook and ``workspace``
+    a :class:`repro.backend.Workspace` arena for the matvec scratch.
     """
     op = as_operator(a)
     b = as_1d_float_array(b, "b")
     n = check_square_operator(op, b.shape[0])
     stop = stop or StoppingCriterion()
-    from repro.backend import Workspace, resolve_backend
+    from repro.backend import Workspace
 
-    bk = resolve_backend(backend)
     ws = workspace if workspace is not None else Workspace()
 
     x = np.zeros(n) if x0 is None else as_1d_float_array(x0, "x0").copy()
     if telemetry is not None:
         telemetry.solve_start("three-term", "three-term-cg", n)
         telemetry.iterate(x)
-    b_norm = bk.norm(b)
+    b_norm = norm(b)
     r = b - op.matvec(x)
-    rr = bk.dot(r, r)
+    rr = dot(r, r)
     res_norms = [float(np.sqrt(max(rr, 0.0)))]
     gammas: list[float] = []
     rhos: list[float] = []
@@ -80,8 +78,8 @@ def three_term_cg(
     else:
         ar = ws.get("ar", n)
         for it in range(stop.budget(n)):
-            bk.matvec(op, r, out=ar, work=ws)
-            rar = bk.dot(r, ar)
+            matvec_into(op, r, ar, work=ws)
+            rar = dot(r, ar)
             if rar <= 0.0:
                 reason = StopReason.BREAKDOWN
                 break
@@ -102,7 +100,7 @@ def three_term_cg(
 
             x_prev, x = x, x_next
             r_prev, r = r, r_next
-            rr_prev, rr = rr, bk.dot(r, r)
+            rr_prev, rr = rr, dot(r, r)
             gamma_prev, rho_prev = gamma, rho
             iterations += 1
             res_norms.append(float(np.sqrt(max(rr, 0.0))))
@@ -113,7 +111,7 @@ def three_term_cg(
                 reason = StopReason.CONVERGED
                 break
 
-    true_res = bk.norm(b - op.matvec(x))
+    true_res = norm(b - op.matvec(x))
     reason = verified_exit(reason, true_res, stop.threshold(b_norm))
     result = CGResult(
         x=x,

@@ -188,12 +188,19 @@ class TestKernelAliasing:
         assert got is x
         np.testing.assert_allclose(x, 2.0 * np.arange(1.0, 6.0))
 
-    @pytest.mark.parametrize("kernel_case", ["axpy", "axpby", "scale"])
-    def test_aliased_kernels_allocate_nothing(self, kernel_case):
+    @pytest.mark.parametrize(
+        "kernel_case, work_kind",
+        [pytest.param(case, "array", id=case) for case in ("axpy", "axpby", "scale")]
+        + [
+            pytest.param(case, "workspace", id=f"{case}-workspace")
+            for case in ("axpy", "axpby")
+        ],
+    )
+    def test_aliased_kernels_allocate_nothing(self, kernel_case, work_kind):
         n = 1 << 15
         x = np.ones(n)
         y = np.ones(n)
-        ws = np.empty(n)
+        ws = np.empty(n) if work_kind == "array" else Workspace()
         # Warm up any lazy numpy machinery before measuring.
         axpy(1.0, x, y, out=y, work=ws)
         axpby(1.0, x, 1.0, y, out=y, work=ws)

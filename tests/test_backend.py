@@ -1,11 +1,11 @@
-"""The kernel-dispatch backend layer (:mod:`repro.backend`).
+"""The workspace arena and setup cache (:mod:`repro.backend`).
 
-Covers the three pieces of the subsystem:
+Covers:
 
-* backend *selection* -- explicit name / instance / ``REPRO_BACKEND``
-  environment variable / unknown-name errors;
+* :func:`resolve_backend` -- all that is left of kernel-backend selection;
 * the :class:`Workspace` arena -- buffer reuse, shape re-keying, stats;
-* the :class:`SetupCache` -- fingerprint keying, hits, LRU eviction.
+* the :class:`SetupCache` -- fingerprint keying, hits, LRU eviction;
+* the ``workspace=`` gate of the :func:`repro.solve` front door.
 """
 
 from __future__ import annotations
@@ -16,52 +16,26 @@ import pytest
 from repro.backend import (
     SetupCache,
     Workspace,
-    available_backends,
     cached_ell,
     clear_setup_cache,
-    get_backend,
     matrix_fingerprint,
     resolve_backend,
     setup_cache,
 )
-from repro.backend.reference import ReferenceBackend
 from repro.sparse.generators import poisson2d
+from repro.util import kernels
 
 
 # ----------------------------------------------------------------------
 # selection
 # ----------------------------------------------------------------------
 class TestSelection:
-    def test_reference_always_available(self):
-        assert "reference" in available_backends()
-        assert isinstance(get_backend("reference"), ReferenceBackend)
-
-    def test_get_backend_is_singleton_per_name(self):
-        assert get_backend("reference") is get_backend("reference")
-
-    def test_unknown_name_raises_with_choices(self):
-        with pytest.raises(ValueError, match="reference"):
-            get_backend("cuda")
-
-    def test_resolve_none_defaults_to_reference(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_backend(None).name == "reference"
-
-    def test_resolve_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "reference")
-        assert resolve_backend(None).name == "reference"
-
-    def test_explicit_arg_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "no-such-backend")
-        assert resolve_backend("reference").name == "reference"
-
-    def test_resolve_instance_passthrough(self):
-        bk = ReferenceBackend()
-        assert resolve_backend(bk) is bk
-
-    def test_resolve_rejects_junk(self):
-        with pytest.raises(TypeError):
-            resolve_backend(42)
+    def test_resolve_none_defaults_to_reference(self):
+        # The kernel module is the only kernel layer; any request for a
+        # named backend is refused.
+        assert resolve_backend(None) is kernels
+        with pytest.raises(ValueError, match="kernel backends were removed"):
+            resolve_backend("reference")
 
 
 # ----------------------------------------------------------------------
@@ -172,29 +146,13 @@ class TestSetupCache:
 # front-door integration
 # ----------------------------------------------------------------------
 class TestSolveIntegration:
-    def test_solve_accepts_backend_name(self):
-        from repro import solve
-
-        a = poisson2d(12)
-        b = np.ones(a.nrows)
-        result = solve(a, b, method="vr", backend="reference")
-        assert result.converged
-
     def test_solve_refuses_backend_for_unsupported_method(self):
         from repro import solve
 
         a = poisson2d(12)
         b = np.ones(a.nrows)
-        with pytest.raises(ValueError, match="backend"):
-            solve(a, b, method="jacobi", backend="reference")
-
-    def test_solve_env_var_selection(self, monkeypatch):
-        from repro import solve
-
-        monkeypatch.setenv("REPRO_BACKEND", "reference")
-        a = poisson2d(12)
-        b = np.ones(a.nrows)
-        assert solve(a, b, method="cg").converged
+        with pytest.raises(ValueError, match="workspace"):
+            solve(a, b, method="jacobi", workspace=Workspace())
 
     def test_backend_capable_methods_agree(self):
         from repro import solve
@@ -205,7 +163,7 @@ class TestSolveIntegration:
             np.array([[a.matvec(e) for e in np.eye(a.nrows)]][0]).T, b
         )
         for method in ("cg", "vr", "pipelined-vr", "three-term", "cg-cg", "gv"):
-            got = solve(a, b, method=method, backend="reference")
+            got = solve(a, b, method=method, workspace=Workspace())
             assert got.converged, method
             np.testing.assert_allclose(got.x, expect, rtol=1e-6, atol=1e-8)
 
@@ -220,28 +178,3 @@ class TestSolveIntegration:
         solve(a, b, method="cg", precond="jacobi")
         assert setup_cache().stats()["hits"] == before + 1
         clear_setup_cache()
-
-
-class TestEnvVarDiagnostics:
-    def test_bogus_env_value_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "bogus-backend")
-        with pytest.raises(ValueError) as exc:
-            resolve_backend(None)
-        msg = str(exc.value)
-        assert "REPRO_BACKEND" in msg
-        assert "bogus-backend" in msg
-        for name in available_backends():
-            assert name in msg
-
-    def test_env_ignored_for_explicit_spec(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "bogus-backend")
-        assert resolve_backend("reference").name == "reference"
-
-    def test_bogus_env_surfaces_through_solve(self, monkeypatch):
-        from repro import solve
-
-        monkeypatch.setenv("REPRO_BACKEND", "bogus-backend")
-        a = poisson2d(8)
-        b = np.ones(a.nrows)
-        with pytest.raises(ValueError, match="REPRO_BACKEND"):
-            solve(a, b, method="cg")

@@ -217,6 +217,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["solve", "--solver", "nope"])
 
+    def test_backend_flag_removed(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["solve", "--backend", "reference"])
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
 
 class TestChebyshevPrecond:
     def test_cg_with_chebyshev(self, capsys):

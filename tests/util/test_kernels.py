@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.backend import Workspace
 from repro.util.counters import counting
 from repro.util.kernels import axpby, axpy, dot, norm, scale
 
@@ -16,6 +17,15 @@ VEC = arrays(
     st.integers(1, 40),
     elements=st.floats(-1e6, 1e6, allow_nan=False),
 )
+
+#: ``work=`` as the aliased updates accept it: nothing, a caller-owned
+#: scratch array, or a Workspace whose scratch slot the kernel draws.
+WORK_KINDS = {
+    "none": lambda n: None,
+    "array": lambda n: np.empty(n),
+    "workspace": lambda n: Workspace(),
+}
+with_work = pytest.mark.parametrize("work_kind", list(WORK_KINDS))
 
 
 class TestDot:
@@ -46,18 +56,20 @@ class TestAxpy:
         np.testing.assert_allclose(out, [13.0, 26.0])
         assert out is not x and out is not y
 
-    def test_out_aliases_y(self):
+    @with_work
+    def test_out_aliases_y(self, work_kind):
         x = np.array([1.0, 2.0])
         y = np.array([10.0, 20.0])
-        res = axpy(3.0, x, y, out=y)
+        res = axpy(3.0, x, y, out=y, work=WORK_KINDS[work_kind](2))
         assert res is y
         np.testing.assert_allclose(y, [13.0, 26.0])
         np.testing.assert_allclose(x, [1.0, 2.0])  # untouched
 
-    def test_out_aliases_x(self):
+    @with_work
+    def test_out_aliases_x(self, work_kind):
         x = np.array([1.0, 2.0])
         y = np.array([10.0, 20.0])
-        res = axpy(3.0, x, y, out=x)
+        res = axpy(3.0, x, y, out=x, work=WORK_KINDS[work_kind](2))
         assert res is x
         np.testing.assert_allclose(x, [13.0, 26.0])
 
@@ -80,10 +92,11 @@ class TestAxpby:
         x, y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         np.testing.assert_allclose(axpby(2.0, x, 3.0, y), [2.0, 3.0])
 
-    def test_out_aliases_y(self):
+    @with_work
+    def test_out_aliases_y(self, work_kind):
         x = np.array([1.0, 1.0])
         y = np.array([2.0, 2.0])
-        axpby(1.0, x, 2.0, y, out=y)
+        axpby(1.0, x, 2.0, y, out=y, work=WORK_KINDS[work_kind](2))
         np.testing.assert_allclose(y, [5.0, 5.0])
 
     def test_out_fresh(self):
@@ -92,6 +105,22 @@ class TestAxpby:
         out = np.empty(2)
         axpby(1.0, x, 2.0, y, out=out)
         np.testing.assert_allclose(out, [5.0, 5.0])
+
+
+def test_complex_updates_draw_complex_scratch():
+    # The Workspace scratch slot takes the operands' dtype: numpy refuses
+    # to store a complex a*x into a float64 slot.
+    ws = Workspace()
+    x = np.array([1 + 2j, -1j])
+    y0 = np.array([3 + 0j, 1 + 1j])
+    y = y0.copy()
+    axpy(2.0, x, y, out=y, work=ws)
+    np.testing.assert_allclose(y, 2.0 * x + y0)
+    v = x.copy()
+    axpby(2.0, v, -1.0, y0, out=v, work=ws)
+    np.testing.assert_allclose(v, 2.0 * x - y0)
+    # One complex128 slot of length 2, drawn once and reused once.
+    assert ws.stats() == {"hits": 1, "misses": 1, "slots": 1, "nbytes": 32}
 
 
 class TestScale:
