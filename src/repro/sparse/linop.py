@@ -345,21 +345,22 @@ class NormalOperator:
         return ("normal", self.shape, self._shift, inner)
 
 
-#: Per-operator-type capability of ``matvec``: 2 = takes ``out=`` and
-#: ``work=``, 1 = takes ``out=`` only, 0 = plain ``matvec(x)``.  Looked up
-#: once per type via ``inspect.signature`` so the steady-state dispatch is
-#: a dict hit, not reflection.
-_MATVEC_SUPPORT: dict[type, int] = {}
+#: Per-(operator type, method) capability of ``matvec`` / ``matmat``:
+#: 2 = takes ``out=`` and ``work=``, 1 = takes ``out=`` only, 0 = plain
+#: ``method(x)``.  Looked up once per type via ``inspect.signature`` so the
+#: steady-state dispatch is a dict hit, not reflection -- and never a
+#: trial call, which would re-run a product whose body raised TypeError.
+_OUT_SUPPORT: dict[tuple[type, str], int] = {}
 
 
-def _matvec_support(op: Any) -> int:
-    kind = type(op)
-    level = _MATVEC_SUPPORT.get(kind)
+def _out_support(op: Any, method: str) -> int:
+    key = (type(op), method)
+    level = _OUT_SUPPORT.get(key)
     if level is None:
         import inspect
 
         try:
-            params = inspect.signature(kind.matvec).parameters
+            params = inspect.signature(getattr(key[0], method)).parameters
         except (TypeError, ValueError, AttributeError):
             params = {}
         if "out" in params and "work" in params:
@@ -368,7 +369,7 @@ def _matvec_support(op: Any) -> int:
             level = 1
         else:
             level = 0
-        _MATVEC_SUPPORT[kind] = level
+        _OUT_SUPPORT[key] = level
     return level
 
 
@@ -387,7 +388,7 @@ def matvec_into(
     every :class:`LinearOperator` works and capable ones stay
     allocation-free.
     """
-    level = _matvec_support(op)
+    level = _out_support(op, "matvec")
     if level == 2:
         return op.matvec(x, out=out, work=work)
     if level == 1:
@@ -412,9 +413,10 @@ def block_matvec(
     matrix traversal for all columns); otherwise falls back to a column
     loop of ``matvec`` calls, so any :class:`LinearOperator` works under
     the batched solvers, just without the locality win.  ``out`` lets
-    steady-state solver loops reuse one result block; operators whose
-    ``matmat`` predates the ``out=`` convention still work (the result is
-    copied in).
+    steady-state solver loops reuse one result block; the ``matmat`` is
+    dispatched on its signature by the same rule as :func:`matvec_into`,
+    so one whose ``matmat`` predates the ``out=``/``work=`` convention
+    still works (the result is copied in).
     """
     x = np.asarray(x)
     if x.dtype.kind not in "fc":
@@ -425,16 +427,13 @@ def block_matvec(
     if callable(matmat):
         if out is None:
             return np.asarray(matmat(x))
-        if work is not None:
-            try:
-                return matmat(x, out=out, work=work)
-            except TypeError:
-                pass  # operator predates the work= convention
-        try:
+        level = _out_support(op, "matmat")
+        if level == 2:
+            return matmat(x, out=out, work=work)
+        if level == 1:
             return matmat(x, out=out)
-        except TypeError:
-            out[:] = matmat(x)
-            return out
+        out[:] = matmat(x)
+        return out
     if out is not None:
         y = out
     else:

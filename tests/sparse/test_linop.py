@@ -12,6 +12,7 @@ from repro.sparse.linop import (
     DenseOperator,
     LinearOperator,
     as_operator,
+    block_matvec,
 )
 from repro.util.counters import counting
 
@@ -127,3 +128,33 @@ class TestDenseOperatorNonFinite:
     def test_finite_matrix_skips_check_cheaply(self):
         op = DenseOperator(np.eye(3))
         np.testing.assert_allclose(op.matvec(np.ones(3)), np.ones(3))
+
+
+class TestBlockMatvecDispatch:
+    """``block_matvec`` picks the ``matmat`` call form from its signature,
+    by the same cached rule as ``matvec_into`` -- never by trial calls."""
+
+    def test_raising_matmat_is_entered_once(self):
+        class Raising:
+            shape = (2, 2)
+            calls = 0
+
+            def matvec(self, x):  # pragma: no cover - never applied here
+                return x
+
+            def matmat(self, x, out=None, work=None):
+                Raising.calls += 1
+                raise TypeError("bad operand inside the product")
+
+        x = np.ones((2, 3))
+        with pytest.raises(TypeError, match="bad operand"):
+            block_matvec(Raising(), x, out=np.empty((2, 3)), work=np.empty(6))
+        assert Raising.calls == 1
+
+    def test_out_only_matmat_fills_out(self):
+        a = np.array([[2.0, 1.0], [1.0, 3.0]])
+        x = np.arange(6.0).reshape(2, 3)
+        out = np.empty((2, 3))
+        got = block_matvec(DenseOperator(a), x, out=out, work=np.empty(6))
+        assert got is out
+        np.testing.assert_allclose(out, a @ x)
