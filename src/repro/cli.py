@@ -5,7 +5,7 @@ Python:
 
 * ``solve`` -- solve ``A x = b`` where A comes from a MatrixMarket file or
   a built-in generator, with any method in the registry
-  (``--method``/``--solver``), optionally streaming structured telemetry
+  (``--method``), optionally streaming structured telemetry
   as JSON lines (``--telemetry out.jsonl``, ``-`` for stdout), writing a
   Chrome trace of the run (``--trace out.json``), or exporting
   Prometheus metrics (``--metrics out.prom``).
@@ -80,12 +80,46 @@ def _k_arg(text: str):
 _AUTO_K_METHODS = ("vr", "pipelined-vr", "adaptive-vr", "adaptive-pipelined-vr")
 
 
-def _reject_bad_auto_k(k, method: str) -> None:
-    if k == "auto" and method not in _AUTO_K_METHODS:
+def _method_options(args) -> dict:
+    """The ``k`` / ``s`` / ``nranks`` options ``args.method`` takes from
+    the ``--k`` and ``--nranks`` flags (shared by ``solve`` and
+    ``profile``)."""
+    method = args.method
+    if args.k == "auto" and method not in _AUTO_K_METHODS:
         raise SystemExit(
             f"--k auto (adaptive window) is not supported for method "
             f"{method!r}; it needs one of: {', '.join(_AUTO_K_METHODS)}"
         )
+    options: dict = {}
+    if method in ("vr", "adaptive-vr", "adaptive-pipelined-vr"):
+        options["k"] = args.k
+    elif method in ("pipelined-vr", "dist-pipelined-vr"):
+        options["k"] = args.k if args.k == "auto" else max(args.k, 1)
+    elif method in ("sstep", "dist-sstep"):
+        options["s"] = max(args.k, 1)
+    if method.startswith("dist-"):
+        options["nranks"] = args.nranks
+    return options
+
+
+def _replacement_options(args) -> dict:
+    """``--replace-every`` / ``--drift-tol`` as solver options.
+
+    Only ``--method vr`` takes them; any other method exits rather than
+    silently running without the requested replacement.
+    """
+    options: dict = {}
+    if args.replace_every is not None:
+        options["replace_every"] = args.replace_every
+    if args.drift_tol is not None:
+        options["replace_drift_tol"] = args.drift_tol
+    if options and args.method != "vr":
+        raise SystemExit(
+            "--replace-every/--drift-tol apply only to --method vr; other "
+            "methods take residual replacement from --recovery (drift, "
+            "periodic, verified or robust)"
+        )
+    return options
 
 
 def _load_matrix(args) -> CSRMatrix:
@@ -178,30 +212,18 @@ def _write_observability(args, tracer, registry) -> None:
 def _solve(args) -> int:
     a = _load_matrix(args)
     stop = StoppingCriterion(rtol=args.rtol, max_iter=args.max_iter)
-    method = args.solver
+    method = args.method
     if args.rhs_count < 1:
         raise SystemExit(f"--rhs-count must be >= 1, got {args.rhs_count}")
     if args.rhs_count > 1:
         return _solve_batched(args, a, stop, method)
     b = _load_rhs(args, a.nrows)
 
-    options: dict = {"stop": stop}
-    _reject_bad_auto_k(args.k, method)
-    if method == "vr":
-        options["k"] = args.k
-        if args.replace_every is not None:
-            options["replace_every"] = args.replace_every
-        if args.drift_tol is not None:
-            options["replace_drift_tol"] = args.drift_tol
-    elif method in ("pipelined-vr", "dist-pipelined-vr"):
-        options["k"] = args.k if args.k == "auto" else max(args.k, 1)
-    elif method in ("adaptive-vr", "adaptive-pipelined-vr"):
-        options["k"] = args.k
-    elif method in ("sstep", "dist-sstep"):
-        options["s"] = max(args.k, 1)
-    if method.startswith("dist-"):
-        options["nranks"] = args.nranks
-
+    options: dict = {
+        "stop": stop,
+        **_method_options(args),
+        **_replacement_options(args),
+    }
     precond = None if args.precond == "none" else args.precond
     if precond == "ssor":
         options["omega"] = args.omega
@@ -253,17 +275,22 @@ def _solve_batched(args, a: CSRMatrix, stop, method: str) -> int:
         raise SystemExit(
             "--rhs-count > 1 does not support --inject-fault/--recovery"
         )
-    b_block = _load_rhs_block(args, a.nrows)
-
-    options: dict = {"stop": stop}
+    if args.drift_tol is not None:
+        raise SystemExit(
+            "--rhs-count > 1 does not support --drift-tol: the batched vr "
+            "path takes periodic --replace-every only; solve one "
+            "right-hand side at a time for drift-triggered replacement "
+            "or a --recovery policy"
+        )
     if args.k == "auto":
         raise SystemExit("--k auto is not supported for batched solves")
-    if method == "vr":
-        options["k"] = args.k
-        if args.replace_every is not None:
-            options["replace_every"] = args.replace_every
-    if method.startswith("dist-"):
-        options["nranks"] = args.nranks
+    b_block = _load_rhs_block(args, a.nrows)
+
+    options: dict = {
+        "stop": stop,
+        **_method_options(args),
+        **_replacement_options(args),
+    }
 
     telemetry, tracer, registry = _build_observability(args)
 
@@ -290,21 +317,10 @@ def _profile(args) -> int:
     per-phase / synchronization breakdown."""
     a = _load_matrix(args)
     b = _load_rhs(args, a.nrows)
-    method = args.solver
     options: dict = {
-        "stop": StoppingCriterion(rtol=args.rtol, max_iter=args.max_iter)
+        "stop": StoppingCriterion(rtol=args.rtol, max_iter=args.max_iter),
+        **_method_options(args),
     }
-    _reject_bad_auto_k(args.k, method)
-    if method == "vr":
-        options["k"] = args.k
-    elif method in ("pipelined-vr", "dist-pipelined-vr"):
-        options["k"] = args.k if args.k == "auto" else max(args.k, 1)
-    elif method in ("adaptive-vr", "adaptive-pipelined-vr"):
-        options["k"] = args.k
-    elif method in ("sstep", "dist-sstep"):
-        options["s"] = max(args.k, 1)
-    if method.startswith("dist-"):
-        options["nranks"] = args.nranks
 
     from repro.trace import MetricsRegistry, profile_solve
 
@@ -313,7 +329,7 @@ def _profile(args) -> int:
         report = profile_solve(
             a,
             b,
-            method=method,
+            method=args.method,
             level_seconds=args.level_seconds,
             registry=registry,
             **options,
@@ -454,11 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve A x = b")
     add_matrix_source(solve)
     solve.add_argument(
-        "--method", "--solver",
-        dest="solver",
+        "--method",
         choices=available_methods(),
         default="vr",
-        help="registry method name (--solver is a compatibility alias)",
+        help="registry method name",
     )
     solve.add_argument("--k", type=_k_arg, default=2,
                        help="look-ahead parameter (s for sstep); 'auto' "
@@ -466,10 +481,11 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--rtol", type=float, default=1e-8)
     solve.add_argument("--max-iter", type=int, default=None)
     solve.add_argument("--replace-every", type=int, default=None,
-                       help="periodic residual replacement interval")
+                       help="periodic residual replacement interval "
+                            "(--method vr only)")
     solve.add_argument("--drift-tol", type=float, default=None,
                        help="adaptive residual replacement tolerance "
-                            "(solver vr defaults to 1e-6 when no "
+                            "(--method vr only; defaults to 1e-6 when no "
                             "stabilization flag is given)")
     solve.add_argument("--nranks", type=int, default=4,
                        help="simulated ranks for the dist-* methods")
@@ -525,8 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_matrix_source(profile)
     profile.add_argument(
-        "--method", "--solver",
-        dest="solver",
+        "--method",
         choices=available_methods(),
         default="cg",
         help="registry method name to profile",

@@ -23,8 +23,9 @@ structural fact (verified symbolically in the test suite) that the ``μ₀``
 row of the composed map does not involve ``α_n``: we extract it with a
 placeholder, form the ratio, and only then finalize the ``σ₁`` row.
 
-Every launch and consume is recorded in a :class:`PipelineTrace`, from
-which :mod:`repro.experiments.fig1_schedule` re-renders Figure 1.  A
+Every launch and consume is emitted as a telemetry pipeline event;
+:func:`trace_from_events` rebuilds the :class:`PipelineTrace` from which
+:mod:`repro.experiments.fig1_schedule` re-renders Figure 1.  A
 :class:`LaunchLedger` enforces the timing discipline: reading a moment
 value before its fan-in would have completed on the paper's machine raises,
 so the trace is not merely decorative -- the solver provably never uses a
@@ -124,8 +125,7 @@ def trace_from_events(k: int, events: list[Any]) -> PipelineTrace:
 
     Accepts the :class:`~repro.telemetry.PipelineEvent` stream collected by
     a :class:`~repro.telemetry.Telemetry` session (other event kinds are
-    ignored), so Figure 1 renders from the telemetry layer without the
-    deprecated ``trace=`` kwarg.
+    ignored), so Figure 1 renders from the telemetry layer.
     """
     trace = PipelineTrace(k=k)
     for e in events:
@@ -239,7 +239,6 @@ def pipelined_vr_cg(
     recovery: Any = None,
     telemetry: "Telemetry | None" = None,
     workspace: Any = None,
-    trace: PipelineTrace | None = None,
     controller: "WindowController | None" = None,
 ) -> CGResult:
     """Solve ``A x = b`` with the fully pipelined Van Rosendale iteration.
@@ -284,10 +283,6 @@ def pipelined_vr_cg(
         Optional :class:`repro.backend.Workspace`; a per-solve arena is
         made when omitted.  Steady-state iterations allocate zero new
         arrays (the launch/consume scalar machinery is O(k²), not O(n)).
-    trace:
-        Deprecated; pass ``telemetry=`` and use :func:`trace_from_events`
-        instead.  A supplied trace is still filled (with a
-        :class:`DeprecationWarning`).
     controller:
         Optional :class:`repro.core.adaptive.WindowController`.  When
         supplied the controller samples the recurred-vs-direct drift gap
@@ -313,25 +308,8 @@ def pipelined_vr_cg(
     n = check_square_operator(op, b.shape[0])
     k = require_positive_int(k, "k")
     stop = stop or StoppingCriterion()
-    if trace is not None and trace.k != k:
-        raise ValueError(f"trace.k={trace.k} does not match solver k={k}")
-    if trace is not None:
-        from repro.telemetry import deprecated_hook
-
-        if telemetry is not None:
-            raise ValueError(
-                "pipelined_vr_cg() got both telemetry= and the deprecated "
-                "trace= hook; pass only telemetry= and rebuild the trace "
-                "with trace_from_events"
-            )
-        deprecated_hook(
-            "pipelined_vr_cg(trace=...)",
-            "telemetry= with repro.core.pipeline.trace_from_events",
-        )
 
     def _event(kind: str, iteration: int, source_iteration: int, count: int) -> None:
-        if trace is not None:
-            trace.events.append(TraceEvent(kind, iteration, source_iteration, count))
         if telemetry is not None:
             telemetry.pipeline(kind, iteration, source_iteration, count)
 

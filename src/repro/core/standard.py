@@ -44,7 +44,6 @@ def conjugate_gradient(
     recovery: Any = None,
     telemetry: "Telemetry | None" = None,
     workspace: Any = None,
-    record_iterates: list[np.ndarray] | None = None,
 ) -> CGResult:
     """Solve the SPD system ``A x = b`` by classical (Hestenes--Stiefel) CG.
 
@@ -86,10 +85,6 @@ def conjugate_gradient(
         first-iteration allocations.  Defaults to a fresh per-solve
         arena.  Steady-state iterations allocate zero new arrays either
         way.
-    record_iterates:
-        Deprecated; pass ``telemetry=Telemetry(capture_iterates=True)``
-        and read ``telemetry.iterates`` instead.  When a list is
-        supplied it is still filled (with a :class:`DeprecationWarning`).
 
     Returns
     -------
@@ -103,18 +98,6 @@ def conjugate_gradient(
     b = as_1d_typed_array(b, "b", dtype)
     n = check_square_operator(op, b.shape[0])
     stop = stop or StoppingCriterion()
-    if record_iterates is not None:
-        from repro.telemetry import deprecated_hook
-
-        if telemetry is not None:
-            raise ValueError(
-                "conjugate_gradient() got both telemetry= and the "
-                "deprecated record_iterates= hook; pass only telemetry="
-            )
-        deprecated_hook(
-            "conjugate_gradient(record_iterates=...)",
-            "telemetry=Telemetry(capture_iterates=True)",
-        )
 
     from repro.backend import Workspace
     from repro.faults import RecoveryPolicy, UnrecoverableDivergence, as_fault_plan
@@ -128,8 +111,6 @@ def conjugate_gradient(
         if x0 is None
         else as_1d_typed_array(x0, "x0", dtype).copy()
     )
-    if record_iterates is not None:
-        record_iterates.append(x.copy())
     if telemetry is not None:
         telemetry.solve_start("cg", "cg", n)
         telemetry.iterate(x)
@@ -260,8 +241,6 @@ def conjugate_gradient(
             tracer.end("axpy")
         iterations += 1
         since_check += 1
-        if record_iterates is not None:
-            record_iterates.append(x.copy())
         if tracer is not None:
             tracer.begin("local_dot")
         rr_new = dot(r, r)

@@ -25,7 +25,7 @@ replacement.  The stability experiment (E7) quantifies the trade.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -51,7 +51,7 @@ _DIVERGENCE_FACTOR = 1e8
 
 @dataclass
 class VRState:
-    """Live state of the Van Rosendale iteration, exposed to observers.
+    """Live state of the Van Rosendale iteration, for ``on_state`` callbacks.
 
     Attributes
     ----------
@@ -92,8 +92,6 @@ def vr_conjugate_gradient(
     recovery: Any = None,
     telemetry: "Telemetry | None" = None,
     workspace: Any = None,
-    observer: Callable[[VRState], None] | None = None,
-    record_iterates: list[np.ndarray] | None = None,
 ) -> CGResult:
     """Solve the SPD system ``A x = b`` by Van Rosendale's restructured CG.
 
@@ -157,13 +155,6 @@ def vr_conjugate_gradient(
         Optional :class:`repro.backend.Workspace` scratch arena; a fresh
         per-solve one is made when omitted.  Steady-state iterations
         allocate zero new arrays.
-    observer:
-        Deprecated; pass ``telemetry=Telemetry(on_state=callback)``.
-        Still invoked with the :class:`VRState` after every iteration
-        (with a :class:`DeprecationWarning`).
-    record_iterates:
-        Deprecated; pass ``telemetry=Telemetry(capture_iterates=True)``.
-        When a list is supplied it is still filled.
 
     Returns
     -------
@@ -206,33 +197,12 @@ def vr_conjugate_gradient(
             max_restarts=0,
         )
     plan = as_fault_plan(faults)
-    if observer is not None or record_iterates is not None:
-        from repro.telemetry import deprecated_hook
-
-        if telemetry is not None:
-            twin = "observer=" if observer is not None else "record_iterates="
-            raise ValueError(
-                f"vr_conjugate_gradient() got both telemetry= and the "
-                f"deprecated {twin} hook; pass only telemetry="
-            )
-        if observer is not None:
-            deprecated_hook(
-                "vr_conjugate_gradient(observer=...)",
-                "telemetry=Telemetry(on_state=callback)",
-            )
-        if record_iterates is not None:
-            deprecated_hook(
-                "vr_conjugate_gradient(record_iterates=...)",
-                "telemetry=Telemetry(capture_iterates=True)",
-            )
 
     x = (
         np.zeros(n, dtype=dtype)
         if x0 is None
         else as_1d_typed_array(x0, "x0", dtype).copy()
     )
-    if record_iterates is not None:
-        record_iterates.append(x.copy())
     if telemetry is not None:
         telemetry.solve_start(
             "vr",
@@ -347,8 +317,6 @@ def vr_conjugate_gradient(
             tracer.end("axpy")
         iterations += 1
         since_replacement += 1
-        if record_iterates is not None:
-            record_iterates.append(x.copy())
 
         # --- advance the residual powers: R_i <- R_i - lam * P_{i+1} ----
         if tracer is not None:
@@ -549,11 +517,9 @@ def vr_conjugate_gradient(
             since_replacement = 0
             since_verify = 0
 
-        if observer is not None or (telemetry is not None and telemetry.on_state):
-            st = VRState(iteration=iterations, window=window, powers=powers, x=x)
-            if observer is not None:
-                observer(st)
-            if telemetry is not None:
-                telemetry.state(st)
+        if telemetry is not None and telemetry.on_state:
+            telemetry.state(
+                VRState(iteration=iterations, window=window, powers=powers, x=x)
+            )
 
     return _result(reason, iterations)

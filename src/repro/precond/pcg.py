@@ -30,31 +30,11 @@ from repro.util.validation import as_1d_float_array, check_square_operator
 __all__ = ["preconditioned_cg", "vr_pcg", "pipelined_vr_pcg"]
 
 
-def _resolve_precond(fname: str, m: Any, precond: Any) -> Any:
-    """Honour the deprecated positional ``m`` while preferring ``precond=``."""
-    if m is not None:
-        from repro.telemetry import deprecated_hook
-
-        if precond is not None:
-            raise ValueError(
-                f"{fname}() got both a positional preconditioner and precond="
-            )
-        deprecated_hook(
-            f"{fname}(a, b, m) with a positional preconditioner",
-            f"{fname}(a, b, precond=...)",
-        )
-        precond = m
-    if precond is None:
-        raise TypeError(f"{fname}() requires a preconditioner: pass precond=...")
-    return precond
-
-
 def preconditioned_cg(
     a: Any,
     b: np.ndarray,
-    m: Preconditioner | None = None,
     *,
-    precond: Preconditioner | None = None,
+    precond: Preconditioner,
     x0: np.ndarray | None = None,
     stop: StoppingCriterion | None = None,
     telemetry: "Telemetry | None" = None,
@@ -64,13 +44,10 @@ def preconditioned_cg(
 
     Stopping is tested on the *true* residual norm ``‖r‖₂`` (not the
     M-norm), so iteration counts are comparable across preconditioners.
-    Pass the preconditioner as ``precond=``; the positional ``m`` form is
-    deprecated (still accepted, with a :class:`DeprecationWarning`).
     ``telemetry`` takes an optional :class:`repro.telemetry.Telemetry`
     hook and ``workspace`` an optional :class:`repro.backend.Workspace`
     arena the steady-state matvec and axpys draw scratch from.
     """
-    m = _resolve_precond("preconditioned_cg", m, precond)
     op = as_operator(a)
     b = as_1d_float_array(b, "b")
     n = check_square_operator(op, b.shape[0])
@@ -81,11 +58,11 @@ def preconditioned_cg(
 
     x = np.zeros(n) if x0 is None else as_1d_float_array(x0, "x0").copy()
     if telemetry is not None:
-        telemetry.solve_start("pcg", "pcg", n, precond=type(m).__name__)
+        telemetry.solve_start("pcg", "pcg", n, precond=type(precond).__name__)
         telemetry.iterate(x)
     b_norm = norm(b)
     r = b - op.matvec(x)
-    z = m.apply(r)
+    z = precond.apply(r)
     p = z.copy()
     rz = dot(r, z)
     res_norms = [norm(r)]
@@ -116,7 +93,7 @@ def preconditioned_cg(
             if stop.is_met(res_norms[-1], b_norm):
                 reason = StopReason.CONVERGED
                 break
-            z = m.apply(r)
+            z = precond.apply(r)
             rz_new = dot(r, z)
             alpha = rz_new / rz
             alphas.append(alpha)
@@ -168,9 +145,8 @@ def _split_solve(solver, a, b, m, x0, stop, label, **kwargs) -> CGResult:
 def vr_pcg(
     a: Any,
     b: np.ndarray,
-    m: SplitPreconditioner | None = None,
     *,
-    precond: SplitPreconditioner | None = None,
+    precond: SplitPreconditioner,
     k: int = 2,
     x0: np.ndarray | None = None,
     stop: StoppingCriterion | None = None,
@@ -182,16 +158,14 @@ def vr_pcg(
 
     Note the recorded ``residual_norms`` are norms of the *preconditioned*
     residual ``r̃ = E⁻¹(b − Ax)``; ``true_residual_norm`` is recomputed in
-    the original variables at exit.  Pass the preconditioner as
-    ``precond=`` (the positional ``m`` form is deprecated).  Telemetry
-    events describe the inner iteration on ``Ã``.
+    the original variables at exit.  Telemetry events describe the inner
+    iteration on ``Ã``.
     """
-    m = _resolve_precond("vr_pcg", m, precond)
     return _split_solve(
-        lambda at, bt, x0, stop, **kw: vr_conjugate_gradient(at, bt, x0=x0, stop=stop, **kw),
+        vr_conjugate_gradient,
         a,
         b,
-        m,
+        precond,
         x0,
         stop,
         f"vr-pcg(k={k})",
@@ -205,9 +179,8 @@ def vr_pcg(
 def pipelined_vr_pcg(
     a: Any,
     b: np.ndarray,
-    m: SplitPreconditioner | None = None,
     *,
-    precond: SplitPreconditioner | None = None,
+    precond: SplitPreconditioner,
     k: int = 2,
     x0: np.ndarray | None = None,
     stop: StoppingCriterion | None = None,
@@ -216,15 +189,13 @@ def pipelined_vr_pcg(
 ) -> CGResult:
     """Pipelined Van Rosendale CG on the split-preconditioned operator.
 
-    Pass the preconditioner as ``precond=`` (the positional ``m`` form is
-    deprecated).  Telemetry events describe the inner iteration on ``Ã``.
+    Telemetry events describe the inner iteration on ``Ã``.
     """
-    m = _resolve_precond("pipelined_vr_pcg", m, precond)
     return _split_solve(
-        lambda at, bt, x0, stop, **kw: pipelined_vr_cg(at, bt, x0=x0, stop=stop, **kw),
+        pipelined_vr_cg,
         a,
         b,
-        m,
+        precond,
         x0,
         stop,
         f"pipelined-vr-pcg(k={k})",

@@ -117,55 +117,30 @@ class ChebyshevPolyPrecond:
         return CallableOperator(n, _matvec, row_degree=row_degree)
 
 
-def _resolve_precond(fname: str, m: Any, precond: Any) -> Any:
-    """Honour the deprecated positional ``m`` while preferring ``precond=``."""
-    if m is not None:
-        from repro.telemetry import deprecated_hook
-
-        if precond is not None:
-            raise ValueError(
-                f"{fname}() got both a positional preconditioner and precond="
-            )
-        deprecated_hook(
-            f"{fname}(a, b, m) with a positional preconditioner",
-            f"{fname}(a, b, precond=...)",
-        )
-        precond = m
-    if precond is None:
-        raise TypeError(f"{fname}() requires a preconditioner: pass precond=...")
-    return precond
-
-
 def polynomial_pcg(
     a: Any,
     b: np.ndarray,
-    m: ChebyshevPolyPrecond | None = None,
     *,
-    precond: ChebyshevPolyPrecond | None = None,
+    precond: ChebyshevPolyPrecond,
     x0: np.ndarray | None = None,
     stop: StoppingCriterion | None = None,
     telemetry: Any = None,
 ) -> CGResult:
     """Classical CG on ``A·p(A) x = p(A) b`` (polynomial PCG).
 
-    Pass the preconditioner as ``precond=`` (the positional ``m`` form is
-    deprecated).  Telemetry events describe the inner iteration on ``Ã``.
+    Telemetry events describe the inner iteration on ``Ã``.
     """
-    m = _resolve_precond("polynomial_pcg", m, precond)
     return _poly_solve(
-        lambda at, bt, x0, stop: conjugate_gradient(
-            at, bt, x0=x0, stop=stop, telemetry=telemetry
-        ),
-        a, b, m, x0, stop, "poly-pcg",
+        conjugate_gradient, a, b, precond, x0, stop, "poly-pcg",
+        telemetry=telemetry,
     )
 
 
 def vr_poly_pcg(
     a: Any,
     b: np.ndarray,
-    m: ChebyshevPolyPrecond | None = None,
     *,
-    precond: ChebyshevPolyPrecond | None = None,
+    precond: ChebyshevPolyPrecond,
     k: int = 2,
     x0: np.ndarray | None = None,
     stop: StoppingCriterion | None = None,
@@ -176,30 +151,28 @@ def vr_poly_pcg(
 
     The commuting trick means the VR recurrences apply verbatim -- the
     operator is explicitly SPD and no split factor exists or is needed.
-    Pass the preconditioner as ``precond=`` (the positional ``m`` form is
-    deprecated).  Telemetry events describe the inner iteration on ``Ã``.
+    Telemetry events describe the inner iteration on ``Ã``.
     """
-    m = _resolve_precond("vr_poly_pcg", m, precond)
     return _poly_solve(
-        lambda at, bt, x0, stop: vr_conjugate_gradient(
-            at, bt, k=k, x0=x0, stop=stop, replace_every=replace_every,
-            telemetry=telemetry,
-        ),
+        vr_conjugate_gradient,
         a,
         b,
-        m,
+        precond,
         x0,
         stop,
         f"vr-poly-pcg(k={k})",
+        k=k,
+        replace_every=replace_every,
+        telemetry=telemetry,
     )
 
 
-def _poly_solve(solver, a, b, m, x0, stop, label) -> CGResult:
+def _poly_solve(solver, a, b, m, x0, stop, label, **kwargs) -> CGResult:
     op = as_operator(a)
     b = as_1d_float_array(b, "b")
     a_tilde = m.preconditioned_operator()
     b_tilde = m.apply(b)
-    result = solver(a_tilde, b_tilde, x0=x0, stop=stop)
+    result = solver(a_tilde, b_tilde, x0=x0, stop=stop, **kwargs)
     # the solution needs no back-transform; recompute the TRUE residual in
     # the original system
     result.true_residual_norm = norm(b - op.matvec(result.x))

@@ -286,9 +286,9 @@ def _front_door_operator(a: Any, b: Any, entry: SolverEntry) -> tuple[Any, bool]
 
     Assembled matrices pass through *unchanged*.  Anything else is
     coerced with :func:`repro.sparse.as_operator` (bare callables get
-    their dimension from ``b``) -- but only for methods carrying the
-    ``supports_operator`` capability flag; the rest refuse with the
-    nearest capable method in the message.
+    their dimension from ``b.shape[0]``, for a vector or a block) -- but
+    only for methods carrying the ``supports_operator`` capability flag;
+    the rest refuse with the nearest capable method in the message.
     """
     if _is_assembled(a):
         return a, True
@@ -307,7 +307,7 @@ def _front_door_operator(a: Any, b: Any, entry: SolverEntry) -> tuple[Any, bool]
             f"operator-capable methods: {', '.join(operator_methods())}"
         )
     b_arr = np.asarray(b)
-    op = as_operator(a, n=b_arr.shape[0] if b_arr.ndim == 1 else None)
+    op = as_operator(a, n=b_arr.shape[0] if b_arr.ndim in (1, 2) else None)
     if b_arr.dtype.kind == "c" and operator_dtype(op).kind != "c":
         raise ValueError(
             "b is complex but the operator is real (it declares no complex "
@@ -410,13 +410,12 @@ def solve(
         ``workspace=`` keyword supplies a reusable
         :class:`repro.backend.Workspace` arena; it is refused for
         methods without the ``supports_workspace`` flag.  A
-        ``trace=`` keyword carrying a :class:`repro.trace.Tracer` is
+        ``trace=`` keyword takes a :class:`repro.trace.Tracer` and is
         consumed here: it is attached to the telemetry session (one is
         created around a :class:`~repro.telemetry.NullSink` if none was
         given) so the solve records hierarchical spans -- see
-        :mod:`repro.trace`.  (For ``method="pipelined-vr"`` a legacy
-        :class:`~repro.core.pipeline.PipelineTrace` is still forwarded
-        to the deprecated solver shim.)
+        :mod:`repro.trace`.  Any other ``trace=`` value is a
+        :class:`TypeError`.
 
     Returns
     -------
@@ -566,19 +565,20 @@ def _rescue_zero_threshold(a: Any, b: Any, options: dict) -> None:
 def _consume_trace(telemetry: Any, options: dict) -> Any:
     """Attach a ``trace=`` :class:`repro.trace.Tracer` to the session.
 
-    Anything that is not a new-style tracer (the legacy
-    :class:`~repro.core.pipeline.PipelineTrace` of the deprecated
-    ``pipelined_vr_cg(trace=)`` shim) is left in ``options`` for the
-    solver to handle.
+    ``trace=`` never reaches a solver; a value that is not a tracer is
+    refused here.
     """
-    trace = options.get("trace")
+    trace = options.pop("trace", None)
     if trace is None:
         return telemetry
     from repro.trace import Tracer
 
     if not isinstance(trace, Tracer):
-        return telemetry
-    del options["trace"]
+        raise TypeError(
+            f"trace= takes a repro.trace.Tracer, got {type(trace).__name__}; "
+            "for a pipelined run's launch/consume schedule pass telemetry= "
+            "and rebuild it with repro.core.pipeline.trace_from_events"
+        )
     if telemetry is None:
         from repro.telemetry import Telemetry
         from repro.telemetry.sinks import NullSink
@@ -705,24 +705,12 @@ def solve_batched(
             f"method {method!r} has no batched multi-RHS path; "
             f"batched methods: {', '.join(batched_methods())}"
         )
-    if not _is_assembled(a):
-        from repro.sparse.linop import as_operator, operator_dtype
+    a, assembled = _front_door_operator(a, b, entry)
+    if not assembled:
+        from repro.sparse.linop import operator_dtype
 
-        if not entry.supports_operator:
-            nearest = _NEAREST_OPERATOR_METHOD.get(entry.name)
-            hint = (
-                f"; the nearest operator-capable method is {nearest!r}"
-                if nearest
-                else ""
-            )
-            raise ValueError(
-                f"batched method {method!r} needs an assembled matrix "
-                f"(CSR/ELL/dense) and cannot run on a matrix-free "
-                f"operator{hint}"
-            )
-        b_arr = np.asarray(b)
-        a = as_operator(a, n=b_arr.shape[0] if b_arr.ndim >= 1 and b_arr.size else None)
-        if operator_dtype(a).kind == "c" or b_arr.dtype.kind == "c":
+        # A complex b on a real operator was refused above.
+        if operator_dtype(a).kind == "c":
             raise ValueError(
                 "the batched block paths run in float64 only; solve complex "
                 "operators column-by-column through solve()"
@@ -827,21 +815,24 @@ def _run_vr(a, b, *, precond, telemetry, **options):
                 None if "replace_every" in options else 1e-6,
             )
         return vr_conjugate_gradient(a, b, telemetry=telemetry, **options)
+    if not isinstance(precond, (ChebyshevPolyPrecond, SplitPreconditioner)):
+        raise ValueError(
+            "method 'vr' needs a split or polynomial preconditioner, got "
+            f"{type(precond).__name__}"
+        )
+    # The preconditioned drivers take periodic replacement only (the
+    # drift detector lives in the unpreconditioned eager loop); keep
+    # them stable by default, as the CLI always has.
+    if options.pop("replace_drift_tol", None) is not None:
+        raise ValueError(
+            "method 'vr' with a preconditioner has no drift-triggered "
+            "replacement (replace_drift_tol=); use periodic replacement "
+            "with replace_every= instead"
+        )
+    options.setdefault("replace_every", 10)
     if isinstance(precond, ChebyshevPolyPrecond):
-        # The preconditioned drivers take periodic replacement only (the
-        # drift detector lives in the unpreconditioned eager loop); keep
-        # them stable by default, as the CLI always has.
-        options.pop("replace_drift_tol", None)
-        options.setdefault("replace_every", 10)
         return vr_poly_pcg(a, b, precond=precond, telemetry=telemetry, **options)
-    if isinstance(precond, SplitPreconditioner):
-        options.pop("replace_drift_tol", None)
-        options.setdefault("replace_every", 10)
-        return vr_pcg(a, b, precond=precond, telemetry=telemetry, **options)
-    raise ValueError(
-        "method 'vr' needs a split or polynomial preconditioner, got "
-        f"{type(precond).__name__}"
-    )
+    return vr_pcg(a, b, precond=precond, telemetry=telemetry, **options)
 
 
 @register(

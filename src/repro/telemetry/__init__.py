@@ -33,7 +33,7 @@ from repro.telemetry.events import (
     SolveStartEvent,
     TelemetryEvent,
 )
-from repro.telemetry.session import Telemetry, deprecated_hook
+from repro.telemetry.session import Telemetry
 from repro.telemetry.sinks import (
     AsciiSummarySink,
     JsonlSink,
@@ -44,7 +44,6 @@ from repro.telemetry.sinks import (
 
 __all__ = [
     "Telemetry",
-    "deprecated_hook",
     "TelemetryEvent",
     "SolveStartEvent",
     "IterationEvent",

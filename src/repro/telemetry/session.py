@@ -18,8 +18,7 @@ Design constraints, in order:
 1. **Uniformity** -- every solver (core, variants, preconditioned,
    distributed) takes the same ``telemetry=`` keyword and emits the same
    event vocabulary, so cross-variant comparisons need no per-solver
-   glue.  This replaces the ad-hoc ``observer=`` / ``trace=`` /
-   ``record_iterates=`` hooks (kept as deprecated shims).
+   glue.
 2. **Cheap when absent** -- solvers guard every call with
    ``if telemetry is not None``; a solve without telemetry pays nothing.
 3. **Cheap when present** -- with a no-op sink the instrumentation costs
@@ -37,7 +36,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
@@ -64,17 +62,7 @@ from repro.telemetry.events import (
 from repro.telemetry.sinks import MemorySink, Sink
 from repro.util.counters import OpCounts, pop_scope, push_scope
 
-__all__ = ["Telemetry", "deprecated_hook"]
-
-
-def deprecated_hook(old: str, new: str) -> None:
-    """Warn once per call site that a legacy solver hook was used."""
-    warnings.warn(
-        f"{old} is deprecated and will be removed in a future release; "
-        f"use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
+__all__ = ["Telemetry"]
 
 
 class _ActiveSolve:
@@ -96,13 +84,13 @@ class Telemetry:
         Event destinations.  With none given, a :class:`MemorySink` is
         attached and reachable as :attr:`memory`.
     capture_iterates:
-        When true, :meth:`iterate` stores a copy of every iterate in
-        :attr:`iterates` -- the replacement for the legacy
-        ``record_iterates=`` kwarg (equivalence experiment E7).
+        When true, :meth:`iterate` stores a copy of every iterate
+        (including ``x⁰``) in :attr:`iterates`; the equivalence
+        experiment E7 compares solvers iterate by iterate.
     on_state:
         Optional callback receiving the live solver state object (the
         Van Rosendale :class:`~repro.core.vr_cg.VRState`) after each
-        iteration -- the replacement for the legacy ``observer=`` kwarg.
+        iteration.
     count_ops:
         When true (default), each solve bracket runs inside a fresh
         :mod:`repro.util.counters` scope and emits a

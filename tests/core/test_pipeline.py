@@ -99,12 +99,6 @@ class TestSolver:
         assert all(e.iteration > k or e.iteration == e.source_iteration + k for e in consumes)
         assert all(e.count == 6 * k + 6 for e in launches)
 
-    def test_trace_k_mismatch_rejected(self, small_spd_dense):
-        with pytest.raises(ValueError, match="trace.k"):
-            pipelined_vr_cg(
-                small_spd_dense, np.ones(24), k=2, trace=PipelineTrace(k=3)
-            )
-
     def test_k_zero_rejected(self, small_spd_dense):
         with pytest.raises(ValueError):
             pipelined_vr_cg(small_spd_dense, np.ones(24), k=0)

@@ -105,6 +105,18 @@ def test_vr_precond_strings(system, precond):
     assert result.method == "vr"
 
 
+@pytest.mark.parametrize("precond", ["ssor", "chebyshev"])
+def test_vr_precond_refuses_drift_tol(system, precond):
+    """The preconditioned vr drivers have no drift detector: a drift
+    tolerance is refused rather than silently swapped for periodic
+    replacement.  An explicit ``None`` is the default and stays valid."""
+    a, b = system
+    with pytest.raises(ValueError, match="replace_every="):
+        solve(a, b, "vr", precond=precond, replace_drift_tol=1e-3)
+    result = solve(a, b, "vr", precond=precond, replace_drift_tol=None)
+    assert result.converged
+
+
 def test_precond_rejected_for_non_supporting_method(system):
     a, b = system
     with pytest.raises(ValueError, match="does not accept a preconditioner"):
@@ -149,6 +161,14 @@ def test_solve_brackets_telemetry(system):
     assert tele.events[0] is starts[0]
     assert tele.events[-1] is ends[0]
     assert len(tele.events_of("iteration")) == result.iterations
+
+
+def test_trace_takes_only_a_tracer(system):
+    from repro.core.pipeline import PipelineTrace
+
+    a, b = system
+    with pytest.raises(TypeError, match=r"repro\.trace\.Tracer"):
+        solve(a, b, "pipelined-vr", trace=PipelineTrace(2))
 
 
 def test_dist_methods_accept_nranks(system):

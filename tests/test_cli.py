@@ -22,7 +22,7 @@ def mtx_file(tmp_path):
 class TestSolve:
     def test_generated_problem(self, capsys):
         rc = main(["solve", "--generate", "poisson2d", "--size", "10",
-                   "--solver", "cg"])
+                   "--method", "cg"])
         assert rc == 0
         assert "converged" in capsys.readouterr().out
 
@@ -30,18 +30,20 @@ class TestSolve:
         "solver", ["cg", "vr", "pipelined-vr", "three-term", "cg-cg", "gv", "sstep"]
     )
     def test_all_solvers(self, solver, capsys):
-        rc = main(["solve", "--generate", "poisson2d", "--size", "8",
-                   "--solver", solver, "--k", "2", "--replace-every", "8"])
-        assert rc == 0
+        argv = ["solve", "--generate", "poisson2d", "--size", "8",
+                "--method", solver, "--k", "2"]
+        if solver == "vr":
+            argv += ["--replace-every", "8"]
+        assert main(argv) == 0
 
     def test_matrix_file(self, mtx_file, capsys):
-        rc = main(["solve", "--matrix", str(mtx_file), "--solver", "vr",
+        rc = main(["solve", "--matrix", str(mtx_file), "--method", "vr",
                    "--k", "1"])
         assert rc == 0
 
     def test_preconditioned(self, capsys):
         rc = main(["solve", "--generate", "anisotropic2d", "--size", "10",
-                   "--solver", "vr", "--precond", "ssor", "--omega", "1.2",
+                   "--method", "vr", "--precond", "ssor", "--omega", "1.2",
                    "--replace-every", "6"])
         assert rc == 0
 
@@ -50,7 +52,7 @@ class TestSolve:
         np.savetxt(rhs, np.ones(64))
         out = tmp_path / "x.txt"
         rc = main(["solve", "--matrix", str(mtx_file), "--rhs", str(rhs),
-                   "--out", str(out), "--solver", "cg"])
+                   "--out", str(out), "--method", "cg"])
         assert rc == 0
         x = np.loadtxt(out)
         a = poisson2d(8)
@@ -64,34 +66,49 @@ class TestSolve:
 
     def test_no_source_errors(self):
         with pytest.raises(SystemExit):
-            main(["solve", "--solver", "cg"])
+            main(["solve", "--method", "cg"])
 
     def test_unconverged_exit_code(self, capsys):
         rc = main(["solve", "--generate", "poisson2d", "--size", "16",
-                   "--solver", "cg", "--max-iter", "2", "--rtol", "1e-12"])
+                   "--method", "cg", "--max-iter", "2", "--rtol", "1e-12"])
         assert rc == 1
 
     def test_precond_unsupported_solver(self, capsys):
         with pytest.raises(SystemExit):
             main(["solve", "--generate", "poisson2d", "--size", "8",
-                  "--solver", "gv", "--precond", "jacobi"])
+                  "--method", "gv", "--precond", "jacobi"])
 
     def test_drift_tol_flag(self, capsys):
         rc = main(["solve", "--generate", "poisson2d", "--size", "10",
-                   "--solver", "vr", "--k", "3", "--drift-tol", "1e-6"])
+                   "--method", "vr", "--k", "3", "--drift-tol", "1e-6"])
         assert rc == 0
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--method", "pipelined-vr", "--replace-every", "8"],
+            ["--method", "cg", "--replace-every", "8"],
+            ["--method", "cg", "--drift-tol", "1e-6"],
+            ["--method", "cg", "--rhs-count", "3", "--replace-every", "8"],
+            ["--method", "vr", "--rhs-count", "3", "--drift-tol", "1e-6"],
+        ],
+        ids=["pipelined-vr", "cg-every", "cg-drift", "batched-cg", "batched-vr"],
+    )
+    def test_replacement_flags_the_method_cannot_take_exit(self, extra):
+        with pytest.raises(SystemExit, match="--recovery"):
+            main(["solve", "--generate", "poisson2d", "--size", "8", *extra])
 
 
 class TestBatchedRhsCount:
     def test_batched_cg_solves_block(self, capsys):
         rc = main(["solve", "--generate", "poisson2d", "--size", "8",
-                   "--solver", "cg", "--rhs-count", "4"])
+                   "--method", "cg", "--rhs-count", "4"])
         assert rc == 0
         assert "4/4 columns converged" in capsys.readouterr().out
 
     def test_batched_vr(self, capsys):
         rc = main(["solve", "--generate", "poisson2d", "--size", "8",
-                   "--solver", "vr", "--k", "2", "--rhs-count", "3",
+                   "--method", "vr", "--k", "2", "--rhs-count", "3",
                    "--replace-every", "8"])
         assert rc == 0
         assert "3/3 columns converged" in capsys.readouterr().out
@@ -99,7 +116,7 @@ class TestBatchedRhsCount:
     def test_block_written_to_out(self, tmp_path, capsys):
         out = tmp_path / "x.txt"
         rc = main(["solve", "--generate", "poisson2d", "--size", "8",
-                   "--solver", "cg", "--rhs-count", "3", "--out", str(out)])
+                   "--method", "cg", "--rhs-count", "3", "--out", str(out)])
         assert rc == 0
         x = np.loadtxt(out)
         assert x.shape == (64, 3)
@@ -109,7 +126,7 @@ class TestBatchedRhsCount:
         np.savetxt(rhs, np.ones(64))
         out = tmp_path / "x.txt"
         rc = main(["solve", "--matrix", str(mtx_file), "--rhs", str(rhs),
-                   "--rhs-count", "2", "--out", str(out), "--solver", "cg"])
+                   "--rhs-count", "2", "--out", str(out), "--method", "cg"])
         assert rc == 0
         x = np.loadtxt(out)
         a = poisson2d(8)
@@ -118,22 +135,22 @@ class TestBatchedRhsCount:
     def test_non_batched_method_rejected(self):
         with pytest.raises(SystemExit, match="no.*multi-RHS path"):
             main(["solve", "--generate", "poisson2d", "--size", "8",
-                  "--solver", "gv", "--rhs-count", "4"])
+                  "--method", "gv", "--rhs-count", "4"])
 
     def test_precond_rejected(self):
         with pytest.raises(SystemExit, match="does not support --precond"):
             main(["solve", "--generate", "poisson2d", "--size", "8",
-                  "--solver", "cg", "--rhs-count", "4", "--precond", "jacobi"])
+                  "--method", "cg", "--rhs-count", "4", "--precond", "jacobi"])
 
     def test_rhs_count_must_be_positive(self):
         with pytest.raises(SystemExit, match="rhs-count must be >= 1"):
             main(["solve", "--generate", "poisson2d", "--size", "8",
-                  "--solver", "cg", "--rhs-count", "0"])
+                  "--method", "cg", "--rhs-count", "0"])
 
     def test_batched_telemetry_stream(self, tmp_path):
         path = tmp_path / "batched.jsonl"
         rc = main(["solve", "--generate", "poisson2d", "--size", "8",
-                   "--solver", "cg", "--rhs-count", "4",
+                   "--method", "cg", "--rhs-count", "4",
                    "--telemetry", str(path)])
         assert rc == 0
         events = [json.loads(line) for line in path.read_text().splitlines()]
@@ -215,7 +232,7 @@ class TestParser:
 
     def test_solver_choices_validated(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["solve", "--solver", "nope"])
+            build_parser().parse_args(["solve", "--method", "nope"])
 
     def test_backend_flag_removed(self, capsys):
         with pytest.raises(SystemExit):
@@ -226,27 +243,27 @@ class TestParser:
 class TestChebyshevPrecond:
     def test_cg_with_chebyshev(self, capsys):
         rc = main(["solve", "--generate", "anisotropic2d", "--size", "12",
-                   "--solver", "cg", "--precond", "chebyshev",
+                   "--method", "cg", "--precond", "chebyshev",
                    "--poly-degree", "4"])
         assert rc == 0
         assert "poly-pcg" in capsys.readouterr().out
 
     def test_vr_with_chebyshev(self, capsys):
         rc = main(["solve", "--generate", "poisson2d", "--size", "12",
-                   "--solver", "vr", "--k", "2", "--precond", "chebyshev"])
+                   "--method", "vr", "--k", "2", "--precond", "chebyshev"])
         assert rc == 0
 
     def test_unsupported_solver_rejected(self):
         with pytest.raises(SystemExit):
             main(["solve", "--generate", "poisson2d", "--size", "8",
-                  "--solver", "gv", "--precond", "chebyshev"])
+                  "--method", "gv", "--precond", "chebyshev"])
 
 
 class TestObservabilityFlags:
     def test_solve_trace_writes_chrome_json(self, tmp_path, capsys):
         trace = tmp_path / "trace.json"
         rc = main(["solve", "--generate", "poisson2d", "--size", "10",
-                   "--solver", "cg", "--trace", str(trace)])
+                   "--method", "cg", "--trace", str(trace)])
         assert rc == 0
         assert f"chrome trace written to {trace}" in capsys.readouterr().out
         doc = json.loads(trace.read_text())
@@ -256,7 +273,7 @@ class TestObservabilityFlags:
     def test_solve_metrics_writes_prometheus_text(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.prom"
         rc = main(["solve", "--generate", "poisson2d", "--size", "10",
-                   "--solver", "vr", "--k", "2", "--metrics", str(metrics)])
+                   "--method", "vr", "--k", "2", "--metrics", str(metrics)])
         assert rc == 0
         text = metrics.read_text()
         assert "# TYPE repro_iterations_total counter" in text
@@ -266,7 +283,7 @@ class TestObservabilityFlags:
         trace = tmp_path / "trace.json"
         metrics = tmp_path / "metrics.prom"
         rc = main(["solve", "--generate", "poisson2d", "--size", "8",
-                   "--solver", "cg", "--rhs-count", "2",
+                   "--method", "cg", "--rhs-count", "2",
                    "--trace", str(trace), "--metrics", str(metrics)])
         assert rc == 0
         assert json.loads(trace.read_text())["traceEvents"]
@@ -447,7 +464,7 @@ class TestReplay:
 
     def test_solve_postmortem_flag_is_quiet_on_success(self, tmp_path, capsys):
         rc = main(["solve", "--generate", "poisson2d", "--size", "8",
-                   "--solver", "cg", "--postmortem", str(tmp_path)])
+                   "--method", "cg", "--postmortem", str(tmp_path)])
         assert rc == 0
         assert list(tmp_path.glob("postmortem-*.json")) == []
 

@@ -1,13 +1,11 @@
-"""Tests for :mod:`repro.telemetry` -- events, sinks, session, shims.
+"""Tests for :mod:`repro.telemetry` -- events, sinks, session.
 
 Three layers under test:
 
 1. the event schema (``kind`` discriminator first, flat JSON payloads);
 2. the sinks (memory, JSON-lines, ascii summary, null);
 3. the :class:`Telemetry` session semantics (solve brackets, counter
-   scopes, phase timers, iterate capture) and the deprecation shims that
-   map the legacy ``observer=`` / ``record_iterates=`` / ``trace=`` /
-   positional-``m`` hooks onto it.
+   scopes, phase timers, iterate capture, live-state callbacks).
 """
 
 from __future__ import annotations
@@ -18,12 +16,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.pipeline import pipelined_vr_cg, trace_from_events
+from repro.core.pipeline import PipelineTrace, pipelined_vr_cg, trace_from_events
 from repro.core.standard import conjugate_gradient
 from repro.core.stopping import StoppingCriterion
 from repro.core.vr_cg import VRState, vr_conjugate_gradient
 from repro.precond import JacobiPrecond
-from repro.precond.pcg import preconditioned_cg
+from repro.precond.pcg import pipelined_vr_pcg, preconditioned_cg, vr_pcg
+from repro.precond.polynomial import ChebyshevPolyPrecond, polynomial_pcg, vr_poly_pcg
 from repro.sparse.generators import poisson2d
 from repro.telemetry import (
     AdaptiveEvent,
@@ -327,50 +326,45 @@ def test_trace_from_events_rebuilds_pipeline_trace(system):
 
 
 # ----------------------------------------------------------------------
-# deprecation shims
+# one spelling per solver input: the pre-telemetry hooks are gone
 # ----------------------------------------------------------------------
-def test_record_iterates_kwarg_warns_but_works(system):
+def _cheb(a):
+    return ChebyshevPolyPrecond(a, (0.1, 8.0), degree=3)
+
+
+@pytest.mark.parametrize(
+    "caller, match",
+    [
+        (lambda a, b: conjugate_gradient(a, b, record_iterates=[]),
+         "record_iterates"),
+        (lambda a, b: vr_conjugate_gradient(a, b, k=2, record_iterates=[]),
+         "record_iterates"),
+        (lambda a, b: vr_conjugate_gradient(a, b, k=2, observer=print),
+         "observer"),
+        (lambda a, b: pipelined_vr_cg(a, b, k=2, trace=PipelineTrace(k=2)),
+         "trace"),
+        (lambda a, b: preconditioned_cg(a, b, JacobiPrecond(a)), "positional"),
+        (lambda a, b: vr_pcg(a, b, JacobiPrecond(a)), "positional"),
+        (lambda a, b: pipelined_vr_pcg(a, b, JacobiPrecond(a)), "positional"),
+        (lambda a, b: polynomial_pcg(a, b, _cheb(a)), "positional"),
+        (lambda a, b: vr_poly_pcg(a, b, _cheb(a)), "positional"),
+    ],
+    ids=[
+        "cg-record_iterates",
+        "vr-record_iterates",
+        "vr-observer",
+        "pipelined-trace",
+        "pcg-positional",
+        "vr_pcg-positional",
+        "pipelined_vr_pcg-positional",
+        "polynomial_pcg-positional",
+        "vr_poly_pcg-positional",
+    ],
+)
+def test_removed_hook_spelling_is_type_error(system, caller, match):
     a, b = system
-    iterates: list[np.ndarray] = []
-    with pytest.warns(DeprecationWarning, match="record_iterates"):
-        result = conjugate_gradient(a, b, record_iterates=iterates)
-    assert len(iterates) == result.iterations + 1
-
-
-def test_vr_observer_kwarg_warns_but_works(system):
-    a, b = system
-    seen: list[VRState] = []
-    with pytest.warns(DeprecationWarning, match="observer"):
-        result = vr_conjugate_gradient(
-            a, b, k=2, replace_every=10, observer=seen.append
-        )
-    assert len(seen) == result.iterations - 1
-
-
-def test_vr_record_iterates_kwarg_warns_but_works(system):
-    a, b = system
-    iterates: list[np.ndarray] = []
-    with pytest.warns(DeprecationWarning, match="record_iterates"):
-        vr_conjugate_gradient(a, b, k=2, replace_every=10, record_iterates=iterates)
-    assert iterates
-
-
-def test_pipelined_trace_kwarg_warns_but_works(system):
-    a, b = system
-    from repro.core.pipeline import PipelineTrace
-
-    trace = PipelineTrace(k=2)
-    with pytest.warns(DeprecationWarning, match="trace"):
-        pipelined_vr_cg(a, b, k=2, trace=trace)
-    assert trace.launches()
-    assert trace.verify_lookahead()
-
-
-def test_pcg_positional_m_warns_but_works(system):
-    a, b = system
-    with pytest.warns(DeprecationWarning, match="positional preconditioner"):
-        result = preconditioned_cg(a, b, JacobiPrecond(a))
-    assert result.converged
+    with pytest.raises(TypeError, match=match):
+        caller(a, b)
 
 
 def test_pcg_keyword_precond_does_not_warn(system):
@@ -378,7 +372,7 @@ def test_pcg_keyword_precond_does_not_warn(system):
     import warnings
 
     with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
+        warnings.simplefilter("error")
         result = preconditioned_cg(a, b, precond=JacobiPrecond(a))
     assert result.converged
 
@@ -386,81 +380,12 @@ def test_pcg_keyword_precond_does_not_warn(system):
 def test_pcg_rejects_both_and_neither(system):
     a, b = system
     m = JacobiPrecond(a)
-    # Both spellings of the same argument is a VALUE conflict (like
-    # telemetry= plus a deprecated hook), not a signature error.
-    with pytest.raises(ValueError, match="both"):
+    # precond= is the only spelling: a positional preconditioner is a
+    # signature error, and so is omitting it.
+    with pytest.raises(TypeError, match="positional"):
         preconditioned_cg(a, b, m, precond=m)
-    with pytest.raises(TypeError, match="requires a preconditioner"):
+    with pytest.raises(TypeError, match="precond"):
         preconditioned_cg(a, b)
-
-
-# ----------------------------------------------------------------------
-# dual-kwarg conflicts (ISSUE 2 satellite): supplying the new kwarg AND
-# its deprecated twin in one call is a ValueError at every shimmed entry
-# point -- silently preferring either spelling would hide caller bugs.
-# ----------------------------------------------------------------------
-def _cg_both(a, b):
-    conjugate_gradient(a, b, telemetry=Telemetry(), record_iterates=[])
-
-
-def _vr_both_observer(a, b):
-    vr_conjugate_gradient(a, b, k=2, telemetry=Telemetry(), observer=lambda s: None)
-
-
-def _vr_both_record(a, b):
-    vr_conjugate_gradient(a, b, k=2, telemetry=Telemetry(), record_iterates=[])
-
-
-def _pipelined_both(a, b):
-    from repro.core.pipeline import PipelineTrace
-
-    pipelined_vr_cg(a, b, k=2, telemetry=Telemetry(), trace=PipelineTrace(k=2))
-
-
-def _pcg_both(a, b):
-    m = JacobiPrecond(a)
-    preconditioned_cg(a, b, m, precond=m)
-
-
-def _vr_pcg_both(a, b):
-    from repro.precond import vr_pcg
-
-    m = JacobiPrecond(a)
-    vr_pcg(a, b, m, precond=m)
-
-
-def _pipelined_vr_pcg_both(a, b):
-    from repro.precond import pipelined_vr_pcg
-
-    m = JacobiPrecond(a)
-    pipelined_vr_pcg(a, b, m, precond=m)
-
-
-def _polynomial_pcg_both(a, b):
-    from repro.precond import ChebyshevPolyPrecond, polynomial_pcg
-
-    m = ChebyshevPolyPrecond(a, (0.1, 8.0), degree=3)
-    polynomial_pcg(a, b, m, precond=m)
-
-
-@pytest.mark.parametrize(
-    "caller",
-    [
-        _cg_both,
-        _vr_both_observer,
-        _vr_both_record,
-        _pipelined_both,
-        _pcg_both,
-        _vr_pcg_both,
-        _pipelined_vr_pcg_both,
-        _polynomial_pcg_both,
-    ],
-    ids=lambda f: f.__name__.strip("_"),
-)
-def test_dual_kwarg_is_value_error_not_silent_preference(system, caller):
-    a, b = system
-    with pytest.raises(ValueError, match="both"):
-        caller(a, b)
 
 
 # ----------------------------------------------------------------------
