@@ -14,19 +14,19 @@ sequential ones:
 * *sequential arm* -- the same service with ``max_coalesce_width=1``,
   which is exactly the naive thread-per-request front end.
 
-**Scenario 2 -- mixed operators (worker pool vs single dispatcher).**
+**Scenario 2 -- mixed operators (worker pool vs one thread).**
 Closed-loop clients split across several *distinct* operator
-fingerprints, solving for several rounds:
+fingerprints, solving for several rounds.  Every fingerprint gets its
+own dispatch lane in both arms:
 
-* *pool arm* -- ``workers > 1``: each fingerprint gets its own dispatch
-  lane, so one operator's solve never head-of-line blocks another's
-  coalesce/dispatch cycle;
-* *single arm* -- ``workers=1``: the pre-pool dispatcher, which runs
-  every group to completion before even *opening* the next window.
+* *pool arm* -- ``workers > 1``: groups on different lanes solve at the
+  same time;
+* *single arm* -- ``workers=1``: a one-thread pool, so one group solves
+  at a time while the other lanes wait for the thread.
 
 Both arms coalesce identically (same window, same width cap) and run
-with the warm-start cache disabled, so the measured gap is purely the
-dispatch architecture.  Every mixed run asserts the conservation law
+with the warm-start cache disabled, so the measured gap is purely how
+many groups solve at once.  Every mixed run asserts the conservation law
 ``submitted == served + shed + errors + deduped`` and that full-width
 coalesced results are bit-identical to a direct
 :func:`repro.solve_batched` call on the same columns.
@@ -245,13 +245,13 @@ def run_mixed(
     window_ms: float | None = None,
     pool_workers: int = 4,
 ) -> dict:
-    """Time pool vs single-worker dispatch over mixed operators.
+    """Time a multi-thread pool against a one-thread pool over mixed
+    operators.
 
     The lanes are Poisson operators of deliberately different sizes --
-    realistic multi-tenant traffic where a heavyweight tenant's solves
-    head-of-line block everyone else's coalesce/dispatch cycle under the
-    single-worker dispatcher, which is exactly the failure mode the
-    fingerprint-keyed pool removes.
+    realistic multi-tenant traffic where a heavyweight tenant's solve
+    holds the only thread of a one-thread pool while every other lane
+    waits.
 
     ``window_ms=None`` picks a host-appropriate coalesce window, the
     same call an operator deploying the service would make (see
@@ -367,8 +367,8 @@ def test_serve_throughput_speedup():
     assert max(record["coalesce_widths"]) >= 8
     assert DEFAULT_OUT.exists()
 
-    # Acceptance (ISSUE 10): the fingerprint-keyed pool beats the
-    # single-worker dispatcher on mixed-operator traffic.  The pool's
+    # Acceptance (ISSUE 10): the fingerprint-keyed pool beats a
+    # one-thread pool on mixed-operator traffic.  The pool's
     # only single-core lever is hiding the coalesce window under solver
     # compute, whose theoretical ceiling is (window + compute) /
     # max(window, compute) <= 2 -- a pool cannot conjure a second core.

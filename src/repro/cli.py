@@ -600,8 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=4,
                        help="dispatch worker threads: groups against "
                             "distinct operator fingerprints solve "
-                            "concurrently, same-operator groups stay FIFO "
-                            "(1 restores the single-worker dispatcher)")
+                            "concurrently, same-operator groups stay FIFO")
     serve.add_argument("--warm-start", type=int, default=64, metavar="N",
                        help="cross-request warm-start cache capacity in "
                             "entries; converged solutions seed x0 for "

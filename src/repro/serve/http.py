@@ -28,6 +28,9 @@ Four routes, JSON bodies, no third-party dependencies:
 The protocol support is deliberately minimal (HTTP/1.1, one request per
 connection, ``Connection: close``): the front exists so ``curl`` and
 load generators can hit the service, not to replace a real edge proxy.
+A body is read only when its ``Content-Length`` is a plain decimal
+(else 400) no larger than the widest admissible ``/solve_batched``
+body (else 413, before any of it is read).
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ _STATUS_LINES = {
     400: "400 Bad Request",
     404: "404 Not Found",
     405: "405 Method Not Allowed",
+    413: "413 Content Too Large",
     429: "429 Too Many Requests",
     500: "500 Internal Server Error",
     503: "503 Service Unavailable",
@@ -57,6 +61,12 @@ _STATUS_LINES = {
 #: Shed reason -> HTTP status: rate limiting is the client's fault (429),
 #: queue pressure and drain are the server's state (503).
 _SHED_STATUS = {"rate_limited": 429, "queue_full": 503, "draining": 503}
+
+#: Body-size cap terms: JSON text per right-hand-side entry (a float64
+#: repr and its separator, ``-1.2345678901234567e-300, ``, is 26 bytes)
+#: and an allowance for everything else in a body.
+_BYTES_PER_ENTRY = 32
+_BODY_OVERHEAD = 64 * 1024
 
 
 class _BadRequest(Exception):
@@ -162,9 +172,33 @@ class HttpFrontend:
                 break
             name, _, value = line.decode("latin1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0")
+        if not (declared.isascii() and declared.isdigit()):
+            return 400, "application/json", json.dumps(
+                {"error": f"malformed Content-Length: {declared!r}"}
+            )
+        length, limit = int(declared), self._body_limit()
+        if length > limit:
+            return 413, "application/json", json.dumps(
+                {"error": f"body of {length} bytes exceeds the "
+                          f"{limit}-byte limit"}
+            )
         body = await reader.readexactly(length) if length > 0 else b""
         return await self._route(method, path, body)
+
+    def _body_limit(self) -> int:
+        """Largest body worth reading: a ``/solve_batched`` block as
+        wide as the queue bound (wider blocks shed their extra columns)
+        against the largest registered operator."""
+        service = self.service
+        rows = max(
+            (_nrows(service.operator(name)) for name in service.operators),
+            default=0,
+        )
+        return (
+            service.config.max_queue_depth * rows * _BYTES_PER_ENTRY
+            + _BODY_OVERHEAD
+        )
 
     async def _route(
         self, method: str, path: str, body: bytes
@@ -213,13 +247,12 @@ class HttpFrontend:
             "errors": service.errors,
             "operators": service.operators,
         }
-        monitor = getattr(service.telemetry, "health", None)
-        if monitor is not None:
-            # Liveness stays liveness, but the numerical assessment is
-            # worth one word even without ?detail=1.
-            out["numerical_status"] = monitor.status
-            if detail:
-                out["health"] = monitor.summary()
+        # Liveness stays liveness, but the numerical assessment is worth
+        # one word even without ?detail=1.
+        monitor = service.telemetry.health
+        out["numerical_status"] = monitor.status
+        if detail:
+            out["health"] = monitor.summary()
         return out
 
     # ------------------------------------------------------------------
@@ -347,7 +380,7 @@ class HttpFrontend:
             raise _BadRequest(f'"b" is not numeric: {exc}') from None
         if b.ndim != 1:
             raise _BadRequest('"b" must be a flat array')
-        n = getattr(a, "nrows", None) or getattr(a, "shape", (0,))[0]
+        n = _nrows(a)
         if n and b.shape[0] != n:
             raise _BadRequest(
                 f'"b" has {b.shape[0]} entries, operator has {n} rows'
@@ -385,6 +418,10 @@ class HttpFrontend:
                 raise _BadRequest('"request_id" must be a non-empty string')
             fields["request_id"] = request_id
         return SolveRequest(**fields)
+
+
+def _nrows(a: Any) -> int:
+    return getattr(a, "nrows", None) or getattr(a, "shape", (0,))[0]
 
 
 async def run_server(

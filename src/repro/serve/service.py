@@ -25,16 +25,17 @@
   answers everything already queued, then parks the dispatcher.
 
 The solves themselves run on a bounded **worker pool keyed by operator
-fingerprint**: dispatch groups against *different* operators share no
-data dependency and execute concurrently, while groups against the
-*same* operator are chained FIFO on a per-fingerprint lane -- so the
-coalescer's ordering guarantees (and the bit-identical-to-direct
-``solve_batched`` differential) survive the parallelism.  With
-``workers=1`` the dispatcher degrades to the strictly sequential
-one-group-at-a-time behaviour (the baseline arm of
-``benchmarks/bench_serve_throughput.py``).  The event loop keeps
-admitting, shedding and opening the next coalesce window while the
-numerics run.  Repeated solves against the same operator hit the
+fingerprint**.  The dispatcher routes every request to its operator's
+*lane*: an idle lane gets a runner task, a busy lane parks the request
+on its backlog.  A runner takes its whole backlog, plans it into groups
+and solves them one after another, so groups against *different*
+operators execute concurrently while groups against the *same* operator
+stay FIFO -- the coalescer's ordering guarantees (and the
+bit-identical-to-direct ``solve_batched`` differential) survive the
+parallelism, and requests that arrive while their lane is busy coalesce
+into its next group.  The event loop keeps admitting, shedding and
+opening the next coalesce window while the numerics run.  Repeated
+solves against the same operator hit the
 process-global :class:`~repro.backend.SetupCache` exactly as the
 ROADMAP promises -- the fingerprint the coalescer groups by is the same
 key the cache memoizes under -- and converged solutions additionally
@@ -60,6 +61,7 @@ from repro.core.stopping import StoppingCriterion
 from repro.serve.admission import AdmissionController
 from repro.serve.coalescer import compat_key, plan_batches
 from repro.serve.warmstart import WarmStartCache
+from repro.telemetry import ServiceEvent, Telemetry
 from repro.trace.context import TraceContext
 
 __all__ = ["ServiceConfig", "SolveRequest", "SolveResponse", "SolverService"]
@@ -141,9 +143,12 @@ class ServiceConfig:
     Attributes
     ----------
     max_queue_depth:
-        Bound on *admitted-but-undispatched* requests.  Arrivals beyond
-        it are shed with reason ``queue_full`` -- the backpressure that
-        keeps queue latency bounded under overload.
+        Bound on *admitted-but-undispatched* requests: those queued for
+        the dispatcher plus those parked behind a busy lane.  Arrivals
+        beyond it are shed with reason ``queue_full`` -- the
+        backpressure that keeps queue latency bounded under overload.
+        The one request the dispatcher holds open in a coalesce window
+        on an idle lane is not counted.
     coalesce_window:
         Seconds the dispatcher lingers after picking up the first
         pending request, letting concurrent arrivals join its batch.
@@ -178,9 +183,6 @@ class ServiceConfig:
         Size of the dispatch worker pool.  Groups keyed to *different*
         operator fingerprints run concurrently, up to this many at
         once; groups sharing a fingerprint stay FIFO regardless.
-        ``1`` restores the strictly sequential dispatcher (one group at
-        a time, the pre-pool behaviour and the throughput bench's
-        baseline arm).
     warm_start:
         Capacity (entry count) of the cross-request warm-start cache
         (:mod:`repro.serve.warmstart`).  ``0`` disables warm starting
@@ -261,42 +263,30 @@ class SolverService:
     metrics:
         Optional :class:`~repro.trace.MetricsRegistry`; created when
         absent.  Exported by the HTTP front's ``/metrics`` endpoint.
-    tracer:
-        Optional :class:`~repro.trace.Tracer` attached to an
-        internally-built telemetry session (ignored when ``telemetry=``
-        is given -- attach the tracer to that session instead).
     """
 
     def __init__(
         self,
         config: ServiceConfig | None = None,
         *,
-        telemetry: Any = None,
+        telemetry: Telemetry | None = None,
         metrics: Any = None,
-        tracer: Any = None,
     ) -> None:
         from repro.trace import FlightRecorder, HealthMonitor, MetricsRegistry, MetricsSink
 
         self.config = config if config is not None else ServiceConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if telemetry is None:
-            from repro.telemetry import Telemetry
-
-            telemetry = Telemetry(
-                MetricsSink(self.metrics), count_ops=False, tracer=tracer
-            )
+            telemetry = Telemetry(MetricsSink(self.metrics), count_ops=False)
         self.telemetry = telemetry
         # Health monitor: attach one unless the caller's session already
         # carries its own.
-        if getattr(telemetry, "health", None) is None and hasattr(
-            telemetry, "health"
-        ):
+        if telemetry.health is None:
             telemetry.health = HealthMonitor()
         # Flight recorder: a bounded ring of recent observability, the
         # source of postmortem bundles on failure or shed.
         self.recorder: FlightRecorder | None = None
-        add_sink = getattr(telemetry, "add_sink", None)
-        if self.config.flight_ring > 0 and callable(add_sink):
+        if self.config.flight_ring > 0:
             # REPRO_POSTMORTEM_DIR lets operators (and CI) turn on bundle
             # writes without touching configuration code.
             postmortem_dir = self.config.postmortem_dir or os.environ.get(
@@ -306,7 +296,7 @@ class SolverService:
                 ring=self.config.flight_ring,
                 directory=postmortem_dir,
             )
-            add_sink(self.recorder)
+            telemetry.add_sink(self.recorder)
         self._admission = AdmissionController(
             self.config.tenant_rate,
             self.config.tenant_burst,
@@ -314,18 +304,20 @@ class SolverService:
         )
         self._operators: dict[str, Any] = {}
         self._queue: asyncio.Queue[_Pending | None] = asyncio.Queue()
-        self._depth = 0  # admitted-but-undispatched requests (no sentinels)
+        # Admitted-but-undispatched requests: queued (no sentinels) or
+        # parked on a busy lane's backlog.
+        self._depth = 0
         self._inflight: dict[str, asyncio.Future[SolveResponse]] = {}
         self._dispatcher: asyncio.Task | None = None
         self._draining = False
-        self._stopped = False
-        # Worker pool: lazily-built executor, per-fingerprint FIFO lanes
-        # (lane key -> the completion future of the lane's newest
-        # dispatch), and the set of in-flight dispatch tasks the drain
-        # path awaits.
+        # Worker pool: lazily-built executor, one slot per worker (a
+        # group holds one while it solves), the busy lanes (lane key ->
+        # backlog parked behind the running group) and their runner
+        # tasks, which the drain path awaits.
         self._executor: ThreadPoolExecutor | None = None
-        self._lane_tails: dict[Any, "asyncio.Future[None]"] = {}
-        self._dispatch_tasks: set[asyncio.Task] = set()
+        self._slots = asyncio.Semaphore(self.config.workers)
+        self._lanes: dict[Any, deque[_Pending]] = {}
+        self._runners: set[asyncio.Task] = set()
         self._inflight_dispatches = 0
         self.peak_inflight_dispatches = 0
         # Cross-request warm start: converged solutions keyed by
@@ -413,7 +405,6 @@ class SolverService:
     async def start(self) -> None:
         """Start the dispatcher (idempotent; submit() auto-starts)."""
         if self._dispatcher is None or self._dispatcher.done():
-            self._stopped = False
             self._dispatcher = asyncio.get_running_loop().create_task(
                 self._run_dispatcher()
             )
@@ -423,22 +414,20 @@ class SolverService:
 
         Every request admitted before the drain began still receives its
         response -- including groups already executing on the worker
-        pool: the dispatcher waits for every in-flight dispatch task
+        pool and requests parked behind them: every lane runner finishes
         before the pool shuts down.  Requests submitted after the drain
         began are shed with reason ``draining``.  Idempotent.
         """
         self._draining = True
-        if self._dispatcher is None:
-            await self._finish_dispatches()
-            self._stopped = True
-            return
-        await self._queue.put(None)  # FIFO: lands after all admitted work
-        await self._dispatcher
-        self._dispatcher = None
-
-    async def aclose(self) -> None:
-        """Alias for :meth:`drain` (context-manager exit path)."""
-        await self.drain()
+        if self._dispatcher is not None:
+            await self._queue.put(None)  # FIFO: lands after all admitted work
+            await self._dispatcher
+            self._dispatcher = None
+        while self._runners:
+            await asyncio.gather(*list(self._runners), return_exceptions=True)
+        pool, self._executor = self._executor, None
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     async def __aenter__(self) -> "SolverService":
         await self.start()
@@ -454,7 +443,8 @@ class SolverService:
 
     @property
     def queue_depth(self) -> int:
-        """Admitted requests currently awaiting dispatch."""
+        """Admitted requests awaiting dispatch: queued, or parked behind
+        a busy lane."""
         return self._depth
 
     # ------------------------------------------------------------------
@@ -620,8 +610,6 @@ class SolverService:
         )
 
     def _event(self, action: str, request: SolveRequest, detail: str = "") -> None:
-        from repro.telemetry import ServiceEvent
-
         event = ServiceEvent(
             action=action,
             request_id=request.request_id,
@@ -652,7 +640,7 @@ class SolverService:
                     None if bucket.rate is None else bucket.available()
                 ),
             }
-        out: dict[str, Any] = {
+        return {
             "draining": self.draining,
             "queue_depth": self.queue_depth,
             "peak_queue_depth": self.peak_queue_depth,
@@ -667,7 +655,7 @@ class SolverService:
                 "configured": self.config.workers,
                 "inflight_dispatches": self._inflight_dispatches,
                 "peak_inflight_dispatches": self.peak_inflight_dispatches,
-                "active_lanes": len(self._lane_tails),
+                "active_lanes": len(self._lanes),
             },
             "warm_start": self.warmstart.stats(),
             "recent": list(self.recent),
@@ -676,11 +664,8 @@ class SolverService:
                 if self.recorder is not None
                 else []
             ),
+            "health": self.telemetry.health.summary(),
         }
-        health = getattr(self.telemetry, "health", None)
-        if health is not None:
-            out["health"] = health.summary()
-        return out
 
     # ------------------------------------------------------------------
     # dispatch
@@ -688,90 +673,91 @@ class SolverService:
     async def _run_dispatcher(self) -> None:
         config = self.config
         sleep = config.sleep if config.sleep is not None else asyncio.sleep
-        sequential = config.workers == 1
-        while not self._stopped:
+        linger = config.coalesce_window > 0 and config.max_coalesce_width > 1
+        while True:
             first = await self._queue.get()
             if first is None:
-                break
-            self._depth -= 1
-            batch = [first]
-            if config.coalesce_window > 0 and config.max_coalesce_width > 1:
-                # Linger: let concurrent arrivals join this dispatch.
+                return
+            if linger:
+                # Let concurrent arrivals join this request's group.  On
+                # an idle lane the request held open here does not count
+                # toward the queue bound; on a busy one it will park
+                # behind the running group, so it stays counted.  Only
+                # this task starts runners, so an idle lane is still
+                # idle when the window ends and _route takes the request
+                # straight back out of the count.
+                held = self._lane_key(first) not in self._lanes
+                self._depth -= held
                 await sleep(config.coalesce_window)
-            saw_sentinel = False
-            while True:
-                try:
-                    item = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if item is None:
-                    saw_sentinel = True
-                    break
-                self._depth -= 1
-                batch.append(item)
-            self._metric_depth.set(self._depth)
-            for group in plan_batches(
-                batch, key=lambda p: p.key, max_width=config.max_coalesce_width
-            ):
-                if sequential:
-                    # workers=1: the pre-pool dispatcher, one group at a
-                    # time with the loop head-of-line blocked on it.
-                    await self._dispatch_group(group)
-                else:
-                    self._spawn_dispatch(group)
-            if saw_sentinel:
-                break
-        await self._finish_dispatches()
-        self._stopped = True
+                self._depth += held
+            batch = [first]
+            while not self._queue.empty():
+                batch.append(self._queue.get_nowait())
+            self._route([p for p in batch if p is not None])
+            if batch[-1] is None:  # drain() queued it behind all admitted work
+                return
 
-    def _lane_key(self, group: list[_Pending]) -> Any:
-        """The FIFO lane a dispatch group serializes on.
+    def _lane_key(self, pending: _Pending) -> Any:
+        """The FIFO lane a request serializes on.
 
-        Groups against the same operator share a lane (keyed by the
+        Requests against the same operator share a lane (keyed by the
         fingerprint component of the compat key admission already
         computed -- never re-hashed here, where it would stall the event
-        loop on large dense operators) so their relative order -- and
+        loop on large dense operators), so their relative order -- and
         with it the coalescing and bit-identical-to-direct-batched
-        guarantees -- is exactly what the sequential dispatcher gave.
-        Uncoalescable requests (``key is None``: unfingerprintable
-        operators, single-solve-only options, non-batched methods) get a
-        private lane object: they can never coalesce with anything, so
-        there is no order to protect.
+        guarantees -- is admission order.  Uncoalescable requests
+        (``key is None``: unfingerprintable operators, single-solve-only
+        options, non-batched methods) get a private lane object: they
+        can never coalesce with anything, so there is no order to
+        protect.
         """
-        key = group[0].key
+        key = pending.key
         if key is None:
             return object()
         return ("op", key[1])
 
-    def _spawn_dispatch(self, group: list[_Pending]) -> None:
-        """Queue one dispatch group onto its lane (worker-pool mode).
+    def _route(self, batch: list[_Pending]) -> None:
+        """Send each request to its lane.
 
-        The lane tail is claimed *synchronously* -- before the dispatch
-        task first runs -- so two same-lane groups spawned back-to-back
-        chain in spawn order no matter how the event loop schedules
-        their tasks.
+        On a busy lane the request parks on the backlog (still counted
+        in :attr:`queue_depth`) and rides the lane's next group.  Each
+        idle lane gets a runner whose first pass is its share of
+        ``batch``; a lane is busy from here until its runner finds the
+        backlog empty.
         """
+        fresh: dict[Any, list[_Pending]] = {}
+        for pending in batch:
+            lane = self._lane_key(pending)
+            backlog = self._lanes.get(lane)
+            if backlog is not None:
+                backlog.append(pending)
+            else:
+                fresh.setdefault(lane, []).append(pending)
         loop = asyncio.get_running_loop()
-        lane = self._lane_key(group)
-        prev = self._lane_tails.get(lane)
-        done: "asyncio.Future[None]" = loop.create_future()
-        self._lane_tails[lane] = done
-        task = loop.create_task(
-            self._dispatch_group(group, prev=prev, done=done, lane=lane)
-        )
-        self._dispatch_tasks.add(task)
-        task.add_done_callback(self._dispatch_tasks.discard)
+        for lane, work in fresh.items():
+            self._lanes[lane] = deque()
+            self._depth -= len(work)
+            runner = loop.create_task(self._run_lane(lane, work))
+            self._runners.add(runner)
+            runner.add_done_callback(self._runners.discard)
+        self._metric_depth.set(self._depth)
 
-    async def _finish_dispatches(self) -> None:
-        """Await every in-flight dispatch task, then park the pool."""
-        while self._dispatch_tasks:
-            await asyncio.gather(
-                *list(self._dispatch_tasks), return_exceptions=True
-            )
-        self._lane_tails.clear()
-        pool, self._executor = self._executor, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+    async def _run_lane(self, lane: Any, work: list[_Pending]) -> None:
+        """Solve one lane's work, pass by pass, until its backlog is empty."""
+        backlog = self._lanes[lane]
+        try:
+            while work:
+                for group in plan_batches(
+                    work, key=lambda p: p.key,
+                    max_width=self.config.max_coalesce_width,
+                ):
+                    await self._dispatch_group(group)
+                work = list(backlog)
+                backlog.clear()
+                self._depth -= len(work)
+                self._metric_depth.set(self._depth)
+        finally:
+            del self._lanes[lane]
 
     def _pool(self) -> ThreadPoolExecutor:
         if self._executor is None:
@@ -781,48 +767,35 @@ class SolverService:
             )
         return self._executor
 
-    async def _dispatch_group(
-        self,
-        group: list[_Pending],
-        *,
-        prev: "asyncio.Future[None] | None" = None,
-        done: "asyncio.Future[None] | None" = None,
-        lane: Any = None,
-    ) -> None:
+    async def _dispatch_group(self, group: list[_Pending]) -> None:
         try:
-            if prev is not None:
-                # FIFO within the lane: wait for the previous same-
-                # operator dispatch to finish before this one starts.
-                await prev
-            now = self.config.clock()
-            width = len(group)
-            self._metric_width.observe(width)
-            for pending in group:
-                waited = max(0.0, now - pending.submitted_at)
-                self._metric_wait.observe(waited)
-                self._event(
-                    "dispatch", pending.request, detail=f"width={width}"
-                )
-            self._inflight_dispatches += 1
-            self.peak_inflight_dispatches = max(
-                self.peak_inflight_dispatches, self._inflight_dispatches
-            )
-            self._metric_dispatch_inflight.set(self._inflight_dispatches)
-            self._metric_dispatch_inflight_peak.set_max(
-                self._inflight_dispatches
-            )
-            try:
-                if self.config.workers == 1:
-                    responses = await asyncio.to_thread(
-                        self._solve_group, group
+            # One slot per pool thread: a group counts as in flight only
+            # while it holds one, never while it waits for a thread.
+            async with self._slots:
+                now = self.config.clock()
+                width = len(group)
+                self._metric_width.observe(width)
+                for pending in group:
+                    waited = max(0.0, now - pending.submitted_at)
+                    self._metric_wait.observe(waited)
+                    self._event(
+                        "dispatch", pending.request, detail=f"width={width}"
                     )
-                else:
+                self._inflight_dispatches += 1
+                self.peak_inflight_dispatches = max(
+                    self.peak_inflight_dispatches, self._inflight_dispatches
+                )
+                self._metric_dispatch_inflight.set(self._inflight_dispatches)
+                self._metric_dispatch_inflight_peak.set_max(
+                    self._inflight_dispatches
+                )
+                try:
                     responses = await asyncio.get_running_loop().run_in_executor(
                         self._pool(), self._solve_group, group
                     )
-            finally:
-                self._inflight_dispatches -= 1
-                self._metric_dispatch_inflight.set(self._inflight_dispatches)
+                finally:
+                    self._inflight_dispatches -= 1
+                    self._metric_dispatch_inflight.set(self._inflight_dispatches)
             for pending, response in zip(group, responses):
                 response.queue_seconds = max(0.0, now - pending.submitted_at)
                 self._account_response(pending, response)
@@ -843,13 +816,6 @@ class SolverService:
                     coalesce_width=len(group),
                 )
                 self._account_response(pending, response)
-        finally:
-            if done is not None and not done.done():
-                done.set_result(None)
-            if lane is not None and self._lane_tails.get(lane) is done:
-                # Last dispatch on this lane: drop the tail entry so the
-                # lane table stays bounded by *active* operators.
-                del self._lane_tails[lane]
 
     def _account_response(
         self, pending: _Pending, response: SolveResponse
@@ -885,13 +851,11 @@ class SolverService:
         when the dispatch finishes, preserving PR 9's request-correlated
         span attribution exactly.
         """
-        from repro.registry import solve, solve_batched
+        from repro.registry import solve_batched
 
         session = self.telemetry
-        view_maker = getattr(session, "worker_view", None)
-        telemetry = view_maker() if callable(view_maker) else session
-        tracer = getattr(telemetry, "tracer", None)
-        parent_tracer = getattr(session, "tracer", None)
+        telemetry = session.worker_view()
+        tracer = telemetry.tracer
         width = len(group)
         ids = [p.request.request_id for p in group]
         span_name = "request_batch" if width > 1 else "request"
@@ -908,10 +872,7 @@ class SolverService:
                     for j, p in enumerate(group)
                 ]
             )
-        push_context = getattr(telemetry, "push_context", None)
-        pop_context = getattr(telemetry, "pop_context", None)
-        if callable(push_context):
-            push_context(ctx)
+        telemetry.push_context(ctx)
         if tracer is not None:
             tracer.begin(span_name)
             tracer.annotate(
@@ -934,14 +895,9 @@ class SolverService:
             finalized = True
             if tracer is not None:
                 tracer.end(span_name)
-            if callable(pop_context) and callable(push_context):
-                pop_context()
-            if (
-                parent_tracer is not None
-                and tracer is not None
-                and tracer is not parent_tracer
-            ):
-                parent_tracer.absorb(tracer)
+            telemetry.pop_context()
+            if tracer is not None:
+                session.tracer.absorb(tracer)
 
         try:
             warm_flags = [False] * width
@@ -986,12 +942,10 @@ class SolverService:
             # option validation) and flushes buffered sinks either way.
             telemetry.unwind(depth)
             finalize()
-            notify = getattr(session, "notify_failure", None)
-            if callable(notify):
-                # The flight recorder dedups per exception object, so a
-                # failure the registry already snapshotted is not
-                # bundled twice.
-                notify(exc)
+            # The flight recorder dedups per exception object, so a
+            # failure the registry already snapshotted is not bundled
+            # twice.
+            session.notify_failure(exc)
             reason = f"{type(exc).__name__}: {exc}"
             return [
                 SolveResponse(
@@ -1007,7 +961,7 @@ class SolverService:
             finalize()
 
     def _solve_single(
-        self, pending: _Pending, telemetry: Any
+        self, pending: _Pending, telemetry: Telemetry
     ) -> tuple[CGResult, bool]:
         """One width-1 dispatch, warm-started when the cache allows it.
 

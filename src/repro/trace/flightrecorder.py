@@ -371,7 +371,9 @@ class FlightRecorder:
     def snapshot(self, reason: str, detail: str = "") -> dict[str, Any]:
         """Build a postmortem bundle from the current ring contents."""
         tail = []
-        for ts, event in self._events:
+        # Iterate a copy: the service snapshots sheds on the event loop
+        # while worker threads keep appending solve events to the ring.
+        for ts, event in list(self._events):
             payload = event.to_payload()
             payload["t"] = ts
             tail.append(_jsonable(payload))

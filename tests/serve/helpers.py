@@ -15,13 +15,19 @@ possible:
 
 ``settle`` yields the event loop until a condition holds (bounded by an
 iteration budget, not a timeout), which is how tests wait for "all my
-submissions are enqueued" deterministically.
+submissions are enqueued" deterministically.  When the condition never
+holds, ``settle`` opens every live :class:`GatedSleep` before it raises:
+the failing test then unwinds through ``async with SolverService(...)``,
+whose drain would otherwise wait forever on a window nobody opens.
 """
 
 from __future__ import annotations
 
 import asyncio
+import weakref
 from typing import Callable
+
+_LIVE_GATES: "weakref.WeakSet[GatedSleep]" = weakref.WeakSet()
 
 
 class FakeClock:
@@ -47,11 +53,17 @@ class GatedSleep:
 
     def __init__(self) -> None:
         self.calls: list[float] = []
+        self.windows_closed = 0
         self._gate = asyncio.Event()
+        _LIVE_GATES.add(self)
 
     async def __call__(self, seconds: float) -> None:
         self.calls.append(float(seconds))
         await self._gate.wait()
+        # Counted in the same event-loop step in which the dispatcher
+        # routes the window's requests, so a test that sees the count
+        # also sees them routed.
+        self.windows_closed += 1
 
     def open_gate(self) -> None:
         self._gate.set()
@@ -76,6 +88,8 @@ async def settle(condition: Callable[[], bool], *, spins: int = 2000) -> None:
         if condition():
             return
         await asyncio.sleep(0)
+    for gate in list(_LIVE_GATES):
+        gate.open_gate()
     raise AssertionError(
         f"condition did not settle within {spins} event-loop spins"
     )

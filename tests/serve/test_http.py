@@ -167,6 +167,66 @@ def test_client_errors():
     assert results["bad_method"] == 405
 
 
+async def raw_exchange(host, port, head: bytes, body: bytes = b""):
+    """Send hand-written request bytes, half-close, return (status, json).
+
+    The half-close turns a server that waits for an unsent body into an
+    immediate EOF rather than a hang."""
+    reader, writer = await asyncio.open_connection(host, port)
+    writer.write(head + body)
+    writer.write_eof()
+    await writer.drain()
+    raw = await reader.read()
+    writer.close()
+    header, _, tail = raw.decode().partition("\r\n\r\n")
+    return int(header.split()[1]), json.loads(tail)
+
+
+def solve_head(content_length: str) -> bytes:
+    return (
+        "POST /solve HTTP/1.1\r\nHost: x\r\n"
+        f"Content-Length: {content_length}\r\nConnection: close\r\n\r\n"
+    ).encode("latin1")
+
+
+def test_malformed_content_length_is_400():
+    async def main():
+        async with HttpFrontend(service(), port=0) as front:
+            host, port = front.address
+            return [
+                await raw_exchange(host, port, solve_head(value))
+                for value in ("abc", "-5", "1e3", "", "²")
+            ]
+
+    for status, body in asyncio.run(main()):
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+
+def test_oversized_body_is_413_before_it_is_read():
+    # The cap is the widest admissible /solve_batched body: as many
+    # columns as max_queue_depth against the largest registered operator.
+    padded = json.dumps({"operator": "poisson", "b": [1.0] * N}).encode()
+    padded = padded.ljust(100_000)
+
+    async def main():
+        async with HttpFrontend(service(max_queue_depth=2), port=0) as front:
+            host, port = front.address
+            # 1 GB declared, nothing sent: answered without reading.
+            huge = await raw_exchange(host, port, solve_head(str(10**9)))
+            over = await raw_exchange(host, port, solve_head(str(len(padded))))
+            front.service.register_operator("big", poisson2d(40))
+            within = await raw_exchange(
+                host, port, solve_head(str(len(padded))), padded
+            )
+        return huge, over, within
+
+    huge, over, within = asyncio.run(main())
+    assert huge[0] == 413 and "limit" in huge[1]["error"]
+    assert over[0] == 413
+    assert within[0] == 200 and within[1]["status"] == "ok"
+
+
 def test_rate_limited_maps_to_429():
     clock = FakeClock()
 

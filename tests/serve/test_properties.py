@@ -63,8 +63,8 @@ def build_request(index: int, spec: tuple[str, str]) -> SolveRequest:
 def test_conservation_and_bounded_queue(
     specs, max_queue_depth, max_width, workers
 ):
-    # workers=1 is the sequential dispatcher, workers=4 the fingerprint-
-    # keyed pool: the invariants must hold identically in both modes.
+    # A one-thread pool and a four-thread pool: the invariants must
+    # hold identically at every worker count.
     requests = [build_request(i, spec) for i, spec in enumerate(specs)]
     gate = GatedSleep()
 

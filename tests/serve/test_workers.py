@@ -1,12 +1,16 @@
 """Worker-pool dispatch: concurrency, lane FIFO, drain interleavings.
 
-The fingerprint-keyed pool has three load-bearing promises:
+The fingerprint-keyed pool has four load-bearing promises:
 
 * groups against **distinct** operators genuinely run at the same time
-  (proved here with a barrier both dispatches must reach);
+  (proved here with a barrier both dispatches must reach), but never
+  more than ``workers`` at once;
 * groups against the **same** operator keep strict FIFO order on their
   lane -- the property the coalescing and bit-identical-to-direct
   guarantees stand on;
+* requests that arrive while their lane is busy park on its backlog:
+  they count toward ``max_queue_depth`` and coalesce into the lane's
+  next group, at every worker count;
 * the conservation law ``submitted == served + shed + errors + deduped``
   survives every drain-during-dispatch interleaving, pinned with the
   deterministic FakeClock/GatedSleep harness and event-gated worker
@@ -81,9 +85,9 @@ class GatedOperator:
 class TestPoolConcurrency:
     def test_distinct_operators_dispatch_concurrently(self):
         # Both operators' first matvec parks on one barrier: the test
-        # passes only if the two dispatches run at the same time.  The
-        # old single-worker dispatcher would deadlock here (the barrier
-        # breaks after 30s and surfaces as an error response instead).
+        # passes only if the two dispatches run at the same time.  A
+        # one-thread pool would deadlock here (the barrier breaks after
+        # 30s and surfaces as an error response instead).
         barrier = threading.Barrier(2)
         ops = [GatedOperator(tag, barrier=barrier) for tag in ("a", "b")]
         gate = GatedSleep()
@@ -195,18 +199,61 @@ class TestPoolConcurrency:
         assert conservation(svc)
 
     def test_workers_one_keeps_sequential_dispatch(self):
-        # workers=1 is the pre-pool dispatcher: never more than one
-        # dispatch in flight, everything still served.
+        # workers=1 is a one-thread pool: two lanes, one group at a time.
+        # The second lane's group waits for the thread without counting
+        # as in flight, and no two solves ever overlap.
+        hold = threading.Event()
+        started = threading.Event()
+        ops = {
+            "slow": GatedOperator("slow", hold=hold, started=started),
+            "other": GatedOperator("other"),
+        }
+        events: list[tuple[str, str]] = []
+        lock = threading.Lock()
+
         async def main():
-            config = ServiceConfig(workers=1)
-            async with SolverService(config) as svc:
-                responses = await asyncio.gather(
-                    *(svc.solve(A, rhs(seed)) for seed in range(4))
+            async with SolverService(ServiceConfig(workers=1)) as svc:
+                orig = svc._solve_group
+
+                def recording(group):
+                    tag = group[0].request.a._tag
+                    with lock:
+                        events.append(("start", tag))
+                    try:
+                        return orig(group)
+                    finally:
+                        with lock:
+                            events.append(("end", tag))
+
+                svc._solve_group = recording
+                tasks = [
+                    asyncio.create_task(
+                        svc.submit(SolveRequest(a=ops["slow"], b=np.ones(N)))
+                    )
+                ]
+                await settle(started.is_set)
+                tasks.append(
+                    asyncio.create_task(
+                        svc.submit(SolveRequest(a=ops["other"], b=np.ones(N)))
+                    )
                 )
+                await settle(
+                    lambda: svc.status()["workers"]["active_lanes"] == 2
+                )
+                for _ in range(5):  # let the second lane reach the pool
+                    await asyncio.sleep(0)
+                assert events == [("start", "slow")]
+                assert svc.status()["workers"]["inflight_dispatches"] == 1
+                hold.set()
+                responses = await asyncio.gather(*tasks)
             return svc, responses
 
         svc, responses = asyncio.run(main())
         assert all(r.ok for r in responses)
+        assert events == [
+            ("start", "slow"), ("end", "slow"),
+            ("start", "other"), ("end", "other"),
+        ]
         assert svc.peak_inflight_dispatches <= 1
         assert conservation(svc)
 
@@ -230,26 +277,122 @@ class TestPoolConcurrency:
         pending = _Pending(SolveRequest(a=op, b=rhs(0)), None, 0.0)
         assert pending.key is not None
         hashed_at_admission = op.fingerprint_calls
-        lane = svc._lane_key([pending])
+        lane = svc._lane_key(pending)
         assert op.fingerprint_calls == hashed_at_admission  # no re-hash
         assert lane == ("op", pending.key[1])
-        # Same operator, second group: same lane (FIFO preserved).
+        # Same operator, second request: same lane (FIFO preserved).
         again = _Pending(SolveRequest(a=op, b=rhs(1)), None, 0.0)
-        assert svc._lane_key([again]) == lane
+        assert svc._lane_key(again) == lane
         # Uncoalescable requests (key=None: single-solve-only options)
-        # get a private lane object per group -- nothing to serialize.
+        # get a private lane object each -- nothing to serialize.
         single = _Pending(
             SolveRequest(a=op, b=rhs(2), options={"x0": np.zeros(N)}),
             None, 0.0,
         )
         assert single.key is None
-        assert svc._lane_key([single]) != svc._lane_key([single])
+        assert svc._lane_key(single) != svc._lane_key(single)
 
     def test_workers_config_validation(self):
         with pytest.raises(ValueError, match="workers"):
             ServiceConfig(workers=0)
         with pytest.raises(ValueError, match="warm_start"):
             ServiceConfig(warm_start=-1)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+class TestLaneBacklog:
+    def test_overload_on_a_busy_lane_sheds_queue_full(self, workers):
+        # One operator held mid-solve; seven more arrivals against it.
+        # Parked requests count toward the bound, so exactly three are
+        # admitted and four shed -- however many workers the pool has.
+        hold = threading.Event()
+        started = threading.Event()
+        op = GatedOperator("held", hold=hold, started=started)
+        gate = GatedSleep()
+
+        async def main():
+            config = ServiceConfig(
+                max_queue_depth=3, coalesce_window=10.0, sleep=gate,
+                workers=workers,
+            )
+            async with SolverService(config) as svc:
+                first = asyncio.create_task(
+                    svc.submit(SolveRequest(a=op, b=rhs(0)))
+                )
+                await settle(lambda: gate.windows_open == 1)
+                gate.open_gate()
+                gate.close_gate()
+                await settle(started.is_set)  # the lane is busy
+                tasks = [
+                    asyncio.create_task(
+                        svc.submit(SolveRequest(a=op, b=rhs(seed)))
+                    )
+                    for seed in range(1, 8)
+                ]
+                await settle(lambda: svc.submitted == 8 and svc.shed == 4)
+                gate.open_gate()  # the second window routes its three
+                await settle(lambda: gate.windows_closed == 2)
+                parked = svc.queue_depth
+                lanes = svc.status()["workers"]["active_lanes"]
+                hold.set()
+                responses = await asyncio.gather(first, *tasks)
+            return svc, responses, parked, lanes
+
+        svc, responses, parked, lanes = asyncio.run(main())
+        shed = [r for r in responses if r.shed]
+        assert len(shed) == 4
+        assert {r.reason for r in shed} == {"queue_full"}
+        assert parked == 3 and lanes == 1  # all three wait behind the lane
+        assert svc.peak_queue_depth <= 3
+        served = [r for r in responses[1:] if r.ok]
+        assert [r.coalesce_width for r in served] == [3, 3, 3]
+        assert conservation(svc)
+
+    def test_busy_lane_coalesces_arrivals_across_windows(self, workers):
+        # While the lane is held, four requests arrive over two coalesce
+        # windows.  They all park on the lane and ride ONE group.
+        hold = threading.Event()
+        started = threading.Event()
+        op = GatedOperator("held", hold=hold, started=started)
+        gate = GatedSleep()
+
+        async def main():
+            config = ServiceConfig(
+                coalesce_window=10.0, sleep=gate, workers=workers
+            )
+            async with SolverService(config) as svc:
+                first = asyncio.create_task(
+                    svc.submit(SolveRequest(a=op, b=rhs(0)))
+                )
+                await settle(lambda: gate.windows_open == 1)
+                gate.open_gate()
+                gate.close_gate()
+                await settle(started.is_set)
+                tasks = []
+                for window in (2, 3):
+                    for _ in range(2):
+                        seed = len(tasks) + 1
+                        tasks.append(
+                            asyncio.create_task(
+                                svc.submit(SolveRequest(a=op, b=rhs(seed)))
+                            )
+                        )
+                        await settle(lambda: gate.windows_open == window)
+                    await settle(lambda: svc.queue_depth == len(tasks))
+                    gate.open_gate()
+                    gate.close_gate()
+                    await settle(lambda: gate.windows_closed == window)
+                parked = svc.queue_depth
+                hold.set()
+                responses = await asyncio.gather(*tasks)
+                await first
+            return svc, responses, parked
+
+        svc, responses, parked = asyncio.run(main())
+        assert parked == 4
+        assert all(r.ok for r in responses)
+        assert [r.coalesce_width for r in responses] == [4] * 4
+        assert conservation(svc)
 
 
 class TestDrainInterleavings:

@@ -220,7 +220,7 @@ def test_bench_serve_smoke_emits_json(tmp_path):
     assert max(record["coalesce_widths"]) > 1
     assert len(record["iterations"]) == 4
 
-    # The mixed-operator (worker pool vs single dispatcher) scenario
+    # The mixed-operator (worker pool vs one-thread pool) scenario
     # emits its record too; again no speedup floor at smoke scale --
     # the bench itself asserts conservation and bit-identical results
     # on every run, including this one.

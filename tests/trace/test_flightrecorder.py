@@ -66,6 +66,23 @@ def test_event_ring_is_bounded():
     assert len(bundle["residual_norms"]) == 50
 
 
+def test_snapshot_survives_appends_during_the_walk():
+    # The serve layer snapshots sheds on its event loop while worker
+    # threads keep emitting solve events into the same ring.  An event
+    # that emits while being serialized stands in for that thread.
+    recorder = FlightRecorder(ring=8)
+
+    class Chatty(IterationEvent):
+        def to_payload(self):
+            recorder.emit(IterationEvent(iteration=99, residual_norm=0.5))
+            return super().to_payload()
+
+    recorder.emit(Chatty(iteration=0, residual_norm=1.0))
+    recorder.emit(IterationEvent(iteration=1, residual_norm=0.9))
+    bundle = recorder.snapshot("shed:queue_full")
+    assert [e["iteration"] for e in bundle["telemetry_tail"]] == [0, 1]
+
+
 def test_solve_inputs_are_captured_for_replay():
     recorder = FlightRecorder()
     result = solve(A, B, "cg", telemetry=Telemetry(recorder))
