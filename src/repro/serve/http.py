@@ -29,8 +29,8 @@ The protocol support is deliberately minimal (HTTP/1.1, one request per
 connection, ``Connection: close``): the front exists so ``curl`` and
 load generators can hit the service, not to replace a real edge proxy.
 A body is read only when its ``Content-Length`` is a plain decimal
-(else 400) no larger than the widest admissible ``/solve_batched``
-body (else 413, before any of it is read).
+(else 400) no larger than the widest admissible ``/solve_batched`` body
+(else 413, before any of it is read, then a lingering close).
 """
 
 from __future__ import annotations
@@ -62,11 +62,15 @@ _STATUS_LINES = {
 #: queue pressure and drain are the server's state (503).
 _SHED_STATUS = {"rate_limited": 429, "queue_full": 503, "draining": 503}
 
-#: Body-size cap terms: JSON text per right-hand-side entry (a float64
-#: repr and its separator, ``-1.2345678901234567e-300, ``, is 26 bytes)
-#: and an allowance for everything else in a body.
-_BYTES_PER_ENTRY = 32
+#: Body-size cap terms: JSON text per vector entry (a float64 repr,
+#: ``-1.2345678901234567e-300``, is at most 24 bytes; the rest covers
+#: its separator and pretty-printing indentation) and an allowance for
+#: everything else in a body.
+_BYTES_PER_ENTRY = 64
 _BODY_OVERHEAD = 64 * 1024
+
+#: How long an early 400/413 reply keeps discarding the unread body.
+_LINGER_SECONDS = 2.0
 
 
 class _BadRequest(Exception):
@@ -128,9 +132,7 @@ class HttpFrontend:
         try:
             status, content_type, body = await self._handle_request(reader)
         except Exception:  # noqa: BLE001 -- a broken socket must not kill the loop
-            status, content_type, body = 500, "application/json", json.dumps(
-                {"error": "internal error"}
-            )
+            status, content_type, body = _json(500, {"error": "internal error"})
         try:
             payload = body.encode("utf-8")
             writer.write(
@@ -144,7 +146,15 @@ class HttpFrontend:
                 + payload
             )
             await writer.drain()
-        except (ConnectionError, BrokenPipeError):
+            if status in (400, 413):
+                # Lingering close (RFC 9112 section 9.6): closing with
+                # request bytes unread makes the kernel reset the
+                # connection, which can destroy this reply before the
+                # client reads it.  Half-close, then drop input until
+                # the client closes or the linger time is up.
+                writer.write_eof()
+                await asyncio.wait_for(_drop_input(reader), _LINGER_SECONDS)
+        except (ConnectionError, BrokenPipeError, asyncio.TimeoutError):
             pass
         finally:
             writer.close()
@@ -158,11 +168,11 @@ class HttpFrontend:
     ) -> tuple[int, str, str]:
         request_line = (await reader.readline()).decode("latin1").strip()
         if not request_line:
-            return 400, "application/json", json.dumps({"error": "empty request"})
+            return _json(400, {"error": "empty request"})
         parts = request_line.split()
         if len(parts) < 2:
-            return 400, "application/json", json.dumps(
-                {"error": f"malformed request line: {request_line!r}"}
+            return _json(
+                400, {"error": f"malformed request line: {request_line!r}"}
             )
         method, path = parts[0].upper(), parts[1]
         headers: dict[str, str] = {}
@@ -174,31 +184,27 @@ class HttpFrontend:
             headers[name.strip().lower()] = value.strip()
         declared = headers.get("content-length", "0")
         if not (declared.isascii() and declared.isdigit()):
-            return 400, "application/json", json.dumps(
-                {"error": f"malformed Content-Length: {declared!r}"}
-            )
+            return _json(400, {"error": f"malformed Content-Length: {declared!r}"})
         length, limit = int(declared), self._body_limit()
-        if length > limit:
-            return 413, "application/json", json.dumps(
-                {"error": f"body of {length} bytes exceeds the "
-                          f"{limit}-byte limit"}
-            )
+        if limit is not None and length > limit:
+            return _json(413, {
+                "error": f"body of {length} bytes exceeds the {limit}-byte limit"
+            })
         body = await reader.readexactly(length) if length > 0 else b""
         return await self._route(method, path, body)
 
-    def _body_limit(self) -> int:
+    def _body_limit(self) -> int | None:
         """Largest body worth reading: a ``/solve_batched`` block as
         wide as the queue bound (wider blocks shed their extra columns)
-        against the largest registered operator."""
+        plus an ``x0`` option, against the largest registered operator.
+        ``None`` (no cap) while an operator without a row count, such
+        as a matrix-free callable, is registered."""
         service = self.service
-        rows = max(
-            (_nrows(service.operator(name)) for name in service.operators),
-            default=0,
-        )
-        return (
-            service.config.max_queue_depth * rows * _BYTES_PER_ENTRY
-            + _BODY_OVERHEAD
-        )
+        rows = [_nrows(service.operator(name)) for name in service.operators]
+        if not all(rows):
+            return None
+        vectors = service.config.max_queue_depth + 1
+        return vectors * max(rows, default=0) * _BYTES_PER_ENTRY + _BODY_OVERHEAD
 
     async def _route(
         self, method: str, path: str, body: bytes
@@ -207,11 +213,11 @@ class HttpFrontend:
         params = parse_qs(query) if query else {}
         if path == "/healthz" and method == "GET":
             detail = params.get("detail", ["0"])[-1].lower()
-            return 200, "application/json", json.dumps(
-                self._health(detail=detail not in ("", "0", "false"))
+            return _json(
+                200, self._health(detail=detail not in ("", "0", "false"))
             )
         if path == "/status" and method == "GET":
-            return 200, "application/json", json.dumps(self.service.status())
+            return _json(200, self.service.status())
         if path == "/metrics" and method == "GET":
             return (
                 200,
@@ -220,21 +226,15 @@ class HttpFrontend:
             )
         if path in ("/solve", "/solve_batched"):
             if method != "POST":
-                return 405, "application/json", json.dumps(
-                    {"error": f"POST {path}"}
-                )
+                return _json(405, {"error": f"POST {path}"})
             handler = self._solve if path == "/solve" else self._solve_batched
             try:
                 return await handler(body)
             except _BadRequest as exc:
-                return 400, "application/json", json.dumps({"error": str(exc)})
+                return _json(400, {"error": str(exc)})
             except KeyError as exc:
-                return 404, "application/json", json.dumps(
-                    {"error": str(exc).strip("'\"")}
-                )
-        return 404, "application/json", json.dumps(
-            {"error": f"no route {method} {path}"}
-        )
+                return _json(404, {"error": str(exc).strip("'\"")})
+        return _json(404, {"error": f"no route {method} {path}"})
 
     def _health(self, *, detail: bool = False) -> dict[str, Any]:
         service = self.service
@@ -267,12 +267,8 @@ class HttpFrontend:
             response, return_x=bool(payload.get("return_x", False))
         )
         if response.shed:
-            return _SHED_STATUS.get(response.reason, 503), "application/json", (
-                json.dumps(out)
-            )
-        if response.status == "error":
-            return 500, "application/json", json.dumps(out)
-        return 200, "application/json", json.dumps(out)
+            return _json(_SHED_STATUS.get(response.reason, 503), out)
+        return _json(500 if response.status == "error" else 200, out)
 
     async def _solve_batched(self, body: bytes) -> tuple[int, str, str]:
         """One operator, many right-hand sides, one atomic admission.
@@ -323,7 +319,7 @@ class HttpFrontend:
         out = {"status": aggregate, "count": len(results), "results": results}
         if batch_id is not None:
             out["request_id"] = batch_id
-        return status, "application/json", json.dumps(out)
+        return _json(status, out)
 
     def _parse_payload(self, body: bytes) -> dict[str, Any]:
         try:
@@ -420,8 +416,17 @@ class HttpFrontend:
         return SolveRequest(**fields)
 
 
+def _json(status: int, payload: Any) -> tuple[int, str, str]:
+    return status, "application/json", json.dumps(payload)
+
+
 def _nrows(a: Any) -> int:
     return getattr(a, "nrows", None) or getattr(a, "shape", (0,))[0]
+
+
+async def _drop_input(reader: asyncio.StreamReader) -> None:
+    while await reader.read(1 << 16):
+        pass
 
 
 async def run_server(

@@ -136,6 +136,11 @@ class SolveResponse:
         return self.request_id
 
 
+def _answer(request: SolveRequest, status: str, **fields: Any) -> SolveResponse:
+    """The response to ``request``; ``fields`` are the rest of it."""
+    return SolveResponse(request.request_id, request.tenant, status, **fields)
+
+
 @dataclass
 class ServiceConfig:
     """Tuning knobs of one :class:`SolverService`.
@@ -144,11 +149,12 @@ class ServiceConfig:
     ----------
     max_queue_depth:
         Bound on *admitted-but-undispatched* requests: those queued for
-        the dispatcher plus those parked behind a busy lane.  Arrivals
-        beyond it are shed with reason ``queue_full`` -- the
-        backpressure that keeps queue latency bounded under overload.
-        The one request the dispatcher holds open in a coalesce window
-        on an idle lane is not counted.
+        the dispatcher, parked behind a busy lane, or waiting for a
+        worker thread.  Arrivals beyond it are shed with reason
+        ``queue_full`` -- the backpressure that keeps queue latency
+        bounded under overload.  One request is exempt: the one the
+        dispatcher last held open in a coalesce window on an idle lane,
+        until its group runs.
     coalesce_window:
         Seconds the dispatcher lingers after picking up the first
         pending request, letting concurrent arrivals join its batch.
@@ -304,9 +310,11 @@ class SolverService:
         )
         self._operators: dict[str, Any] = {}
         self._queue: asyncio.Queue[_Pending | None] = asyncio.Queue()
-        # Admitted-but-undispatched requests: queued (no sentinels) or
-        # parked on a busy lane's backlog.
+        # Admitted requests whose group does not hold a worker slot yet:
+        # queued, parked on a busy lane's backlog, or waiting for a
+        # thread.  ``_held`` is the one of them exempt from the bound.
         self._depth = 0
+        self._held: _Pending | None = None
         self._inflight: dict[str, asyncio.Future[SolveResponse]] = {}
         self._dispatcher: asyncio.Task | None = None
         self._draining = False
@@ -443,9 +451,13 @@ class SolverService:
 
     @property
     def queue_depth(self) -> int:
-        """Admitted requests awaiting dispatch: queued, or parked behind
-        a busy lane."""
-        return self._depth
+        """Admitted requests awaiting dispatch: queued, parked behind a
+        busy lane, or waiting for a worker thread.
+
+        One request is exempt: the one the dispatcher last held open in
+        a coalesce window on an idle lane, until its group runs.
+        """
+        return self._depth - (self._held is not None)
 
     # ------------------------------------------------------------------
     # submission
@@ -482,7 +494,7 @@ class SolverService:
         self._inflight[request.request_id] = future
         self._queue.put_nowait(pending)
         self._depth += 1
-        depth = self._depth
+        depth = self.queue_depth
         self._metric_depth.set(depth)
         self._metric_depth_peak.set_max(depth)
         self.peak_queue_depth = max(self.peak_queue_depth, depth)
@@ -564,12 +576,7 @@ class SolverService:
         ).inc()
         self._count_tenant("shed", request.tenant)
         self._event("shed", request, detail=reason)
-        response = SolveResponse(
-            request_id=request.request_id,
-            tenant=request.tenant,
-            status="shed",
-            reason=reason,
-        )
+        response = _answer(request, "shed", reason=reason)
         self._record_outcome(request, response)
         if self.recorder is not None and reason not in self._shed_snapshotted:
             # A shed is a capacity event worth a postmortem, but under
@@ -680,16 +687,15 @@ class SolverService:
                 return
             if linger:
                 # Let concurrent arrivals join this request's group.  On
-                # an idle lane the request held open here does not count
-                # toward the queue bound; on a busy one it will park
-                # behind the running group, so it stays counted.  Only
-                # this task starts runners, so an idle lane is still
-                # idle when the window ends and _route takes the request
-                # straight back out of the count.
-                held = self._lane_key(first) not in self._lanes
-                self._depth -= held
+                # an idle lane the request held open here takes over the
+                # one exemption from the queue bound (an earlier holder
+                # still waiting for a thread counts again); on a busy
+                # lane it will park behind the running group, so it
+                # stays counted.
+                if self._lane_key(first) not in self._lanes:
+                    self._held = first
+                    self._metric_depth.set(self.queue_depth)
                 await sleep(config.coalesce_window)
-                self._depth += held
             batch = [first]
             while not self._queue.empty():
                 batch.append(self._queue.get_nowait())
@@ -717,45 +723,38 @@ class SolverService:
         return ("op", key[1])
 
     def _route(self, batch: list[_Pending]) -> None:
-        """Send each request to its lane.
+        """Append each request to its lane's backlog.
 
-        On a busy lane the request parks on the backlog (still counted
-        in :attr:`queue_depth`) and rides the lane's next group.  Each
-        idle lane gets a runner whose first pass is its share of
-        ``batch``; a lane is busy from here until its runner finds the
-        backlog empty.
+        An idle lane gets a runner, which first runs after this returns,
+        so its first pass takes the lane's whole share of ``batch``; on
+        a busy lane the request rides the next pass.  A lane is busy
+        from here until its runner finds the backlog empty.  Either way
+        the request stays in :attr:`queue_depth` until its group holds a
+        worker slot.
         """
-        fresh: dict[Any, list[_Pending]] = {}
         for pending in batch:
             lane = self._lane_key(pending)
-            backlog = self._lanes.get(lane)
-            if backlog is not None:
-                backlog.append(pending)
-            else:
-                fresh.setdefault(lane, []).append(pending)
-        loop = asyncio.get_running_loop()
-        for lane, work in fresh.items():
-            self._lanes[lane] = deque()
-            self._depth -= len(work)
-            runner = loop.create_task(self._run_lane(lane, work))
-            self._runners.add(runner)
-            runner.add_done_callback(self._runners.discard)
-        self._metric_depth.set(self._depth)
+            if lane not in self._lanes:
+                self._lanes[lane] = deque()
+                runner = asyncio.get_running_loop().create_task(
+                    self._run_lane(lane)
+                )
+                self._runners.add(runner)
+                runner.add_done_callback(self._runners.discard)
+            self._lanes[lane].append(pending)
 
-    async def _run_lane(self, lane: Any, work: list[_Pending]) -> None:
-        """Solve one lane's work, pass by pass, until its backlog is empty."""
+    async def _run_lane(self, lane: Any) -> None:
+        """Solve a lane's backlog, pass by pass, until it is empty."""
         backlog = self._lanes[lane]
         try:
-            while work:
+            while backlog:
+                work = list(backlog)
+                backlog.clear()
                 for group in plan_batches(
                     work, key=lambda p: p.key,
                     max_width=self.config.max_coalesce_width,
                 ):
                     await self._dispatch_group(group)
-                work = list(backlog)
-                backlog.clear()
-                self._depth -= len(work)
-                self._metric_depth.set(self._depth)
         finally:
             del self._lanes[lane]
 
@@ -769,9 +768,14 @@ class SolverService:
 
     async def _dispatch_group(self, group: list[_Pending]) -> None:
         try:
-            # One slot per pool thread: a group counts as in flight only
-            # while it holds one, never while it waits for a thread.
+            # One slot per pool thread: a group leaves the queue depth
+            # and counts as in flight only once it holds one, never
+            # while it waits for a thread.
             async with self._slots:
+                self._depth -= len(group)
+                if self._held in group:
+                    self._held = None
+                self._metric_depth.set(self.queue_depth)
                 now = self.config.clock()
                 width = len(group)
                 self._metric_width.observe(width)
@@ -808,11 +812,8 @@ class SolverService:
             for pending in group:
                 if pending.future.done():
                     continue
-                response = SolveResponse(
-                    request_id=pending.request.request_id,
-                    tenant=pending.request.tenant,
-                    status="error",
-                    reason=reason,
+                response = _answer(
+                    pending.request, "error", reason=reason,
                     coalesce_width=len(group),
                 )
                 self._account_response(pending, response)
@@ -926,12 +927,8 @@ class SolverService:
                             pending.key, pending.request.b, result.x
                         )
             return [
-                SolveResponse(
-                    request_id=p.request.request_id,
-                    tenant=p.request.tenant,
-                    status="ok",
-                    result=r,
-                    coalesce_width=width,
+                _answer(
+                    p.request, "ok", result=r, coalesce_width=width,
                     warm_started=w,
                 )
                 for p, r, w in zip(group, results, warm_flags)
@@ -948,13 +945,7 @@ class SolverService:
             session.notify_failure(exc)
             reason = f"{type(exc).__name__}: {exc}"
             return [
-                SolveResponse(
-                    request_id=p.request.request_id,
-                    tenant=p.request.tenant,
-                    status="error",
-                    reason=reason,
-                    coalesce_width=width,
-                )
+                _answer(p.request, "error", reason=reason, coalesce_width=width)
                 for p in group
             ]
         finally:

@@ -19,11 +19,14 @@ submissions are enqueued" deterministically.  When the condition never
 holds, ``settle`` opens every live :class:`GatedSleep` before it raises:
 the failing test then unwinds through ``async with SolverService(...)``,
 whose drain would otherwise wait forever on a window nobody opens.
+A spin budget says nothing about how far a *worker thread* got, so
+``reached`` awaits a thread-set :class:`threading.Event` instead.
 """
 
 from __future__ import annotations
 
 import asyncio
+import threading
 import weakref
 from typing import Callable
 
@@ -93,3 +96,13 @@ async def settle(condition: Callable[[], bool], *, spins: int = 2000) -> None:
     raise AssertionError(
         f"condition did not settle within {spins} event-loop spins"
     )
+
+
+async def reached(event: threading.Event, *, timeout: float = 30.0) -> None:
+    """Await an event a worker thread sets, without blocking the loop.
+
+    The timeout only bounds a test that is already failing; a passing
+    test returns as soon as the thread sets the event.
+    """
+    if not await asyncio.to_thread(event.wait, timeout):
+        raise AssertionError("the worker thread never set the event")

@@ -205,7 +205,8 @@ def test_malformed_content_length_is_400():
 
 def test_oversized_body_is_413_before_it_is_read():
     # The cap is the widest admissible /solve_batched body: as many
-    # columns as max_queue_depth against the largest registered operator.
+    # columns as max_queue_depth, plus an x0, against the largest
+    # registered operator.
     padded = json.dumps({"operator": "poisson", "b": [1.0] * N}).encode()
     padded = padded.ljust(100_000)
 
@@ -225,6 +226,71 @@ def test_oversized_body_is_413_before_it_is_read():
     assert huge[0] == 413 and "limit" in huge[1]["error"]
     assert over[0] == 413
     assert within[0] == 200 and within[1]["status"] == "ok"
+
+
+def test_pretty_printed_full_width_batch_is_read():
+    # max_queue_depth columns, indented JSON, 24-character float reprs:
+    # about 38 bytes per entry, all of it under the cap.
+    a = poisson2d(32)
+    bs = np.random.default_rng(3).standard_normal((16, a.nrows)) * 1e100
+    body = json.dumps(
+        {"operator": "big", "bs": bs.tolist()}, indent=4
+    ).encode()
+
+    async def main():
+        svc = SolverService(ServiceConfig(max_queue_depth=16))
+        svc.register_operator("big", a)
+        async with HttpFrontend(svc, port=0) as front:
+            host, port = front.address
+            head = solve_head(str(len(body))).replace(
+                b"/solve ", b"/solve_batched "
+            )
+            return await raw_exchange(host, port, head, body)
+
+    status, out = asyncio.run(main())
+    assert len(body) > 16 * a.nrows * 36
+    assert status == 200 and out["count"] == 16
+
+
+def test_matrix_free_operator_lifts_the_body_cap():
+    # A bare callable has no row count, so no cap can be derived for
+    # it: its bodies are read whatever their size.
+    padded = json.dumps({"operator": "matfree", "b": [1.0] * N}).encode()
+    padded = padded.ljust(100_000)
+
+    async def main():
+        svc = service(max_queue_depth=1)
+        svc.register_operator("matfree", lambda x: A.matvec(x))
+        async with HttpFrontend(svc, port=0) as front:
+            host, port = front.address
+            return await raw_exchange(
+                host, port, solve_head(str(len(padded))), padded
+            )
+
+    status, out = asyncio.run(main())
+    assert status == 200 and out["status"] == "ok"
+
+
+def test_early_413_reaches_a_client_that_sends_its_body_first():
+    # Like most client libraries, this client writes its whole body
+    # before it reads.  The body is far over the cap and larger than
+    # the socket buffers, so the server must keep reading (and
+    # dropping) it after the 413 for the client's write to finish.
+    body = b" " * (16 * 1024 * 1024)
+
+    async def main():
+        async with HttpFrontend(service(max_queue_depth=1), port=0) as front:
+            host, port = front.address
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(solve_head(str(len(body))) + body)
+            await writer.drain()
+            raw = await reader.read()
+            writer.close()
+            return raw
+
+    header, _, tail = asyncio.run(main()).decode().partition("\r\n\r\n")
+    assert int(header.split()[1]) == 413
+    assert "limit" in json.loads(tail)["error"]
 
 
 def test_rate_limited_maps_to_429():

@@ -8,9 +8,10 @@ The fingerprint-keyed pool has four load-bearing promises:
 * groups against the **same** operator keep strict FIFO order on their
   lane -- the property the coalescing and bit-identical-to-direct
   guarantees stand on;
-* requests that arrive while their lane is busy park on its backlog:
-  they count toward ``max_queue_depth`` and coalesce into the lane's
-  next group, at every worker count;
+* requests that arrive while their lane is busy park on its backlog
+  and coalesce into the lane's next group, and every request counts
+  toward ``max_queue_depth`` until its group gets a thread, at every
+  worker count;
 * the conservation law ``submitted == served + shed + errors + deduped``
   survives every drain-during-dispatch interleaving, pinned with the
   deterministic FakeClock/GatedSleep harness and event-gated worker
@@ -28,7 +29,7 @@ import pytest
 from repro.serve import ServiceConfig, SolveRequest, SolverService
 from repro.sparse import poisson2d
 
-from tests.serve.helpers import FakeClock, GatedSleep, settle
+from tests.serve.helpers import FakeClock, GatedSleep, reached, settle
 
 A = poisson2d(6)
 N = A.nrows
@@ -231,7 +232,7 @@ class TestPoolConcurrency:
                         svc.submit(SolveRequest(a=ops["slow"], b=np.ones(N)))
                     )
                 ]
-                await settle(started.is_set)
+                await reached(started)
                 tasks.append(
                     asyncio.create_task(
                         svc.submit(SolveRequest(a=ops["other"], b=np.ones(N)))
@@ -322,7 +323,7 @@ class TestLaneBacklog:
                 await settle(lambda: gate.windows_open == 1)
                 gate.open_gate()
                 gate.close_gate()
-                await settle(started.is_set)  # the lane is busy
+                await reached(started)  # the lane is busy
                 tasks = [
                     asyncio.create_task(
                         svc.submit(SolveRequest(a=op, b=rhs(seed)))
@@ -367,7 +368,7 @@ class TestLaneBacklog:
                 await settle(lambda: gate.windows_open == 1)
                 gate.open_gate()
                 gate.close_gate()
-                await settle(started.is_set)
+                await reached(started)
                 tasks = []
                 for window in (2, 3):
                     for _ in range(2):
@@ -393,6 +394,76 @@ class TestLaneBacklog:
         assert all(r.ok for r in responses)
         assert [r.coalesce_width for r in responses] == [4] * 4
         assert conservation(svc)
+
+    @pytest.mark.parametrize("window", [False, True])
+    @pytest.mark.parametrize("kind", ["x0", "operator"])
+    def test_requests_waiting_for_a_thread_count_toward_the_bound(
+        self, workers, kind, window
+    ):
+        # Every pool thread is held.  Five requests arrive one by one,
+        # each on an idle lane of its own (x0 makes a request
+        # uncoalescable; a distinct operator is a fresh lane), so none
+        # parks on a backlog.  They still count until they get a
+        # thread: three are admitted and two shed.  With a coalesce
+        # window (one that passes at once) the request last held in it
+        # is exempt, so four are admitted -- one, not one per window.
+        hold = threading.Event()
+        gate = GatedSleep()
+        gate.open_gate()
+
+        def arrival(seed):
+            if kind == "x0":
+                return SolveRequest(
+                    a=A, b=rhs(seed), options={"x0": np.zeros(N)}
+                )
+            return SolveRequest(a=GatedOperator(f"idle-{seed}"), b=rhs(seed))
+
+        async def main():
+            config = ServiceConfig(
+                max_queue_depth=3, coalesce_window=10.0 if window else 0.0,
+                sleep=gate, workers=workers,
+            )
+            async with SolverService(config) as svc:
+                busy = await occupy_every_thread(svc, workers, hold)
+                tasks = []
+                for seed in range(5):
+                    tasks.append(asyncio.create_task(svc.submit(arrival(seed))))
+                    # Shed here, or routed to a lane of its own.
+                    await settle(
+                        lambda: svc.shed
+                        + svc.status()["workers"]["active_lanes"]
+                        == workers + len(tasks)
+                    )
+                waiting = svc.queue_depth
+                hold.set()
+                responses = await asyncio.gather(*tasks)
+                await asyncio.gather(*busy)
+            return svc, responses, waiting
+
+        svc, responses, waiting = asyncio.run(main())
+        admitted = 4 if window else 3
+        assert waiting == 3
+        assert [r.status for r in responses] == (
+            ["ok"] * admitted + ["shed"] * (5 - admitted)
+        )
+        assert {r.reason for r in responses[admitted:]} == {"queue_full"}
+        assert svc.peak_queue_depth <= 3
+        assert conservation(svc)
+
+
+async def occupy_every_thread(svc, workers, hold):
+    """Start one held solve per pool thread, on distinct operators, and
+    return their tasks once all of them run."""
+    tasks = []
+    for j in range(workers):
+        op = GatedOperator(f"busy-{j}", hold=hold)
+        tasks.append(
+            asyncio.create_task(svc.submit(SolveRequest(a=op, b=rhs(j))))
+        )
+        await settle(
+            lambda: svc.status()["workers"]["inflight_dispatches"] == j + 1
+        )
+    return tasks
 
 
 class TestDrainInterleavings:
