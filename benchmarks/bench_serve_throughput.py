@@ -367,7 +367,7 @@ def test_serve_throughput_speedup():
     assert max(record["coalesce_widths"]) >= 8
     assert DEFAULT_OUT.exists()
 
-    # Acceptance (ISSUE 10): the fingerprint-keyed pool beats a
+    # Acceptance: the fingerprint-keyed pool beats a
     # one-thread pool on mixed-operator traffic.  The pool's
     # only single-core lever is hiding the coalesce window under solver
     # compute, whose theoretical ceiling is (window + compute) /
