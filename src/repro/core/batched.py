@@ -282,11 +282,13 @@ def batched_cg(
 
         lam = rr / pap
         add_scalar_flops(lam.size)
+        tracer = add_axpy(r.size, flops_per_entry=4)
         np.multiply(p, lam, out=work)
         batch.x_active += work
         np.multiply(ap, lam, out=work)
         r -= work
-        add_axpy(r.size, flops_per_entry=4)
+        if tracer is not None:
+            tracer.end("axpy")
 
         rr_new = block_dot(r, r, label="batched_rr")  # fused reduction #2
         res = np.sqrt(np.maximum(rr_new, 0.0))
@@ -307,9 +309,11 @@ def batched_cg(
 
         alpha = rr_new / rr
         add_scalar_flops(alpha.size)
+        tracer = add_axpy(p.size)
         p *= alpha
         p += r
-        add_axpy(p.size)
+        if tracer is not None:
+            tracer.end("axpy")
         rr = rr_new
 
     return batch.finish("batched-cg")
@@ -473,16 +477,20 @@ def batched_vr_cg(
         add_scalar_flops(lam.size)
 
         # x update uses the plain direction block (power 0).
+        tracer = add_axpy(p_powers[0].size)
         batch.x_active += p_powers[0] * lam
-        add_axpy(p_powers[0].size)
+        if tracer is not None:
+            tracer.end("axpy")
 
         # Advance residual powers: R_i <- R_i - lam * P_{i+1} (broadcast
         # over the column axis; one fused statement for the whole tensor,
         # staged through a workspace block instead of a fresh temporary).
+        tracer = add_axpy(r_powers.size)
         scratch = ws.get("batched_power_scratch", r_powers.shape)
         np.multiply(p_powers[1 : k + 3], lam, out=scratch)
         r_powers -= scratch
-        add_axpy(r_powers.size)
+        if tracer is not None:
+            tracer.end("axpy")
 
         # mu recurrence (columnwise), then the alpha ratio.
         width_mu = 2 * k + 1
@@ -520,9 +528,11 @@ def batched_vr_cg(
         mu_top = block_dot(r_powers[k], r_powers[k + 1], label="batched_direct_dot")
 
         # Advance direction powers (ONE block matvec), then fused #2.
+        tracer = add_axpy(p_powers[: k + 2].size)
         p_powers[: k + 2] *= alpha
         p_powers[: k + 2] += r_powers
-        add_axpy(p_powers[: k + 2].size)
+        if tracer is not None:
+            tracer.end("axpy")
         block_matvec(op, p_powers[k + 1], out=p_powers[k + 2], work=ws)
         sigma_top = block_dot(
             p_powers[k + 1], p_powers[k + 1], label="batched_direct_dot"

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.util.counters import add_scalar_flops
+from repro.util.counters import add_scalar_flops, traced
 from repro.util.kernels import dot
 from repro.util.validation import require_nonnegative_int
 
@@ -118,6 +118,7 @@ class MomentWindow:
     # ------------------------------------------------------------------
     # Advance
     # ------------------------------------------------------------------
+    @traced("recurrence")
     def advance_mu(self, lam: float) -> np.ndarray:
         """Apply the μ-recurrence; returns ``μⁿ⁺¹`` without mutating self.
 
@@ -129,6 +130,7 @@ class MomentWindow:
         add_scalar_flops(5 * m)
         return self.mu - 2.0 * lam * self.nu[1 : m + 1] + lam * lam * self.sigma[2 : m + 2]
 
+    @traced("recurrence")
     def advanced(
         self,
         lam: float,
@@ -195,10 +197,12 @@ class MomentWindow:
         return 6 * self.k + 6
 
 
+@traced("local_dot")
 def window_from_powers(
     k: int, r_powers: np.ndarray, p_powers: np.ndarray, *, label: str = "rebuild_dot"
 ) -> MomentWindow:
-    """Fill a whole moment window by direct inner products.
+    """Fill a whole moment window by direct inner products (one fused
+    batch, recorded as one ``local_dot`` span).
 
     Requires ``r_powers`` rows ``0..k+1`` (``Aʲ r``) and ``p_powers`` rows
     ``0..k+1`` (``Aʲ p``); every moment order in the window is then
@@ -221,6 +225,7 @@ def window_from_powers(
     return MomentWindow(k=k, mu=mu, nu=nu, sigma=sigma)
 
 
+@traced("local_dot")
 def initial_window(k: int, r_powers: np.ndarray) -> MomentWindow:
     """Build the startup window at iteration 0, where ``p⁰ = r⁰``.
 

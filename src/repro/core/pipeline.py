@@ -50,7 +50,7 @@ from repro.core.powers import PowerBlock
 from repro.core.results import CGResult, StopReason, verified_exit
 from repro.core.stopping import StoppingCriterion
 from repro.sparse.linop import as_operator, operator_dtype
-from repro.util.counters import add_scalar_flops
+from repro.util.counters import add_scalar_flops, traced
 from repro.util.kernels import axpy, dot, norm
 from repro.util.validation import (
     as_1d_typed_array,
@@ -191,6 +191,7 @@ class _CoefficientPipeline:
         """Begin accumulating for target iteration ``t``."""
         self.matrices[t] = np.eye(self._size)
 
+    @traced("recurrence")
     def push_step(self, s: int, lam_prev: float, alpha_s: float) -> int:
         """Fold the completed step ``s`` (map ``T(λ_{s-1}, α_s)``) into
         every in-flight target whose span contains it; returns how many
@@ -204,6 +205,7 @@ class _CoefficientPipeline:
                 updated += 1
         return updated
 
+    @traced("recurrence")
     def consume(
         self, t: int, lam_prev: float, state: np.ndarray, mu0_prev: float
     ) -> tuple[float, float, float]:
@@ -427,8 +429,6 @@ def pipelined_vr_cg(
         pipeline = _CoefficientPipeline(k, w)
 
         def _launch(local: int) -> np.ndarray:
-            if tracer is not None:
-                tracer.begin("local_dot")
             window = window_from_powers(k, powers.r_powers, powers.p_powers,
                                         label="pipeline_launch_dot")
             state = window.stacked()
@@ -439,8 +439,6 @@ def pipelined_vr_cg(
                 # fault surfaces live here.
                 plan.corrupt_dot_batch(state, "pipeline_launch")
                 plan.corrupt_state(state, "pipeline_launch")
-            if tracer is not None:
-                tracer.end("local_dot")
             ledger.launch(local, state)
             _event("launch", offset + local, offset + local, state.size)
             return state
@@ -472,20 +470,12 @@ def pipelined_vr_cg(
             lam = mu0_cur / sigma1_cur
             add_scalar_flops(1)
             lambdas.append(lam)
-            if tracer is not None:
-                tracer.begin("axpy")
             axpy(lam, powers.p, x, out=x, work=ws)
-            if tracer is not None:
-                tracer.end("axpy")
             iterations += 1
             since_replacement += 1
 
             # Advance the vector pipeline to iteration n+1.
-            if tracer is not None:
-                tracer.begin("axpy")
             powers.advance_r(lam, work=ws)
-            if tracer is not None:
-                tracer.end("axpy")
 
             target = step + 1
             if target <= k:
@@ -495,24 +485,16 @@ def pipelined_vr_cg(
                 # look-ahead, which is exactly the paper's "initial start
                 # up" serialization.
                 pipeline.matrices.pop(target, None)  # consumed by the transient
-                if tracer is not None:
-                    tracer.begin("local_dot")
                 window = window_from_powers(k, powers.r_powers, powers.p_powers,
                                             label="startup_front_dot")
                 mu0_next = float(window.mu[0])
                 if plan is not None:
                     mu0_next = plan.corrupt_dot(mu0_next, "startup_front_mu")
-                if tracer is not None:
-                    tracer.end("local_dot")
             else:
-                if tracer is not None:
-                    tracer.begin("recurrence")
                 base_state = ledger.read(target - k, at_iteration=target)
                 mu0_next, _alpha_pipe, sigma1_next_pipe = pipeline.consume(
                     target, lam, base_state, mu0_cur
                 )
-                if tracer is not None:
-                    tracer.end("recurrence")
                 _event("consume", offset + target, offset + target - k,
                        base_state.size)
 
@@ -545,15 +527,9 @@ def pipelined_vr_cg(
             add_scalar_flops(1)
             alphas.append(alpha_next)
 
-            if tracer is not None:
-                tracer.begin("matvec")
             powers.advance_p(op, alpha_next, work=ws)
-            if tracer is not None:
-                tracer.end("matvec")
 
             if target <= k:
-                if tracer is not None:
-                    tracer.begin("local_dot")
                 window = window_from_powers(k, powers.r_powers, powers.p_powers,
                                             label="startup_front_dot")
                 sigma1_next = float(window.sigma[1])
@@ -562,8 +538,6 @@ def pipelined_vr_cg(
                         sigma1_next, "startup_front_sigma"
                     )
                 state_next = window.stacked()
-                if tracer is not None:
-                    tracer.end("local_dot")
                 # Even during startup the launches happen on schedule so
                 # the pipeline fills behind the transient.
                 ledger.launch(target, state_next)
@@ -575,11 +549,7 @@ def pipelined_vr_cg(
 
             # Fold the just-completed step into the in-flight coefficients
             # and open the next target.
-            if tracer is not None:
-                tracer.begin("recurrence")
             updated = pipeline.push_step(target, lam, alpha_next)
-            if tracer is not None:
-                tracer.end("recurrence")
             if updated:
                 _event("coeff_update", offset + target, offset + target, updated)
             pipeline.open_target(target + k)
@@ -590,11 +560,7 @@ def pipelined_vr_cg(
 
             # --- recovery detectors (policy-driven) ----------------------
             if policy is not None and policy.drift_tol is not None:
-                if tracer is not None:
-                    tracer.begin("local_dot")
                 rr_direct = dot(powers.r, powers.r, label="drift_check_dot")
-                if tracer is not None:
-                    tracer.end("local_dot")
                 if telemetry is not None:
                     telemetry.drift(iterations, mu0_cur, rr_direct)
                 floor = max(
@@ -616,11 +582,7 @@ def pipelined_vr_cg(
                 since_ctl += 1
                 if since_ctl >= controller.config.check_every:
                     since_ctl = 0
-                    if tracer is not None:
-                        tracer.begin("local_dot")
                     rr_direct = dot(powers.r, powers.r, label="drift_check_dot")
-                    if tracer is not None:
-                        tracer.end("local_dot")
                     if telemetry is not None:
                         telemetry.drift(iterations, mu0_cur, rr_direct)
                     floor = max(

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sparse.linop import LinearOperator
+from repro.util.counters import add_axpy
 from repro.util.kernels import dot
 from repro.util.validation import require_nonnegative_int
 
@@ -129,8 +130,7 @@ class PowerBlock:
         :class:`repro.backend.Workspace`) supplies the ``(k+2, n)``
         scratch block that makes the broadcast product allocation-free.
         """
-        from repro.util.counters import add_axpy
-
+        tracer = add_axpy(self.n * (self.k + 2))
         tail = self.p_powers[1 : self.k + 3]
         if work is not None:
             scratch = work.get("power_scratch", tail.shape, tail.dtype)
@@ -138,7 +138,8 @@ class PowerBlock:
             self.r_powers -= scratch
         else:
             self.r_powers -= lam * tail
-        add_axpy(self.n * (self.k + 2))
+        if tracer is not None:
+            tracer.end("axpy")
 
     def advance_p(self, op: LinearOperator, alpha_next: float, work=None) -> None:
         """In-place ``Pᵢ ← Rᵢ + αn+1 Pᵢ`` plus the single top matvec.
@@ -150,11 +151,11 @@ class PowerBlock:
         ``work`` the product writes straight into the (contiguous) top
         row instead of allocating a fresh vector.
         """
-        from repro.util.counters import add_axpy
-
+        tracer = add_axpy(self.n * (self.k + 2))
         self.p_powers[: self.k + 2] *= alpha_next
         self.p_powers[: self.k + 2] += self.r_powers
-        add_axpy(self.n * (self.k + 2))
+        if tracer is not None:
+            tracer.end("axpy")
         if work is not None:
             from repro.sparse.linop import matvec_into
 

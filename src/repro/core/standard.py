@@ -214,18 +214,11 @@ def conjugate_gradient(
     for _ in range(budget):
         if plan is not None:
             plan.begin_iteration(iterations + 1)
-        if tracer is not None:
-            tracer.begin("matvec")
         ap = ws.get("ap", n, dtype)
         matvec_into(op, p, ap, work=ws)
-        if tracer is not None:
-            tracer.end("matvec")
-            tracer.begin("local_dot")
         pap = dot(p, ap)
         if plan is not None:
             pap = plan.corrupt_dot(pap, "pap")
-        if tracer is not None:
-            tracer.end("local_dot")
         if pap <= 0.0 or not np.isfinite(pap):
             if _try_restart("breakdown"):
                 continue
@@ -233,21 +226,13 @@ def conjugate_gradient(
             break
         lam = rr / pap
         lambdas.append(lam)
-        if tracer is not None:
-            tracer.begin("axpy")
         axpy(lam, p, x, out=x, work=ws)
         axpy(-lam, ap, r, out=r, work=ws)
-        if tracer is not None:
-            tracer.end("axpy")
         iterations += 1
         since_check += 1
-        if tracer is not None:
-            tracer.begin("local_dot")
         rr_new = dot(r, r)
         if plan is not None:
             rr_new = plan.corrupt_dot(rr_new, "rr")
-        if tracer is not None:
-            tracer.end("local_dot")
         res_norms.append(float(np.sqrt(max(rr_new, 0.0))))
         if telemetry is not None:
             telemetry.iteration(iterations, res_norms[-1], lam=lam)
@@ -296,15 +281,8 @@ def conjugate_gradient(
         # against the true residual on the policy's cadence.
         if check_every is not None and since_check >= check_every:
             since_check = 0
-            if tracer is not None:
-                tracer.begin("matvec")
             r_true = b - op.matvec(x)
-            if tracer is not None:
-                tracer.end("matvec")
-                tracer.begin("local_dot")
             rr_direct = dot(r_true, r_true, label="drift_check_dot")
-            if tracer is not None:
-                tracer.end("local_dot")
             if telemetry is not None:
                 telemetry.drift(iterations, rr_new, rr_direct)
             floor = max(stop.threshold(b_norm) ** 2, np.finfo(np.float64).tiny)
@@ -320,11 +298,7 @@ def conjugate_gradient(
 
         alpha = rr_new / rr
         alphas.append(alpha)
-        if tracer is not None:
-            tracer.begin("axpy")
         axpy(alpha, p, r, out=p, work=ws)  # p = r + alpha * p
-        if tracer is not None:
-            tracer.end("axpy")
         rr = rr_new
 
     return _result(reason, iterations)

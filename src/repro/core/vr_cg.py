@@ -218,7 +218,6 @@ def vr_conjugate_gradient(
     if plan is not None:
         plan.attach(telemetry)
         op = plan.wrap_operator(op)
-    tracer = telemetry.tracer if telemetry is not None else None
     health = telemetry.health if telemetry is not None else None
 
     b_norm = norm(b)
@@ -310,27 +309,15 @@ def vr_conjugate_gradient(
         lambdas.append(lam)
 
         # x update uses the plain direction vector (power 0).
-        if tracer is not None:
-            tracer.begin("axpy")
         axpy(lam, powers.p, x, out=x, work=ws)
-        if tracer is not None:
-            tracer.end("axpy")
         iterations += 1
         since_replacement += 1
 
         # --- advance the residual powers: R_i <- R_i - lam * P_{i+1} ----
-        if tracer is not None:
-            tracer.begin("axpy")
         powers.advance_r(lam, work=ws)
-        if tracer is not None:
-            tracer.end("axpy")
 
         # --- mu recurrence (needs lam only), then the alpha ratio --------
-        if tracer is not None:
-            tracer.begin("recurrence")
         mu_new = window.advance_mu(lam)
-        if tracer is not None:
-            tracer.end("recurrence")
         mu0_new = float(mu_new[0])
         if mu0_new < 0.0 and telemetry is not None:
             # The clamp below would otherwise hide the drift: a negative
@@ -375,35 +362,20 @@ def vr_conjugate_gradient(
         # These two direct dots feed only the window TOPS (k iterations
         # from the lambda cycle), so their span is local_dot, not a
         # blocking allreduce_wait -- the paper's hiding claim in span form.
-        if tracer is not None:
-            tracer.begin("local_dot")
         mu_top = powers.direct_mu_top()
         if plan is not None:
             mu_top = plan.corrupt_dot(mu_top, "mu_top")
-        if tracer is not None:
-            tracer.end("local_dot")
 
         # --- advance direction powers (one matvec), then direct dot #2 --
-        if tracer is not None:
-            tracer.begin("matvec")
         powers.advance_p(op, alpha_next, work=ws)
-        if tracer is not None:
-            tracer.end("matvec")
-            tracer.begin("local_dot")
         sigma_top = powers.direct_sigma_top()
         if plan is not None:
             sigma_top = plan.corrupt_dot(sigma_top, "sigma_top")
-        if tracer is not None:
-            tracer.end("local_dot")
 
         # --- scalar window advance --------------------------------------
-        if tracer is not None:
-            tracer.begin("recurrence")
         window = window.advanced(lam, alpha_next, mu_top, sigma_top, mu_new_body=mu_new)
         if plan is not None:
             plan.corrupt_window(window)
-        if tracer is not None:
-            tracer.end("recurrence")
 
         # --- detection: drift, verified recompute, periodic schedule -----
         drift_triggered = False
@@ -422,11 +394,7 @@ def vr_conjugate_gradient(
             # iteration's replacement decision, so unlike the window-top
             # dots above it cannot be hidden.  The profiler books it as
             # the one synchronization VR still pays per iteration.
-            if tracer is not None:
-                tracer.begin("local_dot")
             rr_direct = dot(powers.r, powers.r, label="drift_check_dot")
-            if tracer is not None:
-                tracer.end("local_dot")
             if telemetry is not None:
                 telemetry.drift(iterations, window.rr, rr_direct)
             # Near machine-zero convergence the direct (r, r) underflows
@@ -455,13 +423,9 @@ def vr_conjugate_gradient(
             # the recompute is the repair.  Only when the mismatch is so
             # large that the *vectors* must be suspect does it escalate
             # to a full replacement below.
-            if tracer is not None:
-                tracer.begin("local_dot")
             fresh = window_from_powers(
                 k, powers.r_powers, powers.p_powers, label="verify_dot"
             )
-            if tracer is not None:
-                tracer.end("local_dot")
             scale = max(
                 float(np.max(np.abs(fresh.mu))),
                 float(np.max(np.abs(fresh.sigma))),

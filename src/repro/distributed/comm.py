@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.util.counters import add_reduction
+from repro.util.counters import add_reduction, record_instant
 from repro.util.validation import require_nonnegative_int, require_positive_int
 
 __all__ = ["CommStats", "DroppedReductionError", "PendingReduction", "SimComm"]
@@ -197,7 +197,7 @@ class SimComm:
             self.telemetry.reduction(op, self.iteration, self.nranks, words)
 
     def _span(self, op: str, words: int, stall_iterations: int) -> None:
-        """One ``allreduce_wait`` span on the attached tracer, if any.
+        """One ``allreduce_wait`` span on the solve's tracer, if traced.
 
         Emitted by the comm layer -- not the solvers -- so every
         distributed method surfaces its synchronization points uniformly,
@@ -208,11 +208,9 @@ class SimComm:
         ``wait_forced`` -- a collective consumed before its latency
         elapsed, i.e. a critical-path synchronization).
         """
-        tracer = self.telemetry.tracer if self.telemetry is not None else None
-        if tracer is not None:
-            tracer.begin("allreduce_wait")
-            tracer.annotate(op=op, words=words, stall_iterations=stall_iterations)
-            tracer.end("allreduce_wait")
+        record_instant(
+            "allreduce_wait", op=op, words=words, stall_iterations=stall_iterations
+        )
 
     # ------------------------------------------------------------------
     # clock

@@ -2,6 +2,8 @@
 
 ``BlockVector`` holds one contiguous block per rank; all vector
 arithmetic is rank-local (embarrassingly parallel, no communication).
+Each rank-parallel operation records one phase span (``axpy``,
+``local_dot``, ``matvec``) on a traced solve.
 ``DistributedCSR`` holds each rank's row slice of a CSR matrix plus the
 set of off-block column indices it needs; its ``matvec`` performs one
 halo exchange (booked on the communicator) followed by rank-local row
@@ -19,6 +21,7 @@ import numpy as np
 from repro.distributed.comm import SimComm
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.matrix_powers import RowPartition
+from repro.util.counters import traced
 
 __all__ = ["BlockVector", "BlockMultiVector", "DistributedCSR"]
 
@@ -57,17 +60,20 @@ class BlockVector:
         return BlockVector(self.partition, [b.copy() for b in self.blocks])
 
     # -- rank-local arithmetic (no communication) -----------------------
+    @traced("axpy")
     def axpy_inplace(self, a: float, x: "BlockVector") -> None:
         """``self += a * x`` blockwise."""
         for mine, theirs in zip(self.blocks, x.blocks):
             mine += a * theirs
 
+    @traced("axpy")
     def scale_add(self, a: float, x: "BlockVector") -> None:
         """``self = x + a * self`` blockwise (the direction update)."""
         for mine, theirs in zip(self.blocks, x.blocks):
             mine *= a
             mine += theirs
 
+    @traced("local_dot")
     def dot_partials(self, other: "BlockVector") -> np.ndarray:
         """Per-rank partial inner products (the allreduce payload)."""
         return np.array(
@@ -128,17 +134,20 @@ class BlockMultiVector:
         )
 
     # -- rank-local arithmetic (no communication) -----------------------
+    @traced("axpy")
     def axpy_inplace(self, a: np.ndarray, x: "BlockMultiVector") -> None:
         """``self += x * a`` blockwise, ``a`` a per-column ``(m,)`` scale."""
         for mine, theirs in zip(self.blocks, x.blocks):
             mine += theirs * a
 
+    @traced("axpy")
     def scale_add(self, a: np.ndarray, x: "BlockMultiVector") -> None:
         """``self = x + self * a`` blockwise (the direction update)."""
         for mine, theirs in zip(self.blocks, x.blocks):
             mine *= a
             mine += theirs
 
+    @traced("local_dot")
     def block_dot_partials(self, other: "BlockMultiVector") -> np.ndarray:
         """Per-rank fused partials, shape ``(nranks, m)`` -- all ``m``
         column products of each rank ride one allreduce payload row."""
@@ -182,6 +191,7 @@ class DistributedCSR:
         """Entries fetched per halo exchange (sum over ranks)."""
         return int(sum(g.size for g in self._ghost_cols))
 
+    @traced("matvec")
     def matvec(self, x: BlockVector, comm: SimComm) -> BlockVector:
         """``A @ x`` with one booked halo exchange.
 
@@ -195,6 +205,7 @@ class DistributedCSR:
         out_blocks = [loc.matvec(x_global) for loc in self._local]
         return BlockVector(self._partition, out_blocks)
 
+    @traced("matvec")
     def matmat(self, x: "BlockMultiVector", comm: SimComm) -> "BlockMultiVector":
         """``A @ X`` for an ``(n, m)`` block with ONE booked halo exchange.
 

@@ -28,6 +28,7 @@ from repro.distributed.comm import DroppedReductionError, PendingReduction, SimC
 from repro.distributed.data import BlockMultiVector, BlockVector, DistributedCSR
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.matrix_powers import RowPartition
+from repro.util.counters import traced
 from repro.util.validation import (
     as_1d_float_array,
     as_2d_float_array,
@@ -104,7 +105,6 @@ def distributed_cg(
         telemetry.solve_start(
             "dist-cg", f"dist-cg(P={nranks})", part.n, nranks=nranks
         )
-    tracer = telemetry.tracer if telemetry is not None else None
 
     x = BlockVector.zeros(part)
     b_norm = float(np.sqrt(comm.allreduce(b_vec.dot_partials(b_vec))))
@@ -123,37 +123,20 @@ def distributed_cg(
         for _ in range(stop.budget(part.n)):
             if plan is not None:
                 plan.begin_iteration(iterations + 1)
-            if tracer is not None:
-                tracer.begin("matvec")
             ap = dist_a.matvec(p, comm)
-            if tracer is not None:
-                tracer.end("matvec")
-                tracer.begin("local_dot")
-            pap_parts = p.dot_partials(ap)
-            if tracer is not None:
-                tracer.end("local_dot")
-            # The allreduce stays outside solver spans: the comm layer
-            # emits its own allreduce_wait span as a sibling.
-            pap = float(comm.allreduce(pap_parts))
+            # The partials are a local_dot span, and the comm layer
+            # records the allreduce as a sibling allreduce_wait span.
+            pap = float(comm.allreduce(p.dot_partials(ap)))
             if pap <= 0 or not np.isfinite(pap):
                 reason = StopReason.BREAKDOWN
                 break
             lam = rr / pap
             lambdas.append(lam)
-            if tracer is not None:
-                tracer.begin("axpy")
             x.axpy_inplace(lam, p)
             r.axpy_inplace(-lam, ap)
-            if tracer is not None:
-                tracer.end("axpy")
             iterations += 1
             comm.advance_iteration()
-            if tracer is not None:
-                tracer.begin("local_dot")
-            rr_parts = r.dot_partials(r)
-            if tracer is not None:
-                tracer.end("local_dot")
-            rr_new = float(comm.allreduce(rr_parts))
+            rr_new = float(comm.allreduce(r.dot_partials(r)))
             res_norms.append(float(np.sqrt(max(rr_new, 0.0))))
             if telemetry is not None:
                 telemetry.iteration(iterations, res_norms[-1], lam=lam)
@@ -162,11 +145,7 @@ def distributed_cg(
                 break
             alpha = rr_new / rr
             alphas.append(alpha)
-            if tracer is not None:
-                tracer.begin("axpy")
             p.scale_add(alpha, r)
-            if tracer is not None:
-                tracer.end("axpy")
             rr = rr_new
 
     x_global = x.to_global()
@@ -365,7 +344,6 @@ def distributed_cgcg(
         telemetry.solve_start(
             "dist-cgcg", f"dist-cgcg(P={nranks})", part.n, nranks=nranks
         )
-    tracer = telemetry.tracer if telemetry is not None else None
 
     x = BlockVector.zeros(part)
     r = b_vec.copy()
@@ -405,30 +383,17 @@ def distributed_cgcg(
                 lam = rr / denom
                 alphas.append(beta)
             lambdas.append(lam)
-            if tracer is not None:
-                tracer.begin("axpy")
             p.scale_add(beta, r)
             s.scale_add(beta, w)
             x.axpy_inplace(lam, p)
             r.axpy_inplace(-lam, s)
-            if tracer is not None:
-                tracer.end("axpy")
             iterations += 1
             comm.advance_iteration()
-            if tracer is not None:
-                tracer.begin("matvec")
             w = dist_a.matvec(r, comm)
-            if tracer is not None:
-                tracer.end("matvec")
             rr_prev = rr
-            if tracer is not None:
-                tracer.begin("local_dot")
-            fused_parts = np.stack(
-                [r.dot_partials(r), r.dot_partials(w)], axis=1
+            fused = comm.allreduce(
+                np.stack([r.dot_partials(r), r.dot_partials(w)], axis=1)
             )
-            if tracer is not None:
-                tracer.end("local_dot")
-            fused = comm.allreduce(fused_parts)
             rr, rar = float(fused[0]), float(fused[1])
             res_norms.append(float(np.sqrt(max(rr, 0.0))))
             if telemetry is not None:
@@ -501,19 +466,14 @@ def distributed_sstep(
             s=s,
             nranks=nranks,
         )
-    tracer = telemetry.tracer if telemetry is not None else None
 
     def krylov_block(r: BlockVector) -> tuple[list[BlockVector], list[BlockVector]]:
-        if tracer is not None:
-            tracer.begin("matvec")
         k_blk = [r.copy()]
         ak_blk = []
         for i in range(s):
             ak_blk.append(dist_a.matvec(k_blk[i], comm))
             if i + 1 < s:
                 k_blk.append(ak_blk[i].copy())
-        if tracer is not None:
-            tracer.end("matvec")
         return k_blk, ak_blk
 
     x = BlockVector.zeros(part)
@@ -533,16 +493,12 @@ def distributed_sstep(
             if plan is not None:
                 plan.begin_iteration(cg_steps + 1)
             # phase 1: fused [W | g]
-            if tracer is not None:
-                tracer.begin("local_dot")
             cols = [
                 p_blk[i].dot_partials(ap_blk[j])
                 for i in range(s)
                 for j in range(s)
             ] + [p_blk[i].dot_partials(r) for i in range(s)]
             stacked = np.stack(cols, axis=1)
-            if tracer is not None:
-                tracer.end("local_dot")
             fused = comm.allreduce(stacked)
             w_mat = fused[: s * s].reshape(s, s)
             g_vec = fused[s * s :]
@@ -554,28 +510,20 @@ def distributed_sstep(
             if not np.all(np.isfinite(coeffs)):
                 reason = StopReason.BREAKDOWN
                 break
-            if tracer is not None:
-                tracer.begin("axpy")
             for i in range(s):
                 x.axpy_inplace(float(coeffs[i]), p_blk[i])
                 r.axpy_inplace(-float(coeffs[i]), ap_blk[i])
-            if tracer is not None:
-                tracer.end("axpy")
             cg_steps += s
             comm.advance_iteration()
 
             # phase 2: new basis from the NEW residual, fused [cross | rr]
             k_blk, ak_blk = krylov_block(r)
-            if tracer is not None:
-                tracer.begin("local_dot")
             cols = [
                 ap_blk[i].dot_partials(k_blk[j])
                 for i in range(s)
                 for j in range(s)
             ] + [r.dot_partials(r)]
             stacked = np.stack(cols, axis=1)
-            if tracer is not None:
-                tracer.end("local_dot")
             fused = comm.allreduce(stacked)
             cross = fused[: s * s].reshape(s, s)
             rr = float(fused[-1])
@@ -593,8 +541,6 @@ def distributed_sstep(
             except np.linalg.LinAlgError:
                 reason = StopReason.BREAKDOWN
                 break
-            if tracer is not None:
-                tracer.begin("axpy")
             new_p = []
             new_ap = []
             for j in range(s):
@@ -606,8 +552,6 @@ def distributed_sstep(
                 new_p.append(pj)
                 new_ap.append(apj)
             p_blk, ap_blk = new_p, new_ap
-            if tracer is not None:
-                tracer.end("axpy")
 
     x_global = x.to_global()
     true_res = float(np.linalg.norm(b - a.matvec(x_global)))
@@ -635,6 +579,7 @@ def distributed_sstep(
     return result, comm
 
 
+@traced("local_dot")
 def _window_partials(
     k: int, r_pows: list[BlockVector], p_pows: list[BlockVector]
 ) -> np.ndarray:
@@ -642,7 +587,8 @@ def _window_partials(
 
     Moment order i splits as ``(A^{i//2} u, A^{(i+1)//2} v)`` -- the same
     symmetric power splitting the sequential window uses -- and each
-    entry's partial is a rank-local block dot.
+    entry's partial is a rank-local block dot; the whole payload is one
+    ``local_dot`` span.
     """
     nranks = r_pows[0].partition.nblocks
     width = 6 * k + 6
@@ -756,23 +702,13 @@ def distributed_pipelined_vr(
     pending: dict[int, PendingReduction] = {}
 
     def launch(iteration: int) -> None:
-        # Partials are rank-local work (local_dot); the nonblocking
-        # collective itself stays outside solver spans -- the comm layer
-        # books its completion as an allreduce_wait span at wait() time.
-        if tracer is not None:
-            tracer.begin("local_dot")
-        partials = _window_partials(k, r_pows, p_pows)
-        if tracer is not None:
-            tracer.end("local_dot")
-        pending[iteration] = comm.iallreduce(partials)
+        # Partials are rank-local work (local_dot); the comm layer books
+        # the nonblocking collective's completion as an allreduce_wait
+        # span at wait() time.
+        pending[iteration] = comm.iallreduce(_window_partials(k, r_pows, p_pows))
 
     def front_partials() -> np.ndarray:
-        if tracer is not None:
-            tracer.begin("local_dot")
-        parts = _window_partials(k, r_pows, p_pows)
-        if tracer is not None:
-            tracer.end("local_dot")
-        return parts
+        return _window_partials(k, r_pows, p_pows)
 
     # iteration 0's front values: blocking (the startup serialization).
     # The first pipelined consume reads the launch from loop step 0, so
@@ -801,16 +737,12 @@ def distributed_pipelined_vr(
                 break
             lam = mu0 / sigma1
             lambdas.append(lam)
-            if tracer is not None:
-                tracer.begin("axpy")
             x.axpy_inplace(lam, p_pows[0])
             iterations += 1
 
             # vector pipeline (rank-local except the one matvec)
             for i in range(k + 2):
                 r_pows[i].axpy_inplace(-lam, p_pows[i + 1])
-            if tracer is not None:
-                tracer.end("axpy")
 
             target = step + 1
             recomputed = False
@@ -839,13 +771,9 @@ def distributed_pipelined_vr(
                     if telemetry is not None:
                         telemetry.recovery(iterations, "recompute", "comm_drop")
                 else:
-                    if tracer is not None:
-                        tracer.begin("recurrence")
                     mu0_next, _, sigma1_pipe = pipeline.consume(
                         target, lam, state, mu0
                     )
-                    if tracer is not None:
-                        tracer.end("recurrence")
             res_norms.append(float(np.sqrt(max(mu0_next, 0.0))))
             if telemetry is not None:
                 telemetry.iteration(
@@ -859,16 +787,9 @@ def distributed_pipelined_vr(
                 break
             alpha = mu0_next / mu0
             alphas.append(alpha)
-            if tracer is not None:
-                tracer.begin("axpy")
             for i in range(k + 2):
                 p_pows[i].scale_add(alpha, r_pows[i])
-            if tracer is not None:
-                tracer.end("axpy")
-                tracer.begin("matvec")
             p_pows[k + 2] = dist_a.matvec(p_pows[k + 1], comm)
-            if tracer is not None:
-                tracer.end("matvec")
 
             if target <= k or recomputed:
                 front = comm.allreduce(front_partials())
@@ -876,12 +797,8 @@ def distributed_pipelined_vr(
             else:
                 sigma1_next = sigma1_pipe
             launch(target)
-            if tracer is not None:
-                tracer.begin("recurrence")
             pipeline.push_step(target, lam, alpha)
             pipeline.open_target(target + k)
-            if tracer is not None:
-                tracer.end("recurrence")
             comm.advance_iteration()
             mu0, sigma1 = mu0_next, sigma1_next
 

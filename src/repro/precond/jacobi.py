@@ -40,13 +40,19 @@ class JacobiPrecond:
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """``M⁻¹ r = r / diag(A)`` (elementwise; depth 1)."""
-        add_axpy(self._d.size, flops_per_entry=1)
-        return np.asarray(r, dtype=np.float64) / self._d
+        tracer = add_axpy(self._d.size, flops_per_entry=1)
+        z = np.asarray(r, dtype=np.float64) / self._d
+        if tracer is not None:
+            tracer.end("axpy")
+        return z
 
     def solve_factor(self, v: np.ndarray) -> np.ndarray:
         """``E⁻¹ v = v / sqrt(diag(A))``."""
-        add_axpy(self._d.size, flops_per_entry=1)
-        return np.asarray(v, dtype=np.float64) / self._sqrt_d
+        tracer = add_axpy(self._d.size, flops_per_entry=1)
+        z = np.asarray(v, dtype=np.float64) / self._sqrt_d
+        if tracer is not None:
+            tracer.end("axpy")
+        return z
 
     def solve_factor_t(self, v: np.ndarray) -> np.ndarray:
         """``E⁻ᵀ v = v / sqrt(diag(A))`` (E is symmetric)."""

@@ -89,15 +89,19 @@ class ChebyshevPolyPrecond:
         theta, delta = self._theta, self._delta
         sigma1 = theta / delta
         rho = 1.0 / sigma1
+        tracer = add_axpy(r.size, flops_per_entry=2)
         d = r / theta
         z = d.copy()
-        add_axpy(r.size, flops_per_entry=2)
+        if tracer is not None:
+            tracer.end("axpy")
         for _ in range(1, self._degree):
             rho_next = 1.0 / (2.0 * sigma1 - rho)
             resid = r - self._op.matvec(z)
+            tracer = add_axpy(r.size, flops_per_entry=6)
             d = rho_next * rho * d + (2.0 * rho_next / delta) * resid
             z += d
-            add_axpy(r.size, flops_per_entry=6)
+            if tracer is not None:
+                tracer.end("axpy")
             rho = rho_next
         return z
 

@@ -69,13 +69,18 @@ class SSORPrecond:
     def solve_factor(self, v: np.ndarray) -> np.ndarray:
         """``E⁻¹ v = sqrt(ω(2-ω)) · D^{1/2} · (D + ωL)⁻¹ v``."""
         y = solve_lower(self._lower, np.asarray(v, dtype=np.float64))
-        add_axpy(y.size, flops_per_entry=2)
-        return (y * self._sqrt_d) / self._scale
+        tracer = add_axpy(y.size, flops_per_entry=2)
+        z = (y * self._sqrt_d) / self._scale
+        if tracer is not None:
+            tracer.end("axpy")
+        return z
 
     def solve_factor_t(self, v: np.ndarray) -> np.ndarray:
         """``E⁻ᵀ v = sqrt(ω(2-ω)) · (D + ωLᵀ)⁻¹ · D^{1/2} v``."""
-        add_axpy(v.size, flops_per_entry=2)
+        tracer = add_axpy(v.size, flops_per_entry=2)
         y = (np.asarray(v, dtype=np.float64) * self._sqrt_d) / self._scale
+        if tracer is not None:
+            tracer.end("axpy")
         return solve_upper(self._upper, y)
 
     def apply(self, r: np.ndarray) -> np.ndarray:

@@ -145,34 +145,39 @@ class CSRMatrix:
             if out is x:
                 raise ValueError("out must not alias x")
             check_out_array(out, (self.nrows,))
-        add_matvec(self.nnz, self.nrows)
+        tracer = add_matvec(self.nnz, self.nrows)
         y = out if out is not None else np.empty(self.nrows, dtype=np.float64)
         if self.nnz == 0:
             y[:] = 0.0
-            return y
-        gather = _gather_buffer(work, "csr_gather", (self.nnz,))
-        if gather is not None:
-            # mode="clip" lets np.take write straight into the buffer;
-            # the default mode="raise" stages through a fresh temporary.
-            # Indices were range-checked at construction, so clipping
-            # never actually fires.
-            np.take(x, self.indices, out=gather, mode="clip")
-            np.multiply(gather, self.data, out=gather)
-            products = gather
         else:
-            products = self.data * x[self.indices]
+            gather = _gather_buffer(work, "csr_gather", (self.nnz,))
+            if gather is not None:
+                # mode="clip" lets np.take write straight into the buffer;
+                # the default mode="raise" stages through a fresh
+                # temporary.  Indices were range-checked at construction,
+                # so clipping never actually fires.
+                np.take(x, self.indices, out=gather, mode="clip")
+                np.multiply(gather, self.data, out=gather)
+                products = gather
+            else:
+                products = self.data * x[self.indices]
+            self._sum_rows(products, y)
+        if tracer is not None:
+            tracer.end("matvec")
+        return y
+
+    def _sum_rows(self, products: np.ndarray, y: np.ndarray) -> None:
+        """Write each row's segment sum of ``products`` (leading axis) to ``y``."""
         starts, all_rows_nonempty = self.row_structure()
         if all_rows_nonempty:
-            np.add.reduceat(products, starts, out=y)
+            np.add.reduceat(products, starts, axis=0, out=y)
         else:
             # Empty rows would make the start list non-monotonic; take
             # the generic (allocating) path -- structurally rare.
             y[:] = 0.0
             nonempty = np.diff(self.indptr) > 0
             if np.any(nonempty):
-                sums = np.add.reduceat(products, starts[nonempty])
-                y[nonempty] = sums
-        return y
+                y[nonempty] = np.add.reduceat(products, starts[nonempty], axis=0)
 
     def matmat(
         self,
@@ -201,27 +206,21 @@ class CSRMatrix:
             if out is x:
                 raise ValueError("out must not alias x")
             check_out_array(out, (self.nrows, m))
-        add_matmat(self.nnz, self.nrows, m)
+        tracer = add_matmat(self.nnz, self.nrows, m)
         y = out if out is not None else np.empty((self.nrows, m), dtype=np.float64)
         if self.nnz == 0 or m == 0:
             y[:] = 0.0
-            return y
-        gather = _gather_buffer(work, "csr_gather_block", (self.nnz, m))
-        if gather is not None:
-            np.take(x, self.indices, axis=0, out=gather, mode="clip")
-            np.multiply(gather, self.data[:, None], out=gather)
-            products = gather
         else:
-            products = self.data[:, None] * x[self.indices, :]
-        starts, all_rows_nonempty = self.row_structure()
-        if all_rows_nonempty:
-            np.add.reduceat(products, starts, axis=0, out=y)
-        else:
-            y[:] = 0.0
-            nonempty = np.diff(self.indptr) > 0
-            if np.any(nonempty):
-                sums = np.add.reduceat(products, starts[nonempty], axis=0)
-                y[nonempty] = sums
+            gather = _gather_buffer(work, "csr_gather_block", (self.nnz, m))
+            if gather is not None:
+                np.take(x, self.indices, axis=0, out=gather, mode="clip")
+                np.multiply(gather, self.data[:, None], out=gather)
+                products = gather
+            else:
+                products = self.data[:, None] * x[self.indices, :]
+            self._sum_rows(products, y)
+        if tracer is not None:
+            tracer.end("matvec")
         return y
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
@@ -232,10 +231,12 @@ class CSRMatrix:
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.nrows,):
             raise ValueError(f"y must have shape ({self.nrows},), got {y.shape}")
-        add_matvec(self.nnz, self.ncols)
+        tracer = add_matvec(self.nnz, self.ncols)
         x = np.zeros(self.ncols, dtype=np.float64)
         row_of = np.repeat(np.arange(self.nrows), np.diff(self.indptr))
         np.add.at(x, self.indices, self.data * y[row_of])
+        if tracer is not None:
+            tracer.end("matvec")
         return x
 
     # ------------------------------------------------------------------

@@ -82,18 +82,20 @@ class ELLMatrix:
             if out is x:
                 raise ValueError("out must not alias x")
             check_out_array(out, (self.nrows,))
-        add_matvec(self.nnz, self.nrows)
+        tracer = add_matvec(self.nnz, self.nrows)
         if self.width == 0:
-            if out is None:
-                return np.zeros(self.nrows, dtype=np.float64)
-            out[:] = 0.0
-            return out
-        gather = _gather_buffer(work, "ell_gather", (self.nrows, self.width))
-        if gather is not None:
-            np.take(x, self.col_plane, out=gather, mode="clip")
+            y = out if out is not None else np.empty(self.nrows)
+            y[:] = 0.0
         else:
-            gather = x[self.col_plane]
-        return np.einsum("rw,rw->r", self.val_plane, gather, out=out)
+            gather = _gather_buffer(work, "ell_gather", (self.nrows, self.width))
+            if gather is not None:
+                np.take(x, self.col_plane, out=gather, mode="clip")
+            else:
+                gather = x[self.col_plane]
+            y = np.einsum("rw,rw->r", self.val_plane, gather, out=out)
+        if tracer is not None:
+            tracer.end("matvec")
+        return y
 
     def matmat(self, x: np.ndarray, out: np.ndarray | None = None, work=None) -> np.ndarray:
         """Compute ``A @ X`` for an ``(ncols, m)`` column block.
@@ -114,19 +116,22 @@ class ELLMatrix:
             if out is x:
                 raise ValueError("out must not alias x")
             check_out_array(out, (self.nrows, m))
-        add_matmat(self.nnz, self.nrows, m)
+        tracer = add_matmat(self.nnz, self.nrows, m)
         if self.width == 0 or m == 0:
             y = out if out is not None else np.empty((self.nrows, m))
             y[:] = 0.0
-            return y
-        gather = _gather_buffer(
-            work, "ell_gather_block", (self.nrows, self.width, m)
-        )
-        if gather is not None:
-            np.take(x, self.col_plane, axis=0, out=gather, mode="clip")
         else:
-            gather = x[self.col_plane]
-        return np.einsum("rw,rwm->rm", self.val_plane, gather, out=out)
+            gather = _gather_buffer(
+                work, "ell_gather_block", (self.nrows, self.width, m)
+            )
+            if gather is not None:
+                np.take(x, self.col_plane, axis=0, out=gather, mode="clip")
+            else:
+                gather = x[self.col_plane]
+            y = np.einsum("rw,rwm->rm", self.val_plane, gather, out=out)
+        if tracer is not None:
+            tracer.end("matvec")
+        return y
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)

@@ -144,10 +144,11 @@ class CallableOperator:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Apply the wrapped function (booking one matvec when counted)."""
-        if self._counted:
-            add_matvec(self._nnz, self._n)
-        y = self._fn(np.asarray(x, dtype=self._dtype))
-        return np.asarray(y, dtype=self._dtype)
+        tracer = add_matvec(self._nnz, self._n) if self._counted else None
+        y = np.asarray(self._fn(np.asarray(x, dtype=self._dtype)), dtype=self._dtype)
+        if tracer is not None:
+            tracer.end("matvec")
+        return y
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)
@@ -195,12 +196,12 @@ class DenseOperator:
         the product allocation-free.
         """
         n = self._a.shape[0]
-        add_matvec(n * n, n)
         x = np.asarray(x)
         if not np.iscomplexobj(x) and not np.iscomplexobj(self._a):
             x = np.asarray(x, dtype=np.float64)
         if out is not None and out is x:
             raise ValueError("out must not alias x")
+        tracer = add_matvec(n * n, n)
         # inf * 0 and nan propagation inside the BLAS product would leak
         # RuntimeWarnings to stderr; the finiteness check below is the
         # diagnosis, so the elementwise warnings carry no extra signal.
@@ -210,6 +211,8 @@ class DenseOperator:
             else:
                 np.matmul(self._a, x, out=out)
                 y = out
+        if tracer is not None:
+            tracer.end("matvec")
         self._diagnose_nonfinite(y, x)
         return y
 
@@ -240,13 +243,15 @@ class DenseOperator:
         if not np.iscomplexobj(x) and not np.iscomplexobj(self._a):
             x = np.asarray(x, dtype=np.float64)
         n = self._a.shape[0]
-        add_matmat(n * n, n, x.shape[1])
+        tracer = add_matmat(n * n, n, x.shape[1])
         with np.errstate(invalid="ignore", over="ignore"):
             if out is None:
                 y = self._a @ x
             else:
                 np.matmul(self._a, x, out=out)
                 y = out
+        if tracer is not None:
+            tracer.end("matvec")
         self._diagnose_nonfinite(y, x)
         return y
 

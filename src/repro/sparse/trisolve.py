@@ -40,7 +40,7 @@ def solve_lower(a: CSRMatrix, b: np.ndarray, *, unit_diagonal: bool = False) -> 
     b = _validate(a, b)
     x = b.copy()
     indptr, indices, data = a.indptr, a.indices, a.data
-    add_matvec(a.nnz, a.nrows)  # flop count of a substitution ~ one matvec
+    tracer = add_matvec(a.nnz, a.nrows)  # a substitution costs ~ one matvec
     for i in range(a.nrows):
         start, end = indptr[i], indptr[i + 1]
         cols = indices[start:end]
@@ -57,6 +57,8 @@ def solve_lower(a: CSRMatrix, b: np.ndarray, *, unit_diagonal: bool = False) -> 
             if diag is None or diag == 0.0:
                 raise ZeroDivisionError(f"zero diagonal at row {i}")
             x[i] /= diag
+    if tracer is not None:
+        tracer.end("matvec")
     return x
 
 
@@ -65,7 +67,7 @@ def solve_upper(a: CSRMatrix, b: np.ndarray, *, unit_diagonal: bool = False) -> 
     b = _validate(a, b)
     x = b.copy()
     indptr, indices, data = a.indptr, a.indices, a.data
-    add_matvec(a.nnz, a.nrows)
+    tracer = add_matvec(a.nnz, a.nrows)
     for i in range(a.nrows - 1, -1, -1):
         start, end = indptr[i], indptr[i + 1]
         cols = indices[start:end]
@@ -82,4 +84,6 @@ def solve_upper(a: CSRMatrix, b: np.ndarray, *, unit_diagonal: bool = False) -> 
             if diag is None or diag == 0.0:
                 raise ZeroDivisionError(f"zero diagonal at row {i}")
             x[i] /= diag
+    if tracer is not None:
+        tracer.end("matvec")
     return x

@@ -29,7 +29,9 @@ Design constraints, in order:
 A `Telemetry` instance also opens a :mod:`repro.util.counters` scope for
 the duration of each solve, so the stream ends with a
 :class:`CountersEvent` carrying the SpMV/dot/axpy/flop/byte totals
-without the caller wrapping anything in ``counting()``.
+without the caller wrapping anything in ``counting()``.  The same bracket
+makes its tracer the thread's active one, so the kernels that book those
+totals also record their phase spans.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from repro.telemetry.events import (
     TelemetryEvent,
 )
 from repro.telemetry.sinks import MemorySink, Sink
-from repro.util.counters import OpCounts, pop_scope, push_scope
+from repro.util.counters import OpCounts, pop_scope, push_scope, swap_tracer
 
 __all__ = ["Telemetry"]
 
@@ -68,11 +70,14 @@ __all__ = ["Telemetry"]
 class _ActiveSolve:
     """Book-keeping for one open solve bracket (they may nest)."""
 
-    __slots__ = ("counter", "started_at")
+    __slots__ = ("counter", "started_at", "outer_tracer")
 
-    def __init__(self, counter: OpCounts | None, started_at: float) -> None:
+    def __init__(
+        self, counter: OpCounts | None, started_at: float, outer_tracer: Any
+    ) -> None:
         self.counter = counter
         self.started_at = started_at
+        self.outer_tracer = outer_tracer
 
 
 class Telemetry:
@@ -99,8 +104,10 @@ class Telemetry:
         Optional :class:`repro.trace.Tracer`.  When attached, solve
         brackets open/close ``solve`` spans, :meth:`iteration` drops
         iteration marks, and :meth:`phase` records spans alongside its
-        :class:`PhaseEvent` -- see :mod:`repro.trace.spans`.  Solvers
-        read :attr:`tracer` directly for their per-phase spans.
+        :class:`PhaseEvent` -- see :mod:`repro.trace.spans`.  While a
+        solve bracket is open the tracer is the thread's active one
+        (:func:`repro.util.counters.swap_tracer`): the calls that book
+        operation counts record the per-phase spans.
     health:
         Optional :class:`repro.trace.health.HealthMonitor`.  When
         attached, the session feeds it from the solve bracket, iteration
@@ -218,7 +225,8 @@ class Telemetry:
     def solve_start(self, method: str, label: str, n: int, **options: Any) -> None:
         """Open a solve bracket (emits :class:`SolveStartEvent`)."""
         counter = push_scope() if self.count_ops else None
-        self._active.append(_ActiveSolve(counter, time.perf_counter()))
+        outer = swap_tracer(self.tracer)
+        self._active.append(_ActiveSolve(counter, time.perf_counter(), outer))
         if self.tracer is not None:
             self.tracer.begin("solve")
             self.tracer.annotate(method=method, label=label, n=n)
@@ -401,6 +409,7 @@ class Telemetry:
         if self._active:
             active = self._active.pop()
             seconds = time.perf_counter() - active.started_at
+            swap_tracer(active.outer_tracer)
             if active.counter is not None:
                 self.emit(CountersEvent(counts=pop_scope(active.counter).snapshot()))
         if self.health is not None:
@@ -432,14 +441,16 @@ class Telemetry:
 
         The front door calls this when a solver raises mid-solve: each
         abandoned bracket pops its counting scope (so the global counter
-        stack is balanced for the next solve), closes its tracer span,
-        and the sinks are flushed so a :class:`JsonlSink` keeps every
-        event emitted before the failure.  No solve-end event is emitted
-        -- the stream honestly ends where the solver died.
+        stack is balanced for the next solve), restores the thread's
+        outer tracer and closes its tracer span; then the sinks are
+        flushed so a :class:`JsonlSink` keeps every event emitted before
+        the failure.  No solve-end event is emitted -- the stream
+        honestly ends where the solver died.
         """
         unwound = len(self._active) > max(depth, 0)
         while len(self._active) > max(depth, 0):
             active = self._active.pop()
+            swap_tracer(active.outer_tracer)
             if active.counter is not None:
                 pop_scope(active.counter)
             if self.tracer is not None:

@@ -330,6 +330,35 @@ def _labelstr(labels: dict[str, str], **extra: str) -> str:
     return "{" + body + "}"
 
 
+class _SolveState:
+    """One thread's in-flight solve: its method label, the time of its
+    last iteration event, and the cached instruments its iterations feed."""
+
+    __slots__ = ("method", "last_ts", "iters", "latency", "residual")
+
+    def __init__(self, registry: MetricsRegistry, method: str, last_ts: float) -> None:
+        self.method = method
+        self.last_ts = last_ts
+        self.iters = registry.counter(
+            "repro_iterations_total", "Solver iterations completed", method=method
+        )
+        self.latency = registry.histogram(
+            "repro_iteration_seconds", "Wall time between iteration events",
+            method=method,
+        )
+        self.residual = registry.gauge(
+            "repro_residual_norm", "Last reported residual norm", method=method
+        )
+
+
+class _ThreadSolves(threading.local):
+    """Per-thread :class:`_SolveState`, ``method="unknown"`` until a
+    solve starts on the thread."""
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self.solve = _SolveState(registry, "unknown", 0.0)
+
+
 class MetricsSink:
     """Telemetry sink deriving registry metrics from the event stream.
 
@@ -359,51 +388,29 @@ class MetricsSink:
 
     The per-iteration path is kept flat (cached instruments, single
     ``kind`` string compare) because it runs inside the solver hot loop.
+    The per-solve state is thread-local: the serve layer's worker pool
+    runs concurrent solves through one sink, and each thread's events
+    must land under its own solve's method label.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._method = "unknown"
-        self._last_ts = 0.0
-        self._iters = self.registry.counter(
-            "repro_iterations_total", "Solver iterations completed", method="unknown"
-        )
-        self._latency = self.registry.histogram(
-            "repro_iteration_seconds", "Wall time between iteration events",
-            method="unknown",
-        )
-        self._residual = self.registry.gauge(
-            "repro_residual_norm", "Last reported residual norm", method="unknown"
-        )
-
-    def _rebind(self, method: str) -> None:
-        reg = self.registry
-        self._method = method
-        self._iters = reg.counter(
-            "repro_iterations_total", "Solver iterations completed", method=method
-        )
-        self._latency = reg.histogram(
-            "repro_iteration_seconds", "Wall time between iteration events",
-            method=method,
-        )
-        self._residual = reg.gauge(
-            "repro_residual_norm", "Last reported residual norm", method=method
-        )
+        self._solves = _ThreadSolves(self.registry)
 
     def emit(self, event: Any) -> None:
         kind = event.kind
         if kind == "iteration":
+            solve = self._solves.solve
             now = time.perf_counter()
-            self._iters.inc()
-            self._latency.observe(now - self._last_ts)
-            self._last_ts = now
-            self._residual.set(event.residual_norm)
+            solve.iters.inc()
+            solve.latency.observe(now - solve.last_ts)
+            solve.last_ts = now
+            solve.residual.set(event.residual_norm)
             return
         reg = self.registry
-        method = self._method
+        method = self._solves.solve.method
         if kind == "solve_start":
-            self._rebind(event.method)
-            self._last_ts = time.perf_counter()
+            self._solves.solve = _SolveState(reg, event.method, time.perf_counter())
         elif kind == "drift":
             reg.histogram(
                 "repro_drift", "Recurred vs direct (r,r) relative gap", method=method

@@ -361,8 +361,6 @@ def profile_solve(
 
     sync_blocked = sync_depth_per_iter * level_seconds * iterations
     compute = sum(p.seconds for p in phases if p.name != "allreduce_wait")
-    if compute <= 0.0:
-        compute = solve_span.seconds
     denom = sync_blocked + compute
     return ProfileReport(
         method=method,

@@ -9,7 +9,7 @@ compared on equal terms (see :mod:`repro.trace.profile`).
 
 Span vocabulary
 ---------------
-Solvers open spans from a closed phase vocabulary::
+Spans come from a closed phase vocabulary::
 
     solve                     one per front-door solve bracket
       startup                 residual/power-block initialisation
@@ -20,6 +20,14 @@ Solvers open spans from a closed phase vocabulary::
         recurrence            moment-window scalar recurrences
         axpy                  vector updates
         precond               preconditioner applications
+
+Solvers open only ``startup``.  The phase spans are recorded where the
+work is booked: the :mod:`repro.util.counters` calls that count a dot,
+vector update or matvec open its span on the solve's tracer, and the
+recurrences and collectives record theirs from the same thread-local
+(:func:`~repro.util.counters.traced`,
+:func:`~repro.util.counters.record_instant`).  Every registry method
+therefore gets phase spans with no per-solver code.
 
 The hot path records **flat tuples**, not objects: ``begin``/``end``
 append ``("B"/"E", name, perf_counter())`` to a list, which is the only
@@ -37,7 +45,7 @@ is interleaved with iteration ``n``).  Instead
 :func:`build_spans` synthesizes one ``iteration`` span per mark,
 adopting the phase spans recorded since the previous mark.  Phase spans
 within an iteration are therefore non-overlapping by construction
-(solvers never nest them) and the sum of phase times is bounded by the
+(phase spans never nest) and the sum of phase times is bounded by the
 iteration span -- the invariants ``tests/trace/test_span_properties.py``
 pins across every registry method.
 """
@@ -52,9 +60,9 @@ from typing import Any, Iterator
 
 __all__ = ["PHASE_NAMES", "Span", "Tracer", "build_spans"]
 
-#: The leaf phases solvers may open inside a solve bracket.  Only these
-#: names are adopted into synthesized ``iteration`` spans; anything else
-#: (e.g. ``startup``) stays a direct child of ``solve``.
+#: The leaf phases recorded inside a solve bracket.  Only these names
+#: are adopted into synthesized ``iteration`` spans; anything else (e.g.
+#: ``startup``) stays a direct child of ``solve``.
 PHASE_NAMES = frozenset(
     {"matvec", "local_dot", "allreduce_wait", "recurrence", "axpy", "precond"}
 )
@@ -308,23 +316,25 @@ def _group_iterations(span: Span, marks: dict[int, list[tuple[int, float]]]) -> 
     if not mlist:
         return
     mark_times = [t for _, t in mlist]
-    # Phase children are assigned to the first iteration whose mark time
-    # is >= their start; phases recorded after the last mark (trailing
-    # drift checks, next-direction work of an exhausted budget) remain
-    # direct children of the solve span.
-    assigned: list[list[Span]] = [[] for _ in mlist]
-    keep: list[Span] = []
+    # A non-phase child (startup) that finished before the first mark
+    # pushes the first iteration's left boundary right.
     first_bound = span.start
     for child in span.children:
-        if child.name in PHASE_NAMES:
+        if child.name not in PHASE_NAMES and first_bound < child.end <= mark_times[0]:
+            first_bound = child.end
+    # Phase children are assigned to the first iteration whose mark time
+    # is >= their start.  Phases recorded before that boundary (setup
+    # work ahead of startup) or after the last mark (trailing drift
+    # checks, next-direction work of an exhausted budget) remain direct
+    # children of the solve span.
+    assigned: list[list[Span]] = [[] for _ in mlist]
+    keep: list[Span] = []
+    for child in span.children:
+        if child.name in PHASE_NAMES and child.start >= first_bound:
             idx = bisect.bisect_left(mark_times, child.start)
             if idx < len(mark_times):
                 assigned[idx].append(child)
                 continue
-        elif first_bound < child.end <= mark_times[0]:
-            # A non-phase child (startup) that finished before the first
-            # mark pushes the first iteration's left boundary right.
-            first_bound = child.end
         keep.append(child)
     prev = first_bound
     for (iteration, mark_t), kids in zip(mlist, assigned):

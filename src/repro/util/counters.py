@@ -14,14 +14,23 @@ measurements (e.g. a benchmark around a solver around a preconditioner) do
 not double-book: each ``with counting() as c:`` block gets a fresh counter
 pushed onto a thread-local stack, and *all* counters on the stack are
 incremented, so an outer scope still sees work done inside inner scopes.
+
+The same thread-local carries the solve's span tracer (set by
+:class:`repro.telemetry.Telemetry`'s solve brackets), so each booking
+also opens its phase span -- ``local_dot``, ``axpy`` or ``matvec`` --
+and returns the tracer (``None`` when untraced) for the booking site to
+end the span when its arithmetic is done.  Work that is not one booking
+records its span with :func:`traced` or :func:`record_instant`.  Phase
+spans never nest.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 __all__ = [
     "OpCounts",
@@ -30,6 +39,9 @@ __all__ = [
     "reset_counts",
     "push_scope",
     "pop_scope",
+    "swap_tracer",
+    "traced",
+    "record_instant",
     "add_dot",
     "add_block_dot",
     "add_axpy",
@@ -146,6 +158,9 @@ class OpCounts:
 class _CounterStack(threading.local):
     def __init__(self) -> None:
         self.stack: list[OpCounts] = []
+        #: Tracer the bookings open phase spans on; ``None`` when the
+        #: solve is untraced or a :func:`traced` span is already open.
+        self.tracer: Any = None
 
 
 _STACK = _CounterStack()
@@ -196,51 +211,93 @@ def current_counts() -> OpCounts | None:
 
 
 def reset_counts() -> None:
-    """Drop every active counting scope (test isolation helper)."""
+    """Drop every counting scope and the tracer (test isolation helper)."""
     _STACK.stack.clear()
+    _STACK.tracer = None
 
 
-def _each() -> list[OpCounts]:
-    return _STACK.stack
+def swap_tracer(tracer: Any) -> Any:
+    """Make ``tracer`` the one this thread's bookings record spans on.
+
+    Returns the previous tracer; a solve bracket passes it back here when
+    it closes, so nested solves restore the outer solve's tracer.
+    """
+    previous = _STACK.tracer
+    _STACK.tracer = tracer
+    return previous
+
+
+def record_instant(phase: str, **attrs: Any) -> None:
+    """Record a zero-width ``phase`` span carrying ``attrs``, if traced.
+
+    For events with no wall time of their own: the simulated
+    communicator's collectives, whose cost is in the attributes.
+    """
+    tracer = _STACK.tracer
+    if tracer is not None:
+        tracer.begin(phase)
+        tracer.annotate(**attrs)
+        tracer.end(phase)
+
+
+def traced(phase: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
+    """Decorate a function whose whole call is one ``phase`` span.
+
+    For work that is not a single booking: the moment recurrences, the
+    rank-parallel arithmetic of the distributed vectors, a fused batch
+    of dots.  Bookings inside the call still count but open no spans of
+    their own, so phase spans never nest.
+    """
+
+    def decorate(fn: Callable[..., Any]) -> Callable[..., Any]:
+        @functools.wraps(fn)
+        def wrapper(*args: Any, **kwargs: Any) -> Any:
+            local = _STACK
+            tracer = local.tracer
+            if tracer is None:
+                return fn(*args, **kwargs)
+            tracer.begin(phase)
+            local.tracer = None
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                local.tracer = tracer
+                tracer.end(phase)
+
+        return wrapper
+
+    return decorate
 
 
 # The add_* functions below run on every kernel invocation of every
 # solver, inside or outside a counting scope, so they are written for the
-# fast path: bail out on an empty stack before any arithmetic, and hoist
-# the per-op quantities out of the (almost always length-1) scope loop.
+# fast path: one thread-local read for the tracer, bail out on an empty
+# stack before any arithmetic, and hoist the per-op quantities out of the
+# (almost always length-1) scope loop.  The span-opening ones return the
+# tracer (or ``None``); the caller ends the span, named below, after its
+# arithmetic.
+
+_DOT_SPAN = "local_dot"
+_AXPY_SPAN = "axpy"
+_MATVEC_SPAN = "matvec"
 
 
-def add_dot(n: int, label: str | None = None) -> None:
-    """Book one direct inner product over length-``n`` vectors.
+def add_dot(n: int, label: str | None = None, m: int = 1) -> Any:
+    """Book ``m`` inner products over length-``n`` vectors in ONE
+    reduction launch (the ``log N`` fan-in tree the paper is about).
 
-    A direct dot is also one reduction launch (the ``log N`` fan-in tree
-    the paper is about), so it books into ``reductions`` too.
+    With ``m > 1`` this is the batched multi-RHS accounting: ``m``
+    length-``n`` dots whose fan-in tree starts once with an ``m``-word
+    payload -- ``reductions`` grows by 1, not ``m``, which is exactly
+    the amortization the block solvers claim.  Opens a ``local_dot``
+    span.
     """
+    tracer = _STACK.tracer
+    if tracer is not None:
+        tracer.begin(_DOT_SPAN)
     stack = _STACK.stack
     if not stack:
-        return
-    flops = max(2 * n - 1, 0)
-    words = 2 * n
-    for c in stack:
-        c.dots += 1
-        c.dot_flops += flops
-        c.reductions += 1
-        c.words_moved += words
-        if label is not None:
-            c.book_label(label)
-
-
-def add_block_dot(n: int, m: int, label: str | None = None) -> None:
-    """Book ``m`` column inner products fused into ONE reduction launch.
-
-    This is the batched multi-RHS accounting: the arithmetic is ``m``
-    length-``n`` dots, but the fan-in tree is started once with an
-    ``m``-word payload -- ``reductions`` grows by 1, not ``m``, which is
-    exactly the amortization the block solvers claim.
-    """
-    stack = _STACK.stack
-    if not stack:
-        return
+        return tracer
     flops = max(2 * n - 1, 0) * m
     words = 2 * n * m
     for c in stack:
@@ -250,47 +307,47 @@ def add_block_dot(n: int, m: int, label: str | None = None) -> None:
         c.words_moved += words
         if label is not None:
             c.book_label(label)
+    return tracer
 
 
-def add_axpy(n: int, flops_per_entry: int = 2) -> None:
-    """Book one vector-update kernel over length-``n`` vectors."""
+def add_block_dot(n: int, m: int, label: str | None = None) -> Any:
+    """Book ``m`` column inner products fused into one reduction launch."""
+    return add_dot(n, label, m)
+
+
+def add_axpy(n: int, flops_per_entry: int = 2) -> Any:
+    """Book one vector-update kernel over length-``n`` vectors (opens an
+    ``axpy`` span)."""
+    tracer = _STACK.tracer
+    if tracer is not None:
+        tracer.begin(_AXPY_SPAN)
     stack = _STACK.stack
     if not stack:
-        return
+        return tracer
     flops = flops_per_entry * n
     words = 3 * n
     for c in stack:
         c.axpys += 1
         c.axpy_flops += flops
         c.words_moved += words
+    return tracer
 
 
-def add_matvec(nnz: int, nrows: int, label: str | None = None) -> None:
-    """Book one sparse matrix--vector product with ``nnz`` nonzeros."""
-    stack = _STACK.stack
-    if not stack:
-        return
-    flops = max(2 * nnz - nrows, 0)
-    words = 2 * nnz + 2 * nrows
-    for c in stack:
-        c.matvecs += 1
-        c.matvec_flops += flops
-        c.words_moved += words
-        if label is not None:
-            c.book_label(label)
+def add_matvec(nnz: int, nrows: int, label: str | None = None, m: int = 1) -> Any:
+    """Book one sparse matrix--vector product with ``nnz`` nonzeros.
 
-
-def add_matmat(nnz: int, nrows: int, m: int, label: str | None = None) -> None:
-    """Book one sparse matrix--block product ``A @ X`` with ``m`` columns.
-
-    Flops are ``m`` matvecs' worth, but the matrix is streamed through
-    memory ONCE for all columns -- the operator-reuse win of block
-    solving (``2·nnz`` matrix words + ``2·nrows·m`` vector words instead
-    of ``m``-fold matrix traffic).
+    With ``m > 1``, one matrix--block product ``A @ X``: ``m`` matvecs'
+    flops, but the matrix is streamed through memory ONCE for all
+    columns -- the operator-reuse win of block solving (``2·nnz`` matrix
+    words + ``2·nrows·m`` vector words instead of ``m``-fold matrix
+    traffic).  Opens a ``matvec`` span.
     """
+    tracer = _STACK.tracer
+    if tracer is not None:
+        tracer.begin(_MATVEC_SPAN)
     stack = _STACK.stack
     if not stack:
-        return
+        return tracer
     flops = max(2 * nnz - nrows, 0) * m
     words = 2 * nnz + 2 * nrows * m
     for c in stack:
@@ -299,6 +356,12 @@ def add_matmat(nnz: int, nrows: int, m: int, label: str | None = None) -> None:
         c.words_moved += words
         if label is not None:
             c.book_label(label)
+    return tracer
+
+
+def add_matmat(nnz: int, nrows: int, m: int, label: str | None = None) -> Any:
+    """Book one sparse matrix--block product ``A @ X`` with ``m`` columns."""
+    return add_matvec(nnz, nrows, label, m)
 
 
 def add_scalar_flops(flops: int) -> None:

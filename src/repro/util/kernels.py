@@ -8,7 +8,9 @@ vectorized numpy call -- but each books exactly one entry on the ambient
 :mod:`repro.util.counters` scope per call, which is what lets the
 work-accounting experiments *measure* the paper's Section 6 claims (one
 matvec and two direct inner products per iteration, unchanged sequential
-complexity) instead of trusting them.
+complexity) instead of trusting them.  The booking also opens the call's
+``local_dot`` / ``axpy`` phase span on a traced solve; the kernel ends it
+when its arithmetic is done.
 
 Following the HPC guide idioms, the update kernels offer ``out=`` and
 ``work=`` arguments so steady-state solver loops allocate nothing per
@@ -60,18 +62,19 @@ def dot(x: np.ndarray, y: np.ndarray, *, label: str | None = None) -> float:
         Rosendale solver tags its two per-iteration direct products with
         ``"direct_dot"`` so experiment E5 can count exactly those.
     """
-    add_dot(x.shape[0], label=label)
+    tracer = add_dot(x.shape[0], label=label)
     if np.iscomplexobj(x) or np.iscomplexobj(y):
-        return float(np.vdot(x, y).real)
-    return float(np.dot(x, y))
+        value = float(np.vdot(x, y).real)
+    else:
+        value = float(np.dot(x, y))
+    if tracer is not None:
+        tracer.end("local_dot")
+    return value
 
 
 def norm(x: np.ndarray) -> float:
     """Instrumented Euclidean norm (booked as one inner product)."""
-    add_dot(x.shape[0])
-    if np.iscomplexobj(x):
-        return float(np.sqrt(np.vdot(x, x).real))
-    return float(np.sqrt(np.dot(x, x)))
+    return float(np.sqrt(dot(x, x)))
 
 
 def block_dot(x: np.ndarray, y: np.ndarray, *, label: str | None = None) -> np.ndarray:
@@ -84,19 +87,19 @@ def block_dot(x: np.ndarray, y: np.ndarray, *, label: str | None = None) -> np.n
     the accounting heart of the batched multi-RHS solvers.
     """
     n, m = x.shape
-    add_block_dot(n, m, label=label)
+    tracer = add_block_dot(n, m, label=label)
     if np.iscomplexobj(x) or np.iscomplexobj(y):
-        return np.einsum("ij,ij->j", np.conj(x), y).real
-    return np.einsum("ij,ij->j", x, y)
+        value = np.einsum("ij,ij->j", np.conj(x), y).real
+    else:
+        value = np.einsum("ij,ij->j", x, y)
+    if tracer is not None:
+        tracer.end("local_dot")
+    return value
 
 
 def block_norms(x: np.ndarray, *, label: str | None = None) -> np.ndarray:
     """Column Euclidean norms of an ``(n, m)`` block (one fused reduction)."""
-    n, m = x.shape
-    add_block_dot(n, m, label=label)
-    if np.iscomplexobj(x):
-        return np.sqrt(np.einsum("ij,ij->j", np.conj(x), x).real)
-    return np.sqrt(np.einsum("ij,ij->j", x, x))
+    return np.sqrt(block_dot(x, x, label=label))
 
 
 def axpy(
@@ -122,19 +125,21 @@ def axpy(
     their :class:`repro.backend.Workspace`, whose scratch slot takes
     ``x``'s dtype, so steady-state iterations allocate nothing.
     """
-    add_axpy(x.shape[0])
+    tracer = add_axpy(x.shape[0])
     if out is None:
-        return a * x + y
-    if out is y:
+        out = a * x + y
+    elif out is y:
         work = _scratch(work, x)
         if work is None:
             out += a * x
         else:
             np.multiply(x, a, out=work)
             out += work
-        return out
-    np.multiply(x, a, out=out)
-    out += y
+    else:
+        np.multiply(x, a, out=out)
+        out += y
+    if tracer is not None:
+        tracer.end("axpy")
     return out
 
 
@@ -163,27 +168,29 @@ def axpby(
     ``work`` (an array or a :class:`repro.backend.Workspace`, as in
     :func:`axpy`) must not alias any of the other operands.
     """
-    add_axpy(x.shape[0], flops_per_entry=3)
+    tracer = add_axpy(x.shape[0], flops_per_entry=3)
     if out is None:
-        return a * x + b * y
-    if out is x and out is y:
+        out = a * x + b * y
+    elif out is x and out is y:
         out *= a + b
-        return out
-    work = _scratch(work, x)
-    if out is y:
+    elif out is y:
+        work = _scratch(work, x)
         out *= b
         if work is None:
             out += a * x
         else:
             np.multiply(x, a, out=work)
             out += work
-        return out
-    np.multiply(x, a, out=out)
-    if work is None:
-        out += b * y
     else:
-        np.multiply(y, b, out=work)
-        out += work
+        work = _scratch(work, x)
+        np.multiply(x, a, out=out)
+        if work is None:
+            out += b * y
+        else:
+            np.multiply(y, b, out=work)
+            out += work
+    if tracer is not None:
+        tracer.end("axpy")
     return out
 
 
@@ -193,8 +200,11 @@ def scale(a: float, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     ``out`` may alias ``x`` (in-place rescale); always allocation-free
     with ``out`` supplied.
     """
-    add_axpy(x.shape[0], flops_per_entry=1)
+    tracer = add_axpy(x.shape[0], flops_per_entry=1)
     if out is None:
-        return a * x
-    np.multiply(x, a, out=out)
+        out = a * x
+    else:
+        np.multiply(x, a, out=out)
+    if tracer is not None:
+        tracer.end("axpy")
     return out

@@ -106,15 +106,22 @@ def chebyshev_iteration(
         reason = StopReason.CONVERGED
     else:
         rho = 1.0 / sigma1
+        tracer = add_axpy(n, flops_per_entry=1)
         d = r / theta
-        add_axpy(n, flops_per_entry=1)
+        if tracer is not None:
+            tracer.end("axpy")
         budget = stop.budget(n)
         while iterations < budget:
+            tracer = add_axpy(n, flops_per_entry=1)
             x += d
-            add_axpy(n, flops_per_entry=1)
+            if tracer is not None:
+                tracer.end("axpy")
             iterations += 1
-            r = b - op.matvec(x)  # fresh residual (robust form)
-            add_axpy(n)
+            ax = op.matvec(x)
+            tracer = add_axpy(n)
+            r = b - ax  # fresh residual (robust form)
+            if tracer is not None:
+                tracer.end("axpy")
             if iterations % check_every == 0 or iterations >= budget:
                 res_norms.append(norm(r))
                 if telemetry is not None:
@@ -130,8 +137,10 @@ def chebyshev_iteration(
                     break
             rho_next = 1.0 / (2.0 * sigma1 - rho)
             lambdas.append(2.0 * rho_next / delta)
+            tracer = add_axpy(n, flops_per_entry=4)
             d = rho_next * rho * d + (2.0 * rho_next / delta) * r
-            add_axpy(n, flops_per_entry=4)
+            if tracer is not None:
+                tracer.end("axpy")
             rho = rho_next
 
     true_res = norm(b - op.matvec(x))

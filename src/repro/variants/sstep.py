@@ -40,7 +40,7 @@ import numpy as np
 from repro.core.results import CGResult, StopReason, verified_exit
 from repro.core.stopping import StoppingCriterion
 from repro.sparse.linop import as_operator
-from repro.util.counters import add_dot, add_scalar_flops
+from repro.util.counters import add_dot, add_scalar_flops, traced
 from repro.util.kernels import norm
 from repro.util.validation import (
     as_1d_float_array,
@@ -105,12 +105,13 @@ def _gershgorin_bounds(a) -> tuple[float, float]:
     return max(lo, 1e-12 * hi), hi
 
 
+@traced("local_dot")
 def _fused_gram(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """``leftᵀ right`` booked as one fused batch of inner products.
 
     This is the s-step selling point: all s² (or s) products share one
     reduction; we book them individually on the flop counter but tag them
-    as one fused group.
+    as one fused group, recorded as one ``local_dot`` span.
     """
     prods = left.T @ right
     rows, cols = prods.shape if prods.ndim == 2 else (prods.shape[0], 1)

@@ -43,13 +43,13 @@ def _stationary_loop(
     op,
     b: np.ndarray,
     x: np.ndarray,
-    sweep: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    correction: Callable[[np.ndarray], np.ndarray],
     stop: StoppingCriterion,
     check_every: int,
     label: str,
     telemetry=None,
 ) -> CGResult:
-    """Shared driver: apply ``x <- sweep(x, r)`` until converged."""
+    """Shared loop: apply ``x <- x + correction(r)`` until converged."""
     if telemetry is not None:
         telemetry.solve_start(
             label.split("(")[0], label, b.shape[0], check_every=check_every
@@ -65,7 +65,11 @@ def _stationary_loop(
     else:
         budget = stop.budget(b.shape[0])
         while iterations < budget:
-            x = sweep(x, r)
+            delta = correction(r)
+            tracer = add_axpy(b.shape[0])
+            x = x + delta
+            if tracer is not None:
+                tracer.end("axpy")
             iterations += 1
             r = b - op.matvec(x)
             if iterations % check_every == 0 or iterations >= budget:
@@ -124,13 +128,9 @@ def jacobi_solve(
     stop = stop or StoppingCriterion()
     x = np.zeros(b.shape[0]) if x0 is None else as_1d_float_array(x0, "x0").copy()
     inv_diag = omega / diag
-
-    def sweep(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-        add_axpy(b.shape[0])
-        return x + inv_diag * r
-
     return _stationary_loop(
-        a, b, x, sweep, stop, require_positive_int(check_every, "check_every"),
+        a, b, x, lambda r: inv_diag * r, stop,
+        require_positive_int(check_every, "check_every"),
         f"jacobi(omega={omega})", telemetry,
     )
 
@@ -156,13 +156,9 @@ def richardson_solve(
         raise ValueError("step must be positive")
     stop = stop or StoppingCriterion()
     x = np.zeros(b.shape[0]) if x0 is None else as_1d_float_array(x0, "x0").copy()
-
-    def sweep(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-        add_axpy(b.shape[0])
-        return x + step * r
-
     return _stationary_loop(
-        op, b, x, sweep, stop, require_positive_int(check_every, "check_every"),
+        op, b, x, lambda r: step * r, stop,
+        require_positive_int(check_every, "check_every"),
         f"richardson(step={step:.3g})", telemetry,
     )
 
@@ -206,14 +202,9 @@ def sor_solve(
     idx = np.arange(a.nrows, dtype=np.int64)
     builder.add_batch(idx, idx, diag / omega)
     sweep_matrix = builder.to_csr()
-
-    def sweep(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-        delta = solve_lower(sweep_matrix, r)
-        add_axpy(b.shape[0])
-        return x + delta
-
     return _stationary_loop(
-        a, b, x, sweep, stop, require_positive_int(check_every, "check_every"),
+        a, b, x, lambda r: solve_lower(sweep_matrix, r), stop,
+        require_positive_int(check_every, "check_every"),
         f"sor(omega={omega})", telemetry,
     )
 

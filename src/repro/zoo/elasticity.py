@@ -112,13 +112,15 @@ class Elasticity3D:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Apply the stencil; books one matvec on the ambient counter."""
-        add_matvec(self.ROW_DEGREE * self._n, self._n)
+        tracer = add_matvec(self.ROW_DEGREE * self._n, self._n)
         u = np.asarray(x, dtype=np.float64).reshape((3, *self._dims))
         gradv = self._lam + self._mu
         div = _cdiff(u[0], 0) + _cdiff(u[1], 1) + _cdiff(u[2], 2)
         y = np.empty_like(u)
         for c in range(3):
             y[c] = self._mu * _laplace7(u[c]) - gradv * _cdiff(div, c)
+        if tracer is not None:
+            tracer.end("matvec")
         return y.reshape(self._n)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:

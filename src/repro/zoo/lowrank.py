@@ -68,8 +68,10 @@ class LowRankPlusSparse:
         y = np.asarray(self._s.matvec(x), dtype=np.float64)
         if self._weight:
             # Two skinny GEMVs; the sparse part booked its own application.
-            add_matvec(2 * self._n * self._u.shape[1], self._n)
+            tracer = add_matvec(2 * self._n * self._u.shape[1], self._n)
             y = y + self._weight * (self._u @ (self._u.T @ x))
+            if tracer is not None:
+                tracer.end("matvec")
         return y
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:

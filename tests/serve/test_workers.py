@@ -492,7 +492,7 @@ class TestDrainInterleavings:
             )
             # The slow dispatch is ON a worker thread (its matvec set
             # the event) when the drain begins.
-            await settle(lambda: started.is_set())
+            await reached(started)
             drainer = asyncio.create_task(svc.drain())
             await settle(lambda: svc.draining)
             late = await svc.submit(SolveRequest(a=fast, b=rhs(9)))

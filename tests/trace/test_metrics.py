@@ -244,6 +244,39 @@ def test_one_sink_accumulates_across_methods(small_system):
     assert 'repro_iterations_total{method="vr"}' in text
 
 
+def test_metrics_sink_keeps_each_threads_solve_label():
+    # Two worker threads share one sink.  Thread A opens a cg solve, then
+    # thread B opens a vr solve, then A reports its iterations: they must
+    # land under cg, not under the method that started last.
+    import threading
+
+    from repro.telemetry.events import IterationEvent, SolveStartEvent
+
+    sink = MetricsSink()
+    a_started, b_started = threading.Event(), threading.Event()
+
+    def thread_a():
+        sink.emit(SolveStartEvent(method="cg", label="cg", n=4))
+        a_started.set()
+        assert b_started.wait(10)
+        for i in range(1, 6):
+            sink.emit(IterationEvent(iteration=i, residual_norm=1.0 / i))
+
+    def thread_b():
+        assert a_started.wait(10)
+        sink.emit(SolveStartEvent(method="vr", label="vr", n=4))
+        b_started.set()
+
+    threads = [threading.Thread(target=fn) for fn in (thread_a, thread_b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    reg = sink.registry
+    assert reg.counter("repro_iterations_total", method="cg").value == 5
+    assert reg.counter("repro_iterations_total", method="vr").value == 0
+
+
 def test_prometheus_nonfinite_samples_use_spec_spellings():
     # Drift gauges can legitimately hold inf/nan; Python's repr of those
     # ("inf"/"nan") is not valid 0.0.4 exposition text.

@@ -98,6 +98,9 @@ def test_aborted_solve_auto_closes_at_last_record():
 def test_iteration_marks_synthesize_iteration_spans():
     t = Tracer()
     t.begin("solve")
+    # Setup work ahead of startup (vr's ||b||) stays a child of solve.
+    t.begin("local_dot")
+    t.end("local_dot")
     t.begin("startup")
     t.end("startup")
     for it in (1, 2):
@@ -109,7 +112,7 @@ def test_iteration_marks_synthesize_iteration_spans():
     t.end("solve")
     [solve] = t.spans()
     names = [c.name for c in solve.children]
-    assert names == ["startup", "iteration", "iteration"]
+    assert names == ["local_dot", "startup", "iteration", "iteration"]
     iters = [c for c in solve.children if c.name == "iteration"]
     assert [i.attrs["iteration"] for i in iters] == [1, 2]
     for i in iters:
