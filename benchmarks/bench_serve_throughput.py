@@ -1,16 +1,16 @@
 """Service request throughput: coalesced dispatch and worker-pool dispatch.
 
 Two scenarios, both measured end to end THROUGH the service -- admission,
-queueing, the coalesce window, executor handoff, response fan-out -- not
-just the underlying kernels.
+the lane backlogs, executor handoff, response fan-out -- not just the
+underlying kernels.
 
 **Scenario 1 -- coalescing (same operator).**  ``m`` concurrent clients
 solving against one operator should cost one batched solve, not ``m``
 sequential ones:
 
-* *coalesced arm* -- a :class:`repro.serve.SolverService` with a short
-  coalesce window and ``max_coalesce_width >= clients``: the burst rides
-  one (or few) :func:`repro.solve_batched` dispatches;
+* *coalesced arm* -- a :class:`repro.serve.SolverService` with
+  ``max_coalesce_width >= clients``: the burst is admitted in one
+  event-loop step and rides one :func:`repro.solve_batched` dispatch;
 * *sequential arm* -- the same service with ``max_coalesce_width=1``,
   which is exactly the naive thread-per-request front end.
 
@@ -24,18 +24,16 @@ own dispatch lane in both arms:
 * *single arm* -- ``workers=1``: a one-thread pool, so one group solves
   at a time while the other lanes wait for the thread.
 
-Both arms coalesce identically (same window, same width cap) and run
-with the warm-start cache disabled, so the measured gap is purely how
-many groups solve at once.  Every mixed run asserts the conservation law
+Both arms coalesce identically (same width cap) and run with the
+warm-start cache disabled, so the measured gap is purely how many groups
+solve at once.  Every mixed run asserts the conservation law
 ``submitted == served + shed + errors + deduped`` and that full-width
 coalesced results are bit-identical to a direct
 :func:`repro.solve_batched` call on the same columns.
 
-A note on hardware: the pool cannot conjure CPU cores.  On a single
-core its entire win is pipelining the coalesce window under solver
-compute, whose theoretical ceiling is 2x; the >= 2x acceptance floor
-therefore applies on multi-core hosts (the CI runners), with a
-pipelining floor asserted on single-core hosts.
+A note on hardware: the pool cannot conjure CPU cores, so the >= 2x
+acceptance floor applies on multi-core hosts (the CI runners); on a
+single core the bench only asserts that the pool does not lose.
 
 Numbers are written to ``BENCH_serve.json`` at the repository root.
 Acceptance floors: >= 2x request throughput for 16 concurrent
@@ -66,11 +64,10 @@ DEFAULT_OUT = REPO_ROOT / "BENCH_serve.json"
 
 
 async def _run_burst(
-    a, b_block, stop, *, clients: int, window: float, max_width: int
+    a, b_block, stop, *, clients: int, max_width: int
 ) -> tuple[float, list]:
     """One burst of concurrent clients through a fresh service."""
     config = ServiceConfig(
-        coalesce_window=window,
         max_coalesce_width=max_width,
         max_queue_depth=max(64, 2 * clients),
         warm_start=0,
@@ -98,12 +95,10 @@ def run(
     clients: int = 16,
     rtol: float = 1e-8,
     repeats: int = 3,
-    window_ms: float = 2.0,
     out_path: Path | str | None = DEFAULT_OUT,
     mixed_grids: tuple[int, ...] = (10, 14, 20, 32),
     mixed_clients_per_op: int = 4,
     mixed_rounds: int = 6,
-    mixed_window_ms: float | None = None,
     mixed_repeats: int = 3,
 ) -> dict:
     """Run both scenarios and emit the combined record.
@@ -118,30 +113,23 @@ def run(
     n = a.nrows
     stop = StoppingCriterion(rtol=rtol)
     b_block = default_rng(7).standard_normal((n, clients))
-    window = window_ms / 1000.0
 
     async def measure() -> dict:
         # Warm-up burst per arm: lazy imports, setup cache, thread pool.
-        await _run_burst(
-            a, b_block, stop, clients=clients, window=window,
-            max_width=clients,
-        )
-        await _run_burst(
-            a, b_block, stop, clients=clients, window=0.0, max_width=1
-        )
+        await _run_burst(a, b_block, stop, clients=clients, max_width=clients)
+        await _run_burst(a, b_block, stop, clients=clients, max_width=1)
 
         coalesced_best = sequential_best = float("inf")
         coalesced_responses = None
         for _ in range(repeats):
             elapsed, responses = await _run_burst(
-                a, b_block, stop, clients=clients, window=window,
-                max_width=clients,
+                a, b_block, stop, clients=clients, max_width=clients
             )
             if elapsed < coalesced_best:
                 coalesced_best, coalesced_responses = elapsed, responses
 
             elapsed, _ = await _run_burst(
-                a, b_block, stop, clients=clients, window=0.0, max_width=1
+                a, b_block, stop, clients=clients, max_width=1
             )
             sequential_best = min(sequential_best, elapsed)
 
@@ -169,7 +157,6 @@ def run(
         rounds=mixed_rounds,
         rtol=rtol,
         repeats=mixed_repeats,
-        window_ms=mixed_window_ms,
     )
     payload = {
         "bench": "serve_throughput",
@@ -177,7 +164,6 @@ def run(
         "n": n,
         "rtol": rtol,
         "repeats": repeats,
-        "window_ms": window_ms,
         "results": [record],
         "mixed_operator": mixed,
     }
@@ -190,7 +176,7 @@ def run(
 # Scenario 2: mixed operators through the fingerprint-keyed worker pool.
 
 async def _run_mixed(
-    lanes, stop, *, rounds: int, window: float, max_width: int, workers: int
+    lanes, stop, *, rounds: int, max_width: int, workers: int
 ) -> tuple[float, Counter]:
     """Closed-loop mixed-operator rounds through a fresh service.
 
@@ -200,7 +186,6 @@ async def _run_mixed(
     the timed region -- see :func:`_check_bit_identical`.)
     """
     config = ServiceConfig(
-        coalesce_window=window,
         max_coalesce_width=max_width,
         max_queue_depth=64,
         workers=workers,
@@ -242,7 +227,6 @@ def run_mixed(
     rounds: int = 6,
     rtol: float = 1e-8,
     repeats: int = 3,
-    window_ms: float | None = None,
     pool_workers: int = 4,
 ) -> dict:
     """Time a multi-thread pool against a one-thread pool over mixed
@@ -252,16 +236,8 @@ def run_mixed(
     realistic multi-tenant traffic where a heavyweight tenant's solve
     holds the only thread of a one-thread pool while every other lane
     waits.
-
-    ``window_ms=None`` picks a host-appropriate coalesce window, the
-    same call an operator deploying the service would make (see
-    docs/serving.md): on a single core the window is the only thing the
-    pool can hide (large window, pipelining win); with real cores the
-    window is pure per-round latency (small window, parallelism win).
     """
     stop = StoppingCriterion(rtol=rtol)
-    if window_ms is None:
-        window_ms = 30.0 if (os.cpu_count() or 1) < 2 else 8.0
     lanes = []
     for i, grid in enumerate(grids):
         a = poisson2d(grid)
@@ -272,30 +248,28 @@ def run_mixed(
         lanes.append((a, b_cols, reference))
     clients = len(grids) * clients_per_op
     total = clients * rounds
-    window = window_ms / 1000.0
 
     async def measure() -> dict:
         # Warm-up round per arm (setup caches, executor threads).
         await _run_mixed(
-            lanes, stop, rounds=1, window=window,
-            max_width=clients_per_op, workers=pool_workers,
+            lanes, stop, rounds=1, max_width=clients_per_op,
+            workers=pool_workers,
         )
         await _run_mixed(
-            lanes, stop, rounds=1, window=window,
-            max_width=clients_per_op, workers=1,
+            lanes, stop, rounds=1, max_width=clients_per_op, workers=1
         )
         pool_best = single_best = float("inf")
         pool_widths: Counter = Counter()
         for _ in range(repeats):
             elapsed, widths = await _run_mixed(
-                lanes, stop, rounds=rounds, window=window,
-                max_width=clients_per_op, workers=pool_workers,
+                lanes, stop, rounds=rounds, max_width=clients_per_op,
+                workers=pool_workers,
             )
             if elapsed < pool_best:
                 pool_best, pool_widths = elapsed, widths
             elapsed, _ = await _run_mixed(
-                lanes, stop, rounds=rounds, window=window,
-                max_width=clients_per_op, workers=1,
+                lanes, stop, rounds=rounds, max_width=clients_per_op,
+                workers=1,
             )
             single_best = min(single_best, elapsed)
         return {
@@ -304,7 +278,6 @@ def run_mixed(
             "clients": clients,
             "rounds": rounds,
             "requests": total,
-            "window_ms": window_ms,
             "max_width": clients_per_op,
             "workers": pool_workers,
             "cpu_count": os.cpu_count() or 1,
@@ -319,16 +292,15 @@ def run_mixed(
         }
 
     record = asyncio.run(measure())
-    _check_bit_identical(lanes, stop, clients_per_op, pool_workers, window)
+    _check_bit_identical(lanes, stop, clients_per_op, pool_workers)
     return record
 
 
-def _check_bit_identical(lanes, stop, width, workers, window):
+def _check_bit_identical(lanes, stop, width, workers):
     """Coalesced pool results must equal direct batched solves exactly."""
 
     async def main():
         config = ServiceConfig(
-            coalesce_window=window,
             max_coalesce_width=width,
             workers=workers,
             warm_start=0,
@@ -368,13 +340,9 @@ def test_serve_throughput_speedup():
     assert DEFAULT_OUT.exists()
 
     # Acceptance: the fingerprint-keyed pool beats a
-    # one-thread pool on mixed-operator traffic.  The pool's
-    # only single-core lever is hiding the coalesce window under solver
-    # compute, whose theoretical ceiling is (window + compute) /
-    # max(window, compute) <= 2 -- a pool cannot conjure a second core.
-    # The 2x floor therefore binds on multi-core hosts (the CI runners);
-    # on a single core the measurement is scheduler-noise dominated and
-    # we only assert the pool does not lose.
+    # one-thread pool on mixed-operator traffic.  A pool cannot conjure
+    # a second core, so the 2x floor binds on multi-core hosts (the CI
+    # runners); on a single core we only assert the pool does not lose.
     mixed = payload["mixed_operator"]
     assert mixed["distinct_fingerprints"] >= 4
     assert mixed["clients"] == 16

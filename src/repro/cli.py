@@ -362,13 +362,12 @@ def _build_service(args):
     try:
         config = ServiceConfig(
             max_queue_depth=args.queue_depth,
-            coalesce_window=args.window_ms / 1000.0,
             max_coalesce_width=args.max_width,
             tenant_rate=args.rate,
             tenant_burst=args.burst,
-            postmortem_dir=getattr(args, "postmortem_dir", None),
-            workers=getattr(args, "workers", 4),
-            warm_start=getattr(args, "warm_start", 64),
+            postmortem_dir=args.postmortem_dir,
+            workers=args.workers,
+            warm_start=args.warm_start,
         )
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
@@ -580,10 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="name clients use for the served operator "
                             "(default: the generator name or file stem; "
                             "'default' is always an alias)")
-    serve.add_argument("--window-ms", type=float, default=2.0,
-                       help="coalesce window in milliseconds: how long the "
-                            "dispatcher lingers so concurrent compatible "
-                            "requests share one batched solve")
     serve.add_argument("--max-width", type=int, default=16,
                        help="widest batched dispatch (1 disables coalescing)")
     serve.add_argument("--queue-depth", type=int, default=64,

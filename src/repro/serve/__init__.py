@@ -8,8 +8,9 @@ clients:
 
 * per-tenant token-bucket **admission control** with bounded queues and
   reasoned **load shedding** (:mod:`repro.serve.admission`);
-* **request coalescing** -- compatible concurrent solves against the
-  same operator (same blake2b fingerprint, dtype, tolerance class)
+* **request coalescing** -- compatible solves against the same
+  operator (same blake2b fingerprint, dtype, tolerance class) that are
+  admitted together, or that arrive while the operator's lane is busy,
   dispatch as ONE fused ``m``-wide batched solve
   (:mod:`repro.serve.coalescer`);
 * per-request **trace ids** on the span tracer and
@@ -34,7 +35,7 @@ Quickstart::
 
     async def main():
         a = poisson2d(32)
-        config = ServiceConfig(coalesce_window=0.002, max_coalesce_width=16)
+        config = ServiceConfig(max_coalesce_width=16)
         async with SolverService(config) as service:
             responses = await asyncio.gather(*[
                 service.solve(a, np.random.default_rng(j).standard_normal(a.nrows))

@@ -102,8 +102,7 @@ class HttpFrontend:
         return host, port
 
     async def start(self) -> None:
-        """Bind and start accepting connections (service auto-starts)."""
-        await self.service.start()
+        """Bind and start accepting connections."""
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )

@@ -9,12 +9,11 @@
   cannot be admitted is *shed with a reason* (``rate_limited``,
   ``queue_full``, ``draining``) -- never silently dropped, never
   queued unboundedly;
-* **request coalescing** -- the dispatcher lingers for a configurable
-  window, groups compatible pending requests by operator fingerprint +
-  dtype + tolerance class (:mod:`repro.serve.coalescer`), and runs each
-  group as ONE :func:`repro.solve_batched` call on PR 2's fused
-  ``m``-wide kernels.  Incompatible requests fall back to single
-  :func:`repro.solve` calls;
+* **request coalescing** -- a lane's runner groups the requests
+  pending on it by operator fingerprint + dtype + tolerance class
+  (:mod:`repro.serve.coalescer`), and runs each group as ONE
+  :func:`repro.solve_batched` call on the fused ``m``-wide kernels.
+  Incompatible requests fall back to single :func:`repro.solve` calls;
 * **observability** -- every request carries a trace id; dispatch groups
   open ``request``/``request_batch`` spans on the session tracer
   annotated with the member ids, queue-depth/shed/coalesce-width
@@ -22,20 +21,21 @@
   (Prometheus-exportable), and :class:`~repro.telemetry.ServiceEvent`
   records admission decisions in the telemetry stream;
 * **graceful drain** -- :meth:`SolverService.drain` stops admitting,
-  answers everything already queued, then parks the dispatcher.
+  answers everything admitted, then shuts the worker pool down.
 
 The solves themselves run on a bounded **worker pool keyed by operator
-fingerprint**.  The dispatcher routes every request to its operator's
-*lane*: an idle lane gets a runner task, a busy lane parks the request
-on its backlog.  A runner takes its whole backlog, plans it into groups
-and solves them one after another, so groups against *different*
-operators execute concurrently while groups against the *same* operator
-stay FIFO -- the coalescer's ordering guarantees (and the
-bit-identical-to-direct ``solve_batched`` differential) survive the
-parallelism, and requests that arrive while their lane is busy coalesce
-into its next group.  The event loop keeps admitting, shedding and
-opening the next coalesce window while the numerics run.  Repeated
-solves against the same operator hit the
+fingerprint**.  Admission routes every request to its operator's
+*lane* in the same synchronous step: an idle lane gets a runner task, a
+busy lane parks the request on its backlog.  A runner takes its whole
+backlog, plans it into groups and solves them one after another, so
+groups against *different* operators execute concurrently while groups
+against the *same* operator stay FIFO -- the coalescer's ordering
+guarantees (and the bit-identical-to-direct ``solve_batched``
+differential) survive the parallelism, and requests that arrive while
+their lane is busy coalesce into its next group.  Nothing waits on a
+timer: requests admitted in one event-loop step share their lane's next
+pass, and the event loop keeps admitting and shedding while the
+numerics run.  Repeated solves against the same operator hit the
 process-global :class:`~repro.backend.SetupCache` exactly as the
 ROADMAP promises -- the fingerprint the coalescer groups by is the same
 key the cache memoizes under -- and converged solutions additionally
@@ -50,7 +50,7 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -148,17 +148,10 @@ class ServiceConfig:
     Attributes
     ----------
     max_queue_depth:
-        Bound on *admitted-but-undispatched* requests: those queued for
-        the dispatcher, parked behind a busy lane, or waiting for a
-        worker thread.  Arrivals beyond it are shed with reason
-        ``queue_full`` -- the backpressure that keeps queue latency
-        bounded under overload.  One request is exempt: the one the
-        dispatcher last held open in a coalesce window on an idle lane,
-        until its group runs.
-    coalesce_window:
-        Seconds the dispatcher lingers after picking up the first
-        pending request, letting concurrent arrivals join its batch.
-        ``0.0`` coalesces only what is already queued.
+        Bound on *admitted-but-undispatched* requests: those parked on
+        their lane's backlog or waiting for a worker thread.  Arrivals
+        beyond it are shed with reason ``queue_full`` -- the
+        backpressure that keeps queue latency bounded under overload.
     max_coalesce_width:
         Largest ``m`` one batched dispatch may carry; wider compatible
         groups are chunked.  ``1`` disables coalescing entirely (the
@@ -169,11 +162,6 @@ class ServiceConfig:
     clock:
         Monotonic-seconds callable used for queue-latency accounting and
         the token buckets; tests inject a fake clock for determinism.
-    sleep:
-        Awaitable factory used for the coalesce window (default
-        :func:`asyncio.sleep`); the deterministic scheduling tests
-        inject an event-gated fake so "the window elapsed" is an
-        explicit test action instead of a race.
     flight_ring:
         Capacity of the attached
         :class:`~repro.trace.FlightRecorder` event ring.  ``0``
@@ -196,12 +184,10 @@ class ServiceConfig:
     """
 
     max_queue_depth: int = 64
-    coalesce_window: float = 0.0
     max_coalesce_width: int = 16
     tenant_rate: float | None = None
     tenant_burst: float = 8.0
     clock: Callable[[], float] = time.monotonic
-    sleep: Callable[[float], Awaitable[None]] | None = None
     flight_ring: int = 256
     postmortem_dir: str | None = None
     recent_outcomes: int = 32
@@ -222,10 +208,6 @@ class ServiceConfig:
         if self.max_coalesce_width < 1:
             raise ValueError(
                 f"max_coalesce_width must be >= 1, got {self.max_coalesce_width}"
-            )
-        if self.coalesce_window < 0:
-            raise ValueError(
-                f"coalesce_window must be >= 0, got {self.coalesce_window}"
             )
         if self.flight_ring < 0:
             raise ValueError(
@@ -309,14 +291,10 @@ class SolverService:
             clock=self.config.clock,
         )
         self._operators: dict[str, Any] = {}
-        self._queue: asyncio.Queue[_Pending | None] = asyncio.Queue()
         # Admitted requests whose group does not hold a worker slot yet:
-        # queued, parked on a busy lane's backlog, or waiting for a
-        # thread.  ``_held`` is the one of them exempt from the bound.
+        # parked on their lane's backlog or waiting for a thread.
         self._depth = 0
-        self._held: _Pending | None = None
         self._inflight: dict[str, asyncio.Future[SolveResponse]] = {}
-        self._dispatcher: asyncio.Task | None = None
         self._draining = False
         # Worker pool: lazily-built executor, one slot per worker (a
         # group holds one while it solves), the busy lanes (lane key ->
@@ -410,27 +388,17 @@ class SolverService:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Start the dispatcher (idempotent; submit() auto-starts)."""
-        if self._dispatcher is None or self._dispatcher.done():
-            self._dispatcher = asyncio.get_running_loop().create_task(
-                self._run_dispatcher()
-            )
-
     async def drain(self) -> None:
-        """Stop admitting, answer everything queued, park the dispatcher.
+        """Stop admitting, answer everything admitted, shut the pool down.
 
         Every request admitted before the drain began still receives its
-        response -- including groups already executing on the worker
-        pool and requests parked behind them: every lane runner finishes
-        before the pool shuts down.  Requests submitted after the drain
-        began are shed with reason ``draining``.  Idempotent.
+        response: admission put it on its lane's backlog, and every lane
+        runner -- including one whose group is executing on the worker
+        pool -- finishes its backlog before the pool shuts down.
+        Requests submitted after the drain began are shed with reason
+        ``draining``.  Idempotent.
         """
         self._draining = True
-        if self._dispatcher is not None:
-            await self._queue.put(None)  # FIFO: lands after all admitted work
-            await self._dispatcher
-            self._dispatcher = None
         while self._runners:
             await asyncio.gather(*list(self._runners), return_exceptions=True)
         pool, self._executor = self._executor, None
@@ -438,7 +406,6 @@ class SolverService:
             pool.shutdown(wait=True)
 
     async def __aenter__(self) -> "SolverService":
-        await self.start()
         return self
 
     async def __aexit__(self, *exc: Any) -> None:
@@ -451,13 +418,9 @@ class SolverService:
 
     @property
     def queue_depth(self) -> int:
-        """Admitted requests awaiting dispatch: queued, parked behind a
-        busy lane, or waiting for a worker thread.
-
-        One request is exempt: the one the dispatcher last held open in
-        a coalesce window on an idle lane, until its group runs.
-        """
-        return self._depth - (self._held is not None)
+        """Admitted requests whose group holds no worker slot yet: parked
+        on their lane's backlog or waiting for a worker thread."""
+        return self._depth
 
     # ------------------------------------------------------------------
     # submission
@@ -465,14 +428,17 @@ class SolverService:
     def _admit(
         self, request: SolveRequest
     ) -> "SolveResponse | asyncio.Future[SolveResponse]":
-        """Synchronous admission core: a shed response or an enqueue.
+        """Synchronous admission core: a shed response or a lane append.
 
         Returns either an immediate ``status="shed"`` response or the
-        future the dispatcher will resolve.  Deliberately contains no
-        awaits: :meth:`submit_batched` admits a whole block between two
-        scheduling points, so all of its columns land in the queue
-        before the dispatcher can drain it -- the property that lets a
-        batched submission ride ONE coalesced dispatch.
+        future the request's lane runner will resolve.  Deliberately
+        contains no awaits: an admitted request is on its lane's backlog
+        when this returns, and an idle lane's runner first runs after
+        every task step already scheduled.  So the columns of a
+        :meth:`submit_batched` block, or :meth:`submit` calls gathered
+        in one event-loop step, are all on the backlog when the runner
+        plans its first pass -- the property that lets them ride ONE
+        coalesced dispatch.
         """
         self.submitted += 1
         existing = self._inflight.get(request.request_id)
@@ -492,7 +458,7 @@ class SolverService:
         )
         pending = _Pending(request, future, self.config.clock())
         self._inflight[request.request_id] = future
-        self._queue.put_nowait(pending)
+        self._route(pending)
         self._depth += 1
         depth = self.queue_depth
         self._metric_depth.set(depth)
@@ -522,7 +488,6 @@ class SolverService:
         ``status="error"`` ones.  The returned response is the single
         source of truth -- exactly one exists per request id.
         """
-        await self.start()
         return await self._await_admitted(request, self._admit(request))
 
     async def submit_batched(
@@ -531,14 +496,13 @@ class SolverService:
         """Admit a block of requests together and await every response.
 
         The whole block is admitted synchronously -- no scheduling point
-        between columns -- so compatible columns are all in the queue
-        when the dispatcher wakes and coalesce into one
+        between columns -- so compatible columns are all on their lane's
+        backlog when its runner plans them and coalesce into one
         :func:`repro.solve_batched` call (bit-identical to calling it
         directly, per the differential tests).  Each column still gets
         its own admission decision: a rate-limited or queue-full column
         sheds individually without poisoning its siblings.
         """
-        await self.start()
         outcomes = [self._admit(request) for request in requests]
         return list(
             await asyncio.gather(
@@ -677,32 +641,6 @@ class SolverService:
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    async def _run_dispatcher(self) -> None:
-        config = self.config
-        sleep = config.sleep if config.sleep is not None else asyncio.sleep
-        linger = config.coalesce_window > 0 and config.max_coalesce_width > 1
-        while True:
-            first = await self._queue.get()
-            if first is None:
-                return
-            if linger:
-                # Let concurrent arrivals join this request's group.  On
-                # an idle lane the request held open here takes over the
-                # one exemption from the queue bound (an earlier holder
-                # still waiting for a thread counts again); on a busy
-                # lane it will park behind the running group, so it
-                # stays counted.
-                if self._lane_key(first) not in self._lanes:
-                    self._held = first
-                    self._metric_depth.set(self.queue_depth)
-                await sleep(config.coalesce_window)
-            batch = [first]
-            while not self._queue.empty():
-                batch.append(self._queue.get_nowait())
-            self._route([p for p in batch if p is not None])
-            if batch[-1] is None:  # drain() queued it behind all admitted work
-                return
-
     def _lane_key(self, pending: _Pending) -> Any:
         """The FIFO lane a request serializes on.
 
@@ -722,26 +660,25 @@ class SolverService:
             return object()
         return ("op", key[1])
 
-    def _route(self, batch: list[_Pending]) -> None:
-        """Append each request to its lane's backlog.
+    def _route(self, pending: _Pending) -> None:
+        """Append a request to its lane's backlog.
 
-        An idle lane gets a runner, which first runs after this returns,
-        so its first pass takes the lane's whole share of ``batch``; on
-        a busy lane the request rides the next pass.  A lane is busy
-        from here until its runner finds the backlog empty.  Either way
-        the request stays in :attr:`queue_depth` until its group holds a
-        worker slot.
+        An idle lane gets a runner, whose first pass takes every request
+        the lane gathers before the runner first runs; on a busy lane
+        the request rides the next pass.  A lane is busy from here until
+        its runner finds the backlog empty.  Either way the request
+        stays in :attr:`queue_depth` until its group holds a worker
+        slot.
         """
-        for pending in batch:
-            lane = self._lane_key(pending)
-            if lane not in self._lanes:
-                self._lanes[lane] = deque()
-                runner = asyncio.get_running_loop().create_task(
-                    self._run_lane(lane)
-                )
-                self._runners.add(runner)
-                runner.add_done_callback(self._runners.discard)
-            self._lanes[lane].append(pending)
+        lane = self._lane_key(pending)
+        if lane not in self._lanes:
+            self._lanes[lane] = deque()
+            runner = asyncio.get_running_loop().create_task(
+                self._run_lane(lane)
+            )
+            self._runners.add(runner)
+            runner.add_done_callback(self._runners.discard)
+        self._lanes[lane].append(pending)
 
     async def _run_lane(self, lane: Any) -> None:
         """Solve a lane's backlog, pass by pass, until it is empty."""
@@ -773,8 +710,6 @@ class SolverService:
             # while it waits for a thread.
             async with self._slots:
                 self._depth -= len(group)
-                if self._held in group:
-                    self._held = None
                 self._metric_depth.set(self.queue_depth)
                 now = self.config.clock()
                 width = len(group)

@@ -28,8 +28,6 @@ from repro import solve, solve_batched
 from repro.serve import ServiceConfig, SolveRequest, SolverService
 from repro.sparse import poisson2d
 
-from tests.serve.helpers import GatedSleep, settle
-
 A = poisson2d(8)  # 64x64
 M = 6
 
@@ -41,21 +39,17 @@ def rhs_block() -> np.ndarray:
 def serve_coalesced(method: str) -> list:
     """Submit the M columns concurrently, forcing one coalesced batch."""
     block = rhs_block()
-    gate = GatedSleep()
 
     async def main():
-        config = ServiceConfig(coalesce_window=10.0, sleep=gate)
-        async with SolverService(config) as svc:
-            tasks = [
-                asyncio.create_task(
+        async with SolverService() as svc:
+            # Admitted in one event-loop step: all M columns are on the
+            # lane's backlog before its runner plans.
+            return await asyncio.gather(
+                *(
                     svc.submit(SolveRequest(a=A, b=block[:, j], method=method))
+                    for j in range(M)
                 )
-                for j in range(M)
-            ]
-            await settle(lambda: gate.windows_open == 1)
-            await settle(lambda: svc.queue_depth == M - 1)
-            gate.open_gate()
-            return await asyncio.gather(*tasks)
+            )
 
     responses = asyncio.run(main())
     assert [r.coalesce_width for r in responses] == [M] * M

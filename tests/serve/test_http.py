@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from repro.serve import (
 )
 from repro.sparse import poisson2d
 
-from tests.serve.helpers import FakeClock, GatedSleep, settle
+from tests.serve.helpers import FakeClock, GatedOperator, reached, settle
 
 A = poisson2d(6)
 N = A.nrows
@@ -337,22 +338,30 @@ def test_draining_maps_to_503():
 
 
 def test_concurrent_http_requests_coalesce():
-    gate = GatedSleep()
+    hold, started = threading.Event(), threading.Event()
 
     async def main():
-        svc = service(coalesce_window=10.0, sleep=gate)
+        svc = service()
+        svc.register_operator(
+            "held", GatedOperator("held", hold=hold, started=started)
+        )
         async with HttpFrontend(svc, port=0) as front:
             host, port = front.address
-            tasks = [
-                asyncio.create_task(http(
+
+            def post(j):
+                return asyncio.create_task(http(
                     host, port, "POST", "/solve",
-                    {"operator": "poisson", "b": list(np.eye(N)[j])},
+                    {"operator": "held", "b": list(np.eye(N)[j])},
                 ))
-                for j in range(4)
-            ]
-            await settle(lambda: gate.windows_open == 1)
-            await settle(lambda: svc.queue_depth == 3)
-            gate.open_gate()
+
+            # The first solve holds the lane; the four clients that
+            # arrive meanwhile park on its backlog.
+            first = post(0)
+            await reached(started)
+            tasks = [post(j) for j in range(1, 5)]
+            await settle(lambda: svc.queue_depth == 4)
+            hold.set()
+            await first
             return await asyncio.gather(*tasks)
 
     results = asyncio.run(main())
@@ -445,14 +454,11 @@ def test_metrics_route_exports_tenant_series():
 def test_solve_batched_roundtrip_matches_direct():
     from repro import solve_batched as direct_batched
 
-    gate = GatedSleep()
     bs = [list(np.eye(N)[j]) for j in range(4)]
 
     async def main():
-        svc = service(coalesce_window=10.0, sleep=gate)
-        async with HttpFrontend(svc, port=0) as front:
+        async with HttpFrontend(service(), port=0) as front:
             host, port = front.address
-            gate.open_gate()  # windows elapse immediately
             return await http(
                 host, port, "POST", "/solve_batched",
                 {"operator": "poisson", "bs": bs, "return_x": True},

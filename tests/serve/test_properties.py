@@ -29,8 +29,6 @@ from repro.serve import ServiceConfig, SolveRequest, SolverService
 from repro.serve.coalescer import plan_batches
 from repro.sparse import poisson1d
 
-from tests.serve.helpers import GatedSleep, settle
-
 A = poisson1d(8)
 N = A.nrows
 
@@ -66,29 +64,18 @@ def test_conservation_and_bounded_queue(
     # A one-thread pool and a four-thread pool: the invariants must
     # hold identically at every worker count.
     requests = [build_request(i, spec) for i, spec in enumerate(specs)]
-    gate = GatedSleep()
 
     async def main():
         config = ServiceConfig(
             max_queue_depth=max_queue_depth,
-            coalesce_window=10.0,
             max_coalesce_width=max_width,
-            sleep=gate,
             workers=workers,
         )
         async with SolverService(config) as svc:
-            tasks = [
-                asyncio.create_task(svc.submit(r)) for r in requests
-            ]
             # Every submission reaches its terminal pre-dispatch state
-            # (queued, or already shed) before the window opens.
-            await settle(lambda: svc.submitted == len(requests))
-            await settle(
-                lambda: svc.shed + svc.queue_depth
-                + (1 if gate.windows_open else 0) == len(requests)
-            )
-            gate.open_gate()
-            responses = await asyncio.gather(*tasks)
+            # (on its lane's backlog, or already shed) in one event-loop
+            # step, before any lane runner plans.
+            responses = await asyncio.gather(*(svc.submit(r) for r in requests))
         return svc, responses
 
     svc, responses = asyncio.run(main())
@@ -123,18 +110,12 @@ def test_concurrent_duplicate_ids_are_idempotent(duplicates):
     request = SolveRequest(
         a=A, b=np.ones(N), method="cg", request_id="req-idem"
     )
-    gate = GatedSleep()
 
     async def main():
-        config = ServiceConfig(coalesce_window=10.0, sleep=gate)
-        async with SolverService(config) as svc:
-            tasks = [
-                asyncio.create_task(svc.submit(request))
-                for _ in range(duplicates)
-            ]
-            await settle(lambda: svc.submitted == duplicates)
-            gate.open_gate()
-            responses = await asyncio.gather(*tasks)
+        async with SolverService() as svc:
+            responses = await asyncio.gather(
+                *(svc.submit(request) for _ in range(duplicates))
+            )
         return svc, responses
 
     svc, responses = asyncio.run(main())

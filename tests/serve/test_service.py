@@ -1,15 +1,16 @@
 """SolverService behavior under deterministic scheduling.
 
-Every test here drives the service with the injectable fakes from
-:mod:`tests.serve.helpers`: the coalesce window opens when the test says
-so (:class:`GatedSleep`), and token buckets refill when the test
-advances the :class:`FakeClock`.  No assertion depends on a wall-clock
-race.
+Every test here drives the service with the primitives from
+:mod:`tests.serve.helpers`: requests coalesce because they are admitted
+in one event-loop step, a lane stays busy while the test holds its
+:class:`GatedOperator`, and token buckets refill when the test advances
+the :class:`FakeClock`.  No assertion depends on a wall-clock race.
 """
 
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ import pytest
 from repro.serve import ServiceConfig, SolveRequest, SolverService
 from repro.sparse import poisson2d
 
-from tests.serve.helpers import FakeClock, GatedSleep, settle
+from tests.serve.helpers import FakeClock, GatedOperator, reached, settle
 
 
 A = poisson2d(6)  # 36x36: a couple dozen CG iterations, sub-millisecond
@@ -34,6 +35,13 @@ def request(seed: int, **kwargs) -> SolveRequest:
 
 def conservation(svc: SolverService) -> bool:
     return svc.submitted == svc.served + svc.shed + svc.errors + svc.deduped
+
+
+def held_lane() -> tuple[GatedOperator, threading.Event, threading.Event]:
+    """An operator whose solves park until ``hold`` is set; ``started``
+    says a solve against it holds a worker thread."""
+    hold, started = threading.Event(), threading.Event()
+    return GatedOperator("held", hold=hold, started=started), hold, started
 
 
 class TestBasics:
@@ -85,27 +93,40 @@ class TestBasics:
             ServiceConfig(max_queue_depth=0)
         with pytest.raises(ValueError, match="max_coalesce_width"):
             ServiceConfig(max_coalesce_width=0)
-        with pytest.raises(ValueError, match="coalesce_window"):
-            ServiceConfig(coalesce_window=-1.0)
+        # Admission routes straight to the lane, so the window knobs
+        # are rejected rather than ignored, and there is nothing to start.
+        with pytest.raises(TypeError, match="coalesce_window"):
+            ServiceConfig(coalesce_window=0.002)
+        with pytest.raises(TypeError, match="sleep"):
+            ServiceConfig(sleep=asyncio.sleep)
+        assert not hasattr(SolverService, "start")
 
 
 class TestCoalescing:
-    def test_window_forms_one_batch(self):
-        gate = GatedSleep()
-
+    def test_admission_opens_the_lane_in_the_same_step(self):
+        # No task stands between admission and the lane: the
+        # synchronous admission step itself makes the lane busy.
         async def main():
-            config = ServiceConfig(coalesce_window=10.0, sleep=gate)
-            async with SolverService(config) as svc:
-                tasks = [
-                    asyncio.create_task(svc.submit(request(seed)))
-                    for seed in range(5)
-                ]
-                # All five reach the queue while the dispatcher holds
-                # the first and parks in the window...
-                await settle(lambda: gate.windows_open == 1)
-                await settle(lambda: svc.queue_depth == 4)
-                gate.open_gate()  # ...then the window "elapses".
-                responses = await asyncio.gather(*tasks)
+            async with SolverService() as svc:
+                outcome = svc._admit(request(0))
+                lanes = svc.status()["workers"]["active_lanes"]
+                depth = svc.queue_depth
+                response = await outcome
+            return svc, lanes, depth, response
+
+        svc, lanes, depth, response = asyncio.run(main())
+        assert lanes == 1 and depth == 1
+        assert response.ok and response.coalesce_width == 1
+        assert conservation(svc)
+
+    def test_window_forms_one_batch(self):
+        async def main():
+            async with SolverService() as svc:
+                # All five are admitted in one event-loop step, so all
+                # five are on the lane's backlog before its runner plans.
+                responses = await asyncio.gather(
+                    *(svc.submit(request(seed)) for seed in range(5))
+                )
             return svc, responses
 
         svc, responses = asyncio.run(main())
@@ -114,68 +135,34 @@ class TestCoalescing:
         assert svc.served == 5 and conservation(svc)
 
     def test_max_width_chunks_batches(self):
-        gate = GatedSleep()
-
         async def main():
-            config = ServiceConfig(
-                coalesce_window=10.0, max_coalesce_width=2, sleep=gate
-            )
+            config = ServiceConfig(max_coalesce_width=2)
             async with SolverService(config) as svc:
-                tasks = [
-                    asyncio.create_task(svc.submit(request(seed)))
-                    for seed in range(5)
-                ]
-                await settle(lambda: gate.windows_open == 1)
-                await settle(lambda: svc.queue_depth == 4)
-                gate.open_gate()
-                responses = await asyncio.gather(*tasks)
-            return responses
+                return await asyncio.gather(
+                    *(svc.submit(request(seed)) for seed in range(5))
+                )
 
         responses = asyncio.run(main())
         assert sorted(r.coalesce_width for r in responses) == [1, 2, 2, 2, 2]
 
     def test_incompatible_requests_stay_single(self):
-        gate = GatedSleep()
-
         async def main():
-            config = ServiceConfig(coalesce_window=10.0, sleep=gate)
-            async with SolverService(config) as svc:
-                tasks = [
-                    asyncio.create_task(svc.submit(request(0))),
-                    asyncio.create_task(svc.submit(request(1))),
-                    # x0 is single-solve-only: rides the same queue but
-                    # must not join the batch.
-                    asyncio.create_task(
-                        svc.submit(
-                            request(2, options={"x0": np.zeros(N)})
-                        )
-                    ),
-                ]
-                await settle(lambda: gate.windows_open == 1)
-                await settle(lambda: svc.queue_depth == 2)
-                gate.open_gate()
-                responses = await asyncio.gather(*tasks)
-            return responses
+            async with SolverService() as svc:
+                return await asyncio.gather(
+                    svc.submit(request(0)),
+                    svc.submit(request(1)),
+                    # x0 is single-solve-only: admitted in the same step
+                    # but must not join the batch.
+                    svc.submit(request(2, options={"x0": np.zeros(N)})),
+                )
 
         responses = asyncio.run(main())
         assert all(r.ok for r in responses)
         assert [r.coalesce_width for r in responses] == [2, 2, 1]
 
-    def test_zero_window_still_serves(self):
-        async def main():
-            config = ServiceConfig(coalesce_window=0.0)
-            async with SolverService(config) as svc:
-                responses = await asyncio.gather(
-                    *(svc.submit(request(seed)) for seed in range(3))
-                )
-            return responses
-
-        responses = asyncio.run(main())
-        assert all(r.ok for r in responses)
-
     def test_width_one_disables_coalescing(self):
         async def main():
-            config = ServiceConfig(coalesce_window=10.0, max_coalesce_width=1)
+            config = ServiceConfig(max_coalesce_width=1)
             async with SolverService(config) as svc:
                 responses = await asyncio.gather(
                     *(svc.submit(request(seed)) for seed in range(4))
@@ -183,31 +170,31 @@ class TestCoalescing:
             return responses
 
         responses = asyncio.run(main())
-        # max_coalesce_width=1 skips the window entirely (nothing could
-        # ever join) -- otherwise this test would hang on the real sleep.
         assert [r.coalesce_width for r in responses] == [1] * 4
 
 
 class TestBackpressure:
     def test_queue_full_sheds_with_reason(self):
-        gate = GatedSleep()
+        op, hold, started = held_lane()
 
         async def main():
-            config = ServiceConfig(
-                max_queue_depth=2, coalesce_window=10.0, sleep=gate
-            )
+            config = ServiceConfig(max_queue_depth=2)
             async with SolverService(config) as svc:
-                first = asyncio.create_task(svc.submit(request(0)))
-                # Dispatcher picks up the first request and parks in the
-                # window; the queue is empty again.
-                await settle(lambda: gate.windows_open == 1)
+                first = asyncio.create_task(
+                    svc.submit(SolveRequest(a=op, b=rhs(0)))
+                )
+                # The first request's group holds a worker thread: it
+                # has left the queue, and its lane is busy.
+                await reached(started)
                 tasks = [
-                    asyncio.create_task(svc.submit(request(seed)))
+                    asyncio.create_task(
+                        svc.submit(SolveRequest(a=op, b=rhs(seed)))
+                    )
                     for seed in range(1, 5)
                 ]
                 await settle(lambda: svc.shed == 2)
                 assert svc.queue_depth == 2  # never exceeds the bound
-                gate.open_gate()
+                hold.set()
                 responses = await asyncio.gather(first, *tasks)
             return svc, responses
 
@@ -248,22 +235,25 @@ class TestBackpressure:
 
 class TestDrainAndDedup:
     def test_drain_answers_admitted_sheds_late(self):
-        gate = GatedSleep()
+        op, hold, started = held_lane()
 
         async def main():
-            config = ServiceConfig(coalesce_window=10.0, sleep=gate)
-            svc = SolverService(config)
-            await svc.start()
+            svc = SolverService()
             tasks = [
-                asyncio.create_task(svc.submit(request(seed)))
-                for seed in range(3)
+                asyncio.create_task(svc.submit(SolveRequest(a=op, b=rhs(0))))
             ]
-            await settle(lambda: gate.windows_open == 1)
+            await reached(started)
+            tasks += [
+                asyncio.create_task(
+                    svc.submit(SolveRequest(a=op, b=rhs(seed)))
+                )
+                for seed in (1, 2)
+            ]
             await settle(lambda: svc.queue_depth == 2)
             drainer = asyncio.create_task(svc.drain())
             await settle(lambda: svc.draining)
             late = await svc.submit(request(99))
-            gate.open_gate()
+            hold.set()
             responses = await asyncio.gather(*tasks)
             await drainer
             return svc, responses, late
@@ -276,7 +266,6 @@ class TestDrainAndDedup:
     def test_drain_is_idempotent(self):
         async def main():
             svc = SolverService()
-            await svc.start()
             await svc.drain()
             await svc.drain()
             return svc
@@ -285,18 +274,12 @@ class TestDrainAndDedup:
         assert svc.draining
 
     def test_duplicate_inflight_id_is_idempotent(self):
-        gate = GatedSleep()
-
         async def main():
-            config = ServiceConfig(coalesce_window=10.0, sleep=gate)
-            async with SolverService(config) as svc:
+            async with SolverService() as svc:
                 req = request(0, request_id="req-dup")
-                t1 = asyncio.create_task(svc.submit(req))
-                await settle(lambda: svc.submitted == 1)
-                t2 = asyncio.create_task(svc.submit(req))
-                await settle(lambda: svc.deduped == 1)
-                gate.open_gate()
-                r1, r2 = await asyncio.gather(t1, t2)
+                # Admitted in one step: the second finds the first in
+                # flight.
+                r1, r2 = await asyncio.gather(svc.submit(req), svc.submit(req))
             return svc, r1, r2
 
         svc, r1, r2 = asyncio.run(main())
@@ -323,25 +306,27 @@ class TestObservability:
     def test_metrics_and_events(self):
         from repro.telemetry import Telemetry
 
-        gate = GatedSleep()
+        op, hold, started = held_lane()
         # An explicit session with a MemorySink: the service's own
         # internally-built session deliberately has none (a long-lived
         # service must not accumulate events unboundedly).
         tele = Telemetry(count_ops=False)
 
         async def main():
-            config = ServiceConfig(
-                coalesce_window=10.0, max_queue_depth=2, sleep=gate
-            )
+            config = ServiceConfig(max_queue_depth=2)
             async with SolverService(config, telemetry=tele) as svc:
-                first = asyncio.create_task(svc.submit(request(0)))
-                await settle(lambda: gate.windows_open == 1)
+                first = asyncio.create_task(
+                    svc.submit(SolveRequest(a=op, b=rhs(0)))
+                )
+                await reached(started)
                 tasks = [
-                    asyncio.create_task(svc.submit(request(seed)))
+                    asyncio.create_task(
+                        svc.submit(SolveRequest(a=op, b=rhs(seed)))
+                    )
                     for seed in range(1, 5)
                 ]
                 await settle(lambda: svc.shed == 2)
-                gate.open_gate()
+                hold.set()
                 await asyncio.gather(first, *tasks)
             return svc
 
@@ -363,18 +348,22 @@ class TestObservability:
 
     def test_queue_seconds_uses_injected_clock(self):
         clock = FakeClock()
-        gate = GatedSleep()
+        op, hold, started = held_lane()
 
         async def main():
-            config = ServiceConfig(
-                coalesce_window=10.0, sleep=gate, clock=clock
-            )
-            async with SolverService(config) as svc:
-                task = asyncio.create_task(svc.submit(request(0)))
-                await settle(lambda: gate.windows_open == 1)
+            async with SolverService(ServiceConfig(clock=clock)) as svc:
+                first = asyncio.create_task(
+                    svc.submit(SolveRequest(a=op, b=rhs(0)))
+                )
+                await reached(started)  # the lane is busy
+                task = asyncio.create_task(
+                    svc.submit(SolveRequest(a=op, b=rhs(1)))
+                )
+                await settle(lambda: svc.queue_depth == 1)
                 clock.advance(2.5)  # the whole "wait" is fake time
-                gate.open_gate()
+                hold.set()
                 response = await task
+                await first
             return response
 
         response = asyncio.run(main())

@@ -24,11 +24,9 @@ import json
 
 import numpy as np
 
-from repro.serve import ServiceConfig, SolveRequest, SolverService
+from repro.serve import SolveRequest, SolverService
 from repro.sparse import poisson1d
 from repro.telemetry import JsonlSink, Telemetry
-
-from tests.serve.helpers import GatedSleep, settle
 
 INNER = poisson1d(24)
 N = INNER.nrows
@@ -69,23 +67,19 @@ def run_poisoned_batch(tmp_path, width: int, fail_at: int):
     jsonl = tmp_path / "serve_events.jsonl"
     telemetry = Telemetry(JsonlSink(jsonl), count_ops=False)
     poisoned = PoisonedOperator(fail_at)
-    gate = GatedSleep()
 
     async def main():
-        config = ServiceConfig(coalesce_window=10.0, sleep=gate)
-        async with SolverService(config, telemetry=telemetry) as svc:
-            tasks = [
-                asyncio.create_task(svc.submit(SolveRequest(
-                    a=poisoned,
-                    b=np.random.default_rng(j).standard_normal(N),
-                    method="cg",
-                )))
-                for j in range(width)
-            ]
-            await settle(lambda: gate.windows_open == 1)
-            await settle(lambda: svc.queue_depth == width - 1)
-            gate.open_gate()
-            responses = await asyncio.gather(*tasks)
+        async with SolverService(telemetry=telemetry) as svc:
+            responses = await asyncio.gather(
+                *(
+                    svc.submit(SolveRequest(
+                        a=poisoned,
+                        b=np.random.default_rng(j).standard_normal(N),
+                        method="cg",
+                    ))
+                    for j in range(width)
+                )
+            )
             # The session recovered: a healthy solve still works on the
             # same service and the same telemetry session.
             healthy = await svc.solve(INNER, np.ones(N), "cg")

@@ -4,8 +4,8 @@ The differential claim: a coalesced dispatch runs ONE solve, yet every
 iteration event, JSONL line, and span it produces can be attributed
 back to the member requests -- batch trace id on the unit of work, a
 member table mapping right-hand-side columns to request ids and
-tenants.  Deterministic scheduling via the tests/serve fakes; no
-assertion depends on a race.
+tenants.  The members are admitted in one event-loop step, so they
+coalesce deterministically; no assertion depends on a race.
 """
 
 from __future__ import annotations
@@ -15,12 +15,10 @@ import json
 
 import numpy as np
 
-from repro.serve import ServiceConfig, SolveRequest, SolverService
+from repro.serve import SolveRequest, SolverService
 from repro.sparse import poisson2d
 from repro.telemetry import JsonlSink, Telemetry
 from repro.trace import Tracer
-
-from tests.serve.helpers import GatedSleep, settle
 
 A = poisson2d(6)
 N = A.nrows
@@ -31,31 +29,22 @@ def rhs(seed: int) -> np.ndarray:
 
 
 def run_coalesced(telemetry, tenants=("alice", "bob", "alice")):
-    """Drive one 3-wide coalesced dispatch; returns (service, responses)."""
-    gate = GatedSleep()
-
+    """Drive one 3-wide coalesced dispatch; returns the responses."""
     async def main():
-        config = ServiceConfig(coalesce_window=10.0, sleep=gate)
-        async with SolverService(config, telemetry=telemetry) as svc:
-            tasks = [
-                asyncio.create_task(
+        async with SolverService(telemetry=telemetry) as svc:
+            return await asyncio.gather(
+                *(
                     svc.submit(
                         SolveRequest(
                             a=A, b=rhs(j), tenant=tenant,
                             request_id=f"req-trace-{j}",
                         )
                     )
+                    for j, tenant in enumerate(tenants)
                 )
-                for j, tenant in enumerate(tenants)
-            ]
-            await settle(lambda: gate.windows_open == 1)
-            await settle(lambda: svc.queue_depth == 2)
-            gate.open_gate()
-            responses = await asyncio.gather(*tasks)
-        return responses
+            )
 
-    responses = asyncio.run(main())
-    return responses
+    return asyncio.run(main())
 
 
 def test_coalesced_solve_events_carry_batch_attribution():

@@ -28,8 +28,6 @@ from repro.serve import ServiceConfig, SolveRequest, SolverService
 from repro.serve.warmstart import WarmStartCache
 from repro.sparse import poisson2d
 
-from tests.serve.helpers import GatedSleep, settle
-
 A = poisson2d(6)
 N = A.nrows
 STOP = StoppingCriterion(rtol=1e-8)
@@ -228,27 +226,16 @@ class TestServiceWarmStart:
 
     def test_batched_dispatch_stores_but_never_consumes(self):
         b = rhs(8)
-        gate = GatedSleep()
 
         async def main():
-            config = ServiceConfig(coalesce_window=10.0, sleep=gate)
-            async with SolverService(config) as svc:
-                # Prime the cache via a width-1 solve (gate open: its
-                # window elapses immediately)...
-                gate.open_gate()
+            async with SolverService(ServiceConfig()) as svc:
+                # Prime the cache via a width-1 solve...
                 pre = await svc.submit(SolveRequest(a=A, b=b))
-                gate.close_gate()
                 # ...then coalesce two requests, one repeating b exactly.
-                t1 = asyncio.create_task(
-                    svc.submit(SolveRequest(a=A, b=b))
+                r1, r2 = await asyncio.gather(
+                    svc.submit(SolveRequest(a=A, b=b)),
+                    svc.submit(SolveRequest(a=A, b=rhs(9))),
                 )
-                t2 = asyncio.create_task(
-                    svc.submit(SolveRequest(a=A, b=rhs(9)))
-                )
-                await settle(lambda: gate.windows_open == 2)
-                await settle(lambda: svc.queue_depth == 1)
-                gate.open_gate()
-                r1, r2 = await asyncio.gather(t1, t2)
                 # A later single repeat of the sibling's b warm-starts
                 # from the column the batch stored.
                 single = await svc.submit(SolveRequest(a=A, b=rhs(9)))
@@ -265,27 +252,16 @@ class TestServiceWarmStart:
         from repro import solve_batched as direct_batched
 
         bs = [rhs(10), rhs(11), rhs(12)]
-        gate = GatedSleep()
 
         async def main():
-            config = ServiceConfig(coalesce_window=10.0, sleep=gate)
-            async with SolverService(config) as svc:
+            async with SolverService(ServiceConfig()) as svc:
                 # Prime the cache with every column, then coalesce all
                 # three: the batch must ignore the seeds entirely.
-                gate.open_gate()
                 for b in bs:
                     await svc.submit(SolveRequest(a=A, b=b))
-                primed_windows = gate.windows_open
-                gate.close_gate()
-                tasks = [
-                    asyncio.create_task(svc.submit(SolveRequest(a=A, b=b)))
-                    for b in bs
-                ]
-                await settle(lambda: gate.windows_open == primed_windows + 1)
-                await settle(lambda: svc.queue_depth == 2)
-                gate.open_gate()
-                responses = await asyncio.gather(*tasks)
-            return responses
+                return await asyncio.gather(
+                    *(svc.submit(SolveRequest(a=A, b=b)) for b in bs)
+                )
 
         responses = run(main())
         assert [r.coalesce_width for r in responses] == [3, 3, 3]

@@ -13,9 +13,9 @@ The fingerprint-keyed pool has four load-bearing promises:
   toward ``max_queue_depth`` until its group gets a thread, at every
   worker count;
 * the conservation law ``submitted == served + shed + errors + deduped``
-  survives every drain-during-dispatch interleaving, pinned with the
-  deterministic FakeClock/GatedSleep harness and event-gated worker
-  threads rather than wall-clock races.
+  survives every drain-during-dispatch interleaving, pinned with
+  same-step admission, the FakeClock and event-gated worker threads
+  rather than wall-clock races.
 """
 
 from __future__ import annotations
@@ -29,7 +29,13 @@ import pytest
 from repro.serve import ServiceConfig, SolveRequest, SolverService
 from repro.sparse import poisson2d
 
-from tests.serve.helpers import FakeClock, GatedSleep, reached, settle
+from tests.serve.helpers import (
+    FakeClock,
+    GatedOperator,
+    occupy_every_thread,
+    reached,
+    settle,
+)
 
 A = poisson2d(6)
 N = A.nrows
@@ -43,46 +49,6 @@ def conservation(svc: SolverService) -> bool:
     return svc.submitted == svc.served + svc.shed + svc.errors + svc.deduped
 
 
-class GatedOperator:
-    """Delegate to a Poisson matrix, but let the test gate the matvec.
-
-    ``barrier`` (when given) is waited on by the *first* application --
-    two operators sharing a barrier prove their dispatches overlap in
-    real time.  ``hold``/``started`` (when given) park every application
-    until the test releases them, so a dispatch is provably in flight
-    when the test acts.  A distinct ``tag`` gives each instance its own
-    content fingerprint and therefore its own dispatch lane.
-    """
-
-    def __init__(self, tag, barrier=None, hold=None, started=None):
-        self._inner = poisson2d(6)
-        self._tag = tag
-        self._barrier = barrier
-        self._hold = hold
-        self._started = started
-        self._passed_barrier = False
-
-    @property
-    def shape(self):
-        return (self._inner.nrows, self._inner.ncols)
-
-    def matvec(self, x):
-        if self._started is not None:
-            self._started.set()
-        if self._barrier is not None and not self._passed_barrier:
-            self._passed_barrier = True
-            self._barrier.wait(timeout=30)
-        if self._hold is not None:
-            assert self._hold.wait(timeout=30)
-        return self._inner.matvec(x)
-
-    def max_row_degree(self):
-        return 5
-
-    def fingerprint(self):
-        return ("gated-op", self._tag)
-
-
 class TestPoolConcurrency:
     def test_distinct_operators_dispatch_concurrently(self):
         # Both operators' first matvec parks on one barrier: the test
@@ -91,23 +57,12 @@ class TestPoolConcurrency:
         # 30s and surfaces as an error response instead).
         barrier = threading.Barrier(2)
         ops = [GatedOperator(tag, barrier=barrier) for tag in ("a", "b")]
-        gate = GatedSleep()
 
         async def main():
-            config = ServiceConfig(
-                coalesce_window=10.0, sleep=gate, workers=4
-            )
-            async with SolverService(config) as svc:
-                tasks = [
-                    asyncio.create_task(
-                        svc.submit(SolveRequest(a=op, b=np.ones(N)))
-                    )
-                    for op in ops
-                ]
-                await settle(lambda: gate.windows_open == 1)
-                await settle(lambda: svc.queue_depth == 1)
-                gate.open_gate()
-                responses = await asyncio.gather(*tasks)
+            async with SolverService(ServiceConfig(workers=4)) as svc:
+                responses = await asyncio.gather(
+                    *(svc.submit(SolveRequest(a=op, b=np.ones(N))) for op in ops)
+                )
             return svc, responses
 
         svc, responses = asyncio.run(main())
@@ -123,9 +78,7 @@ class TestPoolConcurrency:
         lock = threading.Lock()
 
         async def main():
-            config = ServiceConfig(
-                coalesce_window=10.0, max_coalesce_width=1, workers=4
-            )
+            config = ServiceConfig(max_coalesce_width=1, workers=4)
             async with SolverService(config) as svc:
                 orig = svc._solve_group
 
@@ -170,9 +123,7 @@ class TestPoolConcurrency:
         lock = threading.Lock()
 
         async def main():
-            config = ServiceConfig(
-                coalesce_window=10.0, max_coalesce_width=1, workers=4
-            )
+            config = ServiceConfig(max_coalesce_width=1, workers=4)
             async with SolverService(config) as svc:
                 orig = svc._solve_group
 
@@ -309,20 +260,13 @@ class TestLaneBacklog:
         hold = threading.Event()
         started = threading.Event()
         op = GatedOperator("held", hold=hold, started=started)
-        gate = GatedSleep()
 
         async def main():
-            config = ServiceConfig(
-                max_queue_depth=3, coalesce_window=10.0, sleep=gate,
-                workers=workers,
-            )
+            config = ServiceConfig(max_queue_depth=3, workers=workers)
             async with SolverService(config) as svc:
                 first = asyncio.create_task(
                     svc.submit(SolveRequest(a=op, b=rhs(0)))
                 )
-                await settle(lambda: gate.windows_open == 1)
-                gate.open_gate()
-                gate.close_gate()
                 await reached(started)  # the lane is busy
                 tasks = [
                     asyncio.create_task(
@@ -331,8 +275,6 @@ class TestLaneBacklog:
                     for seed in range(1, 8)
                 ]
                 await settle(lambda: svc.submitted == 8 and svc.shed == 4)
-                gate.open_gate()  # the second window routes its three
-                await settle(lambda: gate.windows_closed == 2)
                 parked = svc.queue_depth
                 lanes = svc.status()["workers"]["active_lanes"]
                 hold.set()
@@ -350,27 +292,20 @@ class TestLaneBacklog:
         assert conservation(svc)
 
     def test_busy_lane_coalesces_arrivals_across_windows(self, workers):
-        # While the lane is held, four requests arrive over two coalesce
-        # windows.  They all park on the lane and ride ONE group.
+        # While the lane is held, four requests arrive in two separate
+        # waves of two.  They all park on the lane and ride ONE group.
         hold = threading.Event()
         started = threading.Event()
         op = GatedOperator("held", hold=hold, started=started)
-        gate = GatedSleep()
 
         async def main():
-            config = ServiceConfig(
-                coalesce_window=10.0, sleep=gate, workers=workers
-            )
-            async with SolverService(config) as svc:
+            async with SolverService(ServiceConfig(workers=workers)) as svc:
                 first = asyncio.create_task(
                     svc.submit(SolveRequest(a=op, b=rhs(0)))
                 )
-                await settle(lambda: gate.windows_open == 1)
-                gate.open_gate()
-                gate.close_gate()
                 await reached(started)
                 tasks = []
-                for window in (2, 3):
+                for _wave in range(2):
                     for _ in range(2):
                         seed = len(tasks) + 1
                         tasks.append(
@@ -378,11 +313,7 @@ class TestLaneBacklog:
                                 svc.submit(SolveRequest(a=op, b=rhs(seed)))
                             )
                         )
-                        await settle(lambda: gate.windows_open == window)
                     await settle(lambda: svc.queue_depth == len(tasks))
-                    gate.open_gate()
-                    gate.close_gate()
-                    await settle(lambda: gate.windows_closed == window)
                 parked = svc.queue_depth
                 hold.set()
                 responses = await asyncio.gather(*tasks)
@@ -395,21 +326,16 @@ class TestLaneBacklog:
         assert [r.coalesce_width for r in responses] == [4] * 4
         assert conservation(svc)
 
-    @pytest.mark.parametrize("window", [False, True])
     @pytest.mark.parametrize("kind", ["x0", "operator"])
     def test_requests_waiting_for_a_thread_count_toward_the_bound(
-        self, workers, kind, window
+        self, workers, kind
     ):
         # Every pool thread is held.  Five requests arrive one by one,
         # each on an idle lane of its own (x0 makes a request
         # uncoalescable; a distinct operator is a fresh lane), so none
         # parks on a backlog.  They still count until they get a
-        # thread: three are admitted and two shed.  With a coalesce
-        # window (one that passes at once) the request last held in it
-        # is exempt, so four are admitted -- one, not one per window.
+        # thread: three are admitted and two shed.
         hold = threading.Event()
-        gate = GatedSleep()
-        gate.open_gate()
 
         def arrival(seed):
             if kind == "x0":
@@ -419,10 +345,7 @@ class TestLaneBacklog:
             return SolveRequest(a=GatedOperator(f"idle-{seed}"), b=rhs(seed))
 
         async def main():
-            config = ServiceConfig(
-                max_queue_depth=3, coalesce_window=10.0 if window else 0.0,
-                sleep=gate, workers=workers,
-            )
+            config = ServiceConfig(max_queue_depth=3, workers=workers)
             async with SolverService(config) as svc:
                 busy = await occupy_every_thread(svc, workers, hold)
                 tasks = []
@@ -441,29 +364,11 @@ class TestLaneBacklog:
             return svc, responses, waiting
 
         svc, responses, waiting = asyncio.run(main())
-        admitted = 4 if window else 3
         assert waiting == 3
-        assert [r.status for r in responses] == (
-            ["ok"] * admitted + ["shed"] * (5 - admitted)
-        )
-        assert {r.reason for r in responses[admitted:]} == {"queue_full"}
+        assert [r.status for r in responses] == ["ok"] * 3 + ["shed"] * 2
+        assert {r.reason for r in responses[3:]} == {"queue_full"}
         assert svc.peak_queue_depth <= 3
         assert conservation(svc)
-
-
-async def occupy_every_thread(svc, workers, hold):
-    """Start one held solve per pool thread, on distinct operators, and
-    return their tasks once all of them run."""
-    tasks = []
-    for j in range(workers):
-        op = GatedOperator(f"busy-{j}", hold=hold)
-        tasks.append(
-            asyncio.create_task(svc.submit(SolveRequest(a=op, b=rhs(j))))
-        )
-        await settle(
-            lambda: svc.status()["workers"]["inflight_dispatches"] == j + 1
-        )
-    return tasks
 
 
 class TestDrainInterleavings:
@@ -479,11 +384,7 @@ class TestDrainInterleavings:
         clock = FakeClock()
 
         async def main():
-            config = ServiceConfig(
-                coalesce_window=0.0, workers=4, clock=clock
-            )
-            svc = SolverService(config)
-            await svc.start()
+            svc = SolverService(ServiceConfig(workers=4, clock=clock))
             t_slow = asyncio.create_task(
                 svc.submit(SolveRequest(a=slow, b=np.ones(N)))
             )
@@ -518,21 +419,15 @@ class TestDrainInterleavings:
         # answered before drain() returns.
         hold = threading.Event()
         ops = [GatedOperator(f"lane-{j}", hold=hold) for j in range(3)]
-        gate = GatedSleep()
 
         async def main():
-            config = ServiceConfig(coalesce_window=10.0, sleep=gate, workers=4)
-            svc = SolverService(config)
-            await svc.start()
+            svc = SolverService(ServiceConfig(workers=4))
             tasks = [
                 asyncio.create_task(
                     svc.submit(SolveRequest(a=op, b=np.ones(N)))
                 )
                 for op in ops
             ]
-            await settle(lambda: gate.windows_open == 1)
-            await settle(lambda: svc.queue_depth == 2)
-            gate.open_gate()
             await settle(lambda: svc.peak_inflight_dispatches == 3)
             drainer = asyncio.create_task(svc.drain())
             await settle(lambda: svc.draining)

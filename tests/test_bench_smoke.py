@@ -199,9 +199,9 @@ def test_bench_serve_smoke_emits_json(tmp_path):
     bench = _load_by_path("bench_serve_throughput", SERVE_BENCH_PATH)
     out = tmp_path / "BENCH_serve.json"
     payload = bench.run(
-        grid=8, clients=4, repeats=1, window_ms=5.0, out_path=out,
+        grid=8, clients=4, repeats=1, out_path=out,
         mixed_grids=(6, 8), mixed_clients_per_op=2, mixed_rounds=2,
-        mixed_window_ms=5.0, mixed_repeats=1,
+        mixed_repeats=1,
     )
 
     on_disk = json.loads(out.read_text())

@@ -325,23 +325,34 @@ class TestProfile:
 
 
 class TestServe:
-    def test_build_service_from_args(self, mtx_file):
+    def test_build_service_from_args(self, mtx_file, tmp_path, capsys):
         from repro.cli import _build_service
 
         args = build_parser().parse_args([
             "serve", "--matrix", str(mtx_file), "--port", "0",
-            "--window-ms", "5", "--max-width", "8", "--queue-depth", "32",
-            "--rate", "10", "--burst", "4",
+            "--max-width", "8", "--queue-depth", "32",
+            "--rate", "10", "--burst", "4", "--workers", "2",
+            "--warm-start", "0", "--postmortem-dir", str(tmp_path),
         ])
         service, name, a = _build_service(args)
         assert name == "a"  # the file stem
         assert service.operators == ["a", "default"]
         assert a.nrows == 64
-        assert service.config.coalesce_window == pytest.approx(0.005)
         assert service.config.max_coalesce_width == 8
         assert service.config.max_queue_depth == 32
         assert service.config.tenant_rate == 10
         assert service.config.tenant_burst == 4
+        assert service.config.workers == 2
+        assert service.config.warm_start == 0
+        assert service.config.postmortem_dir == str(tmp_path)
+        # Admission routes straight to the lane; a window flag is a
+        # usage error, not a silently ignored knob.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([
+                "serve", "--matrix", str(mtx_file), "--window-ms", "2",
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --window-ms" in capsys.readouterr().err
 
     def test_build_service_generator_name(self):
         from repro.cli import _build_service
