@@ -104,11 +104,8 @@ def _matvec_arms(a, x, repeats: int) -> dict:
 def _solve_allocation_profile(a, b, stop) -> dict:
     """Steady-state per-iteration allocation of a full CG solve.
 
-    ``caller_arena`` passes a caller-owned :class:`Workspace`;
-    ``default`` lets the solver provision its own.  Both must be
-    allocation-free in steady state -- the solver creates an internal
-    arena when none is supplied, so the allocation-free path is the
-    default, not an opt-in.
+    Every solve provisions its own workspace arena, so the
+    allocation-free path is the only path.
     """
     from repro.telemetry import Telemetry
     from repro.telemetry.events import IterationEvent
@@ -127,22 +124,18 @@ def _solve_allocation_profile(a, b, stop) -> dict:
             tracemalloc.reset_peak()
             self._floor = tracemalloc.get_traced_memory()[0]
 
-    def _profile(**kwargs):
-        probe = _Probe()
-        tracemalloc.start()
-        try:
-            conjugate_gradient(a, b, stop=stop, telemetry=Telemetry(probe), **kwargs)
-        finally:
-            tracemalloc.stop()
-        steady = probe.deltas[4:-1] or probe.deltas
-        return {
+    probe = _Probe()
+    tracemalloc.start()
+    try:
+        conjugate_gradient(a, b, stop=stop, telemetry=Telemetry(probe))
+    finally:
+        tracemalloc.stop()
+    steady = probe.deltas[4:-1] or probe.deltas
+    return {
+        "default": {
             "max_iteration_bytes": int(max(steady)),
             "mean_iteration_bytes": int(sum(steady) / len(steady)),
         }
-
-    return {
-        "caller_arena": _profile(workspace=Workspace()),
-        "default": _profile(),
     }
 
 

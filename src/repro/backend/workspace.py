@@ -9,11 +9,10 @@ request for a slot allocates it, every later request with the same name
 and dtype reuses the buffer (reallocating only if the requested shape
 changed, which is what the batched solvers' deflation does on purpose).
 
-A workspace is *per solve* by default -- each top-level solver call makes
-its own unless the caller passes one in, so concurrent solves never share
-buffers.  Passing one workspace across repeated ``solve()`` calls (the
-production-traffic pattern) amortizes even the first-iteration
-allocations away.
+A workspace is *per solve*: each solve's
+:class:`~repro.core.results.SolveRun` (and each batched solve) makes its
+own, so concurrent solves never share buffers.  The kernels' ``work=``
+arguments take one directly.
 """
 
 from __future__ import annotations

@@ -49,17 +49,12 @@ import numpy as np
 
 from repro.core.moments import window_from_powers
 from repro.core.powers import PowerBlock
-from repro.core.results import CGResult, StopReason, verified_exit
+from repro.core.results import CGResult, SolveRun, StopReason
 from repro.core.stopping import StoppingCriterion
 from repro.core.vr_cg import _startup
-from repro.sparse.linop import as_operator, operator_dtype
 from repro.util.counters import add_scalar_flops
-from repro.util.kernels import axpy, dot, norm
-from repro.util.validation import (
-    as_1d_typed_array,
-    check_square_operator,
-    require_nonnegative_int,
-)
+from repro.util.kernels import axpy, dot
+from repro.util.validation import require_nonnegative_int
 
 __all__ = [
     "ControllerConfig",
@@ -293,7 +288,6 @@ def adaptive_vr_cg(
     stop: StoppingCriterion | None = None,
     controller: Any = None,
     telemetry: "Telemetry | None" = None,
-    workspace: Any = None,
 ) -> CGResult:
     """Eager Van Rosendale CG with an online adaptive window size.
 
@@ -313,7 +307,7 @@ def adaptive_vr_cg(
     controller:
         A :class:`WindowController`, a :class:`ControllerConfig`, or
         ``None`` for defaults.
-    a, b, x0, stop, telemetry, workspace:
+    a, b, x0, stop, telemetry:
         As in :func:`repro.core.vr_cg.vr_conjugate_gradient`.
 
     Returns
@@ -323,30 +317,16 @@ def adaptive_vr_cg(
         ``extras["adaptive"]`` the full controller record (decisions,
         final k, whether the solve fell back to classical CG).
     """
-    b_arr = np.asarray(b)
-    op = as_operator(a, n=b_arr.shape[0] if b_arr.ndim == 1 else None)
-    dtype = operator_dtype(op)
-    b = as_1d_typed_array(b, "b", dtype)
-    n = check_square_operator(op, b.shape[0])
-    stop = stop or StoppingCriterion()
     k0 = _initial_k(k)
     ctl = _coerce_controller(controller, k0, k_min_floor=0)
     ctl.attach(telemetry)
-    from repro.backend import Workspace
-
-    ws = workspace if workspace is not None else Workspace()
-
-    x = (
-        np.zeros(n, dtype=dtype)
-        if x0 is None
-        else as_1d_typed_array(x0, "x0", dtype).copy()
-    )
     label = f"adaptive-vr-cg(k0={ctl.k})"
-    if telemetry is not None:
-        telemetry.solve_start("adaptive-vr", label, n, k0=ctl.k)
-        telemetry.iterate(x)
+    run = SolveRun.open(
+        "adaptive-vr", label, a, b, x0=x0, stop=stop, telemetry=telemetry,
+        keep_dtype=True, k0=ctl.k,
+    )
+    op, b, x, stop, b_norm, ws = run.op, run.b, run.x, run.stop, run.b_norm, run.ws
 
-    b_norm = norm(b)
     if telemetry is not None:
         with telemetry.phase("startup"):
             powers, window = _startup(op, b, x, ctl.k)
@@ -358,27 +338,15 @@ def adaptive_vr_cg(
     lambdas: list[float] = []
 
     def _result(reason: StopReason, iterations: int) -> CGResult:
-        true_res = norm(b - op.matvec(x))
-        reason = verified_exit(reason, true_res, stop.threshold(b_norm))
-        extras: dict[str, Any] = {
-            "k_history": list(ctl.k_history),
-            "adaptive": ctl.snapshot(),
-        }
-        result = CGResult(
-            x=x,
-            converged=reason is StopReason.CONVERGED,
-            stop_reason=reason,
-            iterations=iterations,
-            residual_norms=res_norms,
+        return run.finish(
+            reason,
+            x,
+            iterations,
+            res_norms,
             alphas=alphas,
             lambdas=lambdas,
-            true_residual_norm=true_res,
-            label=label,
-            extras=extras,
+            extras={"k_history": list(ctl.k_history), "adaptive": ctl.snapshot()},
         )
-        if telemetry is not None:
-            telemetry.solve_end(result)
-        return result
 
     if stop.is_met(res_norms[0], b_norm):
         return _result(StopReason.CONVERGED, 0)
@@ -386,7 +354,7 @@ def adaptive_vr_cg(
     reason = StopReason.MAX_ITER
     iterations = 0
     since_check = 0
-    budget = stop.budget(n)
+    budget = stop.budget(b.shape[0])
 
     def _repair(trigger_iter: int, *, keep_direction: bool) -> None:
         """Rebuild powers/window at the controller's current k."""
@@ -494,7 +462,6 @@ def adaptive_vr_cg(
                 x0=x,
                 stop=dc_replace(stop, max_iter=remaining),
                 telemetry=telemetry,
-                workspace=ws,
             )
             x = sub.x
             iterations += sub.iterations
@@ -515,7 +482,6 @@ def adaptive_pipelined_vr_cg(
     stop: StoppingCriterion | None = None,
     controller: Any = None,
     telemetry: "Telemetry | None" = None,
-    workspace: Any = None,
 ) -> CGResult:
     """Pipelined Van Rosendale CG with an online adaptive window size.
 
@@ -526,8 +492,6 @@ def adaptive_pipelined_vr_cg(
     path; on controller fallback the current iterate is handed to
     classical CG for the remaining budget and the histories stitched.
     """
-    b_arr = np.asarray(b)
-    n = b_arr.shape[0] if b_arr.ndim == 1 else 0
     stop = stop or StoppingCriterion()
     k0 = max(_initial_k(k), 1)
     ctl = _coerce_controller(controller, k0, k_min_floor=1)
@@ -541,7 +505,6 @@ def adaptive_pipelined_vr_cg(
         x0=x0,
         stop=stop,
         telemetry=telemetry,
-        workspace=workspace,
         controller=ctl,
     )
     label = f"adaptive-pipelined-vr-cg(k0={k0})"
@@ -557,7 +520,6 @@ def adaptive_pipelined_vr_cg(
                 x0=result.x,
                 stop=dc_replace(stop, max_iter=remaining),
                 telemetry=telemetry,
-                workspace=workspace,
             )
             result = CGResult(
                 x=sub.x,

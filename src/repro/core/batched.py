@@ -203,7 +203,6 @@ def batched_cg(
     x0: np.ndarray | None = None,
     stop: StoppingCriterion | None = None,
     telemetry: "Telemetry | None" = None,
-    workspace: Any = None,
 ) -> BatchedResult:
     """Solve ``A X = B`` for all columns of ``B`` by block-batched CG.
 
@@ -236,7 +235,7 @@ def batched_cg(
     stop = stop or StoppingCriterion()
     from repro.backend import Workspace
 
-    ws = workspace if workspace is not None else Workspace()
+    ws = Workspace()
 
     batch = _Batch(op, b_block, x0, stop, telemetry, "batched-cg")
     n, m = batch.n, batch.m
@@ -392,7 +391,6 @@ def batched_vr_cg(
     stop: StoppingCriterion | None = None,
     replace_every: int | None = None,
     telemetry: "Telemetry | None" = None,
-    workspace: Any = None,
 ) -> BatchedResult:
     """Solve ``A X = B`` by block-batched Van Rosendale restructured CG.
 
@@ -426,7 +424,7 @@ def batched_vr_cg(
 
     from repro.backend import Workspace
 
-    ws = workspace if workspace is not None else Workspace()
+    ws = Workspace()
     label = f"batched-vr-cg(k={k})"
     batch = _Batch(op, b_block, x0, stop, telemetry, label)
     n, m = batch.n, batch.m

@@ -47,16 +47,11 @@ from repro.core.coefficients import (
 )
 from repro.core.moments import window_from_powers
 from repro.core.powers import PowerBlock
-from repro.core.results import CGResult, StopReason, verified_exit
+from repro.core.results import CGResult, SolveRun, StopReason
 from repro.core.stopping import StoppingCriterion
-from repro.sparse.linop import as_operator, operator_dtype
 from repro.util.counters import add_scalar_flops, traced
-from repro.util.kernels import axpy, dot, norm
-from repro.util.validation import (
-    as_1d_typed_array,
-    check_square_operator,
-    require_positive_int,
-)
+from repro.util.kernels import axpy, dot
+from repro.util.validation import require_positive_int
 
 # Same finite-precision divergence guard as the eager solver
 # (repro.core.vr_cg): recurred residual growth beyond this factor over
@@ -240,7 +235,6 @@ def pipelined_vr_cg(
     faults: Any = None,
     recovery: Any = None,
     telemetry: "Telemetry | None" = None,
-    workspace: Any = None,
     controller: "WindowController | None" = None,
 ) -> CGResult:
     """Solve ``A x = b`` with the fully pipelined Van Rosendale iteration.
@@ -280,10 +274,8 @@ def pipelined_vr_cg(
         consume, and coefficient-update is emitted as a
         :class:`~repro.telemetry.PipelineEvent` (rebuild a
         :class:`PipelineTrace` with :func:`trace_from_events`), plus the
-        usual per-iteration events.
-    workspace:
-        Optional :class:`repro.backend.Workspace`; a per-solve arena is
-        made when omitted.  Steady-state iterations allocate zero new
+        usual per-iteration events.  Steady-state iterations draw
+        scratch from the run's workspace arena and allocate zero new
         arrays (the launch/consume scalar machinery is O(k²), not O(n)).
     controller:
         Optional :class:`repro.core.adaptive.WindowController`.  When
@@ -303,100 +295,64 @@ def pipelined_vr_cg(
     CGResult
         With ``label = "pipelined-vr-cg(k=...)"``.
     """
-    b_arr = np.asarray(b)
-    op = as_operator(a, n=b_arr.shape[0] if b_arr.ndim == 1 else None)
-    dtype = operator_dtype(op)
-    b = as_1d_typed_array(b, "b", dtype)
-    n = check_square_operator(op, b.shape[0])
     k = require_positive_int(k, "k")
-    stop = stop or StoppingCriterion()
 
     def _event(kind: str, iteration: int, source_iteration: int, count: int) -> None:
         if telemetry is not None:
             telemetry.pipeline(kind, iteration, source_iteration, count)
 
-    from repro.backend import Workspace
-    from repro.faults import RecoveryPolicy, UnrecoverableDivergence, as_fault_plan
+    from repro.faults import RecoveryPolicy
 
-    ws = workspace if workspace is not None else Workspace()
-    policy = RecoveryPolicy.from_spec(recovery)
-    plan = as_fault_plan(faults)
-    if controller is not None and (policy is not None or plan is not None):
+    if controller is not None and (
+        RecoveryPolicy.from_spec(recovery) is not None or faults is not None
+    ):
         raise ValueError(
             "controller= (adaptive window) owns all repair decisions and "
             "cannot be combined with recovery= or faults="
         )
-
-    x = (
-        np.zeros(n, dtype=dtype)
-        if x0 is None
-        else as_1d_typed_array(x0, "x0", dtype).copy()
-    )
-    if telemetry is not None:
-        # A controller means this run is the engine of the adaptive
-        # method; report the name the caller actually asked for.
-        method = "pipelined-vr" if controller is None else "adaptive-pipelined-vr"
-        label = (
+    # A controller means this run is the engine of the adaptive method;
+    # report the name the caller actually asked for.
+    run = SolveRun.open(
+        "pipelined-vr" if controller is None else "adaptive-pipelined-vr",
+        (
             f"pipelined-vr-cg(k={k})"
             if controller is None
             else f"adaptive-pipelined-vr-cg(k0={k})"
-        )
-        telemetry.solve_start(method, label, n, k=k)
-        telemetry.iterate(x)
-    b_norm = norm(b)
-
-    op_true = op
-    if plan is not None:
-        plan.attach(telemetry)
-        op = plan.wrap_operator(op)
+        ),
+        a,
+        b,
+        x0=x0,
+        stop=stop,
+        faults=faults,
+        recovery=recovery,
+        telemetry=telemetry,
+        keep_dtype=True,
+        k=k,
+    )
+    op, b, x, stop, b_norm = run.op, run.b, run.x, run.stop, run.b_norm
+    ws, policy, plan = run.ws, run.policy, run.plan
 
     res_norms: list[float] = []
     alphas: list[float] = []
     lambdas: list[float] = []
-    recoveries: dict[str, int] = {"replace": 0, "restart": 0, "recompute": 0}
-    restarts_used = 0
     iterations = 0
-    budget = stop.budget(n)
+    budget = stop.budget(b.shape[0])
 
     def _result(reason: StopReason) -> CGResult:
-        # Exit verification bypasses any matvec-site injector: the honesty
-        # check must measure the pristine operator.
-        true_res = norm(b - op_true.matvec(x))
-        reason = verified_exit(reason, true_res, stop.threshold(b_norm))
-        if (
-            policy is not None
-            and policy.on_unrecoverable == "raise"
-            and reason is StopReason.BREAKDOWN
-            and restarts_used >= policy.max_restarts
-        ):
-            raise UnrecoverableDivergence(
-                f"pipelined-vr-cg(k={k}) broke down after {iterations} "
-                f"iterations and {restarts_used} restarts "
-                f"(true residual {true_res:.3e})"
-            )
         extras: dict[str, Any] = {}
-        if plan is not None:
-            extras["faults"] = plan.counts()
-        if policy is not None:
-            extras["recoveries"] = dict(recoveries)
         if controller is not None:
             extras["adaptive"] = controller.snapshot()
             extras["k_history"] = list(controller.k_history)
-        result = CGResult(
-            x=x,
-            converged=reason is StopReason.CONVERGED,
-            stop_reason=reason,
-            iterations=iterations,
-            residual_norms=res_norms,
+        return run.finish(
+            reason,
+            x,
+            iterations,
+            res_norms,
             alphas=alphas,
             lambdas=lambdas,
-            true_residual_norm=true_res,
             label=f"pipelined-vr-cg(k={k})",
             extras=extras,
         )
-        if telemetry is not None:
-            telemetry.solve_end(result)
-        return result
 
     def _segment(offset: int, budget_left: int) -> tuple[str, str, float]:
         """Run the pipelined iteration from the current ``x`` until it
@@ -451,9 +407,7 @@ def pipelined_vr_cg(
         if not res_norms:
             res_norms.append(float(np.sqrt(max(mu0_cur, 0.0))))
         if stop.is_met(float(np.sqrt(max(mu0_cur, 0.0))), b_norm):
-            if plan is None or norm(
-                b - op_true.matvec(x)
-            ) <= stop.threshold(b_norm):
+            if plan is None or run.true_residual(x) <= stop.threshold(b_norm):
                 return ("converged", "", 0.0)
             return ("breakdown", "false_convergence", 0.0)
 
@@ -513,9 +467,7 @@ def pipelined_vr_cg(
                 # A corrupted scalar can fake convergence (a tiny recurred
                 # mu0); under injection verify against the true residual
                 # before accepting the exit.
-                if plan is None or norm(
-                    b - op_true.matvec(x)
-                ) <= stop.threshold(b_norm):
+                if plan is None or run.true_residual(x) <= stop.threshold(b_norm):
                     return ("converged", "", 0.0)
                 return ("breakdown", "false_convergence", 0.0)
             if mu0_next <= 0.0 or not np.isfinite(mu0_next):
@@ -613,7 +565,7 @@ def pipelined_vr_cg(
             # pipeline at the possibly-new window size -- the same refill
             # path a residual replacement uses.
             k = max(1, controller.k)
-            recoveries["replace"] += 1
+            run.recoveries["replace"] += 1
             if telemetry is not None:
                 telemetry.replacement(iterations, "adaptive")
         elif outcome == "replace":
@@ -622,7 +574,7 @@ def pipelined_vr_cg(
             # whole pipeline from the true residual at the current x
             # (losing the direction history -- a restart in CG terms, the
             # price of the deep pipeline).
-            recoveries["replace"] += 1
+            run.recoveries["replace"] += 1
             if telemetry is not None:
                 telemetry.replacement(iterations, trigger)
                 telemetry.recovery(iterations, "replace", trigger, gap)
@@ -633,14 +585,9 @@ def pipelined_vr_cg(
                     return _result(StopReason.BREAKDOWN)
                 # shrink or floor repair: refill at the controller's k.
                 k = max(1, controller.k)
-                recoveries["restart"] += 1
+                run.recoveries["restart"] += 1
                 if telemetry is not None:
                     telemetry.recovery(iterations, "restart", trigger)
-            else:
-                if policy is None or restarts_used >= policy.max_restarts:
-                    return _result(StopReason.BREAKDOWN)
-                restarts_used += 1
-                recoveries["restart"] += 1
-                if telemetry is not None:
-                    telemetry.recovery(iterations, "restart", trigger)
+            elif not run.restart(iterations, trigger):
+                return _result(StopReason.BREAKDOWN)
         outcome, trigger, gap = _segment(iterations, budget - iterations)

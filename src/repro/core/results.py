@@ -1,21 +1,28 @@
-"""Solver result containers.
+"""Solver result containers and the rule that decides what they mean.
 
 Every solver in :mod:`repro.core` and :mod:`repro.variants` returns a
 :class:`CGResult` so experiments can compare algorithms uniformly: the
 solution, convergence flag, per-iteration scalar histories (the CG
 parameters ``α``/``λ`` the paper's recurrences are built from), and the
-residual-norm history.
+residual-norm history.  Every single-RHS solver opens and closes through
+a :class:`SolveRun`, whose exit applies :func:`verified_exit` -- so
+``converged=True`` means the same thing on every method.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
-__all__ = ["CGResult", "BatchedResult", "StopReason", "verified_exit"]
+from repro.core.stopping import StoppingCriterion
+from repro.sparse.linop import as_operator, operator_dtype
+from repro.util.kernels import norm
+from repro.util.validation import as_1d_typed_array, check_square_operator
+
+__all__ = ["CGResult", "BatchedResult", "SolveRun", "StopReason", "verified_exit"]
 
 
 class StopReason(Enum):
@@ -213,7 +220,7 @@ class BatchedResult:
 def verified_exit(
     reason: StopReason, true_residual: float, threshold: float
 ) -> StopReason:
-    """Exit verification shared by every solver in the family.
+    """The family's exit rule: what ``converged=True`` promises.
 
     A recurrence-based solver's algorithm-visible residual can drift
     below the stopping threshold while the true residual has not -- a
@@ -221,9 +228,197 @@ def verified_exit(
     check costs one matvec at exit (already needed for
     ``true_residual_norm``), none per iteration: a CONVERGED exit whose
     true residual exceeds ``100x`` the stopping threshold is downgraded
-    to BREAKDOWN.  Centralized here so classical, recurrence, variant,
-    and distributed solvers all report convergence under the same rule.
+    to BREAKDOWN.  :meth:`SolveRun.finish` applies it to every
+    single-RHS solve and the two batched exits apply it per column, so
+    every method reports convergence under this one rule.
     """
     if reason is StopReason.CONVERGED and true_residual > 100.0 * threshold:
         return StopReason.BREAKDOWN
     return reason
+
+
+class SolveRun:
+    """One single-RHS solve, from its opening to its verified exit.
+
+    The rules around the iteration live here once instead of in every
+    solver:
+
+    * **opening** (:meth:`open`) -- coerce ``a``/``b``/``x0``, default
+      the stopping rule, make the per-solve
+      :class:`~repro.backend.Workspace` (:attr:`ws`), resolve the
+      ``recovery=`` policy and the ``faults=`` plan (the iteration
+      applies the fault-wrapped :attr:`op`; the exit keeps the pristine
+      :attr:`op_true`), open the telemetry solve bracket and compute
+      :attr:`b_norm`;
+    * **restart budget** (:meth:`restart`) -- the policy's bounded
+      restarts, shared by every trigger;
+    * **exit** (:meth:`finish`) -- recompute ``‖b − A x‖`` on the
+      pristine operator, apply :func:`verified_exit`, raise
+      :class:`~repro.faults.UnrecoverableDivergence` when the policy
+      asks for it, and close the bracket with the :class:`CGResult`.
+
+    The ``dist-*`` solvers partition, communicate and open their own
+    bracket; they construct a run directly, for its exit only.
+    """
+
+    def __init__(
+        self,
+        label: str,
+        op: Any,
+        b: np.ndarray,
+        stop: StoppingCriterion,
+        *,
+        b_norm: float = float("nan"),
+        x: np.ndarray | None = None,
+        telemetry: Any = None,
+        plan: Any = None,
+        policy: Any = None,
+        restartable: bool = True,
+        exit_norm: Callable[[np.ndarray], float] = norm,
+    ) -> None:
+        from repro.backend import Workspace
+
+        self.label = label
+        self.op = self.op_true = op
+        self.b = b
+        self.stop = stop
+        self.b_norm = b_norm
+        self.x = x
+        self.telemetry = telemetry
+        self.plan = plan
+        self.policy = policy
+        # A solver without a restart path has nothing to spend: under
+        # on_unrecoverable="raise" any breakdown is then final.
+        self.max_restarts = (
+            policy.max_restarts if policy is not None and restartable else 0
+        )
+        self.restarts_used = 0
+        self.recoveries: dict[str, int] = {"replace": 0, "restart": 0, "recompute": 0}
+        self.ws = Workspace()
+        self._exit_norm = exit_norm
+
+    @classmethod
+    def open(
+        cls,
+        method: str,
+        label: str,
+        a: Any,
+        b: Any,
+        *,
+        x0: Any = None,
+        stop: StoppingCriterion | None = None,
+        faults: Any = None,
+        recovery: Any = None,
+        telemetry: Any = None,
+        keep_dtype: bool = False,
+        **options: Any,
+    ) -> "SolveRun":
+        """Coerce the inputs and open the solve bracket.
+
+        ``keep_dtype`` runs in the operator's dtype (complex operators
+        stay complex); otherwise the solve runs in float64.  ``method``,
+        ``label`` and ``options`` go to the ``solve_start`` event.
+        """
+        from repro.faults import RecoveryPolicy, as_fault_plan
+
+        if keep_dtype:
+            b_arr = np.asarray(b)
+            op = as_operator(a, n=b_arr.shape[0] if b_arr.ndim == 1 else None)
+            dtype = operator_dtype(op)
+        else:
+            op = as_operator(a)
+            dtype = np.dtype(np.float64)
+        b = as_1d_typed_array(b, "b", dtype)
+        n = check_square_operator(op, b.shape[0])
+        stop = stop or StoppingCriterion()
+        policy = RecoveryPolicy.from_spec(recovery)
+        plan = as_fault_plan(faults)
+        x = (
+            np.zeros(n, dtype=dtype)
+            if x0 is None
+            else as_1d_typed_array(x0, "x0", dtype).copy()
+        )
+        if telemetry is not None:
+            telemetry.solve_start(method, label, n, **options)
+            telemetry.iterate(x)
+        run = cls(
+            label, op, b, stop, b_norm=norm(b), x=x, telemetry=telemetry,
+            plan=plan, policy=policy,
+        )
+        if plan is not None:
+            plan.attach(telemetry)
+            run.op = plan.wrap_operator(op)
+        return run
+
+    def restart(self, iteration: int, trigger: str) -> bool:
+        """Spend one of the policy's restarts; ``False`` when none is left.
+
+        Books the restart and emits its recovery event; the solver then
+        rebuilds its own state from the current iterate.
+        """
+        if self.policy is None or self.restarts_used >= self.max_restarts:
+            return False
+        self.restarts_used += 1
+        self.recoveries["restart"] += 1
+        if self.telemetry is not None:
+            self.telemetry.recovery(iteration, "restart", trigger)
+        return True
+
+    def true_residual(self, x: np.ndarray) -> float:
+        """``‖b − A x‖`` on the pristine operator (one matvec)."""
+        return float(self._exit_norm(self.b - self.op_true.matvec(x)))
+
+    def finish(
+        self,
+        reason: StopReason,
+        x: np.ndarray,
+        iterations: int,
+        residual_norms: list[float],
+        *,
+        alphas: list[float] | None = None,
+        lambdas: list[float] | None = None,
+        label: str | None = None,
+        extras: dict[str, Any] | None = None,
+    ) -> CGResult:
+        """Verify the exit and close the bracket with the result.
+
+        The true residual is taken on the pristine operator, so a
+        matvec-site injector cannot falsify the check itself.  ``extras``
+        gains the fault counts and recovery actions when a plan or
+        policy is active.
+        """
+        from repro.faults import UnrecoverableDivergence
+
+        label = self.label if label is None else label
+        true_res = self.true_residual(x)
+        reason = verified_exit(reason, true_res, self.stop.threshold(self.b_norm))
+        if (
+            reason is StopReason.BREAKDOWN
+            and self.policy is not None
+            and self.policy.on_unrecoverable == "raise"
+            and self.restarts_used >= self.max_restarts
+        ):
+            raise UnrecoverableDivergence(
+                f"{label} broke down after {iterations} iterations and "
+                f"{self.restarts_used} restarts (true residual {true_res:.3e})"
+            )
+        extras = {} if extras is None else extras
+        if self.plan is not None:
+            extras["faults"] = self.plan.counts()
+        if self.policy is not None:
+            extras["recoveries"] = dict(self.recoveries)
+        result = CGResult(
+            x=x,
+            converged=reason is StopReason.CONVERGED,
+            stop_reason=reason,
+            iterations=iterations,
+            residual_norms=residual_norms,
+            alphas=[] if alphas is None else alphas,
+            lambdas=[] if lambdas is None else lambdas,
+            true_residual_norm=true_res,
+            label=label,
+            extras=extras,
+        )
+        if self.telemetry is not None:
+            self.telemetry.solve_end(result)
+        return result

@@ -25,11 +25,10 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.results import CGResult, StopReason, verified_exit
+from repro.core.results import CGResult, SolveRun, StopReason
 from repro.core.stopping import StoppingCriterion
-from repro.sparse.linop import as_operator, matvec_into, operator_dtype
-from repro.util.kernels import axpy, dot, norm
-from repro.util.validation import as_1d_typed_array, check_square_operator
+from repro.sparse.linop import matvec_into
+from repro.util.kernels import axpy, dot
 
 __all__ = ["conjugate_gradient"]
 
@@ -43,7 +42,6 @@ def conjugate_gradient(
     faults: Any = None,
     recovery: Any = None,
     telemetry: "Telemetry | None" = None,
-    workspace: Any = None,
 ) -> CGResult:
     """Solve the SPD system ``A x = b`` by classical (Hestenes--Stiefel) CG.
 
@@ -63,9 +61,9 @@ def conjugate_gradient(
         matvec-site injectors corrupt ``Ap`` outputs, dot-site injectors
         the two inner products.  Classical CG serves as the fault
         *oracle* in the test harness, so it takes the same hooks as the
-        recurrence solvers.  With faults (or recovery) active the exit
-        is verified against the true residual -- the vector-recurred
-        ``r`` can't vouch for itself once corrupted.
+        recurrence solvers.  With faults active a convergence claim is
+        also checked against the true residual inside the loop -- the
+        vector-recurred ``r`` can't vouch for itself once corrupted.
     recovery:
         Optional :class:`repro.faults.RecoveryPolicy` or preset name.
         Classical CG has no recurred scalars to recompute; recovery here
@@ -79,51 +77,26 @@ def conjugate_gradient(
         ``capture_iterates=True``) a copy of every iterate including
         ``x⁰`` -- the equivalence experiment compares iterates, not just
         final answers.
-    workspace:
-        Optional :class:`repro.backend.Workspace` to draw scratch
-        buffers from; pass one across repeated solves to amortize even
-        first-iteration allocations.  Defaults to a fresh per-solve
-        arena.  Steady-state iterations allocate zero new arrays either
-        way.
 
     Returns
     -------
     CGResult
         With ``alphas`` = ``[α₁, α₂, ...]`` and ``lambdas`` = ``[λ₀, λ₁,
-        ...]`` in the paper's notation.
+        ...]`` in the paper's notation.  The exit is verified by
+        :meth:`repro.core.results.SolveRun.finish`; steady-state
+        iterations draw their scratch from the run's workspace arena and
+        allocate zero new arrays.
     """
-    b_arr = np.asarray(b)
-    op = as_operator(a, n=b_arr.shape[0] if b_arr.ndim == 1 else None)
-    dtype = operator_dtype(op)
-    b = as_1d_typed_array(b, "b", dtype)
-    n = check_square_operator(op, b.shape[0])
-    stop = stop or StoppingCriterion()
-
-    from repro.backend import Workspace
-    from repro.faults import RecoveryPolicy, UnrecoverableDivergence, as_fault_plan
-
-    ws = workspace if workspace is not None else Workspace()
-    policy = RecoveryPolicy.from_spec(recovery)
-    plan = as_fault_plan(faults)
-
-    x = (
-        np.zeros(n, dtype=dtype)
-        if x0 is None
-        else as_1d_typed_array(x0, "x0", dtype).copy()
+    run = SolveRun.open(
+        "cg", "cg", a, b, x0=x0, stop=stop, faults=faults, recovery=recovery,
+        telemetry=telemetry, keep_dtype=True,
     )
-    if telemetry is not None:
-        telemetry.solve_start("cg", "cg", n)
-        telemetry.iterate(x)
-
-    op_true = op
-    if plan is not None:
-        plan.attach(telemetry)
-        op = plan.wrap_operator(op)
+    op, b, x, stop, b_norm = run.op, run.b, run.x, run.stop, run.b_norm
+    n, ws, policy, plan = b.shape[0], run.ws, run.policy, run.plan
     tracer = telemetry.tracer if telemetry is not None else None
 
     if tracer is not None:
         tracer.begin("startup")
-    b_norm = norm(b)
     r = b - op.matvec(x)
     p = r.copy()
     rr = dot(r, r)
@@ -134,8 +107,6 @@ def conjugate_gradient(
         tracer.end("startup")
     alphas: list[float] = []
     lambdas: list[float] = []
-    recoveries: dict[str, int] = {"replace": 0, "restart": 0, "recompute": 0}
-    restarts_used = 0
     check_every = None
     if policy is not None:
         check_every = policy.verify_every or policy.replace_every or 5
@@ -149,45 +120,8 @@ def conjugate_gradient(
         # policy.  drift_tol stays None -- observation, never a repair.
         check_every = health.check_every
 
-    def _result(reason: StopReason, iterations: int) -> CGResult:
-        true_res = norm(b - op_true.matvec(x))
-        if plan is not None or policy is not None:
-            # Under injection the vector-recurred residual cannot vouch
-            # for itself: verify the exit against the true residual.
-            reason = verified_exit(reason, true_res, stop.threshold(b_norm))
-            if (
-                policy is not None
-                and policy.on_unrecoverable == "raise"
-                and reason is StopReason.BREAKDOWN
-                and restarts_used >= policy.max_restarts
-            ):
-                raise UnrecoverableDivergence(
-                    f"cg broke down after {iterations} iterations and "
-                    f"{restarts_used} restarts (true residual {true_res:.3e})"
-                )
-        extras: dict = {}
-        if plan is not None:
-            extras["faults"] = plan.counts()
-        if policy is not None:
-            extras["recoveries"] = dict(recoveries)
-        result = CGResult(
-            x=x,
-            converged=reason is StopReason.CONVERGED,
-            stop_reason=reason,
-            iterations=iterations,
-            residual_norms=res_norms,
-            alphas=alphas,
-            lambdas=lambdas,
-            true_residual_norm=true_res,
-            label="cg",
-            extras=extras,
-        )
-        if telemetry is not None:
-            telemetry.solve_end(result)
-        return result
-
     if stop.is_met(res_norms[0], b_norm):
-        return _result(StopReason.CONVERGED, 0)
+        return run.finish(StopReason.CONVERGED, x, 0, res_norms)
 
     reason = StopReason.MAX_ITER
     budget = stop.budget(n)
@@ -197,24 +131,20 @@ def conjugate_gradient(
 
     def _try_restart(trigger: str) -> bool:
         """Spend one restart: fresh residual, direction reset to it."""
-        nonlocal r, p, rr, restarts_used, since_check, best_res
-        if policy is None or restarts_used >= policy.max_restarts:
+        nonlocal r, p, rr, since_check, best_res
+        if not run.restart(iterations, trigger):
             return False
-        restarts_used += 1
-        recoveries["restart"] += 1
         r = b - op.matvec(x)
         p = r.copy()
         rr = dot(r, r)
         since_check = 0
         best_res = float(np.sqrt(max(rr, 0.0)))
-        if telemetry is not None:
-            telemetry.recovery(iterations, "restart", trigger)
         return True
 
     for _ in range(budget):
         if plan is not None:
             plan.begin_iteration(iterations + 1)
-        ap = ws.get("ap", n, dtype)
+        ap = ws.get("ap", n, b.dtype)
         matvec_into(op, p, ap, work=ws)
         pap = dot(p, ap)
         if plan is not None:
@@ -240,9 +170,7 @@ def conjugate_gradient(
         if stop.is_met(res_norms[-1], b_norm):
             # A corrupted rr can fake convergence; under injection verify
             # against the true residual before accepting the exit.
-            if plan is None or norm(
-                b - op_true.matvec(x)
-            ) <= stop.threshold(b_norm):
+            if plan is None or run.true_residual(x) <= stop.threshold(b_norm):
                 reason = StopReason.CONVERGED
                 break
             if _try_restart("false_convergence"):
@@ -291,7 +219,7 @@ def conjugate_gradient(
                 if gap > drift_tol:
                     r = r_true
                     rr_new = rr_direct
-                    recoveries["replace"] += 1
+                    run.recoveries["replace"] += 1
                     if telemetry is not None:
                         telemetry.replacement(iterations, "drift")
                         telemetry.recovery(iterations, "replace", "drift", gap)
@@ -301,4 +229,6 @@ def conjugate_gradient(
         axpy(alpha, p, r, out=p, work=ws)  # p = r + alpha * p
         rr = rr_new
 
-    return _result(reason, iterations)
+    return run.finish(
+        reason, x, iterations, res_norms, alphas=alphas, lambdas=lambdas
+    )

@@ -31,16 +31,12 @@ import numpy as np
 
 from repro.core.moments import MomentWindow, initial_window, window_from_powers
 from repro.core.powers import PowerBlock
-from repro.core.results import CGResult, StopReason, verified_exit
+from repro.core.results import CGResult, SolveRun, StopReason
 from repro.core.stopping import StoppingCriterion
-from repro.sparse.linop import LinearOperator, as_operator, operator_dtype
+from repro.sparse.linop import LinearOperator
 from repro.util.counters import add_scalar_flops
-from repro.util.kernels import axpy, dot, norm
-from repro.util.validation import (
-    as_1d_typed_array,
-    check_square_operator,
-    require_nonnegative_int,
-)
+from repro.util.kernels import axpy, dot
+from repro.util.validation import require_nonnegative_int
 
 __all__ = ["vr_conjugate_gradient", "VRState"]
 
@@ -91,7 +87,6 @@ def vr_conjugate_gradient(
     faults: Any = None,
     recovery: Any = None,
     telemetry: "Telemetry | None" = None,
-    workspace: Any = None,
 ) -> CGResult:
     """Solve the SPD system ``A x = b`` by Van Rosendale's restructured CG.
 
@@ -151,76 +146,58 @@ def vr_conjugate_gradient(
         replacement, startup/iterate phase timers, iterate capture
         (``capture_iterates=True``), and live-state observation
         (``on_state=...``).
-    workspace:
-        Optional :class:`repro.backend.Workspace` scratch arena; a fresh
-        per-solve one is made when omitted.  Steady-state iterations
-        allocate zero new arrays.
 
     Returns
     -------
     CGResult
         ``residual_norms`` holds the *recurred* ``√μ₀`` values the
         algorithm itself sees; ``true_residual_norm`` is recomputed at
-        exit, and their gap is the stability metric.
+        exit, and their gap is the stability metric.  Steady-state
+        iterations draw scratch from the run's workspace arena and
+        allocate zero new arrays.
     """
-    b_arr = np.asarray(b)
-    op = as_operator(a, n=b_arr.shape[0] if b_arr.ndim == 1 else None)
-    dtype = operator_dtype(op)
-    b = as_1d_typed_array(b, "b", dtype)
-    n = check_square_operator(op, b.shape[0])
     k = require_nonnegative_int(k, "k")
-    stop = stop or StoppingCriterion()
     if replace_every is not None and replace_every < 1:
         raise ValueError(f"replace_every must be >= 1, got {replace_every}")
     if replace_drift_tol is not None and replace_drift_tol <= 0:
         raise ValueError(
             f"replace_drift_tol must be positive, got {replace_drift_tol}"
         )
-    from repro.backend import Workspace
-    from repro.faults import RecoveryPolicy, UnrecoverableDivergence, as_fault_plan
-
-    ws = workspace if workspace is not None else Workspace()
-    if recovery is not None and (
-        replace_every is not None or replace_drift_tol is not None
-    ):
+    legacy = replace_every is not None or replace_drift_tol is not None
+    if recovery is not None and legacy:
         raise ValueError(
             "pass either recovery= or the legacy replace_every=/"
             "replace_drift_tol= knobs, not both"
         )
-    policy = RecoveryPolicy.from_spec(recovery)
-    if policy is None and (replace_every is not None or replace_drift_tol is not None):
+    if legacy:
+        from repro.faults import RecoveryPolicy
+
         # The legacy knobs are exactly the replacement half of a policy
         # (no verified recompute, no restarts -- historical behaviour).
-        policy = RecoveryPolicy(
+        recovery = RecoveryPolicy(
             replace_every=replace_every,
             drift_tol=replace_drift_tol,
             max_restarts=0,
         )
-    plan = as_fault_plan(faults)
-
-    x = (
-        np.zeros(n, dtype=dtype)
-        if x0 is None
-        else as_1d_typed_array(x0, "x0", dtype).copy()
+    run = SolveRun.open(
+        "vr",
+        f"vr-cg(k={k})",
+        a,
+        b,
+        x0=x0,
+        stop=stop,
+        faults=faults,
+        recovery=recovery,
+        telemetry=telemetry,
+        keep_dtype=True,
+        k=k,
+        replace_every=replace_every,
+        replace_drift_tol=replace_drift_tol,
     )
-    if telemetry is not None:
-        telemetry.solve_start(
-            "vr",
-            f"vr-cg(k={k})",
-            n,
-            k=k,
-            replace_every=replace_every,
-            replace_drift_tol=replace_drift_tol,
-        )
-        telemetry.iterate(x)
-
-    op_true = op
-    if plan is not None:
-        plan.attach(telemetry)
-        op = plan.wrap_operator(op)
+    op, b, x, stop, b_norm = run.op, run.b, run.x, run.stop, run.b_norm
+    ws, policy, plan = run.ws, run.policy, run.plan
     health = telemetry.health if telemetry is not None else None
 
-    b_norm = norm(b)
     if telemetry is not None:
         with telemetry.phase("startup"):
             powers, window = _startup(op, b, x, k)
@@ -230,66 +207,24 @@ def vr_conjugate_gradient(
     res_norms = [float(np.sqrt(max(window.rr, 0.0)))]
     alphas: list[float] = []
     lambdas: list[float] = []
-    recoveries: dict[str, int] = {"replace": 0, "restart": 0, "recompute": 0}
-    restarts_used = 0
-
-    def _result(reason: StopReason, iterations: int) -> CGResult:
-        # The exit verification uses the pristine operator: a matvec-site
-        # injector must not be able to falsify the honesty check itself.
-        true_res = norm(b - op_true.matvec(x))
-        reason = verified_exit(reason, true_res, stop.threshold(b_norm))
-        if (
-            policy is not None
-            and policy.on_unrecoverable == "raise"
-            and reason is StopReason.BREAKDOWN
-            and restarts_used >= policy.max_restarts
-        ):
-            raise UnrecoverableDivergence(
-                f"vr-cg(k={k}) broke down after {iterations} iterations and "
-                f"{restarts_used} restarts (true residual {true_res:.3e})"
-            )
-        extras: dict[str, Any] = {}
-        if plan is not None:
-            extras["faults"] = plan.counts()
-        if policy is not None:
-            extras["recoveries"] = dict(recoveries)
-        result = CGResult(
-            x=x,
-            converged=reason is StopReason.CONVERGED,
-            stop_reason=reason,
-            iterations=iterations,
-            residual_norms=res_norms,
-            alphas=alphas,
-            lambdas=lambdas,
-            true_residual_norm=true_res,
-            label=f"vr-cg(k={k})",
-            extras=extras,
-        )
-        if telemetry is not None:
-            telemetry.solve_end(result)
-        return result
 
     if stop.is_met(res_norms[0], b_norm):
-        return _result(StopReason.CONVERGED, 0)
+        return run.finish(StopReason.CONVERGED, x, 0, res_norms)
 
     reason = StopReason.MAX_ITER
     iterations = 0
     since_replacement = 0
     since_verify = 0
-    budget = stop.budget(n)
+    budget = stop.budget(b.shape[0])
 
     def _try_restart(trigger: str) -> bool:
         """Spend one restart: rebuild powers/window from the current x."""
-        nonlocal powers, window, since_replacement, since_verify, restarts_used
-        if policy is None or restarts_used >= policy.max_restarts:
+        nonlocal powers, window, since_replacement, since_verify
+        if not run.restart(iterations, trigger):
             return False
-        restarts_used += 1
-        recoveries["restart"] += 1
         powers, window = _startup(op, b, x, k)
         since_replacement = 0
         since_verify = 0
-        if telemetry is not None:
-            telemetry.recovery(iterations, "restart", trigger)
         return True
 
     for _ in range(budget):
@@ -333,9 +268,7 @@ def vr_conjugate_gradient(
             # A corrupted scalar can fake convergence (a tiny recurred
             # mu0); under injection verify against the true residual
             # before accepting the exit.
-            if plan is None or norm(
-                b - op_true.matvec(x)
-            ) <= stop.threshold(b_norm):
+            if plan is None or run.true_residual(x) <= stop.threshold(b_norm):
                 reason = StopReason.CONVERGED
                 break
             if _try_restart("false_convergence"):
@@ -438,7 +371,7 @@ def vr_conjugate_gradient(
             ) / scale
             window = fresh
             since_verify = 0
-            recoveries["recompute"] += 1
+            run.recoveries["recompute"] += 1
             if telemetry is not None:
                 telemetry.recovery(iterations, "recompute", "verify", verify_gap)
             verify_triggered = verify_gap > policy.verify_rtol
@@ -455,7 +388,7 @@ def vr_conjugate_gradient(
                 trigger, gap = "verify", verify_gap
             else:
                 trigger, gap = "periodic", 0.0
-            recoveries["replace"] += 1
+            run.recoveries["replace"] += 1
             if telemetry is not None:
                 telemetry.replacement(iterations, trigger)
                 telemetry.recovery(iterations, "replace", trigger, gap)
@@ -474,7 +407,7 @@ def vr_conjugate_gradient(
             mu0_fresh, nu0_fresh = float(window.mu[0]), float(window.nu[0])
             if abs(nu0_fresh - mu0_fresh) > 0.5 * abs(mu0_fresh):
                 powers, window = _startup(op, b, x, k)
-                recoveries["restart"] += 1
+                run.recoveries["restart"] += 1
                 if telemetry is not None:
                     telemetry.replacement(iterations, "restart")
                     telemetry.recovery(iterations, "restart", "conjugacy")
@@ -486,4 +419,6 @@ def vr_conjugate_gradient(
                 VRState(iteration=iterations, window=window, powers=powers, x=x)
             )
 
-    return _result(reason, iterations)
+    return run.finish(
+        reason, x, iterations, res_norms, alphas=alphas, lambdas=lambdas
+    )

@@ -22,7 +22,13 @@ import numpy as np
 
 from repro.core.coefficients import mu_index, sigma_index
 from repro.core.pipeline import _CoefficientPipeline
-from repro.core.results import BatchedResult, CGResult, StopReason, verified_exit
+from repro.core.results import (
+    BatchedResult,
+    CGResult,
+    SolveRun,
+    StopReason,
+    verified_exit,
+)
 from repro.core.stopping import StoppingCriterion
 from repro.distributed.comm import DroppedReductionError, PendingReduction, SimComm
 from repro.distributed.data import BlockMultiVector, BlockVector, DistributedCSR
@@ -148,29 +154,15 @@ def distributed_cg(
             p.scale_add(alpha, r)
             rr = rr_new
 
-    x_global = x.to_global()
-    true_res = float(np.linalg.norm(b - a.matvec(x_global)))
-    reason = verified_exit(reason, true_res, stop.threshold(b_norm))
-    result = CGResult(
-        x=x_global,
-        converged=reason is StopReason.CONVERGED,
-        stop_reason=reason,
-        iterations=iterations,
-        residual_norms=res_norms,
-        alphas=alphas,
-        lambdas=lambdas,
-        true_residual_norm=true_res,
-        label=f"dist-cg(P={nranks})",
-        extras=(
-            {"comm_stats": comm.stats}
-            if plan is None
-            else {"comm_stats": comm.stats, "faults": plan.counts()}
-        ),
-    )
     comm.assert_drained()
-    if telemetry is not None:
-        _annotate_comm_stats(telemetry, comm)
-        telemetry.solve_end(result)
+    _annotate_comm_stats(telemetry, comm)
+    result = SolveRun(
+        f"dist-cg(P={nranks})", a, b, stop, b_norm=b_norm, telemetry=telemetry,
+        plan=plan, exit_norm=np.linalg.norm,
+    ).finish(
+        reason, x.to_global(), iterations, res_norms, alphas=alphas,
+        lambdas=lambdas, extras={"comm_stats": comm.stats},
+    )
     return result, comm
 
 
@@ -404,29 +396,15 @@ def distributed_cgcg(
                 reason = StopReason.CONVERGED
                 break
 
-    x_global = x.to_global()
-    true_res = float(np.linalg.norm(b - a.matvec(x_global)))
-    reason = verified_exit(reason, true_res, stop.threshold(b_norm))
-    result = CGResult(
-        x=x_global,
-        converged=reason is StopReason.CONVERGED,
-        stop_reason=reason,
-        iterations=iterations,
-        residual_norms=res_norms,
-        alphas=alphas,
-        lambdas=lambdas,
-        true_residual_norm=true_res,
-        label=f"dist-cgcg(P={nranks})",
-        extras=(
-            {"comm_stats": comm.stats}
-            if plan is None
-            else {"comm_stats": comm.stats, "faults": plan.counts()}
-        ),
-    )
     comm.assert_drained()
-    if telemetry is not None:
-        _annotate_comm_stats(telemetry, comm)
-        telemetry.solve_end(result)
+    _annotate_comm_stats(telemetry, comm)
+    result = SolveRun(
+        f"dist-cgcg(P={nranks})", a, b, stop, b_norm=b_norm, telemetry=telemetry,
+        plan=plan, exit_norm=np.linalg.norm,
+    ).finish(
+        reason, x.to_global(), iterations, res_norms, alphas=alphas,
+        lambdas=lambdas, extras={"comm_stats": comm.stats},
+    )
     return result, comm
 
 
@@ -553,29 +531,15 @@ def distributed_sstep(
                 new_ap.append(apj)
             p_blk, ap_blk = new_p, new_ap
 
-    x_global = x.to_global()
-    true_res = float(np.linalg.norm(b - a.matvec(x_global)))
-    reason = verified_exit(reason, true_res, stop.threshold(b_norm))
-    result = CGResult(
-        x=x_global,
-        converged=reason is StopReason.CONVERGED,
-        stop_reason=reason,
-        iterations=cg_steps,
-        residual_norms=res_norms,
-        alphas=[],
-        lambdas=[],
-        true_residual_norm=true_res,
-        label=f"dist-sstep(s={s},P={nranks})",
-        extras=(
-            {"comm_stats": comm.stats}
-            if plan is None
-            else {"comm_stats": comm.stats, "faults": plan.counts()}
-        ),
-    )
     comm.assert_drained()
-    if telemetry is not None:
-        _annotate_comm_stats(telemetry, comm)
-        telemetry.solve_end(result)
+    _annotate_comm_stats(telemetry, comm)
+    result = SolveRun(
+        f"dist-sstep(s={s},P={nranks})", a, b, stop, b_norm=b_norm,
+        telemetry=telemetry, plan=plan, exit_norm=np.linalg.norm,
+    ).finish(
+        reason, x.to_global(), cg_steps, res_norms,
+        extras={"comm_stats": comm.stats},
+    )
     return result, comm
 
 
@@ -643,12 +607,18 @@ def distributed_pipelined_vr(
     drop is a :class:`~repro.distributed.comm.DroppedReductionError`
     breakdown and the solve reports ``converged=False``.
     """
-    from repro.faults import RecoveryPolicy, UnrecoverableDivergence, as_fault_plan
+    from repro.faults import RecoveryPolicy, as_fault_plan
 
     stop = stop or StoppingCriterion()
     k = require_positive_int(k, "k")
     plan = as_fault_plan(faults)
     policy = RecoveryPolicy.from_spec(recovery)
+    # No restart path here: under on_unrecoverable="raise" any breakdown
+    # is final.  The run books the recompute repairs and owns the exit.
+    run = SolveRun(
+        f"dist-pipelined-vr(k={k},P={nranks})", a, b, stop, telemetry=telemetry,
+        plan=plan, policy=policy, restartable=False, exit_norm=np.linalg.norm,
+    )
     dist_a, b_vec, part = _setup(a, b, nranks)
     comm = SimComm(nranks, reduction_latency=k, telemetry=telemetry, faults=plan)
     if plan is not None:
@@ -716,14 +686,13 @@ def distributed_pipelined_vr(
     front = comm.allreduce(front_partials())
     mu0 = float(front[mu_index(w, 0)])
     sigma1 = float(front[sigma_index(w, 1)])
-    b_norm = float(np.sqrt(max(mu0, 0.0)))  # x0 = 0
+    b_norm = run.b_norm = float(np.sqrt(max(mu0, 0.0)))  # x0 = 0
     res_norms = [b_norm]
     lambdas: list[float] = []
     alphas: list[float] = []
     for t in range(1, k + 1):
         pipeline.open_target(t)
 
-    recoveries: dict[str, int] = {"replace": 0, "restart": 0, "recompute": 0}
     reason = StopReason.MAX_ITER
     iterations = 0
     if stop.is_met(res_norms[0], b_norm):
@@ -766,7 +735,7 @@ def distributed_pipelined_vr(
                     pipeline.matrices.pop(target, None)
                     front = comm.allreduce(front_partials())
                     mu0_next = float(front[mu_index(w, 0)])
-                    recoveries["recompute"] += 1
+                    run.recoveries["recompute"] += 1
                     recomputed = True
                     if telemetry is not None:
                         telemetry.recovery(iterations, "recompute", "comm_drop")
@@ -812,36 +781,9 @@ def distributed_pipelined_vr(
     pending.clear()
     comm.assert_drained()
 
-    x_global = x.to_global()
-    true_res = float(np.linalg.norm(b - a.matvec(x_global)))
-    reason = verified_exit(reason, true_res, stop.threshold(b_norm))
-    if (
-        policy is not None
-        and policy.on_unrecoverable == "raise"
-        and reason is StopReason.BREAKDOWN
-    ):
-        raise UnrecoverableDivergence(
-            f"dist-pipelined-vr broke down after {iterations} iterations "
-            f"(true residual {true_res:.3e})"
-        )
-    extras: dict = {"comm_stats": comm.stats}
-    if plan is not None:
-        extras["faults"] = plan.counts()
-    if policy is not None:
-        extras["recoveries"] = dict(recoveries)
-    result = CGResult(
-        x=x_global,
-        converged=reason is StopReason.CONVERGED,
-        stop_reason=reason,
-        iterations=iterations,
-        residual_norms=res_norms,
-        alphas=alphas,
-        lambdas=lambdas,
-        true_residual_norm=true_res,
-        label=f"dist-pipelined-vr(k={k},P={nranks})",
-        extras=extras,
+    _annotate_comm_stats(telemetry, comm)
+    result = run.finish(
+        reason, x.to_global(), iterations, res_norms, alphas=alphas,
+        lambdas=lambdas, extras={"comm_stats": comm.stats},
     )
-    if telemetry is not None:
-        _annotate_comm_stats(telemetry, comm)
-        telemetry.solve_end(result)
     return result, comm

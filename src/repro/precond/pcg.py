@@ -19,7 +19,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.pipeline import pipelined_vr_cg
-from repro.core.results import CGResult, StopReason, verified_exit
+from repro.core.results import CGResult, SolveRun, StopReason
 from repro.core.stopping import StoppingCriterion
 from repro.core.vr_cg import vr_conjugate_gradient
 from repro.precond.base import Preconditioner, SplitPreconditioner, split_operator
@@ -38,29 +38,21 @@ def preconditioned_cg(
     x0: np.ndarray | None = None,
     stop: StoppingCriterion | None = None,
     telemetry: "Telemetry | None" = None,
-    workspace: Any = None,
 ) -> CGResult:
     """Classical preconditioned CG (applied form).
 
     Stopping is tested on the *true* residual norm ``‖r‖₂`` (not the
     M-norm), so iteration counts are comparable across preconditioners.
     ``telemetry`` takes an optional :class:`repro.telemetry.Telemetry`
-    hook and ``workspace`` an optional :class:`repro.backend.Workspace`
-    arena the steady-state matvec and axpys draw scratch from.
+    hook; the steady-state matvec and axpys draw scratch from the run's
+    workspace arena.
     """
-    op = as_operator(a)
-    b = as_1d_float_array(b, "b")
-    n = check_square_operator(op, b.shape[0])
-    stop = stop or StoppingCriterion()
-    from repro.backend import Workspace
-
-    ws = workspace if workspace is not None else Workspace()
-
-    x = np.zeros(n) if x0 is None else as_1d_float_array(x0, "x0").copy()
-    if telemetry is not None:
-        telemetry.solve_start("pcg", "pcg", n, precond=type(precond).__name__)
-        telemetry.iterate(x)
-    b_norm = norm(b)
+    run = SolveRun.open(
+        "pcg", "pcg", a, b, x0=x0, stop=stop, telemetry=telemetry,
+        precond=type(precond).__name__,
+    )
+    op, b, x, stop, b_norm, ws = run.op, run.b, run.x, run.stop, run.b_norm, run.ws
+    n = b.shape[0]
     r = b - op.matvec(x)
     z = precond.apply(r)
     p = z.copy()
@@ -100,22 +92,9 @@ def preconditioned_cg(
             axpy(alpha, p, z, out=p, work=ws)  # p = z + alpha p
             rz = rz_new
 
-    true_res = norm(b - op.matvec(x))
-    reason = verified_exit(reason, true_res, stop.threshold(b_norm))
-    result = CGResult(
-        x=x,
-        converged=reason is StopReason.CONVERGED,
-        stop_reason=reason,
-        iterations=iterations,
-        residual_norms=res_norms,
-        alphas=alphas,
-        lambdas=lambdas,
-        true_residual_norm=true_res,
-        label="pcg",
+    return run.finish(
+        reason, x, iterations, res_norms, alphas=alphas, lambdas=lambdas
     )
-    if telemetry is not None:
-        telemetry.solve_end(result)
-    return result
 
 
 def _split_solve(solver, a, b, m, x0, stop, label, **kwargs) -> CGResult:
@@ -152,7 +131,6 @@ def vr_pcg(
     stop: StoppingCriterion | None = None,
     replace_every: int | None = None,
     telemetry: "Telemetry | None" = None,
-    workspace: Any = None,
 ) -> CGResult:
     """Van Rosendale CG on the split-preconditioned operator.
 
@@ -172,7 +150,6 @@ def vr_pcg(
         k=k,
         replace_every=replace_every,
         telemetry=telemetry,
-        workspace=workspace,
     )
 
 
@@ -185,7 +162,6 @@ def pipelined_vr_pcg(
     x0: np.ndarray | None = None,
     stop: StoppingCriterion | None = None,
     telemetry: "Telemetry | None" = None,
-    workspace: Any = None,
 ) -> CGResult:
     """Pipelined Van Rosendale CG on the split-preconditioned operator.
 
@@ -201,5 +177,4 @@ def pipelined_vr_pcg(
         f"pipelined-vr-pcg(k={k})",
         k=k,
         telemetry=telemetry,
-        workspace=workspace,
     )

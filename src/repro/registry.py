@@ -90,11 +90,6 @@ class SolverEntry:
         methods whose flag is unset, so the flag is the contract.
     supports_recovery:
         Same, for the ``recovery=`` policy keyword.
-    supports_workspace:
-        Whether the method accepts a ``workspace=`` arena (a
-        :class:`repro.backend.Workspace`).  :func:`solve` refuses the
-        keyword for methods whose flag is unset, so the flag is the
-        contract.
     supports_operator:
         Whether the method runs on a matrix-free
         :class:`~repro.sparse.linop.LinearOperator` (anything that is not
@@ -120,7 +115,6 @@ class SolverEntry:
     batched_runner: Callable[..., BatchedResult] | None = None
     supports_faults: bool = False
     supports_recovery: bool = False
-    supports_workspace: bool = False
     supports_operator: bool = False
     supports_x0: bool = False
 
@@ -136,7 +130,6 @@ def register(
     distributed: bool = False,
     supports_faults: bool = False,
     supports_recovery: bool = False,
-    supports_workspace: bool = False,
     supports_operator: bool = False,
     supports_x0: bool = False,
 ) -> Callable[[Callable[..., CGResult]], Callable[..., CGResult]]:
@@ -153,7 +146,6 @@ def register(
             distributed=distributed,
             supports_faults=supports_faults,
             supports_recovery=supports_recovery,
-            supports_workspace=supports_workspace,
             supports_operator=supports_operator,
             supports_x0=supports_x0,
         )
@@ -407,9 +399,6 @@ def solve(
     **options:
         Method-specific keywords, forwarded to the underlying solver
         (``k=``, ``s=``, ``stop=``, ``replace_every=``, ...).  A
-        ``workspace=`` keyword supplies a reusable
-        :class:`repro.backend.Workspace` arena; it is refused for
-        methods without the ``supports_workspace`` flag.  A
         ``trace=`` keyword takes a :class:`repro.trace.Tracer` and is
         consumed here: it is attached to the telemetry session (one is
         created around a :class:`~repro.telemetry.NullSink` if none was
@@ -421,6 +410,9 @@ def solve(
     -------
     CGResult
         With ``result.method`` set to the dispatched registry name.
+        ``converged=True`` means the family's exit rule
+        (:func:`repro.core.results.verified_exit`) held on the true
+        residual.
 
     Notes
     -----
@@ -466,12 +458,6 @@ def solve(
             f"recovery-capable methods: "
             f"{', '.join(n for n, e in sorted(_REGISTRY.items()) if e.supports_recovery)}"
         )
-    if options.get("workspace") is not None and not entry.supports_workspace:
-        raise ValueError(
-            f"method {method!r} does not support a workspace arena "
-            f"(workspace=); workspace-capable methods: "
-            f"{', '.join(n for n, e in sorted(_REGISTRY.items()) if e.supports_workspace)}"
-        )
     if precond is not None and (
         options.get("faults") is not None or options.get("recovery") is not None
     ):
@@ -503,27 +489,22 @@ def _notify_solve_call(
         notify(a, b, method, options)
 
 
-def effective_stop(a: Any, b: Any, options: dict, x0: Any = None) -> Any:
-    """The stopping criterion a ``solve(a, b, x0=x0, **options)`` call
-    actually runs under.
+def effective_stop(a: Any, b: Any, options: dict) -> Any:
+    """The stopping criterion a ``solve(a, b, **options)`` call actually
+    runs under.
 
     Mirrors the front door exactly: an absent (or ``None``) ``stop``
-    means the family default, and an initial guess triggers the ``b = 0``
-    threshold rescue (:meth:`StoppingCriterion.with_initial_residual`,
-    see :func:`_rescue_zero_threshold`).  Callers that need to judge a
-    finished solve against its own tolerance -- the serve layer's
-    warm-start verification, for one -- resolve it here instead of
-    re-deriving the rule locally and silently diverging from what the
-    solver enforced.  ``x0`` defaults to ``options["x0"]`` when not
-    passed separately.
+    means the family default, and an initial guess (``options["x0"]``)
+    triggers the ``b = 0`` threshold rescue
+    (:meth:`StoppingCriterion.with_initial_residual`, see
+    :func:`_rescue_zero_threshold`).
     """
     from repro.core.stopping import StoppingCriterion
 
     stop = options.get("stop") or StoppingCriterion()
     if not isinstance(stop, StoppingCriterion):
         return StoppingCriterion()
-    if x0 is None:
-        x0 = options.get("x0")
+    x0 = options.get("x0")
     if x0 is None:
         return stop
     try:
@@ -720,11 +701,6 @@ def solve_batched(
             "batched solves do not support fault injection or recovery "
             "(faults=/recovery=); use the single-RHS solve() path"
         )
-    if options.get("workspace") is not None and entry.distributed:
-        raise ValueError(
-            f"batched method {method!r} runs over the simulated communicator "
-            "and does not support a workspace arena (workspace=)"
-        )
     telemetry = _consume_trace(telemetry, options)
     _notify_solve_call(telemetry, a, b, entry.name, options)
     result = _run_guarded(
@@ -763,7 +739,6 @@ def _check_auto_k(method: str, precond, options) -> None:
     supports_precond=True,
     supports_faults=True,
     supports_recovery=True,
-    supports_workspace=True,
     supports_operator=True,
     supports_x0=True,
 )
@@ -785,7 +760,6 @@ def _run_cg(a, b, *, precond, telemetry, **options):
     supports_precond=True,
     supports_faults=True,
     supports_recovery=True,
-    supports_workspace=True,
     supports_operator=True,
     supports_x0=True,
 )
@@ -841,7 +815,6 @@ def _run_vr(a, b, *, precond, telemetry, **options):
     supports_precond=True,
     supports_faults=True,
     supports_recovery=True,
-    supports_workspace=True,
     supports_operator=True,
     supports_x0=True,
 )
@@ -869,7 +842,6 @@ def _run_pipelined_vr(a, b, *, precond, telemetry, **options):
 @register(
     "adaptive-vr",
     "eager Van Rosendale CG with online adaptive window size",
-    supports_workspace=True,
     supports_operator=True,
     supports_x0=True,
 )
@@ -882,7 +854,6 @@ def _run_adaptive_vr(a, b, *, precond, telemetry, **options):
 @register(
     "adaptive-pipelined-vr",
     "pipelined Van Rosendale CG with online adaptive window size",
-    supports_workspace=True,
     supports_operator=True,
     supports_x0=True,
 )
@@ -898,7 +869,6 @@ def _run_adaptive_pipelined_vr(a, b, *, precond, telemetry, **options):
 @register(
     "three-term",
     "three-term recurrence CG (Rutishauser form)",
-    supports_workspace=True,
     supports_operator=True,
     supports_x0=True,
 )
@@ -913,7 +883,6 @@ def _run_three_term(a, b, *, precond, telemetry, **options):
     "Chronopoulos--Gear CG (fused reductions)",
     supports_faults=True,
     supports_recovery=True,
-    supports_workspace=True,
     supports_operator=True,
     supports_x0=True,
 )
@@ -928,7 +897,6 @@ def _run_cgcg(a, b, *, precond, telemetry, **options):
     "Ghysels--Vanroose pipelined CG",
     supports_faults=True,
     supports_recovery=True,
-    supports_workspace=True,
     supports_operator=True,
     supports_x0=True,
 )
@@ -943,7 +911,6 @@ def _run_gv(a, b, *, precond, telemetry, **options):
     "predict-and-recompute CG (Chen--Carson, fused reduction)",
     supports_faults=True,
     supports_recovery=True,
-    supports_workspace=True,
     supports_operator=True,
     supports_x0=True,
 )
@@ -958,7 +925,6 @@ def _run_pr_cg(a, b, *, precond, telemetry, **options):
     "pipelined predict-and-recompute CG (Chen--Carson)",
     supports_faults=True,
     supports_recovery=True,
-    supports_workspace=True,
     supports_operator=True,
     supports_x0=True,
 )

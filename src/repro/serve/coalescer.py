@@ -42,10 +42,8 @@ T = TypeVar("T")
 
 #: Options that force a request onto the single-solve path: they are
 #: either refused by ``solve_batched`` outright (faults/recovery,
-#: precond) or meaningful only per-request (x0, workspace, trace).
-UNBATCHABLE_OPTIONS = frozenset(
-    {"faults", "recovery", "x0", "precond", "workspace", "trace"}
-)
+#: precond) or meaningful only per-request (x0, trace).
+UNBATCHABLE_OPTIONS = frozenset({"faults", "recovery", "x0", "precond", "trace"})
 
 
 def compat_key(

@@ -117,7 +117,7 @@ class SolveResponse:
     coalesce_width: int = 0
     queue_seconds: float = 0.0
     #: Whether the solve was seeded from the cross-request warm-start
-    #: cache (and passed the mandatory true-residual verification).
+    #: cache (and converged under the solver's exit rule).
     warm_started: bool = False
 
     @property
@@ -307,9 +307,8 @@ class SolverService:
         self._inflight_dispatches = 0
         self.peak_inflight_dispatches = 0
         # Cross-request warm start: converged solutions keyed by
-        # (compat key, RHS digest); every warm-started exit is verified
-        # against the directly-computed true residual before the client
-        # sees it.
+        # (compat key, RHS digest); a warm-started solve is served only
+        # when it converged under the solver's exit rule.
         self.warmstart = WarmStartCache(self.config.warm_start)
         # Plain-int mirrors of the metric counters: the conservation law
         # (served + shed + errors == submitted) the property tests pin.
@@ -891,13 +890,13 @@ class SolverService:
     ) -> tuple[CGResult, bool]:
         """One width-1 dispatch, warm-started when the cache allows it.
 
-        Returns ``(result, warm_started)``.  The warm path is
-        trust-but-verify: a cache hit seeds ``x0``, and the resulting
-        solve only reaches the client after
-        :meth:`_verify_warm_result` recomputes the true residual
-        directly -- a failed verification drops the seed and re-solves
-        cold, so a poisoned or stale cache entry costs time, never
-        correctness.
+        Returns ``(result, warm_started)``.  A cache hit seeds ``x0``;
+        the warm answer reaches the client only if the solve converged,
+        and ``converged`` is the solver's own exit rule (the true
+        residual checked against the request's threshold, see
+        :meth:`repro.core.results.SolveRun.finish`).  An unconverged
+        warm solve drops the seed and re-solves cold, so a poisoned or
+        stale cache entry costs time, never correctness.
         """
         from repro.registry import solve, warmstartable_methods
 
@@ -928,13 +927,11 @@ class SolverService:
                 # bracket the aborted solve left open before going cold.
                 telemetry.unwind(depth)
                 warm = None
-            if warm is not None and self._verify_warm_result(
-                request, options, warm, seed
-            ):
+            if warm is not None and warm.converged:
                 self._count_warmstart("hit")
                 return warm, True
-            # Verification failed: the seed earned no trust.  Drop it,
-            # count the rejection, and answer from a cold start.
+            # The seed earned no trust: drop it, count the rejection,
+            # and answer from a cold start.
             self.warmstart.reject(pending.key, request.b)
             self._count_warmstart("rejected")
         elif eligible:
@@ -947,46 +944,6 @@ class SolverService:
             self.warmstart.store(pending.key, request.b, result.x)
             self._count_warmstart("stored")
         return result, False
-
-    def _verify_warm_result(
-        self,
-        request: SolveRequest,
-        options: dict[str, Any],
-        result: CGResult,
-        seed: np.ndarray,
-    ) -> bool:
-        """Mandatory true-residual check on a warm-started exit.
-
-        Inherited ``x0`` error is exactly the drift a recurred residual
-        hides (Cools et al.), so the solver's own convergence claim is
-        not taken at face value: the residual is recomputed here, from
-        scratch, with one independent operator application.  The
-        acceptance bound mirrors :func:`repro.core.results.verified_exit`
-        -- the family-wide rule that a CONVERGED claim more than 100x
-        above the stopping threshold is not trustworthy.  The threshold
-        comes from :func:`repro.registry.effective_stop` with the seed
-        as ``x0``: the exact criterion the warm solve ran under,
-        including the registry's ``b = 0`` threshold rescue -- not a
-        locally re-derived default that could silently judge against a
-        different tolerance.
-        """
-        from repro.registry import effective_stop
-
-        if result is None or not result.converged:
-            return False
-        try:
-            x = np.asarray(result.x)
-            matvec = getattr(request.a, "matvec", None)
-            ax = matvec(x) if callable(matvec) else request.a @ x
-            b = np.asarray(request.b)
-            residual = float(np.linalg.norm(b - np.asarray(ax)))
-            stop = effective_stop(request.a, request.b, options, x0=seed)
-            threshold = stop.threshold(float(np.linalg.norm(b)))
-        except Exception:
-            # An operator that cannot be applied here cannot be
-            # verified here; the cold path's own guarantees apply.
-            return False
-        return residual <= 100.0 * threshold
 
     def _count_warmstart(self, outcome: str) -> None:
         self.metrics.counter(

@@ -16,9 +16,11 @@ the cached vector to be a valid initial guess:
 On a hit the service seeds ``x0`` with the cached solution.  The guard
 rail comes from Cools et al.'s attainable-accuracy analysis (PAPERS.md):
 inherited ``x0`` error is exactly the kind of drift a recurred residual
-hides, so **every warm-started exit is verified against the directly
-computed true residual** (see ``SolverService._verify_warm_result``) and
-a failed verification falls back to a cold start and drops the entry.
+hides, so a warm hit is served only when the solve converged -- and
+``converged`` is the solver's exit rule, the directly computed true
+residual checked against the request's threshold
+(:meth:`repro.core.results.SolveRun.finish`).  An unconverged warm
+solve falls back to a cold start and drops the entry.
 
 The cache itself stays deliberately dumb: bytes-exact matching only.  A
 "near" RHS (same operator, slightly different b) misses and solves cold
@@ -140,7 +142,7 @@ class WarmStartCache:
                 self.evicted += 1
 
     def reject(self, key: Any, b: np.ndarray) -> None:
-        """A warm-started exit failed true-residual verification.
+        """A warm-started solve did not converge under the exit rule.
 
         Drops the seed that produced it (it earned no trust) and counts
         the rejection; the caller re-solves cold.

@@ -332,7 +332,7 @@ class FlightRecorder:
         out: dict[str, Any] = {}
         dropped: list[str] = []
         for key, value in options.items():
-            if key in ("telemetry", "workspace", "trace"):
+            if key in ("telemetry", "trace"):
                 continue
             if value is None or isinstance(value, (bool, int, float, str)):
                 out[key] = value

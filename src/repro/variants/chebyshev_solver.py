@@ -24,16 +24,11 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.results import CGResult, StopReason, verified_exit
+from repro.core.results import CGResult, SolveRun, StopReason
 from repro.core.stopping import StoppingCriterion
-from repro.sparse.linop import as_operator
 from repro.util.counters import add_axpy
 from repro.util.kernels import norm
-from repro.util.validation import (
-    as_1d_float_array,
-    check_square_operator,
-    require_positive_int,
-)
+from repro.util.validation import require_positive_int
 
 __all__ = ["chebyshev_iteration"]
 
@@ -72,10 +67,6 @@ def chebyshev_iteration(
         ``lambdas`` records the per-step scaling ``2ρ_{j+1}/δ``;
         ``residual_norms`` has one entry per *check*.
     """
-    op = as_operator(a)
-    b = as_1d_float_array(b, "b")
-    n = check_square_operator(op, b.shape[0])
-    stop = stop or StoppingCriterion()
     check_every = require_positive_int(check_every, "check_every")
     lam_min, lam_max = float(bounds[0]), float(bounds[1])
     if not (0.0 < lam_min < lam_max < float("inf")):
@@ -85,17 +76,19 @@ def chebyshev_iteration(
     delta = 0.5 * (lam_max - lam_min)
     sigma1 = theta / delta
 
-    x = np.zeros(n) if x0 is None else as_1d_float_array(x0, "x0").copy()
-    if telemetry is not None:
-        telemetry.solve_start(
-            "chebyshev",
-            f"chebyshev(check={check_every})",
-            n,
-            bounds=(lam_min, lam_max),
-            check_every=check_every,
-        )
-        telemetry.iterate(x)
-    b_norm = norm(b)
+    run = SolveRun.open(
+        "chebyshev",
+        f"chebyshev(check={check_every})",
+        a,
+        b,
+        x0=x0,
+        stop=stop,
+        telemetry=telemetry,
+        bounds=(lam_min, lam_max),
+        check_every=check_every,
+    )
+    op, b, x, stop, b_norm = run.op, run.b, run.x, run.stop, run.b_norm
+    n = b.shape[0]
     r = b - op.matvec(x)
     res_norms = [norm(r)]
     lambdas: list[float] = []
@@ -143,19 +136,4 @@ def chebyshev_iteration(
                 tracer.end("axpy")
             rho = rho_next
 
-    true_res = norm(b - op.matvec(x))
-    reason = verified_exit(reason, true_res, stop.threshold(b_norm))
-    result = CGResult(
-        x=x,
-        converged=reason is StopReason.CONVERGED,
-        stop_reason=reason,
-        iterations=iterations,
-        residual_norms=res_norms,
-        alphas=[],
-        lambdas=lambdas,
-        true_residual_norm=true_res,
-        label=f"chebyshev(check={check_every})",
-    )
-    if telemetry is not None:
-        telemetry.solve_end(result)
-    return result
+    return run.finish(reason, x, iterations, res_norms, lambdas=lambdas)

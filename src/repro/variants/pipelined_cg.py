@@ -24,11 +24,10 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.results import CGResult, StopReason, verified_exit
+from repro.core.results import CGResult, SolveRun, StopReason
 from repro.core.stopping import StoppingCriterion
-from repro.sparse.linop import as_operator, matvec_into
-from repro.util.kernels import axpy, dot, norm
-from repro.util.validation import as_1d_float_array, check_square_operator
+from repro.sparse.linop import matvec_into
+from repro.util.kernels import axpy, dot
 
 __all__ = ["ghysels_vanroose_cg"]
 
@@ -42,7 +41,6 @@ def ghysels_vanroose_cg(
     faults: Any = None,
     recovery: Any = None,
     telemetry: "Telemetry | None" = None,
-    workspace: Any = None,
 ) -> CGResult:
     """Solve the SPD system by pipelined (Ghysels--Vanroose) CG.
 
@@ -57,31 +55,15 @@ def ghysels_vanroose_cg(
     -- the price of three extra recurred vectors -- keeping the
     direction) plus bounded full restarts on denominator breakdown.
 
-    ``workspace`` takes a :class:`repro.backend.Workspace` arena; the
-    six axpys and the steady-state matvec draw scratch from it.
+    The six axpys and the steady-state matvec draw scratch from the
+    run's workspace arena.
     """
-    op = as_operator(a)
-    b = as_1d_float_array(b, "b")
-    n = check_square_operator(op, b.shape[0])
-    stop = stop or StoppingCriterion()
-    from repro.backend import Workspace
-
-    ws = workspace if workspace is not None else Workspace()
-
-    from repro.faults import RecoveryPolicy, UnrecoverableDivergence, as_fault_plan
-
-    policy = RecoveryPolicy.from_spec(recovery)
-    plan = as_fault_plan(faults)
-
-    x = np.zeros(n) if x0 is None else as_1d_float_array(x0, "x0").copy()
-    if telemetry is not None:
-        telemetry.solve_start("gv", "ghysels-vanroose-cg", n)
-        telemetry.iterate(x)
-    op_true = op
-    if plan is not None:
-        plan.attach(telemetry)
-        op = plan.wrap_operator(op)
-    b_norm = norm(b)
+    run = SolveRun.open(
+        "gv", "ghysels-vanroose-cg", a, b, x0=x0, stop=stop,
+        faults=faults, recovery=recovery, telemetry=telemetry,
+    )
+    op, b, x, stop, b_norm = run.op, run.b, run.x, run.stop, run.b_norm
+    n, ws, policy, plan = b.shape[0], run.ws, run.policy, run.plan
     r = b - op.matvec(x)
     w = op.matvec(r)
 
@@ -97,8 +79,6 @@ def ghysels_vanroose_cg(
     res_norms = [float(np.sqrt(max(gamma, 0.0)))]
     alphas: list[float] = []
     lambdas: list[float] = []
-    recoveries: dict[str, int] = {"replace": 0, "restart": 0, "recompute": 0}
-    restarts_used = 0
     check_every = None
     drift_tol = None
     if policy is not None:
@@ -148,11 +128,7 @@ def ghysels_vanroose_cg(
                 beta = gamma / gamma_old
                 denom = delta - beta * gamma / alpha
                 if denom <= 0.0 or not np.isfinite(denom):
-                    if policy is not None and restarts_used < policy.max_restarts:
-                        restarts_used += 1
-                        recoveries["restart"] += 1
-                        if telemetry is not None:
-                            telemetry.recovery(iterations, "restart", "breakdown")
+                    if run.restart(iterations, "breakdown"):
                         _restart()
                         fresh_start = True
                         continue
@@ -186,18 +162,10 @@ def ghysels_vanroose_cg(
             if stop.is_met(res_norms[-1], b_norm):
                 # A corrupted gamma can fake convergence; under injection
                 # verify against the true residual before accepting.
-                if plan is None or norm(
-                    b - op_true.matvec(x)
-                ) <= stop.threshold(b_norm):
+                if plan is None or run.true_residual(x) <= stop.threshold(b_norm):
                     reason = StopReason.CONVERGED
                     break
-                if policy is not None and restarts_used < policy.max_restarts:
-                    restarts_used += 1
-                    recoveries["restart"] += 1
-                    if telemetry is not None:
-                        telemetry.recovery(
-                            iterations, "restart", "false_convergence"
-                        )
+                if run.restart(iterations, "false_convergence"):
                     _restart()
                     fresh_start = True
                     continue
@@ -225,42 +193,13 @@ def ghysels_vanroose_cg(
                         z = op.matvec(s)
                         gamma = gamma_direct
                         delta = dot(w, r, label="pipelined_dot")
-                        recoveries["replace"] += 1
+                        run.recoveries["replace"] += 1
                         if telemetry is not None:
                             telemetry.replacement(iterations, "drift")
                             telemetry.recovery(
                                 iterations, "replace", "drift", gap
                             )
 
-    true_res = norm(b - op_true.matvec(x))
-    reason = verified_exit(reason, true_res, stop.threshold(b_norm))
-    if (
-        policy is not None
-        and policy.on_unrecoverable == "raise"
-        and reason is StopReason.BREAKDOWN
-        and restarts_used >= policy.max_restarts
-    ):
-        raise UnrecoverableDivergence(
-            f"ghysels-vanroose-cg broke down after {iterations} iterations "
-            f"and {restarts_used} restarts (true residual {true_res:.3e})"
-        )
-    extras: dict[str, Any] = {}
-    if plan is not None:
-        extras["faults"] = plan.counts()
-    if policy is not None:
-        extras["recoveries"] = dict(recoveries)
-    result = CGResult(
-        x=x,
-        converged=reason is StopReason.CONVERGED,
-        stop_reason=reason,
-        iterations=iterations,
-        residual_norms=res_norms,
-        alphas=alphas,
-        lambdas=lambdas,
-        true_residual_norm=true_res,
-        label="ghysels-vanroose-cg",
-        extras=extras,
+    return run.finish(
+        reason, x, iterations, res_norms, alphas=alphas, lambdas=lambdas
     )
-    if telemetry is not None:
-        telemetry.solve_end(result)
-    return result

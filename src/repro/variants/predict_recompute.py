@@ -21,8 +21,8 @@ Two members are implemented:
   fused reduction and can overlap it (Ghysels--Vanroose style).
 
 Both share the classical-CG hot path: instrumented fused dots and
-axpys, workspace-arena buffers, fault-plan wrapping with sampled
-residual replacement and bounded restarts under a
+axpys, the run's workspace-arena buffers, fault-plan wrapping with
+sampled residual replacement and bounded restarts under a
 :class:`repro.faults.RecoveryPolicy`.
 """
 
@@ -32,12 +32,11 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.results import CGResult, StopReason, verified_exit
+from repro.core.results import CGResult, SolveRun, StopReason
 from repro.core.stopping import StoppingCriterion
-from repro.sparse.linop import as_operator, matvec_into
+from repro.sparse.linop import matvec_into
 from repro.util.counters import add_scalar_flops
-from repro.util.kernels import axpy, dot, norm
-from repro.util.validation import as_1d_float_array, check_square_operator
+from repro.util.kernels import axpy, dot
 
 __all__ = ["pr_cg", "pr_pipe_cg"]
 
@@ -56,32 +55,15 @@ def _pr_solve(
     faults: Any,
     recovery: Any,
     telemetry: "Telemetry | None",
-    workspace: Any,
 ) -> CGResult:
     """Shared driver for the eager and pipelined predict-and-recompute forms."""
     label = "pr-pipe-cg" if pipelined else "pr-cg"
-    op = as_operator(a)
-    b = as_1d_float_array(b, "b")
-    n = check_square_operator(op, b.shape[0])
-    stop = stop or StoppingCriterion()
-    from repro.backend import Workspace
-
-    ws = workspace if workspace is not None else Workspace()
-
-    from repro.faults import RecoveryPolicy, UnrecoverableDivergence, as_fault_plan
-
-    policy = RecoveryPolicy.from_spec(recovery)
-    plan = as_fault_plan(faults)
-
-    x = np.zeros(n) if x0 is None else as_1d_float_array(x0, "x0").copy()
-    if telemetry is not None:
-        telemetry.solve_start(label, label, n)
-        telemetry.iterate(x)
-    op_true = op
-    if plan is not None:
-        plan.attach(telemetry)
-        op = plan.wrap_operator(op)
-    b_norm = norm(b)
+    run = SolveRun.open(
+        label, label, a, b, x0=x0, stop=stop, faults=faults, recovery=recovery,
+        telemetry=telemetry,
+    )
+    op, b, x, stop, b_norm = run.op, run.b, run.x, run.stop, run.b_norm
+    n, ws, policy, plan = b.shape[0], run.ws, run.policy, run.plan
 
     r = np.zeros(n)
     p = np.zeros(n)
@@ -126,8 +108,6 @@ def _pr_solve(
     res_norms = [float(np.sqrt(max(nu, 0.0)))]
     alphas: list[float] = []
     lambdas: list[float] = []
-    recoveries: dict[str, int] = {"replace": 0, "restart": 0, "recompute": 0}
-    restarts_used = 0
     check_every = None
     drift_tol = None
     if policy is not None:
@@ -144,11 +124,7 @@ def _pr_solve(
             if plan is not None:
                 plan.begin_iteration(iterations + 1)
             if mu <= 0.0 or nu <= 0.0 or not np.isfinite(mu) or not np.isfinite(nu):
-                if policy is not None and restarts_used < policy.max_restarts:
-                    restarts_used += 1
-                    recoveries["restart"] += 1
-                    if telemetry is not None:
-                        telemetry.recovery(iterations, "restart", "breakdown")
+                if run.restart(iterations, "breakdown"):
                     _restart()
                     continue
                 reason = StopReason.BREAKDOWN
@@ -202,28 +178,16 @@ def _pr_solve(
             if stop.is_met(res_norms[-1], b_norm):
                 # A corrupted nu can fake convergence; under injection
                 # verify against the true residual before accepting.
-                if plan is None or norm(
-                    b - op_true.matvec(x)
-                ) <= stop.threshold(b_norm):
+                if plan is None or run.true_residual(x) <= stop.threshold(b_norm):
                     reason = StopReason.CONVERGED
                     break
-                if policy is not None and restarts_used < policy.max_restarts:
-                    restarts_used += 1
-                    recoveries["restart"] += 1
-                    if telemetry is not None:
-                        telemetry.recovery(
-                            iterations, "restart", "false_convergence"
-                        )
+                if run.restart(iterations, "false_convergence"):
                     _restart()
                     continue
                 reason = StopReason.BREAKDOWN
                 break
             if res_norms[-1] > _DIVERGENCE_FACTOR * max(res_norms[0], b_norm):
-                if policy is not None and restarts_used < policy.max_restarts:
-                    restarts_used += 1
-                    recoveries["restart"] += 1
-                    if telemetry is not None:
-                        telemetry.recovery(iterations, "restart", "divergence")
+                if run.restart(iterations, "divergence"):
                     _restart()
                     continue
                 reason = StopReason.BREAKDOWN
@@ -250,45 +214,16 @@ def _pr_solve(
                             w[:] = op.matvec(r)
                             u[:] = op.matvec(s)
                         _dots()
-                        recoveries["replace"] += 1
+                        run.recoveries["replace"] += 1
                         if telemetry is not None:
                             telemetry.replacement(iterations, "drift")
                             telemetry.recovery(
                                 iterations, "replace", "drift", gap
                             )
 
-    true_res = norm(b - op_true.matvec(x))
-    reason = verified_exit(reason, true_res, stop.threshold(b_norm))
-    if (
-        policy is not None
-        and policy.on_unrecoverable == "raise"
-        and reason is StopReason.BREAKDOWN
-        and restarts_used >= policy.max_restarts
-    ):
-        raise UnrecoverableDivergence(
-            f"{label} broke down after {iterations} iterations "
-            f"and {restarts_used} restarts (true residual {true_res:.3e})"
-        )
-    extras: dict[str, Any] = {}
-    if plan is not None:
-        extras["faults"] = plan.counts()
-    if policy is not None:
-        extras["recoveries"] = dict(recoveries)
-    result = CGResult(
-        x=x,
-        converged=reason is StopReason.CONVERGED,
-        stop_reason=reason,
-        iterations=iterations,
-        residual_norms=res_norms,
-        alphas=alphas,
-        lambdas=lambdas,
-        true_residual_norm=true_res,
-        label=label,
-        extras=extras,
+    return run.finish(
+        reason, x, iterations, res_norms, alphas=alphas, lambdas=lambdas
     )
-    if telemetry is not None:
-        telemetry.solve_end(result)
-    return result
 
 
 def pr_cg(
@@ -300,16 +235,14 @@ def pr_cg(
     faults: Any = None,
     recovery: Any = None,
     telemetry: "Telemetry | None" = None,
-    workspace: Any = None,
 ) -> CGResult:
     """Solve the SPD system by eager predict-and-recompute CG.
 
     One matvec (``w = Ar``) and one fused 4-dot reduction per iteration:
     the single-synchronization structure of Chronopoulos--Gear, with the
     recompute step preventing the scalar drift that plagues pure
-    recurrence methods.  ``faults``/``recovery``/``telemetry``/
-    ``workspace`` behave as in
-    :func:`repro.variants.ghysels_vanroose_cg`.
+    recurrence methods.  ``faults``/``recovery``/``telemetry`` behave as
+    in :func:`repro.variants.ghysels_vanroose_cg`.
     """
     return _pr_solve(
         a,
@@ -320,7 +253,6 @@ def pr_cg(
         faults=faults,
         recovery=recovery,
         telemetry=telemetry,
-        workspace=workspace,
     )
 
 
@@ -333,7 +265,6 @@ def pr_pipe_cg(
     faults: Any = None,
     recovery: Any = None,
     telemetry: "Telemetry | None" = None,
-    workspace: Any = None,
 ) -> CGResult:
     """Solve the SPD system by pipelined predict-and-recompute CG.
 
@@ -352,5 +283,4 @@ def pr_pipe_cg(
         faults=faults,
         recovery=recovery,
         telemetry=telemetry,
-        workspace=workspace,
     )

@@ -37,16 +37,11 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.results import CGResult, StopReason, verified_exit
+from repro.core.results import CGResult, SolveRun, StopReason
 from repro.core.stopping import StoppingCriterion
-from repro.sparse.linop import as_operator
 from repro.util.counters import add_dot, add_scalar_flops, traced
 from repro.util.kernels import norm
-from repro.util.validation import (
-    as_1d_float_array,
-    check_square_operator,
-    require_positive_int,
-)
+from repro.util.validation import require_positive_int
 
 __all__ = ["sstep_cg"]
 
@@ -175,11 +170,7 @@ def sstep_cg(
         so iteration counts are comparable across solvers;
         ``residual_norms`` is recorded once per outer step.
     """
-    op = as_operator(a)
-    b = as_1d_float_array(b, "b")
-    n = check_square_operator(op, b.shape[0])
     s = require_positive_int(s, "s")
-    stop = stop or StoppingCriterion()
 
     if basis == "monomial":
         def make_block(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,38 +190,20 @@ def sstep_cg(
     else:
         raise ValueError(f"unknown basis {basis!r}")
 
-    x = np.zeros(n) if x0 is None else as_1d_float_array(x0, "x0").copy()
-    if telemetry is not None:
-        telemetry.solve_start("sstep", f"sstep-cg(s={s})", n, s=s, basis=basis)
-        telemetry.iterate(x)
-    b_norm = norm(b)
+    run = SolveRun.open(
+        "sstep", f"sstep-cg(s={s})", a, b, x0=x0, stop=stop, telemetry=telemetry,
+        s=s, basis=basis,
+    )
+    op, b, x, stop, b_norm = run.op, run.b, run.x, run.stop, run.b_norm
+    n = b.shape[0]
     r = b - op.matvec(x)
     res_norms = [norm(r)]
 
     reason = StopReason.MAX_ITER
     cg_steps = 0
 
-    def _result() -> CGResult:
-        true_res = norm(b - op.matvec(x))
-        final_reason = verified_exit(reason, true_res, stop.threshold(b_norm))
-        result = CGResult(
-            x=x,
-            converged=final_reason is StopReason.CONVERGED,
-            stop_reason=final_reason,
-            iterations=cg_steps,
-            residual_norms=res_norms,
-            alphas=[],
-            lambdas=[],
-            true_residual_norm=true_res,
-            label=f"sstep-cg(s={s})",
-        )
-        if telemetry is not None:
-            telemetry.solve_end(result)
-        return result
-
     if stop.is_met(res_norms[0], b_norm):
-        reason = StopReason.CONVERGED
-        return _result()
+        return run.finish(StopReason.CONVERGED, x, 0, res_norms)
 
     p_blk, ap_blk = make_block(r)
     max_outer = (stop.budget(n) + s - 1) // s
@@ -267,4 +240,4 @@ def sstep_cg(
         p_blk = k_blk - p_blk @ b_mat
         ap_blk = ak_blk - ap_blk @ b_mat
 
-    return _result()
+    return run.finish(reason, x, cg_steps, res_norms)

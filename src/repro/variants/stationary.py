@@ -24,7 +24,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.results import CGResult, StopReason, verified_exit
+from repro.core.results import CGResult, SolveRun, StopReason
 from repro.core.stopping import StoppingCriterion
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.trisolve import solve_lower
@@ -40,22 +40,21 @@ __all__ = ["jacobi_solve", "gauss_seidel_solve", "sor_solve", "richardson_solve"
 
 
 def _stationary_loop(
-    op,
+    a,
     b: np.ndarray,
-    x: np.ndarray,
+    x0: np.ndarray | None,
     correction: Callable[[np.ndarray], np.ndarray],
-    stop: StoppingCriterion,
+    stop: StoppingCriterion | None,
     check_every: int,
     label: str,
     telemetry=None,
 ) -> CGResult:
     """Shared loop: apply ``x <- x + correction(r)`` until converged."""
-    if telemetry is not None:
-        telemetry.solve_start(
-            label.split("(")[0], label, b.shape[0], check_every=check_every
-        )
-        telemetry.iterate(x)
-    b_norm = norm(b)
+    run = SolveRun.open(
+        label.split("(")[0], label, a, b, x0=x0, stop=stop, telemetry=telemetry,
+        check_every=check_every,
+    )
+    op, b, x, stop, b_norm = run.op, run.b, run.x, run.stop, run.b_norm
     r = b - op.matvec(x)
     res_norms = [norm(r)]
     reason = StopReason.MAX_ITER
@@ -85,22 +84,7 @@ def _stationary_loop(
                 ):
                     reason = StopReason.BREAKDOWN
                     break
-    true_res = norm(b - op.matvec(x))
-    reason = verified_exit(reason, true_res, stop.threshold(b_norm))
-    result = CGResult(
-        x=x,
-        converged=reason is StopReason.CONVERGED,
-        stop_reason=reason,
-        iterations=iterations,
-        residual_norms=res_norms,
-        alphas=[],
-        lambdas=[],
-        true_residual_norm=true_res,
-        label=label,
-    )
-    if telemetry is not None:
-        telemetry.solve_end(result)
-    return result
+    return run.finish(reason, x, iterations, res_norms)
 
 
 def jacobi_solve(
@@ -125,11 +109,9 @@ def jacobi_solve(
         raise ValueError("Jacobi requires a strictly positive diagonal")
     if omega <= 0:
         raise ValueError("omega must be positive")
-    stop = stop or StoppingCriterion()
-    x = np.zeros(b.shape[0]) if x0 is None else as_1d_float_array(x0, "x0").copy()
     inv_diag = omega / diag
     return _stationary_loop(
-        a, b, x, lambda r: inv_diag * r, stop,
+        a, b, x0, lambda r: inv_diag * r, stop,
         require_positive_int(check_every, "check_every"),
         f"jacobi(omega={omega})", telemetry,
     )
@@ -147,17 +129,10 @@ def richardson_solve(
 ) -> CGResult:
     """Richardson iteration ``x += step·r`` (converges for
     ``0 < step < 2/λmax``; optimal at ``2/(λmin+λmax)``)."""
-    from repro.sparse.linop import as_operator
-
-    op = as_operator(a)
-    b = as_1d_float_array(b, "b")
-    check_square_operator(op, b.shape[0])
     if step <= 0:
         raise ValueError("step must be positive")
-    stop = stop or StoppingCriterion()
-    x = np.zeros(b.shape[0]) if x0 is None else as_1d_float_array(x0, "x0").copy()
     return _stationary_loop(
-        op, b, x, lambda r: step * r, stop,
+        a, b, x0, lambda r: step * r, stop,
         require_positive_int(check_every, "check_every"),
         f"richardson(step={step:.3g})", telemetry,
     )
@@ -186,8 +161,6 @@ def sor_solve(
     diag = a.diagonal()
     if np.any(diag <= 0):
         raise ValueError("SOR requires a strictly positive diagonal")
-    stop = stop or StoppingCriterion()
-    x = np.zeros(b.shape[0]) if x0 is None else as_1d_float_array(x0, "x0").copy()
 
     # (D/omega + L): strictly lower part of A plus the scaled diagonal.
     from repro.sparse.coo import COOBuilder
@@ -203,7 +176,7 @@ def sor_solve(
     builder.add_batch(idx, idx, diag / omega)
     sweep_matrix = builder.to_csr()
     return _stationary_loop(
-        a, b, x, lambda r: solve_lower(sweep_matrix, r), stop,
+        a, b, x0, lambda r: solve_lower(sweep_matrix, r), stop,
         require_positive_int(check_every, "check_every"),
         f"sor(omega={omega})", telemetry,
     )

@@ -20,11 +20,10 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.results import CGResult, StopReason, verified_exit
+from repro.core.results import CGResult, SolveRun, StopReason
 from repro.core.stopping import StoppingCriterion
-from repro.sparse.linop import as_operator, matvec_into
-from repro.util.kernels import dot, norm
-from repro.util.validation import as_1d_float_array, check_square_operator
+from repro.sparse.linop import matvec_into
+from repro.util.kernels import dot
 
 __all__ = ["three_term_cg"]
 
@@ -36,29 +35,20 @@ def three_term_cg(
     x0: np.ndarray | None = None,
     stop: StoppingCriterion | None = None,
     telemetry: "Telemetry | None" = None,
-    workspace: Any = None,
 ) -> CGResult:
     """Solve the SPD system by the three-term CG recurrence.
 
     Produces the same iterates as classical CG in exact arithmetic.  The
     recorded ``lambdas`` hold ``γn`` and ``alphas`` hold ``ρn`` (the
     closest analogues of the two-term parameters).  ``telemetry`` takes
-    an optional :class:`repro.telemetry.Telemetry` hook and ``workspace``
-    a :class:`repro.backend.Workspace` arena for the matvec scratch.
+    an optional :class:`repro.telemetry.Telemetry` hook; the matvec
+    scratch comes from the run's workspace arena.
     """
-    op = as_operator(a)
-    b = as_1d_float_array(b, "b")
-    n = check_square_operator(op, b.shape[0])
-    stop = stop or StoppingCriterion()
-    from repro.backend import Workspace
-
-    ws = workspace if workspace is not None else Workspace()
-
-    x = np.zeros(n) if x0 is None else as_1d_float_array(x0, "x0").copy()
-    if telemetry is not None:
-        telemetry.solve_start("three-term", "three-term-cg", n)
-        telemetry.iterate(x)
-    b_norm = norm(b)
+    run = SolveRun.open(
+        "three-term", "three-term-cg", a, b, x0=x0, stop=stop, telemetry=telemetry
+    )
+    op, b, x, stop, b_norm, ws = run.op, run.b, run.x, run.stop, run.b_norm, run.ws
+    n = b.shape[0]
     r = b - op.matvec(x)
     rr = dot(r, r)
     res_norms = [float(np.sqrt(max(rr, 0.0)))]
@@ -111,19 +101,6 @@ def three_term_cg(
                 reason = StopReason.CONVERGED
                 break
 
-    true_res = norm(b - op.matvec(x))
-    reason = verified_exit(reason, true_res, stop.threshold(b_norm))
-    result = CGResult(
-        x=x,
-        converged=reason is StopReason.CONVERGED,
-        stop_reason=reason,
-        iterations=iterations,
-        residual_norms=res_norms,
-        alphas=rhos,
-        lambdas=gammas,
-        true_residual_norm=true_res,
-        label="three-term-cg",
+    return run.finish(
+        reason, x, iterations, res_norms, alphas=rhos, lambdas=gammas
     )
-    if telemetry is not None:
-        telemetry.solve_end(result)
-    return result

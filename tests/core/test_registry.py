@@ -253,17 +253,15 @@ def test_effective_stop_mirrors_the_front_door(system):
     assert effective_stop(a, b, {}) == StoppingCriterion()
     assert effective_stop(a, b, {"stop": None}) == StoppingCriterion()
     # A nonzero threshold never triggers the rescue, x0 or not.
-    assert effective_stop(a, b, {"stop": custom}, x0=np.ones(a.nrows)) is custom
+    assert effective_stop(a, b, {"stop": custom, "x0": np.ones(a.nrows)}) is custom
     # The b=0 + x0 corner: the resolved criterion is exactly the rescued
     # rule the front door rewrites options["stop"] to.
     zero = np.zeros(a.nrows)
     x0 = np.ones(a.nrows)
-    resolved = effective_stop(a, zero, {"stop": custom}, x0=x0)
+    resolved = effective_stop(a, zero, {"stop": custom, "x0": x0})
     r0_norm = float(np.linalg.norm(zero - a.matvec(x0)))
     assert resolved == custom.with_initial_residual(0.0, r0_norm)
     assert resolved.threshold(0.0) > 0.0
-    # x0 may ride inside options too (the front door's own shape).
-    assert effective_stop(a, zero, {"stop": custom, "x0": x0}) == resolved
 
 
 # ----------------------------------------------------------------------

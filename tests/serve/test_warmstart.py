@@ -6,9 +6,10 @@ tests pin the honesty contract from both ends:
 
 * a warm-started response reaches the same independently-verified true
   residual a cold start does (differential);
-* convergence is never reported without the true-residual verification
-  passing -- a hit that fails verification is rejected and re-solved
-  cold;
+* a warm hit is served only when the warm solve converged under the
+  solver's exit rule -- an unconverged one is rejected and re-solved
+  cold (the exit rule itself is pinned registry-wide in
+  ``tests/test_exit_rule.py``);
 * poisoned cache entries (wrong shape, wrong dtype, non-finite values
   -- a fingerprint collision or a corrupted store) fall back cold
   instead of erroring;
@@ -23,6 +24,7 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.core.results import StopReason
 from repro.core.stopping import StoppingCriterion
 from repro.serve import ServiceConfig, SolveRequest, SolverService
 from repro.serve.warmstart import WarmStartCache
@@ -142,39 +144,28 @@ class TestServiceWarmStart:
         stats = svc.warmstart.stats()
         assert stats["stores"] == 1 and stats["hits"] == 1
 
-    def test_every_warm_hit_is_verified(self):
-        b = rhs(4)
-        calls = []
+    def test_failed_verification_falls_back_cold(self, monkeypatch):
+        import repro.registry as registry
 
-        async def main():
-            async with SolverService(ServiceConfig()) as svc:
-                orig = svc._verify_warm_result
-
-                def counting(request, options, result, seed):
-                    ok = orig(request, options, result, seed)
-                    calls.append(ok)
-                    return ok
-
-                svc._verify_warm_result = counting
-                await svc.submit(SolveRequest(a=A, b=b))
-                warm = await svc.submit(SolveRequest(a=A, b=b))
-            return warm
-
-        warm = run(main())
-        # warm_started=True implies the verification hook ran and passed.
-        assert warm.warm_started
-        assert calls == [True]
-
-    def test_failed_verification_falls_back_cold(self):
         b = rhs(5)
+        real_solve = registry.solve
+
+        def unconverged_when_warm(*args, **kwargs):
+            # Seeded solves come back as if their true residual had
+            # missed the exit rule's bound.
+            result = real_solve(*args, **kwargs)
+            if kwargs.get("x0") is not None:
+                result.converged = False
+                result.stop_reason = StopReason.BREAKDOWN
+            return result
 
         async def main():
             async with SolverService(ServiceConfig()) as svc:
                 await svc.submit(SolveRequest(a=A, b=b))
                 assert len(svc.warmstart) == 1
-                # Distrust every warm exit: the service must answer from
-                # a cold start and drop the seed.
-                svc._verify_warm_result = lambda *a: False
+                # Every warm solve now fails its exit rule: the service
+                # must answer from a cold start and drop the seed.
+                monkeypatch.setattr(registry, "solve", unconverged_when_warm)
                 warm = await svc.submit(SolveRequest(a=A, b=b))
             return svc, warm
 

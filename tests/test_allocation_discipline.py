@@ -1,6 +1,7 @@
 """Zero-allocation discipline of the steady-state solver loops.
 
-The workspace arena (:class:`repro.backend.Workspace`) plus the ``out=``
+The per-solve workspace arena (:class:`repro.backend.Workspace`, made by
+each solve's :class:`~repro.core.results.SolveRun`) plus the ``out=``
 and ``work=`` kernel paths promise that once a solver reaches steady
 state, each iteration reuses the same buffers and allocates **no new
 arrays**.  These tests pin that promise with :mod:`tracemalloc`: a
@@ -71,9 +72,7 @@ def _run_probed(solver, **kwargs):
     stop = StoppingCriterion(rtol=1e-10, max_iter=60)
     tracemalloc.start()
     try:
-        result = solver(
-            a, b, stop=stop, telemetry=telemetry, workspace=Workspace(), **kwargs
-        )
+        result = solver(a, b, stop=stop, telemetry=telemetry, **kwargs)
     finally:
         tracemalloc.stop()
     return result, probe
@@ -114,18 +113,6 @@ class TestSteadyStateAllocations:
             f"pipelined-vr allocated up to {max(steady)} bytes in one "
             f"steady-state iteration (budget {ALLOWED_PER_ITERATION})"
         )
-
-    def test_workspace_reuses_buffers_across_iterations(self):
-        ws = Workspace()
-        a = poisson2d(32)
-        b = np.ones(a.nrows)
-        conjugate_gradient(a, b, workspace=ws)
-        stats = ws.stats()
-        assert stats["hits"] > stats["misses"]
-        # A second solve on the same workspace re-misses nothing.
-        misses_before = ws.misses
-        conjugate_gradient(a, b, workspace=ws)
-        assert ws.misses == misses_before
 
 
 class TestKernelAliasing:

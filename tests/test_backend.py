@@ -5,7 +5,7 @@ Covers:
 * :func:`resolve_backend` -- all that is left of kernel-backend selection;
 * the :class:`Workspace` arena -- buffer reuse, shape re-keying, stats;
 * the :class:`SetupCache` -- fingerprint keying, hits, LRU eviction;
-* the ``workspace=`` gate of the :func:`repro.solve` front door.
+* the :func:`repro.solve` front door, which takes no caller arena.
 """
 
 from __future__ import annotations
@@ -146,13 +146,14 @@ class TestSetupCache:
 # front-door integration
 # ----------------------------------------------------------------------
 class TestSolveIntegration:
-    def test_solve_refuses_backend_for_unsupported_method(self):
+    def test_solve_refuses_workspace_keyword(self):
         from repro import solve
 
+        # Each solve makes its own arena; there is no caller knob.
         a = poisson2d(12)
         b = np.ones(a.nrows)
-        with pytest.raises(ValueError, match="workspace"):
-            solve(a, b, method="jacobi", workspace=Workspace())
+        with pytest.raises(TypeError, match="workspace"):
+            solve(a, b, "cg", workspace=Workspace())
 
     def test_backend_capable_methods_agree(self):
         from repro import solve
@@ -163,7 +164,7 @@ class TestSolveIntegration:
             np.array([[a.matvec(e) for e in np.eye(a.nrows)]][0]).T, b
         )
         for method in ("cg", "vr", "pipelined-vr", "three-term", "cg-cg", "gv"):
-            got = solve(a, b, method=method, workspace=Workspace())
+            got = solve(a, b, method=method)
             assert got.converged, method
             np.testing.assert_allclose(got.x, expect, rtol=1e-6, atol=1e-8)
 

@@ -155,8 +155,7 @@ def test_bench_backend_kernels_smoke_emits_json(tmp_path):
         on_disk["workspace_matvec_allocs"]["peak_bytes"]
         < on_disk["allocating_matvec_allocs"]["peak_bytes"]
     )
-    for arm in ("caller_arena", "default"):
-        assert on_disk["solve_allocations"][arm]["max_iteration_bytes"] >= 0
+    assert on_disk["solve_allocations"]["default"]["max_iteration_bytes"] >= 0
 
 
 ADAPTIVE_BENCH_PATH = REPO_ROOT / "benchmarks" / "bench_adaptive.py"

@@ -137,6 +137,13 @@ def test_registry_method_matches_direct_solve(method, problem_name):
     assert err < 1e4 * rtol, (
         f"{method} on {problem_name}: solution error {err:.2e}"
     )
+    # The reported true residual is the recomputed one, and the exit rule
+    # held: within 100x the stopping threshold on every method.
+    true_res = np.linalg.norm(b - a.matvec(result.x))
+    np.testing.assert_allclose(result.true_residual_norm, true_res, rtol=1e-6)
+    assert true_res <= 100.0 * stop.threshold(np.linalg.norm(b)), (
+        f"{method} on {problem_name}: true residual {true_res:.2e}"
+    )
 
 
 # ---------------------------------------------------------------------------
