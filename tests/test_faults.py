@@ -230,6 +230,20 @@ class TestRecoveryPolicy:
         with pytest.raises(UnrecoverableDivergence):
             solve(a, b, "vr", k=3, stop=tight, faults=plan, recovery=policy)
 
+    def test_dist_pipelined_vr_raises_with_budget_left(self):
+        # No restart path: a breakdown is unrecoverable even though the
+        # policy still grants its default three restarts.
+        a = poisson2d(16)
+        b = np.random.default_rng(0).standard_normal(a.nrows)
+        plan = FaultPlan(
+            [CommFaultInjector(mode="corrupt", magnitude=0.3, at_iteration=9)],
+            seed=0,
+        )
+        policy = RecoveryPolicy(on_unrecoverable="raise")
+        assert policy.max_restarts > 0
+        with pytest.raises(UnrecoverableDivergence):
+            solve(a, b, "dist-pipelined-vr", stop=STOP, faults=plan, recovery=policy)
+
 
 # ----------------------------------------------------------------------
 # the honesty matrix: methods x fault classes
