@@ -15,10 +15,10 @@ problem:
   numbers are recorded alongside for reference.
 * **allocation counts** -- tracemalloc-measured bytes and block counts
   per call for both paths, plus per-iteration steady-state allocations
-  of a full CG solve with a caller-owned arena and with the solver's
-  own default arena (both must be allocation-free).
+  of a full CG solve on its own arena (it must be allocation-free).
 
-Numbers are written to ``BENCH_perf.json`` at the repository root;
+Running the script writes the numbers to ``BENCH_perf.json`` at the
+repository root (the pytest test writes to its temporary directory);
 ``tools/check_bench_regression.py`` compares them against
 ``benchmarks/baselines/BENCH_perf.json`` in the bench-smoke CI job.
 """
@@ -174,9 +174,10 @@ def run(
     return payload
 
 
-def test_backend_kernel_performance():
+def test_backend_kernel_performance(tmp_path):
     """Acceptance: workspace matvec >= 1.2x allocating matvec at n >= 1e5."""
-    payload = run()
+    out = tmp_path / DEFAULT_OUT.name
+    payload = run(out_path=out)
     assert payload["n"] >= 100_000
     speedup = payload["workspace_matvec_speedup"]
     assert speedup >= 1.2, (
@@ -188,7 +189,7 @@ def test_backend_kernel_performance():
     assert (
         payload["workspace_matvec_allocs"]["peak_bytes"] < payload["n"] // 2
     ), payload["workspace_matvec_allocs"]
-    assert DEFAULT_OUT.exists()
+    assert out.exists()
 
 
 if __name__ == "__main__":

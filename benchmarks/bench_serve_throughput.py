@@ -35,7 +35,8 @@ A note on hardware: the pool cannot conjure CPU cores, so the >= 2x
 acceptance floor applies on multi-core hosts (the CI runners); on a
 single core the bench only asserts that the pool does not lose.
 
-Numbers are written to ``BENCH_serve.json`` at the repository root.
+Running the script writes the numbers to ``BENCH_serve.json`` at the
+repository root (the pytest test writes to its temporary directory).
 Acceptance floors: >= 2x request throughput for 16 concurrent
 same-operator clients (ISSUE 8); >= 2x served RPS for the worker pool
 against 16 clients spread over 4 operator fingerprints on multi-core
@@ -324,9 +325,10 @@ def _check_bit_identical(lanes, stop, width, workers):
     asyncio.run(main())
 
 
-def test_serve_throughput_speedup():
+def test_serve_throughput_speedup(tmp_path):
     """Acceptance: coalesced service >= 2x sequential RPS at 16 clients."""
-    payload = run()
+    out = tmp_path / DEFAULT_OUT.name
+    payload = run(out_path=out)
     [record] = payload["results"]
     assert record["clients"] == 16
     speedup = record["speedup"]
@@ -337,7 +339,7 @@ def test_serve_throughput_speedup():
     )
     # The win must come from actual coalescing, not timing luck.
     assert max(record["coalesce_widths"]) >= 8
-    assert DEFAULT_OUT.exists()
+    assert out.exists()
 
     # Acceptance: the fingerprint-keyed pool beats a
     # one-thread pool on mixed-operator traffic.  A pool cannot conjure

@@ -440,11 +440,8 @@ def adaptive_vr_cg(
         if since_check >= ctl.config.check_every:
             since_check = 0
             rr_direct = dot(powers.r, powers.r, label="drift_check_dot")
-            if telemetry is not None:
-                telemetry.drift(iterations, window.rr, rr_direct)
-            floor = max(stop.threshold(b_norm) ** 2, np.finfo(np.float64).tiny)
-            if rr_direct > floor:
-                gap = abs(window.rr - rr_direct) / rr_direct
+            gap = run.drift_gap(iterations, window.rr, rr_direct)
+            if gap is not None:
                 action = ctl.observe_gap(iterations, gap)
                 if action == "fallback":
                     break

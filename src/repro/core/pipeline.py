@@ -407,7 +407,7 @@ def pipelined_vr_cg(
         if not res_norms:
             res_norms.append(float(np.sqrt(max(mu0_cur, 0.0))))
         if stop.is_met(float(np.sqrt(max(mu0_cur, 0.0))), b_norm):
-            if plan is None or run.true_residual(x) <= stop.threshold(b_norm):
+            if run.convergence_holds(x):
                 return ("converged", "", 0.0)
             return ("breakdown", "false_convergence", 0.0)
 
@@ -467,7 +467,7 @@ def pipelined_vr_cg(
                 # A corrupted scalar can fake convergence (a tiny recurred
                 # mu0); under injection verify against the true residual
                 # before accepting the exit.
-                if plan is None or run.true_residual(x) <= stop.threshold(b_norm):
+                if run.convergence_holds(x):
                     return ("converged", "", 0.0)
                 return ("breakdown", "false_convergence", 0.0)
             if mu0_next <= 0.0 or not np.isfinite(mu0_next):
@@ -513,15 +513,9 @@ def pipelined_vr_cg(
             # --- recovery detectors (policy-driven) ----------------------
             if policy is not None and policy.drift_tol is not None:
                 rr_direct = dot(powers.r, powers.r, label="drift_check_dot")
-                if telemetry is not None:
-                    telemetry.drift(iterations, mu0_cur, rr_direct)
-                floor = max(
-                    stop.threshold(b_norm) ** 2, np.finfo(np.float64).tiny
-                )
-                if rr_direct > floor:
-                    gap = abs(mu0_cur - rr_direct) / rr_direct
-                    if gap > policy.drift_tol:
-                        return ("replace", "drift", gap)
+                gap = run.drift_gap(iterations, mu0_cur, rr_direct)
+                if gap is not None and gap > policy.drift_tol:
+                    return ("replace", "drift", gap)
             if (
                 policy is not None
                 and policy.replace_every is not None
@@ -535,13 +529,8 @@ def pipelined_vr_cg(
                 if since_ctl >= controller.config.check_every:
                     since_ctl = 0
                     rr_direct = dot(powers.r, powers.r, label="drift_check_dot")
-                    if telemetry is not None:
-                        telemetry.drift(iterations, mu0_cur, rr_direct)
-                    floor = max(
-                        stop.threshold(b_norm) ** 2, np.finfo(np.float64).tiny
-                    )
-                    if rr_direct > floor:
-                        ctl_gap = abs(mu0_cur - rr_direct) / rr_direct
+                    ctl_gap = run.drift_gap(iterations, mu0_cur, rr_direct)
+                    if ctl_gap is not None:
                         action = controller.observe_gap(iterations, ctl_gap)
                         if action == "fallback":
                             return ("fallback", "drift", ctl_gap)

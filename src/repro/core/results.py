@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.stopping import StoppingCriterion
 from repro.sparse.linop import as_operator, operator_dtype
-from repro.util.kernels import norm
+from repro.util.kernels import dot, norm
 from repro.util.validation import as_1d_typed_array, check_square_operator
 
 __all__ = ["CGResult", "BatchedResult", "SolveRun", "StopReason", "verified_exit"]
@@ -252,10 +252,19 @@ class SolveRun:
       :attr:`b_norm`;
     * **restart budget** (:meth:`restart`) -- the policy's bounded
       restarts, shared by every trigger;
+    * **residual checks** -- the recurred-vs-direct ``(r, r)`` gap and
+      its ``drift`` event (:meth:`drift_gap`), the sampled ``b − A x``
+      check with its cadence and tolerance (:meth:`residual_check`),
+      and the in-loop false-convergence gate under injection
+      (:meth:`convergence_holds`);
     * **exit** (:meth:`finish`) -- recompute ``‖b − A x‖`` on the
       pristine operator, apply :func:`verified_exit`, raise
       :class:`~repro.faults.UnrecoverableDivergence` when the policy
       asks for it, and close the bracket with the :class:`CGResult`.
+
+    A solver keeps only its own work: which vectors a replacement
+    refreshes and how a restart rebuilds.  Telemetry observers (a
+    health monitor included) see these checks but never add any.
 
     The ``dist-*`` solvers partition, communicate and open their own
     bracket; they construct a run directly, for its exit only.
@@ -293,6 +302,7 @@ class SolveRun:
             policy.max_restarts if policy is not None and restartable else 0
         )
         self.restarts_used = 0
+        self._since_check = 0
         self.recoveries: dict[str, int] = {"replace": 0, "restart": 0, "recompute": 0}
         self.ws = Workspace()
         self._exit_norm = exit_norm
@@ -360,6 +370,7 @@ class SolveRun:
             return False
         self.restarts_used += 1
         self.recoveries["restart"] += 1
+        self._since_check = 0
         if self.telemetry is not None:
             self.telemetry.recovery(iteration, "restart", trigger)
         return True
@@ -367,6 +378,71 @@ class SolveRun:
     def true_residual(self, x: np.ndarray) -> float:
         """``‖b − A x‖`` on the pristine operator (one matvec)."""
         return float(self._exit_norm(self.b - self.op_true.matvec(x)))
+
+    def convergence_holds(self, x: np.ndarray) -> bool:
+        """Whether an in-loop convergence claim may stand.
+
+        Without a fault plan the recurred residual is taken at its word
+        (:meth:`finish` verifies the exit anyway).  Under injection a
+        corrupted scalar can fake convergence, so the claim must hold on
+        the true residual; a NaN true residual fails the ``<=`` and
+        rejects it.
+        """
+        return self.plan is None or self.true_residual(x) <= self.stop.threshold(
+            self.b_norm
+        )
+
+    def drift_gap(
+        self, iteration: int, recurred_rr: float, direct_rr: float
+    ) -> float | None:
+        """Relative gap between the recurred and the direct ``(r, r)``.
+
+        Emits the ``drift`` event.  Near machine-zero convergence the
+        direct ``(r, r)`` underflows toward 0 and the relative gap blows
+        up to inf/nan although the solve is succeeding; below the
+        stopping threshold (squared -- ``rr`` is a squared norm) the
+        signal is meaningless, so the gap is ``None`` there.
+        """
+        if self.telemetry is not None:
+            self.telemetry.drift(iteration, recurred_rr, direct_rr)
+        floor = max(self.stop.threshold(self.b_norm) ** 2, np.finfo(np.float64).tiny)
+        if direct_rr > floor:
+            return abs(recurred_rr - direct_rr) / direct_rr
+        return None
+
+    def residual_check(
+        self, iteration: int, x: np.ndarray, recurred_rr: float
+    ) -> tuple[np.ndarray, float] | None:
+        """Sampled residual replacement for the vector-recurred solvers.
+
+        Under a recovery policy, every ``verify_every`` (else
+        ``replace_every``, else 5) calls -- the count starts afresh at
+        every :meth:`restart` -- recompute ``r = b − A x`` on the
+        iteration's operator and compare its ``(r, r)`` with the
+        recurred one (:meth:`drift_gap`).  When the gap exceeds
+        ``drift_tol`` (else ``verify_rtol``) the replacement is booked
+        and announced, and ``(r_true, rr_direct)`` is returned: the
+        solver then refreshes its own vectors from ``r_true``, keeping
+        its direction.  Returns ``None`` otherwise.
+        """
+        policy = self.policy
+        if policy is None:
+            return None
+        self._since_check += 1
+        if self._since_check < (policy.verify_every or policy.replace_every or 5):
+            return None
+        self._since_check = 0
+        r_true = self.b - self.op.matvec(x)
+        rr_direct = dot(r_true, r_true, label="drift_check_dot")
+        gap = self.drift_gap(iteration, recurred_rr, rr_direct)
+        tol = policy.drift_tol if policy.drift_tol is not None else policy.verify_rtol
+        if gap is None or not gap > tol:
+            return None
+        self.recoveries["replace"] += 1
+        if self.telemetry is not None:
+            self.telemetry.replacement(iteration, "drift")
+            self.telemetry.recovery(iteration, "replace", "drift", gap)
+        return r_true, rr_direct
 
     def finish(
         self,

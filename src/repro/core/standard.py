@@ -107,18 +107,6 @@ def conjugate_gradient(
         tracer.end("startup")
     alphas: list[float] = []
     lambdas: list[float] = []
-    check_every = None
-    if policy is not None:
-        check_every = policy.verify_every or policy.replace_every or 5
-    drift_tol = policy.drift_tol if policy is not None else None
-    if drift_tol is None and policy is not None:
-        drift_tol = policy.verify_rtol
-    health = telemetry.health if telemetry is not None else None
-    if check_every is None and health is not None and health.check_every > 0:
-        # Health-only cadence: run the direct residual check so the
-        # monitor sees the recurred-vs-true gap even without a recovery
-        # policy.  drift_tol stays None -- observation, never a repair.
-        check_every = health.check_every
 
     if stop.is_met(res_norms[0], b_norm):
         return run.finish(StopReason.CONVERGED, x, 0, res_norms)
@@ -126,18 +114,16 @@ def conjugate_gradient(
     reason = StopReason.MAX_ITER
     budget = stop.budget(n)
     iterations = 0
-    since_check = 0
     best_res = res_norms[0]
 
     def _try_restart(trigger: str) -> bool:
         """Spend one restart: fresh residual, direction reset to it."""
-        nonlocal r, p, rr, since_check, best_res
+        nonlocal r, p, rr, best_res
         if not run.restart(iterations, trigger):
             return False
         r = b - op.matvec(x)
         p = r.copy()
         rr = dot(r, r)
-        since_check = 0
         best_res = float(np.sqrt(max(rr, 0.0)))
         return True
 
@@ -159,7 +145,6 @@ def conjugate_gradient(
         axpy(lam, p, x, out=x, work=ws)
         axpy(-lam, ap, r, out=r, work=ws)
         iterations += 1
-        since_check += 1
         rr_new = dot(r, r)
         if plan is not None:
             rr_new = plan.corrupt_dot(rr_new, "rr")
@@ -170,7 +155,7 @@ def conjugate_gradient(
         if stop.is_met(res_norms[-1], b_norm):
             # A corrupted rr can fake convergence; under injection verify
             # against the true residual before accepting the exit.
-            if plan is None or run.true_residual(x) <= stop.threshold(b_norm):
+            if run.convergence_holds(x):
                 reason = StopReason.CONVERGED
                 break
             if _try_restart("false_convergence"):
@@ -207,22 +192,9 @@ def conjugate_gradient(
 
         # Sampled residual replacement: check the vector-recurred r
         # against the true residual on the policy's cadence.
-        if check_every is not None and since_check >= check_every:
-            since_check = 0
-            r_true = b - op.matvec(x)
-            rr_direct = dot(r_true, r_true, label="drift_check_dot")
-            if telemetry is not None:
-                telemetry.drift(iterations, rr_new, rr_direct)
-            floor = max(stop.threshold(b_norm) ** 2, np.finfo(np.float64).tiny)
-            if drift_tol is not None and rr_direct > floor:
-                gap = abs(rr_new - rr_direct) / rr_direct
-                if gap > drift_tol:
-                    r = r_true
-                    rr_new = rr_direct
-                    run.recoveries["replace"] += 1
-                    if telemetry is not None:
-                        telemetry.replacement(iterations, "drift")
-                        telemetry.recovery(iterations, "replace", "drift", gap)
+        replaced = run.residual_check(iterations, x, rr_new)
+        if replaced is not None:
+            r, rr_new = replaced
 
         alpha = rr_new / rr
         alphas.append(alpha)

@@ -196,7 +196,6 @@ def vr_conjugate_gradient(
     )
     op, b, x, stop, b_norm = run.op, run.b, run.x, run.stop, run.b_norm
     ws, policy, plan = run.ws, run.policy, run.plan
-    health = telemetry.health if telemetry is not None else None
 
     if telemetry is not None:
         with telemetry.phase("startup"):
@@ -268,7 +267,7 @@ def vr_conjugate_gradient(
             # A corrupted scalar can fake convergence (a tiny recurred
             # mu0); under injection verify against the true residual
             # before accepting the exit.
-            if plan is None or run.true_residual(x) <= stop.threshold(b_norm):
+            if run.convergence_holds(x):
                 reason = StopReason.CONVERGED
                 break
             if _try_restart("false_convergence"):
@@ -313,33 +312,15 @@ def vr_conjugate_gradient(
         # --- detection: drift, verified recompute, periodic schedule -----
         drift_triggered = False
         drift_gap = 0.0
-        check_drift = policy is not None and policy.drift_tol is not None
-        # The health monitor gets direct checks on its own cadence even
-        # without a recovery policy (observation only, never a repair).
-        health_check = (
-            not check_drift
-            and health is not None
-            and health.check_every > 0
-            and iterations % health.check_every == 0
-        )
-        if check_drift or health_check:
+        if policy is not None and policy.drift_tol is not None:
             # The drift check IS a blocking dot: its result gates this
             # iteration's replacement decision, so unlike the window-top
             # dots above it cannot be hidden.  The profiler books it as
             # the one synchronization VR still pays per iteration.
             rr_direct = dot(powers.r, powers.r, label="drift_check_dot")
-            if telemetry is not None:
-                telemetry.drift(iterations, window.rr, rr_direct)
-            # Near machine-zero convergence the direct (r, r) underflows
-            # toward 0 and the relative gap blows up to inf/nan even
-            # though the solve is succeeding; below the stopping
-            # threshold (squared -- rr is a squared norm) the drift
-            # signal is meaningless, so the trigger is skipped there.
-            floor = max(
-                stop.threshold(b_norm) ** 2, np.finfo(np.float64).tiny
-            )
-            if check_drift and rr_direct > floor:
-                drift_gap = abs(window.rr - rr_direct) / rr_direct
+            gap = run.drift_gap(iterations, window.rr, rr_direct)
+            if gap is not None:
+                drift_gap = gap
                 drift_triggered = drift_gap > policy.drift_tol
 
         verify_triggered = False

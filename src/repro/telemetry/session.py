@@ -112,8 +112,8 @@ class Telemetry:
         Optional :class:`repro.trace.health.HealthMonitor`.  When
         attached, the session feeds it from the solve bracket, iteration
         and drift/clamp calls and emits any :class:`HealthEvent` it
-        returns; solvers honour its ``check_every`` cadence for direct
-        residual checks even without a recovery policy.
+        returns.  It observes only the checks the solve runs anyway;
+        attaching it changes no solver's arithmetic.
     """
 
     def __init__(

@@ -86,6 +86,22 @@ def _span_payload(span: Any) -> dict[str, Any]:
     }
 
 
+class _SolveRecord(threading.local):
+    """One thread's solve: its captured call and per-solve accumulators."""
+
+    def __init__(self) -> None:
+        self.call: tuple[Any, Any, str, dict[str, Any]] | None = None
+        self.last_failure: BaseException | None = None
+        self.info: dict[str, Any] | None = None
+        self.reset()
+
+    def reset(self) -> None:
+        self.residuals: list[float] = []
+        self.k_history: list[dict[str, Any]] = []
+        self.comm: dict[str, dict[str, int]] = {}
+        self.faults: list[dict[str, Any]] = []
+
+
 class FlightRecorder:
     """Telemetry sink keeping a bounded ring of recent observability.
 
@@ -131,84 +147,10 @@ class FlightRecorder:
         # whichever solve last emitted on another worker.  The event ring
         # stays shared (deque appends are atomic) so the telemetry tail
         # keeps its cross-request production semantics.
-        self._solvelocal = threading.local()
+        self._solve = _SolveRecord()
         self.snapshots = 0
         self.last_bundle: dict[str, Any] | None = None
         self.written: list[Path] = []
-
-    # Thread-local per-solve accumulators, exposed as plain attributes so
-    # the emit/snapshot bodies read naturally.
-    @property
-    def _call(self) -> dict[str, Any] | None:
-        return getattr(self._solvelocal, "call", None)
-
-    @_call.setter
-    def _call(self, value: dict[str, Any] | None) -> None:
-        self._solvelocal.call = value
-
-    @property
-    def _residuals(self) -> list[float]:
-        try:
-            return self._solvelocal.residuals
-        except AttributeError:
-            self._solvelocal.residuals = []
-            return self._solvelocal.residuals
-
-    @_residuals.setter
-    def _residuals(self, value: list[float]) -> None:
-        self._solvelocal.residuals = value
-
-    @property
-    def _k_history(self) -> list[dict[str, Any]]:
-        try:
-            return self._solvelocal.k_history
-        except AttributeError:
-            self._solvelocal.k_history = []
-            return self._solvelocal.k_history
-
-    @_k_history.setter
-    def _k_history(self, value: list[dict[str, Any]]) -> None:
-        self._solvelocal.k_history = value
-
-    @property
-    def _comm(self) -> dict[str, dict[str, int]]:
-        try:
-            return self._solvelocal.comm
-        except AttributeError:
-            self._solvelocal.comm = {}
-            return self._solvelocal.comm
-
-    @_comm.setter
-    def _comm(self, value: dict[str, dict[str, int]]) -> None:
-        self._solvelocal.comm = value
-
-    @property
-    def _faults(self) -> list[dict[str, Any]]:
-        try:
-            return self._solvelocal.faults
-        except AttributeError:
-            self._solvelocal.faults = []
-            return self._solvelocal.faults
-
-    @_faults.setter
-    def _faults(self, value: list[dict[str, Any]]) -> None:
-        self._solvelocal.faults = value
-
-    @property
-    def _solve_info(self) -> dict[str, Any] | None:
-        return getattr(self._solvelocal, "solve_info", None)
-
-    @_solve_info.setter
-    def _solve_info(self, value: dict[str, Any] | None) -> None:
-        self._solvelocal.solve_info = value
-
-    @property
-    def _last_failure(self) -> BaseException | None:
-        return getattr(self._solvelocal, "last_failure", None)
-
-    @_last_failure.setter
-    def _last_failure(self, value: BaseException | None) -> None:
-        self._solvelocal.last_failure = value
 
     # ------------------------------------------------------------------
     # sink protocol (+ session hooks)
@@ -221,10 +163,11 @@ class FlightRecorder:
         # Hot path: one deque append plus cheap per-kind accumulation.
         self._events.append((self._clock(), event))
         kind = event.kind
+        solve = self._solve
         if kind == "iteration":
-            self._residuals.append(event.residual_norm)
+            solve.residuals.append(event.residual_norm)
         elif kind == "adaptive":
-            self._k_history.append(
+            solve.k_history.append(
                 {
                     "iteration": event.iteration,
                     "action": event.action,
@@ -234,11 +177,11 @@ class FlightRecorder:
                 }
             )
         elif kind == "reduction":
-            stats = self._comm.setdefault(event.op, {"count": 0, "words": 0})
+            stats = solve.comm.setdefault(event.op, {"count": 0, "words": 0})
             stats["count"] += 1
             stats["words"] += event.words
         elif kind == "fault":
-            self._faults.append(
+            solve.faults.append(
                 {
                     "iteration": event.iteration,
                     "site": event.site,
@@ -247,11 +190,8 @@ class FlightRecorder:
                 }
             )
         elif kind == "solve_start":
-            self._residuals = []
-            self._k_history = []
-            self._comm = {}
-            self._faults = []
-            self._solve_info = {
+            solve.reset()
+            solve.info = {
                 "method": event.method,
                 "label": event.label,
                 "n": event.n,
@@ -262,13 +202,13 @@ class FlightRecorder:
         pass
 
     def on_solve_call(self, a: Any, b: Any, method: str, options: dict) -> None:
-        """Front-door hook: capture the call's inputs for replay."""
-        self._call = {
-            "method": method,
-            "options": self._sanitize_options(options),
-            "system": self._capture_system(a),
-            "b": self._capture_vector(b),
-        }
+        """Front-door hook: keep the call's inputs for replay.
+
+        Only references are kept here (every served request passes
+        through); :meth:`snapshot` serializes them, which happens only
+        on a failure or a shed.
+        """
+        self._solve.call = (a, b, method, dict(options))
 
     def on_solve_failure(self, exc: BaseException) -> None:
         """Front-door hook: a solve raised -- snapshot a postmortem.
@@ -277,9 +217,9 @@ class FlightRecorder:
         way out of the solver and the serve layer notifies again from
         its own catch-all, and one failure deserves one bundle.
         """
-        if exc is self._last_failure:
+        if exc is self._solve.last_failure:
             return
-        self._last_failure = exc
+        self._solve.last_failure = exc
         bundle = self.snapshot(
             reason=f"exception:{type(exc).__name__}", detail=str(exc)
         )
@@ -289,6 +229,17 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     # capture helpers
     # ------------------------------------------------------------------
+    def _capture_call(self) -> dict[str, Any] | None:
+        if self._solve.call is None:
+            return None
+        a, b, method, options = self._solve.call
+        return {
+            "method": method,
+            "options": self._sanitize_options(options),
+            "system": self._capture_system(a),
+            "b": self._capture_vector(b),
+        }
+
     def _capture_system(self, a: Any) -> dict[str, Any]:
         from repro.backend import matrix_fingerprint
 
@@ -370,6 +321,7 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     def snapshot(self, reason: str, detail: str = "") -> dict[str, Any]:
         """Build a postmortem bundle from the current ring contents."""
+        solve = self._solve
         tail = []
         # Iterate a copy: the service snapshots sheds on the event loop
         # while worker threads keep appending solve events to the ring.
@@ -392,12 +344,12 @@ class FlightRecorder:
             "reason": reason,
             "detail": detail,
             "context": context,
-            "call": self._call,
-            "solve": self._solve_info,
-            "residual_norms": list(self._residuals),
-            "k_history": list(self._k_history),
-            "comm_stats": dict(self._comm),
-            "faults": list(self._faults),
+            "call": self._capture_call(),
+            "solve": solve.info,
+            "residual_norms": list(solve.residuals),
+            "k_history": list(solve.k_history),
+            "comm_stats": dict(solve.comm),
+            "faults": list(solve.faults),
             "telemetry_tail": tail,
             "spans": spans,
         }

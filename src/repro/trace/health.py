@@ -22,9 +22,10 @@ session (``Telemetry(health=monitor)``); the session feeds it from
 ``solve_start``/``iteration``/``drift``/``clamp``/``solve_end`` and
 emits the :class:`~repro.telemetry.events.HealthEvent` objects it
 returns, so sinks (JSONL, metrics gauges, the flight recorder) see
-health transitions with no solver changes.  The solvers' drift-check
-sites additionally honour :attr:`HealthMonitor.check_every` so direct
-residual checks run even when no recovery policy is configured.
+health transitions with no solver changes.  It observes only: the
+residual checks it reads are the ones a recovery policy, vr's default
+drift replacement or an adaptive controller already runs, so a solve
+under a monitor does exactly the arithmetic of a bare solve.
 
 Per-solve summaries are kept in a bounded history ring; the serve layer
 surfaces them through ``/healthz?detail=1`` and ``/status``.
@@ -89,6 +90,26 @@ class HealthSummary:
         }
 
 
+class _SolveState(threading.local):
+    """One thread's in-flight solve: its summary and estimator state."""
+
+    def __init__(self) -> None:
+        self.reset(None)
+
+    def reset(self, current: HealthSummary | None) -> None:
+        self.current = current
+        self.best_res = math.inf
+        self.best_iteration = 0
+        self.stagnation_reported_at = -1
+        self.max_abs_gap = 0.0
+
+    def raise_floor(self, abs_gap: float) -> None:
+        """Fold one ``|recurred − direct|`` into the floor estimate."""
+        if math.isfinite(abs_gap):
+            self.max_abs_gap = max(self.max_abs_gap, abs_gap)
+            self.current.floor_estimate = math.sqrt(self.max_abs_gap)
+
+
 class HealthMonitor:
     """Per-solve numerical-health estimator.
 
@@ -99,13 +120,9 @@ class HealthMonitor:
         ``critical`` statuses.  The defaults (1e-6 / 1e-2) bracket the
         region between "finite precision doing its usual thing" and
         "the recurrence has decoupled from the true residual".
-    check_every:
-        Cadence hint for solvers: when the monitor is attached, the
-        drift-check sites compute a direct residual every this many
-        iterations even without a recovery policy.  Each check costs
-        one extra matvec, so the overhead scales as ``1/check_every``;
-        the default of 25 prices the monitor under the benchmarked 5%
-        budget (~4% of one matvec per iteration).
+        Gaps come from the solve's own drift checks; a solve that runs
+        none (plain ``cg`` without a recovery policy) reports only
+        stagnation, clamps and its exit.
     stagnation_window:
         Emit a ``watch`` event when the best residual norm has not
         improved by ``stagnation_rtol`` over this many iterations.
@@ -118,7 +135,6 @@ class HealthMonitor:
         *,
         gap_watch: float = 1e-6,
         gap_critical: float = 1e-2,
-        check_every: int = 25,
         stagnation_window: int = 100,
         stagnation_rtol: float = 1e-2,
         trend_decay: float = 0.8,
@@ -126,7 +142,6 @@ class HealthMonitor:
     ) -> None:
         self.gap_watch = float(gap_watch)
         self.gap_critical = float(gap_critical)
-        self.check_every = int(check_every)
         self.stagnation_window = int(stagnation_window)
         self.stagnation_rtol = float(stagnation_rtol)
         self.trend_decay = float(trend_decay)
@@ -136,78 +151,33 @@ class HealthMonitor:
         # solves run concurrently on different threads.  Each thread
         # tracks its own in-flight solve; the history ring (deque
         # appends are atomic under the GIL) aggregates all of them.
-        self._solvelocal = threading.local()
-
-    # Thread-local per-solve fields.  Properties keep the estimator
-    # method bodies written against plain attributes.
-    @property
-    def _current(self) -> HealthSummary | None:
-        return getattr(self._solvelocal, "current", None)
-
-    @_current.setter
-    def _current(self, value: HealthSummary | None) -> None:
-        self._solvelocal.current = value
-
-    @property
-    def _best_res(self) -> float:
-        return getattr(self._solvelocal, "best_res", math.inf)
-
-    @_best_res.setter
-    def _best_res(self, value: float) -> None:
-        self._solvelocal.best_res = value
-
-    @property
-    def _best_iteration(self) -> int:
-        return getattr(self._solvelocal, "best_iteration", 0)
-
-    @_best_iteration.setter
-    def _best_iteration(self, value: int) -> None:
-        self._solvelocal.best_iteration = value
-
-    @property
-    def _stagnation_reported_at(self) -> int:
-        return getattr(self._solvelocal, "stagnation_reported_at", -1)
-
-    @_stagnation_reported_at.setter
-    def _stagnation_reported_at(self, value: int) -> None:
-        self._solvelocal.stagnation_reported_at = value
-
-    @property
-    def _max_abs_gap(self) -> float:
-        return getattr(self._solvelocal, "max_abs_gap", 0.0)
-
-    @_max_abs_gap.setter
-    def _max_abs_gap(self, value: float) -> None:
-        self._solvelocal.max_abs_gap = value
+        self._solve = _SolveState()
 
     # ------------------------------------------------------------------
     # feeding (called by Telemetry)
     # ------------------------------------------------------------------
     def begin_solve(self, method: str, label: str, n: int) -> None:
         """A solve bracket opened: reset the per-solve estimators."""
-        self._current = HealthSummary(method=method, label=label, n=n)
-        self._best_res = math.inf
-        self._best_iteration = 0
-        self._stagnation_reported_at = -1
-        self._max_abs_gap = 0.0
+        self._solve.reset(HealthSummary(method=method, label=label, n=n))
 
     def observe_iteration(
         self, iteration: int, residual_norm: float
     ) -> HealthEvent | None:
         """One iteration completed; detects stagnation."""
-        cur = self._current
+        solve = self._solve
+        cur = solve.current
         if cur is None:
             return None
         cur.iterations = iteration
-        if residual_norm < self._best_res * (1.0 - self.stagnation_rtol):
-            self._best_res = residual_norm
-            self._best_iteration = iteration
+        if residual_norm < solve.best_res * (1.0 - self.stagnation_rtol):
+            solve.best_res = residual_norm
+            solve.best_iteration = iteration
             return None
         if (
-            iteration - self._best_iteration >= self.stagnation_window
-            and self._stagnation_reported_at < self._best_iteration
+            iteration - solve.best_iteration >= self.stagnation_window
+            and solve.stagnation_reported_at < solve.best_iteration
         ):
-            self._stagnation_reported_at = iteration
+            solve.stagnation_reported_at = iteration
             return self._transition(iteration, "watch", "stagnation", 0.0)
         return None
 
@@ -215,7 +185,7 @@ class HealthMonitor:
         self, iteration: int, recurred_rr: float, direct_rr: float, rel_gap: float
     ) -> HealthEvent | None:
         """A recurred-vs-direct check happened (``Telemetry.drift``)."""
-        cur = self._current
+        cur = self._solve.current
         if cur is None:
             return None
         cur.checks += 1
@@ -224,10 +194,7 @@ class HealthMonitor:
         cur.drift_trend = (
             self.trend_decay * cur.drift_trend + (1.0 - self.trend_decay) * rel_gap
         )
-        abs_gap = abs(recurred_rr - direct_rr)
-        if math.isfinite(abs_gap):
-            self._max_abs_gap = max(self._max_abs_gap, abs_gap)
-            cur.floor_estimate = math.sqrt(self._max_abs_gap)
+        self._solve.raise_floor(abs(recurred_rr - direct_rr))
         if rel_gap > self.gap_critical or not math.isfinite(rel_gap):
             return self._transition(iteration, "critical", "drift", rel_gap)
         if rel_gap > self.gap_watch:
@@ -238,19 +205,17 @@ class HealthMonitor:
 
     def observe_clamp(self, iteration: int, recurred_rr: float) -> HealthEvent | None:
         """The recurred ``(r, r)`` went negative and was clamped."""
-        cur = self._current
+        cur = self._solve.current
         if cur is None:
             return None
         cur.clamps += 1
         abs_gap = abs(recurred_rr)
-        if math.isfinite(abs_gap):
-            self._max_abs_gap = max(self._max_abs_gap, abs_gap)
-            cur.floor_estimate = math.sqrt(self._max_abs_gap)
+        self._solve.raise_floor(abs_gap)
         return self._transition(iteration, "watch", "clamp", abs_gap)
 
     def end_solve(self, result: Any) -> HealthSummary | None:
         """A solve bracket closed; archive and return its summary."""
-        cur = self._current
+        cur = self._solve.current
         if cur is None:
             return None
         cur.converged = bool(result.converged)
@@ -260,18 +225,18 @@ class HealthMonitor:
         if not cur.converged and _STATUS_RANK[cur.status] == 0:
             cur.status, cur.reason = "watch", cur.stop_reason
         self.history.append(cur)
-        self._current = None
+        self._solve.current = None
         return cur
 
     def abandon_solve(self, reason: str = "exception") -> HealthSummary | None:
         """The solve died mid-flight: archive what was observed."""
-        cur = self._current
+        cur = self._solve.current
         if cur is None:
             return None
         cur.status, cur.reason = "critical", reason
         cur.stop_reason = reason
         self.history.append(cur)
-        self._current = None
+        self._solve.current = None
         return cur
 
     # ------------------------------------------------------------------
@@ -280,13 +245,14 @@ class HealthMonitor:
     @property
     def current(self) -> HealthSummary | None:
         """The in-flight solve's summary (``None`` between solves)."""
-        return self._current
+        return self._solve.current
 
     @property
     def status(self) -> str:
         """Current assessment: the in-flight solve's, else the last one's."""
-        if self._current is not None:
-            return self._current.status
+        cur = self._solve.current
+        if cur is not None:
+            return cur.status
         if self.history:
             return self.history[-1].status
         return "ok"
@@ -309,7 +275,7 @@ class HealthMonitor:
     def _transition(
         self, iteration: int, status: str, reason: str, gap: float
     ) -> HealthEvent | None:
-        cur = self._current
+        cur = self._solve.current
         assert cur is not None
         demotion = _STATUS_RANK[status] < _STATUS_RANK[cur.status]
         if demotion and reason != "recovered":

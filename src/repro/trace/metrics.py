@@ -184,11 +184,12 @@ class MetricsRegistry:
         help: str,
         buckets: tuple[float, ...] | None = None,
     ) -> _Family:
-        # Caller holds self._lock.
-        if not name or any(ch not in _NAME_OK for ch in name):
-            raise ValueError(f"invalid metric name: {name!r}")
+        # Caller holds self._lock.  A name is checked once, when its
+        # family is created; later lookups are one dict hit.
         family = self._families.get(name)
         if family is None:
+            if not name or any(ch not in _NAME_OK for ch in name):
+                raise ValueError(f"invalid metric name: {name!r}")
             family = _Family(name, kind, help, buckets)
             self._families[name] = family
         elif family.kind != kind:

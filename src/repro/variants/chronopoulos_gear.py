@@ -63,7 +63,7 @@ def chronopoulos_gear_cg(
         faults=faults, recovery=recovery, telemetry=telemetry,
     )
     op, b, x, stop, b_norm = run.op, run.b, run.x, run.stop, run.b_norm
-    n, ws, policy, plan = b.shape[0], run.ws, run.policy, run.plan
+    n, ws, plan = b.shape[0], run.ws, run.plan
     r = b - op.matvec(x)
     w = op.matvec(r)
     rr = dot(r, r, label="fused_dot")
@@ -74,11 +74,6 @@ def chronopoulos_gear_cg(
     res_norms = [float(np.sqrt(max(rr, 0.0)))]
     alphas: list[float] = []
     lambdas: list[float] = []
-    check_every = None
-    drift_tol = None
-    if policy is not None:
-        check_every = policy.verify_every or policy.replace_every or 5
-        drift_tol = policy.drift_tol if policy.drift_tol is not None else policy.verify_rtol
 
     p = np.zeros(n)
     s = np.zeros(n)  # s = A p
@@ -87,18 +82,16 @@ def chronopoulos_gear_cg(
 
     def _restart() -> None:
         """Fresh residual, direction history dropped (it==0 semantics)."""
-        nonlocal r, w, rr, rar, since_check
+        nonlocal r, w, rr, rar
         r = b - op.matvec(x)
         w = op.matvec(r)
         rr = dot(r, r, label="fused_dot")
         rar = dot(r, w, label="fused_dot")
         p[:] = 0.0
         s[:] = 0.0
-        since_check = 0
 
     reason = StopReason.MAX_ITER
     iterations = 0
-    since_check = 0
     fresh_start = True
     if stop.is_met(res_norms[0], b_norm):
         reason = StopReason.CONVERGED
@@ -134,7 +127,6 @@ def chronopoulos_gear_cg(
             axpy(lam, p, x, out=x, work=ws)
             axpy(-lam, s, r, out=r, work=ws)
             iterations += 1
-            since_check += 1
 
             if plan is None:
                 matvec_into(op, r, w, work=ws)
@@ -155,7 +147,7 @@ def chronopoulos_gear_cg(
             if stop.is_met(res_norms[-1], b_norm):
                 # A corrupted rr can fake convergence; under injection
                 # verify against the true residual before accepting.
-                if plan is None or run.true_residual(x) <= stop.threshold(b_norm):
+                if run.convergence_holds(x):
                     reason = StopReason.CONVERGED
                     break
                 if run.restart(iterations, "false_convergence"):
@@ -166,31 +158,14 @@ def chronopoulos_gear_cg(
                 break
 
             # Sampled replacement: the vector-recurred r vs. the truth.
-            if check_every is not None and since_check >= check_every:
-                since_check = 0
-                r_true = b - op.matvec(x)
-                rr_direct = dot(r_true, r_true, label="drift_check_dot")
-                if telemetry is not None:
-                    telemetry.drift(iterations, rr, rr_direct)
-                floor = max(
-                    stop.threshold(b_norm) ** 2, np.finfo(np.float64).tiny
-                )
-                if rr_direct > floor:
-                    gap = abs(rr - rr_direct) / rr_direct
-                    if gap > drift_tol:
-                        # Replace r and refresh the derived vectors but
-                        # KEEP the conjugate direction p (s follows it).
-                        r = r_true
-                        w = op.matvec(r)
-                        s = op.matvec(p)
-                        rr = rr_direct
-                        rar = dot(r, w, label="fused_dot")
-                        run.recoveries["replace"] += 1
-                        if telemetry is not None:
-                            telemetry.replacement(iterations, "drift")
-                            telemetry.recovery(
-                                iterations, "replace", "drift", gap
-                            )
+            replaced = run.residual_check(iterations, x, rr)
+            if replaced is not None:
+                # Replace r and refresh the derived vectors but KEEP the
+                # conjugate direction p (s follows it).
+                r, rr = replaced
+                w = op.matvec(r)
+                s = op.matvec(p)
+                rar = dot(r, w, label="fused_dot")
 
     return run.finish(
         reason, x, iterations, res_norms, alphas=alphas, lambdas=lambdas

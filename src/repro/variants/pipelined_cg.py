@@ -63,7 +63,7 @@ def ghysels_vanroose_cg(
         faults=faults, recovery=recovery, telemetry=telemetry,
     )
     op, b, x, stop, b_norm = run.op, run.b, run.x, run.stop, run.b_norm
-    n, ws, policy, plan = b.shape[0], run.ws, run.policy, run.plan
+    n, ws, plan = b.shape[0], run.ws, run.plan
     r = b - op.matvec(x)
     w = op.matvec(r)
 
@@ -79,18 +79,13 @@ def ghysels_vanroose_cg(
     res_norms = [float(np.sqrt(max(gamma, 0.0)))]
     alphas: list[float] = []
     lambdas: list[float] = []
-    check_every = None
-    drift_tol = None
-    if policy is not None:
-        check_every = policy.verify_every or policy.replace_every or 5
-        drift_tol = policy.drift_tol if policy.drift_tol is not None else policy.verify_rtol
 
     alpha = 0.0
     gamma_old = 0.0
 
     def _restart() -> None:
         """Fresh residual, recurrence vectors reset (it==0 semantics)."""
-        nonlocal r, w, gamma, delta, since_check
+        nonlocal r, w, gamma, delta
         r = b - op.matvec(x)
         w = op.matvec(r)
         gamma = dot(r, r, label="pipelined_dot")
@@ -98,11 +93,9 @@ def ghysels_vanroose_cg(
         p[:] = 0.0
         s[:] = 0.0
         z[:] = 0.0
-        since_check = 0
 
     reason = StopReason.MAX_ITER
     iterations = 0
-    since_check = 0
     fresh_start = True
     if stop.is_met(res_norms[0], b_norm):
         reason = StopReason.CONVERGED
@@ -145,7 +138,6 @@ def ghysels_vanroose_cg(
             axpy(-alpha, s, r, out=r, work=ws)
             axpy(-alpha, z, w, out=w, work=ws)
             iterations += 1
-            since_check += 1
 
             gamma_old = gamma
             gamma = dot(r, r, label="pipelined_dot")
@@ -162,7 +154,7 @@ def ghysels_vanroose_cg(
             if stop.is_met(res_norms[-1], b_norm):
                 # A corrupted gamma can fake convergence; under injection
                 # verify against the true residual before accepting.
-                if plan is None or run.true_residual(x) <= stop.threshold(b_norm):
+                if run.convergence_holds(x):
                     reason = StopReason.CONVERGED
                     break
                 if run.restart(iterations, "false_convergence"):
@@ -173,32 +165,15 @@ def ghysels_vanroose_cg(
                 break
 
             # Sampled replacement: the vector-recurred r vs. the truth.
-            if check_every is not None and since_check >= check_every:
-                since_check = 0
-                r_true = b - op.matvec(x)
-                gamma_direct = dot(r_true, r_true, label="drift_check_dot")
-                if telemetry is not None:
-                    telemetry.drift(iterations, gamma, gamma_direct)
-                floor = max(
-                    stop.threshold(b_norm) ** 2, np.finfo(np.float64).tiny
-                )
-                if gamma_direct > floor:
-                    gap = abs(gamma - gamma_direct) / gamma_direct
-                    if gap > drift_tol:
-                        # Replace r and rebuild the three recurred
-                        # auxiliary vectors; KEEP the direction p.
-                        r = r_true
-                        w = op.matvec(r)
-                        s = op.matvec(p)
-                        z = op.matvec(s)
-                        gamma = gamma_direct
-                        delta = dot(w, r, label="pipelined_dot")
-                        run.recoveries["replace"] += 1
-                        if telemetry is not None:
-                            telemetry.replacement(iterations, "drift")
-                            telemetry.recovery(
-                                iterations, "replace", "drift", gap
-                            )
+            replaced = run.residual_check(iterations, x, gamma)
+            if replaced is not None:
+                # Replace r and rebuild the three recurred auxiliary
+                # vectors; KEEP the direction p.
+                r, gamma = replaced
+                w = op.matvec(r)
+                s = op.matvec(p)
+                z = op.matvec(s)
+                delta = dot(w, r, label="pipelined_dot")
 
     return run.finish(
         reason, x, iterations, res_norms, alphas=alphas, lambdas=lambdas

@@ -63,7 +63,7 @@ def _pr_solve(
         telemetry=telemetry,
     )
     op, b, x, stop, b_norm = run.op, run.b, run.x, run.stop, run.b_norm
-    n, ws, policy, plan = b.shape[0], run.ws, run.policy, run.plan
+    n, ws, plan = b.shape[0], run.ws, run.plan
 
     r = np.zeros(n)
     p = np.zeros(n)
@@ -87,7 +87,6 @@ def _pr_solve(
 
     def _restart() -> None:
         """Fresh residual, direction reset to steepest descent."""
-        nonlocal since_check
         r[:] = b - op.matvec(x)
         p[:] = r
         s[:] = op.matvec(p)
@@ -95,7 +94,6 @@ def _pr_solve(
             w[:] = s  # A r = A p at a restart
             u[:] = op.matvec(s)
         _dots()
-        since_check = 0
 
     r[:] = b - op.matvec(x)
     p[:] = r
@@ -108,15 +106,9 @@ def _pr_solve(
     res_norms = [float(np.sqrt(max(nu, 0.0)))]
     alphas: list[float] = []
     lambdas: list[float] = []
-    check_every = None
-    drift_tol = None
-    if policy is not None:
-        check_every = policy.verify_every or policy.replace_every or 5
-        drift_tol = policy.drift_tol if policy.drift_tol is not None else policy.verify_rtol
 
     reason = StopReason.MAX_ITER
     iterations = 0
-    since_check = 0
     if stop.is_met(res_norms[0], b_norm):
         reason = StopReason.CONVERGED
     else:
@@ -144,7 +136,6 @@ def _pr_solve(
             if pipelined:
                 axpy(-alpha, u, w, out=w, work=ws)  # w = A r by recurrence
             iterations += 1
-            since_check += 1
 
             if pipelined:
                 # p, s from the recurred w -- then the iteration's one
@@ -178,7 +169,7 @@ def _pr_solve(
             if stop.is_met(res_norms[-1], b_norm):
                 # A corrupted nu can fake convergence; under injection
                 # verify against the true residual before accepting.
-                if plan is None or run.true_residual(x) <= stop.threshold(b_norm):
+                if run.convergence_holds(x):
                     reason = StopReason.CONVERGED
                     break
                 if run.restart(iterations, "false_convergence"):
@@ -194,32 +185,16 @@ def _pr_solve(
                 break
 
             # Sampled replacement: the vector-recurred r vs. the truth.
-            if check_every is not None and since_check >= check_every:
-                since_check = 0
-                r_true = b - op.matvec(x)
-                nu_direct = dot(r_true, r_true, label="drift_check_dot")
-                if telemetry is not None:
-                    telemetry.drift(iterations, nu, nu_direct)
-                floor = max(
-                    stop.threshold(b_norm) ** 2, np.finfo(np.float64).tiny
-                )
-                if nu_direct > floor:
-                    gap = abs(nu - nu_direct) / nu_direct
-                    if gap > drift_tol:
-                        # Replace r (and the recurred products); KEEP the
-                        # direction p.
-                        r[:] = r_true
-                        s[:] = op.matvec(p)
-                        if pipelined:
-                            w[:] = op.matvec(r)
-                            u[:] = op.matvec(s)
-                        _dots()
-                        run.recoveries["replace"] += 1
-                        if telemetry is not None:
-                            telemetry.replacement(iterations, "drift")
-                            telemetry.recovery(
-                                iterations, "replace", "drift", gap
-                            )
+            replaced = run.residual_check(iterations, x, nu)
+            if replaced is not None:
+                # Replace r (and the recurred products); KEEP the
+                # direction p.
+                r[:] = replaced[0]
+                s[:] = op.matvec(p)
+                if pipelined:
+                    w[:] = op.matvec(r)
+                    u[:] = op.matvec(s)
+                _dots()
 
     return run.finish(
         reason, x, iterations, res_norms, alphas=alphas, lambdas=lambdas

@@ -12,7 +12,9 @@ import asyncio
 import json
 
 import numpy as np
+import pytest
 
+from repro import counting, operator_methods, solve
 from repro.core.stopping import StoppingCriterion
 from repro.faults import FaultPlan, RecoveryPolicy, ScalarCorruptor
 from repro.serve import ServiceConfig, SolveRequest, SolverService
@@ -201,7 +203,7 @@ def test_caller_supplied_health_monitor_is_kept():
     from repro.telemetry import Telemetry
     from repro.trace import HealthMonitor
 
-    monitor = HealthMonitor(check_every=3)
+    monitor = HealthMonitor()
     tele = Telemetry(health=monitor)
 
     async def main():
@@ -212,3 +214,19 @@ def test_caller_supplied_health_monitor_is_kept():
     svc = asyncio.run(main())
     assert svc.telemetry.health is monitor  # not replaced
     assert len(monitor.history) == 1
+
+
+@pytest.mark.parametrize("method", operator_methods())
+def test_service_session_does_the_work_of_a_bare_solve(method):
+    # The service attaches a health monitor to its session; an observer
+    # adds no residual checks, so every method books exactly the
+    # operations and iterations of a bare solve.
+    a = poisson2d(16)
+    b = np.random.default_rng(0).standard_normal(a.nrows)
+    session = SolverService(ServiceConfig()).telemetry
+    runs = []
+    for telemetry in (None, session):
+        with counting() as ops:
+            result = solve(a, b, method, telemetry=telemetry)
+        runs.append((result.iterations, ops))
+    assert runs[0] == runs[1]

@@ -2,8 +2,8 @@
 
 Unit tests drive the estimator directly with synthetic observations;
 the integration tests attach it to a telemetry session and check that
-real solves feed it (the solvers honour ``check_every`` even with no
-recovery policy) and that :class:`~repro.trace.MetricsSink` turns its
+real solves feed it (from the drift checks the solve itself runs; the
+monitor adds none) and that :class:`~repro.trace.MetricsSink` turns its
 events into the ``repro_health_*`` gauges.
 """
 
@@ -187,18 +187,24 @@ def test_history_ring_is_bounded():
 # ---------------------------------------------------------------------------
 # integration with real solves
 # ---------------------------------------------------------------------------
-def test_solvers_honour_check_every_without_recovery():
+def test_monitor_has_no_check_cadence():
+    # An observer never changes a solve's arithmetic, so there is no
+    # cadence knob to ask the solvers for extra residual checks.
+    with pytest.raises(TypeError):
+        HealthMonitor(check_every=5)
+
+
+def test_monitor_observes_the_solves_own_drift_checks():
     a = poisson2d(8)
     b = np.ones(a.nrows)
-    for method, kwargs in (("cg", {}), ("vr", {"k": 2})):
-        tele = Telemetry(health=HealthMonitor(check_every=5))
-        result = solve(a, b, method, telemetry=tele, **kwargs)
-        assert result.converged
-        # The cadence produced direct checks -> DriftEvents -> monitor food.
-        assert len(tele.events_of("drift")) >= 1, method
-        [summary] = tele.health.history
-        assert summary.checks >= 1
-        assert summary.converged is True
+    tele = Telemetry(health=HealthMonitor())
+    result = solve(a, b, "vr", k=2, telemetry=tele)  # default drift policy
+    assert result.converged
+    [summary] = tele.health.history
+    # Clamps travel as drift events too.
+    assert summary.checks >= 1
+    assert summary.checks + summary.clamps == len(tele.events_of("drift"))
+    assert summary.converged is True
 
 
 def test_unwind_abandons_the_health_bracket():

@@ -116,6 +116,8 @@ def test_registry_rejects_kind_conflicts_and_bad_names():
         reg.gauge("x_total")
     with pytest.raises(ValueError):
         reg.counter("bad name")
+    with pytest.raises(ValueError):  # a rejected name registers nothing
+        reg.counter("bad name")
     with pytest.raises(ValueError):
         reg.counter("")
 
