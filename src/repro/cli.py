@@ -64,37 +64,16 @@ _GENERATORS = {
 }
 
 
-def _k_arg(text: str):
-    """argparse type for --k: an integer or the literal ``auto``."""
-    if text == "auto":
-        return "auto"
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--k must be an integer or 'auto', got {text!r}"
-        ) from None
-
-
-# Methods whose k= option understands the adaptive-window "auto" value.
-_AUTO_K_METHODS = ("vr", "pipelined-vr", "adaptive-vr", "adaptive-pipelined-vr")
-
-
 def _method_options(args) -> dict:
     """The ``k`` / ``s`` / ``nranks`` options ``args.method`` takes from
     the ``--k`` and ``--nranks`` flags (shared by ``solve`` and
     ``profile``)."""
     method = args.method
-    if args.k == "auto" and method not in _AUTO_K_METHODS:
-        raise SystemExit(
-            f"--k auto (adaptive window) is not supported for method "
-            f"{method!r}; it needs one of: {', '.join(_AUTO_K_METHODS)}"
-        )
     options: dict = {}
     if method in ("vr", "adaptive-vr", "adaptive-pipelined-vr"):
         options["k"] = args.k
     elif method in ("pipelined-vr", "dist-pipelined-vr"):
-        options["k"] = args.k if args.k == "auto" else max(args.k, 1)
+        options["k"] = max(args.k, 1)
     elif method in ("sstep", "dist-sstep"):
         options["s"] = max(args.k, 1)
     if method.startswith("dist-"):
@@ -282,8 +261,6 @@ def _solve_batched(args, a: CSRMatrix, stop, method: str) -> int:
             "right-hand side at a time for drift-triggered replacement "
             "or a --recovery policy"
         )
-    if args.k == "auto":
-        raise SystemExit("--k auto is not supported for batched solves")
     b_block = _load_rhs_block(args, a.nrows)
 
     options: dict = {
@@ -474,9 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="vr",
         help="registry method name",
     )
-    solve.add_argument("--k", type=_k_arg, default=2,
-                       help="look-ahead parameter (s for sstep); 'auto' "
-                       "enables the adaptive window controller")
+    solve.add_argument("--k", type=int, default=2,
+                       help="look-ahead parameter (s for sstep; the "
+                       "starting window for the adaptive methods)")
     solve.add_argument("--rtol", type=float, default=1e-8)
     solve.add_argument("--max-iter", type=int, default=None)
     solve.add_argument("--replace-every", type=int, default=None,
@@ -545,9 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="cg",
         help="registry method name to profile",
     )
-    profile.add_argument("--k", type=_k_arg, default=2,
-                         help="look-ahead parameter (s for sstep); 'auto' "
-                         "enables the adaptive window controller")
+    profile.add_argument("--k", type=int, default=2,
+                         help="look-ahead parameter (s for sstep; the "
+                         "starting window for the adaptive methods)")
     profile.add_argument("--nranks", type=int, default=4,
                          help="simulated ranks for the dist-* methods")
     profile.add_argument("--rtol", type=float, default=1e-8)

@@ -28,32 +28,33 @@ recorded in ``k_history``/``decisions`` (surfaced in
 ``CGResult.extras``) and emitted as a
 :class:`~repro.telemetry.AdaptiveEvent`.
 
-Two solver drivers are provided, surfaced in the registry as
-``adaptive-vr`` and ``adaptive-pipelined-vr`` (and as the ``k="auto"``
-sugar on the plain ``vr``/``pipelined-vr`` methods):
+The controller is a repair policy of the two loops that already exist,
+surfaced in the registry as two methods:
 
-* :func:`adaptive_vr_cg` -- the eager iteration with an in-loop
-  controller (window floor ``k = 0``, the Chronopoulos--Gear point);
-* :func:`adaptive_pipelined_vr_cg` -- wraps
-  :func:`repro.core.pipeline.pipelined_vr_cg`, whose segment/refill
-  machinery already rebuilds the whole pipeline per repair (floor
-  ``k = 1``: the pipeline needs at least one iteration of look-ahead).
+* ``adaptive-vr`` (:func:`adaptive_vr_cg`) -- the eager loop of
+  :mod:`repro.core.vr_cg` (window floor ``k = 0``, the
+  Chronopoulos--Gear point);
+* ``adaptive-pipelined-vr`` (:func:`adaptive_pipelined_vr_cg`) -- the
+  loop of :mod:`repro.core.pipeline`, whose segment/refill machinery
+  rebuilds the whole pipeline per repair (floor ``k = 1``: the pipeline
+  needs at least one iteration of look-ahead).
+
+Both run inside one solve run; when the controller falls back, classical
+CG finishes the solve inside that same run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.moments import window_from_powers
-from repro.core.powers import PowerBlock
+from repro.core.pipeline import _pipelined_loop
 from repro.core.results import CGResult, SolveRun, StopReason
+from repro.core.standard import conjugate_gradient
 from repro.core.stopping import StoppingCriterion
-from repro.core.vr_cg import _startup
-from repro.util.counters import add_scalar_flops
-from repro.util.kernels import axpy, dot
+from repro.core.vr_cg import _vr_loop
 from repro.util.validation import require_nonnegative_int
 
 __all__ = [
@@ -64,13 +65,10 @@ __all__ = [
     "DEFAULT_AUTO_K",
 ]
 
-# Initial window size for k="auto": deep enough to exercise the moment
-# machinery, shallow enough that a hostile spectrum is caught within a
-# couple of controller checks.
+# Initial window size of the adaptive methods: deep enough to exercise
+# the moment machinery, shallow enough that a hostile spectrum is caught
+# within a couple of controller checks.
 DEFAULT_AUTO_K = 2
-
-# Same finite-precision divergence guard as the fixed-k solvers.
-_DIVERGENCE_FACTOR = 1e8
 
 
 @dataclass(frozen=True)
@@ -248,15 +246,6 @@ class WindowController:
         return action
 
 
-def _initial_k(k: Any) -> int:
-    """Resolve the ``k=`` argument: the literal ``"auto"`` or an int."""
-    if isinstance(k, str):
-        if k == "auto":
-            return DEFAULT_AUTO_K
-        raise ValueError(f"k must be an int or the string 'auto', got {k!r}")
-    return require_nonnegative_int(k, "k")
-
-
 def _coerce_controller(
     controller: Any, k0: int, *, k_min_floor: int
 ) -> WindowController:
@@ -279,11 +268,66 @@ def _coerce_controller(
     return controller
 
 
+def _adaptive_solve(
+    method: str,
+    loop: Callable[..., tuple],
+    k_floor: int,
+    a: Any,
+    b: np.ndarray,
+    k: int,
+    x0: np.ndarray | None,
+    stop: StoppingCriterion | None,
+    controller: Any,
+    telemetry: "Telemetry | None",
+) -> CGResult:
+    """Run ``loop`` under a window controller, inside one solve run.
+
+    Opens the run, drives the loop from the controller's starting ``k``
+    and, when the controller fell back, hands the current iterate to
+    classical CG for the rest of the budget -- inside the same run, so
+    the histories, the operation counts and the verified exit cover the
+    whole solve.
+    """
+    ctl = _coerce_controller(
+        controller, require_nonnegative_int(k, "k"), k_min_floor=k_floor
+    )
+    ctl.attach(telemetry)
+    run = SolveRun.open(
+        method, f"{method}-cg(k0={ctl.k})", a, b, x0=x0, stop=stop,
+        telemetry=telemetry, keep_dtype=True, k0=ctl.k,
+    )
+    reason, iterations, res_norms, alphas, lambdas = loop(run, ctl.k, ctl)
+    x = run.x
+    remaining = run.stop.budget(x.shape[0]) - iterations
+    if ctl.fell_back and reason is not StopReason.CONVERGED and remaining > 0:
+        sub = conjugate_gradient(
+            run.op,
+            run.b,
+            x0=x,
+            stop=dc_replace(run.stop, max_iter=remaining),
+            telemetry=telemetry,
+        )
+        x, reason = sub.x, sub.stop_reason
+        iterations += sub.iterations
+        res_norms += sub.residual_norms[1:]
+        alphas += sub.alphas
+        lambdas += sub.lambdas
+    return run.finish(
+        reason,
+        x,
+        iterations,
+        res_norms,
+        alphas=alphas,
+        lambdas=lambdas,
+        extras={"k_history": list(ctl.k_history), "adaptive": ctl.snapshot()},
+    )
+
+
 def adaptive_vr_cg(
     a: Any,
     b: np.ndarray,
     *,
-    k: Any = "auto",
+    k: int = DEFAULT_AUTO_K,
     x0: np.ndarray | None = None,
     stop: StoppingCriterion | None = None,
     controller: Any = None,
@@ -291,19 +335,20 @@ def adaptive_vr_cg(
 ) -> CGResult:
     """Eager Van Rosendale CG with an online adaptive window size.
 
-    Runs the iteration of :func:`repro.core.vr_cg.vr_conjugate_gradient`
-    with a :class:`WindowController` sampling the recurred-vs-direct
-    drift gap every ``check_every`` iterations.  Controller resizes
-    rebuild the power block from the true residual at the new ``k``
-    (keeping the direction when it passes the conjugacy check); a
-    controller *fallback* hands the current iterate to classical CG for
-    the remaining budget, and the stitched result reports the combined
+    Runs the eager loop of :func:`repro.core.vr_cg.vr_conjugate_gradient`
+    with a :class:`WindowController` as its repair policy: it samples the
+    recurred-vs-direct drift gap every ``check_every`` iterations, and
+    each resize rebuilds the power block from the true residual at the
+    new ``k`` (keeping the direction when it passes the conjugacy check).
+    A controller *fallback* hands the current iterate to classical CG
+    for the remaining budget, and the result reports the combined
     history.
 
     Parameters
     ----------
     k:
-        Initial window size, or ``"auto"`` (= ``DEFAULT_AUTO_K``).
+        Initial window size (floor ``k = 0``, the Chronopoulos--Gear
+        point).
     controller:
         A :class:`WindowController`, a :class:`ControllerConfig`, or
         ``None`` for defaults.
@@ -317,164 +362,16 @@ def adaptive_vr_cg(
         ``extras["adaptive"]`` the full controller record (decisions,
         final k, whether the solve fell back to classical CG).
     """
-    k0 = _initial_k(k)
-    ctl = _coerce_controller(controller, k0, k_min_floor=0)
-    ctl.attach(telemetry)
-    label = f"adaptive-vr-cg(k0={ctl.k})"
-    run = SolveRun.open(
-        "adaptive-vr", label, a, b, x0=x0, stop=stop, telemetry=telemetry,
-        keep_dtype=True, k0=ctl.k,
+    return _adaptive_solve(
+        "adaptive-vr", _vr_loop, 0, a, b, k, x0, stop, controller, telemetry
     )
-    op, b, x, stop, b_norm, ws = run.op, run.b, run.x, run.stop, run.b_norm, run.ws
-
-    if telemetry is not None:
-        with telemetry.phase("startup"):
-            powers, window = _startup(op, b, x, ctl.k)
-    else:
-        powers, window = _startup(op, b, x, ctl.k)
-
-    res_norms = [float(np.sqrt(max(window.rr, 0.0)))]
-    alphas: list[float] = []
-    lambdas: list[float] = []
-
-    def _result(reason: StopReason, iterations: int) -> CGResult:
-        return run.finish(
-            reason,
-            x,
-            iterations,
-            res_norms,
-            alphas=alphas,
-            lambdas=lambdas,
-            extras={"k_history": list(ctl.k_history), "adaptive": ctl.snapshot()},
-        )
-
-    if stop.is_met(res_norms[0], b_norm):
-        return _result(StopReason.CONVERGED, 0)
-
-    reason = StopReason.MAX_ITER
-    iterations = 0
-    since_check = 0
-    budget = stop.budget(b.shape[0])
-
-    def _repair(trigger_iter: int, *, keep_direction: bool) -> None:
-        """Rebuild powers/window at the controller's current k."""
-        nonlocal powers, window, since_check
-        k_new = ctl.k
-        if keep_direction:
-            r_true = b - op.matvec(x)
-            powers = PowerBlock.rebuild(op, r_true, powers.p.copy(), k_new)
-            window = window_from_powers(k_new, powers.r_powers, powers.p_powers)
-            if telemetry is not None:
-                telemetry.replacement(trigger_iter, "adaptive")
-            # Conjugacy sanity of the retained direction (same check as
-            # the fixed-k replacement path): a gross violation means p is
-            # no longer a descent direction -- restart the Krylov space.
-            mu0_fresh, nu0_fresh = float(window.mu[0]), float(window.nu[0])
-            if abs(nu0_fresh - mu0_fresh) > 0.5 * abs(mu0_fresh):
-                powers, window = _startup(op, b, x, k_new)
-                if telemetry is not None:
-                    telemetry.replacement(trigger_iter, "restart")
-        else:
-            powers, window = _startup(op, b, x, k_new)
-            if telemetry is not None:
-                telemetry.replacement(trigger_iter, "restart")
-        since_check = 0
-
-    for _ in range(budget):
-        mu0 = window.rr
-        sigma1 = window.pap
-        if sigma1 <= 0.0 or mu0 <= 0.0 or not np.isfinite(sigma1) or not np.isfinite(mu0):
-            if ctl.observe_breakdown(iterations) == "fallback":
-                break
-            _repair(iterations, keep_direction=False)
-            continue
-
-        lam = window.lam()
-        lambdas.append(lam)
-        axpy(lam, powers.p, x, out=x, work=ws)
-        iterations += 1
-        powers.advance_r(lam, work=ws)
-
-        mu_new = window.advance_mu(lam)
-        mu0_new = float(mu_new[0])
-        if mu0_new < 0.0 and telemetry is not None:
-            telemetry.clamp(iterations, mu0_new)
-        res_norms.append(float(np.sqrt(max(mu0_new, 0.0))))
-        if telemetry is not None:
-            telemetry.iteration(
-                iterations, res_norms[-1], lam=lam, recurred_rr=mu0_new
-            )
-            telemetry.iterate(x)
-        if stop.is_met(res_norms[-1], b_norm):
-            reason = StopReason.CONVERGED
-            break
-        if mu0_new <= 0.0 or not np.isfinite(mu0_new):
-            # A clamped-negative mu0 is drift, not convergence: the
-            # controller hears the distinction (clamp vs. breakdown).
-            if mu0_new < 0.0:
-                action = ctl.observe_clamp(iterations, mu0_new)
-            else:
-                action = ctl.observe_breakdown(iterations)
-            if action == "fallback":
-                break
-            _repair(iterations, keep_direction=False)
-            continue
-        if res_norms[-1] > _DIVERGENCE_FACTOR * max(res_norms[0], b_norm):
-            if ctl.observe_breakdown(iterations, "divergence") == "fallback":
-                break
-            _repair(iterations, keep_direction=False)
-            continue
-
-        alpha_next = mu0_new / mu0
-        add_scalar_flops(1)
-        alphas.append(alpha_next)
-        mu_top = powers.direct_mu_top()
-        powers.advance_p(op, alpha_next, work=ws)
-        sigma_top = powers.direct_sigma_top()
-        window = window.advanced(
-            lam, alpha_next, mu_top, sigma_top, mu_new_body=mu_new
-        )
-
-        # --- controller drift sampling ---------------------------------
-        since_check += 1
-        if since_check >= ctl.config.check_every:
-            since_check = 0
-            rr_direct = dot(powers.r, powers.r, label="drift_check_dot")
-            gap = run.drift_gap(iterations, window.rr, rr_direct)
-            if gap is not None:
-                action = ctl.observe_gap(iterations, gap)
-                if action == "fallback":
-                    break
-                if action in ("shrink", "grow", "replace"):
-                    _repair(iterations, keep_direction=True)
-
-    if ctl.fell_back and reason is not StopReason.CONVERGED:
-        remaining = budget - iterations
-        if remaining > 0:
-            from repro.core.standard import conjugate_gradient
-
-            sub = conjugate_gradient(
-                op,
-                b,
-                x0=x,
-                stop=dc_replace(stop, max_iter=remaining),
-                telemetry=telemetry,
-            )
-            x = sub.x
-            iterations += sub.iterations
-            res_norms.extend(sub.residual_norms[1:])
-            alphas.extend(sub.alphas)
-            lambdas.extend(sub.lambdas)
-            reason = sub.stop_reason
-
-    return _result(reason, iterations)
 
 
 def adaptive_pipelined_vr_cg(
     a: Any,
     b: np.ndarray,
     *,
-    k: Any = "auto",
+    k: int = DEFAULT_AUTO_K,
     x0: np.ndarray | None = None,
     stop: StoppingCriterion | None = None,
     controller: Any = None,
@@ -482,55 +379,14 @@ def adaptive_pipelined_vr_cg(
 ) -> CGResult:
     """Pipelined Van Rosendale CG with an online adaptive window size.
 
-    Drives :func:`repro.core.pipeline.pipelined_vr_cg` with a
-    :class:`WindowController` (floor ``k_min = 1``: the pipeline needs at
-    least one iteration of look-ahead).  Controller resizes refill the
-    whole pipeline at the new ``k`` through the solver's segment/refill
-    path; on controller fallback the current iterate is handed to
-    classical CG for the remaining budget and the histories stitched.
+    Runs the loop of :func:`repro.core.pipeline.pipelined_vr_cg` with a
+    :class:`WindowController` as its repair policy (floor ``k_min = 1``:
+    the pipeline needs at least one iteration of look-ahead).  Each
+    resize refills the whole pipeline at the new ``k``; a fallback hands
+    the iterate to classical CG as in :func:`adaptive_vr_cg`, whose
+    parameters and result this shares.
     """
-    stop = stop or StoppingCriterion()
-    k0 = max(_initial_k(k), 1)
-    ctl = _coerce_controller(controller, k0, k_min_floor=1)
-    ctl.attach(telemetry)
-    from repro.core.pipeline import pipelined_vr_cg
-
-    result = pipelined_vr_cg(
-        a,
-        b,
-        k=ctl.k,
-        x0=x0,
-        stop=stop,
-        telemetry=telemetry,
-        controller=ctl,
+    return _adaptive_solve(
+        "adaptive-pipelined-vr", _pipelined_loop, 1, a, b, k, x0, stop,
+        controller, telemetry,
     )
-    label = f"adaptive-pipelined-vr-cg(k0={k0})"
-    if ctl.fell_back and not result.converged:
-        n = np.asarray(b).shape[0]
-        remaining = stop.budget(n) - result.iterations
-        if remaining > 0:
-            from repro.core.standard import conjugate_gradient
-
-            sub = conjugate_gradient(
-                a,
-                b,
-                x0=result.x,
-                stop=dc_replace(stop, max_iter=remaining),
-                telemetry=telemetry,
-            )
-            result = CGResult(
-                x=sub.x,
-                converged=sub.converged,
-                stop_reason=sub.stop_reason,
-                iterations=result.iterations + sub.iterations,
-                residual_norms=result.residual_norms + sub.residual_norms[1:],
-                alphas=result.alphas + sub.alphas,
-                lambdas=result.lambdas + sub.lambdas,
-                true_residual_norm=sub.true_residual_norm,
-                label=label,
-                extras=dict(result.extras),
-            )
-    result.label = label
-    result.extras["k_history"] = list(ctl.k_history)
-    result.extras["adaptive"] = ctl.snapshot()
-    return result

@@ -36,7 +36,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.results import BatchedResult, StopReason, verified_exit
-from repro.core.stopping import StoppingCriterion
+from repro.core.stopping import DIVERGENCE_FACTOR, StoppingCriterion
 from repro.sparse.linop import LinearOperator, as_operator, block_matvec
 from repro.util.counters import add_axpy, add_scalar_flops
 from repro.util.kernels import block_dot, block_norms
@@ -47,11 +47,6 @@ from repro.util.validation import (
 )
 
 __all__ = ["batched_cg", "batched_vr_cg"]
-
-# Mirrors repro.core.vr_cg._DIVERGENCE_FACTOR: recurred residual growth
-# beyond this factor over max(‖r⁰‖, ‖b‖) is finite-precision divergence.
-_DIVERGENCE_FACTOR = 1e8
-
 
 class _Batch:
     """Shared per-column bookkeeping: thresholds, histories, deflation.
@@ -503,7 +498,7 @@ def batched_vr_cg(
 
         conv = res <= batch.th_active
         broke = (mu0_new <= 0.0) | ~np.isfinite(mu0_new)
-        diverged = res > _DIVERGENCE_FACTOR * res0
+        diverged = res > DIVERGENCE_FACTOR * res0
         drop_break = np.flatnonzero(~conv & (broke | diverged))
         drop_conv = np.flatnonzero(conv)
         if drop_conv.size:

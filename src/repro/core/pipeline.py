@@ -48,15 +48,11 @@ from repro.core.coefficients import (
 from repro.core.moments import window_from_powers
 from repro.core.powers import PowerBlock
 from repro.core.results import CGResult, SolveRun, StopReason
-from repro.core.stopping import StoppingCriterion
+from repro.core.stopping import DIVERGENCE_FACTOR, StoppingCriterion
+from repro.core.vr_cg import _recovery_step
 from repro.util.counters import add_scalar_flops, traced
 from repro.util.kernels import axpy, dot
 from repro.util.validation import require_positive_int
-
-# Same finite-precision divergence guard as the eager solver
-# (repro.core.vr_cg): recurred residual growth beyond this factor over
-# max(‖r⁰‖, ‖b‖) is breakdown, not slow progress.
-_DIVERGENCE_FACTOR = 1e8
 
 __all__ = [
     "pipelined_vr_cg",
@@ -235,7 +231,6 @@ def pipelined_vr_cg(
     faults: Any = None,
     recovery: Any = None,
     telemetry: "Telemetry | None" = None,
-    controller: "WindowController | None" = None,
 ) -> CGResult:
     """Solve ``A x = b`` with the fully pipelined Van Rosendale iteration.
 
@@ -277,18 +272,6 @@ def pipelined_vr_cg(
         usual per-iteration events.  Steady-state iterations draw
         scratch from the run's workspace arena and allocate zero new
         arrays (the launch/consume scalar machinery is O(k²), not O(n)).
-    controller:
-        Optional :class:`repro.core.adaptive.WindowController`.  When
-        supplied the controller samples the recurred-vs-direct drift gap
-        every ``check_every`` iterations and may *resize* the window --
-        each resize refills the pipeline at the new ``k`` through the
-        same path a residual replacement uses -- or give up
-        (``fallback``), in which case the solve returns with its partial
-        progress and ``extras["adaptive"]["fell_back"] = True`` so a
-        wrapper (:func:`repro.core.adaptive.adaptive_pipelined_vr_cg`)
-        can hand the iterate to classical CG.  The controller owns all
-        repair decisions, so it cannot be combined with ``recovery=`` or
-        ``faults=``.
 
     Returns
     -------
@@ -296,29 +279,9 @@ def pipelined_vr_cg(
         With ``label = "pipelined-vr-cg(k=...)"``.
     """
     k = require_positive_int(k, "k")
-
-    def _event(kind: str, iteration: int, source_iteration: int, count: int) -> None:
-        if telemetry is not None:
-            telemetry.pipeline(kind, iteration, source_iteration, count)
-
-    from repro.faults import RecoveryPolicy
-
-    if controller is not None and (
-        RecoveryPolicy.from_spec(recovery) is not None or faults is not None
-    ):
-        raise ValueError(
-            "controller= (adaptive window) owns all repair decisions and "
-            "cannot be combined with recovery= or faults="
-        )
-    # A controller means this run is the engine of the adaptive method;
-    # report the name the caller actually asked for.
     run = SolveRun.open(
-        "pipelined-vr" if controller is None else "adaptive-pipelined-vr",
-        (
-            f"pipelined-vr-cg(k={k})"
-            if controller is None
-            else f"adaptive-pipelined-vr-cg(k0={k})"
-        ),
+        "pipelined-vr",
+        f"pipelined-vr-cg(k={k})",
         a,
         b,
         x0=x0,
@@ -329,30 +292,38 @@ def pipelined_vr_cg(
         keep_dtype=True,
         k=k,
     )
+    reason, iterations, res_norms, alphas, lambdas = _pipelined_loop(run, k)
+    return run.finish(
+        reason, run.x, iterations, res_norms, alphas=alphas, lambdas=lambdas
+    )
+
+
+def _pipelined_loop(
+    run: SolveRun, k: int, controller: Any = None
+) -> tuple[StopReason, int, list[float], list[float], list[float]]:
+    """The pipelined iteration of ``run``, starting at look-ahead ``k``.
+
+    Runs segments, each on a freshly filled pipeline, until one
+    converges or the budget runs out; every repair refills.  Repairs
+    follow the run's recovery policy or, when given, a
+    :class:`~repro.core.adaptive.WindowController`, exactly as in
+    :func:`repro.core.vr_cg._vr_loop` (refill at the controller's
+    window size; stop with ``MAX_ITER`` when it falls back).  Returns
+    ``(reason, iterations, residual_norms, alphas, lambdas)``; the
+    iterate is ``run.x``, updated in place.
+    """
     op, b, x, stop, b_norm = run.op, run.b, run.x, run.stop, run.b_norm
-    ws, policy, plan = run.ws, run.policy, run.plan
+    ws, policy, plan, telemetry = run.ws, run.policy, run.plan, run.telemetry
+
+    def _event(kind: str, iteration: int, source_iteration: int, count: int) -> None:
+        if telemetry is not None:
+            telemetry.pipeline(kind, iteration, source_iteration, count)
 
     res_norms: list[float] = []
     alphas: list[float] = []
     lambdas: list[float] = []
     iterations = 0
     budget = stop.budget(b.shape[0])
-
-    def _result(reason: StopReason) -> CGResult:
-        extras: dict[str, Any] = {}
-        if controller is not None:
-            extras["adaptive"] = controller.snapshot()
-            extras["k_history"] = list(controller.k_history)
-        return run.finish(
-            reason,
-            x,
-            iterations,
-            res_norms,
-            alphas=alphas,
-            lambdas=lambdas,
-            label=f"pipelined-vr-cg(k={k})",
-            extras=extras,
-        )
 
     def _segment(offset: int, budget_left: int) -> tuple[str, str, float]:
         """Run the pipelined iteration from the current ``x`` until it
@@ -363,7 +334,8 @@ def pipelined_vr_cg(
         consume-minus-launch == k diagonal within the segment.
 
         Returns ``(outcome, trigger, gap)`` with outcome one of
-        ``converged``/``maxiter``/``replace``/``breakdown``/``divergence``.
+        ``converged``/``maxiter``/``replace``/``breakdown``/``divergence``,
+        or under a controller ``resize``/``fallback``.
         """
         nonlocal iterations
         tracer = telemetry.tracer if telemetry is not None else None
@@ -472,7 +444,7 @@ def pipelined_vr_cg(
                 return ("breakdown", "false_convergence", 0.0)
             if mu0_next <= 0.0 or not np.isfinite(mu0_next):
                 return ("breakdown", "breakdown", 0.0)
-            if res_norms[-1] > _DIVERGENCE_FACTOR * max(res_norms[0], b_norm):
+            if res_norms[-1] > DIVERGENCE_FACTOR * max(res_norms[0], b_norm):
                 return ("divergence", "divergence", 0.0)
 
             alpha_next = mu0_next / mu0_cur
@@ -539,22 +511,19 @@ def pipelined_vr_cg(
 
         return ("maxiter", "", 0.0)
 
+    reason = StopReason.CONVERGED
     outcome, trigger, gap = _segment(0, budget)
-    while True:
-        if outcome == "converged":
-            return _result(StopReason.CONVERGED)
-        if outcome == "maxiter" or iterations >= budget:
-            return _result(StopReason.MAX_ITER)
-        if outcome == "fallback":
-            # The controller gave up on the moment window; the wrapper
-            # (adaptive_pipelined_vr_cg) hands the iterate to classical CG.
-            return _result(StopReason.BREAKDOWN)
+    while outcome != "converged":
+        if outcome in ("maxiter", "fallback") or iterations >= budget:
+            # A controller's fallback leaves the rest of the budget to
+            # the caller.
+            reason = StopReason.MAX_ITER
+            break
         if outcome == "resize":
             # Controller decision (shrink/grow/replace): refill the whole
             # pipeline at the possibly-new window size -- the same refill
             # path a residual replacement uses.
-            k = max(1, controller.k)
-            run.recoveries["replace"] += 1
+            k = controller.k
             if telemetry is not None:
                 telemetry.replacement(iterations, "adaptive")
         elif outcome == "replace":
@@ -567,16 +536,16 @@ def pipelined_vr_cg(
             if telemetry is not None:
                 telemetry.replacement(iterations, trigger)
                 telemetry.recovery(iterations, "replace", trigger, gap)
-        else:  # breakdown / divergence: spend one bounded restart
-            if controller is not None:
-                action = controller.observe_breakdown(iterations, trigger)
-                if action == "fallback":
-                    return _result(StopReason.BREAKDOWN)
-                # shrink or floor repair: refill at the controller's k.
-                k = max(1, controller.k)
-                run.recoveries["restart"] += 1
-                if telemetry is not None:
-                    telemetry.recovery(iterations, "restart", trigger)
-            elif not run.restart(iterations, trigger):
-                return _result(StopReason.BREAKDOWN)
+        elif not _recovery_step(run, controller, iterations, trigger):
+            # Breakdown or divergence with no repair left, or a fallback.
+            reason = (
+                StopReason.BREAKDOWN if controller is None else StopReason.MAX_ITER
+            )
+            break
+        elif controller is not None:
+            # shrink or floor repair: refill at the controller's k.
+            k = controller.k
+            if telemetry is not None:
+                telemetry.recovery(iterations, "restart", trigger)
         outcome, trigger, gap = _segment(iterations, budget - iterations)
+    return reason, iterations, res_norms, alphas, lambdas

@@ -26,7 +26,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.results import CGResult, SolveRun, StopReason
-from repro.core.stopping import StoppingCriterion
+from repro.core.stopping import DIVERGENCE_FACTOR, StoppingCriterion
 from repro.sparse.linop import matvec_into
 from repro.util.kernels import axpy, dot
 
@@ -169,7 +169,7 @@ def conjugate_gradient(
             break
         if (plan is not None or policy is not None) and res_norms[
             -1
-        ] > 1e8 * max(res_norms[0], b_norm):
+        ] > DIVERGENCE_FACTOR * max(res_norms[0], b_norm):
             # A corrupted step scalar can send CG into exponential
             # divergence with r still consistently tracking x, so the
             # drift detector never fires; the growth itself is the

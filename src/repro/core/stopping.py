@@ -12,7 +12,12 @@ from dataclasses import dataclass, replace
 
 from repro.util.validation import require_positive_int
 
-__all__ = ["StoppingCriterion"]
+__all__ = ["StoppingCriterion", "DIVERGENCE_FACTOR"]
+
+# A residual grown beyond this factor over its start (``max(‖r⁰‖, ‖b‖)``
+# for most solvers) is finite-precision divergence, not slow progress.
+# Each solver keeps its own comparison and gating; the bound is shared.
+DIVERGENCE_FACTOR = 1e8
 
 
 @dataclass(frozen=True)

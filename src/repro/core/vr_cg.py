@@ -25,6 +25,7 @@ replacement.  The stability experiment (E7) quantifies the trade.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Any
 
 import numpy as np
@@ -32,17 +33,13 @@ import numpy as np
 from repro.core.moments import MomentWindow, initial_window, window_from_powers
 from repro.core.powers import PowerBlock
 from repro.core.results import CGResult, SolveRun, StopReason
-from repro.core.stopping import StoppingCriterion
+from repro.core.stopping import DIVERGENCE_FACTOR, StoppingCriterion
 from repro.sparse.linop import LinearOperator
 from repro.util.counters import add_scalar_flops
 from repro.util.kernels import axpy, dot
 from repro.util.validation import require_nonnegative_int
 
 __all__ = ["vr_conjugate_gradient", "VRState"]
-
-# Recurred residual growth beyond this factor over max(‖r⁰‖, ‖b‖) is
-# treated as finite-precision divergence (breakdown), not slow progress.
-_DIVERGENCE_FACTOR = 1e8
 
 
 @dataclass
@@ -194,8 +191,67 @@ def vr_conjugate_gradient(
         replace_every=replace_every,
         replace_drift_tol=replace_drift_tol,
     )
+    reason, iterations, res_norms, alphas, lambdas = _vr_loop(run, k)
+    return run.finish(
+        reason, run.x, iterations, res_norms, alphas=alphas, lambdas=lambdas
+    )
+
+
+def _rebuild(
+    op: LinearOperator, b: np.ndarray, x: np.ndarray, p: np.ndarray, k: int
+) -> tuple[PowerBlock, MomentWindow, bool]:
+    """Residual replacement at window size ``k``, keeping the direction.
+
+    Rebuilds the power block from the true residual ``b − A x`` around a
+    copy of ``p`` and recomputes the window from it.  CG maintains
+    ``(r, p) = (r, r)``; a gross violation (e.g. after a transient fault
+    corrupted the trajectory) means ``p`` is no longer a valid CG
+    direction and ``λ = μ₀/σ₁`` would not descend, so the Krylov space
+    restarts from the true residual instead.  Returns the powers, the
+    window and whether it restarted.
+    """
+    powers = PowerBlock.rebuild(op, b - op.matvec(x), p.copy(), k)
+    window = window_from_powers(k, powers.r_powers, powers.p_powers)
+    mu0_fresh, nu0_fresh = float(window.mu[0]), float(window.nu[0])
+    if abs(nu0_fresh - mu0_fresh) > 0.5 * abs(mu0_fresh):
+        return (*_startup(op, b, x, k), True)
+    return powers, window, False
+
+
+def _recovery_step(
+    run: SolveRun, controller: Any, iteration: int, trigger: str, mu0: float = 0.0
+) -> bool:
+    """Ask for one repair at a trouble site; ``False`` means stop.
+
+    Without a window controller this spends one restart of the run's
+    budget.  With one it reports the trouble -- a negative recurred
+    ``μ₀`` as a clamp, anything else as a breakdown -- and the repair
+    goes ahead unless the controller falls back.
+    """
+    if controller is None:
+        return run.restart(iteration, trigger)
+    if mu0 < 0.0:
+        action = controller.observe_clamp(iteration, mu0)
+    else:
+        action = controller.observe_breakdown(iteration, trigger)
+    return action != "fallback"
+
+
+def _vr_loop(
+    run: SolveRun, k: int, controller: Any = None
+) -> tuple[StopReason, int, list[float], list[float], list[float]]:
+    """The eager iteration of ``run``, starting at window size ``k``.
+
+    Repairs follow the run's recovery policy, or a
+    :class:`~repro.core.adaptive.WindowController` when one is given: it
+    samples the drift gap every ``check_every`` iterations, every repair
+    rebuilds at its window size, and when it falls back the loop stops
+    with ``MAX_ITER`` so the caller can hand the iterate on.  Returns
+    ``(reason, iterations, residual_norms, alphas, lambdas)``; the
+    iterate is ``run.x``, updated in place.
+    """
     op, b, x, stop, b_norm = run.op, run.b, run.x, run.stop, run.b_norm
-    ws, policy, plan = run.ws, run.policy, run.plan
+    ws, policy, plan, telemetry = run.ws, run.policy, run.plan, run.telemetry
 
     if telemetry is not None:
         with telemetry.phase("startup"):
@@ -208,22 +264,27 @@ def vr_conjugate_gradient(
     lambdas: list[float] = []
 
     if stop.is_met(res_norms[0], b_norm):
-        return run.finish(StopReason.CONVERGED, x, 0, res_norms)
+        return StopReason.CONVERGED, 0, res_norms, alphas, lambdas
 
+    # A repair refused by the policy is a breakdown; a controller's
+    # fallback leaves the rest of the budget to the caller.
+    give_up = StopReason.BREAKDOWN if controller is None else StopReason.MAX_ITER
     reason = StopReason.MAX_ITER
     iterations = 0
-    since_replacement = 0
-    since_verify = 0
+    since_replacement = since_verify = since_check = 0
     budget = stop.budget(b.shape[0])
 
-    def _try_restart(trigger: str) -> bool:
-        """Spend one restart: rebuild powers/window from the current x."""
-        nonlocal powers, window, since_replacement, since_verify
-        if not run.restart(iterations, trigger):
+    def _recover(trigger: str, mu0: float = 0.0) -> bool:
+        """One repair: rebuild powers/window from the current x."""
+        nonlocal powers, window, k, since_replacement, since_verify, since_check
+        if not _recovery_step(run, controller, iterations, trigger, mu0):
             return False
+        if controller is not None:
+            k = controller.k
+            if telemetry is not None:
+                telemetry.replacement(iterations, "restart")
         powers, window = _startup(op, b, x, k)
-        since_replacement = 0
-        since_verify = 0
+        since_replacement = since_verify = since_check = 0
         return True
 
     for _ in range(budget):
@@ -231,12 +292,13 @@ def vr_conjugate_gradient(
             plan.begin_iteration(iterations + 1)
         mu0 = window.rr
         sigma1 = window.pap
-        if sigma1 <= 0.0 or mu0 <= 0.0:
-            # The recurred quadratic forms must stay positive for an SPD
-            # system; a sign flip means finite-precision breakdown.
-            if _try_restart("breakdown"):
+        if sigma1 <= 0.0 or mu0 <= 0.0 or not isfinite(sigma1) or not isfinite(mu0):
+            # The recurred quadratic forms must stay positive and finite
+            # for an SPD system; anything else is finite-precision
+            # breakdown, caught before the step length reaches x.
+            if _recover("breakdown"):
                 continue
-            reason = StopReason.BREAKDOWN
+            reason = give_up
             break
 
         lam = window.lam()
@@ -270,21 +332,21 @@ def vr_conjugate_gradient(
             if run.convergence_holds(x):
                 reason = StopReason.CONVERGED
                 break
-            if _try_restart("false_convergence"):
+            if _recover("false_convergence"):
                 continue
-            reason = StopReason.BREAKDOWN
+            reason = give_up
             break
-        if mu0_new <= 0.0 or not np.isfinite(mu0_new):
-            if _try_restart("breakdown"):
+        if mu0_new <= 0.0 or not isfinite(mu0_new):
+            if _recover("breakdown", mu0_new):
                 continue
-            reason = StopReason.BREAKDOWN
+            reason = give_up
             break
-        if res_norms[-1] > _DIVERGENCE_FACTOR * max(res_norms[0], b_norm):
+        if res_norms[-1] > DIVERGENCE_FACTOR * max(res_norms[0], b_norm):
             # The recurred residual exploding far beyond its start is a
             # finite-precision divergence, not slow convergence.
-            if _try_restart("divergence"):
+            if _recover("divergence"):
                 continue
-            reason = StopReason.BREAKDOWN
+            reason = give_up
             break
         alpha_next = mu0_new / mu0
         add_scalar_flops(1)
@@ -309,97 +371,106 @@ def vr_conjugate_gradient(
         if plan is not None:
             plan.corrupt_window(window)
 
-        # --- detection: drift, verified recompute, periodic schedule -----
-        drift_triggered = False
-        drift_gap = 0.0
-        if policy is not None and policy.drift_tol is not None:
-            # The drift check IS a blocking dot: its result gates this
-            # iteration's replacement decision, so unlike the window-top
-            # dots above it cannot be hidden.  The profiler books it as
-            # the one synchronization VR still pays per iteration.
-            rr_direct = dot(powers.r, powers.r, label="drift_check_dot")
-            gap = run.drift_gap(iterations, window.rr, rr_direct)
-            if gap is not None:
-                drift_gap = gap
-                drift_triggered = drift_gap > policy.drift_tol
+        if controller is not None:
+            # --- the controller's sampled drift check ---------------------
+            since_check += 1
+            if since_check >= controller.config.check_every:
+                since_check = 0
+                rr_direct = dot(powers.r, powers.r, label="drift_check_dot")
+                gap = run.drift_gap(iterations, window.rr, rr_direct)
+                action = (
+                    "hold" if gap is None else controller.observe_gap(iterations, gap)
+                )
+                if action == "fallback":
+                    reason = give_up
+                    break
+                if action != "hold":
+                    # shrink / grow / floor repair: replace at the new k.
+                    k = controller.k
+                    powers, window, restarted = _rebuild(op, b, x, powers.p, k)
+                    if telemetry is not None:
+                        telemetry.replacement(iterations, "adaptive")
+                        if restarted:
+                            telemetry.replacement(iterations, "restart")
+        elif policy is not None:
+            # --- detection: drift, verified recompute, periodic schedule -
+            drift_triggered = False
+            drift_gap = 0.0
+            if policy.drift_tol is not None:
+                # The drift check IS a blocking dot: its result gates this
+                # iteration's replacement decision, so unlike the
+                # window-top dots above it cannot be hidden.  The profiler
+                # books it as the one synchronization VR still pays per
+                # iteration.
+                rr_direct = dot(powers.r, powers.r, label="drift_check_dot")
+                gap = run.drift_gap(iterations, window.rr, rr_direct)
+                if gap is not None:
+                    drift_gap = gap
+                    drift_triggered = drift_gap > policy.drift_tol
 
-        verify_triggered = False
-        verify_gap = 0.0
-        since_verify += 1
-        if (
-            policy is not None
-            and policy.verify_every is not None
-            and since_verify >= policy.verify_every
-            and not drift_triggered
-        ):
-            # Predict-and-recompute: re-derive the whole moment window
-            # from direct dots on the current power block and ADOPT it --
-            # the recompute is the repair.  Only when the mismatch is so
-            # large that the *vectors* must be suspect does it escalate
-            # to a full replacement below.
-            fresh = window_from_powers(
-                k, powers.r_powers, powers.p_powers, label="verify_dot"
-            )
-            scale = max(
-                float(np.max(np.abs(fresh.mu))),
-                float(np.max(np.abs(fresh.sigma))),
-                np.finfo(np.float64).tiny,
-            )
-            verify_gap = max(
-                float(np.max(np.abs(window.mu - fresh.mu))),
-                float(np.max(np.abs(window.nu - fresh.nu))),
-                float(np.max(np.abs(window.sigma - fresh.sigma))),
-            ) / scale
-            window = fresh
-            since_verify = 0
-            run.recoveries["recompute"] += 1
-            if telemetry is not None:
-                telemetry.recovery(iterations, "recompute", "verify", verify_gap)
-            verify_triggered = verify_gap > policy.verify_rtol
-
-        periodic_due = (
-            policy is not None
-            and policy.replace_every is not None
-            and since_replacement >= policy.replace_every
-        )
-        if periodic_due or drift_triggered or verify_triggered:
-            if drift_triggered:
-                trigger, gap = "drift", drift_gap
-            elif verify_triggered:
-                trigger, gap = "verify", verify_gap
-            else:
-                trigger, gap = "periodic", 0.0
-            run.recoveries["replace"] += 1
-            if telemetry is not None:
-                telemetry.replacement(iterations, trigger)
-                telemetry.recovery(iterations, "replace", trigger, gap)
-            # Recompute the true residual but KEEP the conjugate direction:
-            # replacement refreshes finite-precision drift without
-            # restarting the Krylov space.
-            r_true = b - op.matvec(x)
-            powers = PowerBlock.rebuild(op, r_true, powers.p.copy(), k)
-            window = window_from_powers(k, powers.r_powers, powers.p_powers)
-            # Sanity of the retained direction: CG maintains (r, p) =
-            # (r, r); the rebuilt window computes both directly.  A gross
-            # violation (e.g. after a transient fault corrupted the
-            # trajectory) means p is no longer a valid CG direction and
-            # the step formula lam = mu0/sigma1 would not descend --
-            # restart the Krylov space from the true residual instead.
-            mu0_fresh, nu0_fresh = float(window.mu[0]), float(window.nu[0])
-            if abs(nu0_fresh - mu0_fresh) > 0.5 * abs(mu0_fresh):
-                powers, window = _startup(op, b, x, k)
-                run.recoveries["restart"] += 1
+            verify_triggered = False
+            verify_gap = 0.0
+            since_verify += 1
+            if (
+                policy.verify_every is not None
+                and since_verify >= policy.verify_every
+                and not drift_triggered
+            ):
+                # Predict-and-recompute: re-derive the whole moment window
+                # from direct dots on the current power block and ADOPT it
+                # -- the recompute is the repair.  Only when the mismatch
+                # is so large that the *vectors* must be suspect does it
+                # escalate to a full replacement below.
+                fresh = window_from_powers(
+                    k, powers.r_powers, powers.p_powers, label="verify_dot"
+                )
+                scale = max(
+                    float(np.max(np.abs(fresh.mu))),
+                    float(np.max(np.abs(fresh.sigma))),
+                    np.finfo(np.float64).tiny,
+                )
+                verify_gap = max(
+                    float(np.max(np.abs(window.mu - fresh.mu))),
+                    float(np.max(np.abs(window.nu - fresh.nu))),
+                    float(np.max(np.abs(window.sigma - fresh.sigma))),
+                ) / scale
+                window = fresh
+                since_verify = 0
+                run.recoveries["recompute"] += 1
                 if telemetry is not None:
-                    telemetry.replacement(iterations, "restart")
-                    telemetry.recovery(iterations, "restart", "conjugacy")
-            since_replacement = 0
-            since_verify = 0
+                    telemetry.recovery(iterations, "recompute", "verify", verify_gap)
+                verify_triggered = verify_gap > policy.verify_rtol
+
+            periodic_due = (
+                policy.replace_every is not None
+                and since_replacement >= policy.replace_every
+            )
+            if periodic_due or drift_triggered or verify_triggered:
+                if drift_triggered:
+                    trigger, gap = "drift", drift_gap
+                elif verify_triggered:
+                    trigger, gap = "verify", verify_gap
+                else:
+                    trigger, gap = "periodic", 0.0
+                run.recoveries["replace"] += 1
+                if telemetry is not None:
+                    telemetry.replacement(iterations, trigger)
+                    telemetry.recovery(iterations, "replace", trigger, gap)
+                # Recompute the true residual but KEEP the conjugate
+                # direction: replacement refreshes finite-precision drift
+                # without restarting the Krylov space.
+                powers, window, restarted = _rebuild(op, b, x, powers.p, k)
+                if restarted:
+                    run.recoveries["restart"] += 1
+                    if telemetry is not None:
+                        telemetry.replacement(iterations, "restart")
+                        telemetry.recovery(iterations, "restart", "conjugacy")
+                since_replacement = 0
+                since_verify = 0
 
         if telemetry is not None and telemetry.on_state:
             telemetry.state(
                 VRState(iteration=iterations, window=window, powers=powers, x=x)
             )
 
-    return run.finish(
-        reason, x, iterations, res_norms, alphas=alphas, lambdas=lambdas
-    )
+    return reason, iterations, res_norms, alphas, lambdas

@@ -29,7 +29,7 @@ from repro.core.results import (
     StopReason,
     verified_exit,
 )
-from repro.core.stopping import StoppingCriterion
+from repro.core.stopping import DIVERGENCE_FACTOR, StoppingCriterion
 from repro.distributed.comm import DroppedReductionError, PendingReduction, SimComm
 from repro.distributed.data import BlockMultiVector, BlockVector, DistributedCSR
 from repro.sparse.csr import CSRMatrix
@@ -511,7 +511,10 @@ def distributed_sstep(
             if stop.is_met(res_norms[-1], b_norm):
                 reason = StopReason.CONVERGED
                 break
-            if not np.isfinite(res_norms[-1]) or res_norms[-1] > 1e8 * b_norm:
+            if (
+                not np.isfinite(res_norms[-1])
+                or res_norms[-1] > DIVERGENCE_FACTOR * b_norm
+            ):
                 reason = StopReason.BREAKDOWN
                 break
             try:

@@ -424,6 +424,7 @@ def solve(
     runs (and validates ``x0``) as usual, iterating back toward zero.
     """
     entry = method_entry(method)
+    _require_integer_k(options)
     telemetry = _consume_trace(telemetry, options)
     a, assembled = _front_door_operator(a, b, entry)
     zero = None if options.get("x0") is not None else _zero_rhs_result(
@@ -541,6 +542,15 @@ def _rescue_zero_threshold(a: Any, b: Any, options: dict) -> None:
     if stop is not None and not isinstance(stop, StoppingCriterion):
         return
     options["stop"] = effective_stop(a, b, options)
+
+
+def _require_integer_k(options: dict) -> None:
+    """``k=`` is a window size; choosing it online is a method of its own."""
+    if isinstance(options.get("k"), str):
+        raise ValueError(
+            f"k must be an integer, got {options['k']!r}; to choose the "
+            "window online use method 'adaptive-vr' or 'adaptive-pipelined-vr'"
+        )
 
 
 def _consume_trace(telemetry: Any, options: dict) -> Any:
@@ -686,6 +696,7 @@ def solve_batched(
             f"method {method!r} has no batched multi-RHS path; "
             f"batched methods: {', '.join(batched_methods())}"
         )
+    _require_integer_k(options)
     a, assembled = _front_door_operator(a, b, entry)
     if not assembled:
         from repro.sparse.linop import operator_dtype
@@ -714,25 +725,6 @@ def solve_batched(
 # ----------------------------------------------------------------------
 # registrations: core solvers
 # ----------------------------------------------------------------------
-def _check_auto_k(method: str, precond, options) -> None:
-    """Validate the ``k="auto"`` sugar: the adaptive controller owns all
-    repair decisions, so the fixed-k stabilization/injection knobs are
-    refused with a pointed message instead of being silently dropped."""
-    if precond is not None:
-        raise ValueError(
-            f"method {method!r} with k='auto' (adaptive window) does not "
-            "support preconditioning; pass a fixed integer k"
-        )
-    for knob in ("replace_every", "replace_drift_tol", "faults", "recovery"):
-        if options.get(knob) is not None:
-            raise ValueError(
-                f"k='auto' does not accept {knob}=; the adaptive window "
-                "controller owns all replacement and repair decisions "
-                "(tune it with controller=ControllerConfig(...))"
-            )
-        options.pop(knob, None)
-
-
 @register(
     "cg",
     "classical Hestenes--Stiefel CG",
@@ -769,12 +761,6 @@ def _run_vr(a, b, *, precond, telemetry, **options):
     from repro.precond.pcg import vr_pcg
     from repro.precond.polynomial import ChebyshevPolyPrecond, vr_poly_pcg
 
-    if options.get("k") == "auto":
-        # Sugar: solve(..., method="vr", k="auto") is the adaptive driver.
-        _check_auto_k("vr", precond, options)
-        from repro.core.adaptive import adaptive_vr_cg
-
-        return adaptive_vr_cg(a, b, telemetry=telemetry, **options)
     if precond is None:
         # Without explicit stabilization the pure eager algorithm drifts
         # (EXPERIMENTS.md E7b); default the front-door to adaptive
@@ -823,12 +809,6 @@ def _run_pipelined_vr(a, b, *, precond, telemetry, **options):
     from repro.precond.base import SplitPreconditioner
     from repro.precond.pcg import pipelined_vr_pcg
 
-    if options.get("k") == "auto":
-        # Sugar: k="auto" routes to the adaptive pipelined driver.
-        _check_auto_k("pipelined-vr", precond, options)
-        from repro.core.adaptive import adaptive_pipelined_vr_cg
-
-        return adaptive_pipelined_vr_cg(a, b, telemetry=telemetry, **options)
     if precond is None:
         return pipelined_vr_cg(a, b, telemetry=telemetry, **options)
     if isinstance(precond, SplitPreconditioner):

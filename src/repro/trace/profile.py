@@ -226,13 +226,7 @@ def _build_model(
     )
 
     iters = int(max(4, min(iterations or 12, 24)))
-    try:
-        k = int(options.get("k", 4) or 4)
-    except (TypeError, ValueError):
-        # k="auto" (adaptive window): model at the auto-start depth.
-        from repro.core.adaptive import DEFAULT_AUTO_K
-
-        k = DEFAULT_AUTO_K
+    k = int(options.get("k", 4) or 4)
     s = int(options.get("s", 4) or 4)
     if family == "cg":
         graph = build_cg_dag(n, d, iters).graph

@@ -199,9 +199,17 @@ def push_scope() -> OpCounts:
 
 
 def pop_scope(counter: OpCounts) -> OpCounts:
-    """Remove ``counter`` from the active stack and return it."""
-    if counter in _STACK.stack:
-        _STACK.stack.remove(counter)
+    """Remove ``counter`` from the active stack and return it.
+
+    Matches by identity: two scopes with equal totals are still two
+    scopes, and removing the wrong one would leave ``counter`` booking
+    every later operation.
+    """
+    stack = _STACK.stack
+    for i in range(len(stack) - 1, -1, -1):
+        if stack[i] is counter:
+            del stack[i]
+            break
     return counter
 
 

@@ -128,10 +128,7 @@ def chronopoulos_gear_cg(
             axpy(-lam, s, r, out=r, work=ws)
             iterations += 1
 
-            if plan is None:
-                matvec_into(op, r, w, work=ws)
-            else:
-                w = op.matvec(r)
+            matvec_into(op, r, w, work=ws)
             rr_prev = rr
             rr = dot(r, r, label="fused_dot")
             rar = dot(r, w, label="fused_dot")

@@ -105,11 +105,8 @@ def ghysels_vanroose_cg(
                 plan.begin_iteration(iterations + 1)
             # q = A w runs concurrently with the two dots on the machine
             # model; sequentially we just execute it here.
-            if plan is None:
-                q = ws.get("q", n)
-                matvec_into(op, w, q, work=ws)
-            else:
-                q = op.matvec(w)
+            q = ws.get("q", n)
+            matvec_into(op, w, q, work=ws)
             if fresh_start:
                 beta = 0.0
                 if delta <= 0.0 or not np.isfinite(delta):

@@ -33,17 +33,12 @@ from typing import Any
 import numpy as np
 
 from repro.core.results import CGResult, SolveRun, StopReason
-from repro.core.stopping import StoppingCriterion
+from repro.core.stopping import DIVERGENCE_FACTOR, StoppingCriterion
 from repro.sparse.linop import matvec_into
 from repro.util.counters import add_scalar_flops
 from repro.util.kernels import axpy, dot
 
 __all__ = ["pr_cg", "pr_pipe_cg"]
-
-# Recurred residual growth beyond this factor over max(‖r⁰‖, ‖b‖) is
-# treated as finite-precision divergence (breakdown), not slow progress.
-_DIVERGENCE_FACTOR = 1e8
-
 
 def _pr_solve(
     a: Any,
@@ -143,16 +138,10 @@ def _pr_solve(
                 # fused dots on the machine model.
                 axpy(beta, p, r, out=p, work=ws)  # p = r + beta p
                 axpy(beta, s, w, out=s, work=ws)  # s = w + beta s
-                if plan is None:
-                    matvec_into(op, s, u, work=ws)
-                else:
-                    u[:] = op.matvec(s)
+                matvec_into(op, s, u, work=ws)
             else:
                 # Eager form: the matvec w = A r feeds s directly.
-                if plan is None:
-                    matvec_into(op, r, w, work=ws)
-                else:
-                    w[:] = op.matvec(r)
+                matvec_into(op, r, w, work=ws)
                 axpy(beta, p, r, out=p, work=ws)  # p = r + beta p
                 axpy(beta, s, w, out=s, work=ws)  # s = w + beta s = A p
 
@@ -177,7 +166,7 @@ def _pr_solve(
                     continue
                 reason = StopReason.BREAKDOWN
                 break
-            if res_norms[-1] > _DIVERGENCE_FACTOR * max(res_norms[0], b_norm):
+            if res_norms[-1] > DIVERGENCE_FACTOR * max(res_norms[0], b_norm):
                 if run.restart(iterations, "divergence"):
                     _restart()
                     continue

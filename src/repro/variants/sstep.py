@@ -38,7 +38,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.results import CGResult, SolveRun, StopReason
-from repro.core.stopping import StoppingCriterion
+from repro.core.stopping import DIVERGENCE_FACTOR, StoppingCriterion
 from repro.util.counters import add_dot, add_scalar_flops, traced
 from repro.util.kernels import norm
 from repro.util.validation import require_positive_int
@@ -225,9 +225,9 @@ def sstep_cg(
         if stop.is_met(res_norms[-1], b_norm):
             reason = StopReason.CONVERGED
             break
-        if not np.isfinite(res_norms[-1]) or res_norms[-1] > 1e8 * max(
-            res_norms[0], b_norm
-        ):
+        if not np.isfinite(res_norms[-1]) or res_norms[
+            -1
+        ] > DIVERGENCE_FACTOR * max(res_norms[0], b_norm):
             reason = StopReason.BREAKDOWN
             break
 

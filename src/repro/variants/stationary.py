@@ -25,7 +25,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core.results import CGResult, SolveRun, StopReason
-from repro.core.stopping import StoppingCriterion
+from repro.core.stopping import DIVERGENCE_FACTOR, StoppingCriterion
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.trisolve import solve_lower
 from repro.util.counters import add_axpy
@@ -79,9 +79,9 @@ def _stationary_loop(
                 if stop.is_met(res_norms[-1], b_norm):
                     reason = StopReason.CONVERGED
                     break
-                if not np.isfinite(res_norms[-1]) or res_norms[-1] > 1e8 * max(
-                    res_norms[0], b_norm
-                ):
+                if not np.isfinite(res_norms[-1]) or res_norms[
+                    -1
+                ] > DIVERGENCE_FACTOR * max(res_norms[0], b_norm):
                     reason = StopReason.BREAKDOWN
                     break
     return run.finish(reason, x, iterations, res_norms)

@@ -27,8 +27,10 @@ from repro.core.adaptive import (
 from repro.core.standard import conjugate_gradient
 from repro.core.stopping import StoppingCriterion
 from repro.core.vr_cg import vr_conjugate_gradient
+from repro.faults import BitFlipInjector, FaultPlan
 from repro.sparse.generators import poisson2d
 from repro.telemetry import MemorySink, Telemetry
+from repro.util.counters import counting, current_counts
 from repro.util.rng import default_rng, spd_test_matrix
 from repro.variants import pr_cg, pr_pipe_cg
 
@@ -214,23 +216,28 @@ class TestAdaptiveSolvers:
             assert snap["k_final"] == res.extras["k_history"][-1]
             assert isinstance(snap["fell_back"], bool)
 
-    def test_k_auto_sugar_routes_to_adaptive(self):
+    def test_adaptive_window_is_its_own_method(self):
         a = poisson2d(6)
         b = _rhs(a.shape[0])
-        res = solve(a, b, "vr", k="auto")
-        assert res.label.startswith("adaptive-vr-cg")
-        res = solve(a, b, "pipelined-vr", k="auto")
-        assert res.label.startswith("adaptive-pipelined-vr-cg")
+        # k is an integer everywhere; the online choice has one spelling.
+        for method in ("vr", "pipelined-vr", "cg"):
+            with pytest.raises(ValueError, match="adaptive-pipelined-vr"):
+                solve(a, b, method, k="auto")
 
     def test_k_auto_refuses_fixed_k_knobs(self):
         a = poisson2d(6)
         b = _rhs(a.shape[0])
-        with pytest.raises(ValueError, match="adaptive window controller"):
-            solve(a, b, "vr", k="auto", recovery="robust")
-        with pytest.raises(ValueError, match="adaptive window controller"):
-            solve(a, b, "vr", k="auto", replace_every=5)
-        with pytest.raises(ValueError, match="preconditioning"):
-            solve(a, b, "vr", k="auto", precond="jacobi")
+        # The controller owns every repair: the fixed-k knobs are refused.
+        dot_fault = FaultPlan([BitFlipInjector(site="dot", at_iteration=3)])
+        for method in ("adaptive-vr", "adaptive-pipelined-vr"):
+            with pytest.raises(TypeError, match="replace_every"):
+                solve(a, b, method, replace_every=5)
+            with pytest.raises(ValueError, match="fault injection"):
+                solve(a, b, method, faults=dot_fault)
+            with pytest.raises(ValueError, match="recovery"):
+                solve(a, b, method, recovery="robust")
+            with pytest.raises(ValueError, match="preconditioner"):
+                solve(a, b, method, precond="jacobi")
 
     def test_pipelined_floor_is_one(self):
         a = poisson2d(6)
@@ -239,14 +246,14 @@ class TestAdaptiveSolvers:
         assert res.converged
         assert all(k >= 1 for k in res.extras["k_history"])
 
-    def test_controller_rejects_recovery_combination(self):
+    def test_pipelined_vr_has_no_controller_knob(self):
         from repro.core.pipeline import pipelined_vr_cg
 
         a = poisson2d(6)
         b = _rhs(a.shape[0])
         ctl = WindowController(2, ControllerConfig(k_min=1))
-        with pytest.raises(ValueError, match="controller"):
-            pipelined_vr_cg(a, b, k=2, controller=ctl, recovery="robust")
+        with pytest.raises(TypeError, match="controller"):
+            pipelined_vr_cg(a, b, k=2, controller=ctl)
 
     def test_fallback_stitches_classical_cg(self):
         # Force an immediate fallback: floor window, zero tolerance for
@@ -264,6 +271,28 @@ class TestAdaptiveSolvers:
         assert res.converged
         # the stitched residual history is contiguous (no resets to ||b||)
         assert res.iterations + 1 >= len(res.residual_norms) - 5
+
+    @pytest.mark.parametrize("fn", [adaptive_vr_cg, adaptive_pipelined_vr_cg])
+    def test_fallback_hands_off_inside_the_run(self, fn):
+        a = spd_test_matrix(40, cond=1e6, seed=3)
+        b = default_rng(4).standard_normal(40)
+        cfg = ControllerConfig(
+            k_min=1, k_max=1, check_every=1, shrink_tol=1e-30,
+            grow_tol=1e-31, fallback_after=1,
+        )
+        sink = MemorySink()
+        with counting() as caller:
+            res = fn(a, b, k=1, controller=cfg, telemetry=Telemetry(sink))
+        assert res.extras["adaptive"]["fell_back"] and res.converged
+        kinds = [e.kind for e in sink.events]
+        # classical CG's bracket nests inside the adaptive one
+        assert kinds.count("solve_start") == 2 and kinds[-1] == "solve_end"
+        assert sink.events[-1].label == res.label
+        assert sink.events[-1].iterations == res.iterations
+        # the caller's scope sees the whole solve, hand-off included
+        assert caller.dots == sink.events[-2].counts.dots
+        assert caller.matvecs == sink.events[-2].counts.matvecs
+        assert current_counts() is None
 
     def test_adaptive_events_in_solver_telemetry(self):
         wl_a, wl_b = _lowrank_full()

@@ -34,15 +34,22 @@ def test_profile_cg_reports_phases_and_model(system):
 def test_profile_doubling_claim_cg_vs_vr(system):
     """The paper's §3 claim, measured: classical CG blocks on ~2
     reductions per iteration, VR pays only its drift-check dot, so VR's
-    sync-blocked fraction is measurably lower."""
+    sync-blocked fraction is measurably lower.  The fraction divides by
+    wall time, so one timing outlier can flip a single pair: compare
+    medians over interleaved repeats."""
     a, b = system
-    cg = profile_solve(a, b, method="cg")
-    vr = profile_solve(a, b, method="vr", k=2)
+    cgs, vrs = [], []
+    for _ in range(5):
+        cgs.append(profile_solve(a, b, method="cg"))
+        vrs.append(profile_solve(a, b, method="vr", k=2))
+    cg, vr = cgs[0], vrs[0]
     assert cg.converged and vr.converged
     assert cg.blocking_syncs_per_iteration == pytest.approx(2.0)
     # VR: one drift-check dot per iteration (plus a startup fraction).
     assert vr.blocking_syncs_per_iteration < 1.5
-    assert vr.sync_blocked_fraction < cg.sync_blocked_fraction
+    assert np.median([r.sync_blocked_fraction for r in vrs]) < np.median(
+        [r.sync_blocked_fraction for r in cgs]
+    )
     # Same ordering in the machine model's prediction (the cross-check).
     assert vr.model.sync_fraction < cg.model.sync_fraction
 

@@ -50,6 +50,25 @@ class TestScoping:
                 raise RuntimeError("boom")
         assert current_counts() is None
 
+    def test_solve_bracket_pops_its_own_scope(self):
+        # The telemetry bracket's scope opens with the same (zero) totals
+        # as the caller's; closing it must not remove the caller's.
+        from repro import solve
+        from repro.sparse.generators import poisson2d
+        from repro.telemetry import NullSink, Telemetry
+
+        a = poisson2d(8)
+        b = np.ones(a.shape[0])
+        with counting() as bare:
+            solve(a, b, "cg")
+            add_dot(b.size)
+        with counting() as traced:
+            solve(a, b, "cg", telemetry=Telemetry(NullSink()))
+            add_dot(b.size)
+        assert traced.dots == bare.dots
+        assert traced.matvecs == bare.matvecs
+        assert current_counts() is None
+
 
 class TestBooking:
     def test_dot_flops(self):
