@@ -44,7 +44,6 @@ individual solver functions remain importable for direct use.
 from repro.backend import (
     SetupCache,
     Workspace,
-    cached_ell,
     clear_setup_cache,
     resolve_backend,
     setup_cache,
@@ -102,7 +101,6 @@ __all__ = [
     "solve_batched",
     "SetupCache",
     "Workspace",
-    "cached_ell",
     "clear_setup_cache",
     "resolve_backend",
     "setup_cache",

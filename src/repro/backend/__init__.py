@@ -5,9 +5,9 @@ the hardware charges and nothing more:
 
 * :class:`Workspace` -- a per-solve, shape/dtype-keyed buffer pool, so
   steady-state iterations allocate zero new arrays.
-* :class:`SetupCache` -- memoizes matrix-dependent setup (ELL
-  conversion, preconditioner factorizations, matrix-powers structure)
-  across repeated ``solve()`` calls, keyed by a content fingerprint.
+* :class:`SetupCache` -- memoizes matrix-dependent setup
+  (preconditioner factorizations, matrix-powers structure) across
+  repeated ``solve()`` calls, keyed by a content fingerprint.
 
 The kernels themselves live in :mod:`repro.util.kernels`; solvers call
 them, and :func:`repro.sparse.linop.matvec_into`, directly.
@@ -19,7 +19,6 @@ from types import ModuleType
 
 from repro.backend.cache import (
     SetupCache,
-    cached_ell,
     clear_setup_cache,
     matrix_fingerprint,
     set_setup_cache,
@@ -37,7 +36,6 @@ __all__ = [
     "set_setup_cache",
     "swapped_setup_cache",
     "matrix_fingerprint",
-    "cached_ell",
     "resolve_backend",
 ]
 

@@ -2,13 +2,12 @@
 
 Repeated ``solve()`` calls against the same operator -- the production
 traffic pattern the ROADMAP targets -- re-pay setup work that depends
-only on the matrix: the CSR→ELL conversion, preconditioner
-factorizations (IC(0), SSOR splits, Chebyshev spectral bounds), and the
-matrix-powers ghost-structure analysis.  This module memoizes those
-builds behind a content fingerprint: ``(format, shape, nnz, digest)``
-where the digest covers the actual index/value bytes, so two
-*structurally identical* matrices hit the same entry and any numerical
-change misses it.
+only on the matrix: preconditioner factorizations (IC(0), SSOR splits,
+Chebyshev spectral bounds) and the matrix-powers ghost-structure
+analysis.  This module memoizes those builds behind a content
+fingerprint: ``(format, shape, nnz, digest)`` where the digest covers
+the actual index/value bytes, so two *structurally identical* matrices
+hit the same entry and any numerical change misses it.
 
 The fingerprint is cached on our immutable matrix classes after the
 first computation (hashing is O(nnz), the builds it saves are much
@@ -38,7 +37,6 @@ __all__ = [
     "clear_setup_cache",
     "set_setup_cache",
     "swapped_setup_cache",
-    "cached_ell",
 ]
 
 
@@ -95,10 +93,10 @@ class SetupCache:
     """A bounded LRU cache of matrix-dependent setup artifacts.
 
     Entries are keyed by ``(kind, fingerprint, extra)`` where ``kind``
-    names the artifact family (``"ell"``, ``"precond"``,
-    ``"matrix_powers"``), ``fingerprint`` comes from
-    :func:`matrix_fingerprint`, and ``extra`` carries any non-matrix
-    parameters of the build (preconditioner spec, power depth, ...).
+    names the artifact family (``"precond"``, ``"matrix_powers"``),
+    ``fingerprint`` comes from :func:`matrix_fingerprint`, and ``extra``
+    carries any non-matrix parameters of the build (preconditioner spec,
+    power depth, ...).
     """
 
     def __init__(self, maxsize: int = 32) -> None:
@@ -212,16 +210,3 @@ def swapped_setup_cache(cache: SetupCache | None = None) -> Iterator[SetupCache]
     finally:
         set_setup_cache(previous)
 
-
-def cached_ell(a: Any):
-    """ELL form of ``a``, memoized through the global setup cache."""
-    from repro.sparse.csr import CSRMatrix
-    from repro.sparse.ell import ELLMatrix, csr_to_ell
-
-    if isinstance(a, ELLMatrix):
-        return a
-    if not isinstance(a, CSRMatrix):
-        raise TypeError(f"cannot convert {type(a).__name__} to ELL")
-    return _GLOBAL_CACHE.get_or_build(
-        "ell", matrix_fingerprint(a), None, lambda: csr_to_ell(a)
-    )

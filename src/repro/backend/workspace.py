@@ -3,11 +3,12 @@
 Steady-state solver loops must allocate **zero** new arrays per iteration
 (the allocation-discipline contract tested by
 ``tests/test_allocation_discipline.py``).  Everything a loop needs beyond
-its own state vectors -- the matvec result, the CSR gather product, the
-power-block scratch -- is drawn from a :class:`Workspace`: the first
-request for a slot allocates it, every later request with the same name
-and dtype reuses the buffer (reallocating only if the requested shape
-changed, which is what the batched solvers' deflation does on purpose).
+its own state vectors -- the matvec result, the elementwise kernels'
+temporaries, the power-block scratch -- is drawn from a
+:class:`Workspace`: the first request for a slot allocates it, every
+later request with the same name and dtype reuses the buffer
+(reallocating only if the requested shape changed, which is what the
+batched solvers' deflation does on purpose).
 
 A workspace is *per solve*: each solve's
 :class:`~repro.core.results.SolveRun` (and each batched solve) makes its

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.stopping import StoppingCriterion
-from repro.registry import available_methods, batched_methods
+from repro.registry import available_methods, batched_methods, method_entry
 from repro.registry import solve as registry_solve
 from repro.registry import solve_batched as registry_solve_batched
 from repro.sparse.csr import CSRMatrix
@@ -217,7 +217,13 @@ def _solve(args) -> int:
         except ValueError as exc:
             raise SystemExit(f"--inject-fault: {exc}") from exc
         options["faults"] = FaultPlan(injectors, seed=args.fault_seed)
-    if args.recovery is not None and args.recovery != "none":
+    if args.recovery == "none":
+        # Sent as None, which overrides pipelined-vr's drift default.
+        # Methods without recovery support, and the preconditioned
+        # drivers, take no recovery= at all, so it is dropped there.
+        if method_entry(method).supports_recovery and precond is None:
+            options["recovery"] = None
+    elif args.recovery is not None:
         options["recovery"] = args.recovery
 
     telemetry, tracer, registry = _build_observability(args)

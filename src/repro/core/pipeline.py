@@ -229,7 +229,7 @@ def pipelined_vr_cg(
     x0: np.ndarray | None = None,
     stop: StoppingCriterion | None = None,
     faults: Any = None,
-    recovery: Any = None,
+    recovery: Any = "drift",
     telemetry: "Telemetry | None" = None,
 ) -> CGResult:
     """Solve ``A x = b`` with the fully pipelined Van Rosendale iteration.
@@ -257,13 +257,18 @@ def pipelined_vr_cg(
         later consume -- the deep-pipeline exposure the paper's critics
         (Cools et al.) analyze.
     recovery:
-        Optional :class:`repro.faults.RecoveryPolicy` or preset name.
-        The pipelined realization cannot patch the in-flight window
-        (``verify_every`` is a no-op here): every repair -- periodic or
-        drift-triggered replacement, breakdown/divergence restart --
-        refills the whole pipeline from the true residual at the current
-        iterate, discarding the direction history.  Detectors still run
-        (the drift check costs one direct dot per iteration).
+        :class:`repro.faults.RecoveryPolicy` or preset name; defaults to
+        ``"drift"``, and ``None`` or ``"none"`` runs the recurrence
+        unrepaired.  Unrepaired, the recurred moments drift until
+        ``μ₀`` loses positivity and the solve breaks down on larger
+        grids even at ``k=2``, so drift repair is the default, as for
+        ``vr``.  The pipelined realization cannot patch the in-flight
+        window (``verify_every`` is a no-op here): every repair --
+        periodic or drift-triggered replacement, breakdown/divergence
+        restart -- refills the whole pipeline from the true residual at
+        the current iterate, discarding the direction history.
+        Detectors still run (the drift check costs one direct dot per
+        iteration).
     telemetry:
         Optional :class:`repro.telemetry.Telemetry` hook; every launch,
         consume, and coefficient-update is emitted as a

@@ -228,12 +228,19 @@ def verified_exit(
     check costs one matvec at exit (already needed for
     ``true_residual_norm``), none per iteration: a CONVERGED exit whose
     true residual exceeds ``100x`` the stopping threshold is downgraded
-    to BREAKDOWN.  :meth:`SolveRun.finish` applies it to every
-    single-RHS solve and the two batched exits apply it per column, so
-    every method reports convergence under this one rule.
+    to BREAKDOWN.  The converse holds too: a BREAKDOWN exit whose true
+    residual already meets the threshold is CONVERGED.  Near the
+    tolerance a recurrence's quadratic forms sit at their rounding floor
+    (a recurred ``(r, r)`` of ``ε·(r₀, r₀)`` at ``rtol ≈ √ε``), so a
+    non-positive one there says nothing about the iterate.
+    :meth:`SolveRun.finish` applies the rule to every single-RHS solve
+    and the two batched exits apply it per column, so every method
+    reports convergence under this one rule.
     """
     if reason is StopReason.CONVERGED and true_residual > 100.0 * threshold:
         return StopReason.BREAKDOWN
+    if reason is StopReason.BREAKDOWN and true_residual <= threshold:
+        return StopReason.CONVERGED
     return reason
 
 

@@ -37,9 +37,11 @@ def run(*, fast: bool = True, k: int = 4) -> ExperimentReport:
     # k=4 comfortably reaches (E7b owns the deep-convergence story).
     rtol = 1e-8 if fast else 1e-5
     telemetry = Telemetry()
+    # Unrepaired: a drift replacement refills the pipeline and would
+    # add launches that are no part of Figure 1's schedule.
     result = pipelined_vr_cg(
         a, b, k=k, stop=StoppingCriterion(rtol=rtol, max_iter=600),
-        telemetry=telemetry,
+        recovery="none", telemetry=telemetry,
     )
     trace = trace_from_events(k, telemetry.events)
 

@@ -61,8 +61,9 @@ def run(*, fast: bool = True, nblocks: int = 4) -> ExperimentReport:
         oracle = [x]
         for _ in range(k):
             oracle.append(a.matvec(oracle[-1]))
-        # reduction order differs from reduceat; powers of A amplify
-        # the last-ulp differences, so compare to rounding, not bitwise
+        # per-row dots sum in another order than the CSR kernel; powers
+        # of A amplify the last-ulp differences, so compare to rounding,
+        # not bitwise
         exact = bool(np.allclose(powers, np.array(oracle), rtol=1e-8))
         all_exact = all_exact and exact
         stats = kernel.stats()

@@ -96,7 +96,7 @@ def run(*, fast: bool = True) -> ExperimentReport:
         ("vr(k=4), no replacement", lambda: vr_conjugate_gradient(a, b, k=4, stop=stop)),
         ("vr(k=4), replace every 5", lambda: vr_conjugate_gradient(a, b, k=4, stop=stop, replace_every=5)),
         ("vr(k=4), replace every 10", lambda: vr_conjugate_gradient(a, b, k=4, stop=stop, replace_every=10)),
-        ("pipelined vr(k=4), no replacement", lambda: pipelined_vr_cg(a, b, k=4, stop=stop)),
+        ("pipelined vr(k=4), no replacement", lambda: pipelined_vr_cg(a, b, k=4, stop=stop, recovery="none")),
     ]
     outcomes = {}
     for label, fn in rows:

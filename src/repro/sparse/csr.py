@@ -1,10 +1,11 @@
-"""Compressed Sparse Row matrices, built from scratch.
+"""Compressed Sparse Row matrices.
 
 This is the compute format for every solver in the repository.  The
-matrix--vector product is fully vectorized (gather + segment-reduce via
-:func:`numpy.add.reduceat`) per the HPC guide idiom of replacing Python
-loops with masked/indexed numpy operations, and books itself on the ambient
-operation counter so the work-accounting experiments see every matvec.
+products run scipy's compiled CSR kernels (``csr_matvec`` /
+``csr_matvecs``): one pass over the matrix per call, written straight
+into the result buffer, so a solver's ``out=`` product allocates
+nothing.  Each product books itself on the ambient operation counter so
+the work-accounting experiments see every matvec.
 
 The class deliberately implements only what the reproduction needs --
 matvec, transpose, diagonal extraction, scaling, row-degree statistics,
@@ -23,21 +24,6 @@ from repro.util.counters import add_matmat, add_matvec
 from repro.util.validation import check_out_array
 
 __all__ = ["CSRMatrix", "from_dense", "identity", "diag_matrix"]
-
-
-def _gather_buffer(work, name: str, shape: tuple[int, ...]) -> np.ndarray | None:
-    """Resolve a ``work=`` argument to a gather buffer (or ``None``).
-
-    ``work`` may be a :class:`repro.backend.Workspace` (duck-typed via
-    its ``get`` method, so this module needs no backend import) or a
-    preallocated float64 array of the right shape.
-    """
-    if work is None:
-        return None
-    getter = getattr(work, "get", None)
-    if callable(getter):
-        return getter(name, shape)
-    return check_out_array(work, shape, name="work")
 
 
 @dataclass(frozen=True)
@@ -106,37 +92,14 @@ class CSRMatrix:
         """Number of stored nonzeros."""
         return int(self.indices.size)
 
-    def row_structure(self) -> tuple[np.ndarray, bool]:
-        """``(segment_starts, all_rows_nonempty)``, computed once per matrix.
-
-        ``np.add.reduceat`` needs the list of row segment starts and a
-        guarantee of monotonicity (empty rows break it); both depend
-        only on the immutable ``indptr``, so they are cached on first
-        use rather than recomputed inside every matvec.
-        """
-        cached = self.__dict__.get("_row_structure")
-        if cached is None:
-            starts = self.indptr[:-1]
-            all_nonempty = bool(np.all(np.diff(self.indptr) > 0))
-            cached = (starts, all_nonempty)
-            object.__setattr__(self, "_row_structure", cached)
-        return cached
-
-    def matvec(
-        self,
-        x: np.ndarray,
-        out: np.ndarray | None = None,
-        work=None,
-    ) -> np.ndarray:
-        """Compute ``A @ x`` (vectorized gather + segmented reduction).
+    def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Compute ``A @ x`` in one compiled pass over the matrix.
 
         Books one matvec on the ambient operation counter.  ``out`` may be
         supplied to avoid allocating the result; it must be a float64
-        array of shape ``(nrows,)`` not aliasing ``x``.  ``work`` (a
-        :class:`repro.backend.Workspace` or an ``(nnz,)`` float64 array)
-        additionally makes the *gather product* allocation-free: the
-        ``data * x[indices]`` intermediate lands in the reusable buffer
-        via ``np.take`` instead of a fresh fancy-index allocation.
+        array of shape ``(nrows,)`` not aliasing ``x``.  Each row sums
+        left to right, so the result matches scipy's ``A @ x`` bit for
+        bit.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.ncols,):
@@ -146,55 +109,28 @@ class CSRMatrix:
                 raise ValueError("out must not alias x")
             check_out_array(out, (self.nrows,))
         tracer = add_matvec(self.nnz, self.nrows)
-        y = out if out is not None else np.empty(self.nrows, dtype=np.float64)
-        if self.nnz == 0:
-            y[:] = 0.0
-        else:
-            gather = _gather_buffer(work, "csr_gather", (self.nnz,))
-            if gather is not None:
-                # mode="clip" lets np.take write straight into the buffer;
-                # the default mode="raise" stages through a fresh
-                # temporary.  Indices were range-checked at construction,
-                # so clipping never actually fires.
-                np.take(x, self.indices, out=gather, mode="clip")
-                np.multiply(gather, self.data, out=gather)
-                products = gather
-            else:
-                products = self.data * x[self.indices]
-            self._sum_rows(products, y)
+        y = np.empty(self.nrows, dtype=np.float64) if out is None else out
+        y.fill(0.0)  # the kernel accumulates: y += A x
+        # Imported at the first product, not at module load, so a matrix
+        # built before the first solve does not stack its construction
+        # temporaries on scipy.sparse's memory (a solve loads it anyway).
+        from scipy.sparse import _sparsetools
+
+        _sparsetools.csr_matvec(
+            self.nrows, self.ncols, self.indptr, self.indices, self.data, x, y
+        )
         if tracer is not None:
             tracer.end("matvec")
         return y
 
-    def _sum_rows(self, products: np.ndarray, y: np.ndarray) -> None:
-        """Write each row's segment sum of ``products`` (leading axis) to ``y``."""
-        starts, all_rows_nonempty = self.row_structure()
-        if all_rows_nonempty:
-            np.add.reduceat(products, starts, axis=0, out=y)
-        else:
-            # Empty rows would make the start list non-monotonic; take
-            # the generic (allocating) path -- structurally rare.
-            y[:] = 0.0
-            nonempty = np.diff(self.indptr) > 0
-            if np.any(nonempty):
-                y[nonempty] = np.add.reduceat(products, starts[nonempty], axis=0)
-
-    def matmat(
-        self,
-        x: np.ndarray,
-        out: np.ndarray | None = None,
-        work=None,
-    ) -> np.ndarray:
+    def matmat(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Compute ``A @ X`` for an ``(ncols, m)`` column block.
 
-        One traversal of the matrix serves all ``m`` columns: the gather
-        ``X[indices, :]`` pulls ``(nnz, m)`` rows and a single segmented
-        reduction produces every column at once.  Books ``m`` matvecs'
-        flops but only one pass of matrix traffic (see
+        One traversal of the matrix serves all ``m`` columns.  Books ``m``
+        matvecs' flops but only one pass of matrix traffic (see
         :func:`repro.util.counters.add_matmat`) -- the data-locality win
         the batched solvers are built on.  ``out`` must be a float64
-        ``(nrows, m)`` array; ``work`` reuses an ``(nnz, m)`` gather
-        buffer exactly as in :meth:`matvec`.
+        ``(nrows, m)`` array not aliasing ``x``.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] != self.ncols:
@@ -207,18 +143,13 @@ class CSRMatrix:
                 raise ValueError("out must not alias x")
             check_out_array(out, (self.nrows, m))
         tracer = add_matmat(self.nnz, self.nrows, m)
-        y = out if out is not None else np.empty((self.nrows, m), dtype=np.float64)
-        if self.nnz == 0 or m == 0:
-            y[:] = 0.0
-        else:
-            gather = _gather_buffer(work, "csr_gather_block", (self.nnz, m))
-            if gather is not None:
-                np.take(x, self.indices, axis=0, out=gather, mode="clip")
-                np.multiply(gather, self.data[:, None], out=gather)
-                products = gather
-            else:
-                products = self.data[:, None] * x[self.indices, :]
-            self._sum_rows(products, y)
+        y = np.empty((self.nrows, m), dtype=np.float64) if out is None else out
+        y.fill(0.0)
+        from scipy.sparse import _sparsetools  # see matvec
+
+        _sparsetools.csr_matvecs(
+            self.nrows, self.ncols, m, self.indptr, self.indices, self.data, x, y
+        )
         if tracer is not None:
             tracer.end("matvec")
         return y

@@ -14,11 +14,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sparse.csr import CSRMatrix, _gather_buffer
+from repro.sparse.csr import CSRMatrix
 from repro.util.counters import add_matmat, add_matvec
 from repro.util.validation import check_out_array
 
 __all__ = ["ELLMatrix", "csr_to_ell"]
+
+
+def _gather_buffer(work, name: str, shape: tuple[int, ...]) -> np.ndarray | None:
+    """Resolve a ``work=`` argument to a gather buffer (or ``None``).
+
+    ``work`` may be a :class:`repro.backend.Workspace` (duck-typed via
+    its ``get`` method, so this module needs no backend import) or a
+    preallocated float64 array of the right shape.
+    """
+    if work is None:
+        return None
+    getter = getattr(work, "get", None)
+    if callable(getter):
+        return getter(name, shape)
+    return check_out_array(work, shape, name="work")
 
 
 @dataclass(frozen=True)
@@ -73,7 +88,7 @@ class ELLMatrix:
         receives the result without allocating; ``work`` (a
         :class:`repro.backend.Workspace` or an ``(nrows, width)`` float64
         array) additionally reuses the gather plane, making the whole
-        product allocation-free -- matching :meth:`CSRMatrix.matvec`.
+        product allocation-free.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.ncols,):
@@ -102,11 +117,9 @@ class ELLMatrix:
 
         The dense index plane makes this a single rectangular gather
         ``X[col_plane]`` (shape ``(nrows, width, m)``) contracted against
-        the value plane in one einsum -- no ragged segment reduction, so
-        the block product actually realizes the one-matrix-pass locality
-        the batched solvers bank on (CSR's segmented ``reduceat`` over an
-        ``(nnz, m)`` block does not).  Books ``m`` matvecs' flops but one
-        pass of matrix traffic, like :meth:`CSRMatrix.matmat`.
+        the value plane in one einsum -- no ragged segment reduction.
+        Books ``m`` matvecs' flops but one pass of matrix traffic, like
+        :meth:`CSRMatrix.matmat`.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] != self.ncols:

@@ -351,7 +351,8 @@ class NormalOperator:
 
 
 #: Per-(operator type, method) capability of ``matvec`` / ``matmat``:
-#: 2 = takes ``out=`` and ``work=``, 1 = takes ``out=`` only, 0 = plain
+#: 2 = takes ``out=`` and ``work=`` (ELL's gather plane), 1 = takes
+#: ``out=`` only (CSR's compiled kernel, :class:`DenseOperator`), 0 = plain
 #: ``method(x)``.  Looked up once per type via ``inspect.signature`` so the
 #: steady-state dispatch is a dict hit, not reflection -- and never a
 #: trial call, which would re-run a product whose body raised TypeError.
@@ -387,11 +388,12 @@ def matvec_into(
     """Apply ``op`` to ``x``, writing the result into ``out``.
 
     Dispatches on what the operator's own ``matvec`` supports --
-    workspace-aware (our CSR/ELL matrices), ``out=``-aware
-    (:class:`DenseOperator`), or plain (callable wrappers, fault-wrapped
-    operators) -- copying through a temporary only in the last case, so
-    every :class:`LinearOperator` works and capable ones stay
-    allocation-free.
+    workspace-aware (:class:`~repro.sparse.ell.ELLMatrix`), ``out=``-aware
+    (:class:`~repro.sparse.csr.CSRMatrix`, :class:`DenseOperator`), or
+    plain (callable wrappers, fault-wrapped operators) -- copying through
+    a temporary only in the last case, so every :class:`LinearOperator`
+    works and capable ones stay allocation-free.  ``work`` reaches only
+    an operator whose ``matvec`` takes it.
     """
     level = _out_support(op, "matvec")
     if level == 2:
@@ -419,9 +421,9 @@ def block_matvec(
     loop of ``matvec`` calls, so any :class:`LinearOperator` works under
     the batched solvers, just without the locality win.  ``out`` lets
     steady-state solver loops reuse one result block; the ``matmat`` is
-    dispatched on its signature by the same rule as :func:`matvec_into`,
-    so one whose ``matmat`` predates the ``out=``/``work=`` convention
-    still works (the result is copied in).
+    dispatched on its signature by the same rule as :func:`matvec_into`
+    (``work`` reaches ELL's gather plane only), so a ``matmat`` without
+    ``out=`` still works (the result is copied in).
     """
     x = np.asarray(x)
     if x.dtype.kind not in "fc":

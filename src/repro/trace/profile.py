@@ -173,13 +173,15 @@ class ProfileReport:
 
 
 class _CollectorSink:
-    """Counts the event kinds the report needs; stores nothing else."""
+    """Counts the event kinds the report needs, and keeps the outermost
+    solve's start options (the window it ran); stores nothing else."""
 
     def __init__(self) -> None:
         self.drift = 0
         self.faults = 0
         self.recoveries = 0
         self.reductions: dict[str, int] = {}
+        self.start_options: dict[str, Any] | None = None
 
     def emit(self, event: Any) -> None:
         kind = event.kind
@@ -191,6 +193,8 @@ class _CollectorSink:
             self.recoveries += 1
         elif kind == "reduction":
             self.reductions[event.op] = self.reductions.get(event.op, 0) + 1
+        elif kind == "solve_start" and self.start_options is None:
+            self.start_options = event.options
 
 
 def _max_degree(a: Any) -> int:
@@ -210,9 +214,14 @@ def _max_degree(a: Any) -> int:
 
 
 def _build_model(
-    method: str, n: int, d: int, iterations: int, options: dict[str, Any]
+    method: str, n: int, d: int, iterations: int, window: dict[str, Any]
 ) -> ModelPrediction | None:
-    """Compile the method's DAG and read sync figures off its critical path."""
+    """Compile the method's DAG and read sync figures off its critical path.
+
+    ``window`` is the solve's own ``solve_start`` options, so the DAG has
+    the look-ahead the solve ran: ``k`` (vr, pipelined-vr), ``k0`` (the
+    adaptive methods' starting window) or ``s`` (s-step).
+    """
     family = _DAG_METHODS.get(method)
     if family is None:
         return None
@@ -226,8 +235,10 @@ def _build_model(
     )
 
     iters = int(max(4, min(iterations or 12, 24)))
-    k = int(options.get("k", 4) or 4)
-    s = int(options.get("s", 4) or 4)
+    # A b = 0 solve returns before any solver starts, so its start event
+    # names no window; price the solvers' default windows then.
+    k = int(window.get("k", window.get("k0", 2)))
+    s = int(window.get("s", 4))
     if family == "cg":
         graph = build_cg_dag(n, d, iters).graph
         markers = iters
@@ -319,7 +330,9 @@ def profile_solve(
             solve_span.phase_totals().items(), key=lambda kv: -kv[1][0]
         )
     ]
-    model = _build_model(method, n, d, iterations, options)
+    model = _build_model(
+        method, n, d, iterations, collector.start_options or {}
+    )
 
     cm = CostModel()
     comm_stats = (result.extras or {}).get("comm_stats")

@@ -28,11 +28,12 @@ def check_out_array(
 ) -> np.ndarray:
     """Validate a caller-supplied output buffer up front.
 
-    The sparse kernels write results via ``np.add.reduceat(..., out=)``
-    and ``np.einsum(..., out=)``, which fail with cryptic ufunc casting
-    errors on a wrong-dtype or wrong-length buffer deep inside the
-    kernel; this check turns that into a clear ``ValueError`` at the API
-    boundary instead.
+    The sparse kernels write results through scipy's compiled CSR
+    kernels and ``np.einsum(..., out=)``.  There a wrong-dtype buffer
+    fails with a terse casting error, and the CSR kernel fills only the
+    first ``nrows`` entries of a too-long one without complaint; this
+    check turns both into a clear ``ValueError`` at the API boundary
+    instead.
     """
     if not isinstance(out, np.ndarray):
         raise ValueError(

@@ -70,7 +70,7 @@ class TestSolver:
     def test_matches_cg_iterations(self, poisson_small, rhs, k):
         b = rhs(poisson_small.nrows)
         ref = conjugate_gradient(poisson_small, b, stop=TIGHT)
-        res = pipelined_vr_cg(poisson_small, b, k=k, stop=TIGHT)
+        res = pipelined_vr_cg(poisson_small, b, k=k, stop=TIGHT, recovery="none")
         assert res.converged
         assert abs(res.iterations - ref.iterations) <= 1
         np.testing.assert_allclose(res.x, ref.x, atol=1e-5)

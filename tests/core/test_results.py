@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.results import CGResult, StopReason
+from repro.core.results import CGResult, StopReason, verified_exit
 
 
 def make_result(**kw) -> CGResult:
@@ -51,3 +51,13 @@ class TestStopReason:
         assert StopReason.CONVERGED.value == "converged"
         assert StopReason.MAX_ITER.value == "max_iterations"
         assert StopReason.BREAKDOWN.value == "breakdown"
+
+
+class TestVerifiedExit:
+    def test_breakdown_that_meets_the_threshold_converged(self):
+        # A recurrence can break down at its rounding floor on an iterate
+        # that already meets the rule; only the true residual decides.
+        assert verified_exit(StopReason.BREAKDOWN, 0.5, 1.0) is StopReason.CONVERGED
+        assert verified_exit(StopReason.BREAKDOWN, 1.0, 1.0) is StopReason.CONVERGED
+        assert verified_exit(StopReason.BREAKDOWN, 2.0, 1.0) is StopReason.BREAKDOWN
+        assert verified_exit(StopReason.MAX_ITER, 0.5, 1.0) is StopReason.MAX_ITER

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import _sparsetools
 
 from repro.sparse.csr import CSRMatrix, diag_matrix, from_dense, identity
 from repro.util.counters import counting
@@ -43,6 +44,17 @@ class TestConstruction:
         a = from_dense(np.zeros((3, 3)))
         assert a.nnz == 0
         np.testing.assert_array_equal(a.matvec(np.ones(3)), np.zeros(3))
+        # A stale out buffer is overwritten, not accumulated into.
+        out = np.full(3, 5.0)
+        a.matvec(np.ones(3), out=out)
+        np.testing.assert_array_equal(out, a.to_scipy() @ np.ones(3))
+        block = np.full((3, 2), 5.0)
+        a.matmat(np.ones((3, 2)), out=block)
+        np.testing.assert_array_equal(block, np.zeros((3, 2)))
+        # An empty column block: m = 0.
+        none = np.empty((3, 0))
+        assert a.matmat(np.empty((3, 0)), out=none) is none
+        assert from_dense(np.eye(3)).matmat(np.empty((3, 0))).shape == (3, 0)
 
     def test_bad_indptr_shape(self):
         with pytest.raises(ValueError, match="indptr"):
@@ -87,6 +99,11 @@ class TestMatvec:
         x = default_rng(seed + 1).standard_normal(m)
         csr = from_dense(dense)
         np.testing.assert_allclose(csr.matvec(x), dense @ x, atol=1e-10)
+        # Each row sums left to right, exactly as scipy's product does.
+        ref = csr.to_scipy()
+        np.testing.assert_array_equal(csr.matvec(x), ref @ x)
+        block = default_rng(seed + 3).standard_normal((m, 3))
+        np.testing.assert_array_equal(csr.matmat(block), ref @ block)
 
     def test_matmul_operator(self):
         a = from_dense(np.array([[2.0]]))
@@ -98,6 +115,39 @@ class TestMatvec:
         res = a.matvec(np.array([1.0, 1.0]), out=out)
         assert res is out
         np.testing.assert_allclose(out, [3.0, 7.0])
+        block = np.empty((2, 2))
+        x = np.array([[1.0, 0.5], [1.0, -2.0]])
+        assert a.matmat(x, out=block) is block
+        np.testing.assert_array_equal(block, a.to_scipy() @ x)
+        # Strided x and out: the result lands in the view and nowhere else.
+        a = from_dense(random_dense(5, 4, 0.6, 11))
+        ref = a.to_scipy()
+        xs = default_rng(12).standard_normal(8)
+        backing = np.full(10, 7.0)
+        a.matvec(xs[::2], out=backing[::2])
+        np.testing.assert_array_equal(backing[::2], ref @ xs[::2])
+        np.testing.assert_array_equal(backing[1::2], 7.0)
+        xb = np.asfortranarray(default_rng(13).standard_normal((4, 3)))
+        wide = np.full((5, 5), 7.0)
+        a.matmat(xb, out=wide[:, 1:4])
+        np.testing.assert_array_equal(wide[:, 1:4], ref @ xb)
+        np.testing.assert_array_equal(wide[:, [0, 4]], 7.0)
+
+    def test_compiled_kernel_contract(self):
+        """Pin scipy's private in-place CSR kernels, which the products
+        call: argument order, and ``y += A·x`` (not ``y = A·x``).  Small
+        integers keep every sum exact, whatever the order."""
+        a = from_dense(np.array([[2.0, 0.0, -1.0], [0.0, 3.0, 0.0],
+                                 [0.0, 0.0, 0.0], [1.0, 4.0, 5.0]]))
+        ref = a.to_scipy()
+        x = np.array([1.0, -2.0, 3.0])
+        y = np.ones(4)
+        _sparsetools.csr_matvec(4, 3, a.indptr, a.indices, a.data, x, y)
+        np.testing.assert_array_equal(y, ref @ x + 1.0)
+        xb = np.array([[1.0, 2.0], [0.0, -1.0], [3.0, 1.0]])
+        yb = np.ones((4, 2))
+        _sparsetools.csr_matvecs(4, 3, 2, a.indptr, a.indices, a.data, xb, yb)
+        np.testing.assert_array_equal(yb, ref @ xb + 1.0)
 
     def test_out_alias_rejected(self):
         a = identity(2)
@@ -113,7 +163,10 @@ class TestMatvec:
     def test_empty_rows(self):
         dense = np.array([[0.0, 0.0], [1.0, 0.0]])
         a = from_dense(dense)
-        np.testing.assert_allclose(a.matvec(np.array([2.0, 3.0])), [0.0, 2.0])
+        x = np.array([2.0, 3.0])
+        np.testing.assert_allclose(a.matvec(x), [0.0, 2.0])
+        out = np.full(2, 9.0)
+        np.testing.assert_array_equal(a.matvec(x, out=out), a.to_scipy() @ x)
 
     def test_counted(self):
         a = identity(5)

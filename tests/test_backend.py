@@ -16,7 +16,6 @@ import pytest
 from repro.backend import (
     SetupCache,
     Workspace,
-    cached_ell,
     clear_setup_cache,
     matrix_fingerprint,
     resolve_backend,
@@ -121,17 +120,6 @@ class TestSetupCache:
         hits_before = cache.stats()["hits"]
         cache.get_or_build("k", matrix_fingerprint(c), (), lambda: 0)
         assert cache.stats()["hits"] == hits_before + 1
-
-    def test_cached_ell_reuses_conversion(self):
-        clear_setup_cache()
-        a = poisson2d(8)
-        e1 = cached_ell(a)
-        e2 = cached_ell(a)
-        assert e1 is e2
-        np.testing.assert_allclose(
-            e1.matvec(np.ones(a.nrows)), a.matvec(np.ones(a.nrows))
-        )
-        clear_setup_cache()
 
     def test_global_cache_clear(self):
         clear_setup_cache()

@@ -140,19 +140,18 @@ def test_bench_operator_zoo_smoke_emits_json(tmp_path):
 def test_bench_backend_kernels_smoke_emits_json(tmp_path):
     bench = _load_by_path("bench_backend_kernels", BACKEND_BENCH_PATH)
     out = tmp_path / "BENCH_perf.json"
-    # Speedup and timing numbers are noise at smoke scale; the 1.2x
-    # acceptance floor is asserted only by the full-scale benchmark run.
+    # Timing numbers are noise at smoke scale.
     payload = bench.run(grid=24, solve_grid=16, repeats=2, out_path=out)
 
     on_disk = json.loads(out.read_text())
     assert on_disk == payload
     assert on_disk["bench"] == "backend_kernels"
     assert on_disk["n"] == 576
-    assert on_disk["workspace_matvec_seconds"] > 0.0
+    assert on_disk["out_matvec_seconds"] > 0.0
     assert on_disk["allocating_matvec_seconds"] > 0.0
-    # The workspace path must stay allocation-free at any scale.
+    # The solve path's out= product must stay allocation-free at any scale.
     assert (
-        on_disk["workspace_matvec_allocs"]["peak_bytes"]
+        on_disk["out_matvec_allocs"]["peak_bytes"]
         < on_disk["allocating_matvec_allocs"]["peak_bytes"]
     )
     assert on_disk["solve_allocations"]["default"]["max_iteration_bytes"] >= 0

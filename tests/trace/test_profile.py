@@ -109,3 +109,14 @@ def test_profile_rejects_unknown_method(system):
     a, b = system
     with pytest.raises(ValueError):
         profile_solve(a, b, method="nope")
+
+
+@pytest.mark.parametrize("method", ["vr", "adaptive-vr"])
+def test_profile_models_the_window_the_solve_ran(method):
+    """A profile that leaves k to the solver prices the solver's own
+    window (k = 2), not a k = 4 one."""
+    a = poisson2d(16)
+    b = np.ones(a.nrows)
+    default = profile_solve(a, b, method=method)
+    explicit = profile_solve(a, b, method=method, k=2)
+    assert default.model == explicit.model
