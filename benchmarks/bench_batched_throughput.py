@@ -117,9 +117,10 @@ def run(
     return payload
 
 
-def test_batched_cg_throughput():
+def test_batched_cg_throughput(tmp_path):
     """Acceptance: batched CG >= 3x looped throughput at m=16."""
-    payload = run()
+    out = tmp_path / DEFAULT_OUT.name
+    payload = run(out_path=out)
     by_m = {r["m"]: r for r in payload["results"]}
     assert 16 in by_m, "bench must include the m=16 acceptance point"
     speedup = by_m[16]["speedup"]
@@ -131,4 +132,4 @@ def test_batched_cg_throughput():
     # Column trajectories are identical work: the block solve wins on
     # locality and fused reductions, not by doing fewer iterations.
     assert by_m[16]["batched_sweeps"] == max(by_m[16]["looped_iterations"])
-    assert DEFAULT_OUT.exists()
+    assert out.exists()

@@ -140,9 +140,10 @@ def run(
     return payload
 
 
-def test_fault_recovery_sweep():
+def test_fault_recovery_sweep(tmp_path):
     """Acceptance: zero dishonest exits anywhere; recovery recovers."""
-    payload = run()
+    out = tmp_path / DEFAULT_OUT.name
+    payload = run(out_path=out)
     for cell in payload["results"]:
         assert cell["dishonest"] == 0, (
             f"rate={cell['rate']} policy={cell['policy']}: "
@@ -159,4 +160,4 @@ def test_fault_recovery_sweep():
         c["policy"]: c for c in payload["results"] if c["rate"] == low
     }
     assert by_policy["robust"]["converged"] >= by_policy["none"]["converged"]
-    assert DEFAULT_OUT.exists()
+    assert out.exists()

@@ -255,9 +255,11 @@ def run(
     return payload
 
 
-def test_run_emits_budget_payload():
+def test_run_emits_budget_payload(tmp_path):
     """Full-scale run(): every budgeted configuration meets 5%."""
-    payload = run()
+    out = tmp_path / DEFAULT_OUT.name
+    payload = run(out_path=out)
+    assert out.exists()
     for record in payload["results"]:
         print(
             f"\n{record['method']:>3} {record['config']:<15} "

@@ -55,7 +55,6 @@ from repro.core import (
     StopReason,
     StoppingCriterion,
     batched_cg,
-    batched_vr_cg,
     conjugate_gradient,
     pipelined_vr_cg,
     star_coefficients_numeric,
@@ -65,7 +64,6 @@ from repro.core import (
 from repro.registry import (
     available_methods,
     batched_methods,
-    coalescable_methods,
     operator_methods,
     solve,
     solve_batched,
@@ -106,7 +104,6 @@ __all__ = [
     "setup_cache",
     "available_methods",
     "batched_methods",
-    "coalescable_methods",
     "operator_methods",
     "ServiceConfig",
     "SolverService",
@@ -122,7 +119,6 @@ __all__ = [
     "StopReason",
     "StoppingCriterion",
     "batched_cg",
-    "batched_vr_cg",
     "conjugate_gradient",
     "pipelined_vr_cg",
     "star_coefficients_numeric",

@@ -260,13 +260,6 @@ def _solve_batched(args, a: CSRMatrix, stop, method: str) -> int:
         raise SystemExit(
             "--rhs-count > 1 does not support --inject-fault/--recovery"
         )
-    if args.drift_tol is not None:
-        raise SystemExit(
-            "--rhs-count > 1 does not support --drift-tol: the batched vr "
-            "path takes periodic --replace-every only; solve one "
-            "right-hand side at a time for drift-triggered replacement "
-            "or a --recovery policy"
-        )
     b_block = _load_rhs_block(args, a.nrows)
 
     options: dict = {

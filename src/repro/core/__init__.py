@@ -52,7 +52,7 @@ from repro.core.moments import (
     initial_window,
     window_from_powers,
 )
-from repro.core.batched import batched_cg, batched_vr_cg
+from repro.core.batched import batched_cg
 from repro.core.pipeline import LaunchLedger, PipelineTrace, TraceEvent, pipelined_vr_cg
 from repro.core.powers import PowerBlock
 from repro.core.results import BatchedResult, CGResult, StopReason
@@ -91,7 +91,6 @@ __all__ = [
     "CGResult",
     "StopReason",
     "batched_cg",
-    "batched_vr_cg",
     "conjugate_gradient",
     "StoppingCriterion",
     "VRState",

@@ -129,7 +129,7 @@ class BatchedResult:
         Per-column residual-norm histories (algorithm-visible values).
     true_residual_norms:
         ``‖B[:, j] − A x_j‖`` recomputed from scratch at exit.
-    label, method, extras:
+    label, method:
         As in :class:`CGResult`.
     """
 
@@ -141,7 +141,6 @@ class BatchedResult:
     true_residual_norms: np.ndarray = field(default_factory=lambda: np.array([]))
     label: str = "batched-cg"
     method: str = ""
-    extras: dict[str, Any] = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -234,8 +233,8 @@ def verified_exit(
     (a recurred ``(r, r)`` of ``ε·(r₀, r₀)`` at ``rtol ≈ √ε``), so a
     non-positive one there says nothing about the iterate.
     :meth:`SolveRun.finish` applies the rule to every single-RHS solve
-    and the two batched exits apply it per column, so every method
-    reports convergence under this one rule.
+    and the batched exit applies it per column, so every method reports
+    convergence under this one rule.
     """
     if reason is StopReason.CONVERGED and true_residual > 100.0 * threshold:
         return StopReason.BREAKDOWN

@@ -14,9 +14,8 @@ counts what each algorithm pays in synchronization:
 """
 
 from repro.distributed.comm import CommStats, PendingReduction, SimComm
-from repro.distributed.data import BlockMultiVector, BlockVector, DistributedCSR
+from repro.distributed.data import BlockVector, DistributedCSR
 from repro.distributed.solvers import (
-    distributed_batched_cg,
     distributed_cg,
     distributed_cgcg,
     distributed_pipelined_vr,
@@ -28,10 +27,8 @@ __all__ = [
     "PendingReduction",
     "SimComm",
     "BlockVector",
-    "BlockMultiVector",
     "DistributedCSR",
     "distributed_cg",
-    "distributed_batched_cg",
     "distributed_cgcg",
     "distributed_sstep",
     "distributed_pipelined_vr",

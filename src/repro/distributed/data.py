@@ -23,7 +23,7 @@ from repro.sparse.csr import CSRMatrix
 from repro.sparse.matrix_powers import RowPartition
 from repro.util.counters import traced
 
-__all__ = ["BlockVector", "BlockMultiVector", "DistributedCSR"]
+__all__ = ["BlockVector", "DistributedCSR"]
 
 
 @dataclass
@@ -81,84 +81,6 @@ class BlockVector:
         )
 
 
-@dataclass
-class BlockMultiVector:
-    """An ``(n, m)`` column block split into one row-slab per rank.
-
-    The multi-RHS analogue of :class:`BlockVector`: each rank holds a
-    contiguous ``(rows_b, m)`` slab, vector arithmetic is rank-local, and
-    the fused per-rank partials of all ``m`` column inner products form
-    one ``(nranks, m)`` allreduce payload -- ONE collective of ``m``
-    words per inner-product site instead of ``m`` collectives of one.
-    """
-
-    partition: RowPartition
-    blocks: list[np.ndarray]
-
-    @classmethod
-    def from_global(cls, x: np.ndarray, partition: RowPartition) -> "BlockMultiVector":
-        """Scatter a global ``(n, m)`` block by rows."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] != partition.n:
-            raise ValueError(
-                f"block has shape {x.shape}, expected ({partition.n}, m)"
-            )
-        blocks = [
-            x[partition.starts[b] : partition.starts[b + 1]].copy()
-            for b in range(partition.nblocks)
-        ]
-        return cls(partition=partition, blocks=blocks)
-
-    @classmethod
-    def zeros(cls, partition: RowPartition, m: int) -> "BlockMultiVector":
-        """The ``(n, m)`` zero block."""
-        return cls.from_global(np.zeros((partition.n, m)), partition)
-
-    @property
-    def m(self) -> int:
-        """Number of columns."""
-        return int(self.blocks[0].shape[1])
-
-    def to_global(self) -> np.ndarray:
-        """Gather into a global ``(n, m)`` array (diagnostics only)."""
-        return np.concatenate(self.blocks, axis=0)
-
-    def copy(self) -> "BlockMultiVector":
-        """Deep copy."""
-        return BlockMultiVector(self.partition, [b.copy() for b in self.blocks])
-
-    def take_columns(self, keep: np.ndarray) -> "BlockMultiVector":
-        """Restrict to the given column positions (deflation compaction)."""
-        return BlockMultiVector(
-            self.partition, [np.ascontiguousarray(b[:, keep]) for b in self.blocks]
-        )
-
-    # -- rank-local arithmetic (no communication) -----------------------
-    @traced("axpy")
-    def axpy_inplace(self, a: np.ndarray, x: "BlockMultiVector") -> None:
-        """``self += x * a`` blockwise, ``a`` a per-column ``(m,)`` scale."""
-        for mine, theirs in zip(self.blocks, x.blocks):
-            mine += theirs * a
-
-    @traced("axpy")
-    def scale_add(self, a: np.ndarray, x: "BlockMultiVector") -> None:
-        """``self = x + self * a`` blockwise (the direction update)."""
-        for mine, theirs in zip(self.blocks, x.blocks):
-            mine *= a
-            mine += theirs
-
-    @traced("local_dot")
-    def block_dot_partials(self, other: "BlockMultiVector") -> np.ndarray:
-        """Per-rank fused partials, shape ``(nranks, m)`` -- all ``m``
-        column products of each rank ride one allreduce payload row."""
-        return np.stack(
-            [
-                np.einsum("ij,ij->j", mine, theirs)
-                for mine, theirs in zip(self.blocks, other.blocks)
-            ]
-        )
-
-
 class DistributedCSR:
     """Row-partitioned CSR with halo-exchange matvec."""
 
@@ -204,18 +126,3 @@ class DistributedCSR:
         x_global = x.to_global()  # stands in for owned + fetched ghosts
         out_blocks = [loc.matvec(x_global) for loc in self._local]
         return BlockVector(self._partition, out_blocks)
-
-    @traced("matvec")
-    def matmat(self, x: "BlockMultiVector", comm: SimComm) -> "BlockMultiVector":
-        """``A @ X`` for an ``(n, m)`` block with ONE booked halo exchange.
-
-        The exchange moves ``m`` words per ghost entry (each neighbour
-        row is needed for every column), but it is still a single
-        message round -- the matrix is streamed once for all columns.
-        """
-        if comm.nranks != self._partition.nblocks:
-            raise ValueError("communicator size does not match the partition")
-        comm.record_halo_exchange(self.ghost_words() * x.m)
-        x_global = x.to_global()
-        out_blocks = [loc.matmat(x_global) for loc in self._local]
-        return BlockMultiVector(self._partition, out_blocks)

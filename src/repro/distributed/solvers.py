@@ -22,28 +22,17 @@ import numpy as np
 
 from repro.core.coefficients import mu_index, sigma_index
 from repro.core.pipeline import _CoefficientPipeline
-from repro.core.results import (
-    BatchedResult,
-    CGResult,
-    SolveRun,
-    StopReason,
-    verified_exit,
-)
+from repro.core.results import CGResult, SolveRun, StopReason
 from repro.core.stopping import DIVERGENCE_FACTOR, StoppingCriterion
 from repro.distributed.comm import DroppedReductionError, PendingReduction, SimComm
-from repro.distributed.data import BlockMultiVector, BlockVector, DistributedCSR
+from repro.distributed.data import BlockVector, DistributedCSR
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.matrix_powers import RowPartition
 from repro.util.counters import traced
-from repro.util.validation import (
-    as_1d_float_array,
-    as_2d_float_array,
-    require_positive_int,
-)
+from repro.util.validation import as_1d_float_array, require_positive_int
 
 __all__ = [
     "distributed_cg",
-    "distributed_batched_cg",
     "distributed_cgcg",
     "distributed_sstep",
     "distributed_pipelined_vr",
@@ -163,148 +152,6 @@ def distributed_cg(
         reason, x.to_global(), iterations, res_norms, alphas=alphas,
         lambdas=lambdas, extras={"comm_stats": comm.stats},
     )
-    return result, comm
-
-
-def distributed_batched_cg(
-    a: CSRMatrix,
-    b: np.ndarray,
-    *,
-    nranks: int = 4,
-    stop: StoppingCriterion | None = None,
-    telemetry: "Telemetry | None" = None,
-) -> tuple[BatchedResult, SimComm]:
-    """Batched multi-RHS classical CG, SPMD form.
-
-    Per sweep: 1 halo exchange + **exactly 2 blocking allreduces
-    independent of** ``m`` -- each collective carries the fused
-    ``m_active``-word payload of all active columns' partials
-    (:meth:`~repro.distributed.data.BlockMultiVector.block_dot_partials`)
-    instead of one word per column.  Looping :func:`distributed_cg` over
-    columns would issue ``2m`` allreduces per sweep; the words-moved
-    total is the same, the *launch count* (the latency term the paper
-    minimizes) is ``m``-fold smaller.  Converged columns deflate out of
-    the active payload, shrinking it further.
-    """
-    stop = stop or StoppingCriterion()
-    b_block = as_2d_float_array(b, "B")
-    n, m = b_block.shape
-    part = RowPartition.uniform(n, nranks)
-    dist_a = DistributedCSR(a, part)
-    comm = SimComm(nranks, telemetry=telemetry)
-    if telemetry is not None:
-        telemetry.solve_start(
-            "dist-batched-cg",
-            f"dist-batched-cg(P={nranks})",
-            n,
-            m=m,
-            nranks=nranks,
-        )
-
-    b_vec = BlockMultiVector.from_global(b_block, part)
-    x = BlockMultiVector.zeros(part, m)
-    b_norms = np.sqrt(
-        np.maximum(comm.allreduce(b_vec.block_dot_partials(b_vec)), 0.0)
-    )
-    thresholds = np.array([stop.threshold(float(bn)) for bn in b_norms])
-
-    r = b_vec.copy()  # x0 = 0
-    p = r.copy()
-    rr = comm.allreduce(r.block_dot_partials(r))
-    res = np.sqrt(np.maximum(rr, 0.0))
-
-    active = np.arange(m)
-    histories: list[list[float]] = [[float(res[j])] for j in range(m)]
-    col_iters = np.zeros(m, dtype=np.int64)
-    reasons: list[StopReason] = [StopReason.MAX_ITER] * m
-
-    def _retire(positions: np.ndarray, reason: StopReason, iteration: int) -> None:
-        for pos in positions:
-            col = int(active[pos])
-            reasons[col] = reason
-            if telemetry is not None:
-                telemetry.column_converged(
-                    col, iteration, histories[col][-1], reason=reason.value
-                )
-
-    done0 = np.flatnonzero(res <= thresholds)
-    if done0.size:
-        _retire(done0, StopReason.CONVERGED, 0)
-        keep = np.flatnonzero(res > thresholds)
-        active = active[keep]
-        r, p = r.take_columns(keep), p.take_columns(keep)
-        rr = rr[keep]
-
-    iteration = 0
-    budget = stop.budget(n)
-    while active.size and iteration < budget:
-        iteration += 1
-        ap = dist_a.matmat(p, comm)
-        pap = comm.allreduce(p.block_dot_partials(ap))  # fused collective #1
-
-        bad = np.flatnonzero(pap <= 0.0)
-        if bad.size:
-            _retire(bad, StopReason.BREAKDOWN, iteration - 1)
-            keep = np.flatnonzero(pap > 0.0)
-            active = active[keep]
-            r, p, ap = (v.take_columns(keep) for v in (r, p, ap))
-            rr, pap = rr[keep], pap[keep]
-            if not active.size:
-                break
-
-        lam = rr / pap
-        for blk_x, blk_p in zip(x.blocks, p.blocks):
-            blk_x[:, active] += blk_p * lam
-        r.axpy_inplace(-lam, ap)
-        comm.advance_iteration()
-
-        rr_new = comm.allreduce(r.block_dot_partials(r))  # fused collective #2
-        res = np.sqrt(np.maximum(rr_new, 0.0))
-        for pos, col in enumerate(active):
-            histories[col].append(float(res[pos]))
-            col_iters[col] = iteration
-            if telemetry is not None:
-                telemetry.column_iteration(int(col), iteration, float(res[pos]))
-        if telemetry is not None:
-            telemetry.iteration(iteration, float(res.max()))
-            telemetry.active_set(iteration, int(active.size))
-
-        done = np.flatnonzero(res <= thresholds[active])
-        if done.size:
-            _retire(done, StopReason.CONVERGED, iteration)
-            keep = np.flatnonzero(res > thresholds[active])
-            active = active[keep]
-            r, p = r.take_columns(keep), p.take_columns(keep)
-            rr, rr_new = rr[keep], rr_new[keep]
-            if not active.size:
-                break
-
-        alpha = rr_new / rr
-        p.scale_add(alpha, r)
-        rr = rr_new
-
-    x_global = x.to_global()
-    true_res = np.linalg.norm(b_block - a.matmat(x_global), axis=0)
-    converged = np.zeros(m, dtype=bool)
-    for col in range(m):
-        reasons[col] = verified_exit(
-            reasons[col], float(true_res[col]), float(thresholds[col])
-        )
-        converged[col] = reasons[col] is StopReason.CONVERGED
-    result = BatchedResult(
-        x=x_global,
-        column_converged=converged,
-        column_iterations=col_iters,
-        stop_reasons=reasons,
-        residual_norms=histories,
-        true_residual_norms=true_res,
-        label=f"dist-batched-cg(P={nranks})",
-        extras={"comm_stats": comm.stats},
-    )
-    comm.assert_drained()
-    if telemetry is not None:
-        _annotate_comm_stats(telemetry, comm)
-        telemetry.solve_end(result)
     return result, comm
 
 

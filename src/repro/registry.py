@@ -51,7 +51,6 @@ __all__ = [
     "register_batched",
     "available_methods",
     "batched_methods",
-    "coalescable_methods",
     "warmstartable_methods",
     "operator_methods",
     "method_entry",
@@ -187,32 +186,19 @@ def batched_methods() -> list[str]:
     return sorted(name for name, e in _REGISTRY.items() if e.batched)
 
 
-def coalescable_methods() -> list[str]:
-    """Method names the serve-layer request coalescer may batch, sorted.
-
-    The service capability view of the registry flags: a method is
-    coalescable when it has a multi-RHS block runner (``batched``) and
-    does not run over the simulated communicator -- the ``dist-*``
-    block paths model collectives rather than serve traffic, so
-    :mod:`repro.serve` dispatches them one request at a time.
-    """
-    return sorted(
-        name for name, e in _REGISTRY.items() if e.batched and not e.distributed
-    )
-
-
 def warmstartable_methods() -> list[str]:
     """Method names the serve layer may seed with a cached ``x0``, sorted.
 
-    The cross-request warm start only applies where both capability
-    flags line up: the method must be coalescable (so its requests carry
-    a compat key identifying operator, tolerance and options) *and*
-    accept an initial guess (``supports_x0``).
+    A method qualifies when it accepts an initial guess
+    (``supports_x0``) and does not run over the simulated communicator.
+    These are the methods whose serve requests carry a compat key
+    (:func:`repro.serve.coalescer.compat_key`), the key the warm-start
+    cache stores under.
     """
     return sorted(
         name
         for name, e in _REGISTRY.items()
-        if e.batched and not e.distributed and e.supports_x0
+        if e.supports_x0 and not e.distributed
     )
 
 
@@ -665,7 +651,9 @@ def solve_batched(
     products in ONE fused ``m``-wide reduction and deflates converged
     columns out of the active set.  Only methods whose registry entry
     carries the ``batched`` capability flag are accepted (see
-    :func:`batched_methods`).
+    :func:`batched_methods`); ``cg`` is the one method with a block
+    path, so other methods solve a block column by column through
+    :func:`solve`.
 
     ``B`` may be 1-D (treated as a single column).  Zero columns
     converge at iteration 0 by deflation -- the batched analogue of
@@ -682,8 +670,7 @@ def solve_batched(
         per-column iteration/convergence events and the active-set-width
         trajectory in addition to the usual solve bracket.
     **options:
-        Forwarded to the batched runner (``stop=``, ``k=``,
-        ``replace_every=``, ``nranks=``, ...).
+        Forwarded to the batched runner (``stop=``, ``x0=``).
 
     Returns
     -------
@@ -696,7 +683,6 @@ def solve_batched(
             f"method {method!r} has no batched multi-RHS path; "
             f"batched methods: {', '.join(batched_methods())}"
         )
-    _require_integer_k(options)
     a, assembled = _front_door_operator(a, b, entry)
     if not assembled:
         from repro.sparse.linop import operator_dtype
@@ -1024,7 +1010,7 @@ def _run_dist_pipelined_vr(a, b, *, precond, telemetry, **options):
 
 
 # ----------------------------------------------------------------------
-# registrations: batched multi-RHS block paths
+# registrations: the batched multi-RHS block path
 # ----------------------------------------------------------------------
 @register_batched("cg")
 def _run_batched_cg(a, b, *, telemetry=None, **options):
@@ -1032,22 +1018,3 @@ def _run_batched_cg(a, b, *, telemetry=None, **options):
 
     return batched_cg(a, b, telemetry=telemetry, **options)
 
-
-@register_batched("vr")
-def _run_batched_vr(a, b, *, telemetry=None, **options):
-    from repro.core.batched import batched_vr_cg
-
-    # The batched VR loop offers periodic replacement only (the adaptive
-    # drift detector would cost a third fused reduction per sweep);
-    # default it on so solve_batched(..., method="vr") is stable, same
-    # policy as the single-RHS front door.
-    options.setdefault("replace_every", 10)
-    return batched_vr_cg(a, b, telemetry=telemetry, **options)
-
-
-@register_batched("dist-cg")
-def _run_dist_batched_cg(a, b, *, telemetry=None, **options):
-    from repro.distributed.solvers import distributed_batched_cg
-
-    result, _comm = distributed_batched_cg(a, b, telemetry=telemetry, **options)
-    return result

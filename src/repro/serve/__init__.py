@@ -8,7 +8,7 @@ clients:
 
 * per-tenant token-bucket **admission control** with bounded queues and
   reasoned **load shedding** (:mod:`repro.serve.admission`);
-* **request coalescing** -- compatible solves against the same
+* **request coalescing** -- compatible ``cg`` solves against the same
   operator (same blake2b fingerprint, dtype, tolerance class) that are
   admitted together, or that arrive while the operator's lane is busy,
   dispatch as ONE fused ``m``-wide batched solve

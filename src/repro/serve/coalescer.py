@@ -2,7 +2,7 @@
 
 The paper's restructuring hides synchronization latency *within* one
 solve; the service layer extends the same idea across *requests*: many
-clients solving against the same operator should ride PR 2's fused
+clients solving against the same operator should ride the fused
 ``m``-wide block kernels as a single :func:`repro.solve_batched` call
 instead of ``m`` separate solves.  This module is the pure, deterministic
 half of that machinery -- no clocks, no queues -- so the concurrency test
@@ -10,18 +10,22 @@ harness can pin its behavior exactly.
 
 Compatibility rule
 ------------------
-Two requests may share a batch iff they agree on every axis the block
-path fixes per sweep:
+A request's key names everything its answer depends on: equal keys
+mean the same system, method, tolerance and options.  The service
+groups keyed requests of a method with a block path
+(:func:`repro.registry.batched_methods`, i.e. ``cg``); every other keyed
+request runs alone.  Two requests may share a batch iff they agree on
+every axis the block path fixes per sweep:
 
 * **operator** -- same :func:`repro.backend.matrix_fingerprint` (the
   blake2b content key the :class:`~repro.backend.SetupCache` already
   computes; unfingerprintable operators never coalesce, they fall back
   to single solves exactly like they bypass the setup cache);
-* **method** -- same registry name, and the method must carry the
-  ``batched`` capability flag without the simulated communicator
-  (:func:`repro.registry.coalescable_methods`);
+* **method** -- same registry name, and the method must accept an
+  initial guess and not run over the simulated communicator
+  (:func:`repro.registry.warmstartable_methods`);
 * **dtype/shape** -- real right-hand sides of the same length (the block
-  paths run in float64; complex solves stay single);
+  path runs in float64; complex solves stay single);
 * **tolerance class** -- identical ``(rtol, atol, max_iter)`` stopping
   triple, so no member's convergence contract is silently tightened or
   loosened by its batch mates;
@@ -53,19 +57,20 @@ def compat_key(
     stop: Any = None,
     options: dict[str, Any] | None = None,
 ) -> tuple | None:
-    """The coalescing key of one request, or ``None`` when it must run
-    as a single solve.
+    """The request key of one solve, or ``None`` when it has none.
 
-    The key is a plain hashable tuple: requests with equal keys are
-    batch-compatible, and the key doubles as the dispatch-group label in
-    traces.  ``None`` (never equal to anything) routes the request to
-    the per-request :func:`repro.solve` path.
+    The key is a plain hashable tuple naming operator, method, size,
+    tolerance class and options.  Keyed requests share their operator's
+    FIFO lane and the warm-start cache stores under the key; requests
+    with equal keys and a block-path method are batch-compatible.
+    ``None`` (never equal to anything) gives the request a private lane
+    and a cold :func:`repro.solve`.
     """
     from repro.backend import matrix_fingerprint
     from repro.core.stopping import StoppingCriterion
-    from repro.registry import coalescable_methods
+    from repro.registry import warmstartable_methods
 
-    if method not in coalescable_methods():
+    if method not in warmstartable_methods():
         return None
     b_arr = np.asarray(b)
     if b_arr.ndim != 1 or b_arr.size == 0 or b_arr.dtype.kind == "c":

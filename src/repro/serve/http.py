@@ -8,10 +8,10 @@ Four routes, JSON bodies, no third-party dependencies:
   queue-full/draining, 500 solver error);
 * ``POST /solve_batched`` -- submit a block of right-hand sides against
   one operator in a single round trip; the block is admitted atomically
-  so compatible columns coalesce into one fused batched solve, and the
-  body carries one result record per column (the aggregate HTTP status
-  is the worst per-column outcome: any error 500, else any shed
-  429/503, else 200);
+  so compatible ``cg`` columns coalesce into one fused batched solve
+  (columns of other methods run one by one), and the body carries one
+  result record per column (the aggregate HTTP status is the worst
+  per-column outcome: any error 500, else any shed 429/503, else 200);
 * ``GET /healthz`` -- liveness + queue/served/shed counters as JSON;
   ``GET /healthz?detail=1`` additionally inlines the numerical-health
   summary from the session's

@@ -9,11 +9,11 @@
   cannot be admitted is *shed with a reason* (``rate_limited``,
   ``queue_full``, ``draining``) -- never silently dropped, never
   queued unboundedly;
-* **request coalescing** -- a lane's runner groups the requests
-  pending on it by operator fingerprint + dtype + tolerance class
-  (:mod:`repro.serve.coalescer`), and runs each group as ONE
-  :func:`repro.solve_batched` call on the fused ``m``-wide kernels.
-  Incompatible requests fall back to single :func:`repro.solve` calls;
+* **request coalescing** -- a lane's runner groups the block-path
+  (``cg``) requests pending on it by operator fingerprint + dtype +
+  tolerance class (:mod:`repro.serve.coalescer`), and runs each group as
+  ONE :func:`repro.solve_batched` call on the fused ``m``-wide kernels.
+  Every other request runs as a single :func:`repro.solve` call;
 * **observability** -- every request carries a trace id; dispatch groups
   open ``request``/``request_batch`` spans on the session tracer
   annotated with the member ids, queue-depth/shed/coalesce-width
@@ -95,7 +95,8 @@ class SolveRequest:
     options: dict[str, Any] = field(default_factory=dict)
 
     def compat_key(self) -> tuple | None:
-        """Coalescing key (see :func:`repro.serve.coalescer.compat_key`)."""
+        """Request key: lane, warm start and, for block-path methods,
+        coalescing (see :func:`repro.serve.coalescer.compat_key`)."""
         return compat_key(self.method, self.a, self.b, self.stop, self.options)
 
 
@@ -496,11 +497,13 @@ class SolverService:
 
         The whole block is admitted synchronously -- no scheduling point
         between columns -- so compatible columns are all on their lane's
-        backlog when its runner plans them and coalesce into one
-        :func:`repro.solve_batched` call (bit-identical to calling it
-        directly, per the differential tests).  Each column still gets
-        its own admission decision: a rate-limited or queue-full column
-        sheds individually without poisoning its siblings.
+        backlog when its runner plans them.  Columns of a block-path
+        method (``cg``) coalesce into one :func:`repro.solve_batched`
+        call (bit-identical to calling it directly, per the differential
+        tests); columns of any other method run one by one.  Each column
+        still gets its own admission decision: a rate-limited or
+        queue-full column sheds individually without poisoning its
+        siblings.
         """
         outcomes = [self._admit(request) for request in requests]
         return list(
@@ -648,11 +651,11 @@ class SolverService:
         computed -- never re-hashed here, where it would stall the event
         loop on large dense operators), so their relative order -- and
         with it the coalescing and bit-identical-to-direct-batched
-        guarantees -- is admission order.  Uncoalescable requests
+        guarantees -- is admission order.  Unkeyed requests
         (``key is None``: unfingerprintable operators, single-solve-only
-        options, non-batched methods) get a private lane object: they
-        can never coalesce with anything, so there is no order to
-        protect.
+        options, methods without ``x0`` or on the simulated
+        communicator) get a private lane object: they can never coalesce
+        or warm-start, so there is no order to protect.
         """
         key = pending.key
         if key is None:
@@ -680,14 +683,24 @@ class SolverService:
         self._lanes[lane].append(pending)
 
     async def _run_lane(self, lane: Any) -> None:
-        """Solve a lane's backlog, pass by pass, until it is empty."""
+        """Solve a lane's backlog, pass by pass, until it is empty.
+
+        Only requests of a method with a block path group; any other
+        request plans as a singleton, in its place on the lane.
+        """
+        from repro.registry import batched_methods
+
         backlog = self._lanes[lane]
+        block_path = frozenset(batched_methods())
         try:
             while backlog:
                 work = list(backlog)
                 backlog.clear()
                 for group in plan_batches(
-                    work, key=lambda p: p.key,
+                    work,
+                    key=lambda p: (
+                        p.key if p.request.method in block_path else None
+                    ),
                     max_width=self.config.max_coalesce_width,
                 ):
                     await self._dispatch_group(group)
@@ -898,19 +911,14 @@ class SolverService:
         warm solve drops the seed and re-solves cold, so a poisoned or
         stale cache entry costs time, never correctness.
         """
-        from repro.registry import solve, warmstartable_methods
+        from repro.registry import solve
 
         request = pending.request
         options = dict(request.options)
         if request.stop is not None:
             options.setdefault("stop", request.stop)
         seed = None
-        eligible = (
-            self.warmstart.enabled
-            and pending.key is not None
-            and "x0" not in options
-            and request.method in warmstartable_methods()
-        )
+        eligible = self.warmstart.enabled and pending.key is not None
         if eligible:
             seed = self.warmstart.lookup(pending.key, request.b)
         if seed is not None:

@@ -9,8 +9,8 @@ LRU of **converged solutions**, keyed by everything that must match for
 the cached vector to be a valid initial guess:
 
 * the request's **compat key** (operator fingerprint, method, dtype,
-  problem size, stopping criterion, coalescable options -- the same
-  tuple the coalescer batches on), and
+  problem size, stopping criterion and options; only methods that take
+  ``x0`` and do not run over the simulated communicator have one), and
 * a ``blake2b`` digest of the right-hand side's bytes.
 
 On a hit the service seeds ``x0`` with the cached solution.  The guard

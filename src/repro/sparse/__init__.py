@@ -9,9 +9,9 @@ machine model need to talk about such systems:
   the HPC guide idioms and instrumented via :mod:`repro.util.counters`.
 * :mod:`repro.sparse.linop` -- the abstract operator protocol the solvers
   are written against.
-* :mod:`repro.sparse.generators` / :mod:`repro.sparse.laplacian` -- the
-  model problems (Poisson stencils, anisotropic diffusion, banded random
-  SPD, graph Laplacians).
+* :mod:`repro.sparse.generators` -- the model problems (Poisson
+  stencils, anisotropic diffusion, banded random SPD); graph Laplacians
+  are assembled from edge lists in :mod:`repro.zoo.graphs`.
 * :mod:`repro.sparse.mmio` -- MatrixMarket I/O for user-supplied matrices.
 * :mod:`repro.sparse.stats` -- row-degree and spectrum statistics feeding
   the machine model and experiment reports.

@@ -1,8 +1,7 @@
 """Graph Laplacian workloads assembled straight from edge lists.
 
-The networkx-backed generators in :mod:`repro.sparse.laplacian` need a
-graph object; real workloads usually arrive as a raw edge list (road
-networks, mesh connectivity, social graphs).  :func:`edge_list_laplacian`
+Real graph workloads usually arrive as a raw edge list (road networks,
+mesh connectivity, social graphs).  :func:`edge_list_laplacian`
 assembles ``L = D - W + shift·I`` from ``(u, v)`` pairs with no graph
 library in the loop -- one vectorized :class:`~repro.sparse.coo.COOBuilder`
 pass -- and :func:`random_graph_laplacian` synthesizes a seeded

@@ -1,4 +1,4 @@
-"""Tests for :mod:`repro.core.batched` -- block multi-RHS CG and VR-CG.
+"""Tests for :mod:`repro.core.batched` -- block multi-RHS CG.
 
 The contract under test: column ``j`` of a batched solve reproduces a
 standalone solve on ``B[:, j]`` (same trajectory, same history, same
@@ -12,11 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batched import batched_cg, batched_vr_cg
+from repro.core.batched import batched_cg
 from repro.core.results import BatchedResult, CGResult, StopReason
 from repro.core.standard import conjugate_gradient
 from repro.core.stopping import StoppingCriterion
-from repro.core.vr_cg import vr_conjugate_gradient
 from repro.sparse.csr import from_dense
 from repro.sparse.generators import poisson2d
 from repro.telemetry import Telemetry
@@ -149,43 +148,3 @@ def test_column_view_roundtrip(system):
     assert col.iterations == int(res.column_iterations[2])
     assert col.residual_norms == res.residual_norms[2]
     assert "columns converged" in res.summary()
-
-
-# ----------------------------------------------------------------------
-# batched Van Rosendale CG
-# ----------------------------------------------------------------------
-def test_vr_columns_match_standalone(system):
-    a, b_block = system
-    res = batched_vr_cg(a, b_block, k=2, replace_every=10, stop=STOP)
-    assert res.converged
-    for j in range(b_block.shape[1]):
-        single = vr_conjugate_gradient(
-            a, b_block[:, j], k=2, replace_every=10, stop=STOP
-        )
-        assert int(res.column_iterations[j]) == single.iterations
-        np.testing.assert_allclose(res.x[:, j], single.x, atol=1e-6)
-
-
-def test_vr_zero_column_deflates(system):
-    a, b_block = system
-    b = b_block.copy()
-    b[:, 0] = 0.0
-    res = batched_vr_cg(a, b, k=1, replace_every=10, stop=STOP)
-    assert int(res.column_iterations[0]) == 0
-    assert res.column_converged[0]
-    assert np.all(res.x[:, 0] == 0.0)
-
-
-@pytest.mark.parametrize("k", [0, 1, 3])
-def test_vr_k_values(system, k):
-    a, b_block = system
-    res = batched_vr_cg(a, b_block[:, :2], k=k, replace_every=10, stop=STOP)
-    assert res.converged
-
-
-def test_vr_validates_options(system):
-    a, b_block = system
-    with pytest.raises(ValueError, match="replace_every"):
-        batched_vr_cg(a, b_block, replace_every=0)
-    with pytest.raises(ValueError, match="k"):
-        batched_vr_cg(a, b_block, k=-1)

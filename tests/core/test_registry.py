@@ -270,14 +270,14 @@ def test_effective_stop_mirrors_the_front_door(system):
 def test_batched_methods_listing():
     from repro.registry import batched_methods
 
-    assert batched_methods() == ["cg", "dist-cg", "vr"]
+    assert batched_methods() == ["cg"]
     for name in batched_methods():
         assert method_entry(name).batched
     assert not method_entry("gv").batched
     assert not method_entry("sstep").batched
 
 
-@pytest.mark.parametrize("method", ["cg", "vr"])
+@pytest.mark.parametrize("method", ["cg"])
 def test_solve_batched_routes_and_stamps(system, method):
     from repro import solve_batched
 
@@ -294,7 +294,7 @@ def test_solve_batched_rejects_non_batched_method(system):
     from repro import solve_batched
 
     a, _ = system
-    with pytest.raises(ValueError, match="no batched multi-RHS path.*cg, dist-cg, vr"):
+    with pytest.raises(ValueError, match="no batched multi-RHS path.*batched methods: cg"):
         solve_batched(a, np.ones((a.nrows, 2)), "gv")
 
 

@@ -129,61 +129,3 @@ class TestSynchronizationCounts:
         res, comm = distributed_pipelined_vr(a, b, k=2, nranks=4, stop=STOP)
         # startup k+2 matvecs + ~1 per iteration
         assert comm.stats.halo_exchanges <= res.iterations + 2 + 3
-
-
-class TestBatchedCollectives:
-    """The tentpole's distributed claim: batched CG issues exactly TWO
-    fused blocking allreduces per sweep -- independent of the number of
-    right-hand sides -- where a loop of single solves issues ``2m``."""
-
-    @pytest.mark.parametrize("m", [1, 4, 16])
-    def test_two_collectives_per_sweep_independent_of_m(self, problem, m):
-        from repro.distributed import distributed_batched_cg
-
-        a, b, _ = problem
-        b_block = default_rng(21).standard_normal((a.nrows, m))
-        res, comm = distributed_batched_cg(a, b_block, nranks=4, stop=STOP)
-        assert res.converged
-        # setup books 2 (b-norms + initial rr), then 2 per sweep: the
-        # count is a function of sweeps only, never of m.
-        assert comm.stats.blocking_allreduces == 2 + 2 * res.iterations
-        comm.assert_drained()
-
-    def test_launch_count_beats_looped_singles(self, problem):
-        from repro.distributed import distributed_batched_cg, distributed_cg
-
-        a, b, _ = problem
-        m = 8
-        b_block = default_rng(22).standard_normal((a.nrows, m))
-        batched, comm_b = distributed_batched_cg(a, b_block, nranks=4, stop=STOP)
-        looped_launches = 0
-        looped_words = 0
-        for j in range(m):
-            single, comm_j = distributed_cg(a, b_block[:, j], nranks=4, stop=STOP)
-            looped_launches += comm_j.stats.blocking_allreduces
-            looped_words += comm_j.stats.words_reduced
-        assert batched.converged
-        # Same reduction *words* (each collective carries the fused m-wide
-        # payload), but ~m-fold fewer *launches* -- the latency term.
-        assert comm_b.stats.blocking_allreduces * (m - 1) < looped_launches
-        assert comm_b.stats.words_reduced <= looped_words
-
-    def test_batched_column_matches_distributed_cg(self, problem):
-        from repro.distributed import distributed_batched_cg, distributed_cg
-
-        a, b, _ = problem
-        b_block = np.column_stack([b, 2.0 * b])
-        batched, _ = distributed_batched_cg(a, b_block, nranks=4, stop=STOP)
-        single, _ = distributed_cg(a, b, nranks=4, stop=STOP)
-        assert int(batched.column_iterations[0]) == single.iterations
-        np.testing.assert_allclose(batched.x[:, 0], single.x, atol=1e-10)
-
-    def test_registry_route(self, problem):
-        from repro import solve_batched
-
-        a, b, _ = problem
-        b_block = default_rng(23).standard_normal((a.nrows, 3))
-        res = solve_batched(a, b_block, "dist-cg", nranks=4, stop=STOP)
-        assert res.converged
-        assert res.method == "dist-cg"
-        assert res.extras["comm_stats"].blocking_allreduces > 0

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from repro.core.stopping import StoppingCriterion
-from repro.registry import coalescable_methods
+from repro.registry import (
+    available_methods,
+    batched_methods,
+    method_entry,
+    warmstartable_methods,
+)
 from repro.serve import compat_key, plan_batches
 from repro.serve.coalescer import UNBATCHABLE_OPTIONS
 from repro.sparse import poisson1d, poisson2d
@@ -30,10 +35,21 @@ class TestCompatKey:
         assert k1 == k2
         assert hash(k1) == hash(k2)
 
-    def test_registry_agreement(self):
-        # The key grants batching exactly to the registry's coalescable
-        # set: batched methods minus the simulated-communicator ones.
-        assert coalescable_methods() == ["cg", "vr"]
+    def test_registry_agreement(self, a, b):
+        # cg is the one method with a block path; the key goes to every
+        # method that takes x0 and does not run over the simulated
+        # communicator -- the warm-startable set.
+        assert batched_methods() == ["cg"]
+        assert warmstartable_methods() == sorted(
+            name
+            for name in available_methods()
+            if method_entry(name).supports_x0
+            and not method_entry(name).distributed
+        )
+        for name in available_methods():
+            keyed = compat_key(name, a, b) is not None
+            assert keyed == (name in warmstartable_methods()), name
+        assert compat_key("vr", a, b) is not None
 
     def test_non_coalescable_method(self, a, b):
         assert compat_key("cg3", a, b) is None

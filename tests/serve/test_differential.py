@@ -1,6 +1,6 @@
 """Differential test: coalesced dispatch vs the paths it replaces.
 
-The serve layer's coalescer claims that riding ``m`` requests on one
+The serve layer's coalescer claims that riding ``m`` cg requests on one
 :func:`repro.solve_batched` call is a pure performance transformation.
 This module pins exactly what "pure" means:
 
@@ -15,6 +15,10 @@ This module pins exactly what "pure" means:
   promised: the batched kernels evaluate their reductions as fused
   ``m``-wide ``einsum`` contractions, which round differently than the
   sequential ``np.dot`` (documented in docs/serving.md).
+
+Requests of a method without a block path never coalesce: a vr request
+gathered with others is answered by the same single-RHS ``vr`` a direct
+:func:`repro.solve` call runs, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ def rhs_block() -> np.ndarray:
     return np.random.default_rng(42).standard_normal((A.nrows, M))
 
 
-def serve_coalesced(method: str) -> list:
-    """Submit the M columns concurrently, forcing one coalesced batch."""
+def serve_gathered(method: str) -> list:
+    """Submit the M columns in one event-loop step."""
     block = rhs_block()
 
     async def main():
@@ -52,12 +56,18 @@ def serve_coalesced(method: str) -> list:
             )
 
     responses = asyncio.run(main())
-    assert [r.coalesce_width for r in responses] == [M] * M
     assert all(r.ok for r in responses)
     return responses
 
 
-@pytest.mark.parametrize("method", ["cg", "vr"])
+def serve_coalesced(method: str) -> list:
+    """Submit the M columns concurrently, forcing one coalesced batch."""
+    responses = serve_gathered(method)
+    assert [r.coalesce_width for r in responses] == [M] * M
+    return responses
+
+
+@pytest.mark.parametrize("method", ["cg"])
 def test_coalesced_bit_identical_to_direct_batched(method):
     responses = serve_coalesced(method)
     direct = solve_batched(A, rhs_block(), method)
@@ -69,6 +79,21 @@ def test_coalesced_bit_identical_to_direct_batched(method):
         assert got.stop_reason == col.stop_reason
         assert got.residual_norms == col.residual_norms
         assert got.converged and col.converged
+
+
+def test_gathered_vr_requests_run_direct_vr():
+    # vr has no block path: six vr requests admitted in one step each
+    # run alone, and each answer is the direct single-RHS solve's.
+    responses = serve_gathered("vr")
+    block = rhs_block()
+    for j, response in enumerate(responses):
+        direct = solve(A, block[:, j], "vr")
+        got = response.result
+        assert response.coalesce_width == 1
+        assert got.x.tobytes() == direct.x.tobytes(), f"column {j} x differs"
+        assert got.iterations == direct.iterations
+        assert got.stop_reason == direct.stop_reason
+        assert got.true_residual_norm == direct.true_residual_norm
 
 
 def test_coalesced_matches_sequential_trajectories():

@@ -269,16 +269,42 @@ class TestServiceWarmStart:
                 explicit = await svc.submit(
                     SolveRequest(a=A, b=b, options={"x0": np.zeros(N)})
                 )
-                chebyshev = await svc.submit(
-                    SolveRequest(a=A, b=b, method="three-term")
-                )
-            return svc, explicit, chebyshev
+                sstep = [
+                    await svc.submit(SolveRequest(a=A, b=b, method="sstep"))
+                    for _ in range(2)
+                ]
+                three_term = [
+                    await svc.submit(
+                        SolveRequest(a=A, b=b, method="three-term")
+                    )
+                    for _ in range(2)
+                ]
+            return svc, explicit, sstep, three_term
 
-        svc, explicit, chebyshev = run(main())
+        svc, explicit, sstep, three_term = run(main())
         # A caller-supplied x0 wins unconditionally; a method outside
-        # warmstartable_methods() never touches the cache.
+        # warmstartable_methods() (sstep takes no x0) never touches the
+        # cache, while any x0-capable method warm-starts a repeat.
         assert explicit.ok and not explicit.warm_started
-        assert chebyshev.ok and not chebyshev.warm_started
+        assert all(r.ok and not r.warm_started for r in sstep)
+        assert three_term[0].ok and not three_term[0].warm_started
+        assert three_term[1].ok and three_term[1].warm_started
+
+    def test_repeated_vr_request_warm_starts(self):
+        b = rhs(16)
+
+        async def main():
+            async with SolverService(ServiceConfig()) as svc:
+                cold = await svc.submit(SolveRequest(a=A, b=b, method="vr"))
+                warm = await svc.submit(SolveRequest(a=A, b=b, method="vr"))
+            return svc, cold, warm
+
+        svc, cold, warm = run(main())
+        assert cold.ok and not cold.warm_started
+        assert warm.ok and warm.warm_started
+        assert warm.result.converged
+        assert warm.result.iterations <= cold.result.iterations
+        assert svc.warmstart.stats()["hits"] == 1
 
     def test_capacity_zero_service_never_warm_starts(self):
         b = rhs(14)

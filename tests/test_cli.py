@@ -90,9 +90,8 @@ class TestSolve:
             ["--method", "cg", "--replace-every", "8"],
             ["--method", "cg", "--drift-tol", "1e-6"],
             ["--method", "cg", "--rhs-count", "3", "--replace-every", "8"],
-            ["--method", "vr", "--rhs-count", "3", "--drift-tol", "1e-6"],
         ],
-        ids=["pipelined-vr", "cg-every", "cg-drift", "batched-cg", "batched-vr"],
+        ids=["pipelined-vr", "cg-every", "cg-drift", "batched-cg"],
     )
     def test_replacement_flags_the_method_cannot_take_exit(self, extra):
         with pytest.raises(SystemExit, match="--recovery"):
@@ -105,13 +104,6 @@ class TestBatchedRhsCount:
                    "--method", "cg", "--rhs-count", "4"])
         assert rc == 0
         assert "4/4 columns converged" in capsys.readouterr().out
-
-    def test_batched_vr(self, capsys):
-        rc = main(["solve", "--generate", "poisson2d", "--size", "8",
-                   "--method", "vr", "--k", "2", "--rhs-count", "3",
-                   "--replace-every", "8"])
-        assert rc == 0
-        assert "3/3 columns converged" in capsys.readouterr().out
 
     def test_block_written_to_out(self, tmp_path, capsys):
         out = tmp_path / "x.txt"

@@ -159,10 +159,6 @@ class TestRegistryCapabilities:
         result = solve_batched(wrapped, rhs, "cg", stop=STOP)
         assert all(result.column_converged)
 
-    def test_batched_refuses_operators_on_distributed(self):
-        with pytest.raises(ValueError, match="matrix-free"):
-            solve_batched(_tridiag_apply, np.ones((8, 2)), "dist-cg", stop=STOP)
-
     def test_batched_refuses_complex_operators(self):
         op = CallableOperator(6, lambda x: 2.0 * x, dtype=np.complex128)
         with pytest.raises(ValueError, match="float64 only"):
