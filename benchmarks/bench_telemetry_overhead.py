@@ -17,11 +17,17 @@ instruments -- :class:`~repro.trace.MetricsSink` aggregation, active
 :class:`~repro.trace.FlightRecorder` ring (production default 256),
 the :class:`~repro.trace.HealthMonitor` estimators, and
 tracer+metrics combined -- are each priced against the *null-sink
-baseline*, i.e. what they add on top of the always-on event stream.
-Null sink, metrics sink, tracer, flight recorder, and health monitor
-each carry the 5% budget independently; the combined configuration is
-recorded informationally (two instruments stack, the budget is
-per-layer).
+baseline*, i.e. what they add on top of the event stream.  The
+``service`` configuration prices what ``repro serve`` runs: the one
+session a default ``SolverService(ServiceConfig())`` builds (metrics
+sink, flight recorder, health monitor, no streaming sink), built once
+and reused across solves, against the *bare* solve.  Null sink, metrics
+sink, tracer, flight recorder, health monitor and service each carry
+the 5% budget independently; the combined configuration is recorded
+informationally (two instruments stack, the budget is per-layer).
+
+Run as a script (``python benchmarks/bench_telemetry_overhead.py``) it
+writes ``BENCH_telemetry.json`` at the repository root.
 
 Measurement discipline, because the quantity under test is a ~3 us
 per-iteration delta on a ~100 us iteration:
@@ -65,7 +71,8 @@ STOP = StoppingCriterion(rtol=1e-8)
 # Configurations that must individually meet the 5% budget; the combined
 # tracer+metrics configuration is reported but not budget-gated.
 BUDGETED_CONFIGS = (
-    "null_sink", "metrics_sink", "tracer", "flight_recorder", "health"
+    "null_sink", "metrics_sink", "tracer", "flight_recorder", "health",
+    "service",
 )
 
 
@@ -166,11 +173,15 @@ def _solvers():
 def _telemetry_factories():
     """``{config: (baseline_name, telemetry_factory)}``.
 
-    ``null_sink`` is priced against the bare solve; the added
-    instruments are priced against the null-sink baseline they stack on.
+    ``null_sink`` and ``service`` are priced against the bare solve; the
+    added instruments are priced against the null-sink baseline they
+    stack on.  The ``service`` factory hands out one session, built the
+    way ``repro serve`` builds it, to every solve.
     """
+    from repro.serve import ServiceConfig, SolverService
     from repro.trace import FlightRecorder, HealthMonitor, MetricsSink, Tracer
 
+    service = SolverService(ServiceConfig()).telemetry
     return {
         "null_sink": ("bare", lambda: Telemetry(NullSink())),
         "metrics_sink": ("null_sink", lambda: Telemetry(MetricsSink())),
@@ -190,6 +201,7 @@ def _telemetry_factories():
             "null_sink",
             lambda: Telemetry(MetricsSink(), tracer=Tracer()),
         ),
+        "service": ("bare", lambda: service),
     }
 
 
@@ -284,3 +296,11 @@ def test_cg_absolute_timing(benchmark, poisson_overhead_bench, sink):
             lambda: conjugate_gradient(a, b, stop=STOP, telemetry=tele)
         )
     assert result.converged
+
+
+if __name__ == "__main__":
+    for record in run()["results"]:
+        print(
+            f"{record['method']:>3} {record['config']:<15} "
+            f"vs {record['baseline']:<9} overhead {record['overhead']:+.2%}"
+        )

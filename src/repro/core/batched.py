@@ -102,7 +102,7 @@ class _Batch:
         if iteration > 0:
             self.iterations[self.active] = iteration
             tele = self.telemetry
-            if tele is not None:
+            if tele is not None and tele.streams:
                 for pos, col in enumerate(self.active):
                     tele.column_iteration(int(col), iteration, float(res_norms[pos]))
 

@@ -9,6 +9,9 @@ all attached through the single ``telemetry=`` keyword every solver (and
 the :func:`repro.solve` front-door) accepts.
 
 * :class:`Telemetry` -- the session object solvers emit into.
+* :class:`SolveRecord` -- one solve bracket's residuals and drift checks,
+  read at ``solve_end`` by the consumers that need only per-solve
+  aggregates (metrics, health, the flight recorder).
 * :mod:`repro.telemetry.events` -- the closed event vocabulary
   (iteration, drift, replacement, pipeline, reduction, phase, counters,
   solve brackets).
@@ -33,7 +36,7 @@ from repro.telemetry.events import (
     SolveStartEvent,
     TelemetryEvent,
 )
-from repro.telemetry.session import Telemetry
+from repro.telemetry.session import SolveRecord, Telemetry
 from repro.telemetry.sinks import (
     AsciiSummarySink,
     JsonlSink,
@@ -44,6 +47,7 @@ from repro.telemetry.sinks import (
 
 __all__ = [
     "Telemetry",
+    "SolveRecord",
     "TelemetryEvent",
     "SolveStartEvent",
     "IterationEvent",

@@ -32,6 +32,17 @@ the duration of each solve, so the stream ends with a
 without the caller wrapping anything in ``counting()``.  The same bracket
 makes its tracer the thread's active one, so the kernels that book those
 totals also record their phase spans.
+
+Consumers that only need per-solve aggregates -- sinks whose class
+sets ``reads_record = True`` (:class:`~repro.trace.MetricsSink`,
+:class:`~repro.trace.FlightRecorder`) and the health monitor -- read a
+:class:`SolveRecord` instead of one event per iteration: each bracket
+a record reader attends keeps the residuals, drift checks and clamps of
+the solve in the order they happened, and the record rides on the
+``solve_start`` and ``solve_end`` events as their ``record`` attribute.
+Per-iteration events (``iteration``, ``drift``, ``column_iteration``,
+``active_set``, ``pipeline``) are built only when a sink that streams
+them is attached: any sink without that class attribute.
 """
 
 from __future__ import annotations
@@ -64,20 +75,76 @@ from repro.telemetry.events import (
 from repro.telemetry.sinks import MemorySink, Sink
 from repro.util.counters import OpCounts, pop_scope, push_scope, swap_tracer
 
-__all__ = ["Telemetry"]
+__all__ = ["SolveRecord", "Telemetry", "drift_gap"]
+
+_TINY = float(np.finfo(np.float64).tiny)
+
+
+class SolveRecord:
+    """What one solve bracket observed, in the order it happened.
+
+    ``iterations``/``residuals`` hold each :meth:`Telemetry.iteration`
+    call's iteration number and algorithm-visible residual norm.
+    ``checks`` holds each :meth:`Telemetry.drift` call as ``(position,
+    iteration, recurred_rr, direct_rr)`` and each :meth:`Telemetry.clamp`
+    call as ``(position, iteration, recurred_rr, None)``, where
+    ``position`` is the number of residuals recorded before the check,
+    so the two lists replay in their original interleaving.  The lists
+    grow while the solve runs; readers that keep the record see every
+    observation so far.
+    """
+
+    __slots__ = ("method", "iterations", "residuals", "checks", "_drifts")
+
+    def __init__(self, method: str) -> None:
+        self.method = method
+        self.iterations: list[int] = []
+        self.residuals: list[float] = []
+        self.checks: list[tuple[int, int, float, float | None]] = []
+        self._drifts: list[float] = []
+
+    def drifts(self) -> list[float]:
+        """Each check's ``drift``, as its :class:`DriftEvent` carries it:
+        the relative gap of a drift check, ``|recurred_rr|`` of a clamp.
+
+        Computed once per check, however many readers ask; the returned
+        list belongs to the record.
+        """
+        drifts = self._drifts
+        for _, _, recurred, direct in self.checks[len(drifts):]:
+            drifts.append(
+                abs(recurred) if direct is None else drift_gap(recurred, direct)
+            )
+        return drifts
+
+
+def drift_gap(recurred_rr: float, direct_rr: float) -> float:
+    """Relative gap between a recurred and a direct ``(r, r)``.
+
+    Taken against ``max(direct_rr, tiny)`` so a direct residual that has
+    underflowed to zero near machine-zero convergence yields a
+    large-but-finite drift instead of inf/nan (which would poison JSON
+    sinks and downstream statistics).
+    """
+    return abs(recurred_rr - direct_rr) / max(direct_rr, _TINY)
 
 
 class _ActiveSolve:
     """Book-keeping for one open solve bracket (they may nest)."""
 
-    __slots__ = ("counter", "started_at", "outer_tracer")
+    __slots__ = ("counter", "started_at", "outer_tracer", "record")
 
     def __init__(
-        self, counter: OpCounts | None, started_at: float, outer_tracer: Any
+        self,
+        counter: OpCounts | None,
+        started_at: float,
+        outer_tracer: Any,
+        record: SolveRecord | None,
     ) -> None:
         self.counter = counter
         self.started_at = started_at
         self.outer_tracer = outer_tracer
+        self.record = record
 
 
 class Telemetry:
@@ -110,10 +177,13 @@ class Telemetry:
         operation counts record the per-phase spans.
     health:
         Optional :class:`repro.trace.health.HealthMonitor`.  When
-        attached, the session feeds it from the solve bracket, iteration
-        and drift/clamp calls and emits any :class:`HealthEvent` it
-        returns.  It observes only the checks the solve runs anyway;
-        attaching it changes no solver's arithmetic.
+        attached, the session opens it with each solve bracket and, at
+        ``solve_end``, has it judge the bracket's :class:`SolveRecord`
+        (a monitor, like a ``reads_record`` sink, makes brackets keep one);
+        the :class:`HealthEvent` transitions it finds are emitted just
+        before the ``solve_end`` event.  It observes only the checks
+        the solve runs anyway; attaching it changes no solver's
+        arithmetic.
     """
 
     def __init__(
@@ -126,6 +196,8 @@ class Telemetry:
         health: Any = None,
     ) -> None:
         self._sinks: tuple[Sink, ...] = sinks if sinks else (MemorySink(),)
+        self._streams = _streaming(self._sinks)
+        self._reads = len(self._streams) < len(self._sinks)
         self.capture_iterates = bool(capture_iterates)
         self.iterates: list[np.ndarray] = []
         self.on_state = on_state
@@ -133,6 +205,9 @@ class Telemetry:
         self.tracer = tracer
         self.health = health
         self._active: list[_ActiveSolve] = []
+        # The innermost open bracket's record (None between solves, or
+        # when nothing reads it).
+        self._record: SolveRecord | None = None
         # Trace contexts are thread-local: the serve layer emits service
         # events on the event-loop thread while a batched solve narrates
         # on a worker thread, and a session-global context would stamp
@@ -150,6 +225,15 @@ class Telemetry:
     def sinks(self) -> tuple[Sink, ...]:
         """The attached sinks, in emission order."""
         return self._sinks
+
+    @property
+    def streams(self) -> bool:
+        """Whether a sink that streams per-iteration events is attached.
+
+        Emitters whose per-iteration narration costs a loop of its own
+        (the batched solver's per-column events) test this first.
+        """
+        return bool(self._streams)
 
     @property
     def memory(self) -> MemorySink | None:
@@ -222,17 +306,30 @@ class Telemetry:
         for sink in self._sinks:
             sink.emit(event)
 
+    def _narrate(self, event: TelemetryEvent) -> None:
+        """Deliver a per-iteration event to the streaming sinks only."""
+        stack = self._ctxlocal.__dict__.get("stack")
+        if stack:
+            event.ctx = stack[-1]
+        for sink in self._streams:
+            sink.emit(event)
+
     def solve_start(self, method: str, label: str, n: int, **options: Any) -> None:
         """Open a solve bracket (emits :class:`SolveStartEvent`)."""
         counter = push_scope() if self.count_ops else None
         outer = swap_tracer(self.tracer)
-        self._active.append(_ActiveSolve(counter, time.perf_counter(), outer))
+        record = self._record = (
+            SolveRecord(method) if self._reads or self.health is not None else None
+        )
+        self._active.append(_ActiveSolve(counter, time.perf_counter(), outer, record))
         if self.tracer is not None:
             self.tracer.begin("solve")
             self.tracer.annotate(method=method, label=label, n=n)
         if self.health is not None:
             self.health.begin_solve(method, label, n)
-        self.emit(SolveStartEvent(method=method, label=label, n=n, options=options))
+        event = SolveStartEvent(method=method, label=label, n=n, options=options)
+        event.record = record
+        self.emit(event)
 
     def iteration(
         self,
@@ -243,40 +340,40 @@ class Telemetry:
         alpha: float | None = None,
         recurred_rr: float | None = None,
     ) -> None:
-        """One completed iteration (emits :class:`IterationEvent`)."""
-        # The once-per-iteration hot path: positional construction and an
-        # inlined sink loop (bench_telemetry_overhead.py budget).
-        event = IterationEvent(iteration, residual_norm, lam, alpha, recurred_rr)
-        stack = self._ctxlocal.__dict__.get("stack")
-        if stack:
-            event.ctx = stack[-1]
-        for sink in self._sinks:
-            sink.emit(event)
-        health = self.health
-        if health is not None:
-            health_event = health.observe_iteration(iteration, residual_norm)
-            if health_event is not None:
-                self.emit(health_event)
+        """One completed iteration: recorded, and streamed as an
+        :class:`IterationEvent` when a streaming sink is attached."""
+        # The once-per-iteration hot path (bench_telemetry_overhead.py):
+        # positional construction and an inlined _narrate.
+        record = self._record
+        if record is not None:
+            record.iterations.append(iteration)
+            record.residuals.append(residual_norm)
+        streams = self._streams
+        if streams:
+            event = IterationEvent(iteration, residual_norm, lam, alpha, recurred_rr)
+            stack = self._ctxlocal.__dict__.get("stack")
+            if stack:
+                event.ctx = stack[-1]
+            for sink in streams:
+                sink.emit(event)
         if self.tracer is not None:
             self.tracer.mark_iteration(iteration)
 
     def drift(self, iteration: int, recurred_rr: float, direct_rr: float) -> None:
-        """Recurred vs. direct ``(r, r)`` gap (emits :class:`DriftEvent`).
-
-        The relative gap is computed against ``max(direct_rr, tiny)`` so
-        a direct residual that has underflowed to zero near machine-zero
-        convergence yields a large-but-finite drift instead of inf/nan
-        (which would poison JSON sinks and downstream statistics).
-        """
-        denom = max(direct_rr, np.finfo(np.float64).tiny)
-        rel = abs(recurred_rr - direct_rr) / denom
-        self.emit(DriftEvent(iteration, recurred_rr, direct_rr, rel))
-        if self.health is not None:
-            health_event = self.health.observe_drift(
-                iteration, recurred_rr, direct_rr, rel
+        """Recurred vs. direct ``(r, r)`` check (recorded; streamed as a
+        :class:`DriftEvent` carrying :func:`drift_gap`)."""
+        record = self._record
+        if record is not None:
+            record.checks.append(
+                (len(record.residuals), iteration, recurred_rr, direct_rr)
             )
-            if health_event is not None:
-                self.emit(health_event)
+        if self._streams:
+            self._narrate(
+                DriftEvent(
+                    iteration, recurred_rr, direct_rr,
+                    drift_gap(recurred_rr, direct_rr),
+                )
+            )
 
     def clamp(self, iteration: int, recurred_rr: float) -> None:
         """The recurred ``(r, r)`` went negative and was clamped to zero.
@@ -284,16 +381,16 @@ class Telemetry:
         A negative recurred ``μ₀`` is pure finite-precision drift (the
         true quadratic form is non-negative); silently clamping it in the
         residual history hides exactly the signal the drift instruments
-        exist to expose.  Emitted as a :class:`DriftEvent` with
-        ``direct_rr = 0.0`` and the clamped magnitude as the gap, so
-        drift consumers (and the adaptive controller) see the event
-        without a new vocabulary entry.
+        exist to expose.  Recorded as a clamp and streamed as a
+        :class:`DriftEvent` with ``direct_rr = 0.0`` and the clamped
+        magnitude as the gap, so drift consumers (and the adaptive
+        controller) see the event without a new vocabulary entry.
         """
-        self.emit(DriftEvent(iteration, recurred_rr, 0.0, abs(recurred_rr)))
-        if self.health is not None:
-            health_event = self.health.observe_clamp(iteration, recurred_rr)
-            if health_event is not None:
-                self.emit(health_event)
+        record = self._record
+        if record is not None:
+            record.checks.append((len(record.residuals), iteration, recurred_rr, None))
+        if self._streams:
+            self._narrate(DriftEvent(iteration, recurred_rr, 0.0, abs(recurred_rr)))
 
     def adaptive(
         self,
@@ -319,8 +416,10 @@ class Telemetry:
     def column_iteration(
         self, column: int, iteration: int, residual_norm: float
     ) -> None:
-        """One column of a batched solve completed an iteration."""
-        self.emit(ColumnIterationEvent(column, iteration, residual_norm))
+        """One column of a batched solve completed an iteration
+        (streamed only)."""
+        if self._streams:
+            self._narrate(ColumnIterationEvent(column, iteration, residual_norm))
 
     def column_converged(
         self,
@@ -333,8 +432,10 @@ class Telemetry:
         self.emit(ColumnConvergedEvent(column, iteration, residual_norm, reason))
 
     def active_set(self, iteration: int, width: int) -> None:
-        """Active-set width of a batched solve after one sweep."""
-        self.emit(ActiveSetEvent(iteration=iteration, width=width))
+        """Active-set width of a batched solve after one sweep (streamed
+        only)."""
+        if self._streams:
+            self._narrate(ActiveSetEvent(iteration=iteration, width=width))
 
     def replacement(self, iteration: int, trigger: str) -> None:
         """A residual replacement fired (emits :class:`ReplacementEvent`)."""
@@ -359,15 +460,16 @@ class Telemetry:
     def pipeline(
         self, op: str, iteration: int, source_iteration: int, count: int
     ) -> None:
-        """Pipeline data movement (emits :class:`PipelineEvent`)."""
-        self.emit(
-            PipelineEvent(
-                op=op,
-                iteration=iteration,
-                source_iteration=source_iteration,
-                count=count,
+        """Pipeline data movement (streams a :class:`PipelineEvent`)."""
+        if self._streams:
+            self._narrate(
+                PipelineEvent(
+                    op=op,
+                    iteration=iteration,
+                    source_iteration=source_iteration,
+                    count=count,
+                )
             )
-        )
 
     def reduction(self, op: str, iteration: int, nranks: int, words: int) -> None:
         """Distributed collective / halo (emits :class:`ReductionEvent`)."""
@@ -402,31 +504,43 @@ class Telemetry:
         """Close the innermost solve bracket.
 
         Emits the :class:`CountersEvent` for the bracket's counting scope
-        (when enabled) followed by :class:`SolveEndEvent` summarizing the
-        :class:`~repro.core.results.CGResult`.
+        (when enabled), the health monitor's transitions judged from the
+        bracket's :class:`SolveRecord`, and then :class:`SolveEndEvent`
+        summarizing the :class:`~repro.core.results.CGResult` (its
+        ``record`` attribute is the bracket's record).
         """
         seconds = 0.0
+        record = None
         if self._active:
             active = self._active.pop()
             seconds = time.perf_counter() - active.started_at
+            record = active.record
+            self._record = self._active[-1].record if self._active else None
             swap_tracer(active.outer_tracer)
             if active.counter is not None:
                 self.emit(CountersEvent(counts=pop_scope(active.counter).snapshot()))
         if self.health is not None:
+            if record is not None:
+                self._judge(record)
             self.health.end_solve(result)
-        self.emit(
-            SolveEndEvent(
-                label=result.label,
-                converged=bool(result.converged),
-                stop_reason=result.stop_reason.value,
-                iterations=int(result.iterations),
-                residual_norm=float(result.final_recurred_residual),
-                true_residual_norm=float(result.true_residual_norm),
-                seconds=seconds,
-            )
+        event = SolveEndEvent(
+            label=result.label,
+            converged=bool(result.converged),
+            stop_reason=result.stop_reason.value,
+            iterations=int(result.iterations),
+            residual_norm=float(result.final_recurred_residual),
+            true_residual_norm=float(result.true_residual_norm),
+            seconds=seconds,
         )
+        event.record = record
+        self.emit(event)
         if self.tracer is not None:
             self.tracer.end("solve")
+
+    def _judge(self, record: SolveRecord) -> None:
+        """Emit the health transitions the monitor finds in ``record``."""
+        for health_event in self.health.judge(record):
+            self.emit(health_event)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -445,23 +559,31 @@ class Telemetry:
         outer tracer and closes its tracer span; then the sinks are
         flushed so a :class:`JsonlSink` keeps every event emitted before
         the failure.  No solve-end event is emitted -- the stream
-        honestly ends where the solver died.
+        honestly ends where the solver died.  The health monitor judges
+        the innermost abandoned bracket's record (the solve it was
+        watching) before archiving it as abandoned.
         """
-        unwound = len(self._active) > max(depth, 0)
+        abandoned = []
         while len(self._active) > max(depth, 0):
             active = self._active.pop()
+            abandoned.append(active.record)
             swap_tracer(active.outer_tracer)
             if active.counter is not None:
                 pop_scope(active.counter)
             if self.tracer is not None:
                 self.tracer.end("solve")
-        if unwound and self.health is not None:
+        self._record = self._active[-1].record if self._active else None
+        if abandoned and self.health is not None:
+            if abandoned[0] is not None:
+                self._judge(abandoned[0])
             self.health.abandon_solve()
         self.flush()
 
     def add_sink(self, sink: Sink) -> None:
         """Attach one more sink to the running session."""
         self._sinks = self._sinks + (sink,)
+        self._streams = _streaming(self._sinks)
+        self._reads = len(self._streams) < len(self._sinks)
         bind = getattr(sink, "bind_session", None)
         if callable(bind):
             bind(self)
@@ -486,12 +608,15 @@ class Telemetry:
         """
         view = Telemetry.__new__(Telemetry)
         view._sinks = self._sinks
+        view._streams = self._streams
+        view._reads = self._reads
         view.capture_iterates = self.capture_iterates
         view.iterates = self.iterates
         view.on_state = self.on_state
         view.count_ops = self.count_ops
         view.health = self.health
         view._active = []
+        view._record = None
         view._ctxlocal = self._ctxlocal
         if self.tracer is not None:
             from repro.trace.spans import Tracer
@@ -538,3 +663,8 @@ class Telemetry:
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
+
+
+def _streaming(sinks: tuple[Sink, ...]) -> tuple[Sink, ...]:
+    """The sinks that take per-iteration events: all but record readers."""
+    return tuple(sink for sink in sinks if not getattr(sink, "reads_record", False))

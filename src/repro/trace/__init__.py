@@ -19,7 +19,7 @@ iteration spend its time?* -- on live runs instead of only in the
   through coalesced batches;
 * :mod:`repro.trace.flightrecorder` -- bounded black-box event ring
   with atomic postmortem bundles and ``repro replay``;
-* :mod:`repro.trace.health` -- the online numerical-health monitor
+* :mod:`repro.trace.health` -- the per-solve numerical-health monitor
   (residual gap, drift trend, attainable-accuracy floor).
 
 Entry points::

@@ -11,9 +11,13 @@ into a **postmortem bundle** -- a single JSON document containing
 * the solve call (method, sanitized options, operator capture or
   fingerprint, right-hand side, fault-plan seeds),
 * the telemetry tail (last ``ring`` event payloads, with trace/tenant
-  attribution when the serve layer stamped it),
-* the full residual history, ``k_history``, comm stats and fault log of
-  the failed solve,
+  attribution when the serve layer stamped it; the recorder reads the
+  solve record, so per-iteration ``iteration``/``drift`` events never
+  reach its ring),
+* the full residual history (from the solve's
+  :class:`~repro.telemetry.SolveRecord`, held by reference, so a
+  snapshot taken mid-solve has every residual so far), ``k_history``,
+  comm stats and fault log of the failed solve,
 * the span forest with ``trace_id``/``span_id``/``parent_id``.
 
 Bundles are written atomically (tmp + ``os.replace``) so a crash during
@@ -86,17 +90,19 @@ def _span_payload(span: Any) -> dict[str, Any]:
     }
 
 
-class _SolveRecord(threading.local):
-    """One thread's solve: its captured call and per-solve accumulators."""
+class _ThreadCapture(threading.local):
+    """One thread's solve: its captured call, its ``solve_start`` event,
+    its :class:`~repro.telemetry.SolveRecord` and per-solve
+    accumulators."""
 
     def __init__(self) -> None:
         self.call: tuple[Any, Any, str, dict[str, Any]] | None = None
         self.last_failure: BaseException | None = None
-        self.info: dict[str, Any] | None = None
         self.reset()
 
-    def reset(self) -> None:
-        self.residuals: list[float] = []
+    def reset(self, start: Any = None) -> None:
+        self.start = start
+        self.record = getattr(start, "record", None)
         self.k_history: list[dict[str, Any]] = []
         self.comm: dict[str, dict[str, int]] = {}
         self.faults: list[dict[str, Any]] = []
@@ -147,7 +153,7 @@ class FlightRecorder:
         # whichever solve last emitted on another worker.  The event ring
         # stays shared (deque appends are atomic) so the telemetry tail
         # keeps its cross-request production semantics.
-        self._solve = _SolveRecord()
+        self._solve = _ThreadCapture()
         self.snapshots = 0
         self.last_bundle: dict[str, Any] | None = None
         self.written: list[Path] = []
@@ -159,14 +165,15 @@ class FlightRecorder:
         """Called by :class:`~repro.telemetry.Telemetry` on attachment."""
         self._session = session
 
+    #: The session sends no per-iteration events: the residual history
+    #: comes from the solve record, kept by reference from solve_start.
+    reads_record = True
+
     def emit(self, event: Any) -> None:
-        # Hot path: one deque append plus cheap per-kind accumulation.
         self._events.append((self._clock(), event))
         kind = event.kind
         solve = self._solve
-        if kind == "iteration":
-            solve.residuals.append(event.residual_norm)
-        elif kind == "adaptive":
+        if kind == "adaptive":
             solve.k_history.append(
                 {
                     "iteration": event.iteration,
@@ -190,13 +197,7 @@ class FlightRecorder:
                 }
             )
         elif kind == "solve_start":
-            solve.reset()
-            solve.info = {
-                "method": event.method,
-                "label": event.label,
-                "n": event.n,
-                "options": _jsonable(event.options),
-            }
+            solve.reset(event)
 
     def flush(self) -> None:  # sink protocol; nothing buffered to disk
         pass
@@ -322,6 +323,7 @@ class FlightRecorder:
     def snapshot(self, reason: str, detail: str = "") -> dict[str, Any]:
         """Build a postmortem bundle from the current ring contents."""
         solve = self._solve
+        start = solve.start
         tail = []
         # Iterate a copy: the service snapshots sheds on the event loop
         # while worker threads keep appending solve events to the ring.
@@ -345,8 +347,15 @@ class FlightRecorder:
             "detail": detail,
             "context": context,
             "call": self._capture_call(),
-            "solve": solve.info,
-            "residual_norms": list(solve.residuals),
+            "solve": None if start is None else {
+                "method": start.method,
+                "label": start.label,
+                "n": start.n,
+                "options": _jsonable(start.options),
+            },
+            "residual_norms": (
+                [] if solve.record is None else list(solve.record.residuals)
+            ),
             "k_history": list(solve.k_history),
             "comm_stats": dict(solve.comm),
             "faults": list(solve.faults),

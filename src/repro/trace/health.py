@@ -18,11 +18,17 @@ continuously, in the terms the rounding-error literature uses:
   window of iterations.
 
 A :class:`HealthMonitor` attaches to a :class:`~repro.telemetry.Telemetry`
-session (``Telemetry(health=monitor)``); the session feeds it from
-``solve_start``/``iteration``/``drift``/``clamp``/``solve_end`` and
-emits the :class:`~repro.telemetry.events.HealthEvent` objects it
-returns, so sinks (JSONL, metrics gauges, the flight recorder) see
-health transitions with no solver changes.  It observes only: the
+session (``Telemetry(health=monitor)``).  The session opens it with each
+solve bracket and, at ``solve_end``, hands it the bracket's
+:class:`~repro.telemetry.SolveRecord`: :meth:`HealthMonitor.judge` runs
+the step functions (:meth:`~HealthMonitor.observe_iteration`,
+:meth:`~HealthMonitor.observe_drift`, :meth:`~HealthMonitor.observe_clamp`)
+over the record's residuals and checks in the order they happened, and
+the session emits the :class:`~repro.telemetry.events.HealthEvent`
+transitions they fire -- each with its own iteration number -- just
+before the ``solve_end`` event.  Sinks (JSONL, metrics gauges, the
+flight recorder) therefore see the same transitions a per-iteration
+feed would produce, at a per-solve cost.  It observes only: the
 residual checks it reads are the ones a recovery policy, vr's default
 drift replacement or an adaptive controller already runs, so a solve
 under a monitor does exactly the arithmetic of a bare solve.
@@ -36,7 +42,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.telemetry.events import HealthEvent
@@ -49,7 +55,7 @@ __all__ = ["HealthMonitor", "HealthSummary"]
 _STATUS_RANK = {"ok": 0, "watch": 1, "critical": 2}
 
 
-@dataclass
+@dataclass(slots=True)
 class HealthSummary:
     """Digest of one solve's numerical health, kept in the history ring."""
 
@@ -90,24 +96,91 @@ class HealthSummary:
         }
 
 
-class _SolveState(threading.local):
-    """One thread's in-flight solve: its summary and estimator state."""
+class _Solve:
+    """One in-flight solve: its summary, its estimator state and the step
+    functions that advance them (the monitor's ``observe_*`` delegate
+    here, and :meth:`HealthMonitor.judge` binds them once per record)."""
 
-    def __init__(self) -> None:
-        self.reset(None)
+    __slots__ = (
+        "current", "best_res", "best_iteration", "stagnation_reported_at",
+        "max_abs_gap", "gap_watch", "gap_critical", "window", "keep", "decay",
+        "blend",
+    )
 
-    def reset(self, current: HealthSummary | None) -> None:
+    def __init__(self, monitor: "HealthMonitor", current: HealthSummary) -> None:
         self.current = current
         self.best_res = math.inf
         self.best_iteration = 0
         self.stagnation_reported_at = -1
         self.max_abs_gap = 0.0
+        self.gap_watch = monitor.gap_watch
+        self.gap_critical = monitor.gap_critical
+        self.window = monitor.stagnation_window
+        self.keep = 1.0 - monitor.stagnation_rtol
+        self.decay = monitor.trend_decay
+        self.blend = 1.0 - monitor.trend_decay
 
     def raise_floor(self, abs_gap: float) -> None:
-        """Fold one ``|recurred − direct|`` into the floor estimate."""
-        if math.isfinite(abs_gap):
-            self.max_abs_gap = max(self.max_abs_gap, abs_gap)
-            self.current.floor_estimate = math.sqrt(self.max_abs_gap)
+        """Fold one finite ``|recurred − direct|`` into the floor estimate."""
+        if self.max_abs_gap < abs_gap < math.inf:
+            self.max_abs_gap = abs_gap
+            self.current.floor_estimate = math.sqrt(abs_gap)
+
+    def iteration(self, iteration: int, residual_norm: float) -> HealthEvent | None:
+        cur = self.current
+        cur.iterations = iteration
+        if residual_norm < self.best_res * self.keep:
+            self.best_res = residual_norm
+            self.best_iteration = iteration
+            return None
+        if (
+            iteration - self.best_iteration >= self.window
+            and self.stagnation_reported_at < self.best_iteration
+        ):
+            self.stagnation_reported_at = iteration
+            return self.transition(iteration, "watch", "stagnation", 0.0)
+        return None
+
+    def drift(
+        self, iteration: int, recurred_rr: float, direct_rr: float, rel_gap: float
+    ) -> HealthEvent | None:
+        cur = self.current
+        cur.checks += 1
+        cur.last_gap = rel_gap
+        if rel_gap > cur.peak_gap:
+            cur.peak_gap = rel_gap
+        trend = cur.drift_trend = self.decay * cur.drift_trend + self.blend * rel_gap
+        self.raise_floor(abs(recurred_rr - direct_rr))
+        if not rel_gap <= self.gap_critical:  # past critical, or not finite
+            return self.transition(iteration, "critical", "drift", rel_gap)
+        if rel_gap > self.gap_watch:
+            return self.transition(iteration, "watch", "drift", rel_gap)
+        if trend <= self.gap_watch and cur.status != "ok":
+            return self.transition(iteration, "ok", "recovered", rel_gap)
+        return None
+
+    def clamp(self, iteration: int, recurred_rr: float) -> HealthEvent | None:
+        self.current.clamps += 1
+        abs_gap = abs(recurred_rr)
+        self.raise_floor(abs_gap)
+        return self.transition(iteration, "watch", "clamp", abs_gap)
+
+    def transition(
+        self, iteration: int, status: str, reason: str, gap: float
+    ) -> HealthEvent | None:
+        cur = self.current
+        if cur.status == status and cur.reason == reason:
+            return None
+        if reason != "recovered" and _STATUS_RANK[status] < _STATUS_RANK[cur.status]:
+            return None
+        cur.status, cur.reason = status, reason
+        return HealthEvent(iteration, status, reason, float(gap), cur.floor_estimate)
+
+
+class _ThreadSolve(threading.local):
+    """The solve in flight on this thread (``None`` between solves)."""
+
+    solve: _Solve | None = None
 
 
 class HealthMonitor:
@@ -151,71 +224,76 @@ class HealthMonitor:
         # solves run concurrently on different threads.  Each thread
         # tracks its own in-flight solve; the history ring (deque
         # appends are atomic under the GIL) aggregates all of them.
-        self._solve = _SolveState()
+        self._thread = _ThreadSolve()
 
     # ------------------------------------------------------------------
     # feeding (called by Telemetry)
     # ------------------------------------------------------------------
     def begin_solve(self, method: str, label: str, n: int) -> None:
         """A solve bracket opened: reset the per-solve estimators."""
-        self._solve.reset(HealthSummary(method=method, label=label, n=n))
+        self._thread.solve = _Solve(
+            self, HealthSummary(method=method, label=label, n=n)
+        )
+
+    def judge(self, record: Any) -> list[HealthEvent]:
+        """Step through a solve's record in order; return the transitions.
+
+        ``record`` is a :class:`~repro.telemetry.SolveRecord`: each check
+        is stepped just before the residual it preceded, so the step
+        functions see exactly the sequence a per-iteration feed would
+        have delivered, and each transition keeps its iteration number.
+        Nothing happens between solves.
+        """
+        solve = self._thread.solve
+        if solve is None:
+            return []
+        step, drift, clamp = solve.iteration, solve.drift, solve.clamp
+        iterations, residuals = record.iterations, record.residuals
+        events: list[HealthEvent] = []
+        done = 0
+        for check, gap in zip(record.checks, record.drifts()):
+            position, iteration, recurred_rr, direct_rr = check
+            for i in range(done, position):  # the residuals before it
+                event = step(iterations[i], residuals[i])
+                if event is not None:
+                    events.append(event)
+            done = position
+            if direct_rr is None:
+                event = clamp(iteration, recurred_rr)
+            else:
+                event = drift(iteration, recurred_rr, direct_rr, gap)
+            if event is not None:
+                events.append(event)
+        for i in range(done, len(residuals)):
+            event = step(iterations[i], residuals[i])
+            if event is not None:
+                events.append(event)
+        return events
 
     def observe_iteration(
         self, iteration: int, residual_norm: float
     ) -> HealthEvent | None:
         """One iteration completed; detects stagnation."""
-        solve = self._solve
-        cur = solve.current
-        if cur is None:
-            return None
-        cur.iterations = iteration
-        if residual_norm < solve.best_res * (1.0 - self.stagnation_rtol):
-            solve.best_res = residual_norm
-            solve.best_iteration = iteration
-            return None
-        if (
-            iteration - solve.best_iteration >= self.stagnation_window
-            and solve.stagnation_reported_at < solve.best_iteration
-        ):
-            solve.stagnation_reported_at = iteration
-            return self._transition(iteration, "watch", "stagnation", 0.0)
-        return None
+        solve = self._thread.solve
+        return None if solve is None else solve.iteration(iteration, residual_norm)
 
     def observe_drift(
         self, iteration: int, recurred_rr: float, direct_rr: float, rel_gap: float
     ) -> HealthEvent | None:
-        """A recurred-vs-direct check happened (``Telemetry.drift``)."""
-        cur = self._solve.current
-        if cur is None:
+        """A recurred-vs-direct check (a ``Telemetry.drift`` call)."""
+        solve = self._thread.solve
+        if solve is None:
             return None
-        cur.checks += 1
-        cur.last_gap = rel_gap
-        cur.peak_gap = max(cur.peak_gap, rel_gap)
-        cur.drift_trend = (
-            self.trend_decay * cur.drift_trend + (1.0 - self.trend_decay) * rel_gap
-        )
-        self._solve.raise_floor(abs(recurred_rr - direct_rr))
-        if rel_gap > self.gap_critical or not math.isfinite(rel_gap):
-            return self._transition(iteration, "critical", "drift", rel_gap)
-        if rel_gap > self.gap_watch:
-            return self._transition(iteration, "watch", "drift", rel_gap)
-        if _STATUS_RANK[cur.status] > 0 and cur.drift_trend <= self.gap_watch:
-            return self._transition(iteration, "ok", "recovered", rel_gap)
-        return None
+        return solve.drift(iteration, recurred_rr, direct_rr, rel_gap)
 
     def observe_clamp(self, iteration: int, recurred_rr: float) -> HealthEvent | None:
         """The recurred ``(r, r)`` went negative and was clamped."""
-        cur = self._solve.current
-        if cur is None:
-            return None
-        cur.clamps += 1
-        abs_gap = abs(recurred_rr)
-        self._solve.raise_floor(abs_gap)
-        return self._transition(iteration, "watch", "clamp", abs_gap)
+        solve = self._thread.solve
+        return None if solve is None else solve.clamp(iteration, recurred_rr)
 
     def end_solve(self, result: Any) -> HealthSummary | None:
         """A solve bracket closed; archive and return its summary."""
-        cur = self._solve.current
+        cur = self.current
         if cur is None:
             return None
         cur.converged = bool(result.converged)
@@ -225,18 +303,18 @@ class HealthMonitor:
         if not cur.converged and _STATUS_RANK[cur.status] == 0:
             cur.status, cur.reason = "watch", cur.stop_reason
         self.history.append(cur)
-        self._solve.current = None
+        self._thread.solve = None
         return cur
 
     def abandon_solve(self, reason: str = "exception") -> HealthSummary | None:
         """The solve died mid-flight: archive what was observed."""
-        cur = self._solve.current
+        cur = self.current
         if cur is None:
             return None
         cur.status, cur.reason = "critical", reason
         cur.stop_reason = reason
         self.history.append(cur)
-        self._solve.current = None
+        self._thread.solve = None
         return cur
 
     # ------------------------------------------------------------------
@@ -245,12 +323,13 @@ class HealthMonitor:
     @property
     def current(self) -> HealthSummary | None:
         """The in-flight solve's summary (``None`` between solves)."""
-        return self._solve.current
+        solve = self._thread.solve
+        return None if solve is None else solve.current
 
     @property
     def status(self) -> str:
         """Current assessment: the in-flight solve's, else the last one's."""
-        cur = self._solve.current
+        cur = self.current
         if cur is not None:
             return cur.status
         if self.history:
@@ -270,23 +349,3 @@ class HealthMonitor:
             "solves": len(recent),
             "recent": [item.to_payload() for item in recent[-8:]],
         }
-
-    # ------------------------------------------------------------------
-    def _transition(
-        self, iteration: int, status: str, reason: str, gap: float
-    ) -> HealthEvent | None:
-        cur = self._solve.current
-        assert cur is not None
-        demotion = _STATUS_RANK[status] < _STATUS_RANK[cur.status]
-        if demotion and reason != "recovered":
-            return None
-        if cur.status == status and cur.reason == reason:
-            return None
-        cur.status, cur.reason = status, reason
-        return HealthEvent(
-            iteration=iteration,
-            status=status,
-            reason=reason,
-            residual_gap=float(gap),
-            floor_estimate=cur.floor_estimate,
-        )

@@ -16,9 +16,10 @@ label set -- with two export formats:
 :class:`MetricsSink` adapts the registry to the sink protocol: attach it
 to a :class:`~repro.telemetry.Telemetry` session and every solve feeds
 the registry -- iteration counts and latencies, drift magnitudes,
-fault/recovery counts, reduction traffic -- with per-event cost low
-enough to stay inside the instrumentation overhead budget
-(``benchmarks/bench_trace_overhead.py`` prices it).
+fault/recovery counts, reduction traffic.  It reads the per-iteration
+quantities from the solve's :class:`~repro.telemetry.SolveRecord` once,
+at ``solve_end``, so a solve pays for its metrics once, not once per
+iteration (``benchmarks/bench_telemetry_overhead.py`` prices it).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import bisect
 import json
 import math
 import threading
-import time
 from typing import Any
 
 __all__ = [
@@ -115,12 +115,24 @@ class Histogram:
         self.count = 0
         self._lock = threading.Lock()
 
-    def observe(self, value: float) -> None:
-        """Record one observation."""
+    def observe(self, value: float, weight: int = 1) -> None:
+        """Record one observation, counted ``weight`` times."""
         with self._lock:
-            self.counts[bisect.bisect_left(self.buckets, value)] += 1
-            self.sum += value
-            self.count += 1
+            self.counts[bisect.bisect_left(self.buckets, value)] += weight
+            self.sum += value * weight
+            self.count += weight
+
+    def observe_all(self, values: list[float]) -> None:
+        """Record several observations under one lock acquisition (the
+        sum accumulates in order, as repeated :meth:`observe` would)."""
+        buckets, counts = self.buckets, self.counts
+        with self._lock:
+            total = self.sum
+            for value in values:
+                counts[bisect.bisect_left(buckets, value)] += 1
+                total += value
+            self.sum = total
+            self.count += len(values)
 
     def cumulative(self) -> list[tuple[float, int]]:
         """``(le, cumulative_count)`` pairs ending with ``(+Inf, count)``."""
@@ -162,20 +174,23 @@ class MetricsRegistry:
 
     Instruments are get-or-create: ``registry.counter("repro_faults_total",
     site="dot")`` returns the same :class:`Counter` on every call with the
-    same name and labels, so emitters need no caching of their own (though
-    :class:`MetricsSink` caches anyway for hot-path economy).  Registering
+    same name and labels, so emitters need no caching of their own.  Registering
     the same name with a different instrument type raises.
 
-    Get-or-create and export are lock-guarded: the serve layer's worker
-    pool lazily creates labelled series from several threads at once, and
-    an unguarded race there could hand two threads *different* instrument
+    Creation and export are lock-guarded: the serve layer's worker pool
+    lazily creates labelled series from several threads at once, and an
+    unguarded race there could hand two threads *different* instrument
     objects for the same series -- one of which would silently drop every
-    update made through it.
+    update made through it.  A repeat lookup of a series already handed
+    out is one dict probe, without the lock.
     """
 
     def __init__(self) -> None:
         self._families: dict[str, _Family] = {}
         self._lock = threading.Lock()
+        # Series handed out, keyed by kind, name and the labels as passed;
+        # written only under the lock, read without it.
+        self._seen: dict[tuple, Any] = {}
 
     def _family(
         self,
@@ -198,25 +213,38 @@ class MetricsRegistry:
             )
         return family
 
-    def counter(self, name: str, help: str = "", **labels: str) -> Counter:
-        """Get or create a counter."""
+    def _instrument(
+        self,
+        kind: str,
+        name: str,
+        help: str,
+        labels: dict[str, str],
+        buckets: tuple[float, ...] | None = None,
+    ) -> Any:
+        seen = (kind, name, *labels.items())
+        inst = self._seen.get(seen)
+        if inst is not None:
+            return inst
         with self._lock:
-            family = self._family(name, "counter", help)
+            family = self._family(name, kind, help, buckets)
             key = _labelkey(labels)
             inst = family.instruments.get(key)
             if inst is None:
-                inst = family.instruments[key] = Counter(dict(labels))
+                if kind == "histogram":
+                    inst = Histogram(dict(labels), family.buckets or DEFAULT_BUCKETS)
+                else:
+                    inst = (Counter if kind == "counter" else Gauge)(dict(labels))
+                family.instruments[key] = inst
+            self._seen[seen] = inst
             return inst
+
+    def counter(self, name: str, help: str = "", **labels: str) -> Counter:
+        """Get or create a counter."""
+        return self._instrument("counter", name, help, labels)
 
     def gauge(self, name: str, help: str = "", **labels: str) -> Gauge:
         """Get or create a gauge."""
-        with self._lock:
-            family = self._family(name, "gauge", help)
-            key = _labelkey(labels)
-            inst = family.instruments.get(key)
-            if inst is None:
-                inst = family.instruments[key] = Gauge(dict(labels))
-            return inst
+        return self._instrument("gauge", name, help, labels)
 
     def histogram(
         self,
@@ -226,15 +254,7 @@ class MetricsRegistry:
         **labels: str,
     ) -> Histogram:
         """Get or create a histogram (buckets fixed at first creation)."""
-        with self._lock:
-            family = self._family(name, "histogram", help, buckets)
-            key = _labelkey(labels)
-            inst = family.instruments.get(key)
-            if inst is None:
-                inst = family.instruments[key] = Histogram(
-                    dict(labels), family.buckets or DEFAULT_BUCKETS
-                )
-            return inst
+        return self._instrument("histogram", name, help, labels, buckets)
 
     # -- export --------------------------------------------------------
     def _snapshot(self) -> list[tuple[_Family, list[tuple[Any, Any]]]]:
@@ -331,33 +351,14 @@ def _labelstr(labels: dict[str, str], **extra: str) -> str:
     return "{" + body + "}"
 
 
-class _SolveState:
-    """One thread's in-flight solve: its method label, the time of its
-    last iteration event, and the cached instruments its iterations feed."""
-
-    __slots__ = ("method", "last_ts", "iters", "latency", "residual")
-
-    def __init__(self, registry: MetricsRegistry, method: str, last_ts: float) -> None:
-        self.method = method
-        self.last_ts = last_ts
-        self.iters = registry.counter(
-            "repro_iterations_total", "Solver iterations completed", method=method
-        )
-        self.latency = registry.histogram(
-            "repro_iteration_seconds", "Wall time between iteration events",
-            method=method,
-        )
-        self.residual = registry.gauge(
-            "repro_residual_norm", "Last reported residual norm", method=method
-        )
+_HEALTH_RANK = {"ok": 0.0, "watch": 1.0, "critical": 2.0}
 
 
-class _ThreadSolves(threading.local):
-    """Per-thread :class:`_SolveState`, ``method="unknown"`` until a
-    solve starts on the thread."""
+class _ThreadMethod(threading.local):
+    """The registry method of the solve open on this thread, which labels
+    the events a solve emits between its brackets."""
 
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.solve = _SolveState(registry, "unknown", 0.0)
+    method = "unknown"
 
 
 class MetricsSink:
@@ -370,10 +371,10 @@ class MetricsSink:
     metric                          type       source
     ==============================  =========  ==============================
     repro_solves_total              counter    solve_end (label: converged)
-    repro_iterations_total          counter    iteration
-    repro_iteration_seconds         histogram  inter-iteration wall time
-    repro_residual_norm             gauge      iteration
-    repro_drift                     histogram  drift events
+    repro_iterations_total          counter    solve record, at solve_end
+    repro_iteration_seconds         histogram  solve's mean s/iteration
+    repro_residual_norm             gauge      record's last residual
+    repro_drift                     histogram  record's drift checks
     repro_drift_peak                gauge      running max drift per method
     repro_faults_total              counter    fault events (label: site)
     repro_recoveries_total          counter    recovery events (label: action)
@@ -387,39 +388,64 @@ class MetricsSink:
     repro_health_floor              gauge      health events
     ==============================  =========  ==============================
 
-    The per-iteration path is kept flat (cached instruments, single
-    ``kind`` string compare) because it runs inside the solver hot loop.
-    The per-solve state is thread-local: the serve layer's worker pool
-    runs concurrent solves through one sink, and each thread's events
-    must land under its own solve's method label.
+    The sink reads the solve record (``reads_record``), so the session
+    sends it no per-iteration events: at ``solve_end`` it books the
+    record's iterations, one ``repro_iteration_seconds`` observation of
+    the solve's mean seconds per iteration weighted by its iteration
+    count (so the histogram's count is still the iterations), the last
+    residual, and every drift check.  Record-derived metrics carry the
+    record's own method, so a nested bracket books under its own label;
+    the per-event ones use the method of the solve open on the emitting
+    thread (thread-local: the serve layer's worker pool runs concurrent
+    solves through one sink).
     """
+
+    reads_record = True
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._solves = _ThreadSolves(self.registry)
+        self._thread = _ThreadMethod()
+
+    def _book_record(self, record: Any, seconds: float) -> None:
+        reg = self.registry
+        method = record.method
+        iters = reg.counter(
+            "repro_iterations_total", "Solver iterations completed", method=method
+        )
+        latency = reg.histogram(
+            "repro_iteration_seconds",
+            "Mean wall time per iteration of each solve, weighted by its iterations",
+            method=method,
+        )
+        residual = reg.gauge(
+            "repro_residual_norm", "Last reported residual norm", method=method
+        )
+        iterations = len(record.residuals)
+        if iterations:
+            iters.inc(iterations)
+            latency.observe(seconds / iterations, iterations)
+            residual.set(record.residuals[-1])
+        if record.checks:
+            drifts = record.drifts()
+            reg.histogram(
+                "repro_drift", "Recurred vs direct (r,r) relative gap", method=method
+            ).observe_all(drifts)
+            peak = -math.inf
+            for value in drifts:
+                if value > peak:
+                    peak = value
+            reg.gauge(
+                "repro_drift_peak", "Peak observed drift", method=method
+            ).set_max(peak)
 
     def emit(self, event: Any) -> None:
         kind = event.kind
-        if kind == "iteration":
-            solve = self._solves.solve
-            now = time.perf_counter()
-            solve.iters.inc()
-            solve.latency.observe(now - solve.last_ts)
-            solve.last_ts = now
-            solve.residual.set(event.residual_norm)
-            return
         reg = self.registry
-        method = self._solves.solve.method
         if kind == "solve_start":
-            self._solves.solve = _SolveState(reg, event.method, time.perf_counter())
-        elif kind == "drift":
-            reg.histogram(
-                "repro_drift", "Recurred vs direct (r,r) relative gap", method=method
-            ).observe(event.drift)
-            reg.gauge(
-                "repro_drift_peak", "Peak observed drift", method=method
-            ).set_max(event.drift)
-        elif kind == "fault":
+            self._thread.method = event.method
+            return
+        method = self._thread.method
+        if kind == "fault":
             reg.counter(
                 "repro_faults_total", "Injected faults that landed",
                 method=method, site=event.site,
@@ -444,7 +470,7 @@ class MetricsSink:
                 method=method,
             ).inc(event.counts.total_flops)
         elif kind == "health":
-            rank = {"ok": 0.0, "watch": 1.0, "critical": 2.0}.get(event.status, 1.0)
+            rank = _HEALTH_RANK.get(event.status, 1.0)
             reg.gauge(
                 "repro_health_status",
                 "Numerical-health assessment (0=ok, 1=watch, 2=critical)",
@@ -461,6 +487,10 @@ class MetricsSink:
                 method=method,
             ).set(event.floor_estimate)
         elif kind == "solve_end":
+            record = getattr(event, "record", None)
+            if record is not None:
+                method = record.method
+                self._book_record(record, event.seconds)
             reg.counter(
                 "repro_solves_total", "Completed solves",
                 method=method, converged=str(bool(event.converged)).lower(),

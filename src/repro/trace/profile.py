@@ -11,8 +11,9 @@ the drift-check dot.  :func:`profile_solve` measures this on a real run:
    (``matvec`` / ``local_dot`` / ``allreduce_wait`` / ...);
 2. the blocking-synchronization count per iteration is taken from the
    run itself -- ``CommStats.synchronizations_on_critical_path`` for the
-   distributed methods, the machine-model critical path plus observed
-   drift-check dots for the sequential ones;
+   distributed methods, the machine-model critical path plus the
+   observed drift-check dots (the ``local_dot`` spans labelled
+   ``drift_check_dot``) for the sequential ones;
 3. each blocking synchronization is priced at
    ``CostModel.dot_depth(n) × level_seconds`` (the user's "seconds per
    fan-in level" knob), which combines with the measured compute time
@@ -172,12 +173,15 @@ class ProfileReport:
         return table.render()
 
 
+#: The booking label of the dot a drift check takes (a blocking sync).
+_DRIFT_CHECK_DOT = "drift_check_dot"
+
+
 class _CollectorSink:
     """Counts the event kinds the report needs, and keeps the outermost
     solve's start options (the window it ran); stores nothing else."""
 
     def __init__(self) -> None:
-        self.drift = 0
         self.faults = 0
         self.recoveries = 0
         self.reductions: dict[str, int] = {}
@@ -185,9 +189,7 @@ class _CollectorSink:
 
     def emit(self, event: Any) -> None:
         kind = event.kind
-        if kind == "drift":
-            self.drift += 1
-        elif kind == "fault":
+        if kind == "fault":
             self.faults += 1
         elif kind == "recovery":
             self.recoveries += 1
@@ -333,6 +335,11 @@ def profile_solve(
     model = _build_model(
         method, n, d, iterations, collector.start_options or {}
     )
+    drift_checks = sum(
+        1
+        for span in solve_span.walk()
+        if span.name == "local_dot" and span.attrs.get("label") == _DRIFT_CHECK_DOT
+    )
 
     cm = CostModel()
     comm_stats = (result.extras or {}).get("comm_stats")
@@ -356,7 +363,7 @@ def profile_solve(
         # Sequential run: the model supplies the algorithmic blocking
         # dots; observed drift-check dots are extra blocking syncs the
         # steady-state DAG does not carry.
-        drift_rate = collector.drift / iters_div
+        drift_rate = drift_checks / iters_div
         syncs_per_iter = model.syncs_per_iteration + drift_rate
         sync_depth_per_iter = (
             model.sync_depth_per_iteration + drift_rate * cm.dot_depth(n)
@@ -379,7 +386,7 @@ def profile_solve(
         wall_seconds=solve_span.seconds,
         level_seconds=level_seconds,
         phases=phases,
-        drift_checks=collector.drift,
+        drift_checks=drift_checks,
         blocking_syncs_per_iteration=syncs_per_iter,
         sync_blocked_seconds=sync_blocked,
         sync_blocked_fraction=sync_blocked / denom if denom else 0.0,

@@ -298,11 +298,13 @@ def add_dot(n: int, label: str | None = None, m: int = 1) -> Any:
     length-``n`` dots whose fan-in tree starts once with an ``m``-word
     payload -- ``reductions`` grows by 1, not ``m``, which is exactly
     the amortization the block solvers claim.  Opens a ``local_dot``
-    span.
+    span, annotated with the booking ``label`` when there is one.
     """
     tracer = _STACK.tracer
     if tracer is not None:
         tracer.begin(_DOT_SPAN)
+        if label is not None:
+            tracer.annotate(label=label)
     stack = _STACK.stack
     if not stack:
         return tracer

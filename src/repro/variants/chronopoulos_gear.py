@@ -23,7 +23,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.results import CGResult, SolveRun, StopReason
-from repro.core.stopping import StoppingCriterion
+from repro.core.stopping import DIVERGENCE_FACTOR, StoppingCriterion
 from repro.sparse.linop import matvec_into
 from repro.util.kernels import axpy, dot
 
@@ -148,6 +148,18 @@ def chronopoulos_gear_cg(
                     reason = StopReason.CONVERGED
                     break
                 if run.restart(iterations, "false_convergence"):
+                    _restart()
+                    fresh_start = True
+                    continue
+                reason = StopReason.BREAKDOWN
+                break
+            if (plan is not None or run.policy is not None) and res_norms[
+                -1
+            ] > DIVERGENCE_FACTOR * max(res_norms[0], b_norm):
+                # Growth with every denominator still positive: the
+                # recurrences no longer track x.  Gated as cg gates its
+                # own, so the plain solver's exit is untouched.
+                if run.restart(iterations, "divergence"):
                     _restart()
                     fresh_start = True
                     continue

@@ -81,7 +81,9 @@ def _pr_solve(
             gamma = plan.corrupt_dot(gamma, "gamma")
 
     def _restart() -> None:
-        """Fresh residual, direction reset to steepest descent."""
+        """Fresh residual, direction reset to steepest descent; growth is
+        judged from the fresh residual on."""
+        nonlocal best_res
         r[:] = b - op.matvec(x)
         p[:] = r
         s[:] = op.matvec(p)
@@ -89,6 +91,7 @@ def _pr_solve(
             w[:] = s  # A r = A p at a restart
             u[:] = op.matvec(s)
         _dots()
+        best_res = float(np.sqrt(max(nu, 0.0)))
 
     r[:] = b - op.matvec(x)
     p[:] = r
@@ -104,6 +107,7 @@ def _pr_solve(
 
     reason = StopReason.MAX_ITER
     iterations = 0
+    best_res = res_norms[0]
     if stop.is_met(res_norms[0], b_norm):
         reason = StopReason.CONVERGED
     else:
@@ -166,12 +170,19 @@ def _pr_solve(
                     continue
                 reason = StopReason.BREAKDOWN
                 break
-            if res_norms[-1] > DIVERGENCE_FACTOR * max(res_norms[0], b_norm):
+            if res_norms[-1] > DIVERGENCE_FACTOR * max(res_norms[0], b_norm) or (
+                run.policy is not None and res_norms[-1] > 100.0 * best_res
+            ):
+                # The hard growth guard, and under a policy cg's
+                # sustained-growth one: a matvec fault can drive gradual
+                # exponential growth that would eat most of the budget
+                # before the hard guard trips.
                 if run.restart(iterations, "divergence"):
                     _restart()
                     continue
                 reason = StopReason.BREAKDOWN
                 break
+            best_res = min(best_res, res_norms[-1])
 
             # Sampled replacement: the vector-recurred r vs. the truth.
             replaced = run.residual_check(iterations, x, nu)

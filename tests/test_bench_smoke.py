@@ -98,18 +98,20 @@ def test_bench_telemetry_smoke_emits_json(tmp_path):
     assert on_disk["budget"] == 0.05
     assert on_disk["n"] == 144
 
-    # The full 2-method x 6-configuration grid is present with the right
+    # The full 2-method x 7-configuration grid is present with the right
     # baselines; overhead numbers at smoke scale are noise, so only their
     # type is checked -- the budget assertion lives in the benchmark run.
     grid = {(r["method"], r["config"]): r for r in on_disk["results"]}
     configs = (
         "null_sink", "metrics_sink", "tracer", "flight_recorder",
-        "health", "tracer+metrics",
+        "health", "tracer+metrics", "service",
     )
     assert set(grid) == {(m, c) for m in ("cg", "vr") for c in configs}
     for (method, config), record in grid.items():
         assert isinstance(record["overhead"], float)
-        expected_baseline = "bare" if config == "null_sink" else "null_sink"
+        expected_baseline = (
+            "bare" if config in ("null_sink", "service") else "null_sink"
+        )
         assert record["baseline"] == expected_baseline
         assert record["budgeted"] == (config != "tracer+metrics")
 

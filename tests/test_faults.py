@@ -351,6 +351,92 @@ class TestAcceptanceCriterion:
 # ----------------------------------------------------------------------
 # comm faults on the distributed pipelined solver
 # ----------------------------------------------------------------------
+# divergence guards
+# ----------------------------------------------------------------------
+# A matvec-perturbing plan per method under which its guard has to act:
+# cg-cg and gv blow up in one step (the hard DIVERGENCE_FACTOR guard);
+# pr-cg and pr-pipe-cg grow gradually over ~100 iterations under a
+# 4%-rate plan and a one-restart raising policy (the sustained-growth
+# guard -- at the guard-less commit pr-pipe-cg climbed to a recurred
+# residual of 2.3e9 and raised after 296 iterations).
+_ONE_RESTART = RecoveryPolicy(
+    drift_tol=1e-6, verify_every=5, replace_every=25, max_restarts=1,
+    on_unrecoverable="raise",
+)
+GUARD_CASES = {
+    "cg-cg": (dict(magnitude=1e6, rate=1.0), 0, "robust"),
+    "gv": (dict(magnitude=1e4, rate=0.2), 3, "robust"),
+    "pr-cg": (dict(rate=0.04), 4, _ONE_RESTART),
+    "pr-pipe-cg": (dict(rate=0.04), 5, _ONE_RESTART),
+}
+
+
+@pytest.fixture(scope="module")
+def guard_problem():
+    a = poisson2d(16)
+    b = np.random.default_rng(0).standard_normal(a.nrows)
+    return a, b
+
+
+def _guarded_run(a, b, method):
+    injector, seed, recovery = GUARD_CASES[method]
+    plan = FaultPlan([PerturbInjector(site="matvec", **injector)], seed=seed)
+    tele = Telemetry()
+    try:
+        result = solve(a, b, method, faults=plan, recovery=recovery, telemetry=tele)
+    except UnrecoverableDivergence:
+        result = None
+    return result, tele
+
+
+class TestDivergenceGuards:
+    @pytest.mark.parametrize("method", sorted(GUARD_CASES))
+    def test_guard_fires_well_before_the_budget(self, guard_problem, method):
+        a, b = guard_problem
+        result, tele = _guarded_run(a, b, method)
+        restarts = [
+            e.iteration for e in tele.events_of("recovery")
+            if e.trigger == "divergence"
+        ]
+        assert restarts, "no divergence restart fired"
+        budget = StoppingCriterion().budget(a.nrows)
+        iterations = len(tele.events_of("iteration"))
+        assert restarts[0] < budget // 20
+        # The run ends -- converged, or an honest breakdown (raised under
+        # the one-restart policy) -- instead of eating the budget.
+        assert iterations < budget // 10
+        if result is not None and not result.converged:
+            assert result.stop_reason.value == "breakdown"
+
+    @pytest.mark.parametrize("method", ["pr-cg", "pr-pipe-cg"])
+    def test_sustained_growth_restarts_before_the_residual_explodes(
+        self, guard_problem, method
+    ):
+        a, b = guard_problem
+        _, tele = _guarded_run(a, b, method)
+        first = next(
+            e.iteration for e in tele.events_of("recovery")
+            if e.trigger == "divergence"
+        )
+        norms = [
+            e.residual_norm for e in tele.events_of("iteration")
+            if e.iteration <= first
+        ]
+        # 100x the best residual so far, far below the hard 1e8 guard.
+        assert max(norms) < 1e3 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("method", sorted(GUARD_CASES))
+    def test_fault_free_solves_never_trip_a_guard(self, guard_problem, method):
+        a, b = guard_problem
+        tele = Telemetry()
+        result = solve(a, b, method, recovery="robust", telemetry=tele)
+        assert result.converged
+        assert not [
+            e for e in tele.events_of("recovery") if e.trigger == "divergence"
+        ]
+
+
+# ----------------------------------------------------------------------
 class TestCommFaults:
     def test_drop_recovers_via_blocking_recompute(self, problem):
         a, b = problem

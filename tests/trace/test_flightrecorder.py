@@ -57,12 +57,17 @@ def failing_solve(telemetry) -> BaseException:
 def test_event_ring_is_bounded():
     recorder = FlightRecorder(ring=8)
     tele = Telemetry(recorder)
-    tele.solve_start("cg", "cg", 4)
+    tele.solve_start("vr", "vr", 4)
     for i in range(50):
         tele.iteration(i, 1.0 / (i + 1))
+        tele.replacement(i, "drift")
     bundle = recorder.snapshot("manual")
-    assert len(bundle["telemetry_tail"]) == 8
-    # ...but the per-solve residual history is complete regardless.
+    tail = bundle["telemetry_tail"]
+    assert len(tail) == 8
+    # The recorder reads the solve record: iterations never enter the
+    # ring, the events it still receives (replacements here) fill it...
+    assert {event["kind"] for event in tail} == {"replacement"}
+    # ...and the per-solve residual history is complete regardless.
     assert len(bundle["residual_norms"]) == 50
 
 

@@ -117,6 +117,38 @@ def test_improving_residuals_never_stagnate():
     assert mon.status == "ok"
 
 
+def test_judge_steps_a_record_in_the_order_it_was_observed():
+    # A drift check recorded between two residuals is stepped between
+    # them: here the critical drift lands first and the stagnation that
+    # follows it is a demotion, so only one transition fires.
+    from repro.core.results import CGResult, StopReason
+
+    tele = Telemetry(health=HealthMonitor(stagnation_window=2))
+    tele.solve_start("vr", "vr", 4)
+    tele.iteration(0, 1.0)
+    tele.iteration(1, 1.0)
+    tele.drift(2, 1.1, 1.0)  # rel gap 0.1: critical
+    tele.iteration(2, 1.0)  # two iterations without progress: stagnation
+    tele.clamp(3, -1e-12)  # a clamp after the last residual: watch, ignored
+    [start] = tele.events_of("solve_start")
+    record = start.record  # the bracket's live record rides solve_start
+    mon = HealthMonitor(stagnation_window=2)
+    mon.begin_solve("vr", "vr", 4)
+    events = mon.judge(record)
+    assert [(e.iteration, e.status, e.reason) for e in events] == [
+        (2, "critical", "drift")
+    ]
+    assert mon.current.checks == 1 and mon.current.clamps == 1
+    tele.solve_end(
+        CGResult(
+            x=np.zeros(4), converged=False, stop_reason=StopReason.MAX_ITER,
+            iterations=3, residual_norms=[1.0], label="vr",
+        )
+    )
+    [summary] = tele.health.history
+    assert (summary.status, summary.reason) == ("critical", "drift")
+
+
 # ---------------------------------------------------------------------------
 # solve-bracket lifecycle
 # ---------------------------------------------------------------------------
@@ -218,10 +250,21 @@ def test_unwind_abandons_the_health_bracket():
 
 
 def test_health_events_drive_metrics_gauges():
+    from repro.core.results import CGResult, StopReason
+
     reg = MetricsRegistry()
     tele = Telemetry(MetricsSink(reg), health=HealthMonitor(gap_watch=1e-6))
     tele.solve_start("vr", "vr(k=2)", 36)
     tele.drift(5, 1.0, 1.001)  # rel gap ~1e-3: watch
+    # The monitor judges the solve's record at solve_end.
+    assert "repro_health_status" not in reg.to_prometheus()
+    tele.solve_end(
+        CGResult(
+            x=np.zeros(36), converged=True, stop_reason=StopReason.CONVERGED,
+            iterations=5, residual_norms=[1.0], true_residual_norm=1e-9,
+            label="vr(k=2)",
+        )
+    )
     text = reg.to_prometheus()
     assert 'repro_health_status{method="vr"} 1' in text
     assert 'repro_health_residual_gap{method="vr"}' in text

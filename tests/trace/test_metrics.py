@@ -248,26 +248,40 @@ def test_one_sink_accumulates_across_methods(small_system):
 
 def test_metrics_sink_keeps_each_threads_solve_label():
     # Two worker threads share one sink.  Thread A opens a cg solve, then
-    # thread B opens a vr solve, then A reports its iterations: they must
-    # land under cg, not under the method that started last.
+    # thread B opens a vr solve, then A reports its iterations and a
+    # fault: they must land under cg, not under the method that started
+    # last.
     import threading
 
-    from repro.telemetry.events import IterationEvent, SolveStartEvent
+    from repro.core.results import CGResult, StopReason
+
+    def result(label, iterations):
+        return CGResult(
+            x=np.zeros(4), converged=True, stop_reason=StopReason.CONVERGED,
+            iterations=iterations, residual_norms=[1.0], true_residual_norm=0.0,
+            label=label,
+        )
 
     sink = MetricsSink()
+    session = Telemetry(sink)
     a_started, b_started = threading.Event(), threading.Event()
 
     def thread_a():
-        sink.emit(SolveStartEvent(method="cg", label="cg", n=4))
+        tele = session.worker_view()
+        tele.solve_start("cg", "cg", 4)
         a_started.set()
         assert b_started.wait(10)
         for i in range(1, 6):
-            sink.emit(IterationEvent(iteration=i, residual_norm=1.0 / i))
+            tele.iteration(i, 1.0 / i)
+        tele.fault(3, "dot", "BitFlip", "bit 52")
+        tele.solve_end(result("cg", 5))
 
     def thread_b():
         assert a_started.wait(10)
-        sink.emit(SolveStartEvent(method="vr", label="vr", n=4))
+        tele = session.worker_view()
+        tele.solve_start("vr", "vr", 4)
         b_started.set()
+        tele.solve_end(result("vr", 0))
 
     threads = [threading.Thread(target=fn) for fn in (thread_a, thread_b)]
     for t in threads:
@@ -277,6 +291,7 @@ def test_metrics_sink_keeps_each_threads_solve_label():
     reg = sink.registry
     assert reg.counter("repro_iterations_total", method="cg").value == 5
     assert reg.counter("repro_iterations_total", method="vr").value == 0
+    assert reg.counter("repro_faults_total", method="cg", site="dot").value == 1
 
 
 def test_prometheus_nonfinite_samples_use_spec_spellings():

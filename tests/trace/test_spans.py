@@ -179,3 +179,30 @@ def test_span_walk_and_find():
     assert [s.name for s in root.walk()] == ["solve", "iteration", "axpy"]
     assert root.find("axpy") == [leaf]
     assert root.contains(mid) and mid.contains(leaf)
+
+
+def test_dot_spans_carry_their_booking_label():
+    # A traced vr solve: each single-dot local_dot span names the booking
+    # it timed, and the labels agree with the counters' label totals.
+    from collections import Counter
+
+    import numpy as np
+
+    from repro import counting, poisson2d, profile_solve, solve
+
+    a = poisson2d(16)
+    b = np.random.default_rng(0).standard_normal(a.nrows)
+    tracer = Tracer()
+    with counting() as ops:
+        solve(a, b, "vr", trace=tracer)
+    [solve_span] = tracer.solve_spans()
+    labels = Counter(
+        span.attrs.get("label")
+        for span in solve_span.walk()
+        if span.name == "local_dot"
+    )
+    assert labels["direct_dot"] == ops.labelled("direct_dot") > 0
+    assert labels["drift_check_dot"] == ops.labelled("drift_check_dot") > 0
+    # The profiler counts the solve's drift checks from those spans.
+    report = profile_solve(a, b, method="vr")
+    assert report.drift_checks == labels["drift_check_dot"]
