@@ -16,7 +16,8 @@ recovery policies and records, per (rate, policy) cell over ``trials``
 seeded runs: the fraction that converged, the fraction of *dishonest*
 exits (must be 0 everywhere -- that is the acceptance assertion), the
 mean iteration count of the converged runs, and the total recovery
-actions taken.  Numbers go to ``BENCH_faults.json`` at the repo root.
+actions taken.  ``python benchmarks/bench_fault_recovery.py`` writes the
+record to ``BENCH_faults.json`` at the repo root.
 """
 
 from __future__ import annotations
@@ -161,3 +162,22 @@ def test_fault_recovery_sweep(tmp_path):
     }
     assert by_policy["robust"]["converged"] >= by_policy["none"]["converged"]
     assert out.exists()
+
+
+def main() -> None:
+    payload = run()
+    print(f"baseline vr iterations: {payload['baseline_iterations']}")
+    for cell in payload["results"]:
+        mean = cell["mean_iterations"]
+        print(
+            f"rate={cell['rate']:<5} {cell['policy']:<9} "
+            f"converged={cell['converged']}/{cell['trials']} "
+            f"dishonest={cell['dishonest']} "
+            f"iters={'-' if mean is None else f'{mean:.1f}'} "
+            f"faults={cell['faults_injected']} recoveries={cell['recoveries']}"
+        )
+    print(f"wrote {DEFAULT_OUT}")
+
+
+if __name__ == "__main__":
+    main()
