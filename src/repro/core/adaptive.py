@@ -52,7 +52,7 @@ import numpy as np
 
 from repro.core.pipeline import _pipelined_loop
 from repro.core.results import CGResult, SolveRun, StopReason
-from repro.core.standard import conjugate_gradient
+from repro.core.standard import _cg_loop
 from repro.core.stopping import StoppingCriterion
 from repro.core.vr_cg import _vr_loop
 from repro.util.validation import require_nonnegative_int
@@ -283,10 +283,9 @@ def _adaptive_solve(
     """Run ``loop`` under a window controller, inside one solve run.
 
     Opens the run, drives the loop from the controller's starting ``k``
-    and, when the controller fell back, hands the current iterate to
-    classical CG for the rest of the budget -- inside the same run, so
-    the histories, the operation counts and the verified exit cover the
-    whole solve.
+    and, when the controller fell back, runs classical CG's loop on the
+    same run for the rest of the budget -- one bracket, one residual
+    history, one set of operation counts and one verified exit.
     """
     ctl = _coerce_controller(
         controller, require_nonnegative_int(k, "k"), k_min_floor=k_floor
@@ -296,27 +295,19 @@ def _adaptive_solve(
         method, f"{method}-cg(k0={ctl.k})", a, b, x0=x0, stop=stop,
         telemetry=telemetry, keep_dtype=True, k0=ctl.k,
     )
-    reason, iterations, res_norms, alphas, lambdas = loop(run, ctl.k, ctl)
-    x = run.x
-    remaining = run.stop.budget(x.shape[0]) - iterations
-    if ctl.fell_back and reason is not StopReason.CONVERGED and remaining > 0:
-        sub = conjugate_gradient(
-            run.op,
-            run.b,
-            x0=x,
-            stop=dc_replace(run.stop, max_iter=remaining),
-            telemetry=telemetry,
-        )
-        x, reason = sub.x, sub.stop_reason
-        iterations += sub.iterations
-        res_norms += sub.residual_norms[1:]
-        alphas += sub.alphas
-        lambdas += sub.lambdas
+    reason, iterations, alphas, lambdas = loop(run, ctl.k, ctl)
+    if (
+        ctl.fell_back
+        and reason is not StopReason.CONVERGED
+        and iterations < run.stop.budget(run.b.shape[0])
+    ):
+        reason, iterations, cg_alphas, cg_lambdas = _cg_loop(run, iterations)
+        alphas += cg_alphas
+        lambdas += cg_lambdas
     return run.finish(
         reason,
-        x,
+        run.x,
         iterations,
-        res_norms,
         alphas=alphas,
         lambdas=lambdas,
         extras={"k_history": list(ctl.k_history), "adaptive": ctl.snapshot()},

@@ -48,7 +48,7 @@ from repro.core.coefficients import (
 from repro.core.moments import window_from_powers
 from repro.core.powers import PowerBlock
 from repro.core.results import CGResult, SolveRun, StopReason
-from repro.core.stopping import DIVERGENCE_FACTOR, StoppingCriterion
+from repro.core.stopping import StoppingCriterion
 from repro.core.vr_cg import _recovery_step
 from repro.util.counters import add_scalar_flops, traced
 from repro.util.kernels import axpy, dot
@@ -297,15 +297,13 @@ def pipelined_vr_cg(
         keep_dtype=True,
         k=k,
     )
-    reason, iterations, res_norms, alphas, lambdas = _pipelined_loop(run, k)
-    return run.finish(
-        reason, run.x, iterations, res_norms, alphas=alphas, lambdas=lambdas
-    )
+    reason, iterations, alphas, lambdas = _pipelined_loop(run, k)
+    return run.finish(reason, run.x, iterations, alphas=alphas, lambdas=lambdas)
 
 
 def _pipelined_loop(
     run: SolveRun, k: int, controller: Any = None
-) -> tuple[StopReason, int, list[float], list[float], list[float]]:
+) -> tuple[StopReason, int, list[float], list[float]]:
     """The pipelined iteration of ``run``, starting at look-ahead ``k``.
 
     Runs segments, each on a freshly filled pipeline, until one
@@ -314,21 +312,20 @@ def _pipelined_loop(
     :class:`~repro.core.adaptive.WindowController`, exactly as in
     :func:`repro.core.vr_cg._vr_loop` (refill at the controller's
     window size; stop with ``MAX_ITER`` when it falls back).  Returns
-    ``(reason, iterations, residual_norms, alphas, lambdas)``; the
-    iterate is ``run.x``, updated in place.
+    ``(reason, iterations, alphas, lambdas)``; the iterate is ``run.x``,
+    updated in place.
     """
-    op, b, x, stop, b_norm = run.op, run.b, run.x, run.stop, run.b_norm
+    op, b, x = run.op, run.b, run.x
     ws, policy, plan, telemetry = run.ws, run.policy, run.plan, run.telemetry
 
     def _event(kind: str, iteration: int, source_iteration: int, count: int) -> None:
         if telemetry is not None:
             telemetry.pipeline(kind, iteration, source_iteration, count)
 
-    res_norms: list[float] = []
     alphas: list[float] = []
     lambdas: list[float] = []
     iterations = 0
-    budget = stop.budget(b.shape[0])
+    budget = run.stop.budget(b.shape[0])
 
     def _segment(offset: int, budget_left: int) -> tuple[str, str, float]:
         """Run the pipelined iteration from the current ``x`` until it
@@ -339,8 +336,9 @@ def _pipelined_loop(
         consume-minus-launch == k diagonal within the segment.
 
         Returns ``(outcome, trigger, gap)`` with outcome one of
-        ``converged``/``maxiter``/``replace``/``breakdown``/``divergence``,
-        or under a controller ``resize``/``fallback``.
+        ``maxiter``/``replace``/``breakdown``, the run's verdict
+        (``converged`` or a trigger, see :meth:`SolveRun.verdict`), or
+        under a controller ``resize``/``fallback``.
         """
         nonlocal iterations
         tracer = telemetry.tracer if telemetry is not None else None
@@ -381,12 +379,8 @@ def _pipelined_loop(
         sigma1_cur = float(state0[sigma_index(w, 1)])
         if mu0_cur < 0.0 and telemetry is not None:
             telemetry.clamp(iterations, mu0_cur)
-        if not res_norms:
-            res_norms.append(float(np.sqrt(max(mu0_cur, 0.0))))
-        if stop.is_met(float(np.sqrt(max(mu0_cur, 0.0))), b_norm):
-            if run.convergence_holds(x):
-                return ("converged", "", 0.0)
-            return ("breakdown", "false_convergence", 0.0)
+        if run.start(float(np.sqrt(max(mu0_cur, 0.0))), x):
+            return ("converged", "", 0.0)
 
         for t in range(1, k + 1):
             pipeline.open_target(t)
@@ -434,23 +428,12 @@ def _pipelined_loop(
                 # negative recurred mu0 is finite-precision error, not a
                 # residual of 0.
                 telemetry.clamp(iterations, mu0_next)
-            res_norms.append(float(np.sqrt(max(mu0_next, 0.0))))
-            if telemetry is not None:
-                telemetry.iteration(
-                    iterations, res_norms[-1], lam=lam, recurred_rr=mu0_next
-                )
-                telemetry.iterate(x)
-            if stop.is_met(res_norms[-1], b_norm):
-                # A corrupted scalar can fake convergence (a tiny recurred
-                # mu0); under injection verify against the true residual
-                # before accepting the exit.
-                if run.convergence_holds(x):
-                    return ("converged", "", 0.0)
-                return ("breakdown", "false_convergence", 0.0)
-            if mu0_next <= 0.0 or not np.isfinite(mu0_next):
-                return ("breakdown", "breakdown", 0.0)
-            if res_norms[-1] > DIVERGENCE_FACTOR * max(res_norms[0], b_norm):
-                return ("divergence", "divergence", 0.0)
+            verdict = run.verdict(
+                iterations, float(np.sqrt(max(mu0_next, 0.0))), x, lam=lam,
+                recurred_rr=mu0_next,
+            )
+            if verdict is not None:
+                return (verdict, verdict, 0.0)
 
             alpha_next = mu0_next / mu0_cur
             add_scalar_flops(1)
@@ -553,4 +536,4 @@ def _pipelined_loop(
             if telemetry is not None:
                 telemetry.recovery(iterations, "restart", trigger)
         outcome, trigger, gap = _segment(iterations, budget - iterations)
-    return reason, iterations, res_norms, alphas, lambdas
+    return reason, iterations, alphas, lambdas

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable
+from math import isfinite
+from typing import Any
 
 import numpy as np
 
-from repro.core.stopping import StoppingCriterion
+from repro.core.stopping import DIVERGENCE_FACTOR, StoppingCriterion
 from repro.sparse.linop import as_operator, operator_dtype
 from repro.util.kernels import dot, norm
 from repro.util.validation import as_1d_typed_array, check_square_operator
@@ -254,26 +255,27 @@ class SolveRun:
       :class:`~repro.backend.Workspace` (:attr:`ws`), resolve the
       ``recovery=`` policy and the ``faults=`` plan (the iteration
       applies the fault-wrapped :attr:`op`; the exit keeps the pristine
-      :attr:`op_true`), open the telemetry solve bracket and compute
-      :attr:`b_norm`;
+      :attr:`op_true`), open the telemetry solve bracket and take
+      :attr:`b_norm` from the caller's ``b``;
+    * **verdict** -- the residual history (:attr:`residuals`), the start
+      residual (:meth:`start`) and one per-iteration verdict
+      (:meth:`verdict`): go on, converged, or a trigger
+      (``false_convergence``, ``breakdown``, ``divergence``);
     * **restart budget** (:meth:`restart`) -- the policy's bounded
       restarts, shared by every trigger;
     * **residual checks** -- the recurred-vs-direct ``(r, r)`` gap and
-      its ``drift`` event (:meth:`drift_gap`), the sampled ``b − A x``
-      check with its cadence and tolerance (:meth:`residual_check`),
-      and the in-loop false-convergence gate under injection
-      (:meth:`convergence_holds`);
+      its ``drift`` event (:meth:`drift_gap`) and the sampled ``b − A x``
+      check with its cadence and tolerance (:meth:`residual_check`);
     * **exit** (:meth:`finish`) -- recompute ``‖b − A x‖`` on the
       pristine operator, apply :func:`verified_exit`, raise
       :class:`~repro.faults.UnrecoverableDivergence` when the policy
       asks for it, and close the bracket with the :class:`CGResult`.
 
-    A solver keeps only its own work: which vectors a replacement
-    refreshes and how a restart rebuilds.  Telemetry observers (a
-    health monitor included) see these checks but never add any.
-
-    The ``dist-*`` solvers partition, communicate and open their own
-    bracket; they construct a run directly, for its exit only.
+    A solver keeps only its own work: its step-denominator breakdowns,
+    and how a restart or a replacement rebuilds.  Telemetry observers (a
+    health monitor included) see these checks but never add any.  The
+    ``dist-*`` solvers open a run too; they partition and communicate
+    around it.
     """
 
     def __init__(
@@ -283,13 +285,10 @@ class SolveRun:
         b: np.ndarray,
         stop: StoppingCriterion,
         *,
-        b_norm: float = float("nan"),
         x: np.ndarray | None = None,
         telemetry: Any = None,
         plan: Any = None,
         policy: Any = None,
-        restartable: bool = True,
-        exit_norm: Callable[[np.ndarray], float] = norm,
     ) -> None:
         from repro.backend import Workspace
 
@@ -297,21 +296,22 @@ class SolveRun:
         self.op = self.op_true = op
         self.b = b
         self.stop = stop
-        self.b_norm = b_norm
+        self.b_norm = norm(b)
+        self.threshold = stop.threshold(self.b_norm)
         self.x = x
         self.telemetry = telemetry
         self.plan = plan
         self.policy = policy
-        # A solver without a restart path has nothing to spend: under
-        # on_unrecoverable="raise" any breakdown is then final.
-        self.max_restarts = (
-            policy.max_restarts if policy is not None and restartable else 0
-        )
+        self.max_restarts = policy.max_restarts if policy is not None else 0
         self.restarts_used = 0
         self._since_check = 0
         self.recoveries: dict[str, int] = {"replace": 0, "restart": 0, "recompute": 0}
         self.ws = Workspace()
-        self._exit_norm = exit_norm
+        self.residuals: list[float] = []
+        # Rule 3's bounds: set by the first start residual, and the best
+        # residual since the last (re)start.
+        self._diverged = float("inf")
+        self._best = float("inf")
 
     @classmethod
     def open(
@@ -358,19 +358,100 @@ class SolveRun:
             telemetry.solve_start(method, label, n, **options)
             telemetry.iterate(x)
         run = cls(
-            label, op, b, stop, b_norm=norm(b), x=x, telemetry=telemetry,
-            plan=plan, policy=policy,
+            label, op, b, stop, x=x, telemetry=telemetry, plan=plan, policy=policy
         )
         if plan is not None:
             plan.attach(telemetry)
             run.op = plan.wrap_operator(op)
         return run
 
+    def start(self, res: float, x: Any) -> bool:
+        """Judge a start residual: whether the solve has converged there.
+
+        The solve's first start residual is ``‖r⁰‖``: it opens the
+        history and sets rule 3's bound.  A later one (a restart's, a
+        pipeline refill's, a hand-off's) is not recorded.  Either way the
+        growth guard is judged from here on.  A start residual that meets
+        the threshold claims convergence under rule 1 (see
+        :meth:`verdict`); a claim the true residual refutes is no
+        verdict at all -- the iteration starts, and its residuals are
+        judged.
+        """
+        if not self.residuals:
+            self.residuals.append(res)
+            self._diverged = DIVERGENCE_FACTOR * max(res, self.b_norm)
+        self._best = res
+        return res <= self.threshold and self._claim_holds(x)
+
+    def verdict(
+        self,
+        iteration: int,
+        res: float,
+        x: Any,
+        *,
+        lam: float | None = None,
+        alpha: float | None = None,
+        recurred_rr: float | None = None,
+    ) -> str | None:
+        """Record one iteration's residual and judge it.
+
+        Appends ``res`` to :attr:`residuals`, emits the ``iteration``
+        event (with the loop's ``lam``/``alpha``/``recurred_rr``) and the
+        iterate, and answers ``None`` (go on), ``"converged"``, or the
+        trigger of the first rule that fires:
+
+        1. ``res ≤ threshold`` claims convergence.  Under a fault plan a
+           corrupted scalar can fake it, so the claim must also hold on
+           the true residual; otherwise ``"false_convergence"``.
+        2. A non-finite ``res`` is ``"breakdown"``.
+        3. ``res > DIVERGENCE_FACTOR · max(‖r⁰‖, ‖b‖)`` is
+           ``"divergence"``; under a recovery policy that grants
+           restarts, so is ``res > 100 ×`` the best residual since the
+           last (re)start -- sustained growth is restarted early, before
+           it eats the budget.
+
+        The loop spends a restart on a trigger (a window controller's
+        repair under one) or ends the solve as BREAKDOWN.
+        """
+        self.residuals.append(res)
+        telemetry = self.telemetry
+        if telemetry is not None:
+            telemetry.iteration(
+                iteration, res, lam=lam, alpha=alpha, recurred_rr=recurred_rr
+            )
+            telemetry.iterate(x)
+        if res <= self.threshold:
+            return "converged" if self._claim_holds(x) else "false_convergence"
+        if not isfinite(res):
+            return "breakdown"
+        if res > self._diverged:
+            return "divergence"
+        if self.max_restarts:
+            if res > 100.0 * self._best:
+                return "divergence"
+            if res < self._best:
+                self._best = res
+        return None
+
+    @staticmethod
+    def ending(verdict: str) -> StopReason:
+        """How a verdict ends the solve when no repair follows:
+        ``"converged"`` is CONVERGED, every trigger BREAKDOWN."""
+        return StopReason.CONVERGED if verdict == "converged" else StopReason.BREAKDOWN
+
+    def _claim_holds(self, x: Any) -> bool:
+        """Rule 1's gate: without a fault plan the recurred residual is
+        taken at its word (:meth:`finish` verifies the exit anyway);
+        under one the true residual must meet the threshold too (a NaN
+        fails the ``<=``)."""
+        return self.plan is None or self.true_residual(x) <= self.threshold
+
     def restart(self, iteration: int, trigger: str) -> bool:
         """Spend one of the policy's restarts; ``False`` when none is left.
 
         Books the restart and emits its recovery event; the solver then
-        rebuilds its own state from the current iterate.
+        rebuilds its own state from the current iterate and reports the
+        fresh residual (:meth:`restarted`).
         """
         if self.policy is None or self.restarts_used >= self.max_restarts:
             return False
@@ -381,22 +462,14 @@ class SolveRun:
             self.telemetry.recovery(iteration, "restart", trigger)
         return True
 
-    def true_residual(self, x: np.ndarray) -> float:
+    def restarted(self, res: float) -> None:
+        """A restart rebuilt its residual: rule 3's growth guard is judged
+        from ``res`` on (the restart's residual is not recorded)."""
+        self._best = res
+
+    def true_residual(self, x: Any) -> float:
         """``‖b − A x‖`` on the pristine operator (one matvec)."""
-        return float(self._exit_norm(self.b - self.op_true.matvec(x)))
-
-    def convergence_holds(self, x: np.ndarray) -> bool:
-        """Whether an in-loop convergence claim may stand.
-
-        Without a fault plan the recurred residual is taken at its word
-        (:meth:`finish` verifies the exit anyway).  Under injection a
-        corrupted scalar can fake convergence, so the claim must hold on
-        the true residual; a NaN true residual fails the ``<=`` and
-        rejects it.
-        """
-        return self.plan is None or self.true_residual(x) <= self.stop.threshold(
-            self.b_norm
-        )
+        return norm(self.b - self.op_true.matvec(x))
 
     def drift_gap(
         self, iteration: int, recurred_rr: float, direct_rr: float
@@ -411,7 +484,7 @@ class SolveRun:
         """
         if self.telemetry is not None:
             self.telemetry.drift(iteration, recurred_rr, direct_rr)
-        floor = max(self.stop.threshold(self.b_norm) ** 2, np.finfo(np.float64).tiny)
+        floor = max(self.threshold**2, np.finfo(np.float64).tiny)
         if direct_rr > floor:
             return abs(recurred_rr - direct_rr) / direct_rr
         return None
@@ -455,7 +528,6 @@ class SolveRun:
         reason: StopReason,
         x: np.ndarray,
         iterations: int,
-        residual_norms: list[float],
         *,
         alphas: list[float] | None = None,
         lambdas: list[float] | None = None,
@@ -464,16 +536,17 @@ class SolveRun:
     ) -> CGResult:
         """Verify the exit and close the bracket with the result.
 
-        The true residual is taken on the pristine operator, so a
-        matvec-site injector cannot falsify the check itself.  ``extras``
-        gains the fault counts and recovery actions when a plan or
-        policy is active.
+        The result's ``residual_norms`` is the run's history
+        (:attr:`residuals`).  The true residual is taken on the pristine
+        operator, so a matvec-site injector cannot falsify the check
+        itself.  ``extras`` gains the fault counts and recovery actions
+        when a plan or policy is active.
         """
         from repro.faults import UnrecoverableDivergence
 
         label = self.label if label is None else label
         true_res = self.true_residual(x)
-        reason = verified_exit(reason, true_res, self.stop.threshold(self.b_norm))
+        reason = verified_exit(reason, true_res, self.threshold)
         if (
             reason is StopReason.BREAKDOWN
             and self.policy is not None
@@ -494,7 +567,7 @@ class SolveRun:
             converged=reason is StopReason.CONVERGED,
             stop_reason=reason,
             iterations=iterations,
-            residual_norms=residual_norms,
+            residual_norms=self.residuals,
             alphas=[] if alphas is None else alphas,
             lambdas=[] if lambdas is None else lambdas,
             true_residual_norm=true_res,

@@ -26,7 +26,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.results import CGResult, SolveRun, StopReason
-from repro.core.stopping import DIVERGENCE_FACTOR, StoppingCriterion
+from repro.core.stopping import StoppingCriterion
 from repro.sparse.linop import matvec_into
 from repro.util.kernels import axpy, dot
 
@@ -91,9 +91,23 @@ def conjugate_gradient(
         "cg", "cg", a, b, x0=x0, stop=stop, faults=faults, recovery=recovery,
         telemetry=telemetry, keep_dtype=True,
     )
-    op, b, x, stop, b_norm = run.op, run.b, run.x, run.stop, run.b_norm
-    n, ws, policy, plan = b.shape[0], run.ws, run.policy, run.plan
-    tracer = telemetry.tracer if telemetry is not None else None
+    reason, iterations, alphas, lambdas = _cg_loop(run)
+    return run.finish(reason, run.x, iterations, alphas=alphas, lambdas=lambdas)
+
+
+def _cg_loop(
+    run: SolveRun, iterations: int = 0
+) -> tuple[StopReason, int, list[float], list[float]]:
+    """Classical CG on ``run`` from its current iterate.
+
+    Iterations are numbered on from ``iterations`` and the budget is what
+    the run has left, so an adaptive solve's fallback continues here
+    inside its own run.  Returns ``(reason, iterations, alphas,
+    lambdas)``; the iterate is ``run.x``, updated in place.
+    """
+    op, b, x, ws, plan = run.op, run.b, run.x, run.ws, run.plan
+    n = b.shape[0]
+    tracer = run.telemetry.tracer if run.telemetry is not None else None
 
     if tracer is not None:
         tracer.begin("startup")
@@ -102,32 +116,28 @@ def conjugate_gradient(
     rr = dot(r, r)
     if plan is not None:
         rr = plan.corrupt_dot(rr, "rr")
-    res_norms = [float(np.sqrt(max(rr, 0.0)))]
     if tracer is not None:
         tracer.end("startup")
     alphas: list[float] = []
     lambdas: list[float] = []
 
-    if stop.is_met(res_norms[0], b_norm):
-        return run.finish(StopReason.CONVERGED, x, 0, res_norms)
+    if run.start(float(np.sqrt(max(rr, 0.0))), x):
+        return StopReason.CONVERGED, iterations, alphas, lambdas
 
     reason = StopReason.MAX_ITER
-    budget = stop.budget(n)
-    iterations = 0
-    best_res = res_norms[0]
 
     def _try_restart(trigger: str) -> bool:
         """Spend one restart: fresh residual, direction reset to it."""
-        nonlocal r, p, rr, best_res
+        nonlocal r, p, rr
         if not run.restart(iterations, trigger):
             return False
         r = b - op.matvec(x)
         p = r.copy()
         rr = dot(r, r)
-        best_res = float(np.sqrt(max(rr, 0.0)))
+        run.restarted(float(np.sqrt(max(rr, 0.0))))
         return True
 
-    for _ in range(budget):
+    for _ in range(run.stop.budget(n) - iterations):
         if plan is not None:
             plan.begin_iteration(iterations + 1)
         ap = ws.get("ap", n, b.dtype)
@@ -148,47 +158,14 @@ def conjugate_gradient(
         rr_new = dot(r, r)
         if plan is not None:
             rr_new = plan.corrupt_dot(rr_new, "rr")
-        res_norms.append(float(np.sqrt(max(rr_new, 0.0))))
-        if telemetry is not None:
-            telemetry.iteration(iterations, res_norms[-1], lam=lam)
-            telemetry.iterate(x)
-        if stop.is_met(res_norms[-1], b_norm):
-            # A corrupted rr can fake convergence; under injection verify
-            # against the true residual before accepting the exit.
-            if run.convergence_holds(x):
-                reason = StopReason.CONVERGED
-                break
-            if _try_restart("false_convergence"):
+        verdict = run.verdict(
+            iterations, float(np.sqrt(max(rr_new, 0.0))), x, lam=lam
+        )
+        if verdict is not None:
+            if verdict != "converged" and _try_restart(verdict):
                 continue
-            reason = StopReason.BREAKDOWN
+            reason = run.ending(verdict)
             break
-        if rr_new <= 0.0 or not np.isfinite(rr_new):
-            if _try_restart("breakdown"):
-                continue
-            reason = StopReason.BREAKDOWN
-            break
-        if (plan is not None or policy is not None) and res_norms[
-            -1
-        ] > DIVERGENCE_FACTOR * max(res_norms[0], b_norm):
-            # A corrupted step scalar can send CG into exponential
-            # divergence with r still consistently tracking x, so the
-            # drift detector never fires; the growth itself is the
-            # signal.  (Gated on faults/recovery being active so the
-            # plain solver's exit behaviour is untouched.)
-            if _try_restart("divergence"):
-                continue
-            reason = StopReason.BREAKDOWN
-            break
-        if policy is not None and res_norms[-1] > 100.0 * best_res:
-            # Sustained growth over the best residual seen: a conjugacy
-            # fault (bad step, direction set poisoned) drives gradual
-            # exponential divergence that would eat the whole budget
-            # before the hard 1e8 guard trips -- restart early instead.
-            if _try_restart("divergence"):
-                continue
-            reason = StopReason.BREAKDOWN
-            break
-        best_res = min(best_res, res_norms[-1])
 
         # Sampled residual replacement: check the vector-recurred r
         # against the true residual on the policy's cadence.
@@ -201,6 +178,4 @@ def conjugate_gradient(
         axpy(alpha, p, r, out=p, work=ws)  # p = r + alpha * p
         rr = rr_new
 
-    return run.finish(
-        reason, x, iterations, res_norms, alphas=alphas, lambdas=lambdas
-    )
+    return reason, iterations, alphas, lambdas

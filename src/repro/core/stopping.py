@@ -14,9 +14,11 @@ from repro.util.validation import require_positive_int
 
 __all__ = ["StoppingCriterion", "DIVERGENCE_FACTOR"]
 
-# A residual grown beyond this factor over its start (``max(‖r⁰‖, ‖b‖)``
-# for most solvers) is finite-precision divergence, not slow progress.
-# Each solver keeps its own comparison and gating; the bound is shared.
+# A residual grown beyond this factor over ``max(‖r⁰‖, ‖b‖)`` is
+# finite-precision divergence, not slow progress: rule 3 of the
+# per-iteration verdict every solver loop asks
+# (:meth:`repro.core.results.SolveRun.verdict`), on every method, with or
+# without a fault plan or a recovery policy.
 DIVERGENCE_FACTOR = 1e8
 
 

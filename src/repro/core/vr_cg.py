@@ -33,7 +33,7 @@ import numpy as np
 from repro.core.moments import MomentWindow, initial_window, window_from_powers
 from repro.core.powers import PowerBlock
 from repro.core.results import CGResult, SolveRun, StopReason
-from repro.core.stopping import DIVERGENCE_FACTOR, StoppingCriterion
+from repro.core.stopping import StoppingCriterion
 from repro.sparse.linop import LinearOperator
 from repro.util.counters import add_scalar_flops
 from repro.util.kernels import axpy, dot
@@ -191,10 +191,8 @@ def vr_conjugate_gradient(
         replace_every=replace_every,
         replace_drift_tol=replace_drift_tol,
     )
-    reason, iterations, res_norms, alphas, lambdas = _vr_loop(run, k)
-    return run.finish(
-        reason, run.x, iterations, res_norms, alphas=alphas, lambdas=lambdas
-    )
+    reason, iterations, alphas, lambdas = _vr_loop(run, k)
+    return run.finish(reason, run.x, iterations, alphas=alphas, lambdas=lambdas)
 
 
 def _rebuild(
@@ -219,27 +217,22 @@ def _rebuild(
 
 
 def _recovery_step(
-    run: SolveRun, controller: Any, iteration: int, trigger: str, mu0: float = 0.0
+    run: SolveRun, controller: Any, iteration: int, trigger: str
 ) -> bool:
     """Ask for one repair at a trouble site; ``False`` means stop.
 
     Without a window controller this spends one restart of the run's
-    budget.  With one it reports the trouble -- a negative recurred
-    ``μ₀`` as a clamp, anything else as a breakdown -- and the repair
-    goes ahead unless the controller falls back.
+    budget.  With one it reports the trouble as a breakdown, and the
+    repair goes ahead unless the controller falls back.
     """
     if controller is None:
         return run.restart(iteration, trigger)
-    if mu0 < 0.0:
-        action = controller.observe_clamp(iteration, mu0)
-    else:
-        action = controller.observe_breakdown(iteration, trigger)
-    return action != "fallback"
+    return controller.observe_breakdown(iteration, trigger) != "fallback"
 
 
 def _vr_loop(
     run: SolveRun, k: int, controller: Any = None
-) -> tuple[StopReason, int, list[float], list[float], list[float]]:
+) -> tuple[StopReason, int, list[float], list[float]]:
     """The eager iteration of ``run``, starting at window size ``k``.
 
     Repairs follow the run's recovery policy, or a
@@ -247,10 +240,10 @@ def _vr_loop(
     samples the drift gap every ``check_every`` iterations, every repair
     rebuilds at its window size, and when it falls back the loop stops
     with ``MAX_ITER`` so the caller can hand the iterate on.  Returns
-    ``(reason, iterations, residual_norms, alphas, lambdas)``; the
-    iterate is ``run.x``, updated in place.
+    ``(reason, iterations, alphas, lambdas)``; the iterate is ``run.x``,
+    updated in place.
     """
-    op, b, x, stop, b_norm = run.op, run.b, run.x, run.stop, run.b_norm
+    op, b, x = run.op, run.b, run.x
     ws, policy, plan, telemetry = run.ws, run.policy, run.plan, run.telemetry
 
     if telemetry is not None:
@@ -259,12 +252,11 @@ def _vr_loop(
     else:
         powers, window = _startup(op, b, x, k)
 
-    res_norms = [float(np.sqrt(max(window.rr, 0.0)))]
     alphas: list[float] = []
     lambdas: list[float] = []
 
-    if stop.is_met(res_norms[0], b_norm):
-        return StopReason.CONVERGED, 0, res_norms, alphas, lambdas
+    if run.start(float(np.sqrt(max(window.rr, 0.0))), x):
+        return StopReason.CONVERGED, 0, alphas, lambdas
 
     # A repair refused by the policy is a breakdown; a controller's
     # fallback leaves the rest of the budget to the caller.
@@ -272,18 +264,19 @@ def _vr_loop(
     reason = StopReason.MAX_ITER
     iterations = 0
     since_replacement = since_verify = since_check = 0
-    budget = stop.budget(b.shape[0])
+    budget = run.stop.budget(b.shape[0])
 
-    def _recover(trigger: str, mu0: float = 0.0) -> bool:
+    def _recover(trigger: str) -> bool:
         """One repair: rebuild powers/window from the current x."""
         nonlocal powers, window, k, since_replacement, since_verify, since_check
-        if not _recovery_step(run, controller, iterations, trigger, mu0):
+        if not _recovery_step(run, controller, iterations, trigger):
             return False
         if controller is not None:
             k = controller.k
             if telemetry is not None:
                 telemetry.replacement(iterations, "restart")
         powers, window = _startup(op, b, x, k)
+        run.restarted(float(np.sqrt(max(window.rr, 0.0))))
         since_replacement = since_verify = since_check = 0
         return True
 
@@ -319,32 +312,15 @@ def _vr_loop(
             # The clamp below would otherwise hide the drift: a negative
             # recurred mu0 is finite-precision error, not a residual of 0.
             telemetry.clamp(iterations, mu0_new)
-        res_norms.append(float(np.sqrt(max(mu0_new, 0.0))))
-        if telemetry is not None:
-            telemetry.iteration(
-                iterations, res_norms[-1], lam=lam, recurred_rr=mu0_new
-            )
-            telemetry.iterate(x)
-        if stop.is_met(res_norms[-1], b_norm):
-            # A corrupted scalar can fake convergence (a tiny recurred
-            # mu0); under injection verify against the true residual
-            # before accepting the exit.
-            if run.convergence_holds(x):
-                reason = StopReason.CONVERGED
-                break
-            if _recover("false_convergence"):
-                continue
-            reason = give_up
+        verdict = run.verdict(
+            iterations, float(np.sqrt(max(mu0_new, 0.0))), x, lam=lam,
+            recurred_rr=mu0_new,
+        )
+        if verdict == "converged":
+            reason = StopReason.CONVERGED
             break
-        if mu0_new <= 0.0 or not isfinite(mu0_new):
-            if _recover("breakdown", mu0_new):
-                continue
-            reason = give_up
-            break
-        if res_norms[-1] > DIVERGENCE_FACTOR * max(res_norms[0], b_norm):
-            # The recurred residual exploding far beyond its start is a
-            # finite-precision divergence, not slow convergence.
-            if _recover("divergence"):
+        if verdict is not None:
+            if _recover(verdict):
                 continue
             reason = give_up
             break
@@ -473,4 +449,4 @@ def _vr_loop(
                 VRState(iteration=iterations, window=window, powers=powers, x=x)
             )
 
-    return reason, iterations, res_norms, alphas, lambdas
+    return reason, iterations, alphas, lambdas

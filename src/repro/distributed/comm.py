@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.util.counters import add_reduction, record_instant
+from repro.util.counters import record_instant
 from repro.util.validation import require_nonnegative_int, require_positive_int
 
 __all__ = ["CommStats", "DroppedReductionError", "PendingReduction", "SimComm"]
@@ -235,7 +235,6 @@ class SimComm:
         result = self._sum_partials(partials)
         self.stats.blocking_allreduces += 1
         self.stats.words_reduced += int(np.size(result))
-        add_reduction()
         self._emit("allreduce", int(np.size(result)))
         # A blocking collective stalls for its full latency by definition.
         self._span("allreduce", int(np.size(result)), self.reduction_latency)
@@ -249,7 +248,6 @@ class SimComm:
         ``reduction_latency`` (in solver iterations)."""
         result = self._sum_partials(partials)
         self.stats.words_reduced += int(np.size(result))
-        add_reduction()
         self._emit("iallreduce", int(np.size(result)))
         lat = self.reduction_latency if latency is None else int(latency)
         handle = PendingReduction(

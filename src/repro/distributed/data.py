@@ -2,14 +2,16 @@
 
 ``BlockVector`` holds one contiguous block per rank; all vector
 arithmetic is rank-local (embarrassingly parallel, no communication).
-Each rank-parallel operation records one phase span (``axpy``,
-``local_dot``, ``matvec``) on a traced solve.
-``DistributedCSR`` holds each rank's row slice of a CSR matrix plus the
-set of off-block column indices it needs; its ``matvec`` performs one
+Each rank-parallel operation books one entry on the operation counters
+-- one ``axpy`` or one inner product, whatever the rank count -- which
+opens its phase span on a traced solve, so a distributed solve's counts
+read like its sequential twin's.
+``DistributedCSR`` holds a row partition of a CSR matrix plus the set of
+off-block column indices each rank needs; its ``matvec`` performs one
 halo exchange (booked on the communicator) followed by rank-local row
 reductions, exactly the SPMD structure of an mpi4py implementation --
 see the parallel matvec example in the mpi4py tutorial, which this
-mirrors with accounting added.
+mirrors with accounting added -- and books one matvec.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from repro.distributed.comm import SimComm
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.matrix_powers import RowPartition
-from repro.util.counters import traced
+from repro.util.counters import add_axpy, add_dot
 
 __all__ = ["BlockVector", "DistributedCSR"]
 
@@ -55,30 +57,45 @@ class BlockVector:
         would never do this in the solver loop)."""
         return np.concatenate(self.blocks)
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The gathered global vector, so a solve's exit and its
+        convergence gate read a block vector as an iterate."""
+        x = self.to_global()
+        return x if dtype is None else x.astype(dtype, copy=False)
+
     def copy(self) -> "BlockVector":
         """Deep copy."""
         return BlockVector(self.partition, [b.copy() for b in self.blocks])
 
     # -- rank-local arithmetic (no communication) -----------------------
-    @traced("axpy")
     def axpy_inplace(self, a: float, x: "BlockVector") -> None:
-        """``self += a * x`` blockwise."""
+        """``self += a * x`` blockwise (one booked axpy)."""
+        tracer = add_axpy(self.partition.n)
         for mine, theirs in zip(self.blocks, x.blocks):
             mine += a * theirs
+        if tracer is not None:
+            tracer.end("axpy")
 
-    @traced("axpy")
     def scale_add(self, a: float, x: "BlockVector") -> None:
-        """``self = x + a * self`` blockwise (the direction update)."""
+        """``self = x + a * self`` blockwise, the direction update (one
+        booked axpy)."""
+        tracer = add_axpy(self.partition.n)
         for mine, theirs in zip(self.blocks, x.blocks):
             mine *= a
             mine += theirs
+        if tracer is not None:
+            tracer.end("axpy")
 
-    @traced("local_dot")
     def dot_partials(self, other: "BlockVector") -> np.ndarray:
-        """Per-rank partial inner products (the allreduce payload)."""
-        return np.array(
+        """Per-rank partial inner products (the allreduce payload), booked
+        as one inner product."""
+        tracer = add_dot(self.partition.n)
+        partials = np.array(
             [float(a @ b) for a, b in zip(self.blocks, other.blocks)]
         )
+        if tracer is not None:
+            tracer.end("local_dot")
+        return partials
 
 
 class DistributedCSR:
@@ -89,20 +106,13 @@ class DistributedCSR:
             raise ValueError("distributed matvec requires a square matrix")
         if a.nrows != partition.n:
             raise ValueError("partition does not match the matrix")
+        self._a = a
         self._partition = partition
-        self._local: list[CSRMatrix] = []
         self._ghost_cols: list[np.ndarray] = []
         for b in range(partition.nblocks):
             lo, hi = partition.starts[b], partition.starts[b + 1]
-            indptr = (a.indptr[lo : hi + 1] - a.indptr[lo]).copy()
-            indices = a.indices[a.indptr[lo] : a.indptr[hi]].copy()
-            data = a.data[a.indptr[lo] : a.indptr[hi]].copy()
-            self._local.append(
-                CSRMatrix(int(hi - lo), a.ncols, indptr, indices, data)
-            )
-            cols = np.unique(indices)
-            off_block = cols[(cols < lo) | (cols >= hi)]
-            self._ghost_cols.append(off_block)
+            cols = np.unique(a.indices[a.indptr[lo] : a.indptr[hi]])
+            self._ghost_cols.append(cols[(cols < lo) | (cols >= hi)])
 
     @property
     def partition(self) -> RowPartition:
@@ -113,16 +123,18 @@ class DistributedCSR:
         """Entries fetched per halo exchange (sum over ranks)."""
         return int(sum(g.size for g in self._ghost_cols))
 
-    @traced("matvec")
     def matvec(self, x: BlockVector, comm: SimComm) -> BlockVector:
-        """``A @ x`` with one booked halo exchange.
+        """``A @ x`` with one booked halo exchange and one booked matvec.
 
         The simulation assembles the needed global entries directly (the
-        accounting, not the transport, is the point).
+        accounting, not the transport, is the point), and every rank's
+        row slice rides one product: each row sums its stored entries in
+        order, so the blocks are bit for bit a per-rank product's.
         """
         if comm.nranks != self._partition.nblocks:
             raise ValueError("communicator size does not match the partition")
         comm.record_halo_exchange(self.ghost_words())
-        x_global = x.to_global()  # stands in for owned + fetched ghosts
-        out_blocks = [loc.matvec(x_global) for loc in self._local]
-        return BlockVector(self._partition, out_blocks)
+        y = self._a.matvec(x.to_global())  # owned + fetched ghosts
+        return BlockVector(
+            self._partition, np.split(y, self._partition.starts[1:-1])
+        )

@@ -14,6 +14,11 @@ solvers cannot: **synchronizations per iteration**.
   reduction is *nonblocking* with k iterations to complete; the steady
   state performs **zero** blocking synchronizations per iteration (the
   accounting proves it -- a forced early wait would be booked).
+
+Each opens a :class:`~repro.core.results.SolveRun` as the sequential
+solvers do -- ``‖b‖`` comes from the caller's ``b``, not from a
+reduction a comm fault can corrupt -- and hands every residual to its
+verdict.
 """
 
 from __future__ import annotations
@@ -23,13 +28,13 @@ import numpy as np
 from repro.core.coefficients import mu_index, sigma_index
 from repro.core.pipeline import _CoefficientPipeline
 from repro.core.results import CGResult, SolveRun, StopReason
-from repro.core.stopping import DIVERGENCE_FACTOR, StoppingCriterion
+from repro.core.stopping import StoppingCriterion
 from repro.distributed.comm import DroppedReductionError, PendingReduction, SimComm
 from repro.distributed.data import BlockVector, DistributedCSR
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.matrix_powers import RowPartition
 from repro.util.counters import traced
-from repro.util.validation import as_1d_float_array, require_positive_int
+from repro.util.validation import require_positive_int
 
 __all__ = [
     "distributed_cg",
@@ -39,10 +44,39 @@ __all__ = [
 ]
 
 
-def _setup(a: CSRMatrix, b: np.ndarray, nranks: int):
-    b = as_1d_float_array(b, "b")
-    part = RowPartition.uniform(b.shape[0], nranks)
-    return DistributedCSR(a, part), BlockVector.from_global(b, part), part
+def _setup(
+    run: SolveRun, nranks: int, reduction_latency: int = 1
+) -> tuple[DistributedCSR, BlockVector, RowPartition, SimComm]:
+    """Partition the run's system and make its communicator."""
+    part = RowPartition.uniform(run.b.shape[0], nranks)
+    comm = SimComm(
+        nranks, reduction_latency=reduction_latency, telemetry=run.telemetry,
+        faults=run.plan,
+    )
+    return (
+        DistributedCSR(run.op_true, part), BlockVector.from_global(run.b, part),
+        part, comm,
+    )
+
+
+def _finish(
+    run: SolveRun,
+    comm: SimComm,
+    reason: StopReason,
+    x: BlockVector,
+    iterations: int,
+    *,
+    alphas: list[float] | None = None,
+    lambdas: list[float] | None = None,
+) -> tuple[CGResult, SimComm]:
+    """Check the communicator drained, then close the run on ``x``."""
+    comm.assert_drained()
+    _annotate_comm_stats(run.telemetry, comm)
+    result = run.finish(
+        reason, x.to_global(), iterations, alphas=alphas, lambdas=lambdas,
+        extras={"comm_stats": comm.stats},
+    )
+    return result, comm
 
 
 def _annotate_comm_stats(telemetry, comm: SimComm) -> None:
@@ -84,38 +118,30 @@ def distributed_cg(
     ``extras["comm_stats"]``.
 
     ``faults`` takes a :class:`repro.faults.FaultPlan` (or injector(s));
-    comm-site injectors corrupt the blocking allreduce results.  The exit
-    is verified against the true residual either way, so a corrupted run
-    reports ``converged=False`` rather than lying.
+    comm-site injectors corrupt the blocking allreduce results.  Under a
+    plan a convergence claim must hold on the true residual, so a
+    corrupted run reports ``converged=False`` rather than lying.
     """
-    from repro.faults import as_fault_plan
-
-    stop = stop or StoppingCriterion()
-    plan = as_fault_plan(faults)
-    dist_a, b_vec, part = _setup(a, b, nranks)
-    comm = SimComm(nranks, telemetry=telemetry, faults=plan)
-    if plan is not None:
-        plan.attach(telemetry)
-    if telemetry is not None:
-        telemetry.solve_start(
-            "dist-cg", f"dist-cg(P={nranks})", part.n, nranks=nranks
-        )
+    run = SolveRun.open(
+        "dist-cg", f"dist-cg(P={nranks})", a, b, stop=stop, faults=faults,
+        telemetry=telemetry, nranks=nranks,
+    )
+    plan = run.plan
+    dist_a, b_vec, part, comm = _setup(run, nranks)
 
     x = BlockVector.zeros(part)
-    b_norm = float(np.sqrt(comm.allreduce(b_vec.dot_partials(b_vec))))
     r = b_vec.copy()  # x0 = 0
     p = r.copy()
     rr = float(comm.allreduce(r.dot_partials(r)))
-    res_norms = [float(np.sqrt(max(rr, 0.0)))]
     lambdas: list[float] = []
     alphas: list[float] = []
 
     reason = StopReason.MAX_ITER
     iterations = 0
-    if stop.is_met(res_norms[0], b_norm):
+    if run.start(float(np.sqrt(max(rr, 0.0))), x):
         reason = StopReason.CONVERGED
     else:
-        for _ in range(stop.budget(part.n)):
+        for _ in range(run.stop.budget(part.n)):
             if plan is not None:
                 plan.begin_iteration(iterations + 1)
             ap = dist_a.matvec(p, comm)
@@ -132,27 +158,18 @@ def distributed_cg(
             iterations += 1
             comm.advance_iteration()
             rr_new = float(comm.allreduce(r.dot_partials(r)))
-            res_norms.append(float(np.sqrt(max(rr_new, 0.0))))
-            if telemetry is not None:
-                telemetry.iteration(iterations, res_norms[-1], lam=lam)
-            if stop.is_met(res_norms[-1], b_norm):
-                reason = StopReason.CONVERGED
+            verdict = run.verdict(
+                iterations, float(np.sqrt(max(rr_new, 0.0))), x, lam=lam
+            )
+            if verdict is not None:
+                reason = run.ending(verdict)
                 break
             alpha = rr_new / rr
             alphas.append(alpha)
             p.scale_add(alpha, r)
             rr = rr_new
 
-    comm.assert_drained()
-    _annotate_comm_stats(telemetry, comm)
-    result = SolveRun(
-        f"dist-cg(P={nranks})", a, b, stop, b_norm=b_norm, telemetry=telemetry,
-        plan=plan, exit_norm=np.linalg.norm,
-    ).finish(
-        reason, x.to_global(), iterations, res_norms, alphas=alphas,
-        lambdas=lambdas, extras={"comm_stats": comm.stats},
-    )
-    return result, comm
+    return _finish(run, comm, reason, x, iterations, alphas=alphas, lambdas=lambdas)
 
 
 def distributed_cgcg(
@@ -168,21 +185,15 @@ def distributed_cgcg(
     (both partial dots ride the same collective).
 
     ``faults`` takes a :class:`repro.faults.FaultPlan`; comm-site
-    injectors corrupt the fused collective.  Exit is verified against the
-    true residual.
+    injectors corrupt the fused collective; a convergence claim must
+    hold on the true residual.
     """
-    from repro.faults import as_fault_plan
-
-    stop = stop or StoppingCriterion()
-    plan = as_fault_plan(faults)
-    dist_a, b_vec, part = _setup(a, b, nranks)
-    comm = SimComm(nranks, telemetry=telemetry, faults=plan)
-    if plan is not None:
-        plan.attach(telemetry)
-    if telemetry is not None:
-        telemetry.solve_start(
-            "dist-cgcg", f"dist-cgcg(P={nranks})", part.n, nranks=nranks
-        )
+    run = SolveRun.open(
+        "dist-cgcg", f"dist-cgcg(P={nranks})", a, b, stop=stop, faults=faults,
+        telemetry=telemetry, nranks=nranks,
+    )
+    plan = run.plan
+    dist_a, b_vec, part, comm = _setup(run, nranks)
 
     x = BlockVector.zeros(part)
     r = b_vec.copy()
@@ -191,8 +202,6 @@ def distributed_cgcg(
         np.stack([r.dot_partials(r), r.dot_partials(w)], axis=1)
     )
     rr, rar = float(fused[0]), float(fused[1])
-    b_norm = float(np.sqrt(rr))  # x0 = 0 -> ||b|| = ||r0||
-    res_norms = [float(np.sqrt(max(rr, 0.0)))]
     lambdas: list[float] = []
     alphas: list[float] = []
 
@@ -201,10 +210,10 @@ def distributed_cgcg(
     lam = 0.0
     reason = StopReason.MAX_ITER
     iterations = 0
-    if stop.is_met(res_norms[0], b_norm):
+    if run.start(float(np.sqrt(max(rr, 0.0))), x):
         reason = StopReason.CONVERGED
     else:
-        for it in range(stop.budget(part.n)):
+        for it in range(run.stop.budget(part.n)):
             if plan is not None:
                 plan.begin_iteration(iterations + 1)
             if it == 0:
@@ -234,25 +243,15 @@ def distributed_cgcg(
                 np.stack([r.dot_partials(r), r.dot_partials(w)], axis=1)
             )
             rr, rar = float(fused[0]), float(fused[1])
-            res_norms.append(float(np.sqrt(max(rr, 0.0))))
-            if telemetry is not None:
-                telemetry.iteration(
-                    iterations, res_norms[-1], lam=lam, recurred_rr=rr
-                )
-            if stop.is_met(res_norms[-1], b_norm):
-                reason = StopReason.CONVERGED
+            verdict = run.verdict(
+                iterations, float(np.sqrt(max(rr, 0.0))), x, lam=lam,
+                recurred_rr=rr,
+            )
+            if verdict is not None:
+                reason = run.ending(verdict)
                 break
 
-    comm.assert_drained()
-    _annotate_comm_stats(telemetry, comm)
-    result = SolveRun(
-        f"dist-cgcg(P={nranks})", a, b, stop, b_norm=b_norm, telemetry=telemetry,
-        plan=plan, exit_norm=np.linalg.norm,
-    ).finish(
-        reason, x.to_global(), iterations, res_norms, alphas=alphas,
-        lambdas=lambdas, extras={"comm_stats": comm.stats},
-    )
-    return result, comm
+    return _finish(run, comm, reason, x, iterations, alphas=alphas, lambdas=lambdas)
 
 
 def distributed_sstep(
@@ -274,23 +273,13 @@ def distributed_sstep(
     dependent -- the new basis needs the new residual).  The small solves
     are replicated on every rank, standard s-step practice.
     """
-    from repro.faults import as_fault_plan
-
-    stop = stop or StoppingCriterion()
     s = require_positive_int(s, "s")
-    plan = as_fault_plan(faults)
-    dist_a, b_vec, part = _setup(a, b, nranks)
-    comm = SimComm(nranks, telemetry=telemetry, faults=plan)
-    if plan is not None:
-        plan.attach(telemetry)
-    if telemetry is not None:
-        telemetry.solve_start(
-            "dist-sstep",
-            f"dist-sstep(s={s},P={nranks})",
-            part.n,
-            s=s,
-            nranks=nranks,
-        )
+    run = SolveRun.open(
+        "dist-sstep", f"dist-sstep(s={s},P={nranks})", a, b, stop=stop,
+        faults=faults, telemetry=telemetry, s=s, nranks=nranks,
+    )
+    plan = run.plan
+    dist_a, b_vec, part, comm = _setup(run, nranks)
 
     def krylov_block(r: BlockVector) -> tuple[list[BlockVector], list[BlockVector]]:
         k_blk = [r.copy()]
@@ -304,16 +293,14 @@ def distributed_sstep(
     x = BlockVector.zeros(part)
     r = b_vec.copy()
     rr0 = float(comm.allreduce(r.dot_partials(r)))
-    b_norm = float(np.sqrt(max(rr0, 0.0)))
-    res_norms = [b_norm]
     reason = StopReason.MAX_ITER
     cg_steps = 0
 
-    if stop.is_met(res_norms[0], b_norm):
+    if run.start(float(np.sqrt(max(rr0, 0.0))), x):
         reason = StopReason.CONVERGED
     else:
         p_blk, ap_blk = krylov_block(r)
-        max_outer = (stop.budget(part.n) + s - 1) // s
+        max_outer = (run.stop.budget(part.n) + s - 1) // s
         for _ in range(max_outer):
             if plan is not None:
                 plan.begin_iteration(cg_steps + 1)
@@ -352,17 +339,9 @@ def distributed_sstep(
             fused = comm.allreduce(stacked)
             cross = fused[: s * s].reshape(s, s)
             rr = float(fused[-1])
-            res_norms.append(float(np.sqrt(max(rr, 0.0))))
-            if telemetry is not None:
-                telemetry.iteration(cg_steps, res_norms[-1])
-            if stop.is_met(res_norms[-1], b_norm):
-                reason = StopReason.CONVERGED
-                break
-            if (
-                not np.isfinite(res_norms[-1])
-                or res_norms[-1] > DIVERGENCE_FACTOR * b_norm
-            ):
-                reason = StopReason.BREAKDOWN
+            verdict = run.verdict(cg_steps, float(np.sqrt(max(rr, 0.0))), x)
+            if verdict is not None:
+                reason = run.ending(verdict)
                 break
             try:
                 b_mat = np.linalg.solve(w_mat, cross)
@@ -381,16 +360,7 @@ def distributed_sstep(
                 new_ap.append(apj)
             p_blk, ap_blk = new_p, new_ap
 
-    comm.assert_drained()
-    _annotate_comm_stats(telemetry, comm)
-    result = SolveRun(
-        f"dist-sstep(s={s},P={nranks})", a, b, stop, b_norm=b_norm,
-        telemetry=telemetry, plan=plan, exit_norm=np.linalg.norm,
-    ).finish(
-        reason, x.to_global(), cg_steps, res_norms,
-        extras={"comm_stats": comm.stats},
-    )
-    return result, comm
+    return _finish(run, comm, reason, x, cg_steps)
 
 
 @traced("local_dot")
@@ -457,31 +427,17 @@ def distributed_pipelined_vr(
     drop is a :class:`~repro.distributed.comm.DroppedReductionError`
     breakdown and the solve reports ``converged=False``.
     """
-    from repro.faults import RecoveryPolicy, as_fault_plan
-
-    stop = stop or StoppingCriterion()
     k = require_positive_int(k, "k")
-    plan = as_fault_plan(faults)
-    policy = RecoveryPolicy.from_spec(recovery)
+    run = SolveRun.open(
+        "dist-pipelined-vr", f"dist-pipelined-vr(k={k},P={nranks})", a, b,
+        stop=stop, faults=faults, recovery=recovery, telemetry=telemetry,
+        k=k, nranks=nranks, use_matrix_powers_kernel=use_matrix_powers_kernel,
+    )
     # No restart path here: under on_unrecoverable="raise" any breakdown
     # is final.  The run books the recompute repairs and owns the exit.
-    run = SolveRun(
-        f"dist-pipelined-vr(k={k},P={nranks})", a, b, stop, telemetry=telemetry,
-        plan=plan, policy=policy, restartable=False, exit_norm=np.linalg.norm,
-    )
-    dist_a, b_vec, part = _setup(a, b, nranks)
-    comm = SimComm(nranks, reduction_latency=k, telemetry=telemetry, faults=plan)
-    if plan is not None:
-        plan.attach(telemetry)
-    if telemetry is not None:
-        telemetry.solve_start(
-            "dist-pipelined-vr",
-            f"dist-pipelined-vr(k={k},P={nranks})",
-            part.n,
-            k=k,
-            nranks=nranks,
-            use_matrix_powers_kernel=use_matrix_powers_kernel,
-        )
+    run.max_restarts = 0
+    plan, policy = run.plan, run.policy
+    dist_a, b_vec, part, comm = _setup(run, nranks, reduction_latency=k)
     tracer = telemetry.tracer if telemetry is not None else None
     w = k  # state layout parameter
 
@@ -536,8 +492,6 @@ def distributed_pipelined_vr(
     front = comm.allreduce(front_partials())
     mu0 = float(front[mu_index(w, 0)])
     sigma1 = float(front[sigma_index(w, 1)])
-    b_norm = run.b_norm = float(np.sqrt(max(mu0, 0.0)))  # x0 = 0
-    res_norms = [b_norm]
     lambdas: list[float] = []
     alphas: list[float] = []
     for t in range(1, k + 1):
@@ -545,10 +499,10 @@ def distributed_pipelined_vr(
 
     reason = StopReason.MAX_ITER
     iterations = 0
-    if stop.is_met(res_norms[0], b_norm):
+    if run.start(float(np.sqrt(max(mu0, 0.0))), x):
         reason = StopReason.CONVERGED
     else:
-        for step in range(stop.budget(part.n)):
+        for step in range(run.stop.budget(part.n)):
             if plan is not None:
                 plan.begin_iteration(iterations + 1)
             if mu0 <= 0 or sigma1 <= 0:
@@ -593,16 +547,12 @@ def distributed_pipelined_vr(
                     mu0_next, _, sigma1_pipe = pipeline.consume(
                         target, lam, state, mu0
                     )
-            res_norms.append(float(np.sqrt(max(mu0_next, 0.0))))
-            if telemetry is not None:
-                telemetry.iteration(
-                    iterations, res_norms[-1], lam=lam, recurred_rr=mu0_next
-                )
-            if stop.is_met(res_norms[-1], b_norm):
-                reason = StopReason.CONVERGED
-                break
-            if mu0_next <= 0 or not np.isfinite(mu0_next):
-                reason = StopReason.BREAKDOWN
+            verdict = run.verdict(
+                iterations, float(np.sqrt(max(mu0_next, 0.0))), x, lam=lam,
+                recurred_rr=mu0_next,
+            )
+            if verdict is not None:
+                reason = run.ending(verdict)
                 break
             alpha = mu0_next / mu0
             alphas.append(alpha)
@@ -629,11 +579,4 @@ def distributed_pipelined_vr(
     for handle in pending.values():
         handle.cancel()
     pending.clear()
-    comm.assert_drained()
-
-    _annotate_comm_stats(telemetry, comm)
-    result = run.finish(
-        reason, x.to_global(), iterations, res_norms, alphas=alphas,
-        lambdas=lambdas, extras={"comm_stats": comm.stats},
-    )
-    return result, comm
+    return _finish(run, comm, reason, x, iterations, alphas=alphas, lambdas=lambdas)

@@ -51,23 +51,22 @@ def preconditioned_cg(
         "pcg", "pcg", a, b, x0=x0, stop=stop, telemetry=telemetry,
         precond=type(precond).__name__,
     )
-    op, b, x, stop, b_norm, ws = run.op, run.b, run.x, run.stop, run.b_norm, run.ws
+    op, b, x, ws = run.op, run.b, run.x, run.ws
     n = b.shape[0]
     r = b - op.matvec(x)
     z = precond.apply(r)
     p = z.copy()
     rz = dot(r, z)
-    res_norms = [norm(r)]
     alphas: list[float] = []
     lambdas: list[float] = []
 
     reason = StopReason.MAX_ITER
     iterations = 0
-    if stop.is_met(res_norms[0], b_norm):
+    if run.start(norm(r), x):
         reason = StopReason.CONVERGED
     else:
         ap = ws.get("ap", n)
-        for _ in range(stop.budget(n)):
+        for _ in range(run.stop.budget(n)):
             matvec_into(op, p, ap, work=ws)
             pap = dot(p, ap)
             if pap <= 0.0 or rz <= 0.0:
@@ -78,12 +77,9 @@ def preconditioned_cg(
             axpy(lam, p, x, out=x, work=ws)
             axpy(-lam, ap, r, out=r, work=ws)
             iterations += 1
-            res_norms.append(norm(r))
-            if telemetry is not None:
-                telemetry.iteration(iterations, res_norms[-1], lam=lam)
-                telemetry.iterate(x)
-            if stop.is_met(res_norms[-1], b_norm):
-                reason = StopReason.CONVERGED
+            verdict = run.verdict(iterations, norm(r), x, lam=lam)
+            if verdict is not None:
+                reason = run.ending(verdict)
                 break
             z = precond.apply(r)
             rz_new = dot(r, z)
@@ -92,9 +88,7 @@ def preconditioned_cg(
             axpy(alpha, p, z, out=p, work=ws)  # p = z + alpha p
             rz = rz_new
 
-    return run.finish(
-        reason, x, iterations, res_norms, alphas=alphas, lambdas=lambdas
-    )
+    return run.finish(reason, x, iterations, alphas=alphas, lambdas=lambdas)
 
 
 def _split_solve(solver, a, b, m, x0, stop, label, **kwargs) -> CGResult:

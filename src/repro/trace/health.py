@@ -190,9 +190,12 @@ class HealthMonitor:
     ----------
     gap_watch, gap_critical:
         Relative residual-gap thresholds for the ``watch`` and
-        ``critical`` statuses.  The defaults (1e-6 / 1e-2) bracket the
+        ``critical`` statuses.  The defaults (1e-5 / 1e-2) bracket the
         region between "finite precision doing its usual thing" and
-        "the recurrence has decoupled from the true residual".
+        "the recurrence has decoupled from the true residual".  The
+        watch line sits an order of magnitude above the solvers' default
+        drift-replacement tolerance (1e-6): a gap the solver answers
+        with a replacement is its usual business, not a watch.
         Gaps come from the solve's own drift checks; a solve that runs
         none (plain ``cg`` without a recovery policy) reports only
         stagnation, clamps and its exit.
@@ -206,7 +209,7 @@ class HealthMonitor:
     def __init__(
         self,
         *,
-        gap_watch: float = 1e-6,
+        gap_watch: float = 1e-5,
         gap_critical: float = 1e-2,
         stagnation_window: int = 100,
         stagnation_rtol: float = 1e-2,

@@ -48,7 +48,6 @@ __all__ = [
     "add_matvec",
     "add_matmat",
     "add_scalar_flops",
-    "add_reduction",
 ]
 
 
@@ -80,9 +79,11 @@ class OpCounts:
         O(k) per iteration.
     reductions:
         Global reduction *launches* (fan-in trees started): every direct
-        inner product or norm counts one, and the distributed communicator
-        books its collectives here too.  This is the quantity the paper
-        minimizes per iteration.
+        inner product or norm counts one, a distributed one (the per-rank
+        partials of :class:`~repro.distributed.BlockVector`) included.
+        This is the quantity the paper minimizes per iteration; how the
+        simulated communicator fuses and hides those reductions is its
+        own accounting (:class:`~repro.distributed.comm.CommStats`).
     words_moved:
         Estimated vector words streamed through memory by the counted
         kernels (reads + writes): ``2n`` per dot, ``3n`` per vector
@@ -378,11 +379,3 @@ def add_scalar_flops(flops: int) -> None:
     """Book scalar (length-independent) floating point work."""
     for c in _STACK.stack:
         c.scalar_flops += flops
-
-
-def add_reduction(count: int = 1) -> None:
-    """Book ``count`` reduction launches that are *not* direct dots --
-    e.g. the distributed communicator's collectives, whose payloads are
-    already-reduced per-rank partials."""
-    for c in _STACK.stack:
-        c.reductions += count

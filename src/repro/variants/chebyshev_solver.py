@@ -25,7 +25,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.results import CGResult, SolveRun, StopReason
-from repro.core.stopping import DIVERGENCE_FACTOR, StoppingCriterion
+from repro.core.stopping import StoppingCriterion
 from repro.util.counters import add_axpy
 from repro.util.kernels import norm
 from repro.util.validation import require_positive_int
@@ -87,15 +87,14 @@ def chebyshev_iteration(
         bounds=(lam_min, lam_max),
         check_every=check_every,
     )
-    op, b, x, stop, b_norm = run.op, run.b, run.x, run.stop, run.b_norm
+    op, b, x = run.op, run.b, run.x
     n = b.shape[0]
     r = b - op.matvec(x)
-    res_norms = [norm(r)]
     lambdas: list[float] = []
 
     reason = StopReason.MAX_ITER
     iterations = 0
-    if stop.is_met(res_norms[0], b_norm):
+    if run.start(norm(r), x):
         reason = StopReason.CONVERGED
     else:
         rho = 1.0 / sigma1
@@ -103,7 +102,7 @@ def chebyshev_iteration(
         d = r / theta
         if tracer is not None:
             tracer.end("axpy")
-        budget = stop.budget(n)
+        budget = run.stop.budget(n)
         while iterations < budget:
             tracer = add_axpy(n, flops_per_entry=1)
             x += d
@@ -116,17 +115,9 @@ def chebyshev_iteration(
             if tracer is not None:
                 tracer.end("axpy")
             if iterations % check_every == 0 or iterations >= budget:
-                res_norms.append(norm(r))
-                if telemetry is not None:
-                    telemetry.iteration(iterations, res_norms[-1])
-                    telemetry.iterate(x)
-                if stop.is_met(res_norms[-1], b_norm):
-                    reason = StopReason.CONVERGED
-                    break
-                if not np.isfinite(res_norms[-1]) or res_norms[
-                    -1
-                ] > DIVERGENCE_FACTOR * max(res_norms[0], b_norm):
-                    reason = StopReason.BREAKDOWN
+                verdict = run.verdict(iterations, norm(r), x)
+                if verdict is not None:
+                    reason = run.ending(verdict)
                     break
             rho_next = 1.0 / (2.0 * sigma1 - rho)
             lambdas.append(2.0 * rho_next / delta)
@@ -136,4 +127,4 @@ def chebyshev_iteration(
                 tracer.end("axpy")
             rho = rho_next
 
-    return run.finish(reason, x, iterations, res_norms, lambdas=lambdas)
+    return run.finish(reason, x, iterations, lambdas=lambdas)

@@ -23,7 +23,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.results import CGResult, SolveRun, StopReason
-from repro.core.stopping import DIVERGENCE_FACTOR, StoppingCriterion
+from repro.core.stopping import StoppingCriterion
 from repro.sparse.linop import matvec_into
 from repro.util.kernels import axpy, dot
 
@@ -62,7 +62,7 @@ def chronopoulos_gear_cg(
         "cg-cg", "chronopoulos-gear-cg", a, b, x0=x0, stop=stop,
         faults=faults, recovery=recovery, telemetry=telemetry,
     )
-    op, b, x, stop, b_norm = run.op, run.b, run.x, run.stop, run.b_norm
+    op, b, x = run.op, run.b, run.x
     n, ws, plan = b.shape[0], run.ws, run.plan
     r = b - op.matvec(x)
     w = op.matvec(r)
@@ -71,7 +71,6 @@ def chronopoulos_gear_cg(
     if plan is not None:
         rr = plan.corrupt_dot(rr, "rr")
         rar = plan.corrupt_dot(rar, "rar")
-    res_norms = [float(np.sqrt(max(rr, 0.0)))]
     alphas: list[float] = []
     lambdas: list[float] = []
 
@@ -89,14 +88,15 @@ def chronopoulos_gear_cg(
         rar = dot(r, w, label="fused_dot")
         p[:] = 0.0
         s[:] = 0.0
+        run.restarted(float(np.sqrt(max(rr, 0.0))))
 
     reason = StopReason.MAX_ITER
     iterations = 0
     fresh_start = True
-    if stop.is_met(res_norms[0], b_norm):
+    if run.start(float(np.sqrt(max(rr, 0.0))), x):
         reason = StopReason.CONVERGED
     else:
-        for _ in range(stop.budget(n)):
+        for _ in range(run.stop.budget(n)):
             if plan is not None:
                 plan.begin_iteration(iterations + 1)
             if fresh_start:
@@ -135,35 +135,16 @@ def chronopoulos_gear_cg(
             if plan is not None:
                 rr = plan.corrupt_dot(rr, "rr")
                 rar = plan.corrupt_dot(rar, "rar")
-            res_norms.append(float(np.sqrt(max(rr, 0.0))))
-            if telemetry is not None:
-                telemetry.iteration(
-                    iterations, res_norms[-1], lam=lam, recurred_rr=rr
-                )
-                telemetry.iterate(x)
-            if stop.is_met(res_norms[-1], b_norm):
-                # A corrupted rr can fake convergence; under injection
-                # verify against the true residual before accepting.
-                if run.convergence_holds(x):
-                    reason = StopReason.CONVERGED
-                    break
-                if run.restart(iterations, "false_convergence"):
+            verdict = run.verdict(
+                iterations, float(np.sqrt(max(rr, 0.0))), x, lam=lam,
+                recurred_rr=rr,
+            )
+            if verdict is not None:
+                if verdict != "converged" and run.restart(iterations, verdict):
                     _restart()
                     fresh_start = True
                     continue
-                reason = StopReason.BREAKDOWN
-                break
-            if (plan is not None or run.policy is not None) and res_norms[
-                -1
-            ] > DIVERGENCE_FACTOR * max(res_norms[0], b_norm):
-                # Growth with every denominator still positive: the
-                # recurrences no longer track x.  Gated as cg gates its
-                # own, so the plain solver's exit is untouched.
-                if run.restart(iterations, "divergence"):
-                    _restart()
-                    fresh_start = True
-                    continue
-                reason = StopReason.BREAKDOWN
+                reason = run.ending(verdict)
                 break
 
             # Sampled replacement: the vector-recurred r vs. the truth.
@@ -176,6 +157,4 @@ def chronopoulos_gear_cg(
                 s = op.matvec(p)
                 rar = dot(r, w, label="fused_dot")
 
-    return run.finish(
-        reason, x, iterations, res_norms, alphas=alphas, lambdas=lambdas
-    )
+    return run.finish(reason, x, iterations, alphas=alphas, lambdas=lambdas)

@@ -25,7 +25,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.results import CGResult, SolveRun, StopReason
-from repro.core.stopping import DIVERGENCE_FACTOR, StoppingCriterion
+from repro.core.stopping import StoppingCriterion
 from repro.sparse.linop import matvec_into
 from repro.util.kernels import axpy, dot
 
@@ -62,7 +62,7 @@ def ghysels_vanroose_cg(
         "gv", "ghysels-vanroose-cg", a, b, x0=x0, stop=stop,
         faults=faults, recovery=recovery, telemetry=telemetry,
     )
-    op, b, x, stop, b_norm = run.op, run.b, run.x, run.stop, run.b_norm
+    op, b, x = run.op, run.b, run.x
     n, ws, plan = b.shape[0], run.ws, run.plan
     r = b - op.matvec(x)
     w = op.matvec(r)
@@ -76,7 +76,6 @@ def ghysels_vanroose_cg(
     if plan is not None:
         gamma = plan.corrupt_dot(gamma, "gamma")
         delta = plan.corrupt_dot(delta, "delta")
-    res_norms = [float(np.sqrt(max(gamma, 0.0)))]
     alphas: list[float] = []
     lambdas: list[float] = []
 
@@ -93,14 +92,15 @@ def ghysels_vanroose_cg(
         p[:] = 0.0
         s[:] = 0.0
         z[:] = 0.0
+        run.restarted(float(np.sqrt(max(gamma, 0.0))))
 
     reason = StopReason.MAX_ITER
     iterations = 0
     fresh_start = True
-    if stop.is_met(res_norms[0], b_norm):
+    if run.start(float(np.sqrt(max(gamma, 0.0))), x):
         reason = StopReason.CONVERGED
     else:
-        for _ in range(stop.budget(n)):
+        for _ in range(run.stop.budget(n)):
             if plan is not None:
                 plan.begin_iteration(iterations + 1)
             # q = A w runs concurrently with the two dots on the machine
@@ -142,35 +142,16 @@ def ghysels_vanroose_cg(
             if plan is not None:
                 gamma = plan.corrupt_dot(gamma, "gamma")
                 delta = plan.corrupt_dot(delta, "delta")
-            res_norms.append(float(np.sqrt(max(gamma, 0.0))))
-            if telemetry is not None:
-                telemetry.iteration(
-                    iterations, res_norms[-1], lam=alpha, recurred_rr=gamma
-                )
-                telemetry.iterate(x)
-            if stop.is_met(res_norms[-1], b_norm):
-                # A corrupted gamma can fake convergence; under injection
-                # verify against the true residual before accepting.
-                if run.convergence_holds(x):
-                    reason = StopReason.CONVERGED
-                    break
-                if run.restart(iterations, "false_convergence"):
+            verdict = run.verdict(
+                iterations, float(np.sqrt(max(gamma, 0.0))), x, lam=alpha,
+                recurred_rr=gamma,
+            )
+            if verdict is not None:
+                if verdict != "converged" and run.restart(iterations, verdict):
                     _restart()
                     fresh_start = True
                     continue
-                reason = StopReason.BREAKDOWN
-                break
-            if (plan is not None or run.policy is not None) and res_norms[
-                -1
-            ] > DIVERGENCE_FACTOR * max(res_norms[0], b_norm):
-                # Growth with every denominator still positive: the
-                # recurrences no longer track x.  Gated as cg gates its
-                # own, so the plain solver's exit is untouched.
-                if run.restart(iterations, "divergence"):
-                    _restart()
-                    fresh_start = True
-                    continue
-                reason = StopReason.BREAKDOWN
+                reason = run.ending(verdict)
                 break
 
             # Sampled replacement: the vector-recurred r vs. the truth.
@@ -184,6 +165,4 @@ def ghysels_vanroose_cg(
                 z = op.matvec(s)
                 delta = dot(w, r, label="pipelined_dot")
 
-    return run.finish(
-        reason, x, iterations, res_norms, alphas=alphas, lambdas=lambdas
-    )
+    return run.finish(reason, x, iterations, alphas=alphas, lambdas=lambdas)

@@ -33,7 +33,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.results import CGResult, SolveRun, StopReason
-from repro.core.stopping import DIVERGENCE_FACTOR, StoppingCriterion
+from repro.core.stopping import StoppingCriterion
 from repro.sparse.linop import matvec_into
 from repro.util.counters import add_scalar_flops
 from repro.util.kernels import axpy, dot
@@ -57,7 +57,7 @@ def _pr_solve(
         label, label, a, b, x0=x0, stop=stop, faults=faults, recovery=recovery,
         telemetry=telemetry,
     )
-    op, b, x, stop, b_norm = run.op, run.b, run.x, run.stop, run.b_norm
+    op, b, x = run.op, run.b, run.x
     n, ws, plan = b.shape[0], run.ws, run.plan
 
     r = np.zeros(n)
@@ -81,9 +81,7 @@ def _pr_solve(
             gamma = plan.corrupt_dot(gamma, "gamma")
 
     def _restart() -> None:
-        """Fresh residual, direction reset to steepest descent; growth is
-        judged from the fresh residual on."""
-        nonlocal best_res
+        """Fresh residual, direction reset to steepest descent."""
         r[:] = b - op.matvec(x)
         p[:] = r
         s[:] = op.matvec(p)
@@ -91,7 +89,7 @@ def _pr_solve(
             w[:] = s  # A r = A p at a restart
             u[:] = op.matvec(s)
         _dots()
-        best_res = float(np.sqrt(max(nu, 0.0)))
+        run.restarted(float(np.sqrt(max(nu, 0.0))))
 
     r[:] = b - op.matvec(x)
     p[:] = r
@@ -101,17 +99,15 @@ def _pr_solve(
         u[:] = op.matvec(s)
     _dots()
 
-    res_norms = [float(np.sqrt(max(nu, 0.0)))]
     alphas: list[float] = []
     lambdas: list[float] = []
 
     reason = StopReason.MAX_ITER
     iterations = 0
-    best_res = res_norms[0]
-    if stop.is_met(res_norms[0], b_norm):
+    if run.start(float(np.sqrt(max(nu, 0.0))), x):
         reason = StopReason.CONVERGED
     else:
-        for _ in range(stop.budget(n)):
+        for _ in range(run.stop.budget(n)):
             if plan is not None:
                 plan.begin_iteration(iterations + 1)
             if mu <= 0.0 or nu <= 0.0 or not np.isfinite(mu) or not np.isfinite(nu):
@@ -153,36 +149,16 @@ def _pr_solve(
             # scalar with its directly computed value, so prediction
             # error cannot compound across iterations.
             _dots()
-            res_norms.append(float(np.sqrt(max(nu, 0.0))))
-            if telemetry is not None:
-                telemetry.iteration(
-                    iterations, res_norms[-1], lam=alpha, alpha=beta, recurred_rr=nu
-                )
-                telemetry.iterate(x)
-            if stop.is_met(res_norms[-1], b_norm):
-                # A corrupted nu can fake convergence; under injection
-                # verify against the true residual before accepting.
-                if run.convergence_holds(x):
-                    reason = StopReason.CONVERGED
-                    break
-                if run.restart(iterations, "false_convergence"):
+            verdict = run.verdict(
+                iterations, float(np.sqrt(max(nu, 0.0))), x, lam=alpha,
+                alpha=beta, recurred_rr=nu,
+            )
+            if verdict is not None:
+                if verdict != "converged" and run.restart(iterations, verdict):
                     _restart()
                     continue
-                reason = StopReason.BREAKDOWN
+                reason = run.ending(verdict)
                 break
-            if res_norms[-1] > DIVERGENCE_FACTOR * max(res_norms[0], b_norm) or (
-                run.policy is not None and res_norms[-1] > 100.0 * best_res
-            ):
-                # The hard growth guard, and under a policy cg's
-                # sustained-growth one: a matvec fault can drive gradual
-                # exponential growth that would eat most of the budget
-                # before the hard guard trips.
-                if run.restart(iterations, "divergence"):
-                    _restart()
-                    continue
-                reason = StopReason.BREAKDOWN
-                break
-            best_res = min(best_res, res_norms[-1])
 
             # Sampled replacement: the vector-recurred r vs. the truth.
             replaced = run.residual_check(iterations, x, nu)
@@ -196,9 +172,7 @@ def _pr_solve(
                     u[:] = op.matvec(s)
                 _dots()
 
-    return run.finish(
-        reason, x, iterations, res_norms, alphas=alphas, lambdas=lambdas
-    )
+    return run.finish(reason, x, iterations, alphas=alphas, lambdas=lambdas)
 
 
 def pr_cg(

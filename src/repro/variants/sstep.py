@@ -38,7 +38,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.results import CGResult, SolveRun, StopReason
-from repro.core.stopping import DIVERGENCE_FACTOR, StoppingCriterion
+from repro.core.stopping import StoppingCriterion
 from repro.util.counters import add_dot, add_scalar_flops, traced
 from repro.util.kernels import norm
 from repro.util.validation import require_positive_int
@@ -194,19 +194,18 @@ def sstep_cg(
         "sstep", f"sstep-cg(s={s})", a, b, x0=x0, stop=stop, telemetry=telemetry,
         s=s, basis=basis,
     )
-    op, b, x, stop, b_norm = run.op, run.b, run.x, run.stop, run.b_norm
+    op, b, x = run.op, run.b, run.x
     n = b.shape[0]
     r = b - op.matvec(x)
-    res_norms = [norm(r)]
 
     reason = StopReason.MAX_ITER
     cg_steps = 0
 
-    if stop.is_met(res_norms[0], b_norm):
-        return run.finish(StopReason.CONVERGED, x, 0, res_norms)
+    if run.start(norm(r), x):
+        return run.finish(StopReason.CONVERGED, x, 0)
 
     p_blk, ap_blk = make_block(r)
-    max_outer = (stop.budget(n) + s - 1) // s
+    max_outer = (run.stop.budget(n) + s - 1) // s
 
     for _ in range(max_outer):
         w = _fused_gram(p_blk, ap_blk)
@@ -218,17 +217,9 @@ def sstep_cg(
         x += p_blk @ coeffs
         r -= ap_blk @ coeffs
         cg_steps += s
-        res_norms.append(norm(r))
-        if telemetry is not None:
-            telemetry.iteration(cg_steps, res_norms[-1])
-            telemetry.iterate(x)
-        if stop.is_met(res_norms[-1], b_norm):
-            reason = StopReason.CONVERGED
-            break
-        if not np.isfinite(res_norms[-1]) or res_norms[
-            -1
-        ] > DIVERGENCE_FACTOR * max(res_norms[0], b_norm):
-            reason = StopReason.BREAKDOWN
+        verdict = run.verdict(cg_steps, norm(r), x)
+        if verdict is not None:
+            reason = run.ending(verdict)
             break
 
         k_blk, ak_blk = make_block(r)
@@ -240,4 +231,4 @@ def sstep_cg(
         p_blk = k_blk - p_blk @ b_mat
         ap_blk = ak_blk - ap_blk @ b_mat
 
-    return run.finish(reason, x, cg_steps, res_norms)
+    return run.finish(reason, x, cg_steps)

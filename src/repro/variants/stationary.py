@@ -25,7 +25,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core.results import CGResult, SolveRun, StopReason
-from repro.core.stopping import DIVERGENCE_FACTOR, StoppingCriterion
+from repro.core.stopping import StoppingCriterion
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.trisolve import solve_lower
 from repro.util.counters import add_axpy
@@ -54,15 +54,14 @@ def _stationary_loop(
         label.split("(")[0], label, a, b, x0=x0, stop=stop, telemetry=telemetry,
         check_every=check_every,
     )
-    op, b, x, stop, b_norm = run.op, run.b, run.x, run.stop, run.b_norm
+    op, b, x = run.op, run.b, run.x
     r = b - op.matvec(x)
-    res_norms = [norm(r)]
     reason = StopReason.MAX_ITER
     iterations = 0
-    if stop.is_met(res_norms[0], b_norm):
+    if run.start(norm(r), x):
         reason = StopReason.CONVERGED
     else:
-        budget = stop.budget(b.shape[0])
+        budget = run.stop.budget(b.shape[0])
         while iterations < budget:
             delta = correction(r)
             tracer = add_axpy(b.shape[0])
@@ -72,19 +71,11 @@ def _stationary_loop(
             iterations += 1
             r = b - op.matvec(x)
             if iterations % check_every == 0 or iterations >= budget:
-                res_norms.append(norm(r))
-                if telemetry is not None:
-                    telemetry.iteration(iterations, res_norms[-1])
-                    telemetry.iterate(x)
-                if stop.is_met(res_norms[-1], b_norm):
-                    reason = StopReason.CONVERGED
+                verdict = run.verdict(iterations, norm(r), x)
+                if verdict is not None:
+                    reason = run.ending(verdict)
                     break
-                if not np.isfinite(res_norms[-1]) or res_norms[
-                    -1
-                ] > DIVERGENCE_FACTOR * max(res_norms[0], b_norm):
-                    reason = StopReason.BREAKDOWN
-                    break
-    return run.finish(reason, x, iterations, res_norms)
+    return run.finish(reason, x, iterations)
 
 
 def jacobi_solve(

@@ -47,11 +47,10 @@ def three_term_cg(
     run = SolveRun.open(
         "three-term", "three-term-cg", a, b, x0=x0, stop=stop, telemetry=telemetry
     )
-    op, b, x, stop, b_norm, ws = run.op, run.b, run.x, run.stop, run.b_norm, run.ws
+    op, b, x, ws = run.op, run.b, run.x, run.ws
     n = b.shape[0]
     r = b - op.matvec(x)
     rr = dot(r, r)
-    res_norms = [float(np.sqrt(max(rr, 0.0)))]
     gammas: list[float] = []
     rhos: list[float] = []
 
@@ -63,11 +62,11 @@ def three_term_cg(
 
     reason = StopReason.MAX_ITER
     iterations = 0
-    if stop.is_met(res_norms[0], b_norm):
+    if run.start(float(np.sqrt(max(rr, 0.0))), x):
         reason = StopReason.CONVERGED
     else:
         ar = ws.get("ar", n)
-        for it in range(stop.budget(n)):
+        for it in range(run.stop.budget(n)):
             matvec_into(op, r, ar, work=ws)
             rar = dot(r, ar)
             if rar <= 0.0:
@@ -93,14 +92,11 @@ def three_term_cg(
             rr_prev, rr = rr, dot(r, r)
             gamma_prev, rho_prev = gamma, rho
             iterations += 1
-            res_norms.append(float(np.sqrt(max(rr, 0.0))))
-            if telemetry is not None:
-                telemetry.iteration(iterations, res_norms[-1], lam=gamma)
-                telemetry.iterate(x)
-            if stop.is_met(res_norms[-1], b_norm):
-                reason = StopReason.CONVERGED
+            verdict = run.verdict(
+                iterations, float(np.sqrt(max(rr, 0.0))), x, lam=gamma
+            )
+            if verdict is not None:
+                reason = run.ending(verdict)
                 break
 
-    return run.finish(
-        reason, x, iterations, res_norms, alphas=rhos, lambdas=gammas
-    )
+    return run.finish(reason, x, iterations, alphas=rhos, lambdas=gammas)

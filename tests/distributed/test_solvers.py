@@ -14,6 +14,7 @@ from repro.distributed import (
     distributed_sstep,
 )
 from repro.sparse.generators import banded_spd, poisson2d
+from repro.util.counters import counting
 from repro.util.rng import default_rng
 
 STOP = StoppingCriterion(rtol=1e-8, max_iter=600)
@@ -129,3 +130,46 @@ class TestSynchronizationCounts:
         res, comm = distributed_pipelined_vr(a, b, k=2, nranks=4, stop=STOP)
         # startup k+2 matvecs + ~1 per iteration
         assert comm.stats.halo_exchanges <= res.iterations + 2 + 3
+
+
+class TestOperationCounts:
+    """One booking per distributed operation: a distributed product is one
+    matvec, and a rank-parallel dot or axpy one entry, whatever the rank
+    count -- so dist-cg's counts read like cg's."""
+
+    FIELDS = (
+        "matvecs", "dots", "axpys", "reductions", "matvec_flops", "dot_flops",
+        "axpy_flops", "words_moved",
+    )
+
+    def _per_iteration(self, solver):
+        totals = []
+        for max_iter in (10, 20):
+            with counting() as counts:
+                result = solver(StoppingCriterion(rtol=1e-8, max_iter=max_iter))
+            assert result.iterations == max_iter
+            totals.append(counts)
+        lo, hi = totals
+        return tuple((getattr(hi, f) - getattr(lo, f)) / 10 for f in self.FIELDS)
+
+    @pytest.mark.parametrize("nranks", [2, 4])
+    def test_dist_cg_books_what_cg_books(self, nranks):
+        a = poisson2d(16)
+        b = default_rng(0).standard_normal(a.nrows)
+        cg = self._per_iteration(lambda stop: conjugate_gradient(a, b, stop=stop))
+        dist = self._per_iteration(
+            lambda stop: distributed_cg(a, b, nranks=nranks, stop=stop)[0]
+        )
+        assert dist == cg
+        assert cg[:4] == (1.0, 2.0, 3.0, 2.0)
+
+    @pytest.mark.parametrize("nranks", [2, 4])
+    def test_counts_leave_the_comm_stats_alone(self, nranks):
+        a = poisson2d(16)
+        b = default_rng(0).standard_normal(a.nrows)
+        result, comm = distributed_cg(a, b, nranks=nranks, stop=STOP)
+        assert result.converged
+        # r0 = b: one startup collective, then two per iteration.
+        assert comm.stats.blocking_allreduces == 2 * result.iterations + 1
+        assert comm.stats.halo_exchanges == result.iterations
+        assert comm.stats.hidden_allreduces == comm.stats.forced_waits == 0

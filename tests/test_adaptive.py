@@ -30,6 +30,7 @@ from repro.core.vr_cg import vr_conjugate_gradient
 from repro.faults import BitFlipInjector, FaultPlan
 from repro.sparse.generators import poisson2d
 from repro.telemetry import MemorySink, Telemetry
+from repro.trace import FlightRecorder, HealthMonitor
 from repro.util.counters import counting, current_counts
 from repro.util.rng import default_rng, spd_test_matrix
 from repro.variants import pr_cg, pr_pipe_cg
@@ -281,18 +282,35 @@ class TestAdaptiveSolvers:
             grow_tol=1e-31, fallback_after=1,
         )
         sink = MemorySink()
+        recorder = FlightRecorder(ring=64)
+        health = HealthMonitor()
         with counting() as caller:
-            res = fn(a, b, k=1, controller=cfg, telemetry=Telemetry(sink))
+            res = fn(
+                a, b, k=1, controller=cfg,
+                telemetry=Telemetry(sink, recorder, health=health),
+            )
         assert res.extras["adaptive"]["fell_back"] and res.converged
         kinds = [e.kind for e in sink.events]
-        # classical CG's bracket nests inside the adaptive one
-        assert kinds.count("solve_start") == 2 and kinds[-1] == "solve_end"
+        # classical CG finishes inside the adaptive bracket: one bracket
+        assert kinds.count("solve_start") == 1 and kinds[-1] == "solve_end"
         assert sink.events[-1].label == res.label
         assert sink.events[-1].iterations == res.iterations
+        # iterations are numbered on across the hand-off
+        numbers = [e.iteration for e in sink.events if e.kind == "iteration"]
+        assert numbers == list(range(1, res.iterations + 1))
         # the caller's scope sees the whole solve, hand-off included
         assert caller.dots == sink.events[-2].counts.dots
         assert caller.matvecs == sink.events[-2].counts.matvecs
         assert current_counts() is None
+        # one health verdict, for the adaptive solve and all its checks
+        (summary,) = health.history
+        assert summary.method == sink.events[0].method
+        assert summary.method.startswith("adaptive-")
+        assert summary.iterations == res.iterations
+        assert summary.checks + summary.clamps == kinds.count("drift") > 0
+        # the recorder holds every iteration's residual of the result
+        bundle = recorder.snapshot("probe")
+        assert bundle["residual_norms"] == res.residual_norms[1:]
 
     def test_adaptive_events_in_solver_telemetry(self):
         wl_a, wl_b = _lowrank_full()

@@ -269,3 +269,27 @@ def test_health_events_drive_metrics_gauges():
     assert 'repro_health_status{method="vr"} 1' in text
     assert 'repro_health_residual_gap{method="vr"}' in text
     assert 'repro_health_floor{method="vr"}' in text
+
+
+@pytest.mark.parametrize("grid", [32, 64])
+def test_default_vr_does_not_flap(grid):
+    # vr's default drift repair replaces at a 1e-6 gap; the default watch
+    # line sits an order of magnitude above it, so the gaps the solver
+    # answers itself raise no health transition.
+    from repro.telemetry import MemorySink
+
+    a = poisson2d(grid)
+    b = np.random.default_rng(0).standard_normal(a.nrows)
+    reg, sink = MetricsRegistry(), MemorySink()
+    tele = Telemetry(sink, MetricsSink(reg), health=HealthMonitor())
+    result = solve(a, b, "vr", telemetry=tele)
+    assert result.converged
+    assert sink.of_kind("replacement"), "the drift repair never fired"
+    assert not [e for e in sink.of_kind("health") if e.reason == "drift"]
+    status = [
+        float(line.split()[-1]) for line in reg.to_prometheus().splitlines()
+        if line.startswith('repro_health_status{method="vr"}')
+    ]
+    assert status in ([], [0.0])
+    [summary] = tele.health.history
+    assert summary.status == "ok" and summary.checks > 0
