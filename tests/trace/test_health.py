@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro import poisson2d, solve
-from repro.telemetry import Telemetry
+from repro.telemetry import MemorySink, Telemetry
 from repro.telemetry.events import HealthEvent
 from repro.trace import HealthMonitor, MetricsRegistry, MetricsSink
 
@@ -276,8 +276,6 @@ def test_default_vr_does_not_flap(grid):
     # vr's default drift repair replaces at a 1e-6 gap; the default watch
     # line sits an order of magnitude above it, so the gaps the solver
     # answers itself raise no health transition.
-    from repro.telemetry import MemorySink
-
     a = poisson2d(grid)
     b = np.random.default_rng(0).standard_normal(a.nrows)
     reg, sink = MetricsRegistry(), MemorySink()
