@@ -35,7 +35,7 @@ class Workspace:
     __slots__ = ("_buffers", "hits", "misses")
 
     def __init__(self) -> None:
-        self._buffers: dict[tuple[str, str], np.ndarray] = {}
+        self._buffers: dict[tuple[str, np.dtype], np.ndarray] = {}
         self.hits = 0
         self.misses = 0
 
@@ -48,13 +48,18 @@ class Workspace:
         """Return the buffer for ``name``, (re)allocating on first use or
         shape change.  Contents are undefined on a miss and *stale* (the
         previous user's data) on a hit."""
+        dt = np.dtype(dtype)
+        key = (name, dt)
+        buf = self._buffers.get(key)
+        # A hit on a tuple shape returns before normalizing it: the block
+        # kernels draw their slots several times per sweep.
+        if buf is not None and type(shape) is tuple and buf.shape == shape:
+            self.hits += 1
+            return buf
         if isinstance(shape, (int, np.integer)):
             shape = (int(shape),)
         else:
             shape = tuple(int(s) for s in shape)
-        dt = np.dtype(dtype)
-        key = (name, dt.str)
-        buf = self._buffers.get(key)
         if buf is None or buf.shape != shape:
             buf = np.empty(shape, dtype=dt)
             self._buffers[key] = buf

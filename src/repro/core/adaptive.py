@@ -136,8 +136,7 @@ class WindowController:
     The controller is solver-agnostic: drivers feed it observations
     (:meth:`observe_gap` on every sampled drift check,
     :meth:`observe_breakdown` when the recurred moments go nonpositive
-    or nonfinite, :meth:`observe_clamp` when a negative recurred ``μ₀``
-    is clamped) and receive back an *action* string; the driver performs
+    or nonfinite) and receive back an *action* string; the driver performs
     the mechanical rebuild.  Window moves are always single steps
     (``|Δk| = 1``) bounded to ``[k_min, k_max]`` -- the invariant the
     property tests pin down on ``k_history``.
@@ -195,13 +194,6 @@ class WindowController:
             return "fallback"
         self._calm = 0
         return self._degrade(iteration, trigger or "breakdown", 0.0)
-
-    def observe_clamp(self, iteration: int, mu0: float) -> str:
-        """A negative recurred ``μ₀`` was clamped to zero (drift signal)."""
-        if self.fell_back:
-            return "fallback"
-        self._calm = 0
-        return self._degrade(iteration, "clamp", abs(float(mu0)))
 
     def snapshot(self) -> dict[str, Any]:
         """JSON-friendly summary for ``CGResult.extras["adaptive"]``."""

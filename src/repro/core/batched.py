@@ -12,11 +12,23 @@ each matrix application streams the matrix ONCE for all columns
 launches exactly the classical two reductions -- independent of ``m``
 (pinned by the ``repro.counting()`` reduction count in the tests).
 
+Every block operation of a sweep is one call into the kernel layer: the
+two fused reductions, the step ``x += λ∘p``, ``r −= λ∘Ap``
+(:func:`~repro.util.kernels.block_step`) and the direction update
+``p = r + α∘p`` (:func:`~repro.util.kernels.block_aypx`), each with one
+scalar per column.  The kernels fold a C-ordered ``(n, m)`` block into
+wide rows, so a narrow block streams at the speed of a single vector.
+
 Columns converge at different iteration counts; a converged column is
 **deflated** -- compacted out of the active blocks -- so it stops paying
-matvec and reduction bandwidth while the stragglers finish.  The active-set
-trajectory is emitted as telemetry (:class:`~repro.telemetry.events.
-ActiveSetEvent`) alongside per-column iteration/convergence events.
+matvec and reduction bandwidth while the stragglers finish.  Compaction
+keeps every working block C-ordered, so after a deflation the kernels
+still fold and the block product still writes in place: from the first
+sweep on, the loop allocates nothing but the length-``m`` scalar
+vectors and a few KB of kernel temporaries, until a deflation
+reallocates the narrower blocks.  The active-set trajectory is emitted
+as telemetry (:class:`~repro.telemetry.events.ActiveSetEvent`) alongside
+per-column iteration/convergence events.
 
 The solver returns a :class:`~repro.core.results.BatchedResult`; column
 ``j`` matches a standalone solve on ``B[:, j]`` up to rounding (pinned by
@@ -32,8 +44,14 @@ import numpy as np
 from repro.core.results import BatchedResult, StopReason, verified_exit
 from repro.core.stopping import StoppingCriterion
 from repro.sparse.linop import LinearOperator, as_operator, block_matvec
-from repro.util.counters import add_axpy, add_scalar_flops
-from repro.util.kernels import block_dot, block_norms
+from repro.util.counters import add_scalar_flops
+from repro.util.kernels import (
+    block_aypx,
+    block_dot,
+    block_norms,
+    block_step,
+    block_sweeps,
+)
 from repro.util.validation import as_2d_float_array, check_square_operator
 
 __all__ = ["batched_cg"]
@@ -132,8 +150,11 @@ class _Batch:
             self.x[:, self.active[mask]] = self.x_active[:, mask]
         self.active = self.active[keep]
         self.th_active = self.th_active[keep]
-        self.x_active = self.x_active[:, keep]
-        return tuple(block[..., keep] for block in blocks)
+        # np.take keeps a C-ordered block C-ordered (a fancy index on the
+        # last axis returns it F-ordered), so the folded kernels and the
+        # compiled block product keep working in place after deflation.
+        self.x_active = np.take(self.x_active, keep, axis=-1)
+        return tuple(np.take(block, keep, axis=-1) for block in blocks)
 
     def finish(self, method_label: str) -> BatchedResult:
         """Assemble the result; exit verification per column."""
@@ -242,62 +263,49 @@ def batched_cg(
         keep = np.flatnonzero(res > batch.thresholds)
         r, p, rr = batch.compact(keep, r, p, rr)
 
-    # Sweep-reused buffers (reallocated only when deflation narrows the
-    # active block) -- the steady-state loop allocates nothing but the
-    # length-m scalar vectors.
+    # Sweep-reused product block, reallocated only when deflation
+    # narrows the active block; the kernels' scratch lives in ``ws``.
     ap = np.empty_like(p)
-    work = np.empty_like(p)
 
     budget = stop.budget(n)
     iteration = 0
-    while batch.width and iteration < budget:
-        iteration += 1
-        block_matvec(op, p, out=ap, work=ws)
-        pap = block_dot(p, ap, label="batched_pap")  # fused reduction #1
+    with block_sweeps():
+        while batch.width and iteration < budget:
+            iteration += 1
+            block_matvec(op, p, out=ap, work=ws)
+            pap = block_dot(p, ap, label="batched_pap")  # fused reduction #1
 
-        bad = np.flatnonzero(pap <= 0.0)
-        if bad.size:
-            batch.retire(bad, StopReason.BREAKDOWN, iteration - 1)
-            keep = np.flatnonzero(pap > 0.0)
-            r, p, ap, rr, pap = batch.compact(keep, r, p, ap, rr, pap)
-            if not batch.width:
-                break
-            work = np.empty_like(p)
+            bad = np.flatnonzero(pap <= 0.0)
+            if bad.size:
+                batch.retire(bad, StopReason.BREAKDOWN, iteration - 1)
+                keep = np.flatnonzero(pap > 0.0)
+                r, p, ap, rr, pap = batch.compact(keep, r, p, ap, rr, pap)
+                if not batch.width:
+                    break
 
-        lam = rr / pap
-        add_scalar_flops(lam.size)
-        tracer = add_axpy(r.size, flops_per_entry=4)
-        np.multiply(p, lam, out=work)
-        batch.x_active += work
-        np.multiply(ap, lam, out=work)
-        r -= work
-        if tracer is not None:
-            tracer.end("axpy")
+            lam = rr / pap
+            add_scalar_flops(lam.size)
+            block_step(lam, p, ap, batch.x_active, r, work=ws)
 
-        rr_new = block_dot(r, r, label="batched_rr")  # fused reduction #2
-        res = np.sqrt(np.maximum(rr_new, 0.0))
-        batch.record(res, iteration)
-        if telemetry is not None:
-            telemetry.iteration(iteration, float(res.max()))
-            telemetry.active_set(iteration, batch.width)
+            rr_new = block_dot(r, r, label="batched_rr")  # fused reduction #2
+            res = np.sqrt(np.maximum(rr_new, 0.0))
+            batch.record(res, iteration)
+            if telemetry is not None:
+                telemetry.iteration(iteration, float(res.max()))
+                telemetry.active_set(iteration, batch.width)
 
-        done = np.flatnonzero(res <= batch.th_active)
-        if done.size:
-            batch.retire(done, StopReason.CONVERGED, iteration)
-            keep = np.flatnonzero(res > batch.th_active)
-            r, p, rr, rr_new = batch.compact(keep, r, p, rr, rr_new)
-            if not batch.width:
-                break
-            ap = np.empty_like(p)
-            work = np.empty_like(p)
+            done = np.flatnonzero(res <= batch.th_active)
+            if done.size:
+                batch.retire(done, StopReason.CONVERGED, iteration)
+                keep = np.flatnonzero(res > batch.th_active)
+                r, p, rr, rr_new = batch.compact(keep, r, p, rr, rr_new)
+                if not batch.width:
+                    break
+                ap = np.empty_like(p)
 
-        alpha = rr_new / rr
-        add_scalar_flops(alpha.size)
-        tracer = add_axpy(p.size)
-        p *= alpha
-        p += r
-        if tracer is not None:
-            tracer.end("axpy")
-        rr = rr_new
+            alpha = rr_new / rr
+            add_scalar_flops(alpha.size)
+            block_aypx(alpha, r, p, work=ws)  # p = r + alpha * p
+            rr = rr_new
 
     return batch.finish("batched-cg")

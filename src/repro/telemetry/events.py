@@ -206,7 +206,8 @@ class AdaptiveEvent(TelemetryEvent):
     one), ``"replace"`` (repair at the floor, k unchanged), or
     ``"fallback"`` (the controller gave up on the moment window and
     handed the solve to classical CG); ``trigger`` names the observation
-    that fired (``drift``/``breakdown``/``clamp``/``calm``); ``gap`` is
+    that fired (``drift``/``calm``, or the trouble the solver reported,
+    such as ``breakdown``); ``gap`` is
     the measured recurred-vs-direct relative gap when the trigger has
     one, else 0.
     """

@@ -17,7 +17,7 @@ from repro.core.results import BatchedResult, CGResult, StopReason
 from repro.core.standard import conjugate_gradient
 from repro.core.stopping import StoppingCriterion
 from repro.sparse.csr import from_dense
-from repro.sparse.generators import poisson2d
+from repro.sparse.generators import poisson2d, tridiag_toeplitz
 from repro.telemetry import Telemetry
 from repro.util.counters import counting
 from repro.util.rng import default_rng
@@ -148,3 +148,15 @@ def test_column_view_roundtrip(system):
     assert col.iterations == int(res.column_iterations[2])
     assert col.residual_norms == res.residual_norms[2]
     assert "columns converged" in res.summary()
+
+
+def test_prime_n_columns_match_standalone_cg():
+    # n = 1,021 is prime: the block kernels have no fold and run t = 1.
+    a = tridiag_toeplitz(1021, -1.0, 4.0, -1.0)
+    b_block = default_rng(6).standard_normal((a.nrows, 3))
+    res = batched_cg(a, b_block, stop=STOP)
+    assert res.converged
+    for j in range(b_block.shape[1]):
+        single = conjugate_gradient(a, b_block[:, j], stop=STOP)
+        assert int(res.column_iterations[j]) == single.iterations
+        np.testing.assert_allclose(res.x[:, j], single.x, atol=1e-12)

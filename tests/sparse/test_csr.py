@@ -133,6 +133,25 @@ class TestMatvec:
         np.testing.assert_array_equal(wide[:, 1:4], ref @ xb)
         np.testing.assert_array_equal(wide[:, [0, 4]], 7.0)
 
+    def test_one_column_block_is_a_matvec(self):
+        # A one-column block runs the single-vector kernel: matvec's
+        # bits, booked as the one-column matmat it is.
+        a = from_dense(random_dense(40, 40, 0.2, 21))
+        x = default_rng(22).standard_normal(40)
+        with counting() as vec:
+            want = a.matvec(x)
+        with counting() as block:
+            got = a.matmat(x[:, None])
+        assert got.shape == (40, 1)
+        assert got.tobytes() == want.tobytes()
+        assert block.snapshot() == vec.snapshot()
+        # A strided column in, a strided column out.
+        xs = default_rng(23).standard_normal((40, 3))
+        wide = np.full((40, 3), 7.0)
+        a.matmat(xs[:, 1:2], out=wide[:, 1:2])
+        assert wide[:, 1].tobytes() == a.matvec(xs[:, 1].copy()).tobytes()
+        np.testing.assert_array_equal(wide[:, [0, 2]], 7.0)
+
     def test_compiled_kernel_contract(self):
         """Pin scipy's private in-place CSR kernels, which the products
         call: argument order, and ``y += A·x`` (not ``y = A·x``).  Small

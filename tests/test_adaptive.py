@@ -91,9 +91,8 @@ class TestWindowController:
     def test_breakdown_and_clamp_degrade(self):
         ctl = WindowController(2, ControllerConfig())
         assert ctl.observe_breakdown(1) == "shrink"
-        assert ctl.observe_clamp(2, -1e-9) == "shrink"
-        assert ctl.k == 0
-        assert ctl.decisions[-1]["trigger"] == "clamp"
+        assert ctl.k == 1
+        assert ctl.decisions[-1]["trigger"] == "breakdown"
 
     def test_initial_k_clamped_to_bounds(self):
         ctl = WindowController(50, ControllerConfig(k_max=4))
@@ -136,7 +135,6 @@ _OBSERVATIONS = st.lists(
             min_value=0.0, max_value=1e3, allow_nan=False, allow_infinity=False
         ),
         st.just("breakdown"),
-        st.just("clamp"),
     ),
     max_size=60,
 )
@@ -156,8 +154,6 @@ class TestControllerProperties:
         for i, ob in enumerate(obs):
             if ob == "breakdown":
                 ctl.observe_breakdown(i)
-            elif ob == "clamp":
-                ctl.observe_clamp(i, -1e-12)
             else:
                 ctl.observe_gap(i, ob)
         hist = ctl.k_history
@@ -173,8 +169,6 @@ class TestControllerProperties:
         for i, ob in enumerate(obs):
             if ob == "breakdown":
                 ctl.observe_breakdown(i)
-            elif ob == "clamp":
-                ctl.observe_clamp(i, -1e-12)
             else:
                 ctl.observe_gap(i, ob)
         if ctl.fell_back:

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.backend import Workspace
+from repro.core.batched import batched_cg
 from repro.core.pipeline import pipelined_vr_cg
 from repro.core.standard import conjugate_gradient
 from repro.core.stopping import StoppingCriterion
@@ -64,9 +65,9 @@ class _PeakProbe:
         return self.deltas[4:-1]
 
 
-def _run_probed(solver, **kwargs):
+def _run_probed(solver, b=None, **kwargs):
     a = poisson2d(GRID)
-    b = np.ones(a.nrows)
+    b = np.ones(a.nrows) if b is None else b
     probe = _PeakProbe()
     telemetry = Telemetry(probe)
     stop = StoppingCriterion(rtol=1e-10, max_iter=60)
@@ -102,6 +103,26 @@ class TestSteadyStateAllocations:
         assert max(steady) < ALLOWED_PER_ITERATION, (
             f"vr allocated up to {max(steady)} bytes in one steady-state "
             f"iteration (budget {ALLOWED_PER_ITERATION})"
+        )
+
+    def test_batched_cg_steady_state_allocates_no_arrays_after_deflation(self):
+        # The zero column deflates at iteration 0, so every sweep runs on
+        # a compacted (n, 2) block: compaction must leave the working
+        # blocks C-ordered, or each block product copies its operand in
+        # and its result out, and the folded updates must not go through
+        # numpy's per-call ufunc buffer (64 KiB here).
+        b = np.ones((N, 3))
+        b[:, 1] = 0.0
+        b[:, 2] = np.linspace(-1.0, 1.0, N)
+        result, probe = _run_probed(batched_cg, b=b)
+        assert result.column_iterations[1] == 0
+        assert result.iterations > 10
+        steady = probe.steady_deltas()
+        assert steady, "not enough iterations to measure steady state"
+        assert max(steady) < ALLOWED_PER_ITERATION, (
+            f"batched cg allocated up to {max(steady)} bytes in one "
+            f"steady-state sweep (budget {ALLOWED_PER_ITERATION}); an "
+            f"(n, 2) block is {2 * VECTOR_BYTES}"
         )
 
     def test_pipelined_vr_steady_state_allocates_no_arrays(self):

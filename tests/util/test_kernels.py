@@ -10,7 +10,18 @@ from hypothesis.extra.numpy import arrays
 
 from repro.backend import Workspace
 from repro.util.counters import counting
-from repro.util.kernels import axpby, axpy, dot, norm, scale
+from repro.util.kernels import (
+    FOLD_WIDTH,
+    axpby,
+    axpy,
+    block_aypx,
+    block_dot,
+    block_step,
+    block_sweeps,
+    dot,
+    norm,
+    scale,
+)
 
 VEC = arrays(
     np.float64,
@@ -137,3 +148,105 @@ class TestScale:
 def test_axpy_property(x, a):
     y = np.ones_like(x)
     np.testing.assert_allclose(axpy(a, x, y), a * x + 1.0, rtol=1e-12, atol=1e-9)
+
+
+# ----------------------------------------------------------------------
+# block kernels: folded (n/t, t·m) views against per-column references
+# ----------------------------------------------------------------------
+#: 576 and 16,384 fold (t > 1 whenever m > 1); 1,021 is prime, so t = 1.
+FOLD_N = (576, 1021, 16384)
+FOLD_M = (1, 2, 3, 8, 64)
+fold_shapes = pytest.mark.parametrize(
+    "n, m", [(n, m) for n in FOLD_N for m in FOLD_M]
+)
+
+
+def _blocks(n, m, count):
+    rng = np.random.default_rng([n, m])
+    return [rng.standard_normal((n, m)) for _ in range(count)] + [
+        rng.uniform(0.5, 2.0, m)
+    ]
+
+
+def _booked(c):
+    return (c.dots, c.reductions, c.axpys, c.axpy_flops, c.words_moved)
+
+
+@fold_shapes
+def test_block_dot_matches_column_dots(n, m):
+    x, y, _ = _blocks(n, m, 2)
+    with counting() as c:
+        got = block_dot(x, y)
+    want = np.array([np.dot(x[:, j], y[:, j]) for j in range(m)])
+    # Relative to Σ|xᵢyᵢ|, the scale of a dot's rounding error: a column
+    # whose products cancel has no meaningful error relative to its value.
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(x * y).sum(axis=0))
+    # One fused reduction of m dots, as booked before the fold.
+    assert _booked(c) == (m, 1, 0, 0, 2 * n * m)
+
+
+@fold_shapes
+def test_block_step_matches_column_updates(n, m):
+    p, ap, x0, r0, lam = _blocks(n, m, 4)
+    x, r = x0.copy(), r0.copy()
+    with counting() as c:
+        block_step(lam, p, ap, x, r, work=Workspace())
+    # Elementwise the fold changes nothing: the same products and sums.
+    for j in range(m):
+        np.testing.assert_array_equal(x[:, j], x0[:, j] + lam[j] * p[:, j])
+        np.testing.assert_array_equal(r[:, j], r0[:, j] - lam[j] * ap[:, j])
+    assert _booked(c) == (0, 0, 1, 4 * n * m, 3 * n * m)
+
+
+@fold_shapes
+def test_block_aypx_matches_column_updates(n, m):
+    r, p0, alpha = _blocks(n, m, 2)
+    p = p0.copy()
+    with counting() as c:
+        block_aypx(alpha, r, p, work=Workspace())
+    for j in range(m):
+        np.testing.assert_array_equal(p[:, j], r[:, j] + alpha[j] * p0[:, j])
+    assert _booked(c) == (0, 0, 1, 2 * n * m, 3 * n * m)
+
+
+def test_block_kernels_without_workspace_or_c_order():
+    # No workspace: the kernels allocate their scratch.  F-ordered
+    # operands have no folded view and run unfolded (t = 1).
+    n, m = 576, 4
+    p, ap, x0, r0, lam = _blocks(n, m, 4)
+    want_x, want_r = x0 + lam * p, r0 - lam * ap
+    for order in ("C", "F"):
+        x, r = np.array(x0, order=order), np.array(r0, order=order)
+        pf = np.array(p, order=order)
+        block_step(lam, pf, np.array(ap, order=order), x, r)
+        np.testing.assert_array_equal(x, want_x)
+        np.testing.assert_array_equal(r, want_r)
+        np.testing.assert_allclose(
+            block_dot(pf, x), np.einsum("ij,ij->j", p, want_x), rtol=1e-13
+        )
+        block_aypx(lam, r, pf)
+        np.testing.assert_array_equal(pf, want_r + lam * p)
+
+
+def test_block_kernels_reuse_their_workspace_slots():
+    n, m = 16384, 2
+    p, ap, x, r, lam = _blocks(n, m, 4)
+    ws = Workspace()
+    block_step(lam, p, ap, x, r, work=ws)
+    block_aypx(lam, r, p, work=ws)
+    held = ws.stats()
+    for _ in range(3):
+        block_step(lam, p, ap, x, r, work=ws)
+        block_aypx(lam, r, p, work=ws)
+    assert ws.stats()["misses"] == held["misses"]
+    assert ws.stats()["nbytes"] == held["nbytes"]
+
+
+def test_block_sweeps_scope_is_restored():
+    # The scope shrinks numpy's ufunc buffer for the folded rows and
+    # leaves the caller's numpy state as it found it.
+    before = (np.getbufsize(), np.geterr())
+    with block_sweeps():
+        assert np.getbufsize() == FOLD_WIDTH
+        assert np.geterr() == before[1]
+    assert (np.getbufsize(), np.geterr()) == before
