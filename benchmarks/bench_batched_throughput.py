@@ -63,11 +63,9 @@ def _host() -> dict:
     }
 
 
-def _csr_arm(
-    grid: int, m_values: tuple[int, ...], stop: StoppingCriterion,
-    repeats: int, method: str,
-) -> dict:
-    """Batched against looped seconds on a CSR ``poisson2d(grid)``.
+def _csr_arm(grid: int, stop: StoppingCriterion, repeats: int, method: str) -> dict:
+    """Batched against looped seconds on a CSR ``poisson2d(grid)`` at
+    each ``m`` of :data:`CSR_M`.
 
     The two arms alternate within each repeat; each arm's median and
     quartiles over the repeats are kept, and ``speedup`` is the ratio of
@@ -76,7 +74,7 @@ def _csr_arm(
     a = poisson2d(grid)
     n = a.nrows
     results = []
-    for m in m_values:
+    for m in CSR_M:
         b_block = default_rng(98).standard_normal((n, m))
         solve_batched(a, b_block, method, stop=stop)  # warm the caches
         batched_s, looped_s = [], []
@@ -121,7 +119,6 @@ def run(
     repeats: int = 5,
     method: str = "cg",
     csr_grid: int = 128,
-    csr_m: tuple[int, ...] = CSR_M,
     csr_repeats: int = 9,
     out_path: Path | str | None = DEFAULT_OUT,
 ) -> dict:
@@ -131,8 +128,8 @@ def run(
     kept (standard minimum-of-repeats to suppress scheduler noise).  Both
     arms solve the identical systems to the identical stopping
     criterion; the batched result is cross-checked against convergence
-    of every column.  The CSR arm (``csr_grid``, ``csr_m``,
-    ``csr_repeats``) is described in the module docstring.
+    of every column.  The CSR arm (``csr_grid``, ``csr_repeats``) is
+    described in the module docstring.
     """
     a = poisson2d(grid)
     op = csr_to_ell(a)  # both arms run the same SIMD-layout operator
@@ -189,7 +186,7 @@ def run(
         "rtol": rtol,
         "repeats": repeats,
         "results": results,
-        "csr_large": _csr_arm(csr_grid, csr_m, stop, csr_repeats, method),
+        "csr_large": _csr_arm(csr_grid, stop, csr_repeats, method),
         "host": _host(),
     }
     if out_path is not None:

@@ -48,7 +48,7 @@ class Workspace:
         """Return the buffer for ``name``, (re)allocating on first use or
         shape change.  Contents are undefined on a miss and *stale* (the
         previous user's data) on a hit."""
-        dt = np.dtype(dtype)
+        dt = dtype if isinstance(dtype, np.dtype) else np.dtype(dtype)
         key = (name, dt)
         buf = self._buffers.get(key)
         # A hit on a tuple shape returns before normalizing it: the block

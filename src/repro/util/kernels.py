@@ -26,7 +26,9 @@ views them as ``(n/t, t·m)`` rows, with ``t`` the largest divisor of
 ``m`` scalars ``t`` times to match.  Every product and sum of the
 updates is the unfolded one; only the order in which :func:`block_dot`
 sums a column changes.  A sweep loop runs inside :func:`block_sweeps`,
-which keeps numpy from buffering the folded rows.
+which keeps numpy from buffering the folded rows.  A one-column block
+is already one flat loop: it is not folded, and the update kernels take
+its scalar as a scalar rather than broadcast a one-element array.
 """
 
 from __future__ import annotations
@@ -169,12 +171,15 @@ def block_sweeps() -> Iterator[None]:
     rows longer than half of it skip it: no allocation, and at
     (256, 512) and (16, 512) rows an in-place scale-and-add took 148
     against 177 µs and 6.2 against 8.2 µs (medians on a 2-vCPU x86_64
-    host, numpy 2.4).  numpy keeps the setting per thread and context;
-    leaving the scope restores it.
+    host, numpy 2.4).  numpy keeps the setting per thread (and, from
+    numpy 2, per context); leaving the scope, by an exception too, sets
+    back the size it found.
     """
-    with np.errstate():
-        np.setbufsize(FOLD_WIDTH)
+    old = np.setbufsize(FOLD_WIDTH)
+    try:
         yield
+    finally:
+        np.setbufsize(old)
 
 
 def block_dot(x: np.ndarray, y: np.ndarray, *, label: str | None = None) -> np.ndarray:
@@ -192,7 +197,7 @@ def block_dot(x: np.ndarray, y: np.ndarray, *, label: str | None = None) -> np.n
     if np.iscomplexobj(x) or np.iscomplexobj(y):
         value = np.einsum("ij,ij->j", np.conj(x), y).real
     else:
-        t = _fold_factor(n, m, x, y)
+        t = 1 if m == 1 else _fold_factor(n, m, x, y)
         if t == 1:
             value = np.einsum("ij,ij->j", x, y)
         else:
@@ -233,11 +238,14 @@ def block_step(
     """
     tracer = add_axpy(p.size, flops_per_entry=4)
     n, m = p.shape
-    t = _fold_factor(n, m, p, ap, x, r)
-    if t > 1:
-        shape = (n // t, t * m)
-        p, ap, x, r = p.reshape(shape), ap.reshape(shape), x.reshape(shape), r.reshape(shape)
-        lam = _tiled(lam, t, work)
+    if m == 1:
+        lam = lam[0]  # a scalar: one flat loop with no broadcast operand
+    else:
+        t = _fold_factor(n, m, p, ap, x, r)
+        if t > 1:
+            shape = (n // t, t * m)
+            p, ap, x, r = p.reshape(shape), ap.reshape(shape), x.reshape(shape), r.reshape(shape)
+            lam = _tiled(lam, t, work)
     scratch = _slot(work, "scratch", p.shape, p.dtype)
     np.multiply(p, lam, out=scratch)
     x += scratch
@@ -260,11 +268,14 @@ def block_aypx(
     """
     tracer = add_axpy(p.size)
     n, m = p.shape
-    t = _fold_factor(n, m, r, p)
-    if t > 1:
-        shape = (n // t, t * m)
-        r, p = r.reshape(shape), p.reshape(shape)
-        alpha = _tiled(alpha, t, work)
+    if m == 1:
+        alpha = alpha[0]
+    else:
+        t = _fold_factor(n, m, r, p)
+        if t > 1:
+            shape = (n // t, t * m)
+            r, p = r.reshape(shape), p.reshape(shape)
+            alpha = _tiled(alpha, t, work)
     p *= alpha
     p += r
     if tracer is not None:

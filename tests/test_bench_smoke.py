@@ -39,7 +39,10 @@ def _load_bench_module():
 def test_bench_batched_smoke_emits_json(tmp_path):
     bench = _load_bench_module()
     out = tmp_path / "BENCH_batched.json"
-    payload = bench.run(grid=12, m_values=(4,), repeats=1, out_path=out)
+    payload = bench.run(
+        grid=12, m_values=(4,), repeats=1, csr_grid=12, csr_repeats=1,
+        out_path=out,
+    )
 
     on_disk = json.loads(out.read_text())
     assert on_disk == payload
@@ -55,6 +58,15 @@ def test_bench_batched_smoke_emits_json(tmp_path):
     # movement, not the CG trajectories.
     assert record["column_iterations"] == record["looped_iterations"]
     assert record["batched_sweeps"] == max(record["column_iterations"])
+
+    large = on_disk["csr_large"]
+    assert large["operator"] == "poisson2d(12)"
+    assert [r["m"] for r in large["results"]] == list(bench.CSR_M)
+    for arm in large["results"]:
+        assert arm["batched_seconds"] > 0.0
+        assert arm["looped_seconds"] > 0.0
+        assert arm["column_iterations"] == arm["looped_iterations"]
+    assert on_disk["host"]["cpu_count"] >= 1
 
 
 def test_bench_fault_recovery_smoke_emits_json(tmp_path):

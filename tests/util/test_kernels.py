@@ -250,3 +250,6 @@ def test_block_sweeps_scope_is_restored():
         assert np.getbufsize() == FOLD_WIDTH
         assert np.geterr() == before[1]
     assert (np.getbufsize(), np.geterr()) == before
+    with pytest.raises(RuntimeError), block_sweeps():
+        raise RuntimeError("a sweep that fails")
+    assert (np.getbufsize(), np.geterr()) == before
