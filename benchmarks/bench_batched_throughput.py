@@ -9,13 +9,8 @@ front doors -- ``repro.solve_batched(op, B)`` against
 ``[repro.solve(op, B[:, j]) for j in range(m)]`` -- on the SAME operator,
 same tolerance, for m ∈ {1, 4, 16, 64}.
 
-Both arms of the main record run the ELLPACK layout
-(:func:`repro.sparse.csr_to_ell`), whose block product is one rectangular
-gather + einsum contraction; the layout is kept so the recorded history
-stays comparable.  Solves on a CSR matrix run scipy's compiled block
-kernel instead, which is faster still: at m = 16 on poisson2d(128) a CSR
-block product took 0.55 ms against ELL's 1.77 ms (medians on a 2-vCPU
-x86_64 host).
+Both arms of the main record run a CSR ``poisson2d(24)``, whose block
+product is scipy's compiled ``csr_matvecs``.
 
 The ``csr_large`` record times the same comparison on a CSR
 poisson2d(128) at m = 2 and 8: a working set near the L2 cache, where
@@ -44,7 +39,7 @@ import numpy as np
 
 from repro import solve, solve_batched
 from repro.core.stopping import StoppingCriterion
-from repro.sparse import csr_to_ell, poisson2d
+from repro.sparse import poisson2d
 from repro.util.rng import default_rng
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -124,16 +119,15 @@ def run(
 ) -> dict:
     """Time batched vs looped solves; return (and optionally write) the record.
 
-    Each ELL arm is timed ``repeats`` times and the best wall-clock is
-    kept (standard minimum-of-repeats to suppress scheduler noise).  Both
-    arms solve the identical systems to the identical stopping
-    criterion; the batched result is cross-checked against convergence
-    of every column.  The CSR arm (``csr_grid``, ``csr_repeats``) is
+    Each arm of the main record is timed ``repeats`` times and the best
+    wall-clock is kept (standard minimum-of-repeats to suppress scheduler
+    noise).  Both arms solve the identical systems to the identical
+    stopping criterion; the batched result is cross-checked against
+    convergence of every column.  The CSR arm (``csr_grid``, ``csr_repeats``) is
     described in the module docstring.
     """
-    a = poisson2d(grid)
-    op = csr_to_ell(a)  # both arms run the same SIMD-layout operator
-    n = a.nrows
+    op = poisson2d(grid)
+    n = op.nrows
     stop = StoppingCriterion(rtol=rtol)
 
     # Warm up lazy imports and the allocator so m=1 is not charged for them.
@@ -181,7 +175,7 @@ def run(
     payload = {
         "bench": "batched_throughput",
         "method": method,
-        "operator": f"ell(poisson2d({grid}))",
+        "operator": f"poisson2d({grid})",
         "n": n,
         "rtol": rtol,
         "repeats": repeats,
@@ -218,7 +212,8 @@ def main() -> None:
     payload = run()
     for r in payload["results"]:
         print(
-            f"ell m={r['m']:<3} batched {r['batched_seconds'] * 1e3:8.2f} ms  "
+            f"{payload['operator']} m={r['m']:<3} "
+            f"batched {r['batched_seconds'] * 1e3:8.2f} ms  "
             f"looped {r['looped_seconds'] * 1e3:8.2f} ms  x{r['speedup']:.2f}"
         )
     large = payload["csr_large"]

@@ -1,9 +1,10 @@
 """Microbenchmarks of the primitive kernels the cost model prices.
 
 These are the sequential-throughput counterparts of the machine model's
-depth costs: SpMV in CSR vs ELL, the instrumented dot/axpy wrappers, the
-moment-window advance, the power-block advance, and a triangular solve
-(the preconditioning bottleneck).
+depth costs: the CSR SpMV (the one sparse product; an ELL matrix runs
+on its CSR form), the instrumented dot/axpy wrappers, the moment-window
+advance, the power-block advance, and a triangular solve (the
+preconditioning bottleneck).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import pytest
 
 from repro.core.moments import MomentWindow, initial_window
 from repro.core.powers import PowerBlock
-from repro.sparse.ell import csr_to_ell
 from repro.sparse.generators import poisson2d
 from repro.sparse.linop import as_operator
 from repro.sparse.trisolve import solve_lower
@@ -34,15 +34,9 @@ def vec(matrix):
 
 
 def test_kernel_csr_matvec(benchmark, matrix, vec):
-    """CSR SpMV (gather + segmented reduce)."""
+    """CSR SpMV (scipy's compiled ``csr_matvec`` into ``out``)."""
     out = np.empty(matrix.nrows)
     benchmark(lambda: matrix.matvec(vec, out=out))
-
-
-def test_kernel_ell_matvec(benchmark, matrix, vec):
-    """ELL SpMV (dense gather + row sum)."""
-    ell = csr_to_ell(matrix)
-    benchmark(lambda: ell.matvec(vec))
 
 
 def test_kernel_dot(benchmark, vec):

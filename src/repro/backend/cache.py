@@ -50,9 +50,10 @@ def _digest(*arrays: np.ndarray) -> str:
 def matrix_fingerprint(a: Any) -> tuple | None:
     """Content fingerprint of a matrix, or ``None`` when uncacheable.
 
-    The tuple is ``(format, shape, nnz, digest)`` for our sparse formats
-    and ``("dense", shape, digest)`` for numpy arrays.  Immutable matrix
-    instances memoize their fingerprint after the first call.
+    The tuple is ``("csr", shape, nnz, digest)`` for our sparse formats
+    (an ELL matrix keys as its CSR form) and ``("dense", shape, size,
+    digest)`` for numpy arrays.  Immutable matrix instances memoize their
+    fingerprint after the first call.
 
     Matrix-free operators opt in through a ``fingerprint()`` method
     returning any hashable key (or ``None`` to decline); operators
@@ -64,16 +65,12 @@ def matrix_fingerprint(a: Any) -> tuple | None:
     from repro.sparse.ell import ELLMatrix
     from repro.sparse.linop import DenseOperator
 
+    if isinstance(a, ELLMatrix):
+        a = a.to_csr()  # an ELL matrix runs on its CSR, so it shares its key
     if isinstance(a, CSRMatrix):
         cached = a.__dict__.get("_fingerprint")
         if cached is None:
             cached = ("csr", a.shape, a.nnz, _digest(a.indptr, a.indices, a.data))
-            object.__setattr__(a, "_fingerprint", cached)
-        return cached
-    if isinstance(a, ELLMatrix):
-        cached = a.__dict__.get("_fingerprint")
-        if cached is None:
-            cached = ("ell", a.shape, a.nnz, _digest(a.col_plane, a.val_plane))
             object.__setattr__(a, "_fingerprint", cached)
         return cached
     if isinstance(a, DenseOperator):

@@ -272,7 +272,7 @@ def batched_cg(
     with block_sweeps():
         while batch.width and iteration < budget:
             iteration += 1
-            block_matvec(op, p, out=ap, work=ws)
+            block_matvec(op, p, out=ap)
             pap = block_dot(p, ap, label="batched_pap")  # fused reduction #1
 
             bad = np.flatnonzero(pap <= 0.0)

@@ -439,7 +439,7 @@ def _pipelined_loop(
             add_scalar_flops(1)
             alphas.append(alpha_next)
 
-            powers.advance_p(op, alpha_next, work=ws)
+            powers.advance_p(op, alpha_next)
 
             if target <= k:
                 window = window_from_powers(k, powers.r_powers, powers.p_powers,

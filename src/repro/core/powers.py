@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from repro.sparse.linop import LinearOperator
+from repro.sparse.linop import LinearOperator, matvec_into
 from repro.util.counters import add_axpy
 from repro.util.kernels import dot
 from repro.util.validation import require_nonnegative_int
@@ -147,23 +147,17 @@ class PowerBlock:
         Must be called *after* :meth:`advance_r` (it consumes the already
         advanced ``Rᵢ = Aⁱrⁿ⁺¹``).  The top row ``P_{k+2}`` cannot be
         recurred (it would need ``A^{k+2} rⁿ⁺¹``) and is regenerated as
-        ``A · P_{k+1}`` -- claim C5's one matvec per iteration; with
-        ``work`` the product writes straight into the (contiguous) top
-        row instead of allocating a fresh vector.
+        ``A · P_{k+1}`` -- claim C5's one matvec per iteration, written
+        straight into the (contiguous) top row.  ``work`` is unused: it
+        survives only because the benchmark harness passes one
+        (``perfbench/layers.py``); a later benchmark change may drop it.
         """
         tracer = add_axpy(self.n * (self.k + 2))
         self.p_powers[: self.k + 2] *= alpha_next
         self.p_powers[: self.k + 2] += self.r_powers
         if tracer is not None:
             tracer.end("axpy")
-        if work is not None:
-            from repro.sparse.linop import matvec_into
-
-            matvec_into(
-                op, self.p_powers[self.k + 1], self.p_powers[self.k + 2], work=work
-            )
-        else:
-            self.p_powers[self.k + 2] = op.matvec(self.p_powers[self.k + 1])
+        matvec_into(op, self.p_powers[self.k + 1], self.p_powers[self.k + 2])
 
     # ------------------------------------------------------------------
     # The two direct inner products (claim C6)

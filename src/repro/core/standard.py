@@ -141,7 +141,7 @@ def _cg_loop(
         if plan is not None:
             plan.begin_iteration(iterations + 1)
         ap = ws.get("ap", n, b.dtype)
-        matvec_into(op, p, ap, work=ws)
+        matvec_into(op, p, ap)
         pap = dot(p, ap)
         if plan is not None:
             pap = plan.corrupt_dot(pap, "pap")

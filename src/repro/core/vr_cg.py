@@ -337,7 +337,7 @@ def _vr_loop(
             mu_top = plan.corrupt_dot(mu_top, "mu_top")
 
         # --- advance direction powers (one matvec), then direct dot #2 --
-        powers.advance_p(op, alpha_next, work=ws)
+        powers.advance_p(op, alpha_next)
         sigma_top = powers.direct_sigma_top()
         if plan is not None:
             sigma_top = plan.corrupt_dot(sigma_top, "sigma_top")

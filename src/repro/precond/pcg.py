@@ -67,7 +67,7 @@ def preconditioned_cg(
     else:
         ap = ws.get("ap", n)
         for _ in range(run.stop.budget(n)):
-            matvec_into(op, p, ap, work=ws)
+            matvec_into(op, p, ap)
             pap = dot(p, ap)
             if pap <= 0.0 or rz <= 0.0:
                 reason = StopReason.BREAKDOWN

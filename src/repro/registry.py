@@ -228,10 +228,10 @@ def method_entry(name: str) -> SolverEntry:
 def _is_assembled(a: Any) -> bool:
     """Whether ``a`` is an assembled matrix (CSR/ELL/dense/scipy sparse).
 
-    Assembled inputs pass through :func:`solve` untouched -- existing
-    calls stay bit-for-bit identical -- and are the only inputs the
-    structure-requiring methods (s-step, stationary sweeps, distributed)
-    accept.  Everything else is treated as a matrix-free operator.
+    Assembled inputs are the only ones the structure-requiring methods
+    (s-step, stationary sweeps, distributed) accept; they run them on
+    :func:`repro.sparse.csr.as_csr`.  Everything else is treated as a
+    matrix-free operator.
     """
     from repro.sparse.csr import CSRMatrix
     from repro.sparse.ell import ELLMatrix
@@ -262,13 +262,21 @@ _NEAREST_OPERATOR_METHOD = {
 def _front_door_operator(a: Any, b: Any, entry: SolverEntry) -> tuple[Any, bool]:
     """Coerce ``a`` at the front door; returns ``(operator, assembled)``.
 
-    Assembled matrices pass through *unchanged*.  Anything else is
+    An ELL matrix becomes its CSR (converted once per instance), and so
+    does every assembled matrix handed to a method without the
+    ``supports_operator`` flag (:func:`repro.sparse.csr.as_csr`); other
+    assembled matrices pass through *unchanged*.  Anything else is
     coerced with :func:`repro.sparse.as_operator` (bare callables get
     their dimension from ``b.shape[0]``, for a vector or a block) -- but
     only for methods carrying the ``supports_operator`` capability flag;
     the rest refuse with the nearest capable method in the message.
     """
+    from repro.sparse.csr import as_csr
+    from repro.sparse.ell import ELLMatrix
+
     if _is_assembled(a):
+        if isinstance(a, ELLMatrix) or not entry.supports_operator:
+            return as_csr(a), True
         return a, True
     from repro.sparse.linop import as_operator, operator_dtype
 
@@ -280,7 +288,8 @@ def _front_door_operator(a: Any, b: Any, entry: SolverEntry) -> tuple[Any, bool]
             else ""
         )
         raise ValueError(
-            f"method {entry.name!r} needs an assembled matrix (CSR/ELL/dense) "
+            f"method {entry.name!r} needs an assembled matrix "
+            "(CSR/ELL/dense/scipy sparse) "
             f"and cannot run on a matrix-free operator{hint}; "
             f"operator-capable methods: {', '.join(operator_methods())}"
         )
@@ -305,8 +314,10 @@ def _estimated_bounds(a: Any, b: np.ndarray) -> tuple[float, float]:
 def _resolve_precond(a: Any, precond: Any, b: np.ndarray, options: dict) -> Any:
     """Turn a string preconditioner name into an instance built on ``a``.
 
-    Instances pass through unchanged.  Options consumed here:
-    ``omega`` (ssor), ``poly_degree`` and ``spectrum_bounds`` (chebyshev).
+    Instances pass through unchanged.  ``jacobi``, ``ssor`` and ``ic0``
+    are built on (and cached under) :func:`repro.sparse.csr.as_csr` of
+    ``a``.  Options consumed here: ``omega`` (ssor), ``poly_degree`` and
+    ``spectrum_bounds`` (chebyshev).
 
     Factorizations for string-named preconditioners are memoized in the
     process-wide :func:`repro.backend.setup_cache` keyed by the matrix
@@ -325,7 +336,10 @@ def _resolve_precond(a: Any, precond: Any, b: np.ndarray, options: dict) -> Any:
         JacobiPrecond,
         SSORPrecond,
     )
+    from repro.sparse.csr import as_csr
 
+    if name in ("jacobi", "ssor", "ic0"):
+        a = as_csr(a)
     cache = setup_cache()
     fp = matrix_fingerprint(a)
     if name == "identity":

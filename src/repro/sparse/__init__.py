@@ -4,9 +4,11 @@ The paper assumes a sparse SPD system ``Au = b`` with at most ``d``
 nonzeros per row; this subpackage provides everything the solvers and the
 machine model need to talk about such systems:
 
-* :mod:`repro.sparse.coo` / :mod:`repro.sparse.csr` /
-  :mod:`repro.sparse.ell` -- assembly and compute formats, vectorized per
-  the HPC guide idioms and instrumented via :mod:`repro.util.counters`.
+* :mod:`repro.sparse.csr` -- the compute format: every sparse product
+  runs scipy's compiled CSR kernel, instrumented via
+  :mod:`repro.util.counters`.  :mod:`repro.sparse.coo` (assembly) and
+  :mod:`repro.sparse.ell` (ELLPACK, an input format that solves run on
+  its CSR) feed it.
 * :mod:`repro.sparse.linop` -- the abstract operator protocol the solvers
   are written against.
 * :mod:`repro.sparse.generators` -- the model problems (Poisson

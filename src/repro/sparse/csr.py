@@ -17,13 +17,14 @@ code can assume canonical form (sorted column indices, no duplicates).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from repro.util.counters import add_matmat, add_matvec
 from repro.util.validation import check_out_array
 
-__all__ = ["CSRMatrix", "from_dense", "identity", "diag_matrix"]
+__all__ = ["CSRMatrix", "as_csr", "from_dense", "identity", "diag_matrix"]
 
 
 @dataclass(frozen=True)
@@ -303,6 +304,37 @@ def from_dense(a: np.ndarray, *, tol: float = 0.0) -> CSRMatrix:
     indptr = np.zeros(a.shape[0] + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return CSRMatrix(a.shape[0], a.shape[1], indptr, cols, a[rows, cols])
+
+
+def as_csr(a: Any) -> CSRMatrix:
+    """The :class:`CSRMatrix` of an assembled real matrix.
+
+    A CSR matrix comes back as it is, an ELL matrix as its cached
+    :meth:`~repro.sparse.ell.ELLMatrix.to_csr`, a real 2-D array
+    through :func:`from_dense` and a scipy sparse matrix through its
+    canonical CSR arrays.  Complex input raises ``ValueError``: CSR
+    holds float64, and a cast would drop the imaginary part.
+    """
+    if isinstance(a, CSRMatrix):
+        return a
+    from repro.sparse.ell import ELLMatrix
+
+    if isinstance(a, ELLMatrix):
+        return a.to_csr()
+    if np.iscomplexobj(a):
+        raise ValueError(
+            f"a complex {type(a).__name__} has no real CSR form; this path "
+            "needs a real matrix"
+        )
+    if isinstance(a, np.ndarray):
+        return from_dense(a)
+    import scipy.sparse as sp
+
+    if not sp.issparse(a):
+        raise TypeError(f"{type(a).__name__} is not an assembled matrix")
+    c = a.tocsr(copy=True)
+    c.sum_duplicates()  # sorts the column indices of each row too
+    return CSRMatrix(c.shape[0], c.shape[1], c.indptr, c.indices, c.data)
 
 
 def identity(n: int) -> CSRMatrix:

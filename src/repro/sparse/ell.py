@@ -2,10 +2,10 @@
 
 ELL stores a fixed number of entries per row (padded with zeros), which is
 the layout SIMD/vector machines of the paper's era -- and GPUs today --
-prefer for stencil matrices.  We include it both for completeness of the
-substrate and because its matvec has a *uniform* per-row reduction depth
-``ceil(log2 width)``, exactly matching the machine-model cost the paper
-assigns to a degree-``d`` sparse matvec.
+prefer for stencil matrices.  It is an input format here: every solve
+runs an ELL matrix on its CSR form (:meth:`ELLMatrix.to_csr`, built
+once per instance), so the compiled CSR product is the one sparse
+product on the solve path.
 """
 
 from __future__ import annotations
@@ -15,25 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sparse.csr import CSRMatrix
-from repro.util.counters import add_matmat, add_matvec
-from repro.util.validation import check_out_array
 
 __all__ = ["ELLMatrix", "csr_to_ell"]
-
-
-def _gather_buffer(work, name: str, shape: tuple[int, ...]) -> np.ndarray | None:
-    """Resolve a ``work=`` argument to a gather buffer (or ``None``).
-
-    ``work`` may be a :class:`repro.backend.Workspace` (duck-typed via
-    its ``get`` method, so this module needs no backend import) or a
-    preallocated float64 array of the right shape.
-    """
-    if work is None:
-        return None
-    getter = getattr(work, "get", None)
-    if callable(getter):
-        return getter(name, shape)
-    return check_out_array(work, shape, name="work")
 
 
 @dataclass(frozen=True)
@@ -41,7 +24,7 @@ class ELLMatrix:
     """ELLPACK matrix: dense ``(nrows, width)`` index and value planes.
 
     Padding entries carry column index equal to their own row (a valid
-    index) and value 0.0, so the vectorized gather needs no masking.
+    index) and value 0.0.
     """
 
     nrows: int
@@ -76,79 +59,6 @@ class ELLMatrix:
         """Number of non-padding (nonzero-valued) stored entries."""
         return int(np.count_nonzero(self.val_plane))
 
-    def matvec(
-        self,
-        x: np.ndarray,
-        out: np.ndarray | None = None,
-        work=None,
-    ) -> np.ndarray:
-        """``A @ x`` as a dense gather followed by a row-wise contraction.
-
-        ``out`` (a float64 ``(nrows,)`` array, not aliasing ``x``)
-        receives the result without allocating; ``work`` (a
-        :class:`repro.backend.Workspace` or an ``(nrows, width)`` float64
-        array) additionally reuses the gather plane, making the whole
-        product allocation-free.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.ncols,):
-            raise ValueError(f"x must have shape ({self.ncols},), got {x.shape}")
-        if out is not None:
-            if out is x:
-                raise ValueError("out must not alias x")
-            check_out_array(out, (self.nrows,))
-        tracer = add_matvec(self.nnz, self.nrows)
-        if self.width == 0:
-            y = out if out is not None else np.empty(self.nrows)
-            y[:] = 0.0
-        else:
-            gather = _gather_buffer(work, "ell_gather", (self.nrows, self.width))
-            if gather is not None:
-                np.take(x, self.col_plane, out=gather, mode="clip")
-            else:
-                gather = x[self.col_plane]
-            y = np.einsum("rw,rw->r", self.val_plane, gather, out=out)
-        if tracer is not None:
-            tracer.end("matvec")
-        return y
-
-    def matmat(self, x: np.ndarray, out: np.ndarray | None = None, work=None) -> np.ndarray:
-        """Compute ``A @ X`` for an ``(ncols, m)`` column block.
-
-        The dense index plane makes this a single rectangular gather
-        ``X[col_plane]`` (shape ``(nrows, width, m)``) contracted against
-        the value plane in one einsum -- no ragged segment reduction.
-        Books ``m`` matvecs' flops but one pass of matrix traffic, like
-        :meth:`CSRMatrix.matmat`.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] != self.ncols:
-            raise ValueError(f"x must have shape ({self.ncols}, m), got {x.shape}")
-        m = x.shape[1]
-        if out is not None:
-            if out is x:
-                raise ValueError("out must not alias x")
-            check_out_array(out, (self.nrows, m))
-        tracer = add_matmat(self.nnz, self.nrows, m)
-        if self.width == 0 or m == 0:
-            y = out if out is not None else np.empty((self.nrows, m))
-            y[:] = 0.0
-        else:
-            gather = _gather_buffer(
-                work, "ell_gather_block", (self.nrows, self.width, m)
-            )
-            if gather is not None:
-                np.take(x, self.col_plane, axis=0, out=gather, mode="clip")
-            else:
-                gather = x[self.col_plane]
-            y = np.einsum("rw,rwm->rm", self.val_plane, gather, out=out)
-        if tracer is not None:
-            tracer.end("matvec")
-        return y
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.matvec(x)
-
     def max_row_degree(self) -> int:
         """Maximum number of genuine nonzeros in any row."""
         if self.width == 0:
@@ -156,16 +66,21 @@ class ELLMatrix:
         return int((self.val_plane != 0.0).sum(axis=1).max())
 
     def to_csr(self) -> CSRMatrix:
-        """Convert back to CSR (dropping the padding zeros)."""
-        from repro.sparse.coo import COOBuilder
+        """The matrix in CSR (padding zeros dropped), built on the first
+        call and cached on the instance: the planes never change."""
+        cached = self.__dict__.get("_csr")
+        if cached is None:
+            from repro.sparse.coo import COOBuilder
 
-        b = COOBuilder(self.nrows, self.ncols)
-        mask = self.val_plane != 0.0
-        rows = np.repeat(np.arange(self.nrows), self.width).reshape(
-            self.nrows, self.width
-        )
-        b.add_batch(rows[mask], self.col_plane[mask], self.val_plane[mask])
-        return b.to_csr()
+            b = COOBuilder(self.nrows, self.ncols)
+            mask = self.val_plane != 0.0
+            rows = np.repeat(np.arange(self.nrows), self.width).reshape(
+                self.nrows, self.width
+            )
+            b.add_batch(rows[mask], self.col_plane[mask], self.val_plane[mask])
+            cached = b.to_csr()
+            object.__setattr__(self, "_csr", cached)
+        return cached
 
 
 def csr_to_ell(a: CSRMatrix) -> ELLMatrix:

@@ -9,7 +9,7 @@ that contract and the coercion every front door goes through:
 you pass                               :func:`as_operator` produces
 =====================================  =====================================
 :class:`~repro.sparse.csr.CSRMatrix`   the matrix itself (unchanged)
-:class:`~repro.sparse.ell.ELLMatrix`   the matrix itself (unchanged)
+:class:`~repro.sparse.ell.ELLMatrix`   its CSR, converted once
 ``numpy.ndarray`` (square, 2-D)        :class:`DenseOperator`
 scipy sparse matrix                    counted :class:`CallableOperator`
 bare callable ``x -> Ax``              counted :class:`CallableOperator`
@@ -44,6 +44,8 @@ from typing import Any, Callable, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.sparse.csr import as_csr
+from repro.sparse.ell import ELLMatrix
 from repro.util.counters import add_matmat, add_matvec
 
 __all__ = [
@@ -76,7 +78,7 @@ def operator_dtype(op: Any) -> np.dtype:
     """The vector dtype a solve against ``op`` runs in.
 
     Operators declare complex arithmetic through a ``dtype`` attribute;
-    anything without one (our CSR/ELL matrices, plain wrappers) is
+    anything without one (our CSR matrices, plain wrappers) is
     float64.  The result is always one of the two solver dtypes --
     ``float64`` or ``complex128`` -- so lower-precision operators are
     promoted rather than propagated.
@@ -350,33 +352,26 @@ class NormalOperator:
         return ("normal", self.shape, self._shift, inner)
 
 
-#: Per-(operator type, method) capability of ``matvec`` / ``matmat``:
-#: 2 = takes ``out=`` and ``work=`` (ELL's gather plane), 1 = takes
-#: ``out=`` only (CSR's compiled kernel, :class:`DenseOperator`), 0 = plain
+#: Per-(operator type, method): whether ``matvec`` / ``matmat`` takes
+#: ``out=`` (CSR's compiled kernel, :class:`DenseOperator`) or is a plain
 #: ``method(x)``.  Looked up once per type via ``inspect.signature`` so the
 #: steady-state dispatch is a dict hit, not reflection -- and never a
 #: trial call, which would re-run a product whose body raised TypeError.
-_OUT_SUPPORT: dict[tuple[type, str], int] = {}
+_OUT_SUPPORT: dict[tuple[type, str], bool] = {}
 
 
-def _out_support(op: Any, method: str) -> int:
+def _takes_out(op: Any, method: str) -> bool:
     key = (type(op), method)
-    level = _OUT_SUPPORT.get(key)
-    if level is None:
+    takes = _OUT_SUPPORT.get(key)
+    if takes is None:
         import inspect
 
         try:
             params = inspect.signature(getattr(key[0], method)).parameters
         except (TypeError, ValueError, AttributeError):
             params = {}
-        if "out" in params and "work" in params:
-            level = 2
-        elif "out" in params:
-            level = 1
-        else:
-            level = 0
-        _OUT_SUPPORT[key] = level
-    return level
+        takes = _OUT_SUPPORT[key] = "out" in params
+    return takes
 
 
 def matvec_into(
@@ -387,18 +382,15 @@ def matvec_into(
 ) -> np.ndarray:
     """Apply ``op`` to ``x``, writing the result into ``out``.
 
-    Dispatches on what the operator's own ``matvec`` supports --
-    workspace-aware (:class:`~repro.sparse.ell.ELLMatrix`), ``out=``-aware
-    (:class:`~repro.sparse.csr.CSRMatrix`, :class:`DenseOperator`), or
-    plain (callable wrappers, fault-wrapped operators) -- copying through
-    a temporary only in the last case, so every :class:`LinearOperator`
-    works and capable ones stay allocation-free.  ``work`` reaches only
-    an operator whose ``matvec`` takes it.
+    An ``out=``-aware ``matvec`` (:class:`~repro.sparse.csr.CSRMatrix`,
+    :class:`DenseOperator`) writes straight into ``out``; a plain one
+    (callable wrappers, fault-wrapped operators) is copied in, so every
+    :class:`LinearOperator` works and capable ones stay allocation-free.
+    ``work`` is unused: it survives only because the benchmark harness
+    calls ``matvec_into(op, x, out, work=ws)`` (``perfbench/layers.py``);
+    a later benchmark change may drop it.
     """
-    level = _out_support(op, "matvec")
-    if level == 2:
-        return op.matvec(x, out=out, work=work)
-    if level == 1:
+    if _takes_out(op, "matvec"):
         return op.matvec(x, out=out)
     y = op.matvec(x)
     if y is not out:
@@ -410,20 +402,17 @@ def block_matvec(
     op: LinearOperator,
     x: np.ndarray,
     out: np.ndarray | None = None,
-    work: Any = None,
 ) -> np.ndarray:
     """Apply ``op`` to every column of an ``(n, m)`` block at once.
 
     Dispatches to the operator's own fused ``matmat`` when it has one
-    (:class:`~repro.sparse.csr.CSRMatrix`,
-    :class:`~repro.sparse.ell.ELLMatrix`, :class:`DenseOperator` -- one
+    (:class:`~repro.sparse.csr.CSRMatrix`, :class:`DenseOperator` -- one
     matrix traversal for all columns); otherwise falls back to a column
     loop of ``matvec`` calls, so any :class:`LinearOperator` works under
     the batched solvers, just without the locality win.  ``out`` lets
-    steady-state solver loops reuse one result block; the ``matmat`` is
-    dispatched on its signature by the same rule as :func:`matvec_into`
-    (``work`` reaches ELL's gather plane only), so a ``matmat`` without
-    ``out=`` still works (the result is copied in).
+    steady-state solver loops reuse one result block; a ``matmat``
+    without ``out=`` (by the same cached signature rule as
+    :func:`matvec_into`) still works -- the result is copied in.
     """
     x = np.asarray(x)
     if x.dtype.kind not in "fc":
@@ -434,10 +423,7 @@ def block_matvec(
     if callable(matmat):
         if out is None:
             return np.asarray(matmat(x))
-        level = _out_support(op, "matmat")
-        if level == 2:
-            return matmat(x, out=out, work=work)
-        if level == 1:
+        if _takes_out(op, "matmat"):
             return matmat(x, out=out)
         out[:] = matmat(x)
         return out
@@ -456,11 +442,12 @@ def block_matvec(
 def as_operator(a: Any, *, n: int | None = None) -> LinearOperator:
     """Coerce ``a`` into a :class:`LinearOperator` (the front-door contract).
 
-    Accepts our CSR/ELL matrices and any object already satisfying the
+    Accepts our CSR matrices and any object already satisfying the
     protocol (returned unchanged -- existing ``solve(csr, b)`` calls are
-    bit-for-bit untouched), dense numpy arrays (wrapped in
-    :class:`DenseOperator`), scipy sparse matrices and bare callables
-    ``x -> Ax`` (wrapped in a counted :class:`CallableOperator`).
+    bit-for-bit untouched), ELL matrices (their CSR, converted once per
+    instance), dense numpy arrays (wrapped in :class:`DenseOperator`),
+    scipy sparse matrices and bare callables ``x -> Ax`` (wrapped in a
+    counted :class:`CallableOperator`).
 
     Parameters
     ----------
@@ -483,6 +470,8 @@ def as_operator(a: Any, *, n: int | None = None) -> LinearOperator:
     """
     from repro.util.validation import check_square_operator
 
+    if isinstance(a, ELLMatrix):
+        a = as_csr(a)
     if isinstance(a, np.ndarray):
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(

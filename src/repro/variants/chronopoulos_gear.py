@@ -128,7 +128,7 @@ def chronopoulos_gear_cg(
             axpy(-lam, s, r, out=r, work=ws)
             iterations += 1
 
-            matvec_into(op, r, w, work=ws)
+            matvec_into(op, r, w)
             rr_prev = rr
             rr = dot(r, r, label="fused_dot")
             rar = dot(r, w, label="fused_dot")

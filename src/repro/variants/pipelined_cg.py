@@ -106,7 +106,7 @@ def ghysels_vanroose_cg(
             # q = A w runs concurrently with the two dots on the machine
             # model; sequentially we just execute it here.
             q = ws.get("q", n)
-            matvec_into(op, w, q, work=ws)
+            matvec_into(op, w, q)
             if fresh_start:
                 beta = 0.0
                 if delta <= 0.0 or not np.isfinite(delta):

@@ -138,10 +138,10 @@ def _pr_solve(
                 # fused dots on the machine model.
                 axpy(beta, p, r, out=p, work=ws)  # p = r + beta p
                 axpy(beta, s, w, out=s, work=ws)  # s = w + beta s
-                matvec_into(op, s, u, work=ws)
+                matvec_into(op, s, u)
             else:
                 # Eager form: the matvec w = A r feeds s directly.
-                matvec_into(op, r, w, work=ws)
+                matvec_into(op, r, w)
                 axpy(beta, p, r, out=p, work=ws)  # p = r + beta p
                 axpy(beta, s, w, out=s, work=ws)  # s = w + beta s = A p
 

@@ -67,7 +67,7 @@ def three_term_cg(
     else:
         ar = ws.get("ar", n)
         for it in range(run.stop.budget(n)):
-            matvec_into(op, r, ar, work=ws)
+            matvec_into(op, r, ar)
             rar = dot(r, ar)
             if rar <= 0.0:
                 reason = StopReason.BREAKDOWN

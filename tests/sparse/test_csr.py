@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import _sparsetools
 
-from repro.sparse.csr import CSRMatrix, diag_matrix, from_dense, identity
+from repro.sparse.csr import CSRMatrix, as_csr, diag_matrix, from_dense, identity
+from repro.sparse.ell import csr_to_ell
 from repro.util.counters import counting
 from repro.util.rng import default_rng
 
@@ -88,6 +89,46 @@ class TestConstruction:
         a = from_dense(np.array([[1e-14, 1.0], [0.5, 2.0]]))
         b = a.drop_small(1e-12)
         assert b.nnz == 3
+
+
+class TestAsCsr:
+    def test_csr_and_ell(self):
+        a = from_dense(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+        assert as_csr(a) is a
+        ell = csr_to_ell(a)
+        assert as_csr(ell) is ell.to_csr()
+        np.testing.assert_array_equal(as_csr(ell).todense(), a.todense())
+
+    def test_ndarray(self):
+        dense = np.array([[1.0, 0.0], [2.0, 3.0]])
+        np.testing.assert_array_equal(as_csr(dense).todense(), dense)
+
+    def test_scipy_non_canonical_is_canonicalized(self):
+        import scipy.sparse as sp
+
+        # Row 1 holds unsorted columns and a duplicate (1, 0) entry.
+        indices = np.array([0, 1, 0, 0])
+        raw = sp.csr_matrix(
+            (np.array([4.0, 1.0, 2.0, 3.0]), indices, np.array([0, 1, 4])),
+            shape=(2, 2),
+        )
+        got = as_csr(raw)
+        np.testing.assert_array_equal(got.indices, [0, 0, 1])
+        np.testing.assert_array_equal(got.todense(), [[4.0, 0.0], [5.0, 1.0]])
+        np.testing.assert_array_equal(raw.indices, indices)  # caller's intact
+        np.testing.assert_array_equal(as_csr(raw.tocoo()).todense(), got.todense())
+
+    def test_complex_refused(self):
+        import scipy.sparse as sp
+
+        with pytest.raises(ValueError, match="complex"):
+            as_csr(np.eye(2, dtype=complex))
+        with pytest.raises(ValueError, match="complex"):
+            as_csr(sp.eye(2, dtype=complex))
+
+    def test_operator_refused(self):
+        with pytest.raises(TypeError, match="not an assembled matrix"):
+            as_csr(lambda x: x)
 
 
 class TestMatvec:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.sparse.csr import from_dense
 from repro.sparse.ell import ELLMatrix, csr_to_ell
+from repro.sparse.linop import as_operator
 from repro.util.counters import counting
 from repro.util.rng import default_rng
 
@@ -37,28 +38,39 @@ class TestConversion:
     def test_empty(self):
         ell = csr_to_ell(from_dense(np.zeros((2, 2))))
         assert ell.width == 0
-        np.testing.assert_array_equal(ell.matvec(np.ones(2)), np.zeros(2))
+        op = as_operator(ell)
+        np.testing.assert_array_equal(op.matvec(np.ones(2)), np.zeros(2))
 
 
 class TestMatvec:
+    """An ELL matrix has no product of its own: ``as_operator`` hands
+    out its CSR, and that product is what a solve applies."""
+
     @settings(max_examples=50, deadline=None)
-    @given(st.integers(1, 10), st.integers(1, 10), st.floats(0, 1), st.integers(0, 999))
-    def test_matches_dense(self, n, m, density, seed):
-        dense = random_dense(n, m, density, seed)
-        ell = csr_to_ell(from_dense(dense))
-        x = default_rng(seed + 1).standard_normal(m)
-        np.testing.assert_allclose(ell.matvec(x), dense @ x, atol=1e-9)
+    @given(st.integers(1, 10), st.floats(0, 1), st.integers(0, 999))
+    def test_matches_dense(self, n, density, seed):
+        # Square: an operator is; test_round_trip covers rectangular ELL.
+        dense = random_dense(n, n, density, seed)
+        op = as_operator(csr_to_ell(from_dense(dense)))
+        x = default_rng(seed + 1).standard_normal(n)
+        np.testing.assert_allclose(op.matvec(x), dense @ x, atol=1e-9)
 
     def test_counted(self):
-        ell = csr_to_ell(from_dense(np.eye(4)))
+        op = as_operator(csr_to_ell(from_dense(np.eye(4))))
         with counting() as c:
-            ell @ np.ones(4)
+            op @ np.ones(4)
         assert c.matvecs == 1
 
     def test_wrong_shape(self):
-        ell = csr_to_ell(from_dense(np.eye(3)))
+        op = as_operator(csr_to_ell(from_dense(np.eye(3))))
         with pytest.raises(ValueError):
-            ell.matvec(np.ones(5))
+            op.matvec(np.ones(5))
+
+    def test_converted_once(self):
+        ell = csr_to_ell(from_dense(np.eye(3)))
+        op = as_operator(ell)
+        assert op is ell.to_csr()
+        assert as_operator(ell) is op
 
 
 class TestValidation:

@@ -142,19 +142,19 @@ class TestBlockMatvecDispatch:
             def matvec(self, x):  # pragma: no cover - never applied here
                 return x
 
-            def matmat(self, x, out=None, work=None):
+            def matmat(self, x, out=None):
                 Raising.calls += 1
                 raise TypeError("bad operand inside the product")
 
         x = np.ones((2, 3))
         with pytest.raises(TypeError, match="bad operand"):
-            block_matvec(Raising(), x, out=np.empty((2, 3)), work=np.empty(6))
+            block_matvec(Raising(), x, out=np.empty((2, 3)))
         assert Raising.calls == 1
 
     def test_out_only_matmat_fills_out(self):
         a = np.array([[2.0, 1.0], [1.0, 3.0]])
         x = np.arange(6.0).reshape(2, 3)
         out = np.empty((2, 3))
-        got = block_matvec(DenseOperator(a), x, out=out, work=np.empty(6))
+        got = block_matvec(DenseOperator(a), x, out=out)
         assert got is out
         np.testing.assert_allclose(out, a @ x)
