@@ -6,7 +6,7 @@ window drifts past recovery and the pure solver exits with a breakdown
 at every fixed ``k``.  This benchmark records what each strategy pays on
 that same system:
 
-* pure ``vr`` (``replace_drift_tol=None``) at fixed ``k = 1`` and
+* pure ``vr`` (``recovery=None``) at fixed ``k = 1`` and
   ``k = 2`` -- the failures the adaptive controller must rescue -- plus
   ``vr`` with the front door's default drift replacement for contrast;
 * ``adaptive-vr`` and ``adaptive-pipelined-vr`` from ``k0 = 2`` -- the
@@ -44,8 +44,8 @@ WORKLOAD = "lowrank-sparse"
 #: honest non-convergence instead of aborting the benchmark.
 ROWS = (
     ("cg", "cg", {}, False),
-    ("vr(k=1,pure)", "vr", {"k": 1, "replace_drift_tol": None}, True),
-    ("vr(k=2,pure)", "vr", {"k": 2, "replace_drift_tol": None}, True),
+    ("vr(k=1,pure)", "vr", {"k": 1, "recovery": None}, True),
+    ("vr(k=2,pure)", "vr", {"k": 2, "recovery": None}, True),
     ("vr(k=2,drift-replace)", "vr", {"k": 2}, False),
     ("adaptive-vr(k0=2)", "adaptive-vr", {"k": 2}, False),
     ("adaptive-pipelined-vr(k0=2)", "adaptive-pipelined-vr", {"k": 2}, False),

@@ -33,6 +33,6 @@ def test_e5_wallclock_vr_k2(benchmark, poisson_bench):
     """Sequential wall time of eager VR-CG (k=2) with replacement."""
     a, b = poisson_bench
     res = benchmark(
-        lambda: vr_conjugate_gradient(a, b, k=2, stop=STOP, replace_every=10)
+        lambda: vr_conjugate_gradient(a, b, k=2, stop=STOP, recovery="periodic")
     )
     assert res.converged

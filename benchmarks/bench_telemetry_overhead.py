@@ -142,13 +142,13 @@ def test_vr_null_sink_overhead(poisson_overhead_bench):
 
     def bare():
         return vr_conjugate_gradient(
-            a, b, k=2, replace_drift_tol=1e-6, stop=STOP
+            a, b, k=2, recovery="drift", stop=STOP
         )
 
     def instrumented():
         tele = Telemetry(NullSink())
         result = vr_conjugate_gradient(
-            a, b, k=2, replace_drift_tol=1e-6, stop=STOP, telemetry=tele
+            a, b, k=2, recovery="drift", stop=STOP, telemetry=tele
         )
         tele.close()
         return result
@@ -165,7 +165,7 @@ def _solvers():
             a, b, stop=STOP, telemetry=telemetry
         ),
         "vr": lambda a, b, telemetry: vr_conjugate_gradient(
-            a, b, k=2, replace_drift_tol=1e-6, stop=STOP, telemetry=telemetry
+            a, b, k=2, recovery="drift", stop=STOP, telemetry=telemetry
         ),
     }
 

@@ -103,7 +103,7 @@ def test_vr_span_recording_overhead(poisson_overhead_bench):
     def baseline():
         tele = Telemetry(NullSink())
         result = vr_conjugate_gradient(
-            a, b, k=2, replace_drift_tol=1e-6, stop=STOP, telemetry=tele
+            a, b, k=2, recovery="drift", stop=STOP, telemetry=tele
         )
         tele.close()
         return result
@@ -111,7 +111,7 @@ def test_vr_span_recording_overhead(poisson_overhead_bench):
     def traced():
         tele = Telemetry(NullSink(), tracer=Tracer())
         result = vr_conjugate_gradient(
-            a, b, k=2, replace_drift_tol=1e-6, stop=STOP, telemetry=tele
+            a, b, k=2, recovery="drift", stop=STOP, telemetry=tele
         )
         tele.close()
         return result
@@ -182,7 +182,7 @@ def test_vr_health_monitor_overhead(poisson_overhead_bench):
     def baseline():
         tele = Telemetry(NullSink())
         result = vr_conjugate_gradient(
-            a, b, k=2, replace_drift_tol=1e-6, stop=STOP, telemetry=tele
+            a, b, k=2, recovery="drift", stop=STOP, telemetry=tele
         )
         tele.close()
         return result
@@ -190,7 +190,7 @@ def test_vr_health_monitor_overhead(poisson_overhead_bench):
     def monitored():
         tele = Telemetry(NullSink(), health=HealthMonitor())
         result = vr_conjugate_gradient(
-            a, b, k=2, replace_drift_tol=1e-6, stop=STOP, telemetry=tele
+            a, b, k=2, recovery="drift", stop=STOP, telemetry=tele
         )
         tele.close()
         return result

@@ -74,7 +74,7 @@ def main(grid: int = 20, log2n_model: int = 20) -> None:
         ("vr-pipelined", pipelined_vr_cg(a, b, k=3, stop=stop)),
         (
             "vr-eager",
-            vr_conjugate_gradient(a, b, k=3, stop=stop, replace_drift_tol=1e-6),
+            vr_conjugate_gradient(a, b, k=3, stop=stop, recovery="drift"),
         ),
     ]
 

@@ -84,9 +84,9 @@ def main(grid: int = 24, steps: int = 30, dt: float = 0.1) -> None:
     for label, solve in [
         ("cg", lambda a_, b_, x0: conjugate_gradient(a_, b_, x0=x0, stop=stop)),
         ("vr-cg(k=2, adaptive)", lambda a_, b_, x0: vr_conjugate_gradient(
-            a_, b_, k=2, x0=x0, stop=stop, replace_drift_tol=1e-6)),
+            a_, b_, k=2, x0=x0, stop=stop, recovery="drift")),
         ("vr-poly-pcg(k=2, q=3)", lambda a_, b_, x0: vr_poly_pcg(
-            a_, b_, precond=cheb, k=2, x0=x0, stop=stop, replace_every=10)),
+            a_, b_, precond=cheb, k=2, x0=x0, stop=stop, recovery="periodic")),
     ]:
         with counting() as c:
             u_final, iters = run_simulation(

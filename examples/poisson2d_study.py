@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from repro import StoppingCriterion, conjugate_gradient
+from repro.faults import RecoveryPolicy
 from repro.precond import (
     ICholPrecond,
     JacobiPrecond,
@@ -60,7 +61,8 @@ def main(grid: int = 24, epsilon: float = 0.02) -> None:
         ref = preconditioned_cg(a, b, precond=m, stop=stop)
         table.add(f"pcg + {name}", ref.iterations,
                   ref.true_residual_norm, ref.converged)
-        vr = vr_pcg(a, b, precond=m, k=2, stop=stop, replace_every=8)
+        vr = vr_pcg(a, b, precond=m, k=2, stop=stop,
+                    recovery=RecoveryPolicy(replace_every=8))
         table.add(f"vr-pcg(k=2) + {name}", vr.iterations,
                   vr.true_residual_norm, vr.converged)
 

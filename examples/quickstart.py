@@ -40,7 +40,7 @@ def main() -> None:
     print(f"  {ref.summary()}")
     print(f"    direct inner products: {c_cg.dots}  matvecs: {c_cg.matvecs}")
 
-    vr, c_vr = run("vr", a, b, stop, k=3, replace_every=10)
+    vr, c_vr = run("vr", a, b, stop, k=3, recovery="periodic")
     print(f"  {vr.summary()}")
     print(f"    direct inner products: {c_vr.labelled('direct_dot')} "
           f"(2/iteration; all other moments recurred)  matvecs: {c_vr.matvecs}")

@@ -25,6 +25,7 @@ from repro import (
     vr_conjugate_gradient,
 )
 from repro.experiments.stability import drift_history
+from repro.faults import RecoveryPolicy
 from repro.util.tables import Table
 
 
@@ -68,9 +69,11 @@ def main() -> None:
         ("vr(k=4), no replacement",
          vr_conjugate_gradient(a, b, k=4, stop=stop)),
         ("vr(k=4), replace every 5",
-         vr_conjugate_gradient(a, b, k=4, stop=stop, replace_every=5)),
+         vr_conjugate_gradient(a, b, k=4, stop=stop,
+                               recovery=RecoveryPolicy(replace_every=5))),
         ("vr(k=4), replace every 15",
-         vr_conjugate_gradient(a, b, k=4, stop=stop, replace_every=15)),
+         vr_conjugate_gradient(a, b, k=4, stop=stop,
+                               recovery=RecoveryPolicy(replace_every=15))),
         ("pipelined vr(k=4)",
          pipelined_vr_cg(a, b, k=4, stop=stop)),
     ]:

@@ -81,26 +81,6 @@ def _method_options(args) -> dict:
     return options
 
 
-def _replacement_options(args) -> dict:
-    """``--replace-every`` / ``--drift-tol`` as solver options.
-
-    Only ``--method vr`` takes them; any other method exits rather than
-    silently running without the requested replacement.
-    """
-    options: dict = {}
-    if args.replace_every is not None:
-        options["replace_every"] = args.replace_every
-    if args.drift_tol is not None:
-        options["replace_drift_tol"] = args.drift_tol
-    if options and args.method != "vr":
-        raise SystemExit(
-            "--replace-every/--drift-tol apply only to --method vr; other "
-            "methods take residual replacement from --recovery (drift, "
-            "periodic, verified or robust)"
-        )
-    return options
-
-
 def _load_matrix(args) -> CSRMatrix:
     if args.matrix is not None:
         return read_matrix_market(Path(args.matrix))
@@ -201,7 +181,6 @@ def _solve(args) -> int:
     options: dict = {
         "stop": stop,
         **_method_options(args),
-        **_replacement_options(args),
     }
     precond = None if args.precond == "none" else args.precond
     if precond == "ssor":
@@ -218,10 +197,13 @@ def _solve(args) -> int:
             raise SystemExit(f"--inject-fault: {exc}") from exc
         options["faults"] = FaultPlan(injectors, seed=args.fault_seed)
     if args.recovery == "none":
-        # Sent as None, which overrides pipelined-vr's drift default.
+        # Sent as None, which overrides the vr-family repair defaults.
         # Methods without recovery support, and the preconditioned
-        # drivers, take no recovery= at all, so it is dropped there.
-        if method_entry(method).supports_recovery and precond is None:
+        # drivers other than vr's, take no recovery= at all, so it is
+        # dropped there.
+        if method_entry(method).supports_recovery and (
+            precond is None or method == "vr"
+        ):
             options["recovery"] = None
     elif args.recovery is not None:
         options["recovery"] = args.recovery
@@ -265,7 +247,6 @@ def _solve_batched(args, a: CSRMatrix, stop, method: str) -> int:
     options: dict = {
         "stop": stop,
         **_method_options(args),
-        **_replacement_options(args),
     }
 
     telemetry, tracer, registry = _build_observability(args)
@@ -455,13 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "starting window for the adaptive methods)")
     solve.add_argument("--rtol", type=float, default=1e-8)
     solve.add_argument("--max-iter", type=int, default=None)
-    solve.add_argument("--replace-every", type=int, default=None,
-                       help="periodic residual replacement interval "
-                            "(--method vr only)")
-    solve.add_argument("--drift-tol", type=float, default=None,
-                       help="adaptive residual replacement tolerance "
-                            "(--method vr only; defaults to 1e-6 when no "
-                            "stabilization flag is given)")
     solve.add_argument("--nranks", type=int, default=4,
                        help="simulated ranks for the dist-* methods")
     solve.add_argument("--telemetry", metavar="PATH", default=None,
@@ -494,7 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--recovery",
         choices=["none", "drift", "periodic", "verified", "robust"],
         default=None,
-        help="recovery policy preset (see repro.faults.RecoveryPolicy)",
+        help="recovery policy preset (see repro.faults.RecoveryPolicy); "
+             "vr and pipelined-vr default to drift (vr with --precond: "
+             "periodic), and none runs them unrepaired",
     )
     solve.add_argument("--rhs", help="text file with the right-hand side")
     solve.add_argument("--rhs-count", type=int, default=1, metavar="M",

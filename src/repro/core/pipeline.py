@@ -263,12 +263,14 @@ def pipelined_vr_cg(
         ``μ₀`` loses positivity and the solve breaks down on larger
         grids even at ``k=2``, so drift repair is the default, as for
         ``vr``.  The pipelined realization cannot patch the in-flight
-        window (``verify_every`` is a no-op here): every repair --
-        periodic or drift-triggered replacement, breakdown/divergence
-        restart -- refills the whole pipeline from the true residual at
-        the current iterate, discarding the direction history.
-        Detectors still run (the drift check costs one direct dot per
-        iteration).
+        window, so its verify (``verify_every``) is the drift check
+        itself, judged at ``verify_rtol``: one direct dot every
+        ``verify_every`` iterations, or this iteration's drift gap when
+        ``drift_tol`` is armed too.  Every repair -- a drift, verify or
+        periodic replacement, a breakdown/divergence restart -- refills
+        the whole pipeline from the true residual at the current
+        iterate, discarding the direction history: a periodic
+        replacement here is a CG restart.
     telemetry:
         Optional :class:`repro.telemetry.Telemetry` hook; every launch,
         consume, and coefficient-update is emitted as a
@@ -316,7 +318,7 @@ def _pipelined_loop(
     updated in place.
     """
     op, b, x = run.op, run.b, run.x
-    ws, policy, plan, telemetry = run.ws, run.policy, run.plan, run.telemetry
+    ws, plan, telemetry = run.ws, run.plan, run.telemetry
 
     def _event(kind: str, iteration: int, source_iteration: int, count: int) -> None:
         if telemetry is not None:
@@ -385,7 +387,6 @@ def _pipelined_loop(
         for t in range(1, k + 1):
             pipeline.open_target(t)
 
-        since_replacement = 0
         since_ctl = 0
         for step in range(budget_left):
             if plan is not None:
@@ -397,7 +398,6 @@ def _pipelined_loop(
             lambdas.append(lam)
             axpy(lam, powers.p, x, out=x, work=ws)
             iterations += 1
-            since_replacement += 1
 
             # Advance the vector pipeline to iteration n+1.
             powers.advance_r(lam, work=ws)
@@ -471,17 +471,9 @@ def _pipelined_loop(
             sigma1_cur = sigma1_next
 
             # --- recovery detectors (policy-driven) ----------------------
-            if policy is not None and policy.drift_tol is not None:
-                rr_direct = dot(powers.r, powers.r, label="drift_check_dot")
-                gap = run.drift_gap(iterations, mu0_cur, rr_direct)
-                if gap is not None and gap > policy.drift_tol:
-                    return ("replace", "drift", gap)
-            if (
-                policy is not None
-                and policy.replace_every is not None
-                and since_replacement >= policy.replace_every
-            ):
-                return ("replace", "periodic", 0.0)
+            hit = run.detect(iterations, mu0_cur, powers.r)
+            if hit is not None:
+                return ("replace", *hit)
 
             # --- adaptive window controller ------------------------------
             if controller is not None:
@@ -507,33 +499,25 @@ def _pipelined_loop(
             # the caller.
             reason = StopReason.MAX_ITER
             break
-        if outcome == "resize":
-            # Controller decision (shrink/grow/replace): refill the whole
-            # pipeline at the possibly-new window size -- the same refill
-            # path a residual replacement uses.
-            k = controller.k
-            if telemetry is not None:
-                telemetry.replacement(iterations, "adaptive")
-        elif outcome == "replace":
+        if outcome == "replace":
             # The pipelined realization cannot splice a fresh window into
             # the in-flight coefficient chain: replacement refills the
             # whole pipeline from the true residual at the current x
             # (losing the direction history -- a restart in CG terms, the
             # price of the deep pipeline).
-            run.recoveries["replace"] += 1
-            if telemetry is not None:
-                telemetry.replacement(iterations, trigger)
-                telemetry.recovery(iterations, "replace", trigger, gap)
-        elif not _recovery_step(run, controller, iterations, trigger):
+            run.book(iterations, "replace", trigger, gap)
+        elif outcome != "resize" and not _recovery_step(
+            run, controller, iterations, trigger
+        ):
             # Breakdown or divergence with no repair left, or a fallback.
             reason = (
                 StopReason.BREAKDOWN if controller is None else StopReason.MAX_ITER
             )
             break
-        elif controller is not None:
-            # shrink or floor repair: refill at the controller's k.
+        if controller is not None:
+            # A controller decision (shrink/grow/replace) or its repair of
+            # a breakdown: refill the whole pipeline at its window size --
+            # the same refill path a residual replacement uses.
             k = controller.k
-            if telemetry is not None:
-                telemetry.recovery(iterations, "restart", trigger)
         outcome, trigger, gap = _segment(iterations, budget - iterations)
     return reason, iterations, alphas, lambdas

@@ -261,21 +261,25 @@ class SolveRun:
       residual (:meth:`start`) and one per-iteration verdict
       (:meth:`verdict`): go on, converged, or a trigger
       (``false_convergence``, ``breakdown``, ``divergence``);
-    * **restart budget** (:meth:`restart`) -- the policy's bounded
-      restarts, shared by every trigger;
+    * **repairs** -- every repair is booked once (:meth:`book`): its
+      count in :attr:`recoveries`, one ``recovery`` event, and the
+      detectors' cadences started afresh; the policy's bounded restarts
+      (:meth:`restart`) are shared by every trigger;
     * **residual checks** -- the recurred-vs-direct ``(r, r)`` gap and
-      its ``drift`` event (:meth:`drift_gap`) and the sampled ``b − A x``
-      check with its cadence and tolerance (:meth:`residual_check`);
+      its ``drift`` event (:meth:`drift_gap`), the VR loops'
+      per-iteration detectors (:meth:`detect`) and the sampled
+      ``b − A x`` check of the vector-recurred solvers
+      (:meth:`residual_check`);
     * **exit** (:meth:`finish`) -- recompute ``‖b − A x‖`` on the
       pristine operator, apply :func:`verified_exit`, raise
       :class:`~repro.faults.UnrecoverableDivergence` when the policy
       asks for it, and close the bracket with the :class:`CGResult`.
 
     A solver keeps only its own work: its step-denominator breakdowns,
-    and how a restart or a replacement rebuilds.  Telemetry observers (a
-    health monitor included) see these checks but never add any.  The
-    ``dist-*`` solvers open a run too; they partition and communicate
-    around it.
+    and how a restart, a replacement or a recompute rebuilds.  Telemetry
+    observers (a health monitor included) see these checks but never add
+    any.  The ``dist-*`` solvers open a run too; they partition and
+    communicate around it.
     """
 
     def __init__(
@@ -304,7 +308,9 @@ class SolveRun:
         self.policy = policy
         self.max_restarts = policy.max_restarts if policy is not None else 0
         self.restarts_used = 0
-        self._since_check = 0
+        # The detectors' cadences: iterations since the last replacement
+        # or restart, and since the last verify.
+        self._since_replace = self._since_verify = 0
         self.recoveries: dict[str, int] = {"replace": 0, "restart": 0, "recompute": 0}
         self.ws = Workspace()
         self.residuals: list[float] = []
@@ -446,20 +452,34 @@ class SolveRun:
         fails the ``<=``)."""
         return self.plan is None or self.true_residual(x) <= self.threshold
 
+    def book(
+        self, iteration: int, action: str, trigger: str, gap: float = 0.0
+    ) -> None:
+        """Book one repair: ``action`` is ``"replace"``, ``"restart"`` or
+        ``"recompute"``, ``trigger`` what asked for it.
+
+        Counts it in :attr:`recoveries` and emits its one ``recovery``
+        event.  A recompute starts the verify cadence afresh; a
+        replacement or a restart starts both cadences afresh.
+        """
+        self.recoveries[action] += 1
+        if self.telemetry is not None:
+            self.telemetry.recovery(iteration, action, trigger, gap)
+        self._since_verify = 0
+        if action != "recompute":
+            self._since_replace = 0
+
     def restart(self, iteration: int, trigger: str) -> bool:
         """Spend one of the policy's restarts; ``False`` when none is left.
 
-        Books the restart and emits its recovery event; the solver then
-        rebuilds its own state from the current iterate and reports the
-        fresh residual (:meth:`restarted`).
+        Books the restart; the solver then rebuilds its own state from
+        the current iterate and reports the fresh residual
+        (:meth:`restarted`).
         """
         if self.policy is None or self.restarts_used >= self.max_restarts:
             return False
         self.restarts_used += 1
-        self.recoveries["restart"] += 1
-        self._since_check = 0
-        if self.telemetry is not None:
-            self.telemetry.recovery(iteration, "restart", trigger)
+        self.book(iteration, "restart", trigger)
         return True
 
     def restarted(self, res: float) -> None:
@@ -489,6 +509,65 @@ class SolveRun:
             return abs(recurred_rr - direct_rr) / direct_rr
         return None
 
+    def detect(
+        self,
+        iteration: int,
+        recurred_rr: float,
+        r: np.ndarray,
+        recompute: Any = None,
+    ) -> tuple[str, float] | None:
+        """Run the policy's per-iteration detectors of the VR loops.
+
+        In order, the first that fires wins:
+
+        1. **drift** (``drift_tol``) -- one direct ``(r, r)`` dot; the
+           gap to ``recurred_rr`` (:meth:`drift_gap`) past ``drift_tol``.
+        2. **verify** (every ``verify_every`` iterations) -- the eager
+           loop passes ``recompute``, which re-derives its moment window
+           from direct dots, adopts it and returns the gap (booked here
+           as a recompute).  The pipelined loop cannot adopt a window:
+           there the verify is the drift check itself, reusing this
+           iteration's gap when drift is armed.  Either gap past
+           ``verify_rtol`` fires.
+        3. **periodic** -- ``replace_every`` iterations since the last
+           replacement or restart.
+
+        Returns ``(trigger, gap)`` for the loop to replace (it books the
+        replacement), or ``None``.
+        """
+        policy = self.policy
+        if policy is None:
+            return None
+        self._since_replace += 1
+        self._since_verify += 1
+        gap = None
+        if policy.drift_tol is not None:
+            # A blocking dot: its result gates this iteration's repair,
+            # so unlike the window-top dots it cannot be hidden.  The
+            # profiler books it as the one synchronization VR still pays
+            # per iteration.
+            gap = self.drift_gap(
+                iteration, recurred_rr, dot(r, r, label="drift_check_dot")
+            )
+            if gap is not None and gap > policy.drift_tol:
+                return "drift", gap
+        every = policy.verify_every
+        if every is not None and self._since_verify >= every:
+            self._since_verify = 0
+            if recompute is not None:
+                gap = recompute()
+                self.book(iteration, "recompute", "verify", gap)
+            elif policy.drift_tol is None:
+                gap = self.drift_gap(
+                    iteration, recurred_rr, dot(r, r, label="drift_check_dot")
+                )
+            if gap is not None and gap > policy.verify_rtol:
+                return "verify", gap
+        every = policy.replace_every
+        if every is not None and self._since_replace >= every:
+            return "periodic", 0.0
+        return None
+
     def residual_check(
         self, iteration: int, x: np.ndarray, recurred_rr: float
     ) -> tuple[np.ndarray, float] | None:
@@ -496,31 +575,28 @@ class SolveRun:
 
         Under a recovery policy, every ``verify_every`` (else
         ``replace_every``, else 5) calls -- the count starts afresh at
-        every :meth:`restart` -- recompute ``r = b − A x`` on the
-        iteration's operator and compare its ``(r, r)`` with the
-        recurred one (:meth:`drift_gap`).  When the gap exceeds
-        ``drift_tol`` (else ``verify_rtol``) the replacement is booked
-        and announced, and ``(r_true, rr_direct)`` is returned: the
-        solver then refreshes its own vectors from ``r_true``, keeping
-        its direction.  Returns ``None`` otherwise.
+        every repair -- recompute ``r = b − A x`` on the iteration's
+        operator and compare its ``(r, r)`` with the recurred one
+        (:meth:`drift_gap`).  When the gap exceeds ``drift_tol`` (else
+        ``verify_rtol``) the replacement is booked and
+        ``(r_true, rr_direct)`` is returned: the solver then refreshes
+        its own vectors from ``r_true``, keeping its direction.  Returns
+        ``None`` otherwise.
         """
         policy = self.policy
         if policy is None:
             return None
-        self._since_check += 1
-        if self._since_check < (policy.verify_every or policy.replace_every or 5):
+        self._since_verify += 1
+        if self._since_verify < (policy.verify_every or policy.replace_every or 5):
             return None
-        self._since_check = 0
+        self._since_verify = 0
         r_true = self.b - self.op.matvec(x)
         rr_direct = dot(r_true, r_true, label="drift_check_dot")
         gap = self.drift_gap(iteration, recurred_rr, rr_direct)
         tol = policy.drift_tol if policy.drift_tol is not None else policy.verify_rtol
         if gap is None or not gap > tol:
             return None
-        self.recoveries["replace"] += 1
-        if self.telemetry is not None:
-            self.telemetry.replacement(iteration, "drift")
-            self.telemetry.recovery(iteration, "replace", "drift", gap)
+        self.book(iteration, "replace", "drift", gap)
         return r_true, rr_direct
 
     def finish(

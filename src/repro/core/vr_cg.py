@@ -79,8 +79,6 @@ def vr_conjugate_gradient(
     k: int = 2,
     x0: np.ndarray | None = None,
     stop: StoppingCriterion | None = None,
-    replace_every: int | None = None,
-    replace_drift_tol: float | None = None,
     faults: Any = None,
     recovery: Any = None,
     telemetry: "Telemetry | None" = None,
@@ -101,22 +99,6 @@ def vr_conjugate_gradient(
         Initial guess (defaults to zero).
     stop:
         Stopping rule shared with the classical solver.
-    replace_every:
-        Rebuild the power block and moment window from a fresh true
-        residual every this many iterations (residual replacement).
-        ``None`` disables replacement -- the paper's pure algorithm.
-    replace_drift_tol:
-        Adaptive replacement trigger.  The scalar-recurred ``μ₀`` is
-        compared against ``(R₀, R₀)`` computed directly from the
-        vector-recurred residual (whose first-order recurrence drifts far
-        more slowly); when the relative gap exceeds this tolerance a
-        replacement is performed.  Costs one extra length-N inner product
-        per iteration while enabled -- the *three*-dot variant.  (The
-        tempting zero-cost detector ``|ν₀ − μ₀|`` is useless: since
-        ``λ = μ₀/σ₁`` is formed from the same recurred values, the
-        invariant ``ν₀ = μ₀`` is self-preserving to rounding even while
-        both drift from the truth -- measured, see DESIGN.md §6.)
-        Composable with ``replace_every``; ``None`` disables it.
     faults:
         Optional :class:`repro.faults.FaultPlan` (or injector / list of
         injectors).  Matvec-site injectors corrupt every matvec output,
@@ -126,21 +108,31 @@ def vr_conjugate_gradient(
         ``result.extras["faults"]`` and emitted as
         :class:`~repro.telemetry.FaultEvent`\\ s.
     recovery:
-        Optional :class:`repro.faults.RecoveryPolicy` (or preset name:
-        ``drift``/``periodic``/``verified``/``robust``).  Generalizes
-        the two legacy knobs above -- pass either ``recovery=`` or the
-        legacy knobs, not both -- and adds verified moment recompute
-        (``verify_every``) plus bounded restarts on breakdown or
-        divergence.  Recovery actions are counted in
+        Optional :class:`repro.faults.RecoveryPolicy` or preset name
+        (``drift``/``periodic``/``verified``/``robust``); ``None``, the
+        default, runs the paper's pure algorithm.  Residual replacement
+        rebuilds the power block and moment window from a fresh true
+        residual, keeping the direction: every ``replace_every``
+        iterations, or when the recurred ``μ₀`` and a direct
+        ``(R₀, R₀)`` of the vector-recurred residual (whose first-order
+        recurrence drifts far more slowly) differ by more than
+        ``drift_tol`` relative -- one extra length-N inner product per
+        iteration, the *three*-dot variant.  (The tempting zero-cost
+        detector ``|ν₀ − μ₀|`` is useless: since ``λ = μ₀/σ₁`` is formed
+        from the same recurred values, the invariant ``ν₀ = μ₀`` is
+        self-preserving to rounding even while both drift from the truth
+        -- measured, see DESIGN.md §6.)  ``verify_every`` recomputes the
+        whole window from direct dots and adopts it, replacing when the
+        mismatch passes ``verify_rtol``; breakdown or divergence spends
+        one of ``max_restarts`` restarts.  Repairs are counted in
         ``result.extras["recoveries"]`` and emitted as
         :class:`~repro.telemetry.RecoveryEvent`\\ s.
     telemetry:
         Optional :class:`repro.telemetry.Telemetry` hook: per-iteration
         :class:`~repro.telemetry.IterationEvent` (with the recurred
         ``μ₀``), :class:`~repro.telemetry.DriftEvent` whenever the
-        adaptive drift detector computes the recurred-vs-direct gap,
-        :class:`~repro.telemetry.ReplacementEvent` on every residual
-        replacement, startup/iterate phase timers, iterate capture
+        drift detector computes the recurred-vs-direct gap,
+        startup/iterate phase timers, iterate capture
         (``capture_iterates=True``), and live-state observation
         (``on_state=...``).
 
@@ -154,28 +146,6 @@ def vr_conjugate_gradient(
         allocate zero new arrays.
     """
     k = require_nonnegative_int(k, "k")
-    if replace_every is not None and replace_every < 1:
-        raise ValueError(f"replace_every must be >= 1, got {replace_every}")
-    if replace_drift_tol is not None and replace_drift_tol <= 0:
-        raise ValueError(
-            f"replace_drift_tol must be positive, got {replace_drift_tol}"
-        )
-    legacy = replace_every is not None or replace_drift_tol is not None
-    if recovery is not None and legacy:
-        raise ValueError(
-            "pass either recovery= or the legacy replace_every=/"
-            "replace_drift_tol= knobs, not both"
-        )
-    if legacy:
-        from repro.faults import RecoveryPolicy
-
-        # The legacy knobs are exactly the replacement half of a policy
-        # (no verified recompute, no restarts -- historical behaviour).
-        recovery = RecoveryPolicy(
-            replace_every=replace_every,
-            drift_tol=replace_drift_tol,
-            max_restarts=0,
-        )
     run = SolveRun.open(
         "vr",
         f"vr-cg(k={k})",
@@ -188,8 +158,6 @@ def vr_conjugate_gradient(
         telemetry=telemetry,
         keep_dtype=True,
         k=k,
-        replace_every=replace_every,
-        replace_drift_tol=replace_drift_tol,
     )
     reason, iterations, alphas, lambdas = _vr_loop(run, k)
     return run.finish(reason, run.x, iterations, alphas=alphas, lambdas=lambdas)
@@ -219,15 +187,18 @@ def _rebuild(
 def _recovery_step(
     run: SolveRun, controller: Any, iteration: int, trigger: str
 ) -> bool:
-    """Ask for one repair at a trouble site; ``False`` means stop.
+    """Ask for one restart at a trouble site; ``False`` means stop.
 
     Without a window controller this spends one restart of the run's
     budget.  With one it reports the trouble as a breakdown, and the
-    repair goes ahead unless the controller falls back.
+    restart is booked unless the controller falls back.
     """
     if controller is None:
         return run.restart(iteration, trigger)
-    return controller.observe_breakdown(iteration, trigger) != "fallback"
+    if controller.observe_breakdown(iteration, trigger) == "fallback":
+        return False
+    run.book(iteration, "restart", trigger)
+    return True
 
 
 def _vr_loop(
@@ -263,22 +234,42 @@ def _vr_loop(
     give_up = StopReason.BREAKDOWN if controller is None else StopReason.MAX_ITER
     reason = StopReason.MAX_ITER
     iterations = 0
-    since_replacement = since_verify = since_check = 0
+    since_check = 0
     budget = run.stop.budget(b.shape[0])
 
     def _recover(trigger: str) -> bool:
-        """One repair: rebuild powers/window from the current x."""
-        nonlocal powers, window, k, since_replacement, since_verify, since_check
+        """One restart: rebuild powers/window from the current x."""
+        nonlocal powers, window, k, since_check
         if not _recovery_step(run, controller, iterations, trigger):
             return False
         if controller is not None:
             k = controller.k
-            if telemetry is not None:
-                telemetry.replacement(iterations, "restart")
         powers, window = _startup(op, b, x, k)
         run.restarted(float(np.sqrt(max(window.rr, 0.0))))
-        since_replacement = since_verify = since_check = 0
+        since_check = 0
         return True
+
+    def _verify() -> float:
+        """Predict-and-recompute: re-derive the whole moment window from
+        direct dots on the current power block and ADOPT it -- the
+        recompute is the repair.  Returns the relative mismatch; a large
+        one means the *vectors* are suspect, and the run replaces."""
+        nonlocal window
+        fresh = window_from_powers(
+            k, powers.r_powers, powers.p_powers, label="verify_dot"
+        )
+        scale = max(
+            float(np.max(np.abs(fresh.mu))),
+            float(np.max(np.abs(fresh.sigma))),
+            np.finfo(np.float64).tiny,
+        )
+        gap = max(
+            float(np.max(np.abs(window.mu - fresh.mu))),
+            float(np.max(np.abs(window.nu - fresh.nu))),
+            float(np.max(np.abs(window.sigma - fresh.sigma))),
+        ) / scale
+        window = fresh
+        return gap
 
     for _ in range(budget):
         if plan is not None:
@@ -300,7 +291,6 @@ def _vr_loop(
         # x update uses the plain direction vector (power 0).
         axpy(lam, powers.p, x, out=x, work=ws)
         iterations += 1
-        since_replacement += 1
 
         # --- advance the residual powers: R_i <- R_i - lam * P_{i+1} ----
         powers.advance_r(lam, work=ws)
@@ -347,6 +337,7 @@ def _vr_loop(
         if plan is not None:
             plan.corrupt_window(window)
 
+        rebuild = False
         if controller is not None:
             # --- the controller's sampled drift check ---------------------
             since_check += 1
@@ -363,86 +354,19 @@ def _vr_loop(
                 if action != "hold":
                     # shrink / grow / floor repair: replace at the new k.
                     k = controller.k
-                    powers, window, restarted = _rebuild(op, b, x, powers.p, k)
-                    if telemetry is not None:
-                        telemetry.replacement(iterations, "adaptive")
-                        if restarted:
-                            telemetry.replacement(iterations, "restart")
+                    rebuild = True
         elif policy is not None:
-            # --- detection: drift, verified recompute, periodic schedule -
-            drift_triggered = False
-            drift_gap = 0.0
-            if policy.drift_tol is not None:
-                # The drift check IS a blocking dot: its result gates this
-                # iteration's replacement decision, so unlike the
-                # window-top dots above it cannot be hidden.  The profiler
-                # books it as the one synchronization VR still pays per
-                # iteration.
-                rr_direct = dot(powers.r, powers.r, label="drift_check_dot")
-                gap = run.drift_gap(iterations, window.rr, rr_direct)
-                if gap is not None:
-                    drift_gap = gap
-                    drift_triggered = drift_gap > policy.drift_tol
-
-            verify_triggered = False
-            verify_gap = 0.0
-            since_verify += 1
-            if (
-                policy.verify_every is not None
-                and since_verify >= policy.verify_every
-                and not drift_triggered
-            ):
-                # Predict-and-recompute: re-derive the whole moment window
-                # from direct dots on the current power block and ADOPT it
-                # -- the recompute is the repair.  Only when the mismatch
-                # is so large that the *vectors* must be suspect does it
-                # escalate to a full replacement below.
-                fresh = window_from_powers(
-                    k, powers.r_powers, powers.p_powers, label="verify_dot"
-                )
-                scale = max(
-                    float(np.max(np.abs(fresh.mu))),
-                    float(np.max(np.abs(fresh.sigma))),
-                    np.finfo(np.float64).tiny,
-                )
-                verify_gap = max(
-                    float(np.max(np.abs(window.mu - fresh.mu))),
-                    float(np.max(np.abs(window.nu - fresh.nu))),
-                    float(np.max(np.abs(window.sigma - fresh.sigma))),
-                ) / scale
-                window = fresh
-                since_verify = 0
-                run.recoveries["recompute"] += 1
-                if telemetry is not None:
-                    telemetry.recovery(iterations, "recompute", "verify", verify_gap)
-                verify_triggered = verify_gap > policy.verify_rtol
-
-            periodic_due = (
-                policy.replace_every is not None
-                and since_replacement >= policy.replace_every
-            )
-            if periodic_due or drift_triggered or verify_triggered:
-                if drift_triggered:
-                    trigger, gap = "drift", drift_gap
-                elif verify_triggered:
-                    trigger, gap = "verify", verify_gap
-                else:
-                    trigger, gap = "periodic", 0.0
-                run.recoveries["replace"] += 1
-                if telemetry is not None:
-                    telemetry.replacement(iterations, trigger)
-                    telemetry.recovery(iterations, "replace", trigger, gap)
-                # Recompute the true residual but KEEP the conjugate
-                # direction: replacement refreshes finite-precision drift
-                # without restarting the Krylov space.
-                powers, window, restarted = _rebuild(op, b, x, powers.p, k)
-                if restarted:
-                    run.recoveries["restart"] += 1
-                    if telemetry is not None:
-                        telemetry.replacement(iterations, "restart")
-                        telemetry.recovery(iterations, "restart", "conjugacy")
-                since_replacement = 0
-                since_verify = 0
+            hit = run.detect(iterations, window.rr, powers.r, _verify)
+            if hit is not None:
+                run.book(iterations, "replace", *hit)
+                rebuild = True
+        if rebuild:
+            # Recompute the true residual but KEEP the conjugate
+            # direction: replacement refreshes finite-precision drift
+            # without restarting the Krylov space.
+            powers, window, restarted = _rebuild(op, b, x, powers.p, k)
+            if restarted:
+                run.book(iterations, "restart", "conjugacy")
 
         if telemetry is not None and telemetry.on_state:
             telemetry.state(

@@ -419,7 +419,8 @@ def distributed_pipelined_vr(
     ``faults`` takes a :class:`repro.faults.FaultPlan`; comm-site
     injectors corrupt, delay, or *drop* the in-flight moment reductions.
     ``recovery`` takes a :class:`repro.faults.RecoveryPolicy` or preset
-    name.  When a look-ahead reduction is dropped, a recovery-enabled
+    name; whatever detectors it names, it arms only the comm-drop
+    recompute here.  When a look-ahead reduction is dropped, a recovery-enabled
     solve falls back to the startup-transient path for that step -- the
     moment window is recomputed by a blocking front collective (booked
     honestly as a synchronization) and the pipeline refills -- which is
@@ -539,10 +540,8 @@ def distributed_pipelined_vr(
                     pipeline.matrices.pop(target, None)
                     front = comm.allreduce(front_partials())
                     mu0_next = float(front[mu_index(w, 0)])
-                    run.recoveries["recompute"] += 1
+                    run.book(iterations, "recompute", "comm_drop")
                     recomputed = True
-                    if telemetry is not None:
-                        telemetry.recovery(iterations, "recompute", "comm_drop")
                 else:
                     mu0_next, _, sigma1_pipe = pipeline.consume(
                         target, lam, state, mu0

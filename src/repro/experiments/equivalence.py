@@ -19,6 +19,7 @@ from repro.core.standard import conjugate_gradient
 from repro.core.stopping import StoppingCriterion
 from repro.core.vr_cg import vr_conjugate_gradient
 from repro.experiments.common import ExperimentReport, register
+from repro.faults import RecoveryPolicy
 from repro.sparse.csr import from_dense
 from repro.sparse.generators import banded_spd, poisson2d
 from repro.util.rng import default_rng, spd_test_matrix
@@ -61,7 +62,7 @@ def run(*, fast: bool = True) -> ExperimentReport:
         ref = conjugate_gradient(a, b, stop=stop)
         ref_norm = float(np.linalg.norm(ref.x))
         solvers = [
-            ("vr-cg(k=2,replace=8)", lambda: vr_conjugate_gradient(a, b, k=2, stop=stop, replace_every=8)),
+            ("vr-cg(k=2,replace=8)", lambda: vr_conjugate_gradient(a, b, k=2, stop=stop, recovery=RecoveryPolicy(replace_every=8, max_restarts=0))),
             ("pipelined-vr(k=2)", lambda: pipelined_vr_cg(a, b, k=2, stop=stop)),
             ("three-term", lambda: three_term_cg(a, b, stop=stop)),
             ("chronopoulos-gear", lambda: chronopoulos_gear_cg(a, b, stop=stop)),

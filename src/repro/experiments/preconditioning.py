@@ -19,6 +19,7 @@ from __future__ import annotations
 from repro.core.standard import conjugate_gradient
 from repro.core.stopping import StoppingCriterion
 from repro.experiments.common import ExperimentReport, register
+from repro.faults import RecoveryPolicy
 from repro.machine.pcg_dag import build_pcg_dag, precond_depth
 from repro.precond import (
     ICholPrecond,
@@ -56,7 +57,10 @@ def run(*, fast: bool = True, k: int = 2) -> ExperimentReport:
     speedup_seen = False
     for name, m in precs:
         ref = preconditioned_cg(a, b, precond=m, stop=stop)
-        vr = vr_pcg(a, b, precond=m, k=k, stop=stop, replace_every=8)
+        vr = vr_pcg(
+            a, b, precond=m, k=k, stop=stop,
+            recovery=RecoveryPolicy(replace_every=8, max_restarts=0),
+        )
         gap = abs(vr.iterations - ref.iterations)
         table.add(name, ref.iterations, vr.iterations, ref.converged and vr.converged, gap)
         passed = passed and ref.converged and vr.converged and gap <= max(3, ref.iterations // 10)
@@ -74,7 +78,10 @@ def run(*, fast: bool = True, k: int = 2) -> ExperimentReport:
     bounds = estimate_spectrum_via_cg(a, b, iterations=12)
     cheb = ChebyshevPolyPrecond(a, bounds, degree=4)
     ref = polynomial_pcg(a, b, precond=cheb, stop=stop)
-    vr = vr_poly_pcg(a, b, precond=cheb, k=k, stop=stop, replace_every=8)
+    vr = vr_poly_pcg(
+        a, b, precond=cheb, k=k, stop=stop,
+        recovery=RecoveryPolicy(replace_every=8, max_restarts=0),
+    )
     gap = abs(vr.iterations - ref.iterations)
     table.add("chebyshev(q=4)", ref.iterations, vr.iterations,
               ref.converged and vr.converged, gap)

@@ -31,6 +31,7 @@ from repro.core.standard import conjugate_gradient
 from repro.core.stopping import StoppingCriterion
 from repro.core.vr_cg import vr_conjugate_gradient
 from repro.experiments.common import ExperimentReport, register
+from repro.faults import RecoveryPolicy
 from repro.sparse.generators import poisson2d
 from repro.telemetry import Telemetry
 from repro.util.rng import default_rng
@@ -94,8 +95,8 @@ def run(*, fast: bool = True) -> ExperimentReport:
     passed = ref.converged
     rows = [
         ("vr(k=4), no replacement", lambda: vr_conjugate_gradient(a, b, k=4, stop=stop)),
-        ("vr(k=4), replace every 5", lambda: vr_conjugate_gradient(a, b, k=4, stop=stop, replace_every=5)),
-        ("vr(k=4), replace every 10", lambda: vr_conjugate_gradient(a, b, k=4, stop=stop, replace_every=10)),
+        ("vr(k=4), replace every 5", lambda: vr_conjugate_gradient(a, b, k=4, stop=stop, recovery=RecoveryPolicy(replace_every=5, max_restarts=0))),
+        ("vr(k=4), replace every 10", lambda: vr_conjugate_gradient(a, b, k=4, stop=stop, recovery=RecoveryPolicy(replace_every=10, max_restarts=0))),
         ("pipelined vr(k=4), no replacement", lambda: pipelined_vr_cg(a, b, k=4, stop=stop, recovery="none")),
     ]
     outcomes = {}

@@ -1,8 +1,7 @@
 """Recovery policies: detection + repair for corrupted recurrence state.
 
-Generalizes the residual-replacement knobs that grew inside
-``core/vr_cg.py`` (``replace_every``/``replace_drift_tol``) into one
-reusable :class:`RecoveryPolicy` that every solver family can interpret:
+One :class:`RecoveryPolicy`, passed as ``recovery=``, is the only way to
+ask a solver for residual repair; every solver family interprets it:
 
 * **Periodic replacement** (``replace_every``): rebuild the power block
   and moment window from the true residual every N iterations -- Van
@@ -16,7 +15,9 @@ reusable :class:`RecoveryPolicy` that every solver family can interpret:
   *adopt* the fresh values (the recompute is the repair, cf. the
   predict-and-recompute CG variants of arXiv:1905.01549); if the
   mismatch exceeds ``verify_rtol`` the solver escalates to a full
-  replacement because vectors, not just scalars, are suspect.
+  replacement because vectors, not just scalars, are suspect.  The
+  pipelined loop cannot adopt a window mid-pipeline: its verify is the
+  drift check, judged at ``verify_rtol``, and a miss refills.
 * **Bounded restarts** (``max_restarts``): breakdown/divergence events
   restart the iteration from the current ``x`` instead of aborting, at
   most this many times; the budget is shared across all triggers.
@@ -43,7 +44,12 @@ class RecoveryPolicy:
     """Which detectors run and what repairs they trigger.
 
     All detectors default off; ``RecoveryPolicy()`` alone only grants the
-    restart budget.  Use :meth:`from_spec` for the named presets.
+    restart budget.  Use :meth:`from_spec` for the named presets.  The
+    VR loops run the detectors in the order drift, verify, periodic
+    (:meth:`repro.core.results.SolveRun.detect`); the vector-recurred
+    solvers sample ``b − A x`` instead
+    (:meth:`~repro.core.results.SolveRun.residual_check`).  Who defaults
+    to which preset: docs/api.md, "The front door".
     """
 
     replace_every: int | None = None

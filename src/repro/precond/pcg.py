@@ -123,7 +123,7 @@ def vr_pcg(
     k: int = 2,
     x0: np.ndarray | None = None,
     stop: StoppingCriterion | None = None,
-    replace_every: int | None = None,
+    recovery: Any = None,
     telemetry: "Telemetry | None" = None,
 ) -> CGResult:
     """Van Rosendale CG on the split-preconditioned operator.
@@ -131,7 +131,8 @@ def vr_pcg(
     Note the recorded ``residual_norms`` are norms of the *preconditioned*
     residual ``r̃ = E⁻¹(b − Ax)``; ``true_residual_norm`` is recomputed in
     the original variables at exit.  Telemetry events describe the inner
-    iteration on ``Ã``.
+    iteration on ``Ã``, and ``recovery`` (as in
+    :func:`~repro.core.vr_cg.vr_conjugate_gradient`) repairs it.
     """
     return _split_solve(
         vr_conjugate_gradient,
@@ -142,7 +143,7 @@ def vr_pcg(
         stop,
         f"vr-pcg(k={k})",
         k=k,
-        replace_every=replace_every,
+        recovery=recovery,
         telemetry=telemetry,
     )
 

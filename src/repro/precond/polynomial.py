@@ -148,14 +148,16 @@ def vr_poly_pcg(
     k: int = 2,
     x0: np.ndarray | None = None,
     stop: StoppingCriterion | None = None,
-    replace_every: int | None = None,
+    recovery: Any = None,
     telemetry: Any = None,
 ) -> CGResult:
     """Van Rosendale CG on the polynomially preconditioned operator.
 
     The commuting trick means the VR recurrences apply verbatim -- the
     operator is explicitly SPD and no split factor exists or is needed.
-    Telemetry events describe the inner iteration on ``Ã``.
+    Telemetry events describe the inner iteration on ``Ã``, and
+    ``recovery`` (as in :func:`~repro.core.vr_cg.vr_conjugate_gradient`)
+    repairs it.
     """
     return _poly_solve(
         vr_conjugate_gradient,
@@ -166,7 +168,7 @@ def vr_poly_pcg(
         stop,
         f"vr-poly-pcg(k={k})",
         k=k,
-        replace_every=replace_every,
+        recovery=recovery,
         telemetry=telemetry,
     )
 

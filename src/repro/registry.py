@@ -398,7 +398,7 @@ def solve(
         Optional :class:`repro.telemetry.Telemetry` session.
     **options:
         Method-specific keywords, forwarded to the underlying solver
-        (``k=``, ``s=``, ``stop=``, ``replace_every=``, ...).  A
+        (``k=``, ``s=``, ``stop=``, ``recovery=``, ...).  A
         ``trace=`` keyword takes a :class:`repro.trace.Tracer` and is
         consumed here: it is attached to the telemetry session (one is
         created around a :class:`~repro.telemetry.NullSink` if none was
@@ -460,11 +460,13 @@ def solve(
             f"{', '.join(n for n, e in sorted(_REGISTRY.items()) if e.supports_recovery)}"
         )
     if precond is not None and (
-        options.get("faults") is not None or options.get("recovery") is not None
+        options.get("faults") is not None
+        or (options.get("recovery") is not None and entry.name != "vr")
     ):
         raise ValueError(
-            "fault injection and recovery are not supported on the "
-            "preconditioned drivers; drop precond= or faults=/recovery="
+            "fault injection is not supported on the preconditioned drivers, "
+            "nor is recovery= except on 'vr'; drop precond= or "
+            "faults=/recovery="
         )
     _notify_solve_call(telemetry, a, b, entry.name, options)
     result = _run_guarded(
@@ -761,35 +763,19 @@ def _run_vr(a, b, *, precond, telemetry, **options):
     from repro.precond.pcg import vr_pcg
     from repro.precond.polynomial import ChebyshevPolyPrecond, vr_poly_pcg
 
+    # Without repair the eager recurrences drift (EXPERIMENTS.md E7b), so
+    # the front door defaults to drift replacement, or to periodic
+    # replacement on the preconditioned operator.  An explicit recovery=,
+    # None included, is the caller's.
     if precond is None:
-        # Without explicit stabilization the pure eager algorithm drifts
-        # (EXPERIMENTS.md E7b); default the front-door to adaptive
-        # replacement -- the same policy as the CLI -- so
-        # solve(..., method="vr") just works.  Pass replace_every= or
-        # replace_drift_tol= (or replace_drift_tol=None explicitly) to
-        # override.  A recovery= policy supersedes the legacy knobs
-        # entirely (the solver refuses the combination).
-        if options.get("recovery") is None:
-            options.setdefault(
-                "replace_drift_tol",
-                None if "replace_every" in options else 1e-6,
-            )
+        options.setdefault("recovery", "drift")
         return vr_conjugate_gradient(a, b, telemetry=telemetry, **options)
     if not isinstance(precond, (ChebyshevPolyPrecond, SplitPreconditioner)):
         raise ValueError(
             "method 'vr' needs a split or polynomial preconditioner, got "
             f"{type(precond).__name__}"
         )
-    # The preconditioned drivers take periodic replacement only (the
-    # drift detector lives in the unpreconditioned eager loop); keep
-    # them stable by default, as the CLI always has.
-    if options.pop("replace_drift_tol", None) is not None:
-        raise ValueError(
-            "method 'vr' with a preconditioner has no drift-triggered "
-            "replacement (replace_drift_tol=); use periodic replacement "
-            "with replace_every= instead"
-        )
-    options.setdefault("replace_every", 10)
+    options.setdefault("recovery", "periodic")
     if isinstance(precond, ChebyshevPolyPrecond):
         return vr_poly_pcg(a, b, precond=precond, telemetry=telemetry, **options)
     return vr_pcg(a, b, precond=precond, telemetry=telemetry, **options)

@@ -13,7 +13,7 @@ the :func:`repro.solve` front-door) accepts.
   read at ``solve_end`` by the consumers that need only per-solve
   aggregates (metrics, health, the flight recorder).
 * :mod:`repro.telemetry.events` -- the closed event vocabulary
-  (iteration, drift, replacement, pipeline, reduction, phase, counters,
+  (iteration, drift, recovery, pipeline, reduction, phase, counters,
   solve brackets).
 * :mod:`repro.telemetry.sinks` -- destinations: in-memory (default),
   JSON-lines file/stream, ASCII summary table, and a no-op sink for
@@ -30,7 +30,6 @@ from repro.telemetry.events import (
     PipelineEvent,
     RecoveryEvent,
     ReductionEvent,
-    ReplacementEvent,
     ServiceEvent,
     SolveEndEvent,
     SolveStartEvent,
@@ -53,7 +52,6 @@ __all__ = [
     "IterationEvent",
     "DriftEvent",
     "AdaptiveEvent",
-    "ReplacementEvent",
     "FaultEvent",
     "RecoveryEvent",
     "PipelineEvent",

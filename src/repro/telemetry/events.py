@@ -10,8 +10,8 @@ comparing CG variants:
   parameters, one event per iteration of *any* solver;
 * :class:`DriftEvent` -- recurred scalar quantities versus true inner
   products (the finite-precision gap of experiment E7);
-* :class:`ReplacementEvent` -- residual-replacement actions and why they
-  fired;
+* :class:`RecoveryEvent` -- repairs (residual replacement, restart,
+  recompute) and the detector that asked for each;
 * :class:`PipelineEvent` -- launch/consume/coefficient-composition data
   movement (the Figure 1 diagonal flow);
 * :class:`ReductionEvent` -- distributed collectives and halo exchanges,
@@ -49,7 +49,6 @@ __all__ = [
     "ActiveSetEvent",
     "DriftEvent",
     "AdaptiveEvent",
-    "ReplacementEvent",
     "FaultEvent",
     "RecoveryEvent",
     "PipelineEvent",
@@ -223,22 +222,6 @@ class AdaptiveEvent(TelemetryEvent):
 
 
 @dataclass
-class ReplacementEvent(TelemetryEvent):
-    """A residual replacement happened.
-
-    ``trigger`` is ``"periodic"`` (the ``replace_every`` schedule),
-    ``"drift"`` (the adaptive detector fired), or ``"restart"`` (the
-    retained direction failed the conjugacy sanity check and the Krylov
-    space was rebuilt from scratch).
-    """
-
-    kind = "replacement"
-
-    iteration: int
-    trigger: str
-
-
-@dataclass
 class FaultEvent(TelemetryEvent):
     """A fault injector fired (:mod:`repro.faults`).
 
@@ -259,7 +242,8 @@ class FaultEvent(TelemetryEvent):
 
 @dataclass
 class RecoveryEvent(TelemetryEvent):
-    """A recovery action fired (:class:`repro.faults.RecoveryPolicy`).
+    """A repair fired (:class:`repro.faults.RecoveryPolicy`): one event
+    per repair, booked by :meth:`repro.core.results.SolveRun.book`.
 
     ``action`` is ``"replace"`` (power block rebuilt from the true
     residual), ``"restart"`` (iteration restarted from the current

@@ -67,7 +67,6 @@ from repro.telemetry.events import (
     PhaseEvent,
     PipelineEvent,
     ReductionEvent,
-    ReplacementEvent,
     SolveEndEvent,
     SolveStartEvent,
     TelemetryEvent,
@@ -437,10 +436,6 @@ class Telemetry:
         if self._streams:
             self._narrate(ActiveSetEvent(iteration=iteration, width=width))
 
-    def replacement(self, iteration: int, trigger: str) -> None:
-        """A residual replacement fired (emits :class:`ReplacementEvent`)."""
-        self.emit(ReplacementEvent(iteration=iteration, trigger=trigger))
-
     def fault(self, iteration: int, site: str, injector: str, detail: str) -> None:
         """An injected fault landed (emits :class:`FaultEvent`)."""
         self.emit(
@@ -450,7 +445,7 @@ class Telemetry:
     def recovery(
         self, iteration: int, action: str, trigger: str, detail: float = 0.0
     ) -> None:
-        """A recovery action fired (emits :class:`RecoveryEvent`)."""
+        """A repair fired (emits :class:`RecoveryEvent`)."""
         self.emit(
             RecoveryEvent(
                 iteration=iteration, action=action, trigger=trigger, detail=detail

@@ -14,6 +14,7 @@ from repro.core.convergence import (
 from repro.core.standard import conjugate_gradient
 from repro.core.stopping import StoppingCriterion
 from repro.core.vr_cg import vr_conjugate_gradient
+from repro.faults import RecoveryPolicy
 from repro.sparse.generators import poisson2d
 from repro.telemetry import Telemetry
 from repro.util.rng import default_rng, spd_test_matrix
@@ -79,7 +80,7 @@ class TestAgainstSolvers:
         tele = Telemetry(capture_iterates=True, count_ops=False)
         vr_conjugate_gradient(
             a, b, k=2, stop=StoppingCriterion(rtol=1e-10),
-            replace_every=6, telemetry=tele,
+            recovery=RecoveryPolicy(replace_every=6), telemetry=tele,
         )
         assert check_against_bound(a, b, tele.iterates)
 

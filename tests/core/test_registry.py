@@ -15,6 +15,7 @@ from repro import Telemetry, available_methods, poisson2d, solve
 from repro.core.results import CGResult
 from repro.core.stopping import StoppingCriterion
 from repro.distributed.comm import CommStats
+from repro.faults import PerturbInjector
 from repro.registry import SolverEntry, method_entry, register
 
 EXPECTED_METHODS = {
@@ -106,15 +107,34 @@ def test_vr_precond_strings(system, precond):
 
 
 @pytest.mark.parametrize("precond", ["ssor", "chebyshev"])
-def test_vr_precond_refuses_drift_tol(system, precond):
-    """The preconditioned vr drivers have no drift detector: a drift
-    tolerance is refused rather than silently swapped for periodic
-    replacement.  An explicit ``None`` is the default and stays valid."""
+def test_vr_precond_takes_recovery(system, precond):
+    """The preconditioned vr drivers take ``recovery=`` as the plain loop
+    does: a drift preset repairs the inner iteration on ``Ã``, and an
+    explicit ``None`` runs it unrepaired."""
     a, b = system
-    with pytest.raises(ValueError, match="replace_every="):
-        solve(a, b, "vr", precond=precond, replace_drift_tol=1e-3)
-    result = solve(a, b, "vr", precond=precond, replace_drift_tol=None)
+    tele = Telemetry()
+    result = solve(a, b, "vr", precond=precond, recovery="drift", telemetry=tele)
     assert result.converged
+    assert tele.events_of("drift")
+    result = solve(a, b, "vr", precond=precond, recovery=None)
+    assert "recoveries" not in result.extras
+
+
+@pytest.mark.parametrize(
+    "method, options",
+    [
+        ("cg", {"recovery": "drift"}),
+        ("pipelined-vr", {"recovery": "drift"}),
+        ("vr", {"faults": [PerturbInjector(site="dot", at_iteration=2)]}),
+    ],
+    ids=["cg-recovery", "pipelined-vr-recovery", "vr-faults"],
+)
+def test_precond_refuses_what_its_driver_cannot_take(system, method, options):
+    """With a preconditioner only vr takes ``recovery=``, and no
+    driver takes ``faults=``."""
+    a, b = system
+    with pytest.raises(ValueError, match="preconditioned drivers"):
+        solve(a, b, method, precond="jacobi", **options)
 
 
 def test_precond_rejected_for_non_supporting_method(system):
@@ -180,24 +200,21 @@ def test_dist_methods_accept_nranks(system):
 
 
 def test_vr_default_stabilization_can_be_disabled(system):
-    """``replace_drift_tol=None`` explicitly opts out of the default."""
+    """vr defaults to the ``drift`` preset; ``recovery=None`` explicitly
+    opts out of the default."""
     a, b = system
+    stop = StoppingCriterion(rtol=1e-7)
     tele = Telemetry()
-    solve(a, b, "vr", telemetry=tele, stop=StoppingCriterion(rtol=1e-7))
-    assert tele.events_of("solve_start")[0].options["replace_drift_tol"] == 1e-6
+    result = solve(a, b, "vr", telemetry=tele, stop=stop)
+    assert tele.events_of("drift")
+    assert result.extras["recoveries"] == solve(
+        a, b, "vr", recovery="drift", stop=stop
+    ).extras["recoveries"]
 
     tele2 = Telemetry()
-    solve(
-        a,
-        b,
-        "vr",
-        replace_every=8,
-        telemetry=tele2,
-        stop=StoppingCriterion(rtol=1e-7),
-    )
-    opts = tele2.events_of("solve_start")[0].options
-    assert opts["replace_every"] == 8
-    assert opts["replace_drift_tol"] is None
+    result = solve(a, b, "vr", recovery=None, telemetry=tele2, stop=stop)
+    assert "recoveries" not in result.extras
+    assert not tele2.events_of("drift")
 
 
 # ----------------------------------------------------------------------

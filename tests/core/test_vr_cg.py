@@ -9,6 +9,7 @@ from repro.core.results import StopReason
 from repro.core.standard import conjugate_gradient
 from repro.core.stopping import StoppingCriterion
 from repro.core.vr_cg import VRState, vr_conjugate_gradient
+from repro.faults import RecoveryPolicy
 from repro.telemetry import Telemetry
 from repro.util.counters import counting
 from repro.util.rng import default_rng, spd_test_matrix
@@ -37,7 +38,8 @@ class TestEquivalence:
         b = rhs(poisson_small.nrows)
         ref = conjugate_gradient(poisson_small, b, stop=TIGHT)
         res = vr_conjugate_gradient(
-            poisson_small, b, k=k, stop=TIGHT, replace_every=5
+            poisson_small, b, k=k, stop=TIGHT,
+            recovery=RecoveryPolicy(replace_every=5),
         )
         assert res.converged
         assert abs(res.iterations - ref.iterations) <= 1
@@ -122,7 +124,7 @@ class TestAdaptiveReplacement:
         ref = conjugate_gradient(a, b, stop=stop)
         bare = vr_conjugate_gradient(a, b, k=4, stop=stop)
         adaptive = vr_conjugate_gradient(
-            a, b, k=4, stop=stop, replace_drift_tol=1e-6
+            a, b, k=4, stop=stop, recovery="drift"
         )
         assert not bare.converged  # drift kills the pure algorithm here
         assert adaptive.converged
@@ -133,7 +135,7 @@ class TestAdaptiveReplacement:
             res = vr_conjugate_gradient(
                 small_spd_dense, rhs(24), k=1,
                 stop=StoppingCriterion(rtol=1e-6, max_iter=30),
-                replace_drift_tol=1e-4,
+                recovery=RecoveryPolicy(drift_tol=1e-4),
             )
         checks = c.labelled("drift_check_dot")
         assert res.iterations - 1 <= checks <= res.iterations
@@ -145,13 +147,17 @@ class TestAdaptiveReplacement:
         b = rhs(a.nrows)
         stop = StoppingCriterion(rtol=1e-8, max_iter=1500)
         with counting() as c_tight:
-            vr_conjugate_gradient(a, b, k=3, stop=stop, replace_drift_tol=1e-12)
+            vr_conjugate_gradient(
+                a, b, k=3, stop=stop, recovery=RecoveryPolicy(drift_tol=1e-12)
+            )
         with counting() as c_loose:
-            vr_conjugate_gradient(a, b, k=3, stop=stop, replace_drift_tol=1e-2)
+            vr_conjugate_gradient(
+                a, b, k=3, stop=stop, recovery=RecoveryPolicy(drift_tol=1e-2)
+            )
         assert c_tight.labelled("rebuild_dot") >= c_loose.labelled("rebuild_dot")
 
     def test_machine_zero_convergence_with_drift_detector(self):
-        """Regression (ISSUE 2): with ``replace_drift_tol`` set, a solve
+        """Regression: with a drift detector armed, a solve
         driven to machine-zero residuals must neither divide by the
         underflowed direct ``(r, r)`` (inf/nan drift) nor fire spurious
         drift replacements below the stopping threshold."""
@@ -164,7 +170,7 @@ class TestAdaptiveReplacement:
                 b,
                 k=1,
                 stop=StoppingCriterion(rtol=1e-14, max_iter=200),
-                replace_drift_tol=1e-8,
+                recovery=RecoveryPolicy(drift_tol=1e-8),
                 telemetry=tele,
             )
         assert res.converged
@@ -186,12 +192,14 @@ class TestAdaptiveReplacement:
             b,
             k=1,
             stop=StoppingCriterion(rtol=1e-6, max_iter=100),
-            replace_drift_tol=1e-300,  # would fire on ANY computed gap
+            # would fire on ANY computed gap
+            recovery=RecoveryPolicy(drift_tol=1e-300),
             telemetry=tele,
         )
         assert res.converged
         drift_fires = [
-            e for e in tele.events_of("replacement") if e.trigger == "drift"
+            e for e in tele.events_of("recovery")
+            if e.action == "replace" and e.trigger == "drift"
         ]
         # a 4x4 well-separated diagonal converges in <= 4 exact steps;
         # every drift event the detector did compute stayed finite
@@ -200,9 +208,10 @@ class TestAdaptiveReplacement:
             assert np.isfinite(event.drift)
 
     def test_invalid_tol(self, small_spd_dense):
-        with pytest.raises(ValueError, match="replace_drift_tol"):
+        with pytest.raises(ValueError, match="drift_tol"):
             vr_conjugate_gradient(
-                small_spd_dense, np.ones(24), k=1, replace_drift_tol=0.0
+                small_spd_dense, np.ones(24), k=1,
+                recovery=RecoveryPolicy(drift_tol=0.0),
             )
 
     def test_composes_with_periodic(self, rhs):
@@ -212,7 +221,7 @@ class TestAdaptiveReplacement:
         b = rhs(a.nrows)
         res = vr_conjugate_gradient(
             a, b, k=2, stop=StoppingCriterion(rtol=1e-8, max_iter=1000),
-            replace_every=10, replace_drift_tol=1e-8,
+            recovery=RecoveryPolicy(replace_every=10, drift_tol=1e-8),
         )
         assert res.converged
 
@@ -245,9 +254,10 @@ class TestRobustness:
             vr_conjugate_gradient(small_spd_dense, np.ones(24), k=-1)
 
     def test_invalid_replace_every(self, small_spd_dense):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="replace_every"):
             vr_conjugate_gradient(
-                small_spd_dense, np.ones(24), k=1, replace_every=0
+                small_spd_dense, np.ones(24), k=1,
+                recovery=RecoveryPolicy(replace_every=0),
             )
 
     def test_shape_mismatch(self, small_spd_dense):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.standard import conjugate_gradient
 from repro.core.stopping import StoppingCriterion
+from repro.faults import RecoveryPolicy
 from repro.precond import (
     ICholPrecond,
     IdentityPrecond,
@@ -89,20 +90,28 @@ class TestVRPCG:
         a, b = problem
         m = precond_factory(a)
         ref = preconditioned_cg(a, b, precond=m, stop=STOP)
-        res = vr_pcg(a, b, precond=m, k=2, stop=STOP, replace_every=6)
+        res = vr_pcg(
+            a, b, precond=m, k=2, stop=STOP, recovery=RecoveryPolicy(replace_every=6)
+        )
         assert res.converged
         assert abs(res.iterations - ref.iterations) <= 2
         np.testing.assert_allclose(res.x, ref.x, atol=1e-6)
 
     def test_label(self, problem):
         a, b = problem
-        res = vr_pcg(a, b, precond=JacobiPrecond(a), k=3, stop=STOP, replace_every=6)
+        res = vr_pcg(
+            a, b, precond=JacobiPrecond(a), k=3, stop=STOP,
+            recovery=RecoveryPolicy(replace_every=6),
+        )
         assert res.label == "vr-pcg(k=3)"
 
     def test_x0_supported(self, problem):
         a, b = problem
         x0 = default_rng(72).standard_normal(a.nrows)
-        res = vr_pcg(a, b, precond=JacobiPrecond(a), k=1, stop=STOP, replace_every=6, x0=x0)
+        res = vr_pcg(
+            a, b, precond=JacobiPrecond(a), k=1, stop=STOP,
+            recovery=RecoveryPolicy(replace_every=6), x0=x0,
+        )
         assert res.converged
         assert res.true_residual_norm < 1e-6
 

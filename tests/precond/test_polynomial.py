@@ -8,6 +8,7 @@ import pytest
 from repro.core.lanczos import estimate_spectrum_via_cg
 from repro.core.standard import conjugate_gradient
 from repro.core.stopping import StoppingCriterion
+from repro.faults import RecoveryPolicy
 from repro.precond.polynomial import (
     ChebyshevPolyPrecond,
     polynomial_pcg,
@@ -109,7 +110,9 @@ class TestSolvers:
         a, b, bounds = problem
         m = ChebyshevPolyPrecond(a, bounds, degree=4)
         ref = polynomial_pcg(a, b, precond=m, stop=STOP)
-        res = vr_poly_pcg(a, b, precond=m, k=2, stop=STOP, replace_every=8)
+        res = vr_poly_pcg(
+            a, b, precond=m, k=2, stop=STOP, recovery=RecoveryPolicy(replace_every=8)
+        )
         assert res.converged
         assert abs(res.iterations - ref.iterations) <= 2
         np.testing.assert_allclose(res.x, ref.x, atol=1e-5)
@@ -137,6 +140,9 @@ class TestSolvers:
         m = ChebyshevPolyPrecond(a, bounds, degree=2)
         assert polynomial_pcg(a, b, precond=m, stop=STOP).label == "poly-pcg"
         assert (
-            vr_poly_pcg(a, b, precond=m, k=1, stop=STOP, replace_every=8).label
+            vr_poly_pcg(
+                a, b, precond=m, k=1, stop=STOP,
+                recovery=RecoveryPolicy(replace_every=8),
+            ).label
             == "vr-poly-pcg(k=1)"
         )

@@ -318,11 +318,8 @@ class TestAdaptiveSolvers:
         assert "adaptive" in kinds
         actions = [e.action for e in sink.events if e.kind == "adaptive"]
         assert "shrink" in actions
-        # every resize is visible as a replacement event too
-        assert any(
-            e.kind == "replacement" and e.trigger == "adaptive"
-            for e in sink.events
-        )
+        # every decision is reported once, as its adaptive event
+        assert len(actions) == len(res.extras["adaptive"]["decisions"])
 
 
 def _lowrank_full():

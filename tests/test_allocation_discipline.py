@@ -92,11 +92,9 @@ class TestSteadyStateAllocations:
         )
 
     def test_vr_steady_state_allocates_no_arrays(self):
-        # Stabilization knobs off: replacement rebuilds the power block
-        # (a legitimate allocation) and would pollute the measurement.
-        result, probe = _run_probed(
-            vr_conjugate_gradient, k=2, replace_every=None, replace_drift_tol=None
-        )
+        # Repair off: replacement rebuilds the power block (a legitimate
+        # allocation) and would pollute the measurement.
+        result, probe = _run_probed(vr_conjugate_gradient, k=2, recovery=None)
         assert result.iterations > 10
         steady = probe.steady_deltas()
         assert steady, "not enough iterations to measure steady state"

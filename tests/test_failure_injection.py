@@ -17,6 +17,7 @@ from repro.core.pipeline import pipelined_vr_cg
 from repro.core.standard import conjugate_gradient
 from repro.core.stopping import StoppingCriterion
 from repro.core.vr_cg import vr_conjugate_gradient
+from repro.faults import RecoveryPolicy
 from repro.precond import ICholPrecond, JacobiPrecond, SSORPrecond, preconditioned_cg
 from repro.sparse.csr import from_dense
 from repro.sparse.linop import CallableOperator
@@ -169,7 +170,7 @@ class TestSoftErrorRecovery:
             a, b, k=2,
             stop=StoppingCriterion(rtol=1e-8, max_iter=400),
             telemetry=Telemetry(on_state=corrupt, count_ops=False),
-            replace_drift_tol=drift_tol,
+            recovery=None if drift_tol is None else RecoveryPolicy(drift_tol=drift_tol),
         )
         return res, hit["done"]
 

@@ -215,7 +215,8 @@ class TestRecoveryPolicy:
         a, b = problem
         from repro.core.vr_cg import vr_conjugate_gradient
 
-        with pytest.raises(ValueError, match="not both"):
+        # recovery= is the one spelling: the legacy knob is no parameter
+        with pytest.raises(TypeError, match="replace_every"):
             vr_conjugate_gradient(
                 a, b, k=2, stop=STOP, replace_every=5, recovery="drift"
             )
@@ -243,6 +244,88 @@ class TestRecoveryPolicy:
         assert policy.max_restarts > 0
         with pytest.raises(UnrecoverableDivergence):
             solve(a, b, "dist-pipelined-vr", stop=STOP, faults=plan, recovery=policy)
+
+
+# ----------------------------------------------------------------------
+# one spelling of repair on both VR loops
+# ----------------------------------------------------------------------
+VR_LOOPS = ("vr", "pipelined-vr")
+
+
+@pytest.fixture(scope="module")
+def drifting():
+    """poisson2d(16) at k=4: drift repair converges, the unrepaired
+    recurrence breaks down."""
+    a = poisson2d(16)
+    return a, default_rng(0).standard_normal(a.nrows)
+
+
+@pytest.mark.parametrize("method", VR_LOOPS)
+def test_recovery_none_is_no_repair_at_the_front_door(drifting, method):
+    a, b = drifting
+    xs = {}
+    for spec in (None, "none"):
+        tele = Telemetry()
+        result = solve(a, b, method, k=4, recovery=spec, telemetry=tele)
+        assert not tele.events_of("recovery")
+        assert "recoveries" not in result.extras
+        xs[spec] = result.x.tobytes()
+    assert xs[None] == xs["none"]
+
+
+@pytest.mark.parametrize("method", VR_LOOPS)
+def test_recovery_none_is_no_repair_on_the_cli(drifting, method, tmp_path):
+    import json
+
+    from repro.cli import main
+
+    a, b = drifting
+    events, out = tmp_path / "run.jsonl", tmp_path / "x.txt"
+    main(
+        [
+            "solve", "--generate", "poisson2d", "--size", "16", "--seed", "0",
+            "--method", method, "--k", "4", "--recovery", "none",
+            "--telemetry", str(events), "--out", str(out),
+        ]
+    )
+    kinds = {json.loads(line)["kind"] for line in events.read_text().splitlines()}
+    assert "recovery" not in kinds
+    x = solve(a, b, method, k=4, recovery="none").x
+    assert np.loadtxt(out).tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("method", VR_LOOPS)
+def test_every_repair_restarts_the_periodic_cadence(drifting, method):
+    """A periodic replacement fires ``replace_every`` iterations after the
+    previous repair, whatever detector booked that one."""
+    a, b = drifting
+    every = 10
+    tele = Telemetry()
+    solve(
+        a, b, method, k=4, telemetry=tele,
+        recovery=RecoveryPolicy(drift_tol=1e-6, replace_every=every),
+    )
+    repairs = [e for e in tele.events_of("recovery") if e.action != "recompute"]
+    assert repairs
+    last = 0
+    for event in repairs:
+        gap = event.iteration - last
+        assert gap == every if event.trigger == "periodic" else gap <= every
+        last = event.iteration
+
+
+def test_verified_repairs_pipelined_vr():
+    """The pipeline cannot adopt a recomputed window: its verify is the
+    sampled drift check at ``verify_rtol``, and a miss refills."""
+    a = poisson2d(32)
+    b = np.random.default_rng(0).standard_normal(a.nrows)
+    tele = Telemetry()
+    result = solve(a, b, "pipelined-vr", recovery="verified", telemetry=tele)
+    assert result.converged
+    repairs = {(e.action, e.trigger) for e in tele.events_of("recovery")}
+    assert ("replace", "verify") in repairs
+    threshold = StoppingCriterion().threshold(float(np.linalg.norm(b)))
+    assert result.true_residual_norm <= threshold
 
 
 # ----------------------------------------------------------------------
@@ -343,7 +426,7 @@ class TestAcceptanceCriterion:
         capped = StoppingCriterion(rtol=1e-8, max_iter=2 * baseline.iterations)
         result = solve(
             a, b, "vr", k=self.K, stop=capped,
-            faults=plan, replace_drift_tol=None,
+            faults=plan, recovery=None,
         )
         assert not result.converged
 

@@ -21,6 +21,7 @@ from repro import (
     poisson2d,
     vr_conjugate_gradient,
 )
+from repro.faults import RecoveryPolicy
 from repro.machine import build_cg_dag, measure_cg_depth
 from repro.sparse import read_matrix_market, write_matrix_market
 from repro.util.rng import default_rng
@@ -38,7 +39,7 @@ class TestPublicApi:
         """The README quickstart, as a test."""
         a = poisson2d(16)
         b = np.ones(a.nrows)
-        result = vr_conjugate_gradient(a, b, k=3, replace_every=10)
+        result = vr_conjugate_gradient(a, b, k=3, recovery="periodic")
         assert result.converged
         assert "vr-cg(k=3)" in result.summary()
 
@@ -63,7 +64,9 @@ class TestEndToEnd:
         stop = StoppingCriterion(rtol=1e-9, max_iter=500)
         xs = [
             conjugate_gradient(a, b, stop=stop).x,
-            vr_conjugate_gradient(a, b, k=2, stop=stop, replace_every=6).x,
+            vr_conjugate_gradient(
+                a, b, k=2, stop=stop, recovery=RecoveryPolicy(replace_every=6)
+            ).x,
             pipelined_vr_cg(a, b, k=2, stop=stop).x,
         ]
         np.testing.assert_allclose(xs[1], xs[0], atol=1e-6)

@@ -26,6 +26,7 @@ from repro.core.moments import MomentWindow
 from repro.core.standard import conjugate_gradient
 from repro.core.stopping import StoppingCriterion
 from repro.core.vr_cg import vr_conjugate_gradient
+from repro.faults import RecoveryPolicy
 from repro.sparse.csr import from_dense
 from repro.sparse.generators import banded_spd
 from repro.sparse.reorder import permute_symmetric, rcm_permutation
@@ -202,7 +203,9 @@ class TestSolverAgreement:
             res = solver(a, b, stop=stop)
             assert res.converged
             np.testing.assert_allclose(res.x, ref.x, atol=1e-5)
-        vr = vr_conjugate_gradient(a, b, k=2, stop=stop, replace_every=6)
+        vr = vr_conjugate_gradient(
+            a, b, k=2, stop=stop, recovery=RecoveryPolicy(replace_every=6)
+        )
         assert vr.converged
         np.testing.assert_allclose(vr.x, ref.x, atol=1e-5)
 

@@ -16,6 +16,7 @@ from repro.core.pipeline import pipelined_vr_cg
 from repro.core.standard import conjugate_gradient
 from repro.core.stopping import StoppingCriterion
 from repro.core.vr_cg import vr_conjugate_gradient
+from repro.faults import RecoveryPolicy
 from repro.precond import (
     ChebyshevPolyPrecond,
     JacobiPrecond,
@@ -54,15 +55,16 @@ SOLVERS = {
         spectrum_bounds=_bounds(a), stop=STOP,
     ),
     "vr-adaptive": lambda a, b: vr_conjugate_gradient(
-        a, b, k=2, stop=STOP, replace_drift_tol=1e-6
+        a, b, k=2, stop=STOP, recovery="drift"
     ),
     "vr-periodic": lambda a, b: vr_conjugate_gradient(
-        a, b, k=3, stop=STOP, replace_every=6
+        a, b, k=3, stop=STOP, recovery=RecoveryPolicy(replace_every=6)
     ),
     "pipelined-vr": lambda a, b: pipelined_vr_cg(a, b, k=2, stop=STOP),
     "pcg-jacobi": lambda a, b: preconditioned_cg(a, b, precond=JacobiPrecond(a), stop=STOP),
     "vr-pcg-ssor": lambda a, b: vr_pcg(
-        a, b, precond=SSORPrecond(a, omega=1.1), k=2, stop=STOP, replace_every=6
+        a, b, precond=SSORPrecond(a, omega=1.1), k=2, stop=STOP,
+        recovery=RecoveryPolicy(replace_every=6),
     ),
     "poly-pcg": lambda a, b: polynomial_pcg(
         a, b, precond=ChebyshevPolyPrecond(a, _bounds(a), degree=3), stop=STOP

@@ -60,13 +60,13 @@ def test_event_ring_is_bounded():
     tele.solve_start("vr", "vr", 4)
     for i in range(50):
         tele.iteration(i, 1.0 / (i + 1))
-        tele.replacement(i, "drift")
+        tele.recovery(i, "replace", "drift")
     bundle = recorder.snapshot("manual")
     tail = bundle["telemetry_tail"]
     assert len(tail) == 8
     # The recorder reads the solve record: iterations never enter the
-    # ring, the events it still receives (replacements here) fill it...
-    assert {event["kind"] for event in tail} == {"replacement"}
+    # ring, the events it still receives (repairs here) fill it...
+    assert {event["kind"] for event in tail} == {"recovery"}
     # ...and the per-solve residual history is complete regardless.
     assert len(bundle["residual_norms"]) == 50
 

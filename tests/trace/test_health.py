@@ -282,7 +282,7 @@ def test_default_vr_does_not_flap(grid):
     tele = Telemetry(sink, MetricsSink(reg), health=HealthMonitor())
     result = solve(a, b, "vr", telemetry=tele)
     assert result.converged
-    assert sink.of_kind("replacement"), "the drift repair never fired"
+    assert sink.of_kind("recovery"), "the drift repair never fired"
     assert not [e for e in sink.of_kind("health") if e.reason == "drift"]
     status = [
         float(line.split()[-1]) for line in reg.to_prometheus().splitlines()

@@ -35,8 +35,8 @@ from repro.telemetry import (
     NullSink,
     PhaseEvent,
     PipelineEvent,
+    RecoveryEvent,
     ReductionEvent,
-    ReplacementEvent,
     SolveEndEvent,
     SolveStartEvent,
     Telemetry,
@@ -58,7 +58,7 @@ def test_payloads_are_flat_json_with_kind_first():
         SolveStartEvent(method="vr", label="vr-cg(k=2)", n=64, options={"k": 2}),
         IterationEvent(iteration=3, residual_norm=1e-4, lam=0.5, recurred_rr=1e-8),
         DriftEvent(iteration=3, recurred_rr=1.0, direct_rr=2.0, drift=0.5),
-        ReplacementEvent(iteration=4, trigger="drift"),
+        RecoveryEvent(iteration=4, action="replace", trigger="drift", detail=2e-6),
         PipelineEvent(op="launch", iteration=1, source_iteration=1, count=18),
         ReductionEvent(op="allreduce", iteration=2, nranks=4, words=1),
         PhaseEvent(name="startup", seconds=0.01),
@@ -86,7 +86,7 @@ def test_event_kinds_are_distinct():
             IterationEvent,
             DriftEvent,
             AdaptiveEvent,
-            ReplacementEvent,
+            RecoveryEvent,
             PipelineEvent,
             ReductionEvent,
             PhaseEvent,
@@ -103,7 +103,7 @@ def test_event_kinds_are_distinct():
 def test_memory_sink_stores_and_filters():
     sink = MemorySink()
     sink.emit(IterationEvent(iteration=1, residual_norm=1.0))
-    sink.emit(ReplacementEvent(iteration=1, trigger="periodic"))
+    sink.emit(RecoveryEvent(iteration=1, action="replace", trigger="periodic"))
     assert len(sink.events) == 2
     assert [e.kind for e in sink.of_kind("iteration")] == ["iteration"]
     sink.clear()
@@ -139,13 +139,15 @@ def test_jsonl_sink_writes_one_object_per_line():
 def test_jsonl_sink_owns_path(tmp_path):
     path = tmp_path / "run.jsonl"
     sink = JsonlSink(path)
-    sink.emit(ReplacementEvent(iteration=7, trigger="drift"))
+    sink.emit(RecoveryEvent(iteration=7, action="replace", trigger="drift"))
     sink.close()
     [line] = path.read_text().strip().splitlines()
     assert json.loads(line) == {
-        "kind": "replacement",
+        "kind": "recovery",
         "iteration": 7,
+        "action": "replace",
         "trigger": "drift",
+        "detail": 0.0,
     }
 
 
@@ -259,7 +261,7 @@ def test_on_state_replaces_observer(system):
     a, b = system
     states: list[VRState] = []
     tele = Telemetry(on_state=states.append)
-    result = vr_conjugate_gradient(a, b, k=2, replace_every=10, telemetry=tele)
+    result = vr_conjugate_gradient(a, b, k=2, recovery="periodic", telemetry=tele)
     # the converging iteration breaks out before the end-of-body state hook
     assert len(states) == result.iterations - 1
     assert all(isinstance(s, VRState) for s in states)
@@ -290,8 +292,8 @@ def test_drift_helper_computes_relative_gap():
 def test_telemetry_context_manager_closes_sinks(tmp_path):
     path = tmp_path / "events.jsonl"
     with Telemetry(JsonlSink(path)) as tele:
-        tele.replacement(1, "periodic")
-    assert json.loads(path.read_text())["kind"] == "replacement"
+        tele.recovery(1, "replace", "periodic")
+    assert json.loads(path.read_text())["kind"] == "recovery"
 
 
 def test_multiple_sinks_receive_every_event():
@@ -306,7 +308,7 @@ def test_vr_stream_has_drift_and_replacement_events(system):
     a, b = system
     tele = Telemetry()
     vr_conjugate_gradient(
-        a, b, k=2, replace_drift_tol=1e-6, telemetry=tele,
+        a, b, k=2, recovery="drift", telemetry=tele,
         stop=StoppingCriterion(rtol=1e-10),
     )
     assert tele.events_of("drift"), "drift checks should be narrated"
