@@ -10,6 +10,12 @@ Two measurements on the model problem:
 * **allocation counts** -- tracemalloc-measured bytes per call for both
   arms (the ``out=`` arm must not allocate anything vector-sized), plus
   per-iteration steady-state allocations of a full CG solve.
+* **concurrent_cg** -- 8 cg solves on poisson2d(128) on a 2-thread
+  ``ThreadPoolExecutor`` against the same 8 in sequence, alternating
+  which runs first in each repeat: each arm's median and quartiles, a
+  ``host`` block, and a check that the pool returns the sequence's x
+  bytes.  Every solve keeps to its calling thread, so on a multi-core
+  host the pool should be no slower than the sequence.
 
 Running the script writes the numbers to ``BENCH_perf.json`` at the
 repository root (the pytest test writes to its temporary directory);
@@ -20,12 +26,16 @@ repository root (the pytest test writes to its temporary directory);
 from __future__ import annotations
 
 import json
+import os
+import platform
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
+from repro import solve
 from repro.core.standard import conjugate_gradient
 from repro.core.stopping import StoppingCriterion
 from repro.sparse import poisson2d
@@ -120,19 +130,82 @@ def _solve_allocation_profile(a, b, stop) -> dict:
     }
 
 
+def _host() -> dict:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy < 1.25 prints its config only
+        blas = "unknown"
+    return {
+        "cpu_count": os.cpu_count() or 1,
+        "numpy": np.__version__,
+        "blas": blas,
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+    }
+
+
+def _concurrent_cg(grid: int, solves: int, workers: int, repeats: int) -> dict:
+    """``solves`` cg solves on a ``workers``-thread pool against the same
+    solves in sequence; the arms alternate which runs first."""
+    a = poisson2d(grid)
+    bs = [default_rng(40 + i).standard_normal(a.nrows) for i in range(solves)]
+
+    def one(b):
+        return solve(a, b, "cg")
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        arms = {
+            "pool": lambda: list(pool.map(one, bs)),
+            "sequence": lambda: [one(b) for b in bs],
+        }
+        seconds: dict[str, list[float]] = {name: [] for name in arms}
+        results: dict[str, list] = {}
+        for name, fn in arms.items():  # both arms warm before timing
+            results[name] = fn()
+        for i in range(repeats):
+            for name in sorted(arms, reverse=bool(i % 2)):
+                t0 = time.perf_counter()
+                results[name] = arms[name]()
+                seconds[name].append(time.perf_counter() - t0)
+    for p, q in zip(results["pool"], results["sequence"]):
+        if p.x.tobytes() != q.x.tobytes():
+            raise AssertionError("the pool's x bytes differ from the sequence's")
+    record = {
+        "operator": f"poisson2d({grid})",
+        "n": a.nrows,
+        "solves": solves,
+        "workers": workers,
+        "repeats": repeats,
+        "statistic": "median; quartiles are [q1, q3] in seconds",
+    }
+    for name, samples in seconds.items():
+        q1, med, q3 = np.percentile(samples, [25, 50, 75])
+        record[f"{name}_seconds"] = float(med)
+        record[f"{name}_quartiles"] = [float(q1), float(q3)]
+    record["speedup"] = record["sequence_seconds"] / record["pool_seconds"]
+    record["iterations"] = [int(r.iterations) for r in results["sequence"]]
+    record["host"] = _host()
+    return record
+
+
 def run(
     *,
     grid: int = DEFAULT_GRID,
     rtol: float = 1e-8,
     repeats: int = 20,
     solve_grid: int = 96,
+    concurrent_grid: int = 128,
+    concurrent_repeats: int = 7,
     out_path: Path | str | None = DEFAULT_OUT,
 ) -> dict:
     """Measure the CSR products; return (and optionally write) the record.
 
     ``grid`` sizes the matvec arms (grid 320 gives n = 102,400 rows);
     ``solve_grid`` sizes the full-solve allocation section, which runs
-    dozens of iterations and can be smaller.
+    dozens of iterations and can be smaller; ``concurrent_grid`` and
+    ``concurrent_repeats`` size the ``concurrent_cg`` record.
     """
     a = poisson2d(grid)
     x = default_rng(3).standard_normal(a.nrows)
@@ -149,6 +222,9 @@ def run(
         "repeats": repeats,
         **_matvec_arms(a, x, repeats),
         "solve_allocations": _solve_allocation_profile(a_small, b_small, stop),
+        "concurrent_cg": _concurrent_cg(
+            concurrent_grid, solves=8, workers=2, repeats=concurrent_repeats
+        ),
     }
     if out_path is not None:
         Path(out_path).write_text(json.dumps(payload, indent=2) + "\n")
@@ -156,13 +232,16 @@ def run(
 
 
 def test_backend_kernel_performance(tmp_path):
-    """The solve path's ``out=`` product allocates nothing vector-sized."""
+    """The solve path's ``out=`` product allocates nothing vector-sized,
+    and concurrent solves return the sequence's bytes (smoke scale)."""
     out = tmp_path / DEFAULT_OUT.name
-    payload = run(out_path=out)
+    payload = run(out_path=out, concurrent_grid=24, concurrent_repeats=2)
     assert payload["n"] >= 100_000
     assert payload["out_matvec_allocs"]["peak_bytes"] < payload["n"] // 2, (
         payload["out_matvec_allocs"]
     )
+    concurrent = payload["concurrent_cg"]
+    assert len(concurrent["iterations"]) == 8
     assert out.exists()
 
 

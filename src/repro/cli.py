@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.stopping import StoppingCriterion
-from repro.registry import available_methods, batched_methods, method_entry
+from repro.registry import available_methods, batched_methods
 from repro.registry import solve as registry_solve
 from repro.registry import solve_batched as registry_solve_batched
 from repro.sparse.csr import CSRMatrix
@@ -197,14 +197,7 @@ def _solve(args) -> int:
             raise SystemExit(f"--inject-fault: {exc}") from exc
         options["faults"] = FaultPlan(injectors, seed=args.fault_seed)
     if args.recovery == "none":
-        # Sent as None, which overrides the vr-family repair defaults.
-        # Methods without recovery support, and the preconditioned
-        # drivers other than vr's, take no recovery= at all, so it is
-        # dropped there.
-        if method_entry(method).supports_recovery and (
-            precond is None or method == "vr"
-        ):
-            options["recovery"] = None
+        options["recovery"] = None  # overrides the vr-family repair defaults
     elif args.recovery is not None:
         options["recovery"] = args.recovery
 

@@ -80,14 +80,6 @@ class RecoveryPolicy:
                 f"got {self.on_unrecoverable!r}"
             )
 
-    @property
-    def checks_anything(self) -> bool:
-        return (
-            self.replace_every is not None
-            or self.drift_tol is not None
-            or self.verify_every is not None
-        )
-
     @classmethod
     def from_spec(cls, spec) -> "RecoveryPolicy | None":
         """Coerce the ``recovery=`` solver argument.

@@ -468,6 +468,15 @@ def solve(
             "nor is recovery= except on 'vr'; drop precond= or "
             "faults=/recovery="
         )
+    # An explicit None asks for no faults / no repair: what a runner that
+    # takes no such argument does anyway.
+    takes = {
+        "faults": entry.supports_faults and precond is None,
+        "recovery": entry.supports_recovery and (precond is None or entry.name == "vr"),
+    }
+    for key, taken in takes.items():
+        if not taken and key in options and options[key] is None:
+            del options[key]
     _notify_solve_call(telemetry, a, b, entry.name, options)
     result = _run_guarded(
         lambda: entry.runner(
@@ -510,17 +519,24 @@ def effective_stop(a: Any, b: Any, options: dict) -> Any:
     x0 = options.get("x0")
     if x0 is None:
         return stop
+    from repro.util.kernels import inner
+
     try:
         arr = np.asarray(b)
         if arr.dtype.kind not in "fc":
             arr = arr.astype(np.float64)
-        b_norm = float(np.linalg.norm(arr))
+        if arr.ndim != 1:
+            return stop  # malformed b: the solver's own validation diagnoses it
+        # The solver's reduction, on the calling thread; front-door work,
+        # so no dot is booked.
+        b_norm = float(np.sqrt(inner(arr, arr)))
         if stop.threshold(b_norm) > 0.0:
             return stop
         x0_arr = np.asarray(x0)
         matvec = getattr(a, "matvec", None)
         ax0 = matvec(x0_arr) if callable(matvec) else a @ x0_arr
-        r0_norm = float(np.linalg.norm(arr - ax0))
+        r0 = arr - ax0
+        r0_norm = float(np.sqrt(inner(r0, r0)))
     except Exception:
         return stop  # malformed b/x0: the solver's own validation diagnoses it
     return stop.with_initial_residual(b_norm, r0_norm)
@@ -714,6 +730,10 @@ def solve_batched(
             "batched solves do not support fault injection or recovery "
             "(faults=/recovery=); use the single-RHS solve() path"
         )
+    # Either is at most an explicit None here, which asks for what the
+    # batched runner, taking neither, does anyway.
+    options.pop("faults", None)
+    options.pop("recovery", None)
     telemetry = _consume_trace(telemetry, options)
     _notify_solve_call(telemetry, a, b, entry.name, options)
     result = _run_guarded(

@@ -16,6 +16,12 @@ Following the HPC guide idioms, the update kernels offer ``out=`` and
 ``work=`` arguments so steady-state solver loops allocate nothing per
 iteration.
 
+Every kernel runs on the calling thread, so a solve uses one core and
+sums in the same order whatever the BLAS thread count: :func:`dot`
+hands only vectors of at most :data:`BLAS_DOT_MAX` entries to BLAS,
+which keeps those on the calling thread.  The module changes no BLAS
+setting of the process.
+
 The block kernels (:func:`block_dot`, :func:`block_step`,
 :func:`block_aypx`) work on C-contiguous ``(n, m)`` column blocks with a
 scalar per column.  numpy cannot coalesce a per-column scalar into one
@@ -44,6 +50,7 @@ from repro.util.counters import add_axpy, add_block_dot, add_dot
 __all__ = [
     "dot",
     "norm",
+    "inner",
     "axpy",
     "axpby",
     "scale",
@@ -61,6 +68,20 @@ __all__ = [
 #: on a 2-vCPU x86_64 host, numpy 2.4, at (n, m) = (16,384, 2),
 #: (16,384, 8), (1,024, 8) and ELL (576, 4 / 16 / 64)).
 FOLD_WIDTH = 512
+
+#: Longest vector whose inner product :func:`inner` hands to numpy's
+#: BLAS (``np.dot``, ``np.vdot``).  numpy's bundled OpenBLAS runs ``ddot``
+#: on the calling thread up to this length and on every BLAS thread
+#: above it: CPU time per wall second of a hot loop read 1.00 at
+#: n = 10,000 and 1.99 at n = 10,001 (2-vCPU x86_64 host, numpy 2.4.6,
+#: OpenBLAS 0.3.31).  A second thread cannot pay for itself on a
+#: reduction this short (a dot of 16,384 to 102,400 entries takes
+#: 4-15 µs, a hand-off to another thread and back 18-38 µs), yet it
+#: doubled a poisson2d(128) cg solve's CPU time, slowed it, and summed
+#: in an order that followed the BLAS thread count.  Longer vectors are
+#: therefore summed by ``np.einsum``, which never leaves the calling
+#: thread.
+BLAS_DOT_MAX = 10_000
 
 
 def _scratch(work: Any, x: np.ndarray) -> np.ndarray | None:
@@ -98,10 +119,7 @@ def dot(x: np.ndarray, y: np.ndarray, *, label: str | None = None) -> float:
         ``"direct_dot"`` so experiment E5 can count exactly those.
     """
     tracer = add_dot(x.shape[0], label=label)
-    if np.iscomplexobj(x) or np.iscomplexobj(y):
-        value = float(np.vdot(x, y).real)
-    else:
-        value = float(np.dot(x, y))
+    value = inner(x, y)
     if tracer is not None:
         tracer.end("local_dot")
     return value
@@ -110,6 +128,28 @@ def dot(x: np.ndarray, y: np.ndarray, *, label: str | None = None) -> float:
 def norm(x: np.ndarray) -> float:
     """Instrumented Euclidean norm (booked as one inner product)."""
     return float(np.sqrt(dot(x, x)))
+
+
+def inner(x: np.ndarray, y: np.ndarray) -> float:
+    """``⟨x, y⟩`` as :func:`dot` computes it, on the calling thread, with
+    nothing booked: for work outside a solve, such as the front door's
+    look at ``b``.
+
+    Up to :data:`BLAS_DOT_MAX` entries this is ``np.dot`` (real) or
+    ``np.vdot(x, y).real`` (complex).  Above it the sum is
+    ``np.einsum("i,i->")``; a complex operand contributes its ``.real``
+    and ``.imag`` views, so no temporary vector is made.
+    """
+    is_complex = np.iscomplexobj(x) or np.iscomplexobj(y)
+    if x.shape[0] <= BLAS_DOT_MAX:
+        return float(np.vdot(x, y).real) if is_complex else float(np.dot(x, y))
+    if not is_complex:
+        return float(np.einsum("i,i->", x, y))
+    # Re(xᴴy) = Σ Re x·Re y + Im x·Im y; a real operand has no Im part.
+    value = np.einsum("i,i->", x.real, y.real)
+    if np.iscomplexobj(x) and np.iscomplexobj(y):
+        value += np.einsum("i,i->", x.imag, y.imag)
+    return float(value)
 
 
 @lru_cache(maxsize=256)

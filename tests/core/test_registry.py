@@ -137,6 +137,54 @@ def test_precond_refuses_what_its_driver_cannot_take(system, method, options):
         solve(a, b, method, precond="jacobi", **options)
 
 
+#: (method, precond) paths beyond the plain one of every method.
+PRECOND_PATHS = [
+    ("cg", "jacobi"),
+    ("cg", "chebyshev"),
+    ("vr", "jacobi"),
+    ("vr", "chebyshev"),
+    ("pipelined-vr", "jacobi"),
+]
+#: Paths whose runner repairs by default, where ``recovery=None`` is the
+#: unrepaired run that ``recovery="none"`` also asks for.
+REPAIRED_BY_DEFAULT = {("vr", None), ("vr", "jacobi"), ("vr", "chebyshev"),
+                       ("pipelined-vr", None)}
+
+
+@pytest.mark.parametrize(
+    "method, precond",
+    [(m, None) for m in sorted(EXPECTED_METHODS)] + PRECOND_PATHS,
+)
+def test_explicit_none_means_none_on_every_path(method, precond):
+    """``faults=None`` and ``recovery=None`` are accepted on every method
+    and preconditioned driver, and solve exactly as the call that asks
+    for no faults and no repair."""
+    a = poisson2d(8)
+    b = np.random.default_rng(5).standard_normal(a.nrows)
+    plain = solve(a, b, method, precond=precond)
+    assert solve(a, b, method, precond=precond, faults=None).x.tobytes() == plain.x.tobytes()
+    unrepaired = (
+        solve(a, b, method, precond=precond, recovery="none")
+        if (method, precond) in REPAIRED_BY_DEFAULT
+        else plain
+    )
+    result = solve(a, b, method, precond=precond, recovery=None)
+    assert result.x.tobytes() == unrepaired.x.tobytes()
+    assert result.iterations == unrepaired.iterations
+
+
+def test_solve_batched_accepts_explicit_nones():
+    from repro import solve_batched
+
+    a = poisson2d(8)
+    b_block = np.random.default_rng(5).standard_normal((a.nrows, 3))
+    plain = solve_batched(a, b_block).x.tobytes()
+    assert solve_batched(a, b_block, faults=None).x.tobytes() == plain
+    assert solve_batched(a, b_block, recovery=None).x.tobytes() == plain
+    with pytest.raises(ValueError, match="batched solves do not support"):
+        solve_batched(a, b_block, recovery="drift")
+
+
 def test_precond_rejected_for_non_supporting_method(system):
     a, b = system
     with pytest.raises(ValueError, match="does not accept a preconditioner"):
@@ -279,6 +327,28 @@ def test_effective_stop_mirrors_the_front_door(system):
     r0_norm = float(np.linalg.norm(zero - a.matvec(x0)))
     assert resolved == custom.with_initial_residual(0.0, r0_norm)
     assert resolved.threshold(0.0) > 0.0
+
+
+def test_effective_stop_reduces_like_the_solver_and_books_nothing():
+    """Above the BLAS cut the rescue's ``‖r⁰‖`` is the kernels' own
+    reduction, booked as no dot; malformed ``b`` or ``x0`` falls through
+    to the caller's criterion for the solver to diagnose."""
+    from repro.registry import effective_stop
+    from repro.util.counters import counting
+    from repro.util.kernels import BLAS_DOT_MAX, inner
+
+    a = poisson2d(104)
+    assert a.nrows > BLAS_DOT_MAX
+    zero, x0 = np.zeros(a.nrows), np.ones(a.nrows)
+    custom = StoppingCriterion(rtol=1e-4)
+    with counting() as c:
+        resolved = effective_stop(a, zero, {"stop": custom, "x0": x0})
+    assert c.dots == 0
+    r0 = zero - a.matvec(x0)
+    assert resolved == custom.with_initial_residual(0.0, float(np.sqrt(inner(r0, r0))))
+    for b, guess in [(np.zeros((a.nrows, 2)), x0), (zero, np.ones(3)),
+                     (["b"] * a.nrows, x0)]:
+        assert effective_stop(a, b, {"stop": custom, "x0": guess}) is custom
 
 
 # ----------------------------------------------------------------------

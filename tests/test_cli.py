@@ -78,6 +78,20 @@ class TestSolve:
             main(["solve", "--generate", "poisson2d", "--size", "8",
                   "--method", "gv", "--precond", "jacobi"])
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--method", "gv"],
+            ["--method", "cg", "--precond", "jacobi"],
+            ["--method", "pipelined-vr", "--precond", "jacobi"],
+        ],
+        ids=["gv", "cg-jacobi", "pipelined-vr-jacobi"],
+    )
+    def test_recovery_none_where_the_runner_takes_no_recovery(self, extra, capsys):
+        rc = main(["solve", "--generate", "poisson2d", "--size", "8",
+                   "--recovery", "none", *extra])
+        assert rc == 0
+
     def test_recovery_drift_flag(self, capsys):
         rc = main(["solve", "--generate", "poisson2d", "--size", "10",
                    "--method", "vr", "--k", "3", "--recovery", "drift"])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from repro.backend import Workspace
 from repro.util.counters import counting
 from repro.util.kernels import (
+    BLAS_DOT_MAX,
     FOLD_WIDTH,
     axpby,
     axpy,
@@ -19,6 +22,7 @@ from repro.util.kernels import (
     block_step,
     block_sweeps,
     dot,
+    inner,
     norm,
     scale,
 )
@@ -58,6 +62,49 @@ class TestDot:
     @given(VEC)
     def test_norm_is_sqrt_self_dot(self, x):
         assert norm(x) == pytest.approx(float(np.linalg.norm(x)), rel=1e-12, abs=1e-300)
+
+
+def _pair(n, complex_=False):
+    x, y, xi, yi = np.random.default_rng(n).standard_normal((4, n))
+    return (x + 1j * xi, y + 1j * yi) if complex_ else (x, y)
+
+
+class TestThreadRule:
+    """Dots up to :data:`BLAS_DOT_MAX` entries are BLAS's, on the calling
+    thread; longer ones are ``np.einsum``'s, which sums in one order at
+    any BLAS thread count."""
+
+    @pytest.mark.parametrize("n", [1, 1024, BLAS_DOT_MAX])
+    def test_up_to_the_cut_is_bitwise_blas(self, n):
+        x, y = _pair(n)
+        assert dot(x, y) == float(np.dot(x, y))
+        assert norm(x) == float(np.sqrt(np.dot(x, x)))
+        z, w = _pair(n, complex_=True)
+        assert dot(z, w) == float(np.vdot(z, w).real)
+
+    @pytest.mark.parametrize("n", [BLAS_DOT_MAX + 1, 16_384])
+    def test_above_the_cut_is_bitwise_einsum(self, n):
+        x, y = _pair(n)
+        assert dot(x, y) == float(np.einsum("i,i->", x, y))
+        assert inner(x, y) == dot(x, y)
+        assert norm(x) == float(np.sqrt(np.einsum("i,i->", x, x)))
+
+    @pytest.mark.parametrize("kinds", ["cc", "cr", "rc"])
+    def test_complex_above_the_cut_matches_vdot_and_allocates_no_vector(self, kinds):
+        n = 4 * BLAS_DOT_MAX
+        z, w = _pair(n, complex_=True)
+        x = z if kinds[0] == "c" else z.real.copy()
+        y = w if kinds[1] == "c" else w.real.copy()
+        expected = float(np.vdot(x, y).real)
+        tracemalloc.start()
+        try:
+            floor, _ = tracemalloc.get_traced_memory()
+            value = dot(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(expected, rel=1e-12)
+        assert peak - floor < n  # under one byte per entry: no vector
 
 
 class TestAxpy:
